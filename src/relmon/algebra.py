@@ -18,6 +18,7 @@ from .errors import (
     BudgetExceeded,
     MonadMismatch,
     RootMismatch,
+    TheoremViolation,
     ValidationFailure,
     Violation,
 )
@@ -186,9 +187,6 @@ class AlgebraCategory:
     adjunction: RelativeAdjunction = None
     free_of: dict = field(default=None, repr=False)     # root object -> Alg object name
 
-    def algebra_of(self, obj_name: str) -> Algebra:
-        return self.algebras[self.category._obj_index[obj_name]]
-
     def size(self) -> tuple[int, int]:
         return (len(self.category.objects), len(self.category.morphisms))
 
@@ -249,7 +247,8 @@ def build_algebra_category(T: RelativeMonad, budget: int = None) -> AlgebraCateg
             for f in E.hom(T.j.ob(b), carrier_obj):
                 alpha[(b, "*", f)] = T.dagger(b, a, f)
         key = (carrier_obj, tuple(sorted(alpha.items())))
-        assert key in by_table, "free algebra must appear in the enumeration"
+        if key not in by_table:
+            raise TheoremViolation("free algebra must appear in the enumeration")
         free_of[a] = by_table[key]
 
     f_obj = {a: free_of[a] for a in A.objects}
@@ -321,19 +320,23 @@ def comparison_functor(adj: RelativeAdjunction, algcat: AlgebraCategory) -> Comp
             for f in E.hom(T.j.ob(a), adj.right.ob(c)):
                 alpha[(a, "*", f)] = adj.right.mor(adj.untranspose(a, c, f))
         key = (adj.right.ob(c), tuple(sorted(alpha.items())))
-        assert key in by_table, "comparison image must be an enumerated algebra"
+        if key not in by_table:
+            raise TheoremViolation("comparison image must be an enumerated algebra")
         on_objects[c] = by_table[key]
     on_morphisms = {}
     for k in C.morphism_names():
         i = cat._obj_index[on_objects[C.dom(k)]]
         i2 = cat._obj_index[on_objects[C.cod(k)]]
         mname = f"{i}.{adj.right.mor(k)}.{i2}"
-        assert mname in cat.morphism_names(), "comparison image must be an algebra morphism"
+        if mname not in cat.morphism_names():
+            raise TheoremViolation("comparison image must be an algebra morphism")
         on_morphisms[k] = mname
     K = FunctorData(C, cat, on_objects, on_morphisms, name="K")
 
-    assert compose_functors(K, algcat.u) == adj.right
-    assert compose_functors(adj.left, K) == algcat.f
+    if compose_functors(K, algcat.u) != adj.right:
+        raise TheoremViolation("comparison functor must commute with the right adjoints")
+    if compose_functors(adj.left, K) != algcat.f:
+        raise TheoremViolation("comparison functor must commute with the left adjoints")
 
     count = _count_resolution_morphisms(adj, algcat)
     return ComparisonData(K, classify_functor(K), unique=(count == 1))

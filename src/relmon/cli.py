@@ -64,11 +64,6 @@ def _load_doc(path_or_obj, base: Path):
     return corpus.load_json(p)
 
 
-def load_category_file(path) -> "FinCategory":
-    doc = corpus.load_json(path)
-    return validate_category(doc, name=str(path))
-
-
 def load_functor_file(path):
     """A standalone functor document: dom/cod inline or as relative paths."""
 
@@ -359,6 +354,12 @@ def _cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_mode_flags(p) -> None:
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--strict", action="store_true")
+    mode.add_argument("--nonstrict", action="store_true")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="relmon",
                      description="finite-category engine for relative monadicity")
@@ -395,8 +396,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("monadic", help="decide relative monadicity")
     p.add_argument("--j", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--nonstrict", action="store_true")
+    _add_mode_flags(p)
     p.add_argument("--co", action="store_true")
     p.add_argument("--audit", action="store_true")
     p.add_argument("--shapes", type=int, default=0)
@@ -415,8 +415,7 @@ def build_parser() -> _Parser:
     p.add_argument("--j", required=True)
     p.add_argument("--rprime", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--nonstrict", action="store_true")
+    _add_mode_flags(p)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_composite)
 

@@ -11,6 +11,14 @@ the colimit search, and dualizing back.  Absoluteness of a colimit along a
 root j is the bijectivity of the canonical map from the tensor quotient
 (E(j,f) (.)l p) to E(j, apex), which at Set level is preservation by the
 nerve of j.
+
+Natural families and colimit searches are held by one checker per (p, f).
+The checkers live in a shared LRU cache of at most CHECKER_CACHE_SIZE (64)
+entries, keyed by the structural content of p and f (their categories'
+tables, p's element and action tables, f's object and morphism maps),
+never by object identity.  A colimit, a creation check and an audit that
+ask about the same (p, f) therefore search it once, and an answer is
+always bound to the caller's own p and f.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ColimitNotFound, DownstairsMissing, EndpointMismatch
+from .errors import ColimitNotFound, DownstairsMissing, EndpointMismatch, TheoremViolation
 from .fincat import (
     FinCategory,
     FunctorData,
@@ -30,49 +38,56 @@ from .fincat import (
     opposite,
     opposite_functor,
 )
+from .lru import LRUCache
 from .prof import Distributor, dual_distributor, hom_restriction, tensor_set
 
 # ---------------------------------------------------------------------------
 # natural families
 
 
+def _slots(p: Distributor, x: str) -> list:
+    """The slots (y, e) of a family at x, in canonical order."""
+    return [(y, e) for y in p.tgt.objects for e in p.el(y, x)]
+
+
 def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wprime: str):
     """All families phi_{y}: p(y, x) -> W(f y, wprime) natural in y.
 
     Naturality: phi_{y'}(m.e) = f(m); phi_y(e) for every m: y' -> y in Y.
-    Returned as dicts keyed (y, e), in canonical enumeration order.
+    Returned as dicts keyed (y, e), in canonical enumeration order.  Each
+    constraint is checked once, at the later of its two slots, as soon as
+    both are assigned.
     """
 
     Y = p.tgt
-    slots = [(y, e) for y in Y.objects for e in p.el(y, x)]
+    slots = _slots(p, x)
     slot_index = {s: i for i, s in enumerate(slots)}
-    constraints = []   # (later_slot, earlier_slot, m) meaning phi[later] = f(m); phi[earlier]
+    # checks[i]: (a, b, f m) meaning phi[b] = f(m); phi[a], with max(a, b) = i
+    checks: list[list] = [[] for _ in slots]
     for m in Y.morphism_names():
         if Y.is_identity(m):
             continue
         y, y2 = Y.cod(m), Y.dom(m)
+        fm = f.mor(m)
         for e in p.el(y, x):
             a, b = slot_index[(y, e)], slot_index[(y2, p.act_r(m, x, e))]
-            constraints.append((a, b, m))
+            checks[max(a, b)].append((a, b, fm))
 
+    comp = W.composition
+    domains = [W.hom(f.ob(y), wprime) for (y, _) in slots]
     out = []
     assignment: list[Optional[str]] = [None] * len(slots)
 
-    def ok_upto(i: int) -> bool:
-        for (a, b, m) in constraints:
-            if a <= i and b <= i:
-                if assignment[b] != W.comp(f.mor(m), assignment[a]):
-                    return False
-        return True
-
     def rec(i: int):
         if i == len(slots):
-            out.append({slots[k]: assignment[k] for k in range(len(slots))})
+            out.append(dict(zip(slots, assignment)))
             return
-        y, _ = slots[i]
-        for k in W.hom(f.ob(y), wprime):
+        for k in domains[i]:
             assignment[i] = k
-            if ok_upto(i):
+            for (a, b, fm) in checks[i]:
+                if assignment[b] != comp[(fm, assignment[a])]:
+                    break
+            else:
                 rec(i + 1)
         assignment[i] = None
 
@@ -80,18 +95,25 @@ def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wpr
     return out
 
 
-def _family_key(fam: dict) -> tuple:
-    return tuple(sorted(fam.items()))
-
-
 class _UniversalityChecker:
-    """Caches natural-family enumerations for one (weight, diagram) pair."""
+    """Natural families, their key sets and the colimit search for one (weight, diagram) pair.
+
+    A family's key is the tuple of its values in slot order.
+    """
 
     def __init__(self, p: Distributor, f: FunctorData):
         self.p = p
         self.f = f
         self.W = f.cod
+        self._slots: dict[str, list] = {}
         self._fams: dict[tuple[str, str], list] = {}
+        self._keys: dict[tuple[str, str], frozenset] = {}
+        self._colimit = None
+
+    def slots(self, x: str) -> list:
+        if x not in self._slots:
+            self._slots[x] = _slots(self.p, x)
+        return self._slots[x]
 
     def families(self, x: str, wprime: str):
         key = (x, wprime)
@@ -99,22 +121,100 @@ class _UniversalityChecker:
             self._fams[key] = natural_families(self.p, x, self.f, self.W, wprime)
         return self._fams[key]
 
-    def family_keys(self, x: str, wprime: str):
-        return {_family_key(fam) for fam in self.families(x, wprime)}
+    def family_keys(self, x: str, wprime: str) -> frozenset:
+        key = (x, wprime)
+        if key not in self._keys:
+            self._keys[key] = frozenset(tuple(fam.values()) for fam in self.families(x, wprime))
+        return self._keys[key]
 
     def is_colimiting_at(self, x: str, apex_obj: str, legs_at_x: dict) -> bool:
+        """Is postcomposition with the legs a bijection W(apex, w') ~= families(x, w')?"""
+
         W = self.W
+        comp = W.composition
+        legs = [legs_at_x[s] for s in self.slots(x)]
         for wprime in W.objects:
+            homs = W.hom(apex_obj, wprime)
             fam_keys = self.family_keys(x, wprime)
+            if len(homs) != len(fam_keys):
+                return False
             images = set()
-            for k in W.hom(apex_obj, wprime):
-                img = _family_key({s: W.comp(v, k) for s, v in legs_at_x.items()})
-                if img in images:
+            for k in homs:
+                img = tuple([comp[(v, k)] for v in legs])
+                if img in images or img not in fam_keys:
                     return False
                 images.add(img)
-            if images != fam_keys:
+        return True
+
+    def is_cocone_colimiting(self, w: FunctorData, legs: dict) -> bool:
+        p = self.p
+        for x in p.src.objects:
+            legs_at_x = {(y, e): legs[(y, x, e)] for (y, e) in self.slots(x)}
+            if not self.is_colimiting_at(x, w.ob(x), legs_at_x):
                 return False
         return True
+
+    def colimit(self):
+        """((apex on objects, apex on morphisms, legs), None), or (None, first failing x).
+
+        The search runs on the first call only.
+        """
+
+        if self._colimit is None:
+            self._colimit = self._search()
+        return self._colimit
+
+    def _search(self):
+        p, W = self.p, self.W
+        X = p.src
+        chosen_obj: dict[str, str] = {}
+        chosen_legs: dict[str, dict] = {}
+        for x in X.objects:
+            found = False
+            for w0 in W.objects:
+                for fam in self.families(x, w0):
+                    if self.is_colimiting_at(x, w0, fam):
+                        chosen_obj[x] = w0
+                        chosen_legs[x] = fam
+                        found = True
+                        break
+                if found:
+                    break
+            if not found:
+                return None, x
+
+        on_morphisms = {}
+        for n in X.morphism_names():
+            x, x2 = X.dom(n), X.cod(n)
+            target = {s: chosen_legs[x2][(s[0], p.act_l(n, s[0], s[1]))]
+                      for s in chosen_legs[x]}
+            matches = [
+                k for k in W.hom(chosen_obj[x], chosen_obj[x2])
+                if all(W.comp(chosen_legs[x][s], k) == target[s] for s in chosen_legs[x])
+            ]
+            if len(matches) != 1:
+                raise TheoremViolation("universal property must pin the apex action")
+            on_morphisms[n] = matches[0]
+        apex = FunctorData(X, W, chosen_obj, on_morphisms)
+        if functor_violations(apex.to_dict(), X, W):
+            raise TheoremViolation("colimit apex must be a functor")
+        legs = {(y, x, e): chosen_legs[x][(y, e)]
+                for x in X.objects for (y, e) in chosen_legs[x]}
+        return (chosen_obj, on_morphisms, legs), None
+
+
+CHECKER_CACHE_SIZE = 64
+_checkers = LRUCache(CHECKER_CACHE_SIZE)
+
+
+def _shared_checker(p: Distributor, f: FunctorData) -> _UniversalityChecker:
+    # categories compare and hash by their tables, so the key is content only
+    key = (p.src, p.tgt, p.table(), f.dom, f.cod, f.table())
+    checker = _checkers.get(key)
+    if checker is None:
+        checker = _UniversalityChecker(p, f)
+        _checkers.put(key, checker)
+    return checker
 
 
 # ---------------------------------------------------------------------------
@@ -143,46 +243,21 @@ class WeightedLimit:
         return self.legs[(x, y, e)]
 
 
-def try_weighted_colimit(p: Distributor, f: FunctorData, checker: "_UniversalityChecker" = None):
-    """The p-weighted colimit of f, or (None, first failing x)."""
+def try_weighted_colimit(p: Distributor, f: FunctorData):
+    """The p-weighted colimit of f, or (None, first failing x).
+
+    The search runs once per (p, f) content in the shared checker cache;
+    the result is bound to the caller's own p and f.
+    """
 
     if f.dom != p.tgt:
         raise EndpointMismatch("diagram must start at the weight's target")
-    W = f.cod
-    X = p.src
-    checker = checker or _UniversalityChecker(p, f)
-    chosen_obj: dict[str, str] = {}
-    chosen_legs: dict[str, dict] = {}
-    for x in X.objects:
-        found = False
-        for w0 in W.objects:
-            for fam in checker.families(x, w0):
-                if checker.is_colimiting_at(x, w0, fam):
-                    chosen_obj[x] = w0
-                    chosen_legs[x] = fam
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return None, x
-
-    on_morphisms = {}
-    for n in X.morphism_names():
-        x, x2 = X.dom(n), X.cod(n)
-        target = {s: chosen_legs[x2][(s[0], p.act_l(n, s[0], s[1]))]
-                  for s in chosen_legs[x]}
-        matches = [
-            k for k in W.hom(chosen_obj[x], chosen_obj[x2])
-            if all(W.comp(chosen_legs[x][s], k) == target[s] for s in chosen_legs[x])
-        ]
-        assert len(matches) == 1, "universal property must pin the apex action"
-        on_morphisms[n] = matches[0]
-    apex = FunctorData(X, W, chosen_obj, on_morphisms)
-    assert not functor_violations(apex.to_dict(), X, W)
-    legs = {(y, x, e): chosen_legs[x][(y, e)]
-            for x in X.objects for (y, e) in chosen_legs[x]}
-    return WeightedColimit(p, f, apex, legs), None
+    found, failed = _shared_checker(p, f).colimit()
+    if found is None:
+        return None, failed
+    on_objects, on_morphisms, legs = found
+    apex = FunctorData(p.src, f.cod, on_objects, on_morphisms)
+    return WeightedColimit(p, f, apex, dict(legs)), None
 
 
 def weighted_colimit(p: Distributor, f: FunctorData) -> WeightedColimit:
@@ -212,12 +287,7 @@ def verify_weighted_colimit(colim: WeightedColimit) -> bool:
             for e in p.el(y, x):
                 if colim.legs[(y, x2, p.act_l(n, y, e))] != W.comp(colim.legs[(y, x, e)], apex.mor(n)):
                     return False
-    checker = _UniversalityChecker(p, f)
-    for x in X.objects:
-        legs_at_x = {(y, e): colim.legs[(y, x, e)] for y in Y.objects for e in p.el(y, x)}
-        if not checker.is_colimiting_at(x, apex.ob(x), legs_at_x):
-            return False
-    return True
+    return _shared_checker(p, f).is_cocone_colimiting(apex, colim.legs)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +451,8 @@ def is_j_absolute(j: FunctorData, colim: WeightedColimit):
                 rep = ts.class_of[(y, u, e)]
                 val = E.comp(u, colim.legs[(y, x, e)])
                 if rep in images:
-                    assert images[rep] == val, "canonical map must be class-invariant"
+                    if images[rep] != val:
+                        raise TheoremViolation("canonical map must be class-invariant")
                 else:
                     images[rep] = val
             vals = [images[r] for r in ts.classes]
@@ -434,6 +505,10 @@ def nerve_transform_families(j: FunctorData, e: str, e2: str):
     return out
 
 
+def _family_key(fam: dict) -> tuple:
+    return tuple(sorted(fam.items()))
+
+
 def is_dense(j: FunctorData):
     """Full faithfulness of the nerve: E(e, e') ~= transformations of nerves.
 
@@ -468,16 +543,17 @@ def _nerve_slots(j: FunctorData, e: str):
 # cocones and creation
 
 
-def enumerate_cocones(p: Distributor, f: FunctorData, W: FinCategory):
-    """All p-cocones (w, legs) for f with apex functor into W, canonical order."""
+def enumerate_cocones(p: Distributor, f: FunctorData):
+    """All p-cocones (w, legs) for f with apex functor into cod f, canonical order."""
 
-    X, Y = p.src, p.tgt
+    X, W = p.src, f.cod
+    checker = _shared_checker(p, f)
     out = []
     for w in enumerate_functors(X, W):
         per_x = []
         feasible = True
         for x in X.objects:
-            fams = natural_families(p, x, f, W, w.ob(x))
+            fams = checker.families(x, w.ob(x))
             if not fams:
                 feasible = False
                 break
@@ -507,14 +583,8 @@ def _legs_natural_in_x(p: Distributor, w: FunctorData, legs: dict, W: FinCategor
     return True
 
 
-def cocone_is_colimiting(p: Distributor, f: FunctorData, w: FunctorData, legs: dict,
-                         checker: "_UniversalityChecker" = None) -> bool:
-    checker = checker or _UniversalityChecker(p, f)
-    for x in p.src.objects:
-        legs_at_x = {(y, e): legs[(y, x, e)] for y in p.tgt.objects for e in p.el(y, x)}
-        if not checker.is_colimiting_at(x, w.ob(x), legs_at_x):
-            return False
-    return True
+def cocone_is_colimiting(p: Distributor, f: FunctorData, w: FunctorData, legs: dict) -> bool:
+    return _shared_checker(p, f).is_cocone_colimiting(w, legs)
 
 
 @dataclass
@@ -592,7 +662,7 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData) -> 
         return CreationReport("strict", "colimit", False, lift_count=len(lifts),
                               violations=[f"{len(lifts)} on-the-nose lifts (need exactly 1)"])
     w, legs = lifts[0]
-    colimiting = cocone_is_colimiting(p, f, w, legs, checker=_UniversalityChecker(p, f))
+    colimiting = cocone_is_colimiting(p, f, w, legs)
     violations = [] if colimiting else ["unique lift is not colimiting"]
     return CreationReport("strict", "colimit", colimiting, lift_count=1,
                           lifted_apex=dict(w.on_objects), colimiting=colimiting,
@@ -613,15 +683,14 @@ def _legs_natural_in_y(p: Distributor, f: FunctorData, legs: dict, W: FinCategor
 
 
 def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData) -> CreationReport:
-    W, V = g.dom, g.cod
     fg = compose_functors(f, g)
     down, failed = try_weighted_colimit(p, fg)
     if down is None:
         raise DownstairsMissing(f"downstairs colimit missing at {failed!r}")
 
-    up_checker = _UniversalityChecker(p, f)
-    down_checker = _UniversalityChecker(p, fg)
-    up, _ = try_weighted_colimit(p, f, checker=up_checker)
+    up_checker = _shared_checker(p, f)
+    down_checker = _shared_checker(p, fg)
+    up, _ = try_weighted_colimit(p, f)
     upstairs_exists = up is not None
     violations = []
     if not upstairs_exists:
@@ -629,11 +698,11 @@ def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData) 
 
     biconditional_ok = True
     witness = None
-    for (w, legs) in enumerate_cocones(p, f, W):
+    for (w, legs) in enumerate_cocones(p, f):
         down_w = compose_functors(w, g)
         down_legs = {key: g.mor(v) for key, v in legs.items()}
-        down_colimiting = cocone_is_colimiting(p, fg, down_w, down_legs, checker=down_checker)
-        up_colimiting = cocone_is_colimiting(p, f, w, legs, checker=up_checker)
+        down_colimiting = down_checker.is_cocone_colimiting(down_w, down_legs)
+        up_colimiting = up_checker.is_cocone_colimiting(w, legs)
         if down_colimiting != up_colimiting:
             biconditional_ok = False
             witness = (dict(w.on_objects), down_colimiting, up_colimiting)

@@ -51,12 +51,21 @@ class FinCategory:
                 )
         self._obj_index = {x: i for i, x in enumerate(self.objects)}
         self._mor_index = {m: i for i, (m, _, _) in enumerate(self.morphisms)}
+        self._names = tuple(m for (m, _, _) in self.morphisms)
+        self._identity_names = frozenset(
+            m for (m, d, c) in self.morphisms if d == c and self.identities.get(d) == m)
         self._inverses: Optional[dict[str, Optional[str]]] = None
+        # composable pairs, structural table, its hash and the opposite
+        # category, built on first use
+        self._composable: Optional[tuple] = None
+        self._table = None
+        self._hash: Optional[int] = None
+        self._opposite: Optional[FinCategory] = None
 
     # -- basic accessors -------------------------------------------------
 
     def morphism_names(self) -> tuple[str, ...]:
-        return tuple(m for (m, _, _) in self.morphisms)
+        return self._names
 
     def dom(self, f: str) -> str:
         return self._dom[f]
@@ -68,7 +77,7 @@ class FinCategory:
         return self.identities[x]
 
     def is_identity(self, f: str) -> bool:
-        return self.identities.get(self._dom[f]) == f and self._dom[f] == self._cod[f]
+        return f in self._identity_names
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom[(x, y)]
@@ -76,6 +85,14 @@ class FinCategory:
     def comp(self, f: str, g: str) -> str:
         """Composite "f then g"; requires cod f = dom g."""
         return self.composition[(f, g)]
+
+    def composable_pairs(self) -> tuple[tuple[str, str, str], ...]:
+        """Every (f, g, f;g) with cod f = dom g, in canonical (f, g) order."""
+        if self._composable is None:
+            self._composable = tuple(
+                (f, g, self.composition[(f, g)])
+                for f in self._names for g in self._names if self._cod[f] == self._dom[g])
+        return self._composable
 
     def comp_many(self, *fs: str) -> str:
         out = fs[0]
@@ -109,14 +126,22 @@ class FinCategory:
     # -- structural equality and serialization ---------------------------
 
     def table(self):
-        return (self.objects, self.morphisms, tuple(sorted(self.identities.items())),
-                tuple(sorted(self.composition.items())))
+        if self._table is None:
+            self._table = (self.objects, self.morphisms, tuple(sorted(self.identities.items())),
+                           tuple(sorted(self.composition.items())))
+        return self._table
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinCategory) and self.table() == other.table()
+        if self is other:
+            return True
+        if not isinstance(other, FinCategory) or hash(self) != hash(other):
+            return False
+        return self._table == other._table
 
     def __hash__(self):
-        return hash(self.table())
+        if self._hash is None:
+            self._hash = hash(self.table())
+        return self._hash
 
     def __repr__(self) -> str:
         nm = self.name or "?"
@@ -243,12 +268,18 @@ def build_category(name, objects, morphisms, identities, composition) -> FinCate
 
 
 def opposite(C: FinCategory) -> FinCategory:
-    """Formal dual: same names, dom/cod swapped, composition table transposed."""
+    """Formal dual: same names, dom/cod swapped, composition table transposed.
 
-    morphisms = [(m, c, d) for (m, d, c) in C.morphisms]
-    comp = {(g, f): h for ((f, g), h) in C.composition.items()}
-    return FinCategory(f"{C.name}^op" if C.name else None,
-                       C.objects, morphisms, C.identities, comp)
+    Built once per category and kept on it, so repeated dualizations share
+    one instance.
+    """
+
+    if C._opposite is None:
+        morphisms = [(m, c, d) for (m, d, c) in C.morphisms]
+        comp = {(g, f): h for ((f, g), h) in C.composition.items()}
+        C._opposite = FinCategory(f"{C.name}^op" if C.name else None,
+                                  C.objects, morphisms, C.identities, comp)
+    return C._opposite
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +347,9 @@ def functor_violations(raw: dict, C: FinCategory, D: FinCategory) -> list[Violat
     for x in C.objects:
         if on_mor[C.id_of(x)] != D.id_of(on_ob[x]):
             violations.append(Violation("breaks_identity", (x,)))
-    for f in C.morphism_names():
-        for g in C.morphism_names():
-            if C.cod(f) != C.dom(g):
-                continue
-            if on_mor[C.comp(f, g)] != D.comp(on_mor[f], on_mor[g]):
-                violations.append(Violation("breaks_composition", (f, g)))
+    for (f, g, fg) in C.composable_pairs():
+        if on_mor[fg] != D.comp(on_mor[f], on_mor[g]):
+            violations.append(Violation("breaks_composition", (f, g)))
     return violations
 
 
@@ -367,6 +395,8 @@ def enumerate_functors(C: FinCategory, D: FinCategory) -> Iterator[FunctorData]:
         yield FunctorData(C, D, {}, {})
         return
     nonid = [f for f in C.morphism_names() if not C.is_identity(f)]
+    pairs = C.composable_pairs()
+    D_comp = D.composition
     for obj_choice in itertools.product(D.objects, repeat=len(C.objects)):
         on_ob = dict(zip(C.objects, obj_choice))
         on_mor = {C.id_of(x): D.id_of(on_ob[x]) for x in C.objects}
@@ -374,12 +404,9 @@ def enumerate_functors(C: FinCategory, D: FinCategory) -> Iterator[FunctorData]:
         def assign(i: int):
             if i == len(nonid):
                 # composition is checked over every pair once all images exist
-                for f in C.morphism_names():
-                    for g in C.morphism_names():
-                        if C.cod(f) != C.dom(g):
-                            continue
-                        if on_mor[C.comp(f, g)] != D.comp(on_mor[f], on_mor[g]):
-                            return
+                for (f, g, fg) in pairs:
+                    if on_mor[fg] != D_comp[(on_mor[f], on_mor[g])]:
+                        return
                 yield FunctorData(C, D, dict(on_ob), dict(on_mor))
                 return
             f = nonid[i]
@@ -430,15 +457,6 @@ def nat_trans_violations(F: FunctorData, G: FunctorData, components: dict) -> li
         if D.comp(F.mor(f), components[y]) != D.comp(components[x], G.mor(f)):
             violations.append(Violation("naturality_fail", (f,)))
     return violations
-
-
-def validate_nat_trans(F: FunctorData, G: FunctorData, components: dict) -> NatTransData:
-    if F.dom != G.dom or F.cod != G.cod:
-        raise NotParallel("source and target functors are not parallel")
-    violations = nat_trans_violations(F, G, components)
-    if violations:
-        raise ValidationFailure("natural transformation", violations)
-    return NatTransData(F, G, components)
 
 
 def find_natural_isomorphism(F: FunctorData, G: FunctorData) -> Optional[NatTransData]:

@@ -120,14 +120,6 @@ def validate_relative_monad(j: FunctorData, t: FunctorData, unit: dict, ext: dic
     return RelativeMonad(j, t, unit, ext, name=name or None)
 
 
-def monad_from_dict(raw: dict, j: FunctorData, t: FunctorData, name: str = "") -> RelativeMonad:
-    ext = {}
-    for key, g in raw["ext"].items():
-        a, b, f = key.split("|")
-        ext[(a, b, f)] = g
-    return validate_relative_monad(j, t, dict(raw["unit"]), ext, name=name)
-
-
 def trivial_relative_monad(j: FunctorData) -> RelativeMonad:
     """Carrier j, identity unit, identity extension tables; always valid."""
 

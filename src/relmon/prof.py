@@ -22,6 +22,7 @@ from .errors import (
     Violation,
 )
 from .fincat import FinCategory, FunctorData, opposite
+from .lru import LRUCache
 
 
 class Distributor:
@@ -471,13 +472,6 @@ def graded_cell_violations(cell: GradedCell) -> list[Violation]:
     return violations
 
 
-def validate_graded_cell(cell: GradedCell) -> GradedCell:
-    violations = graded_cell_violations(cell)
-    if violations:
-        raise ValidationFailure("graded cell", violations)
-    return cell
-
-
 MAX_CHAIN = 2
 
 
@@ -509,7 +503,8 @@ def enumerate_graded_cells(chain, f0: FunctorData, fn: FunctorData, q: Distribut
 # exhaustive distributor census (for audits)
 
 
-_census_cache: dict = {}
+CENSUS_CACHE_SIZE = 32
+_census_cache = LRUCache(CENSUS_CACHE_SIZE)
 
 
 def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int,
@@ -518,15 +513,17 @@ def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int,
 
     Elements are named canonically per component; enumeration order is
     deterministic.  Raises BudgetExceeded when the raw candidate space is
-    too large to walk.  Results are memoized per (X, Y, cap).
+    too large to walk.  Results are memoized per (X, Y, cap, budget) by
+    content, in a bounded LRU of CENSUS_CACHE_SIZE entries; the budget is
+    part of the key because it decides whether the census raises.
     """
 
-    cache_key = (X.table(), Y.table(), element_cap)
+    cache_key = (X.table(), Y.table(), element_cap, budget)
     cached = _census_cache.get(cache_key)
     if cached is not None:
         return cached
     out = _enumerate_distributors(X, Y, element_cap, budget)
-    _census_cache[cache_key] = out
+    _census_cache.put(cache_key, out)
     return out
 
 

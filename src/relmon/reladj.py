@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import EndpointMismatch, ValidationFailure, Violation
+from .errors import EndpointMismatch, TheoremViolation, ValidationFailure, Violation
 from .fincat import FinCategory, FunctorData, compose_functors, functor_violations, enumerate_functors
 from .colim import is_dense, try_left_extension
 
@@ -146,7 +146,8 @@ def find_left_relative_adjoint(j: FunctorData, r: FunctorData) -> Optional[Relat
         x2, u2 = chosen[a2]
         target = E.comp(j.mor(h), u2)
         matches = [m for m in D.hom(x, x2) if E.comp(u, r.mor(m)) == target]
-        assert len(matches) == 1
+        if len(matches) != 1:
+            raise TheoremViolation("left relative adjoint must be pinned on morphisms")
         on_morphisms[h] = matches[0]
     left = FunctorData(A, D, on_objects, on_morphisms)
     if functor_violations(left.to_dict(), A, D):

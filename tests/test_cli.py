@@ -131,6 +131,15 @@ def test_usage_error_exit_3():
     assert run(["monad", "validate"]) == 3
 
 
+def test_strict_and_nonstrict_together_is_usage_error(files, capsys):
+    assert run(["monadic", "--j", files / "id_bz2.json", "--r", files / "id_bz2.json",
+                "--strict", "--nonstrict"]) == 3
+    assert run(["composite", "--j", files / "empty_root_disc2.json",
+                "--rprime", files / "id_disc2.json", "--r", files / "id_disc2.json",
+                "--nonstrict", "--strict"]) == 3
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_composite_cli(files):
     assert run(["composite", "--j", files / "empty_root_disc2.json",
                 "--rprime", files / "id_disc2.json",

@@ -2,13 +2,17 @@ import itertools
 
 import pytest
 
+from relmon import colim as colim_module
 from relmon import corpus
 from relmon.colim import (
+    _UniversalityChecker,
+    _shared_checker,
     check_creation,
     extension_unit,
     is_dense,
     is_j_absolute,
     left_extension,
+    natural_families,
     try_left_extension,
     try_weighted_colimit,
     try_weighted_limit,
@@ -17,7 +21,8 @@ from relmon.colim import (
     weighted_limit,
 )
 from relmon.errors import DownstairsMissing
-from relmon.fincat import FunctorData, constant_functor, identity_functor
+from relmon.fincat import FunctorData, constant_functor, enumerate_functors, identity_functor
+from relmon.lru import LRUCache
 from relmon.prof import Distributor, hom_distributor, hom_restriction, restrict_distributor, validate_distributor
 
 
@@ -38,6 +43,105 @@ def conical_weight(Y):
     elements = {(y, "*"): ("c",) for y in Y.objects}
     right = {(m, "*", "c"): "c" for m in Y.morphism_names() if not Y.is_identity(m)}
     return validate_distributor(Distributor(T, Y, elements, right, {}))
+
+
+def brute_force_families(p, x, f, W, wprime):
+    """Every assignment of the slots, in product order, kept when natural."""
+    Y = p.tgt
+    slots = [(y, e) for y in Y.objects for e in p.el(y, x)]
+    out = []
+    for combo in itertools.product(*[W.hom(f.ob(y), wprime) for (y, _) in slots]):
+        phi = dict(zip(slots, combo))
+        if all(phi[(Y.dom(m), p.act_r(m, x, e))] == W.comp(f.mor(m), phi[(Y.cod(m), e)])
+               for m in Y.morphism_names() for e in p.el(Y.cod(m), x)):
+            out.append(phi)
+    return out
+
+
+def corpus_weights(Y):
+    return [representable_weight(Y, y0) for y0 in Y.objects] + [conical_weight(Y)]
+
+
+# ---------------------------------------------------------------------------
+# natural families and the shared checkers
+
+
+def test_natural_families_match_product_then_filter(cats):
+    checked = 0
+    for name in ("Interval", "BZ2", "BM3", "Split", "Indisc2", "Vee", "Span", "Square", "PP"):
+        Y = cats[name]
+        diagrams = [identity_functor(Y)] + list(enumerate_functors(Y, cats["Split"]))[:4]
+        for p in corpus_weights(Y):
+            for f in diagrams:
+                W = f.cod
+                for x in p.src.objects:
+                    for wprime in W.objects:
+                        got = natural_families(p, x, f, W, wprime)
+                        want = brute_force_families(p, x, f, W, wprime)
+                        assert got == want
+                        assert [list(fam) for fam in got] == [list(fam) for fam in want]
+                        checked += 1
+    assert checked > 100
+
+
+def test_cached_colimit_equals_fresh_search(cats):
+    for name in ("Interval", "BZ2", "Split", "Indisc2", "Vee", "PP"):
+        Y = cats[name]
+        for p in corpus_weights(Y):
+            for f in [identity_functor(Y)] + list(enumerate_functors(Y, cats["Interval"])):
+                colim, failed = try_weighted_colimit(p, f)
+                found, fresh_failed = _UniversalityChecker(p, f).colimit()
+                if colim is None:
+                    assert found is None and failed == fresh_failed
+                    continue
+                on_objects, on_morphisms, legs = found
+                assert colim.apex.on_objects == on_objects
+                assert colim.apex.on_morphisms == on_morphisms
+                assert colim.legs == legs
+                assert verify_weighted_colimit(colim)
+
+
+def test_equal_content_shares_one_checker_and_binds_callers_objects(monkeypatch):
+    monkeypatch.setattr(colim_module, "_checkers", LRUCache(colim_module.CHECKER_CACHE_SIZE))
+    Y1, Y2 = corpus.split_category(), corpus.split_category()
+    p1, p2 = representable_weight(Y1, "x"), representable_weight(Y2, "x")
+    f1, f2 = identity_functor(Y1), identity_functor(Y2)
+    assert p1 is not p2 and f1 is not f2
+
+    first, _ = try_weighted_colimit(p1, f1)
+    second, _ = try_weighted_colimit(p2, f2)
+    assert len(colim_module._checkers) == 1
+    assert _shared_checker(p1, f1) is _shared_checker(p2, f2)
+    assert second.weight is p2 and second.diagram is f2
+    assert second.apex.dom is p2.src and second.apex.cod is f2.cod
+    assert first.weight is p1 and first.apex.cod is f1.cod
+    assert second.legs == first.legs and second.legs is not first.legs
+
+
+def test_checker_cache_never_exceeds_its_bound(cats, monkeypatch):
+    from relmon.prof import enumerate_distributors
+    bound = colim_module.CHECKER_CACHE_SIZE
+    assert colim_module._checkers.maxsize == bound == 64
+    monkeypatch.setattr(colim_module, "_checkers", LRUCache(bound))
+    T = corpus.terminal_category()
+    searched = 0
+    for Y in (cats["Disc2"], cats["Interval"]):
+        for p in enumerate_distributors(T, Y, 1):
+            for f in enumerate_functors(Y, cats["Square"]):
+                try_weighted_colimit(p, f)
+                searched += 1
+                assert len(colim_module._checkers) <= bound
+    assert searched > bound and len(colim_module._checkers) == bound
+
+
+def test_lru_cache_drops_least_recently_used():
+    cache = LRUCache(2)
+    cache.put("a", 1)
+    cache.put("b", 2)
+    assert cache.get("a") == 1      # "b" is now the oldest
+    cache.put("c", 3)
+    assert len(cache) == 2 and cache.get("b") is None
+    assert cache.get("a") == 1 and cache.get("c") == 3
 
 
 # ---------------------------------------------------------------------------

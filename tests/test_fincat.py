@@ -130,6 +130,22 @@ def test_opposite_involution(cats):
         assert opposite(opposite(C)).composition == C.composition
 
 
+def test_opposite_is_built_once_per_category(cats):
+    for C in cats.values():
+        assert opposite(C) is opposite(C)
+        assert opposite(opposite(C)) == C
+
+
+def test_equal_content_categories_compare_and_hash_equal(cats):
+    for name, make in corpus.STANDARD_CATEGORIES.items():
+        C, C2 = cats[name], make()
+        assert C is not C2
+        assert C == C2 and hash(C) == hash(C2)
+        assert C.table() is C.table()
+    assert cats["Interval"] != cats["Disc2"]
+    assert cats["Interval"] != opposite(cats["Interval"])
+
+
 def test_opposite_interval_flips_u(cats):
     op = opposite(cats["Interval"])
     assert op.dom("u") == "1" and op.cod("u") == "0"

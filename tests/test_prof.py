@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relmon import corpus
-from relmon.errors import ChainMismatch, EndpointMismatch, ValidationFailure
+from relmon import corpus, prof
+from relmon.errors import BudgetExceeded, ChainMismatch, EndpointMismatch, ValidationFailure
 from relmon.fincat import FunctorData, identity_functor
 from relmon.prof import (
     Distributor,
@@ -294,3 +294,18 @@ def test_enumerate_distributors_bz2_side(cats):
     ds2 = enumerate_distributors(cats["Terminal"], cats["BZ2"], element_cap=2)
     # sizes 0,1,2; size 2 admits id and swap actions: 1 + 1 + 2
     assert len(ds2) == 4
+
+
+def test_census_cache_is_bounded_and_returns_the_same_list(cats, monkeypatch):
+    monkeypatch.setattr(prof, "_census_cache", prof.LRUCache(2))
+    T = cats["Terminal"]
+    first = enumerate_distributors(T, T, element_cap=1)
+    assert enumerate_distributors(corpus.terminal_category(), T, element_cap=1) is first
+    for cap in range(2, 6):
+        enumerate_distributors(T, T, element_cap=cap)
+        assert len(prof._census_cache) <= 2
+    again = enumerate_distributors(T, T, element_cap=1)
+    assert again is not first and [d.table() for d in again] == [d.table() for d in first]
+    # a census cached under a larger budget is not returned under one it exceeds
+    with pytest.raises(BudgetExceeded):
+        enumerate_distributors(T, T, element_cap=1, budget=1)
