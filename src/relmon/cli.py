@@ -85,10 +85,7 @@ def load_monad_file(path):
             raise ParseFailure(str(path), f"monad file missing {key!r}")
     j = _functor_from_doc(doc["j"], base, "j")
     t = _functor_from_doc(doc["t"], base, "t")
-    ext = {}
-    for key, g in doc["ext"].items():
-        a, b, f = key.split("|")
-        ext[(a, b, f)] = g
+    ext = corpus.split_keys(doc["ext"], 3, f"{path}: ext")
     return validate_relative_monad(j, t, doc["unit"], ext, name=str(path))
 
 
@@ -112,10 +109,7 @@ def load_adjunction_file(path):
     j = _functor_from_doc(doc["j"], base, "j")
     left = _functor_from_doc(doc["l"], base, "l")
     right = _functor_from_doc(doc["r"], base, "r")
-    sharp = {}
-    for key, v in doc["sharp"].items():
-        a, c, k = key.split("|")
-        sharp[(a, c, k)] = v
+    sharp = corpus.split_keys(doc["sharp"], 3, f"{path}: sharp")
     return validate_relative_adjunction(j, left, right, sharp, name=str(path))
 
 

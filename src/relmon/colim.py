@@ -12,13 +12,28 @@ root j is the bijectivity of the canonical map from the tensor quotient
 (E(j,f) (.)l p) to E(j, apex), which at Set level is preservation by the
 nerve of j.
 
-Natural families and colimit searches are held by one checker per (p, f).
-The checkers live in a shared LRU cache of at most CHECKER_CACHE_SIZE (64)
-entries, keyed by the structural content of p and f (their categories'
-tables, p's element and action tables, f's object and morphism maps),
-never by object identity.  A colimit, a creation check and an audit that
-ask about the same (p, f) therefore search it once, and an answer is
-always bound to the caller's own p and f.
+Caches, what keys them and how long they live:
+
+* DownstairsCensus holds one byte per (weight, diagram) position for the
+  downstairs questions of creation: does the p-weighted colimit of
+  d: Y -> E exist, and is it j-absolute; does the p-weighted limit exist.
+  Rows are keyed by content, (kind, E, root, X, Y, element_cap); inside a
+  row a verdict sits at the weight's index in the distributor census and
+  the diagram's index in enumerate_functors(Y, E).  A suite run holds one
+  in its context for forgetful_creates, monadicity_crosscheck and
+  density_necessity; a creation audit without one makes its own.  It is
+  dropped with the run or the audit.
+* The checker LRU holds one _UniversalityChecker per (p, f): its family
+  plans (slots and naturality checks, one per x), its natural families and
+  their key sets, and its colimit search.  It is process-wide, holds at
+  most CHECKER_CACHE_SIZE (64) checkers, and is keyed by the structural
+  content of p and f (their categories' tables, p's element and action
+  tables, f's object and morphism maps), never by object identity.  A
+  creation check that asks about a (p, f) just searched finds it there,
+  and an answer is always bound to the caller's own p and f.
+* Memos kept on immutable inputs for their lifetime, derived only from
+  their tables: a FinCategory keeps its table, hash, opposite() and
+  hom_distributor(); a Distributor keeps its table().
 """
 
 from __future__ import annotations
@@ -45,24 +60,16 @@ from .prof import Distributor, dual_distributor, hom_restriction, tensor_set
 # natural families
 
 
-def _slots(p: Distributor, x: str) -> list:
-    """The slots (y, e) of a family at x, in canonical order."""
-    return [(y, e) for y in p.tgt.objects for e in p.el(y, x)]
+def _family_plan(p: Distributor, x: str, f: FunctorData) -> tuple:
+    """The slots (y, e) of a family at x in canonical order, and its naturality checks.
 
-
-def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wprime: str):
-    """All families phi_{y}: p(y, x) -> W(f y, wprime) natural in y.
-
-    Naturality: phi_{y'}(m.e) = f(m); phi_y(e) for every m: y' -> y in Y.
-    Returned as dicts keyed (y, e), in canonical enumeration order.  Each
-    constraint is checked once, at the later of its two slots, as soon as
-    both are assigned.
+    checks[i] holds (a, b, f m), meaning phi[b] = f(m); phi[a], for every
+    constraint whose later slot max(a, b) is i.
     """
 
     Y = p.tgt
-    slots = _slots(p, x)
+    slots = [(y, e) for y in Y.objects for e in p.el(y, x)]
     slot_index = {s: i for i, s in enumerate(slots)}
-    # checks[i]: (a, b, f m) meaning phi[b] = f(m); phi[a], with max(a, b) = i
     checks: list[list] = [[] for _ in slots]
     for m in Y.morphism_names():
         if Y.is_identity(m):
@@ -72,7 +79,21 @@ def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wpr
         for e in p.el(y, x):
             a, b = slot_index[(y, e)], slot_index[(y2, p.act_r(m, x, e))]
             checks[max(a, b)].append((a, b, fm))
+    return slots, checks
 
+
+def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wprime: str,
+                     plan: tuple = None):
+    """All families phi_{y}: p(y, x) -> W(f y, wprime) natural in y.
+
+    Naturality: phi_{y'}(m.e) = f(m); phi_y(e) for every m: y' -> y in Y.
+    Returned as dicts keyed (y, e), in canonical enumeration order.  Each
+    constraint is checked once, at the later of its two slots, as soon as
+    both are assigned.  plan is _family_plan(p, x, f), built here when not
+    given; it does not depend on wprime, so a caller may share it.
+    """
+
+    slots, checks = plan if plan is not None else _family_plan(p, x, f)
     comp = W.composition
     domains = [W.hom(f.ob(y), wprime) for (y, _) in slots]
     out = []
@@ -98,27 +119,33 @@ def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wpr
 class _UniversalityChecker:
     """Natural families, their key sets and the colimit search for one (weight, diagram) pair.
 
-    A family's key is the tuple of its values in slot order.
+    A family's key is the tuple of its values in slot order.  The family
+    plan (slots and naturality checks) is built once per x and shared by
+    every w'.
     """
 
     def __init__(self, p: Distributor, f: FunctorData):
         self.p = p
         self.f = f
         self.W = f.cod
-        self._slots: dict[str, list] = {}
+        self._plans: dict[str, tuple] = {}
         self._fams: dict[tuple[str, str], list] = {}
         self._keys: dict[tuple[str, str], frozenset] = {}
         self._colimit = None
 
+    def plan(self, x: str) -> tuple:
+        if x not in self._plans:
+            self._plans[x] = _family_plan(self.p, x, self.f)
+        return self._plans[x]
+
     def slots(self, x: str) -> list:
-        if x not in self._slots:
-            self._slots[x] = _slots(self.p, x)
-        return self._slots[x]
+        return self.plan(x)[0]
 
     def families(self, x: str, wprime: str):
         key = (x, wprime)
         if key not in self._fams:
-            self._fams[key] = natural_families(self.p, x, self.f, self.W, wprime)
+            self._fams[key] = natural_families(self.p, x, self.f, self.W, wprime,
+                                               plan=self.plan(x))
         return self._fams[key]
 
     def family_keys(self, x: str, wprime: str) -> frozenset:
@@ -537,6 +564,79 @@ def is_dense(j: FunctorData):
 def _nerve_slots(j: FunctorData, e: str):
     A, E = j.dom, j.cod
     return [(a, u) for a in A.objects for u in E.hom(j.ob(a), e)]
+
+
+# ---------------------------------------------------------------------------
+# downstairs census
+
+
+NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
+_UNKNOWN = 255
+
+
+class DownstairsCensus:
+    """Downstairs (co)limit verdicts, one byte per (weight, diagram) position.
+
+    A downstairs answer depends only on the weight p: X -|-> Y, the diagram
+    d into E and, for absoluteness, the root j: A -> E; not on the functor
+    whose composite produced d.  One census is held for one suite run or
+    one creation audit and dropped with it.
+
+    Rows are keyed by content, never by object identity: (kind, E, root, X,
+    Y, element_cap), where root is (j.dom, j.table()) for colimits and None
+    for limits.  Inside a row, the verdict for p and d sits at
+    weight_index * n + diagram_index: weight_index is p's position in
+    enumerate_distributors(X, Y, element_cap), which the caller passes in;
+    diagram_index is d's position in enumerate_functors(dom d, E), found
+    through one {table: index} dict per (dom d, E); n is the number of those
+    functors.  Colimit bytes are NO_COLIMIT, COLIMIT or ABSOLUTE_COLIMIT;
+    limit bytes are 1 when the limit exists.
+    """
+
+    def __init__(self):
+        self._rows: dict[tuple, bytearray] = {}
+        self._diagrams: dict[tuple, dict] = {}
+
+    def _position(self, row_key: tuple, weight_index: int, d: FunctorData) -> tuple:
+        index = self._diagrams.get((d.dom, d.cod))
+        if index is None:
+            index = {g.table(): i for i, g in enumerate(enumerate_functors(d.dom, d.cod))}
+            self._diagrams[(d.dom, d.cod)] = index
+        n = len(index)
+        row = self._rows.get(row_key)
+        if row is None:
+            row = self._rows[row_key] = bytearray()
+        if len(row) < (weight_index + 1) * n:
+            row.extend(bytes([_UNKNOWN]) * ((weight_index + 1) * n - len(row)))
+        return row, weight_index * n + index[d.table()]
+
+    def colimit(self, j: FunctorData, p: Distributor, weight_index: int, d: FunctorData,
+                element_cap: int) -> int:
+        """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the p-weighted colimit of d."""
+
+        key = ("colimit", d.cod, (j.dom, j.table()), p.src, p.tgt, element_cap)
+        row, pos = self._position(key, weight_index, d)
+        if row[pos] == _UNKNOWN:
+            down, _ = try_weighted_colimit(p, d)
+            if down is None:
+                row[pos] = NO_COLIMIT
+            else:
+                absolute, _ = is_j_absolute(j, down)
+                row[pos] = ABSOLUTE_COLIMIT if absolute else COLIMIT
+        return row[pos]
+
+    def limit(self, p: Distributor, weight_index: int, d: FunctorData, element_cap: int) -> bool:
+        """Does the p-weighted limit of d exist?"""
+
+        key = ("limit", d.cod, None, p.src, p.tgt, element_cap)
+        row, pos = self._position(key, weight_index, d)
+        if row[pos] == _UNKNOWN:
+            row[pos] = try_weighted_limit(p, d)[0] is not None
+        return bool(row[pos])
+
+    def size(self) -> tuple[int, int]:
+        """(rows, bytes) held."""
+        return len(self._rows), sum(len(row) for row in self._rows.values())
 
 
 # ---------------------------------------------------------------------------

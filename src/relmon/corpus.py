@@ -296,14 +296,37 @@ def save_json(doc: dict, path) -> None:
 
 
 def load_json(path) -> dict:
+    """The JSON object in the file at path; any other JSON value is a ParseFailure."""
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise RelmonError(f"io error reading {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseFailure(str(path), f"invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(doc, dict):
+        raise ParseFailure(str(path), f"document must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def split_keys(table, parts: int, where: str) -> dict:
+    """{(a, b, ...): value} from a JSON object keyed "a|b|...".
+
+    Every key must split into exactly `parts` names; otherwise, or when
+    table is not an object, raises ParseFailure at `where`.
+    """
+
+    if not isinstance(table, dict):
+        raise ParseFailure(where, "must be a JSON object")
+    out = {}
+    for key, value in table.items():
+        names = tuple(key.split("|"))
+        if len(names) != parts:
+            raise ParseFailure(where, f"key {key!r} must have {parts} '|'-separated parts")
+        out[names] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -598,20 +621,14 @@ def load_instance(path) -> Instance:
         raw = load_json(root / rel)
         j = resolve_functor(raw["j"], rel)
         t = resolve_functor(raw["t"], rel)
-        ext = {}
-        for key, g in raw["ext"].items():
-            a, b, f = key.split("|")
-            ext[(a, b, f)] = g
+        ext = split_keys(raw["ext"], 3, f"{rel}: ext")
         inst.monads[role] = validate_relative_monad(j, t, raw["unit"], ext, name=role)
     for role, rel in manifest.get("adjunctions", {}).items():
         raw = load_json(root / rel)
         j = resolve_functor(raw["j"], rel)
         left = resolve_functor(raw["l"], rel)
         right = resolve_functor(raw["r"], rel)
-        sharp = {}
-        for key, v in raw["sharp"].items():
-            a, c, k = key.split("|")
-            sharp[(a, c, k)] = v
+        sharp = split_keys(raw["sharp"], 3, f"{rel}: sharp")
         inst.adjunctions[role] = validate_relative_adjunction(j, left, right, sharp, name=role)
     return inst
 

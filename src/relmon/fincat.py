@@ -55,12 +55,14 @@ class FinCategory:
         self._identity_names = frozenset(
             m for (m, d, c) in self.morphisms if d == c and self.identities.get(d) == m)
         self._inverses: Optional[dict[str, Optional[str]]] = None
-        # composable pairs, structural table, its hash and the opposite
-        # category, built on first use
+        # composable pairs, structural table, its hash, the opposite category
+        # and the hom distributor (kept by prof.hom_distributor), built on
+        # first use
         self._composable: Optional[tuple] = None
         self._table = None
         self._hash: Optional[int] = None
         self._opposite: Optional[FinCategory] = None
+        self._hom_distributor = None
 
     # -- basic accessors -------------------------------------------------
 

@@ -16,12 +16,14 @@ from typing import Optional
 
 from .algebra import AlgebraCategory, build_algebra_category, comparison_functor
 from .colim import (
+    ABSOLUTE_COLIMIT,
+    NO_COLIMIT,
+    DownstairsCensus,
     check_creation,
     extension_weight,
     is_dense,
     is_j_absolute,
     try_left_extension,
-    try_weighted_colimit,
 )
 from .corpus import disc2_category, interval_category, terminal_category
 from .errors import (
@@ -36,6 +38,8 @@ from .fincat import (
     FunctorData,
     classify_functor,
     compose_functors,
+    enumerate_functors,
+    find_natural_isomorphism,
     identity_functor,
     opposite,
     opposite_functor,
@@ -189,7 +193,7 @@ class AuditReport:
 
 def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
                    element_cap: int = DEFAULT_ELEMENT_CAP, budget: int = None,
-                   reports: dict = None) -> AuditReport:
+                   reports: dict = None, census: DownstairsCensus = None) -> AuditReport:
     """Falsification harness for the creation characterisation of monadicity.
 
     Enumerates weights between shape-family categories and diagrams into
@@ -200,10 +204,14 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     is positive, the retraction whose composite with the comparison is the
     identity.  Discrepancies against the comparison verdicts are collected;
     a negative verdict with no failing witness flags the census bound.
+
+    Downstairs verdicts are read from census, which a caller asking several
+    audits over the same E may share; without one the audit makes its own.
     """
 
     budget = budget or budget_limit()
     shape_family = shape_family if shape_family is not None else default_shape_family()
+    census = census if census is not None else DownstairsCensus()
     dense, _ = is_dense(j)
     reports = reports or {
         "strict": decide_monadicity(j, r, "strict", budget=budget),
@@ -231,20 +239,18 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
                 report.inconclusive_at_bound[f"{X.name}->{Y.name}"] = "weight census over budget"
                 continue
             for widx, p in enumerate(weights):
-                from .fincat import enumerate_functors
                 for fdiag in enumerate_functors(Y, D):
-                    down, _ = try_weighted_colimit(p, compose_functors(fdiag, r))
-                    if down is None:
+                    verdict = census.colimit(j, p, widx, compose_functors(fdiag, r), element_cap)
+                    if verdict == NO_COLIMIT:
                         continue
-                    absolute, _ = is_j_absolute(j, down)
                     tested += 1
-                    if not absolute:
+                    if verdict != ABSOLUTE_COLIMIT:
                         continue
                     absolute_count += 1
                     strict = check_creation(r, p, fdiag, mode="strict", kind="colimit")
                     nonstrict = check_creation(r, p, fdiag, mode="nonstrict", kind="colimit")
                     item = AuditItem((X.name, Y.name), widx, dict(fdiag.on_objects),
-                                     "colimit", absolute, strict.passed, nonstrict.passed)
+                                     "colimit", True, strict.passed, nonstrict.passed)
                     report.items.append(item)
     report.census = {
         "shapes": [c.name for c in shape_family],
@@ -255,7 +261,6 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
 
     # targeted items: extensions are canonical only up to isomorphism (the
     # representing-object tie-break), so the comparisons search a natural iso
-    from .fincat import find_natural_isomorphism
     K = strict_rep.comparison_functor
     ext, _ = try_left_extension(K, r)
     report.targeted_extension_found = ext is not None

@@ -31,7 +31,8 @@ class Distributor:
     right_action is keyed (m, x, e) for m: y' -> y in Y and e in p(y, x),
     giving the image in p(y', x); left_action is keyed (n, y, e) for
     n: x -> x' in X and e in p(y, x), giving the image in p(y, x').
-    Identity actions are stored implicitly.
+    Identity actions are stored implicitly.  Instances are immutable by
+    convention; table() is built on first use and kept.
     """
 
     def __init__(self, src: FinCategory, tgt: FinCategory, elements,
@@ -45,6 +46,7 @@ class Distributor:
                 self.elements.setdefault((y, x), ())
         self.right_action = dict(right_action)
         self.left_action = dict(left_action)
+        self._table = None
 
     def el(self, y: str, x: str) -> tuple[str, ...]:
         return self.elements[(y, x)]
@@ -62,9 +64,11 @@ class Distributor:
         return self.left_action[(n, y, e)]
 
     def table(self):
-        return (tuple(sorted(self.elements.items())),
-                tuple(sorted(self.right_action.items())),
-                tuple(sorted(self.left_action.items())))
+        if self._table is None:
+            self._table = (tuple(sorted(self.elements.items())),
+                           tuple(sorted(self.right_action.items())),
+                           tuple(sorted(self.left_action.items())))
+        return self._table
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Distributor) and self.src == other.src
@@ -214,8 +218,17 @@ def distributor_from_dict(raw: dict, src: FinCategory, tgt: FinCategory, name: s
 
 
 def hom_distributor(C: FinCategory) -> Distributor:
-    """The loose-identity: p(y, x) = C(y, x) with composition actions."""
+    """The loose-identity: p(y, x) = C(y, x) with composition actions.
 
+    Built once per category and kept on it, as opposite() is.
+    """
+
+    if C._hom_distributor is None:
+        C._hom_distributor = _build_hom_distributor(C)
+    return C._hom_distributor
+
+
+def _build_hom_distributor(C: FinCategory) -> Distributor:
     elements = {(y, x): C.hom(y, x) for y in C.objects for x in C.objects}
     right = {}
     left = {}

@@ -7,6 +7,8 @@ says why in its details.
 
 from __future__ import annotations
 
+import itertools
+
 from .algebra import (
     build_algebra_category,
     enumerate_algebras,
@@ -18,7 +20,16 @@ from .algebra import (
     transport_graded_forward,
     verify_algebra_object,
 )
-from .colim import check_creation, cocone_is_colimiting, is_dense, is_j_absolute, try_weighted_colimit, try_weighted_limit
+from .colim import (
+    ABSOLUTE_COLIMIT,
+    DownstairsCensus,
+    check_creation,
+    cocone_is_colimiting,
+    is_dense,
+    is_j_absolute,
+    try_weighted_colimit,
+    try_weighted_limit,
+)
 from .corpus import Instance, terminal_category, validate_instance
 from .errors import BudgetExceeded, DownstairsMissing, PremiseFail, TheoremViolation
 from .fincat import (
@@ -26,6 +37,7 @@ from .fincat import (
     classify_functor,
     compose_functors,
     enumerate_functors,
+    functor_violations,
     identity_functor,
     opposite,
     opposite_functor,
@@ -45,13 +57,19 @@ from .monadicity import (
 
 
 class _Context:
-    """Shared lazily-built state for one suite run."""
+    """Shared lazily-built state for one suite run.
+
+    census holds the downstairs (co)limit verdicts that forgetful_creates,
+    monadicity_crosscheck and density_necessity all ask for; it lives and
+    dies with the run.
+    """
 
     def __init__(self, instances, shape_family, element_cap, budget):
         self.instances = instances
         self.shape_family = shape_family
         self.element_cap = element_cap
         self.budget = budget
+        self.census = DownstairsCensus()
         self._algcats = {}
         self._decisions = {}
 
@@ -162,25 +180,20 @@ def _check_forgetful_conservative(ctx) -> SuiteResult:
 def _creation_items(ctx, j, u, W):
     """Audited (kind, p, f) items for the forgetful functor u: W -> E."""
 
+    census, cap = ctx.census, ctx.element_cap
     for X in ctx.shape_family:
         for Y in ctx.shape_family:
             try:
-                weights = enumerate_distributors(X, Y, ctx.element_cap, budget=ctx.budget)
+                weights = enumerate_distributors(X, Y, cap, budget=ctx.budget)
             except BudgetExceeded:
                 continue
-            for p in weights:
+            for widx, p in enumerate(weights):
                 for f in enumerate_functors(Y, W):
-                    down, _ = try_weighted_colimit(p, compose_functors(f, u))
-                    if down is None:
-                        continue
-                    absolute, _ = is_j_absolute(j, down)
-                    if absolute:
+                    if census.colimit(j, p, widx, compose_functors(f, u), cap) == ABSOLUTE_COLIMIT:
                         yield ("colimit", p, f)
                 for g in enumerate_functors(X, W):
-                    down, _ = try_weighted_limit(p, compose_functors(g, u))
-                    if down is None:
-                        continue
-                    yield ("limit", p, g)
+                    if census.limit(p, widx, compose_functors(g, u), cap):
+                        yield ("limit", p, g)
 
 
 def _check_forgetful_creates(ctx) -> SuiteResult:
@@ -268,7 +281,7 @@ def _check_monadicity_crosscheck(ctx) -> SuiteResult:
             "nonstrict": ctx.decision(j, r, "nonstrict"),
         }
         audit = creation_audit(j, r, ctx.shape_family, ctx.element_cap,
-                               budget=ctx.budget, reports=reports)
+                               budget=ctx.budget, reports=reports, census=ctx.census)
         checked += 1
         if audit.vacuous:
             continue
@@ -328,7 +341,8 @@ def _check_density_necessity(ctx) -> SuiteResult:
         audit = creation_audit(j, r, ctx.shape_family, ctx.element_cap,
                                budget=ctx.budget,
                                reports={"strict": strict,
-                                        "nonstrict": ctx.decision(j, r, "nonstrict")})
+                                        "nonstrict": ctx.decision(j, r, "nonstrict")},
+                               census=ctx.census)
         if audit.discrepancies:
             details.append(f"{inst.name}/{rrole}: counterexample recorded as discrepancy")
     passed = not details
@@ -460,7 +474,6 @@ def _concrete_functor(alg_src, alg_tgt):
 
     C, D = alg_src.category, alg_tgt.category
     u_src, u_tgt = alg_src.u, alg_tgt.u
-    import itertools
     obj_cands = [[o for o in D.objects if u_tgt.ob(o) == u_src.ob(c)] for c in C.objects]
     for combo in itertools.product(*obj_cands):
         on_objects = dict(zip(C.objects, combo))
@@ -473,7 +486,6 @@ def _concrete_functor(alg_src, alg_tgt):
             continue
         for mc in itertools.product(*[c for _, c in mor_cands]):
             F = FunctorData(C, D, on_objects, dict(zip([k for k, _ in mor_cands], mc)))
-            from .fincat import functor_violations
             if not functor_violations(F.to_dict(), C, D):
                 return F
     return None
@@ -494,7 +506,7 @@ def _algebraic_creation_sample(ctx, j, r, i):
             down, _ = try_weighted_colimit(p, compose_functors(f, i))
             if down is None:
                 continue
-            image =compose_functors(down.apex, r)
+            image = compose_functors(down.apex, r)
             image_legs = {key: r.mor(v) for key, v in down.legs.items()}
             if not cocone_is_colimiting(p, compose_functors(f, compose_functors(i, r)),
                                         image, image_legs):

@@ -127,6 +127,54 @@ def test_budget_exceeded_exit_4(files, monkeypatch):
     assert run(["monad", "enumerate", "--j", files / "point_bz2.json"]) == 4
 
 
+def _parse_failure(capsys, report, where):
+    """The last run reported a parse error at `where` and printed no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "parse error at" in err
+    error = json.loads(report.read_text())["error"]
+    assert error.startswith(f"parse error at {where}:"), error
+
+
+def test_validate_non_object_document_is_parse_error(tmp_path, capsys):
+    for text in ("42", "[1, 2]", '"objects"', "null"):
+        doc = tmp_path / "scalar.json"
+        doc.write_text(text)
+        assert run(["validate", doc, "--report", tmp_path / "rep.json"]) == 3
+        _parse_failure(capsys, tmp_path / "rep.json", str(doc))
+
+
+def test_monad_ext_key_without_three_parts_is_parse_error(files, tmp_path, capsys):
+    bad = tmp_path / "monad_short_key.json"
+    save_json({"j": str(files / "point_bz2.json"), "t": str(files / "point_bz2.json"),
+               "unit": {"*": "e"}, "ext": {"*|*": "e", "*|*|s": "s"}}, bad)
+    for argv in (["monad", "validate", bad], ["validate", bad]):
+        assert run(argv + ["--report", tmp_path / "rep.json"]) == 3
+        _parse_failure(capsys, tmp_path / "rep.json", f"{bad}: ext")
+
+
+def test_adjunction_sharp_key_without_three_parts_is_parse_error(files, tmp_path, capsys):
+    bad = tmp_path / "adj_short_key.json"
+    ref = str(files / "id_bz2.json")
+    save_json({"j": ref, "l": ref, "r": ref, "sharp": {"*|*": "e", "*|*|e|s": "s"}}, bad)
+    assert run(["validate", bad, "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", f"{bad}: sharp")
+
+
+def test_instance_with_bad_table_keys_is_parse_error(tmp_path, capsys):
+    inst = next(i for i in corpus.builtin_corpus() if i.monads and i.adjunctions)
+    for table in ("ext", "sharp"):
+        root = tmp_path / table
+        corpus.save_instance(inst, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        kind = "monads" if table == "ext" else "adjunctions"
+        rel = manifest[kind][sorted(manifest[kind])[0]]
+        doc = json.loads((root / rel).read_text())
+        doc[table]["*|*"] = next(iter(doc[table].values()))
+        save_json(doc, root / rel)
+        assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
+        _parse_failure(capsys, tmp_path / "rep.json", f"{rel}: {table}")
+
+
 def test_usage_error_exit_3():
     assert run(["monad", "validate"]) == 3
 

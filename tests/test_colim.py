@@ -66,7 +66,16 @@ def corpus_weights(Y):
 # natural families and the shared checkers
 
 
-def test_natural_families_match_product_then_filter(cats):
+def test_natural_families_match_product_then_filter(cats, monkeypatch):
+    """Fresh and checker-cached families equal product-then-filter, in order.
+
+    A fresh call builds its own family plan; the checker builds one per x
+    and reuses it for every w'.
+    """
+    plans = []
+    build_plan = colim_module._family_plan
+    monkeypatch.setattr(colim_module, "_family_plan",
+                        lambda *args: plans.append(args) or build_plan(*args))
     checked = 0
     for name in ("Interval", "BZ2", "BM3", "Split", "Indisc2", "Vee", "Span", "Square", "PP"):
         Y = cats[name]
@@ -74,13 +83,19 @@ def test_natural_families_match_product_then_filter(cats):
         for p in corpus_weights(Y):
             for f in diagrams:
                 W = f.cod
+                checker = _UniversalityChecker(p, f)
+                plans.clear()
                 for x in p.src.objects:
                     for wprime in W.objects:
                         got = natural_families(p, x, f, W, wprime)
+                        cached = checker.families(x, wprime)
                         want = brute_force_families(p, x, f, W, wprime)
-                        assert got == want
-                        assert [list(fam) for fam in got] == [list(fam) for fam in want]
+                        assert got == want and cached == want
+                        assert ([list(fam) for fam in got] == [list(fam) for fam in cached]
+                                == [list(fam) for fam in want])
                         checked += 1
+                fresh = len(p.src.objects) * len(W.objects)
+                assert len(plans) == fresh + len(p.src.objects)
     assert checked > 100
 
 
