@@ -33,6 +33,7 @@ from .fincat import (
 from .monad import RelativeMonad, budget_limit, monad_from_adjunction, postcompose_along_adjunction
 from .prof import Distributor, GradedCell, enumerate_graded_cells, hom_restriction
 from .reladj import RelativeAdjunction, validate_relative_adjunction
+from .search import Search
 from .corpus import terminal_category
 
 
@@ -120,8 +121,67 @@ def validate_algebra(T: RelativeMonad, carrier: FunctorData, alpha: dict, name: 
     return Algebra(T, carrier, alpha, name=name or None)
 
 
+def _algebra_search(T: RelativeMonad, carrier: FunctorData, slots: list) -> Search:
+    """One slot per (a, d, f) in canonical order, and every algebra law instance.
+
+    Each instance is checked at the latest slot it reads; compatibility,
+    which indexes alpha through the value of alpha(b, d, f), is registered
+    once per possible value, guarded by it.  Instances at identities hold
+    for every typed table and are left out.
+    """
+
+    A, E = T.j.dom, T.j.cod
+    D = carrier.dom
+    j, t = T.j, T.t
+    comp = E.composition
+    search = Search()
+    alpha = {key: search.slot(target) for key, target in slots}
+    homs = {(a, d): E.hom(j.ob(a), carrier.ob(d)) for a in A.objects for d in D.objects}
+
+    for (a, d, f), s in alpha.items():      # unit: unit a ; alpha(a, d, f) = f
+        search.require(lambda v, s=s, u=T.eta(a), f=f: comp[(u, v[s])] == f, s)
+    for h in A.morphism_names():            # binaturality in a, h: a2 -> a
+        if A.is_identity(h):
+            continue
+        a2, a = A.dom(h), A.cod(h)
+        jh, th = j.mor(h), t.mor(h)
+        for d in D.objects:
+            for f in homs[(a, d)]:
+                lhs, rhs = alpha[(a2, d, comp[(jh, f)])], alpha[(a, d, f)]
+                search.require(lambda v, l=lhs, r=rhs, th=th: v[l] == comp[(th, v[r])], lhs, rhs)
+    for k in D.morphism_names():            # naturality in d, k: d -> d2
+        if D.is_identity(k):
+            continue
+        d, d2 = D.dom(k), D.cod(k)
+        ek = carrier.mor(k)
+        for a in A.objects:
+            for f in homs[(a, d)]:
+                lhs, rhs = alpha[(a, d2, comp[(f, ek)])], alpha[(a, d, f)]
+                search.require(lambda v, l=lhs, r=rhs, ek=ek: v[l] == comp[(v[r], ek)], lhs, rhs)
+    for a in A.objects:                     # compatibility: alpha(a, d, g ; w) = g-dagger ; w
+        for b in A.objects:
+            for d in D.objects:
+                for g in E.hom(j.ob(a), t.ob(b)):
+                    gd = T.dagger(a, b, g)
+                    for f in homs[(b, d)]:
+                        sf = alpha[(b, d, f)]
+                        for w in search.domains[sf]:
+                            sl = alpha[(a, d, comp[(g, w)])]
+                            search.require(lambda v, sf=sf, sl=sl, w=w, x=comp[(gd, w)]:
+                                           v[sf] != w or v[sl] == x, sf, sl)
+    return search
+
+
 def enumerate_algebras(T: RelativeMonad, D: FinCategory, budget: int = None) -> list[Algebra]:
-    """All (carrier, alpha) pairs with domain D, law-filtered, canonical order."""
+    """All (carrier, alpha) pairs with domain D, law-filtered, canonical order.
+
+    Carriers in functor-enumeration order, then alpha tables in product
+    order.  The list comes from a pruned search (search.Search) that checks
+    each law instance as soon as its slots are bound; it equals filtering
+    the full product through algebra_violations, in the same order.  Raises
+    BudgetExceeded when the raw candidate space of some carrier exceeds the
+    budget, whatever the search would prune.
+    """
 
     budget = budget or budget_limit()
     A, E = T.j.dom, T.j.cod
@@ -145,10 +205,9 @@ def enumerate_algebras(T: RelativeMonad, D: FinCategory, budget: int = None) -> 
                 raise BudgetExceeded("algebra enumeration", space, budget)
         if not feasible:
             continue
-        for combo in itertools.product(*[t for _, t in slots]):
-            alpha = {key: v for (key, _), v in zip(slots, combo)}
-            if not algebra_violations(T, carrier, alpha):
-                out.append(Algebra(T, carrier, alpha))
+        for values in _algebra_search(T, carrier, slots).solutions():
+            alpha = {key: v for (key, _), v in zip(slots, values)}
+            out.append(Algebra(T, carrier, alpha))
     return out
 
 

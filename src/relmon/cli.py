@@ -23,7 +23,7 @@ from .errors import (
     RelmonError,
     ValidationFailure,
 )
-from .fincat import validate_category, validate_functor
+from .fincat import split_keys, validate_category, validate_functor
 from .monad import enumerate_relative_monads, validate_relative_monad
 from .monadicity import (
     DEFAULT_ELEMENT_CAP,
@@ -85,7 +85,7 @@ def load_monad_file(path):
             raise ParseFailure(str(path), f"monad file missing {key!r}")
     j = _functor_from_doc(doc["j"], base, "j")
     t = _functor_from_doc(doc["t"], base, "t")
-    ext = corpus.split_keys(doc["ext"], 3, f"{path}: ext")
+    ext = split_keys(doc["ext"], 3, f"{path}: ext")
     return validate_relative_monad(j, t, doc["unit"], ext, name=str(path))
 
 
@@ -109,7 +109,7 @@ def load_adjunction_file(path):
     j = _functor_from_doc(doc["j"], base, "j")
     left = _functor_from_doc(doc["l"], base, "l")
     right = _functor_from_doc(doc["r"], base, "r")
-    sharp = corpus.split_keys(doc["sharp"], 3, f"{path}: sharp")
+    sharp = split_keys(doc["sharp"], 3, f"{path}: sharp")
     return validate_relative_adjunction(j, left, right, sharp, name=str(path))
 
 

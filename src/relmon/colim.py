@@ -55,6 +55,7 @@ from .fincat import (
 )
 from .lru import LRUCache
 from .prof import Distributor, dual_distributor, hom_restriction, tensor_set
+from .search import Search
 
 # ---------------------------------------------------------------------------
 # natural families
@@ -353,6 +354,25 @@ def weighted_limit(p: Distributor, g: FunctorData) -> WeightedLimit:
     return lim
 
 
+def _cone_families(p: Distributor, g: FunctorData, y: str, wprime: str) -> tuple:
+    """The slots (x, e) of p(y, -), and every family phi_x: W(wprime, g x)
+    natural in x, as tuples in slot order, in product order."""
+
+    X, W = p.src, g.cod
+    comp = W.composition
+    slots = [(x, e) for x in X.objects for e in p.el(y, x)]
+    search = Search()
+    index = {(x, e): search.slot(W.hom(wprime, g.ob(x))) for (x, e) in slots}
+    for n in X.morphism_names():
+        if X.is_identity(n):
+            continue
+        x, x2, gn = X.dom(n), X.cod(n), g.mor(n)
+        for e in p.el(y, x):
+            a, b = index[(x, e)], index[(x2, p.act_l(n, y, e))]
+            search.require(lambda v, a=a, b=b, gn=gn: v[b] == comp[(v[a], gn)], a, b)
+    return slots, search.solutions()
+
+
 def verify_weighted_limit(lim: WeightedLimit) -> bool:
     """Direct check of the limit universal property, independent of the
     dualization route: cone naturality plus the bijection
@@ -379,37 +399,9 @@ def verify_weighted_limit(lim: WeightedLimit) -> bool:
                 if lim.legs[(x, y2, p.act_r(m, x, e))] != W.comp(apex.mor(m), lim.legs[(x, y, e)]):
                     return False
 
-    def cone_families(y, wprime):
-        slots = [(x, e) for x in X.objects for e in p.el(y, x)]
-        slot_index = {s: i for i, s in enumerate(slots)}
-        constraints = []
-        for n in X.morphism_names():
-            if X.is_identity(n):
-                continue
-            x, x2 = X.dom(n), X.cod(n)
-            for e in p.el(y, x):
-                constraints.append((slot_index[(x, e)], slot_index[(x2, p.act_l(n, y, e))], n))
-        out = []
-        assignment = [None] * len(slots)
-
-        def rec(i):
-            if i == len(slots):
-                out.append(tuple(assignment))
-                return
-            x, _ = slots[i]
-            for k in W.hom(wprime, g.ob(x)):
-                assignment[i] = k
-                if all(not (a <= i and b <= i) or assignment[b] == W.comp(assignment[a], g.mor(n))
-                       for (a, b, n) in constraints):
-                    rec(i + 1)
-            assignment[i] = None
-
-        rec(0)
-        return slots, out
-
     for y in Y.objects:
         for wprime in W.objects:
-            slots, fams = cone_families(y, wprime)
+            slots, fams = _cone_families(p, g, y, wprime)
             images = set()
             for k in W.hom(wprime, apex.ob(y)):
                 img = tuple(W.comp(k, lim.legs[(x, y, e)]) for (x, e) in slots)
@@ -495,41 +487,21 @@ def nerve_transform_families(j: FunctorData, e: str, e2: str):
     phi_{a'}(v; u) = v; phi_a(u) for all v: j a' -> j a in E.  Precomposition
     by images j h is a special case, so these are module maps over the full
     image of j, matching how nerves of non-fully-faithful roots behave.
+    Returned as dicts keyed (a, u), in product order.
     """
 
     A, E = j.dom, j.cod
-    slots = [(a, u) for a in A.objects for u in E.hom(j.ob(a), e)]
-    slot_index = {s: i for i, s in enumerate(slots)}
-    constraints = []
+    comp = E.composition
+    slots = _nerve_slots(j, e)
+    search = Search()
+    index = {(a, u): search.slot(E.hom(j.ob(a), e2)) for (a, u) in slots}
     for a in A.objects:
         for a2 in A.objects:
             for v in E.hom(j.ob(a2), j.ob(a)):
                 for u in E.hom(j.ob(a), e):
-                    s_from, s_to = slot_index[(a, u)], slot_index[(a2, E.comp(v, u))]
-                    constraints.append((s_from, s_to, v))
-
-    out = []
-    assignment: list[Optional[str]] = [None] * len(slots)
-
-    def consistent(i: int) -> bool:
-        for (sa, sb, v) in constraints:
-            if sa <= i and sb <= i and assignment[sb] != E.comp(v, assignment[sa]):
-                return False
-        return True
-
-    def rec(i: int):
-        if i == len(slots):
-            out.append({slots[k]: assignment[k] for k in range(len(slots))})
-            return
-        a, _ = slots[i]
-        for k in E.hom(j.ob(a), e2):
-            assignment[i] = k
-            if consistent(i):
-                rec(i + 1)
-        assignment[i] = None
-
-    rec(0)
-    return out
+                    src, dst = index[(a, u)], index[(a2, comp[(v, u)])]
+                    search.require(lambda x, s=src, t=dst, v=v: x[t] == comp[(v, x[s])], src, dst)
+    return [dict(zip(slots, values)) for values in search.solutions()]
 
 
 def _family_key(fam: dict) -> tuple:

@@ -20,6 +20,7 @@ from .fincat import (
     build_category,
     constant_functor,
     identity_functor,
+    split_keys,
     validate_category,
     validate_functor,
 )
@@ -309,24 +310,6 @@ def load_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ParseFailure(str(path), f"document must be a JSON object, not {type(doc).__name__}")
     return doc
-
-
-def split_keys(table, parts: int, where: str) -> dict:
-    """{(a, b, ...): value} from a JSON object keyed "a|b|...".
-
-    Every key must split into exactly `parts` names; otherwise, or when
-    table is not an object, raises ParseFailure at `where`.
-    """
-
-    if not isinstance(table, dict):
-        raise ParseFailure(where, "must be a JSON object")
-    out = {}
-    for key, value in table.items():
-        names = tuple(key.split("|"))
-        if len(names) != parts:
-            raise ParseFailure(where, f"key {key!r} must have {parts} '|'-separated parts")
-        out[names] = value
-    return out
 
 
 # ---------------------------------------------------------------------------

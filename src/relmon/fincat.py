@@ -233,26 +233,60 @@ def category_violations(raw: dict) -> list[Violation]:
     return violations
 
 
+def split_keys(table, parts: int, where: str, sep: str = "|") -> dict:
+    """{(a, b, ...): value} from a JSON object keyed "a|b|..." (or with sep).
+
+    Every key must split into exactly `parts` names; otherwise, or when
+    table is not an object, raises ParseFailure at `where`.
+    """
+
+    if not isinstance(table, dict):
+        raise ParseFailure(where, "must be a JSON object")
+    out = {}
+    for key, value in table.items():
+        names = tuple(key.split(sep))
+        if len(names) != parts:
+            raise ParseFailure(where, f"key {key!r} must have {parts} {sep!r}-separated parts")
+        out[names] = value
+    return out
+
+
+def _check_names(table: dict, where: str) -> None:
+    """Every value of a parsed table is a name."""
+    for value in table.values():
+        _check_name(value, where)
+
+
 def validate_category(raw: dict, name: str = "") -> FinCategory:
-    """Validate a category description; raises ValidationFailure listing violations."""
+    """Validate a category description; raises ValidationFailure listing violations.
+
+    A document of the wrong shape (a field of the wrong JSON type, a
+    composition key that is not "f;g", a name that is not a string) raises
+    ParseFailure at the field instead.
+    """
 
     for key in ("objects", "morphisms", "identities", "composition"):
         if key not in raw:
             raise ParseFailure(key, "missing field")
+    for key in ("objects", "morphisms"):
+        if not isinstance(raw[key], list):
+            raise ParseFailure(key, "must be a JSON list")
     for x in raw["objects"]:
         _check_name(x, "objects")
     for m in raw["morphisms"]:
         if not isinstance(m, dict) or set(m) != {"name", "dom", "cod"}:
             raise ParseFailure("morphisms", f"bad morphism entry {m!r}")
-        _check_name(m["name"], "morphisms")
+        for part in ("name", "dom", "cod"):
+            _check_name(m[part], "morphisms")
+    if not isinstance(raw["identities"], dict):
+        raise ParseFailure("identities", "must be a JSON object")
+    _check_names(raw["identities"], "identities")
+    comp = split_keys(raw["composition"], 2, "composition", sep=";")
+    _check_names(comp, "composition")
     violations = category_violations(raw)
     if violations:
         raise ValidationFailure(f"category {name or raw.get('name', '?')}", violations)
     morphisms = [(m["name"], m["dom"], m["cod"]) for m in raw["morphisms"]]
-    comp = {}
-    for key, h in raw["composition"].items():
-        f, _, g = key.partition(";")
-        comp[(f, g)] = h
     return FinCategory(name or raw.get("name"), raw["objects"], morphisms,
                        raw["identities"], comp)
 

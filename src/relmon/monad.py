@@ -3,16 +3,23 @@
 A j-relative monad is (j, t, unit, ext) with unit components j a -> t a and
 extension tables ext_{a,b}: E(j a, t b) -> E(t a, t b) satisfying unit
 naturality, binaturality of ext, and the three monad laws.
+
+monad_violations checks given tables against every law.  The enumeration
+does not call it: it lists the monads over a root with a pruned search
+(search.Search) that checks each law instance at the last table slot it
+reads, which yields the same list, in the same product order, as filtering
+every candidate through monad_violations.  The budget still bounds the raw
+candidate space, the product of the table sizes, before any search.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 
 from .errors import BudgetExceeded, EndpointMismatch, ValidationFailure, Violation
 from .fincat import FunctorData, compose_functors, enumerate_functors, identity_functor
 from .reladj import RelativeAdjunction
+from .search import Search
 
 DEFAULT_BUDGET = 500_000
 
@@ -191,12 +198,74 @@ def postcompose_along_adjunction(T: RelativeMonad, adj: RelativeAdjunction) -> R
     return validate_relative_monad(j, carrier, unit, ext)
 
 
+def _monad_search(j: FunctorData, t: FunctorData, unit_slots: list, ext_slots: list) -> Search:
+    """The unit slots, then the extension slots, and every monad law instance.
+
+    Each instance is checked at the latest slot it reads.  The laws that
+    index ext through another slot's value, ext[(a, a, unit[a])] and
+    ext[(a, c, f; ext(b, c, g))], are registered once per possible value of
+    that slot, guarded by it.  Instances at identities hold for every typed
+    table and are left out.
+    """
+
+    A, E = j.dom, j.cod
+    comp = E.composition
+    search = Search()
+    unit = {a: search.slot(cs) for a, cs in zip(A.objects, unit_slots)}
+    ext = {key: search.slot(cs) for key, cs in ext_slots}
+    homs = {(a, b): E.hom(j.ob(a), t.ob(b)) for a in A.objects for b in A.objects}
+
+    for a in A.objects:             # right unit: unit a ; f-dagger = f
+        for b in A.objects:
+            for f in homs[(a, b)]:
+                search.require(lambda v, u=unit[a], x=ext[(a, b, f)], f=f: comp[(v[u], v[x])] == f,
+                               unit[a], ext[(a, b, f)])
+    for a, cs in zip(A.objects, unit_slots):    # left unit: ext(a, a, unit a) = id
+        for u in cs:
+            x = ext[(a, a, u)]
+            search.require(lambda v, s=unit[a], u=u, x=x, i=E.id_of(t.ob(a)): v[s] != u or v[x] == i,
+                           unit[a], x)
+    for h in A.morphism_names():    # unit naturality: j h ; unit a2 = unit a ; t h
+        if A.is_identity(h):
+            continue
+        a, a2 = A.dom(h), A.cod(h)
+        search.require(lambda v, s=unit[a], s2=unit[a2], jh=j.mor(h), th=t.mor(h):
+                       comp[(jh, v[s2])] == comp[(v[s], th)], unit[a], unit[a2])
+    for h in A.morphism_names():    # binaturality, h: a2 -> a reindexing the first slot
+        a2, a = A.dom(h), A.cod(h)
+        for k in A.morphism_names():
+            if A.is_identity(h) and A.is_identity(k):
+                continue
+            b, b2 = A.dom(k), A.cod(k)
+            jh, th, tk = j.mor(h), t.mor(h), t.mor(k)
+            for f in homs[(a, b)]:
+                lhs, rhs = ext[(a2, b2, E.comp_many(jh, f, tk))], ext[(a, b, f)]
+                search.require(lambda v, l=lhs, r=rhs, th=th, tk=tk: v[l] == comp[(comp[(th, v[r])], tk)],
+                               lhs, rhs)
+    for a in A.objects:             # associativity: ext(a, c, f ; g-dagger) = f-dagger ; g-dagger
+        for b in A.objects:
+            for c in A.objects:
+                for f in homs[(a, b)]:
+                    sf = ext[(a, b, f)]
+                    for g in homs[(b, c)]:
+                        sg = ext[(b, c, g)]
+                        for w in search.domains[sg]:
+                            sl = ext[(a, c, comp[(f, w)])]
+                            search.require(lambda v, sf=sf, sg=sg, sl=sl, w=w:
+                                           v[sg] != w or v[sl] == comp[(v[sf], w)], sf, sg, sl)
+    return search
+
+
 def enumerate_relative_monads(j: FunctorData, budget: int = None) -> list[RelativeMonad]:
     """All (t, unit, ext) triples over every candidate carrier, law-filtered.
 
     Canonical order: carriers in functor-enumeration order, then unit and
-    extension tables in product order.  Raises BudgetExceeded when the raw
-    candidate space for some carrier exceeds the budget.
+    extension tables in product order.  The list comes from a pruned search
+    (search.Search) that checks each law instance as soon as its slots are
+    bound; it equals filtering the full product through monad_violations,
+    in the same order.  Raises BudgetExceeded when the raw candidate space
+    (the product of the table sizes) for some carrier exceeds the budget,
+    whatever the search would prune.
     """
 
     budget = budget or budget_limit()
@@ -222,10 +291,9 @@ def enumerate_relative_monads(j: FunctorData, budget: int = None) -> list[Relati
             continue
         if any(not cs for _, cs in ext_slots):
             continue
-        for unit_combo in itertools.product(*unit_slots):
-            unit = dict(zip(A.objects, unit_combo))
-            for ext_combo in itertools.product(*[cs for _, cs in ext_slots]):
-                ext = {key: v for (key, _), v in zip(ext_slots, ext_combo)}
-                if not monad_violations(j, t, unit, ext):
-                    out.append(RelativeMonad(j, t, unit, ext))
+        n = len(A.objects)
+        for values in _monad_search(j, t, unit_slots, ext_slots).solutions():
+            unit = dict(zip(A.objects, values))
+            ext = {key: v for (key, _), v in zip(ext_slots, values[n:])}
+            out.append(RelativeMonad(j, t, unit, ext))
     return out

@@ -21,7 +21,7 @@ from .errors import (
     ValidationFailure,
     Violation,
 )
-from .fincat import FinCategory, FunctorData, opposite
+from .fincat import FinCategory, FunctorData, opposite, split_keys
 from .lru import LRUCache
 
 
@@ -187,29 +187,23 @@ def distributor_from_dict(raw: dict, src: FinCategory, tgt: FinCategory, name: s
         if key not in raw:
             raise ParseFailure(key, "missing field")
     elements = {}
-    for key, els in raw["elements"].items():
-        parts = key.split("|")
-        if len(parts) != 2:
-            raise ParseFailure("elements", f"bad component key {key!r}")
-        elements[(parts[0], parts[1])] = tuple(els)
+    for (y, x), els in split_keys(raw["elements"], 2, "elements").items():
+        if not isinstance(els, list) or not all(isinstance(e, str) for e in els):
+            raise ParseFailure("elements", f"component {y}|{x} must be a list of names")
+        elements[(y, x)] = tuple(els)
     right = {}
-    for key, val in raw["right_action"].items():
-        parts = key.split("|")
-        if len(parts) != 4:
-            raise ParseFailure("right_action", f"bad key {key!r}")
-        m, y, x, e = parts
+    for (m, y, x, e), val in split_keys(raw["right_action"], 4, "right_action").items():
         if m not in tgt.morphism_names() or tgt.cod(m) != y:
-            raise ParseFailure("right_action", f"key {key!r}: morphism must have cod {y!r}")
+            raise ParseFailure("right_action", f"key {m}|{y}|{x}|{e}: morphism must have cod {y!r}")
         right[(m, x, e)] = val
     left = {}
-    for key, val in raw["left_action"].items():
-        parts = key.split("|")
-        if len(parts) != 4:
-            raise ParseFailure("left_action", f"bad key {key!r}")
-        n, y, x, e = parts
+    for (n, y, x, e), val in split_keys(raw["left_action"], 4, "left_action").items():
         if n not in src.morphism_names() or src.dom(n) != x:
-            raise ParseFailure("left_action", f"key {key!r}: morphism must have dom {x!r}")
+            raise ParseFailure("left_action", f"key {n}|{y}|{x}|{e}: morphism must have dom {x!r}")
         left[(n, y, e)] = val
+    for where, table in (("right_action", right), ("left_action", left)):
+        if not all(isinstance(val, str) for val in table.values()):
+            raise ParseFailure(where, "values must be element names")
     return validate_distributor(Distributor(src, tgt, elements, right, left, name=name or None))
 
 

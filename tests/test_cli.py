@@ -175,6 +175,30 @@ def test_instance_with_bad_table_keys_is_parse_error(tmp_path, capsys):
         _parse_failure(capsys, tmp_path / "rep.json", f"{rel}: {table}")
 
 
+@pytest.mark.parametrize("field, value", [("objects", "*"), ("identities", ["i"]),
+                                          ("composition", [])])
+def test_category_field_of_wrong_type_is_parse_error(files, tmp_path, capsys, field, value):
+    doc = json.loads((files / "bz2.json").read_text())
+    doc[field] = value
+    bad = tmp_path / "bad_field.json"
+    save_json(doc, bad)
+    assert run(["validate", bad, "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", field)
+
+
+@pytest.mark.parametrize("elements", [["*|*"], {"*|*": "e"}])
+def test_instance_with_malformed_distributor_elements_is_parse_error(tmp_path, capsys, elements):
+    inst = next(i for i in corpus.builtin_corpus() if i.distributors)
+    corpus.save_instance(inst, tmp_path / "inst")
+    manifest = json.loads((tmp_path / "inst" / "manifest.json").read_text())
+    path = tmp_path / "inst" / next(iter(manifest["distributors"].values()))["path"]
+    doc = json.loads(path.read_text())
+    doc["elements"] = elements
+    save_json(doc, path)
+    assert run(["validate", tmp_path / "inst", "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", "elements")
+
+
 def test_usage_error_exit_3():
     assert run(["monad", "validate"]) == 3
 
