@@ -131,3 +131,34 @@ def cone_families(p, g, y: str, wprime: str):
                for n in X.morphism_names() for e in p.el(y, X.dom(n))):
             out.append(combo)
     return slots, out
+
+
+def natural_families(p, x: str, f, wprime: str) -> list:
+    """Every family phi_y: p(y, x) -> W(f y, wprime) natural in y, as tuples
+    in slot order, in product order."""
+
+    Y, W = p.tgt, f.cod
+    slots = [(y, e) for y in Y.objects for e in p.el(y, x)]
+    out = []
+    for combo in itertools.product(*[W.hom(f.ob(y), wprime) for (y, _) in slots]):
+        phi = dict(zip(slots, combo))
+        if all(phi[(Y.dom(m), p.act_r(m, x, e))] == W.comp(f.mor(m), phi[(Y.cod(m), e)])
+               for m in Y.morphism_names() for e in p.el(Y.cod(m), x)):
+            out.append(combo)
+    return out
+
+
+def cocone_is_colimiting(p, f, w, legs: dict) -> bool:
+    """The colimit module docstring's definition: for every x and w',
+    postcomposition with the legs at x is a bijection from W(w x, w') onto
+    the natural families p(-, x) => W(f -, w')."""
+
+    Y, W = p.tgt, f.cod
+    for x in p.src.objects:
+        slots = [(y, e) for y in Y.objects for e in p.el(y, x)]
+        for wprime in W.objects:
+            images = [tuple(W.comp(legs[(y, x, e)], k) for (y, e) in slots)
+                      for k in W.hom(w.ob(x), wprime)]
+            if len(set(images)) != len(images) or set(images) != set(natural_families(p, x, f, wprime)):
+                return False
+    return True
