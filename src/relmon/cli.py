@@ -23,7 +23,7 @@ from .errors import (
     RelmonError,
     ValidationFailure,
 )
-from .fincat import split_keys, validate_category, validate_functor
+from .fincat import check_name_map, split_keys, validate_category, validate_functor
 from .monad import enumerate_relative_monads, validate_relative_monad
 from .monadicity import (
     DEFAULT_ELEMENT_CAP,
@@ -85,8 +85,9 @@ def load_monad_file(path):
             raise ParseFailure(str(path), f"monad file missing {key!r}")
     j = _functor_from_doc(doc["j"], base, "j")
     t = _functor_from_doc(doc["t"], base, "t")
+    unit = check_name_map(doc["unit"], f"{path}: unit")
     ext = split_keys(doc["ext"], 3, f"{path}: ext")
-    return validate_relative_monad(j, t, doc["unit"], ext, name=str(path))
+    return validate_relative_monad(j, t, unit, ext, name=str(path))
 
 
 def _functor_from_doc(doc, base, name):

@@ -18,6 +18,7 @@ from .fincat import (
     FinCategory,
     FunctorData,
     build_category,
+    check_name_map,
     constant_functor,
     identity_functor,
     split_keys,
@@ -604,8 +605,9 @@ def load_instance(path) -> Instance:
         raw = load_json(root / rel)
         j = resolve_functor(raw["j"], rel)
         t = resolve_functor(raw["t"], rel)
+        unit = check_name_map(raw["unit"], f"{rel}: unit")
         ext = split_keys(raw["ext"], 3, f"{rel}: ext")
-        inst.monads[role] = validate_relative_monad(j, t, raw["unit"], ext, name=role)
+        inst.monads[role] = validate_relative_monad(j, t, unit, ext, name=role)
     for role, rel in manifest.get("adjunctions", {}).items():
         raw = load_json(root / rel)
         j = resolve_functor(raw["j"], rel)

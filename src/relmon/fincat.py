@@ -257,6 +257,18 @@ def _check_names(table: dict, where: str) -> None:
         _check_name(value, where)
 
 
+def check_name_map(table, where: str) -> dict:
+    """table, when it is a JSON object from names to names; otherwise raises
+    ParseFailure at `where`."""
+
+    if not isinstance(table, dict):
+        raise ParseFailure(where, "must be a JSON object")
+    for key in table:
+        _check_name(key, where)
+    _check_names(table, where)
+    return table
+
+
 def validate_category(raw: dict, name: str = "") -> FinCategory:
     """Validate a category description; raises ValidationFailure listing violations.
 
@@ -393,6 +405,7 @@ def validate_functor(raw: dict, C: FinCategory, D: FinCategory, name: str = "") 
     for key in ("on_objects", "on_morphisms"):
         if key not in raw:
             raise ParseFailure(key, "missing field")
+        check_name_map(raw[key], key)
     violations = functor_violations(raw, C, D)
     if violations:
         raise ValidationFailure(f"functor {name or '?'}", violations)

@@ -175,6 +175,36 @@ def test_instance_with_bad_table_keys_is_parse_error(tmp_path, capsys):
         _parse_failure(capsys, tmp_path / "rep.json", f"{rel}: {table}")
 
 
+def test_monad_unit_of_wrong_shape_is_parse_error(files, tmp_path, capsys):
+    bad = tmp_path / "monad_list_unit.json"
+    save_json({"j": str(files / "point_bz2.json"), "t": str(files / "point_bz2.json"),
+               "unit": ["e"], "ext": {"*|*|e": "e", "*|*|s": "s"}}, bad)
+    for argv in (["monad", "validate", bad], ["validate", bad]):
+        assert run(argv + ["--report", tmp_path / "rep.json"]) == 3
+        _parse_failure(capsys, tmp_path / "rep.json", f"{bad}: unit")
+    # the same document inside an instance bundle
+    inst = next(i for i in corpus.builtin_corpus() if i.monads)
+    root = tmp_path / "inst"
+    corpus.save_instance(inst, root)
+    rel = next(iter(json.loads((root / "manifest.json").read_text())["monads"].values()))
+    doc = json.loads((root / rel).read_text())
+    doc["unit"] = [next(iter(doc["unit"].values()))]
+    save_json(doc, root / rel)
+    assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", f"{rel}: unit")
+
+
+@pytest.mark.parametrize("field, value", [("on_objects", []), ("on_morphisms", {"e": 1})])
+def test_functor_map_of_wrong_shape_is_parse_error(files, tmp_path, capsys, field, value):
+    doc = json.loads((files / "id_bz2.json").read_text())
+    doc["dom"] = doc["cod"] = str(files / "bz2.json")
+    doc[field] = value
+    bad = tmp_path / "functor_bad_map.json"
+    save_json(doc, bad)
+    assert run(["validate", bad, "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", field)
+
+
 @pytest.mark.parametrize("field, value", [("objects", "*"), ("identities", ["i"]),
                                           ("composition", [])])
 def test_category_field_of_wrong_type_is_parse_error(files, tmp_path, capsys, field, value):
