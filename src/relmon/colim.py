@@ -7,30 +7,39 @@ postcomposition with the legs is a bijection
     W(apex x, w')  ~=  { families p(-,x) => W(f-, w') natural in y }
 
 for every x and w'.  Limits are computed by dualizing everything, running
-the colimit search, and dualizing back.  Absoluteness of a colimit along a
-root j is the bijectivity of the canonical map from the tensor quotient
-(E(j,f) (.)l p) to E(j, apex), which at Set level is preservation by the
-nerve of j.
+the colimit search, and reading the result back.  Absoluteness of a colimit
+along a root j is the bijectivity of the canonical map from the tensor
+quotient (E(j,f) (.)l p) to E(j, apex), which at Set level is preservation
+by the nerve of j.  Creation checks decide whether a cocone is colimiting
+through its comparison map from the colimit: the cocone's legs factor
+through the colimit's legs by exactly one k at each x, and the cocone is
+colimiting iff every k is invertible.
 
 Caches, what keys them and how long they live:
 
-* DownstairsCensus holds one byte per (weight, diagram) position for the
-  downstairs questions of creation: does the p-weighted colimit of
-  d: Y -> E exist, and is it j-absolute; does the p-weighted limit exist.
-  Rows are keyed by content, (kind, E, root, X, Y, element_cap); inside a
-  row a verdict sits at the weight's index in the distributor census and
-  the diagram's index in enumerate_functors(Y, E).  A suite run holds one
-  in its context for forgetful_creates, monadicity_crosscheck and
-  density_necessity; a creation audit without one makes its own.  It is
-  dropped with the run or the audit.
+* DownstairsCensus holds, per (weight, diagram) position, the (co)limit
+  found, the j-absoluteness verdict and the creation verdicts.  Result rows
+  are keyed by content without the root, (target, X, Y, element_cap,
+  kind), so every root over one E shares one search; each entry is an id
+  into one table of interned results, a result being the 2-byte indices of
+  its apex's objects and morphisms and of its legs into the target.
+  Diagrams into E (downstairs) and into dom g (upstairs) have separate
+  maps, and each copies an entry the other already knows.  Absoluteness
+  bytes sit in rows keyed (E, root, X, Y, element_cap) and are read first,
+  so a warm lookup decodes nothing; creation bytes in rows keyed (g by
+  content, X, Y, element_cap, kind, mode), so each creation question is
+  checked once.  Inside a row an entry sits at the weight's index in the
+  distributor census and the diagram's index in enumerate_functors.  A
+  suite run holds one in its context for forgetful_creates,
+  monadicity_crosscheck and density_necessity; a creation audit without one
+  makes its own.  It is dropped with the run or the audit.
 * The checker LRU holds one _UniversalityChecker per (p, f): its family
   plans (slots and naturality checks, one per x), its natural families and
   their key sets, and its colimit search.  It is process-wide, holds at
   most CHECKER_CACHE_SIZE (64) checkers, and is keyed by the structural
   content of p and f (their categories' tables, p's element and action
-  tables, f's object and morphism maps), never by object identity.  A
-  creation check that asks about a (p, f) just searched finds it there,
-  and an answer is always bound to the caller's own p and f.
+  tables, f's object and morphism maps), never by object identity.  An
+  answer is always bound to the caller's own p and f.
 * Memos kept on immutable inputs for their lifetime, derived only from
   their tables: a FinCategory keeps its table, hash, opposite() and
   hom_distributor(); a Distributor keeps its table().
@@ -39,8 +48,9 @@ Caches, what keys them and how long they live:
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ColimitNotFound, DownstairsMissing, EndpointMismatch, TheoremViolation
 from .fincat import (
@@ -322,11 +332,15 @@ def verify_weighted_colimit(colim: WeightedColimit) -> bool:
 # weighted limits (by dualization)
 
 
-def _dualize_colimit_to_limit(p: Distributor, g: FunctorData, colim: WeightedColimit) -> WeightedLimit:
-    Y, W = p.tgt, g.cod
-    apex = FunctorData(Y, W, colim.apex.on_objects, colim.apex.on_morphisms)
-    legs = {(x, y, e): v for ((x, y, e), v) in colim.legs.items()}
-    return WeightedLimit(p, g, apex, legs)
+def _dual_limit_search(p: Distributor, pd: Distributor, g: FunctorData):
+    """The p-weighted limit of g found as the pd-weighted colimit of g^op,
+    pd = dual_distributor(p): the colimit's apex and legs, read back in W."""
+
+    found, failed = _shared_checker(pd, opposite_functor(g, pd.tgt, opposite(g.cod))).colimit()
+    if found is None:
+        return None, failed
+    on_objects, on_morphisms, legs = found
+    return WeightedLimit(p, g, FunctorData(p.tgt, g.cod, on_objects, on_morphisms), dict(legs)), None
 
 
 def try_weighted_limit(p: Distributor, g: FunctorData):
@@ -334,17 +348,7 @@ def try_weighted_limit(p: Distributor, g: FunctorData):
 
     if g.dom != p.src:
         raise EndpointMismatch("limit diagram must start at the weight's source")
-    pd = dual_distributor(p)
-    g_op = opposite_functor(g, pd.tgt, opposite(g.cod))
-    colim, failed = try_weighted_colimit(pd, g_op)
-    if colim is None:
-        return None, failed
-    colim_back = WeightedColimit(
-        pd, g_op,
-        FunctorData(p.tgt, g.cod, colim.apex.on_objects, colim.apex.on_morphisms),
-        colim.legs,
-    )
-    return _dualize_colimit_to_limit(p, g, colim_back), None
+    return _dual_limit_search(p, dual_distributor(p), g)
 
 
 def weighted_limit(p: Distributor, g: FunctorData) -> WeightedLimit:
@@ -543,72 +547,218 @@ def _nerve_slots(j: FunctorData, e: str):
 
 
 NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
-_UNKNOWN = 255
+# result rows hold 0 (not searched), _MISSING, or a result's id + _FIRST_ID
+_MISSING, _FIRST_ID = 1, 2
+
+
+class Diagram(NamedTuple):
+    """f: Z -> dom g at position index of enumerate_functors(Z, dom g), and
+    its composite d = f ; g at position d_index of enumerate_functors(Z, cod g)."""
+
+    f: FunctorData
+    index: int
+    d: FunctorData
+    d_index: int
+
+
+def _leg_slots(p: Distributor, kind: str) -> list:
+    """The keys of a (co)limit's legs, in the order the search lists them."""
+
+    X, Y = p.src, p.tgt
+    if kind == "colimit":
+        return [(y, x, e) for x in X.objects for y in Y.objects for e in p.el(y, x)]
+    return [(x, y, e) for y in Y.objects for x in X.objects for e in p.el(y, x)]
+
+
+def _cell(rows: dict, key: tuple, typecode: str, n: int, weight_index: int, index: int) -> tuple:
+    """(row, position) of the entry for (weight_index, index) in a row of n
+    entries per weight, growing the row with zeros (unknown) as needed."""
+
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = array(typecode)
+    end = (weight_index + 1) * n
+    if len(row) < end:
+        row.frombytes(bytes((end - len(row)) * row.itemsize))
+    return row, weight_index * n + index
 
 
 class DownstairsCensus:
-    """Downstairs (co)limit verdicts, one byte per (weight, diagram) position.
+    """(Co)limits, absoluteness and creation verdicts, one entry per (weight, diagram) position.
 
-    A downstairs answer depends only on the weight p: X -|-> Y, the diagram
-    d into E and, for absoluteness, the root j: A -> E; not on the functor
-    whose composite produced d.  One census is held for one suite run or
-    one creation audit and dropped with it.
+    A (co)limit depends only on the weight p: X -|-> Y and the diagram;
+    j-absoluteness also on the root j: A -> E; a creation verdict on the
+    functor g: W -> E, p and f: Z -> W.  None depends on which monad or
+    candidate produced the question.  One census is held for one suite run
+    or one creation audit and dropped with it.
 
-    Rows are keyed by content, never by object identity: (kind, E, root, X,
-    Y, element_cap), where root is (j.dom, j.table()) for colimits and None
-    for limits.  Inside a row, the verdict for p and d sits at
-    weight_index * n + diagram_index: weight_index is p's position in
-    enumerate_distributors(X, Y, element_cap), which the caller passes in;
-    diagram_index is d's position in enumerate_functors(dom d, E), found
-    through one {table: index} dict per (dom d, E); n is the number of those
-    functors.  Colimit bytes are NO_COLIMIT, COLIMIT or ABSOLUTE_COLIMIT;
-    limit bytes are 1 when the limit exists.
+    Rows are keyed by content, never by object identity, and indexed by
+    position: the entry for p and a diagram sits at weight_index * n +
+    diagram_index, where weight_index is p's position in
+    enumerate_distributors(X, Y, element_cap), which the caller passes in,
+    and diagram_index the diagram's position among the n functors that
+    diagrams(Z, g) walks.
+
+    * Result rows, keyed (target, X, Y, element_cap, kind) without the root,
+      hold the (co)limit of each diagram as an id into one table of interned
+      results; a result is packed as 2-byte indices of the apex's objects
+      and morphisms and of the legs into the target's objects and
+      morphisms.  Downstairs rows (diagrams into E) and upstairs rows
+      (diagrams into dom g) are kept in separate maps, so that size()
+      counts the downstairs ones; each map copies what the other knows.
+    * Absoluteness rows, keyed (E, root, X, Y, element_cap), hold one byte
+      per colimit: NO_COLIMIT, COLIMIT or ABSOLUTE_COLIMIT, plus one.
+    * Creation rows, keyed (g by content, X, Y, element_cap, kind, mode),
+      hold one byte per question: 1 fails, 2 passes.
+
+    Zero means unknown everywhere.
     """
 
     def __init__(self):
-        self._rows: dict[tuple, bytearray] = {}
-        self._diagrams: dict[tuple, dict] = {}
+        self._absolute: dict[tuple, array] = {}
+        self._downstairs: dict[tuple, array] = {}
+        self._upstairs: dict[tuple, array] = {}
+        self._creations: dict[tuple, array] = {}
+        self._results: list[bytes] = []
+        self._result_ids: dict[bytes, int] = {}
+        self._positions: dict[tuple, dict] = {}
+        self._counts: dict[tuple, int] = {}
+        self._dual = (None, None)
 
-    def _position(self, row_key: tuple, weight_index: int, d: FunctorData) -> tuple:
-        index = self._diagrams.get((d.dom, d.cod))
-        if index is None:
-            index = {g.table(): i for i, g in enumerate(enumerate_functors(d.dom, d.cod))}
-            self._diagrams[(d.dom, d.cod)] = index
-        n = len(index)
-        row = self._rows.get(row_key)
-        if row is None:
-            row = self._rows[row_key] = bytearray()
-        if len(row) < (weight_index + 1) * n:
-            row.extend(bytes([_UNKNOWN]) * ((weight_index + 1) * n - len(row)))
-        return row, weight_index * n + index[d.table()]
+    def diagrams(self, Z: FinCategory, g: FunctorData) -> list[Diagram]:
+        """Every f: Z -> dom g in enumerate_functors order, with f ; g and its position."""
 
-    def colimit(self, j: FunctorData, p: Distributor, weight_index: int, d: FunctorData,
+        E = g.cod
+        positions = self._positions.get((Z, E))
+        if positions is None:
+            positions = {d.table(): i for i, d in enumerate(enumerate_functors(Z, E))}
+            self._positions[(Z, E)] = positions
+        out = []
+        for i, f in enumerate(enumerate_functors(Z, g.dom)):
+            d = compose_functors(f, g)
+            out.append(Diagram(f, i, d, positions[d.table()]))
+        self._counts[(Z, g.dom)] = len(out)
+        return out
+
+    def colimit(self, j: FunctorData, p: Distributor, weight_index: int, diagram: Diagram,
                 element_cap: int) -> int:
-        """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the p-weighted colimit of d."""
+        """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the p-weighted colimit of diagram.d."""
 
-        key = ("colimit", d.cod, (j.dom, j.table()), p.src, p.tgt, element_cap)
-        row, pos = self._position(key, weight_index, d)
-        if row[pos] == _UNKNOWN:
-            down, _ = try_weighted_colimit(p, d)
+        d = diagram.d
+        n = len(self._positions[(p.tgt, d.cod)])
+        key = (d.cod, j.dom, j.table(), p.src, p.tgt, element_cap)
+        row, pos = _cell(self._absolute, key, "B", n, weight_index, diagram.d_index)
+        if not row[pos]:
+            down = self.downstairs(p, weight_index, diagram, element_cap, "colimit")
             if down is None:
-                row[pos] = NO_COLIMIT
+                row[pos] = NO_COLIMIT + 1
             else:
-                absolute, _ = is_j_absolute(j, down)
-                row[pos] = ABSOLUTE_COLIMIT if absolute else COLIMIT
-        return row[pos]
+                row[pos] = (ABSOLUTE_COLIMIT if is_j_absolute(j, down)[0] else COLIMIT) + 1
+        return row[pos] - 1
 
-    def limit(self, p: Distributor, weight_index: int, d: FunctorData, element_cap: int) -> bool:
-        """Does the p-weighted limit of d exist?"""
+    def limit(self, p: Distributor, weight_index: int, diagram: Diagram, element_cap: int) -> bool:
+        """Does the p-weighted limit of diagram.d exist?"""
 
-        key = ("limit", d.cod, None, p.src, p.tgt, element_cap)
-        row, pos = self._position(key, weight_index, d)
-        if row[pos] == _UNKNOWN:
-            row[pos] = try_weighted_limit(p, d)[0] is not None
-        return bool(row[pos])
+        return self._entry(False, p, weight_index, diagram, element_cap, "limit")[0] != _MISSING
+
+    def downstairs(self, p: Distributor, weight_index: int, diagram: Diagram, element_cap: int,
+                   kind: str):
+        """The p-weighted (co)limit of diagram.d, as try_weighted_colimit or
+        try_weighted_limit finds it, or None."""
+
+        return self._result(False, p, weight_index, diagram, element_cap, kind)
+
+    def upstairs(self, p: Distributor, weight_index: int, diagram: Diagram, element_cap: int,
+                 kind: str):
+        """The p-weighted (co)limit of diagram.f, or None."""
+
+        return self._result(True, p, weight_index, diagram, element_cap, kind)
+
+    def creation(self, g: FunctorData, p: Distributor, weight_index: int, diagram: Diagram,
+                 element_cap: int, kind: str, mode: str) -> bool:
+        """check_creation(g, p, diagram.f, mode, kind).passed, checked once per
+        census with both (co)limits read from it."""
+
+        f = diagram.f
+        n = self._counts[(f.dom, f.cod)]
+        key = (g.dom, g.cod, g.table(), p.src, p.tgt, element_cap, kind, mode)
+        row, pos = _cell(self._creations, key, "B", n, weight_index, diagram.index)
+        if not row[pos]:
+            report = check_creation(
+                g, p, f, mode=mode, kind=kind,
+                down=self.downstairs(p, weight_index, diagram, element_cap, kind),
+                up=self.upstairs(p, weight_index, diagram, element_cap, kind))
+            row[pos] = 1 + report.passed
+        return row[pos] == 2
 
     def size(self) -> tuple[int, int]:
-        """(rows, bytes) held."""
-        return len(self._rows), sum(len(row) for row in self._rows.values())
+        """(rows, bytes) held for diagrams into E: absoluteness and downstairs result rows."""
+
+        rows = list(self._absolute.values()) + list(self._downstairs.values())
+        return len(rows), sum(len(row) * row.itemsize for row in rows)
+
+    def _entry(self, upstairs: bool, p: Distributor, weight_index: int, diagram: Diagram,
+               element_cap: int, kind: str) -> tuple:
+        """(row entry, the (co)limit when it was searched now, else None) for
+        diagram.f (upstairs) or diagram.d.  An entry known at the same
+        position of the same row in the other map is copied, not searched."""
+
+        if upstairs:
+            rows, other, d, index = self._upstairs, self._downstairs, diagram.f, diagram.index
+            n = self._counts[(d.dom, d.cod)]
+        else:
+            rows, other, d, index = self._downstairs, self._upstairs, diagram.d, diagram.d_index
+            n = len(self._positions[(d.dom, d.cod)])
+        key = (d.cod, p.src, p.tgt, element_cap, kind)
+        row, pos = _cell(rows, key, "I", n, weight_index, index)
+        if not row[pos]:
+            known = other.get(key)
+            if known is not None and pos < len(known):
+                row[pos] = known[pos]
+        if row[pos]:
+            return row[pos], None
+        if kind == "colimit":
+            found, _ = try_weighted_colimit(p, d)
+        else:
+            found, _ = _dual_limit_search(p, self._dual_of(p), d)
+        row[pos] = _MISSING if found is None else self._intern(found, kind) + _FIRST_ID
+        return row[pos], found
+
+    def _result(self, upstairs: bool, p: Distributor, weight_index: int, diagram: Diagram,
+                element_cap: int, kind: str):
+        entry, found = self._entry(upstairs, p, weight_index, diagram, element_cap, kind)
+        if found is not None or entry == _MISSING:
+            return found
+        d = diagram.f if upstairs else diagram.d
+        W = d.cod
+        Z = p.src if kind == "colimit" else p.tgt
+        code = array("H", self._results[entry - _FIRST_ID])
+        objects, names = Z.objects, Z.morphism_names()
+        n_ob, n_mor = len(objects), len(names)
+        W_names = W.morphism_names()
+        apex = FunctorData(Z, W, {z: W.objects[i] for z, i in zip(objects, code)},
+                           {m: W_names[i] for m, i in zip(names, code[n_ob:])})
+        legs = {s: W_names[i] for s, i in zip(_leg_slots(p, kind), code[n_ob + n_mor:])}
+        return (WeightedColimit if kind == "colimit" else WeightedLimit)(p, d, apex, legs)
+
+    def _intern(self, found, kind: str) -> int:
+        W = found.diagram.cod
+        apex = found.apex
+        code = array("H", [W._obj_index[apex.ob(z)] for z in apex.dom.objects]
+                     + [W._mor_index[apex.mor(m)] for m in apex.dom.morphism_names()]
+                     + [W._mor_index[found.legs[s]] for s in _leg_slots(found.weight, kind)]).tobytes()
+        result_id = self._result_ids.get(code)
+        if result_id is None:
+            result_id = self._result_ids[code] = len(self._results)
+            self._results.append(code)
+        return result_id
+
+    def _dual_of(self, p: Distributor) -> Distributor:
+        """dual_distributor(p), built once while one weight's diagrams are asked in a row."""
+
+        if self._dual[0] is not p:
+            self._dual = (p, dual_distributor(p))
+        return self._dual[1]
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +833,9 @@ class CreationReport:
         }
 
 
-def _strict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData) -> CreationReport:
-    W, V = g.dom, g.cod
-    down, failed = try_weighted_colimit(p, compose_functors(f, g))
-    if down is None:
-        raise DownstairsMissing(f"downstairs colimit missing at {failed!r}")
+def _strict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData,
+                             down: WeightedColimit, up) -> CreationReport:
+    W = g.dom
     X, Y = p.src, p.tgt
 
     lifts = []
@@ -734,7 +882,9 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData) -> 
         return CreationReport("strict", "colimit", False, lift_count=len(lifts),
                               violations=[f"{len(lifts)} on-the-nose lifts (need exactly 1)"])
     w, legs = lifts[0]
-    colimiting = cocone_is_colimiting(p, f, w, legs)
+    if up is _SEARCH:
+        up, _ = try_weighted_colimit(p, f)
+    colimiting = colimiting_test(up)(w.on_objects, legs)
     violations = [] if colimiting else ["unique lift is not colimiting"]
     return CreationReport("strict", "colimit", colimiting, lift_count=1,
                           lifted_apex=dict(w.on_objects), colimiting=colimiting,
@@ -754,15 +904,46 @@ def _legs_natural_in_y(p: Distributor, f: FunctorData, legs: dict, W: FinCategor
     return True
 
 
-def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData) -> CreationReport:
-    fg = compose_functors(f, g)
-    down, failed = try_weighted_colimit(p, fg)
-    if down is None:
-        raise DownstairsMissing(f"downstairs colimit missing at {failed!r}")
+def colimiting_test(colim: Optional[WeightedColimit]):
+    """A test of cocones (apex objects, legs) for colim's weight and diagram:
+    is the cocone colimiting?  colim is their colimit, or None when it does
+    not exist, and then no cocone is colimiting.
 
-    up_checker = _shared_checker(p, f)
-    down_checker = _shared_checker(p, fg)
-    up, _ = try_weighted_colimit(p, f)
+    Since colim is colimiting, at each x the cocone's legs factor through
+    colim's legs by exactly one k: colim x -> apex x.  Postcomposition with
+    the cocone's legs is then postcomposition with k followed by the
+    bijection of colim, so the cocone is colimiting at x iff k is
+    invertible (Yoneda).  Raises TheoremViolation when the legs do not
+    factor exactly once.
+    """
+
+    if colim is None:
+        return lambda apex_objects, legs: False
+    W = colim.diagram.cod
+    comp = W.composition
+    at_x = {x: (colim.apex.ob(x), []) for x in colim.weight.src.objects}
+    for key, leg in colim.legs.items():
+        at_x[key[1]][1].append((key, leg))
+
+    def colimiting(apex_objects: dict, legs: dict) -> bool:
+        for x, (c, pairs) in at_x.items():
+            ks = [k for k in W.hom(c, apex_objects[x])
+                  if all(comp[(leg, k)] == legs[key] for key, leg in pairs)]
+            if len(ks) != 1:
+                raise TheoremViolation("cocone legs must factor once through the colimit")
+            if W.inverse(ks[0]) is None:
+                return False
+        return True
+
+    return colimiting
+
+
+def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData,
+                                down: WeightedColimit, up) -> CreationReport:
+    if up is _SEARCH:
+        up, _ = try_weighted_colimit(p, f)
+    down_colimiting_test = colimiting_test(down)
+    up_colimiting_test = colimiting_test(up)
     upstairs_exists = up is not None
     violations = []
     if not upstairs_exists:
@@ -771,10 +952,10 @@ def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData) 
     biconditional_ok = True
     witness = None
     for (w, legs) in enumerate_cocones(p, f):
-        down_w = compose_functors(w, g)
+        down_apex = {x: g.ob(w.ob(x)) for x in p.src.objects}
         down_legs = {key: g.mor(v) for key, v in legs.items()}
-        down_colimiting = down_checker.is_cocone_colimiting(down_w, down_legs)
-        up_colimiting = up_checker.is_cocone_colimiting(w, legs)
+        down_colimiting = down_colimiting_test(down_apex, down_legs)
+        up_colimiting = up_colimiting_test(w.on_objects, legs)
         if down_colimiting != up_colimiting:
             biconditional_ok = False
             witness = (dict(w.on_objects), down_colimiting, up_colimiting)
@@ -786,12 +967,30 @@ def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData) 
                           upstairs_exists=upstairs_exists, violations=violations)
 
 
+# stands for a (co)limit that check_creation's caller did not pass in
+_SEARCH = object()
+
+
+def _limit_as_dual_colimit(pd: Distributor, diagram: FunctorData, lim: Optional[WeightedLimit]):
+    """A p-weighted limit read as the pd-weighted colimit of diagram, its dual."""
+
+    if lim is None or lim is _SEARCH:
+        return lim
+    apex = FunctorData(pd.src, diagram.cod, lim.apex.on_objects, lim.apex.on_morphisms)
+    return WeightedColimit(pd, diagram, apex, lim.legs)
+
+
 def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
-                   mode: str = "strict", kind: str = "colimit") -> CreationReport:
+                   mode: str = "strict", kind: str = "colimit", *,
+                   down=_SEARCH, up=_SEARCH) -> CreationReport:
     """Does g create the downstairs p-weighted (co)limit of (f ; g)?
 
     For colimits f: tgt(p) -> dom(g); for limits f: src(p) -> dom(g).  The
     limit case runs the colimit check in the formal dual and relabels.
+    down and up are the (co)limits of f ; g and of f, as try_weighted_colimit
+    or try_weighted_limit finds them (up is None when it does not exist);
+    omitted, they are searched here.  A cocone is colimiting when its
+    comparison map from the colimit is invertible (colimiting_test).
     """
 
     if kind == "limit":
@@ -799,9 +998,18 @@ def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
         g_op = opposite_functor(g, opposite(W), opposite(V))
         pd = dual_distributor(p)
         f_op = opposite_functor(f, pd.tgt, opposite(W))
-        report = check_creation(g_op, pd, f_op, mode=mode, kind="colimit")
+        report = check_creation(
+            g_op, pd, f_op, mode=mode, kind="colimit",
+            down=_limit_as_dual_colimit(pd, compose_functors(f_op, g_op), down),
+            up=_limit_as_dual_colimit(pd, f_op, up))
         report.kind = "limit"
         return report
+    if down is _SEARCH:
+        down, failed = try_weighted_colimit(p, compose_functors(f, g))
+        if down is None:
+            raise DownstairsMissing(f"downstairs colimit missing at {failed!r}")
+    elif down is None:
+        raise DownstairsMissing("downstairs colimit missing")
     if mode == "strict":
-        return _strict_colimit_creation(g, p, f)
-    return _nonstrict_colimit_creation(g, p, f)
+        return _strict_colimit_creation(g, p, f, down, up)
+    return _nonstrict_colimit_creation(g, p, f, down, up)

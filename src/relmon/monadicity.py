@@ -19,7 +19,6 @@ from .colim import (
     ABSOLUTE_COLIMIT,
     NO_COLIMIT,
     DownstairsCensus,
-    check_creation,
     extension_weight,
     is_dense,
     is_j_absolute,
@@ -38,7 +37,6 @@ from .fincat import (
     FunctorData,
     classify_functor,
     compose_functors,
-    enumerate_functors,
     find_natural_isomorphism,
     identity_functor,
     opposite,
@@ -231,6 +229,7 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     D = r.dom
     tested = 0
     absolute_count = 0
+    diagrams = {Y: census.diagrams(Y, r) for Y in shape_family}
     for X in shape_family:
         for Y in shape_family:
             try:
@@ -239,18 +238,19 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
                 report.inconclusive_at_bound[f"{X.name}->{Y.name}"] = "weight census over budget"
                 continue
             for widx, p in enumerate(weights):
-                for fdiag in enumerate_functors(Y, D):
-                    verdict = census.colimit(j, p, widx, compose_functors(fdiag, r), element_cap)
+                for diagram in diagrams[Y]:
+                    verdict = census.colimit(j, p, widx, diagram, element_cap)
                     if verdict == NO_COLIMIT:
                         continue
                     tested += 1
                     if verdict != ABSOLUTE_COLIMIT:
                         continue
                     absolute_count += 1
-                    strict = check_creation(r, p, fdiag, mode="strict", kind="colimit")
-                    nonstrict = check_creation(r, p, fdiag, mode="nonstrict", kind="colimit")
-                    item = AuditItem((X.name, Y.name), widx, dict(fdiag.on_objects),
-                                     "colimit", True, strict.passed, nonstrict.passed)
+                    strict, nonstrict = (
+                        census.creation(r, p, widx, diagram, element_cap, "colimit", mode)
+                        for mode in ("strict", "nonstrict"))
+                    item = AuditItem((X.name, Y.name), widx, dict(diagram.f.on_objects),
+                                     "colimit", True, strict, nonstrict)
                     report.items.append(item)
     report.census = {
         "shapes": [c.name for c in shape_family],

@@ -177,10 +177,11 @@ def _check_forgetful_conservative(ctx) -> SuiteResult:
     return SuiteResult("forgetful_conservative", not details, checked, details)
 
 
-def _creation_items(ctx, j, u, W):
-    """Audited (kind, p, f) items for the forgetful functor u: W -> E."""
+def _creation_items(ctx, j, u):
+    """Audited (kind, p, weight index, diagram) items for the forgetful functor u."""
 
     census, cap = ctx.census, ctx.element_cap
+    diagrams = {Z: census.diagrams(Z, u) for Z in ctx.shape_family}
     for X in ctx.shape_family:
         for Y in ctx.shape_family:
             try:
@@ -188,12 +189,12 @@ def _creation_items(ctx, j, u, W):
             except BudgetExceeded:
                 continue
             for widx, p in enumerate(weights):
-                for f in enumerate_functors(Y, W):
-                    if census.colimit(j, p, widx, compose_functors(f, u), cap) == ABSOLUTE_COLIMIT:
-                        yield ("colimit", p, f)
-                for g in enumerate_functors(X, W):
-                    if census.limit(p, widx, compose_functors(g, u), cap):
-                        yield ("limit", p, g)
+                for diagram in diagrams[Y]:
+                    if census.colimit(j, p, widx, diagram, cap) == ABSOLUTE_COLIMIT:
+                        yield ("colimit", p, widx, diagram)
+                for diagram in diagrams[X]:
+                    if census.limit(p, widx, diagram, cap):
+                        yield ("limit", p, widx, diagram)
 
 
 def _check_forgetful_creates(ctx) -> SuiteResult:
@@ -202,15 +203,14 @@ def _check_forgetful_creates(ctx) -> SuiteResult:
     details = []
     checked = 0
     for inst, role, T in ctx.monad_entries():
-        algcat = ctx.algcat(inst, role)
-        for kind, p, f in _creation_items(ctx, T.j, algcat.u, algcat.category):
+        u = ctx.algcat(inst, role).u
+        for kind, p, widx, diagram in _creation_items(ctx, T.j, u):
             for mode in ("strict", "nonstrict"):
                 checked += 1
-                rep = check_creation(algcat.u, p, f, mode=mode, kind=kind)
-                if not rep.passed:
+                if not ctx.census.creation(u, p, widx, diagram, ctx.element_cap, kind, mode):
                     details.append(
                         f"{inst.name}/{role}: {mode} {kind} creation fails "
-                        f"(weight {p.src.name}->{p.tgt.name}, diagram {dict(f.on_objects)})")
+                        f"(weight {p.src.name}->{p.tgt.name}, diagram {dict(diagram.f.on_objects)})")
     return SuiteResult("forgetful_creates", not details, checked, details)
 
 

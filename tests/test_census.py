@@ -50,11 +50,47 @@ def test_census_matches_direct_searches(seed, objects, max_hom, shapes):
             for X in shape_cats:
                 for Y in shape_cats:
                     for widx, p in enumerate(enumerate_distributors(X, Y, 1)):
-                        for d in enumerate_functors(Y, E):
-                            assert census.colimit(j, p, widx, d, 1) == direct_colimit_verdict(j, p, d)
-                        for g in enumerate_functors(X, E):
-                            assert census.limit(p, widx, g, 1) == (
-                                try_weighted_limit(p, g)[0] is not None)
+                        for diagram in census.diagrams(Y, identity_functor(E)):
+                            assert census.colimit(j, p, widx, diagram, 1) == (
+                                direct_colimit_verdict(j, p, diagram.d))
+                        for diagram in census.diagrams(X, identity_functor(E)):
+                            assert census.limit(p, widx, diagram, 1) == (
+                                try_weighted_limit(p, diagram.d)[0] is not None)
+
+
+def same_result(stored, found) -> bool:
+    if found is None:
+        return stored is None
+    return (stored is not None and stored.weight is found.weight
+            and stored.diagram.table() == found.diagram.table()
+            and stored.apex.table() == found.apex.table()
+            and list(stored.legs.items()) == list(found.legs.items()))
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4),
+       objects=st.integers(min_value=1, max_value=2),
+       max_hom=st.integers(min_value=1, max_value=2))
+def test_stored_results_equal_searches(seed, objects, max_hom):
+    """Stored downstairs and upstairs (co)limits equal try_weighted_colimit and
+    try_weighted_limit, whether searched, read back or copied across."""
+    E = corpus.generate_category(seed, objects, max_hom)
+    D = corpus.generate_category(seed + 1, objects, max_hom)
+    assume(E is not None and D is not None)
+    census = DownstairsCensus()
+    search = {"colimit": try_weighted_colimit, "limit": try_weighted_limit}
+    functors = [identity_functor(E)] + list(enumerate_functors(D, E))[:2]
+    for _ in range(2):
+        for g in functors:
+            for X in (corpus.terminal_category(), corpus.interval_category()):
+                for Y in (corpus.terminal_category(), corpus.disc2_category()):
+                    for widx, p in enumerate(enumerate_distributors(X, Y, 1)):
+                        for kind, Z in (("colimit", Y), ("limit", X)):
+                            for diagram in census.diagrams(Z, g):
+                                assert same_result(census.downstairs(p, widx, diagram, 1, kind),
+                                                   search[kind](p, diagram.d)[0])
+                                assert same_result(census.upstairs(p, widx, diagram, 1, kind),
+                                                   search[kind](p, diagram.f)[0])
 
 
 def _audit_questions():

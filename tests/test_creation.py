@@ -15,8 +15,10 @@ from relmon.colim import (
     check_creation,
     cocone_is_colimiting,
     enumerate_cocones,
+    colimiting_test,
     is_j_absolute,
     try_weighted_colimit,
+    try_weighted_limit,
 )
 from relmon.errors import BudgetExceeded
 from relmon.fincat import compose_functors, enumerate_functors, identity_functor
@@ -115,9 +117,11 @@ def cocone_cases(W):
 def assert_cocones_match_reference(W) -> set:
     seen = set()
     for p, f, exists in cocone_cases(W):
+        by_comparison = colimiting_test(try_weighted_colimit(p, f)[0])
         for w, legs in enumerate_cocones(p, f):
             want = reference.cocone_is_colimiting(p, f, w, legs)
             assert cocone_is_colimiting(p, f, w, legs) == want
+            assert by_comparison(w.on_objects, legs) == want
             assert not want or exists
             seen.add(exists)
     return seen
@@ -127,7 +131,8 @@ def assert_cocones_match_reference(W) -> set:
 @given(params=generated)
 def test_colimiting_cocones_match_reference(params):
     """Every cocone from enumerate_cocones is colimiting exactly when the
-    docstring's bijection check says so."""
+    docstring's bijection check says so, by the checker's bijections and by
+    the comparison map from the stored colimit."""
     W = corpus.generate_category(*params)
     assume(W is not None)
     assert_cocones_match_reference(W)
@@ -138,3 +143,61 @@ def test_colimiting_cocones_with_colimit_present_and_absent():
     for name in ("Disc2", "Split", "Vee"):
         seen |= assert_cocones_match_reference(corpus.STANDARD_CATEGORIES[name]())
     assert seen == {True, False}
+
+
+def creation_verdicts(census, j, gs):
+    """Every creation question of the suite's forgetful_creates shape for
+    each g: kinds, modes and (weight, diagram) positions whose downstairs
+    (co)limit exists, colimits only where j-absolute; verdicts read through
+    census, or asked of check_creation directly when census is None."""
+    out = []
+    for g in gs:
+        fresh = census if census is not None else DownstairsCensus()
+        diagrams = {Z: fresh.diagrams(Z, g) for Z in shapes()}
+        for X in shapes():
+            for Y in shapes():
+                for widx, p in enumerate(enumerate_distributors(X, Y, 1)):
+                    for diagram in diagrams[Y]:
+                        down, _ = try_weighted_colimit(p, diagram.d)
+                        if down is None or not is_j_absolute(j, down)[0]:
+                            continue
+                        for mode in ("strict", "nonstrict"):
+                            out.append(verdict(census, g, p, widx, diagram, "colimit", mode))
+                    for diagram in diagrams[X]:
+                        if try_weighted_limit(p, diagram.d)[0] is None:
+                            continue
+                        for mode in ("strict", "nonstrict"):
+                            out.append(verdict(census, g, p, widx, diagram, "limit", mode))
+    return out
+
+
+def verdict(census, g, p, widx, diagram, kind, mode):
+    if census is None:
+        return check_creation(g, p, diagram.f, mode=mode, kind=kind).passed
+    return census.creation(g, p, widx, diagram, 1, kind, mode)
+
+
+@settings(max_examples=8, deadline=None)
+@given(params=generated, root=st.sampled_from([0, 1]))
+def test_census_creation_verdicts_match_direct_checks(params, root):
+    """census.creation equals check_creation(...).passed for a forgetful
+    functor and plain functors, with a cold census and a warm one, asked in
+    both orders."""
+    seed, objects, max_hom = params
+    E = corpus.generate_category(seed, objects, max_hom)
+    D = corpus.generate_category(seed + 1, objects, max_hom)
+    assume(E is not None and D is not None)
+    j = roots(E)[root]
+    gs = candidates(j, D)[:3]
+    assume(gs)
+    direct = [creation_verdicts(None, j, [g]) for g in gs]
+    for order in (range(len(gs)), reversed(range(len(gs)))):
+        census = DownstairsCensus()
+        order = list(order)
+        assert creation_verdicts(census, j, [gs[i] for i in order]) == sum(
+            (direct[i] for i in order), [])
+        # warm: the census answers again without a new creation row
+        rows = len(census._creations)
+        assert creation_verdicts(census, j, [gs[i] for i in order]) == sum(
+            (direct[i] for i in order), [])
+        assert len(census._creations) == rows
