@@ -25,7 +25,7 @@ Caches, what keys them and how long they live:
   its apex's objects and morphisms and of its legs into the target.
   Diagrams into E (downstairs) and into dom g (upstairs) have separate
   maps, and each copies an entry the other already knows.  Absoluteness
-  bytes sit in rows keyed (E, root, X, Y, element_cap) and are read first,
+  bytes sit in rows keyed (root, X, Y, element_cap) and are read first,
   so a warm lookup decodes nothing; creation bytes in rows keyed (g by
   content, X, Y, element_cap, kind, mode), so each creation question is
   checked once.  Inside a row an entry sits at the weight's index in the
@@ -606,8 +606,9 @@ class DownstairsCensus:
       morphisms.  Downstairs rows (diagrams into E) and upstairs rows
       (diagrams into dom g) are kept in separate maps, so that size()
       counts the downstairs ones; each map copies what the other knows.
-    * Absoluteness rows, keyed (E, root, X, Y, element_cap), hold one byte
-      per colimit: NO_COLIMIT, COLIMIT or ABSOLUTE_COLIMIT, plus one.
+    * Absoluteness rows, keyed (root j: A -> E by content, X, Y,
+      element_cap), hold one byte per colimit: NO_COLIMIT, COLIMIT or
+      ABSOLUTE_COLIMIT, plus one.
     * Creation rows, keyed (g by content, X, Y, element_cap, kind, mode),
       hold one byte per question: 1 fails, 2 passes.
 
@@ -623,6 +624,7 @@ class DownstairsCensus:
         self._result_ids: dict[bytes, int] = {}
         self._positions: dict[tuple, dict] = {}
         self._counts: dict[tuple, int] = {}
+        self._contents: dict[tuple, tuple] = {}
         self._dual = (None, None)
 
     def diagrams(self, Z: FinCategory, g: FunctorData) -> list[Diagram]:
@@ -646,7 +648,7 @@ class DownstairsCensus:
 
         d = diagram.d
         n = len(self._positions[(p.tgt, d.cod)])
-        key = (d.cod, j.dom, j.table(), p.src, p.tgt, element_cap)
+        key = (self._content(j), p.src, p.tgt, element_cap)
         row, pos = _cell(self._absolute, key, "B", n, weight_index, diagram.d_index)
         if not row[pos]:
             down = self.downstairs(p, weight_index, diagram, element_cap, "colimit")
@@ -681,7 +683,7 @@ class DownstairsCensus:
 
         f = diagram.f
         n = self._counts[(f.dom, f.cod)]
-        key = (g.dom, g.cod, g.table(), p.src, p.tgt, element_cap, kind, mode)
+        key = (self._content(g), p.src, p.tgt, element_cap, kind, mode)
         row, pos = _cell(self._creations, key, "B", n, weight_index, diagram.index)
         if not row[pos]:
             report = check_creation(
@@ -752,6 +754,13 @@ class DownstairsCensus:
             result_id = self._result_ids[code] = len(self._results)
             self._results.append(code)
         return result_id
+
+    def _content(self, F: FunctorData) -> tuple:
+        """(dom, cod, table) of F, stored once per content and shared by
+        every row key that names F."""
+
+        key = (F.dom, F.cod, F.table())
+        return self._contents.setdefault(key, key)
 
     def _dual_of(self, p: Distributor) -> Distributor:
         """dual_distributor(p), built once while one weight's diagrams are asked in a row."""

@@ -246,9 +246,9 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
                     if verdict != ABSOLUTE_COLIMIT:
                         continue
                     absolute_count += 1
-                    strict, nonstrict = (
-                        census.creation(r, p, widx, diagram, element_cap, "colimit", mode)
-                        for mode in ("strict", "nonstrict"))
+                    strict = census.creation(r, p, widx, diagram, element_cap, "colimit", "strict")
+                    nonstrict = census.creation(r, p, widx, diagram, element_cap, "colimit",
+                                                "nonstrict")
                     item = AuditItem((X.name, Y.name), widx, dict(diagram.f.on_objects),
                                      "colimit", True, strict, nonstrict)
                     report.items.append(item)
