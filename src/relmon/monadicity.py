@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import AlgebraCategory, build_algebra_category, comparison_functor
+from .census import ABSOLUTE_COLIMIT, NO_COLIMIT, DownstairsCensus
 from .colim import (
-    ABSOLUTE_COLIMIT,
-    NO_COLIMIT,
-    DownstairsCensus,
     extension_weight,
     is_dense,
     is_j_absolute,

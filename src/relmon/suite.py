@@ -20,9 +20,8 @@ from .algebra import (
     transport_graded_forward,
     verify_algebra_object,
 )
+from .census import ABSOLUTE_COLIMIT, DownstairsCensus
 from .colim import (
-    ABSOLUTE_COLIMIT,
-    DownstairsCensus,
     check_creation,
     cocone_is_colimiting,
     is_dense,

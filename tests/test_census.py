@@ -6,11 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from relmon import corpus
 from relmon.algebra import build_algebra_category
+from relmon.census import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT, DownstairsCensus
 from relmon.colim import (
-    ABSOLUTE_COLIMIT,
-    COLIMIT,
-    NO_COLIMIT,
-    DownstairsCensus,
     is_j_absolute,
     try_weighted_colimit,
     try_weighted_limit,

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from relmon import corpus
 from relmon.algebra import build_algebra_category
+from relmon.census import DownstairsCensus
 from relmon.colim import (
-    DownstairsCensus,
     check_creation,
     cocone_is_colimiting,
     enumerate_cocones,
