@@ -19,15 +19,11 @@ from __future__ import annotations
 from array import array
 from typing import NamedTuple
 
-from .colim import (
-    WeightedColimit,
-    WeightedLimit,
-    check_creation,
-    dual_limit_search,
-    is_j_absolute,
-    try_weighted_colimit,
-)
-from .fincat import FinCategory, FunctorData, compose_functors, enumerate_functors
+# the searches are called through their modules, so that instrumentation
+# patching module attributes (bench/tracing.py) counts the census's calls
+from . import colim, fincat
+from .colim import WeightedColimit, WeightedLimit
+from .fincat import FinCategory, FunctorData, compose_functors
 from .prof import Distributor, dual_distributor
 
 
@@ -118,10 +114,10 @@ class DownstairsCensus:
         E = g.cod
         positions = self._positions.get((Z, E))
         if positions is None:
-            positions = {d.table(): i for i, d in enumerate(enumerate_functors(Z, E))}
+            positions = {d.table(): i for i, d in enumerate(fincat.enumerate_functors(Z, E))}
             self._positions[(Z, E)] = positions
         out = []
-        for i, f in enumerate(enumerate_functors(Z, g.dom)):
+        for i, f in enumerate(fincat.enumerate_functors(Z, g.dom)):
             d = compose_functors(f, g)
             out.append(Diagram(f, i, d, positions[d.table()]))
         self._counts[(Z, g.dom)] = len(out)
@@ -140,7 +136,7 @@ class DownstairsCensus:
             if down is None:
                 row[pos] = NO_COLIMIT + 1
             else:
-                row[pos] = (ABSOLUTE_COLIMIT if is_j_absolute(j, down)[0] else COLIMIT) + 1
+                row[pos] = (ABSOLUTE_COLIMIT if colim.is_j_absolute(j, down)[0] else COLIMIT) + 1
         return row[pos] - 1
 
     def limit(self, p: Distributor, weight_index: int, diagram: Diagram, element_cap: int) -> bool:
@@ -171,7 +167,7 @@ class DownstairsCensus:
         key = (self._content(g), p.src, p.tgt, element_cap, kind, mode)
         row, pos = _cell(self._creations, key, "B", n, weight_index, diagram.index)
         if not row[pos]:
-            report = check_creation(
+            report = colim.check_creation(
                 g, p, f, mode=mode, kind=kind,
                 down=self.downstairs(p, weight_index, diagram, element_cap, kind),
                 up=self.upstairs(p, weight_index, diagram, element_cap, kind))
@@ -205,9 +201,9 @@ class DownstairsCensus:
         if row[pos]:
             return row[pos], None
         if kind == "colimit":
-            found, _ = try_weighted_colimit(p, d)
+            found, _ = colim.try_weighted_colimit(p, d)
         else:
-            found, _ = dual_limit_search(p, self._dual_of(p), d)
+            found, _ = colim.dual_limit_search(p, self._dual_of(p), d)
         row[pos] = _MISSING if found is None else self._intern(found, kind) + _FIRST_ID
         return row[pos], found
 
