@@ -10,10 +10,27 @@ from __future__ import annotations
 
 import itertools
 
-from relmon.algebra import Algebra, algebra_violations
-from relmon.errors import BudgetExceeded
-from relmon.fincat import enumerate_functors
+from relmon.algebra import Algebra, _alpha_slice_matches, algebra_violations
+from relmon.colim import (
+    _SEARCH,
+    CreationReport,
+    _legs_natural_in_x,
+    _legs_natural_in_y,
+    _shared_checker,
+    colimiting_test,
+    try_weighted_colimit,
+)
+from relmon.errors import BudgetExceeded, EndpointMismatch, NotParallel
+from relmon.fincat import (
+    FunctorData,
+    NatTransData,
+    compose_functors,
+    enumerate_functors,
+    functor_violations,
+    nat_trans_violations,
+)
 from relmon.monad import RelativeMonad, budget_limit, monad_violations
+from relmon.reladj import PastingReport, RelativeAdjunction, _certify_rho, adjunction_violations
 
 
 def enumerate_relative_monads(j, budget: int = None) -> list:
@@ -162,3 +179,266 @@ def cocone_is_colimiting(p, f, w, legs: dict) -> bool:
             if len(set(images)) != len(images) or set(images) != set(natural_families(p, x, f, wprime)):
                 return False
     return True
+
+
+def product_functors(C, D, ob_ok=None, mor_ok=None) -> list:
+    """Every object map times every morphism map C -> D, kept when it is a
+    functor (functor_violations) whose images ob_ok(x, d) and mor_ok(f, m)
+    accept, identities included; in itertools.product order."""
+
+    names = C.morphism_names()
+    out = []
+    for obs in itertools.product(D.objects, repeat=len(C.objects)):
+        on_ob = dict(zip(C.objects, obs))
+        if ob_ok is not None and not all(ob_ok(x, d) for x, d in on_ob.items()):
+            continue
+        for mors in itertools.product(D.morphism_names(), repeat=len(names)):
+            on_mor = dict(zip(names, mors))
+            if mor_ok is not None and not all(mor_ok(f, m) for f, m in on_mor.items()):
+                continue
+            if not functor_violations({"on_objects": on_ob, "on_morphisms": on_mor}, C, D):
+                out.append(FunctorData(C, D, on_ob, on_mor))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the product-then-filter searches that the engine ran before its functor,
+# natural-transformation and cocone searches moved onto search.Search
+
+
+def find_natural_isomorphism(F, G):
+    """First natural transformation F => G with all components invertible."""
+
+    if F.dom != G.dom or F.cod != G.cod:
+        return None
+    D = F.cod
+    xs = F.dom.objects
+    candidate_sets = [
+        tuple(k for k in D.hom(F.ob(x), G.ob(x)) if D.is_invertible(k)) for x in xs
+    ]
+    for combo in itertools.product(*candidate_sets):
+        components = dict(zip(xs, combo))
+        if not nat_trans_violations(F, G, components):
+            return NatTransData(F, G, components)
+    return None
+
+
+def enumerate_natural_transformations(F, G) -> list:
+    """The complete duplicate-free list, ordered componentwise by morphism order."""
+
+    if F.dom != G.dom or F.cod != G.cod:
+        raise NotParallel("source and target functors are not parallel")
+    D = F.cod
+    xs = F.dom.objects
+    candidate_sets = [D.hom(F.ob(x), G.ob(x)) for x in xs]
+    out = []
+    for combo in itertools.product(*candidate_sets):
+        components = dict(zip(xs, combo))
+        if not nat_trans_violations(F, G, components):
+            out.append(NatTransData(F, G, components))
+    return out
+
+
+def enumerate_cocones(p, f):
+    """All p-cocones (w, legs) for f with apex functor into cod f, canonical order."""
+
+    X, W = p.src, f.cod
+    checker = _shared_checker(p, f)
+    out = []
+    for w in enumerate_functors(X, W):
+        per_x = []
+        feasible = True
+        for x in X.objects:
+            fams = checker.families(x, w.ob(x))
+            if not fams:
+                feasible = False
+                break
+            per_x.append((x, fams))
+        if not feasible and X.objects:
+            continue
+        for combo in itertools.product(*[fams for (_, fams) in per_x]):
+            legs = {}
+            for (x, _), fam in zip(per_x, combo):
+                for (y, e), v in fam.items():
+                    legs[(y, x, e)] = v
+            if _legs_natural_in_x(p, w, legs, W):
+                out.append((w, legs))
+    return out
+
+
+def strict_colimit_creation(g, p, f, down, up):
+    W = g.dom
+    X, Y = p.src, p.tgt
+
+    lifts = []
+    obj_candidates = []
+    for x in X.objects:
+        cands = [w0 for w0 in W.objects if g.ob(w0) == down.apex.ob(x)]
+        obj_candidates.append(cands)
+    for combo in itertools.product(*obj_candidates):
+        w_ob = dict(zip(X.objects, combo))
+        mor_candidates = []
+        names = X.morphism_names()
+        ok = True
+        for n in names:
+            cands = [k for k in W.hom(w_ob[X.dom(n)], w_ob[X.cod(n)])
+                     if g.mor(k) == down.apex.mor(n)]
+            if not cands:
+                ok = False
+                break
+            mor_candidates.append(cands)
+        if not ok:
+            continue
+        for mor_combo in itertools.product(*mor_candidates):
+            w = FunctorData(X, W, w_ob, dict(zip(names, mor_combo)))
+            if functor_violations(w.to_dict(), X, W):
+                continue
+            leg_slots = [(y, x, e) for x in X.objects for y in Y.objects for e in p.el(y, x)]
+            leg_candidates = []
+            ok2 = True
+            for (y, x, e) in leg_slots:
+                cands = [k for k in W.hom(f.ob(y), w_ob[x])
+                         if g.mor(k) == down.legs[(y, x, e)]]
+                if not cands:
+                    ok2 = False
+                    break
+                leg_candidates.append(cands)
+            if not ok2:
+                continue
+            for leg_combo in itertools.product(*leg_candidates):
+                legs = dict(zip(leg_slots, leg_combo))
+                if _legs_natural_in_y(p, f, legs, W) and _legs_natural_in_x(p, w, legs, W):
+                    lifts.append((w, legs))
+
+    if len(lifts) != 1:
+        return CreationReport("strict", "colimit", False, lift_count=len(lifts),
+                              violations=[f"{len(lifts)} on-the-nose lifts (need exactly 1)"])
+    w, legs = lifts[0]
+    if up is _SEARCH:
+        up, _ = try_weighted_colimit(p, f)
+    colimiting = colimiting_test(up)(w.on_objects, legs)
+    violations = [] if colimiting else ["unique lift is not colimiting"]
+    return CreationReport("strict", "colimit", colimiting, lift_count=1,
+                          lifted_apex=dict(w.on_objects), colimiting=colimiting,
+                          violations=violations)
+
+
+def count_resolution_morphisms(adj, algcat) -> int:
+    """Functors K' with K' ; u_T = r and l ; K' = f_T, by pruned search."""
+
+    C = adj.apex
+    cat = algcat.category
+    u, f = algcat.u, algcat.f
+    obj_cands = []
+    for c in C.objects:
+        cands = [o for o in cat.objects if u.ob(o) == adj.right.ob(c)]
+        obj_cands.append(cands)
+    count = 0
+    for combo in itertools.product(*obj_cands):
+        on_objects = dict(zip(C.objects, combo))
+        ok = all(on_objects[adj.left.ob(a)] == f.ob(a) for a in adj.j.dom.objects)
+        if not ok:
+            continue
+        mor_cands = []
+        for k in C.morphism_names():
+            cands = [m for m in cat.hom(on_objects[C.dom(k)], on_objects[C.cod(k)])
+                     if u.mor(m) == adj.right.mor(k)]
+            mor_cands.append((k, cands))
+        if any(not cands for _, cands in mor_cands):
+            continue
+        for mor_combo in itertools.product(*[c for _, c in mor_cands]):
+            on_morphisms = dict(zip([k for k, _ in mor_cands], mor_combo))
+            cand = FunctorData(C, cat, on_objects, on_morphisms)
+            if functor_violations(cand.to_dict(), C, cat):
+                continue
+            if all(cand.mor(adj.left.mor(h)) == f.mor(h) for h in adj.j.dom.morphism_names()):
+                count += 1
+    return count
+
+
+def factorizations(candidate_u, candidate_alpha, alg, M) -> list:
+    """Functors F with F ; u = carrier and the candidate extension matching."""
+
+    D = alg.domain
+    obj_cands = []
+    for d in D.objects:
+        cands = [o for o in M.objects
+                 if candidate_u.ob(o) == alg.carrier.ob(d)
+                 and _alpha_slice_matches(candidate_alpha, o, alg, d)]
+        obj_cands.append(cands)
+    found = []
+    for combo in itertools.product(*obj_cands):
+        on_objects = dict(zip(D.objects, combo))
+        mor_cands = []
+        for k in D.morphism_names():
+            cands = [m for m in M.hom(on_objects[D.dom(k)], on_objects[D.cod(k)])
+                     if candidate_u.mor(m) == alg.carrier.mor(k)]
+            mor_cands.append((k, cands))
+        if any(not c for _, c in mor_cands):
+            continue
+        for mc in itertools.product(*[c for _, c in mor_cands]):
+            on_morphisms = dict(zip([k for k, _ in mor_cands], mc))
+            F = FunctorData(D, M, on_objects, on_morphisms)
+            if not functor_violations(F.to_dict(), D, M):
+                found.append(F)
+    return found
+
+
+def concrete_functor(alg_src, alg_tgt):
+    """First functor i: Alg_src -> Alg_tgt with i ; u_tgt = u_src."""
+
+    C, D = alg_src.category, alg_tgt.category
+    u_src, u_tgt = alg_src.u, alg_tgt.u
+    obj_cands = [[o for o in D.objects if u_tgt.ob(o) == u_src.ob(c)] for c in C.objects]
+    for combo in itertools.product(*obj_cands):
+        on_objects = dict(zip(C.objects, combo))
+        mor_cands = []
+        for k in C.morphism_names():
+            cands = [m for m in D.hom(on_objects[C.dom(k)], on_objects[C.cod(k)])
+                     if u_tgt.mor(m) == u_src.mor(k)]
+            mor_cands.append((k, cands))
+        if any(not c for _, c in mor_cands):
+            continue
+        for mc in itertools.product(*[c for _, c in mor_cands]):
+            F = FunctorData(C, D, on_objects, dict(zip([k for k, _ in mor_cands], mc)))
+            if not functor_violations(F.to_dict(), C, D):
+                return F
+    return None
+
+
+def unpaste(primary, factor):
+    """paste_adjunction(primary, factor, "unpaste"): the inner right adjoint
+    r with r ; r' = r~ found by filtering every functor C -> D."""
+
+    if primary.j != factor.j:
+        raise EndpointMismatch("outer and factor adjunctions must share the root")
+    C = primary.apex
+    D = factor.apex
+    for r_cand in enumerate_functors(C, D):
+        if compose_functors(r_cand, factor.right) != primary.right:
+            continue
+        sharp_in = {}
+        ok = True
+        for a in primary.j.dom.objects:
+            for c in C.objects:
+                for k in C.hom(primary.left.ob(a), c):
+                    v = primary.sharp[(a, c, k)]
+                    key = (a, r_cand.ob(c), v)
+                    if key not in factor.flat:
+                        ok = False
+                        break
+                    sharp_in[(a, c, k)] = factor.flat[key]
+                if not ok:
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        if adjunction_violations(factor.left, primary.left, r_cand, sharp_in):
+            continue
+        inner = RelativeAdjunction(factor.left, primary.left, r_cand, sharp_in)
+        report = PastingReport("unpaste", inner, primary, True)
+        _certify_rho(report, r_cand, factor)
+        return report
+    return PastingReport("unpaste", None, primary, False,
+                         notes=["no inner right adjoint factors the outer one"])

@@ -5,13 +5,36 @@ Same list, same order, and BudgetExceeded on the same inputs.
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+import itertools
+
 from relmon import corpus
-from relmon.algebra import enumerate_algebras
-from relmon.colim import _cone_families, is_dense, nerve_transform_families
+from relmon.algebra import (
+    _count_resolution_morphisms,
+    _factorizations,
+    build_algebra_category,
+    enumerate_algebras,
+)
+from relmon.colim import (
+    _SEARCH,
+    _cone_families,
+    _strict_colimit_creation,
+    enumerate_cocones,
+    is_dense,
+    nerve_transform_families,
+    try_weighted_colimit,
+)
 from relmon.errors import BudgetExceeded
-from relmon.fincat import enumerate_functors, identity_functor
-from relmon.monad import enumerate_relative_monads
+from relmon.fincat import (
+    compose_functors,
+    enumerate_functors,
+    enumerate_natural_transformations,
+    find_natural_isomorphism,
+    identity_functor,
+)
+from relmon.monad import enumerate_relative_monads, monad_from_adjunction
 from relmon.prof import enumerate_distributors
+from relmon.reladj import find_left_relative_adjoint, paste_adjunction
+from relmon.suite import _concrete_functor
 
 from . import reference
 
@@ -121,3 +144,185 @@ def test_cone_families_match_reference(params):
                         for wprime in E.objects:
                             assert (_cone_families(p, g, y, wprime)
                                     == reference.cone_families(p, g, y, wprime))
+
+
+# ---------------------------------------------------------------------------
+# functors, natural transformations, cocones and the filtered functor searches
+
+# raw spaces (every object map times every morphism map) the product
+# reference walks for one pair of categories
+FUNCTOR_SPACE = 20000
+
+
+def functor_space(C, D) -> int:
+    return len(D.objects) ** len(C.objects) * len(D.morphisms) ** len(C.morphisms)
+
+
+def tables(functors) -> list:
+    return [(F.dom, F.cod, F.table()) for F in functors]
+
+
+def test_corpus_functors_match_product_reference():
+    """Every pair of corpus categories whose raw space is small enough,
+    the empty category on either side included."""
+    cats = [make() for make in corpus.STANDARD_CATEGORIES.values()]
+    pairs = [(C, D) for C in cats for D in cats if functor_space(C, D) <= FUNCTOR_SPACE]
+    assert len(pairs) > 100
+    for C, D in pairs:
+        assert tables(enumerate_functors(C, D)) == tables(reference.product_functors(C, D))
+
+
+def test_empty_domain_has_one_functor():
+    empty = corpus.empty_category()
+    for D in (empty, corpus.terminal_category(), corpus.bz2_category()):
+        found = list(enumerate_functors(empty, D))
+        assert tables(found) == tables(reference.product_functors(empty, D))
+        assert len(found) == 1 and found[0].on_objects == found[0].on_morphisms == {}
+    assert list(enumerate_functors(corpus.terminal_category(), empty)) == []
+
+
+def small_pair(params, params2):
+    C = corpus.generate_category(*params)
+    D = corpus.generate_category(*params2)
+    assume(C is not None and D is not None and functor_space(C, D) <= FUNCTOR_SPACE)
+    return C, D
+
+
+@settings(max_examples=15, deadline=None)
+@given(params=generated, params2=generated)
+def test_generated_functors_match_product_reference(params, params2):
+    C, D = small_pair(params, params2)
+    assert tables(enumerate_functors(C, D)) == tables(reference.product_functors(C, D))
+
+
+def nat_tables(nats) -> list:
+    return [(n.source.table(), n.target.table(), n.table()) for n in nats]
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=generated, params2=generated)
+def test_natural_transformations_match_reference(params, params2):
+    C = corpus.generate_category(*params)
+    D = corpus.generate_category(*params2)
+    assume(C is not None and D is not None)
+    functors = list(itertools.islice(enumerate_functors(C, D), 6))
+    for F in functors:
+        for G in functors:
+            assert (nat_tables(enumerate_natural_transformations(F, G))
+                    == nat_tables(reference.enumerate_natural_transformations(F, G)))
+            assert (nat_tables(filter(None, [find_natural_isomorphism(F, G)]))
+                    == nat_tables(filter(None, [reference.find_natural_isomorphism(F, G)])))
+
+
+def test_corpus_natural_transformations_match_reference():
+    cats = [make() for make in corpus.STANDARD_CATEGORIES.values()]
+    for C in cats:
+        for D in cats:
+            functors = list(itertools.islice(enumerate_functors(C, D), 4))
+            for F in functors:
+                for G in functors:
+                    assert (nat_tables(enumerate_natural_transformations(F, G))
+                            == nat_tables(reference.enumerate_natural_transformations(F, G)))
+                    assert (nat_tables(filter(None, [find_natural_isomorphism(F, G)]))
+                            == nat_tables(filter(None, [reference.find_natural_isomorphism(F, G)])))
+
+
+def weights():
+    shapes = [corpus.terminal_category(), corpus.interval_category()]
+    return [p for X in shapes for Y in shapes for p in enumerate_distributors(X, Y, 1)]
+
+
+def cocone_tables(cocones) -> list:
+    return [(w.table(), sorted(legs.items())) for w, legs in cocones]
+
+
+@settings(max_examples=8, deadline=None)
+@given(params=generated)
+def test_cocones_match_reference(params):
+    W = corpus.generate_category(*params)
+    assume(W is not None)
+    for p in weights():
+        for f in enumerate_functors(p.tgt, W):
+            assert cocone_tables(enumerate_cocones(p, f)) == cocone_tables(
+                reference.enumerate_cocones(p, f))
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=generated, params2=generated)
+def test_strict_creation_matches_reference(params, params2):
+    """Strict creation of every colimit that exists downstairs, along the
+    first functors g: W -> V, lift counts included."""
+    W = corpus.generate_category(*params)
+    V = corpus.generate_category(*params2)
+    assume(W is not None and V is not None)
+    for g in itertools.islice(enumerate_functors(W, V), 4):
+        for p in weights():
+            for f in enumerate_functors(p.tgt, W):
+                down, _ = try_weighted_colimit(p, compose_functors(f, g))
+                if down is None:
+                    continue
+                got = _strict_colimit_creation(g, p, f, down, _SEARCH)
+                want = reference.strict_colimit_creation(g, p, f, down, _SEARCH)
+                assert got.to_dict() == want.to_dict()
+
+
+def resolution_cases(j, monads):
+    """Algebra categories of the monads over j, and adjunctions over j: the
+    resolutions of those monads and the left adjoints of a few functors."""
+    algcats = [build_algebra_category(T, budget=TEST_BUDGET) for T in monads]
+    adjs = [a.adjunction for a in algcats]
+    for D in (corpus.terminal_category(), corpus.interval_category(), j.cod):
+        for r in itertools.islice(enumerate_functors(D, j.cod), 6):
+            adj = find_left_relative_adjoint(j, r)
+            if adj is not None:
+                adjs.append(adj)
+    return algcats, adjs
+
+
+def assert_algebra_sites_match_reference(j, monads):
+    algcats, adjs = resolution_cases(j, monads)
+    shapes = [corpus.terminal_category(), corpus.interval_category()]
+    for adj in adjs:
+        for algcat in algcats:
+            assert (_count_resolution_morphisms(adj, algcat)
+                    == reference.count_resolution_morphisms(adj, algcat))
+    for src in algcats:
+        for tgt in algcats:
+            got = _concrete_functor(src, tgt)
+            want = reference.concrete_functor(src, tgt)
+            assert tables(filter(None, [got])) == tables(filter(None, [want]))
+            for D in shapes:
+                for alg in enumerate_algebras(tgt.monad, D, budget=TEST_BUDGET)[:4]:
+                    assert tables(_factorizations(src.u, src.alpha_T, alg, src.category)) \
+                        == tables(reference.factorizations(src.u, src.alpha_T, alg, src.category))
+    for primary in adjs:
+        for factor in adjs:
+            got = paste_adjunction(primary, factor, "unpaste")
+            want = reference.unpaste(primary, factor)
+            assert got.to_dict() == want.to_dict()
+            assert (got.inner is None) == (want.inner is None)
+            if got.inner is not None:
+                assert got.inner == want.inner
+
+
+def test_builtin_algebra_sites_match_reference():
+    """Resolution counts, concrete functors, factorizations and unpasting
+    over every root of the builtin corpus."""
+    for inst in corpus.builtin_corpus():
+        if "root" in inst.roles and inst.monads:
+            monads = [inst.monads[role] for role in sorted(inst.monads)]
+            assert_algebra_sites_match_reference(inst.functors[inst.roles["root"]], monads)
+
+
+@settings(max_examples=8, deadline=None)
+@given(params=generated, root=st.sampled_from([0, 1]))
+def test_generated_algebra_sites_match_reference(params, root):
+    E = corpus.generate_category(*params)
+    assume(E is not None)
+    j = roots(E)[root]
+    try:
+        monads = enumerate_relative_monads(j, budget=TEST_BUDGET)[:3]
+    except BudgetExceeded:
+        monads = []
+    assume(monads)
+    assert_algebra_sites_match_reference(j, monads)
