@@ -10,9 +10,7 @@ functors D -> Alg(T) through the universal property.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import (
     BudgetExceeded,
@@ -25,13 +23,14 @@ from .errors import (
 from .fincat import (
     FinCategory,
     FunctorData,
+    build_category,
     compose_functors,
     classify_functor,
     enumerate_functors,
     identity_functor,
 )
 from .monad import RelativeMonad, budget_limit, monad_from_adjunction, postcompose_along_adjunction
-from .prof import Distributor, GradedCell, enumerate_graded_cells, hom_restriction
+from .prof import GradedCell, enumerate_graded_cells, hom_restriction
 from .reladj import RelativeAdjunction, validate_relative_adjunction
 from .search import Search
 from .corpus import terminal_category
@@ -283,7 +282,6 @@ def build_algebra_category(T: RelativeMonad, budget: int = None) -> AlgebraCateg
                 for psi in homs2:
                     composition[(f"{i}.{phi}.{i2}", f"{i2}.{psi}.{i3}")] = \
                         f"{i}.{E.comp(phi, psi)}.{i3}"
-    from .fincat import build_category
     cat = build_category(f"Alg({T.name or '?'})", names, morphisms, identities, composition)
 
     u = FunctorData(cat, E,
@@ -404,35 +402,15 @@ def comparison_functor(adj: RelativeAdjunction, algcat: AlgebraCategory) -> Comp
 def _count_resolution_morphisms(adj: RelativeAdjunction, algcat: AlgebraCategory) -> int:
     """Functors K' with K' ; u_T = r and l ; K' = f_T, by pruned search."""
 
-    C = adj.apex
-    cat = algcat.category
+    r, l = adj.right, adj.left
     u, f = algcat.u, algcat.f
-    obj_cands = []
-    for c in C.objects:
-        cands = [o for o in cat.objects if u.ob(o) == adj.right.ob(c)]
-        obj_cands.append(cands)
-    count = 0
-    for combo in itertools.product(*obj_cands):
-        on_objects = dict(zip(C.objects, combo))
-        ok = all(on_objects[adj.left.ob(a)] == f.ob(a) for a in adj.j.dom.objects)
-        if not ok:
-            continue
-        mor_cands = []
-        for k in C.morphism_names():
-            cands = [m for m in cat.hom(on_objects[C.dom(k)], on_objects[C.cod(k)])
-                     if u.mor(m) == adj.right.mor(k)]
-            mor_cands.append((k, cands))
-        if any(not cands for _, cands in mor_cands):
-            continue
-        for mor_combo in itertools.product(*[c for _, c in mor_cands]):
-            on_morphisms = dict(zip([k for k, _ in mor_cands], mor_combo))
-            cand = FunctorData(C, cat, on_objects, on_morphisms)
-            from .fincat import functor_violations
-            if functor_violations(cand.to_dict(), C, cat):
-                continue
-            if all(cand.mor(adj.left.mor(h)) == f.mor(h) for h in adj.j.dom.morphism_names()):
-                count += 1
-    return count
+    # l ; K' = f_T pins K' on the image of l, on objects through their identities
+    pins = {}
+    for h in adj.j.dom.morphism_names():
+        pins.setdefault(l.mor(h), set()).add(f.mor(h))
+    return sum(1 for _ in enumerate_functors(
+        adj.apex, algcat.category, ob_ok=lambda c, o: u.ob(o) == r.ob(c),
+        mor_ok=lambda k, m: u.mor(m) == r.mor(k) and pins.get(k, {m}) == {m}))
 
 
 # ---------------------------------------------------------------------------
@@ -543,30 +521,11 @@ def _factorizations(candidate_u: FunctorData, candidate_alpha: dict,
                     alg: Algebra, M: FinCategory) -> list[FunctorData]:
     """Functors F with F ; u = carrier and the candidate extension matching."""
 
-    D = alg.domain
-    obj_cands = []
-    for d in D.objects:
-        cands = [o for o in M.objects
-                 if candidate_u.ob(o) == alg.carrier.ob(d)
-                 and _alpha_slice_matches(candidate_alpha, o, alg, d)]
-        obj_cands.append(cands)
-    found = []
-    for combo in itertools.product(*obj_cands):
-        on_objects = dict(zip(D.objects, combo))
-        mor_cands = []
-        for k in D.morphism_names():
-            cands = [m for m in M.hom(on_objects[D.dom(k)], on_objects[D.cod(k)])
-                     if candidate_u.mor(m) == alg.carrier.mor(k)]
-            mor_cands.append((k, cands))
-        if any(not c for _, c in mor_cands):
-            continue
-        for mc in itertools.product(*[c for _, c in mor_cands]):
-            on_morphisms = dict(zip([k for k, _ in mor_cands], mc))
-            F = FunctorData(D, M, on_objects, on_morphisms)
-            from .fincat import functor_violations
-            if not functor_violations(F.to_dict(), D, M):
-                found.append(F)
-    return found
+    return list(enumerate_functors(
+        alg.domain, M,
+        ob_ok=lambda d, o: (candidate_u.ob(o) == alg.carrier.ob(d)
+                            and _alpha_slice_matches(candidate_alpha, o, alg, d)),
+        mor_ok=lambda k, m: candidate_u.mor(m) == alg.carrier.mor(k)))
 
 
 def _alpha_slice_matches(candidate_alpha: dict, obj: str, alg: Algebra, d: str) -> bool:

@@ -360,7 +360,7 @@ def _cone_families(p: Distributor, g: FunctorData, y: str, wprime: str) -> tuple
         for e in p.el(y, x):
             a, b = index[(x, e)], index[(x2, p.act_l(n, y, e))]
             search.require(lambda v, a=a, b=b, gn=gn: v[b] == comp[(v[a], gn)], a, b)
-    return slots, search.solutions()
+    return slots, list(search.solutions())
 
 
 def verify_weighted_limit(lim: WeightedLimit) -> bool:
@@ -533,29 +533,29 @@ def _nerve_slots(j: FunctorData, e: str):
 
 
 def enumerate_cocones(p: Distributor, f: FunctorData):
-    """All p-cocones (w, legs) for f with apex functor into cod f, canonical order."""
+    """All p-cocones (w, legs) for f with apex functor into cod f, canonical order.
 
-    X, W = p.src, f.cod
+    For each apex w, one search slot per x holds a family natural in y at
+    x; naturality in x along n: x -> x2 is checked once both are chosen.
+    """
+
+    X, Y, W = p.src, p.tgt, f.cod
+    comp = W.composition
     checker = _shared_checker(p, f)
     out = []
     for w in enumerate_functors(X, W):
-        per_x = []
-        feasible = True
-        for x in X.objects:
-            fams = checker.families(x, w.ob(x))
-            if not fams:
-                feasible = False
-                break
-            per_x.append((x, fams))
-        if not feasible and X.objects:
-            continue
-        for combo in itertools.product(*[fams for (_, fams) in per_x]):
-            legs = {}
-            for (x, _), fam in zip(per_x, combo):
-                for (y, e), v in fam.items():
-                    legs[(y, x, e)] = v
-            if _legs_natural_in_x(p, w, legs, W):
-                out.append((w, legs))
+        search = Search()
+        slot = {x: search.slot(checker.families(x, w.ob(x))) for x in X.objects}
+        for n in X.morphism_names():
+            if X.is_identity(n):
+                continue
+            a, b, wn = slot[X.dom(n)], slot[X.cod(n)], w.mor(n)
+            keys = [((y, e), (y, p.act_l(n, y, e))) for y in Y.objects for e in p.el(y, X.dom(n))]
+            search.require(lambda v, a=a, b=b, wn=wn, keys=keys: all(
+                v[b][k2] == comp[(v[a][k], wn)] for k, k2 in keys), a, b)
+        for fams in search.solutions():
+            out.append((w, {(y, x, e): leg for x, fam in zip(X.objects, fams)
+                            for (y, e), leg in fam.items()}))
     return out
 
 
@@ -605,45 +605,16 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData,
     W = g.dom
     X, Y = p.src, p.tgt
 
+    leg_slots = [(y, x, e) for x in X.objects for y in Y.objects for e in p.el(y, x)]
     lifts = []
-    obj_candidates = []
-    for x in X.objects:
-        cands = [w0 for w0 in W.objects if g.ob(w0) == down.apex.ob(x)]
-        obj_candidates.append(cands)
-    for combo in itertools.product(*obj_candidates):
-        w_ob = dict(zip(X.objects, combo))
-        mor_candidates = []
-        names = X.morphism_names()
-        ok = True
-        for n in names:
-            cands = [k for k in W.hom(w_ob[X.dom(n)], w_ob[X.cod(n)])
-                     if g.mor(k) == down.apex.mor(n)]
-            if not cands:
-                ok = False
-                break
-            mor_candidates.append(cands)
-        if not ok:
-            continue
-        for mor_combo in itertools.product(*mor_candidates):
-            w = FunctorData(X, W, w_ob, dict(zip(names, mor_combo)))
-            if functor_violations(w.to_dict(), X, W):
-                continue
-            leg_slots = [(y, x, e) for x in X.objects for y in Y.objects for e in p.el(y, x)]
-            leg_candidates = []
-            ok2 = True
-            for (y, x, e) in leg_slots:
-                cands = [k for k in W.hom(f.ob(y), w_ob[x])
-                         if g.mor(k) == down.legs[(y, x, e)]]
-                if not cands:
-                    ok2 = False
-                    break
-                leg_candidates.append(cands)
-            if not ok2:
-                continue
-            for leg_combo in itertools.product(*leg_candidates):
-                legs = dict(zip(leg_slots, leg_combo))
-                if _legs_natural_in_y(p, f, legs, W) and _legs_natural_in_x(p, w, legs, W):
-                    lifts.append((w, legs))
+    for w in enumerate_functors(X, W, ob_ok=lambda x, w0: g.ob(w0) == down.apex.ob(x),
+                                mor_ok=lambda n, k: g.mor(k) == down.apex.mor(n)):
+        leg_candidates = [[k for k in W.hom(f.ob(y), w.ob(x)) if g.mor(k) == down.legs[(y, x, e)]]
+                          for (y, x, e) in leg_slots]
+        for leg_combo in itertools.product(*leg_candidates):
+            legs = dict(zip(leg_slots, leg_combo))
+            if _legs_natural_in_y(p, f, legs, W) and _legs_natural_in_x(p, w, legs, W):
+                lifts.append((w, legs))
 
     if len(lifts) != 1:
         return CreationReport("strict", "colimit", False, lift_count=len(lifts),

@@ -11,11 +11,11 @@ Conventions used across the engine:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import NotParallel, ParseFailure, ValidationFailure, Violation
+from .search import Search
 
 RESERVED_CHARS = (";", "|", "\n")
 
@@ -257,6 +257,17 @@ def _check_names(table: dict, where: str) -> None:
         _check_name(value, where)
 
 
+def check_field(doc, key: str, where: str):
+    """doc[key], when doc is a JSON object holding key; otherwise raises
+    ParseFailure at `where`, the location of doc."""
+
+    if not isinstance(doc, dict):
+        raise ParseFailure(where, "must be a JSON object")
+    if key not in doc:
+        raise ParseFailure(where, f"missing field {key!r}")
+    return doc[key]
+
+
 def check_name_map(table, where: str) -> dict:
     """table, when it is a JSON object from names to names; otherwise raises
     ParseFailure at `where`."""
@@ -402,6 +413,8 @@ def functor_violations(raw: dict, C: FinCategory, D: FinCategory) -> list[Violat
 
 
 def validate_functor(raw: dict, C: FinCategory, D: FinCategory, name: str = "") -> FunctorData:
+    if not isinstance(raw, dict):
+        raise ParseFailure(name or "functor", "must be a JSON object")
     for key in ("on_objects", "on_morphisms"):
         if key not in raw:
             raise ParseFailure(key, "missing field")
@@ -437,34 +450,44 @@ def opposite_functor(F: FunctorData, dom_op: FinCategory, cod_op: FinCategory) -
     return FunctorData(dom_op, cod_op, F.on_objects, F.on_morphisms, name=F.name)
 
 
-def enumerate_functors(C: FinCategory, D: FinCategory) -> Iterator[FunctorData]:
-    """All functors C -> D in canonical order (object map, then morphism maps)."""
+def enumerate_functors(C: FinCategory, D: FinCategory, *, ob_ok=None,
+                       mor_ok=None) -> Iterator[FunctorData]:
+    """All functors C -> D in canonical order (object map, then morphism maps).
 
-    if not C.objects:
-        yield FunctorData(C, D, {}, {})
-        return
+    ob_ok(x, d) and mor_ok(f, m), when given, keep only the functors sending
+    each object x to a d and each morphism f (identities too) to an m they
+    accept; the survivors keep their order.  One search slot per object and
+    per non-identity morphism; an identity's image is fixed by its object's.
+    """
+
+    objects = C.objects
     nonid = [f for f in C.morphism_names() if not C.is_identity(f)]
-    pairs = C.composable_pairs()
-    D_comp = D.composition
-    for obj_choice in itertools.product(D.objects, repeat=len(C.objects)):
-        on_ob = dict(zip(C.objects, obj_choice))
-        on_mor = {C.id_of(x): D.id_of(on_ob[x]) for x in C.objects}
-
-        def assign(i: int):
-            if i == len(nonid):
-                # composition is checked over every pair once all images exist
-                for (f, g, fg) in pairs:
-                    if on_mor[fg] != D_comp[(on_mor[f], on_mor[g])]:
-                        return
-                yield FunctorData(C, D, dict(on_ob), dict(on_mor))
-                return
-            f = nonid[i]
-            for img in D.hom(on_ob[C.dom(f)], on_ob[C.cod(f)]):
-                on_mor[f] = img
-                yield from assign(i + 1)
-                del on_mor[f]
-
-        yield from assign(0)
+    D_dom, D_cod, D_comp, D_id = D._dom, D._cod, D.composition, D.identities
+    search = Search()
+    slot = {x: search.slot(d for d in D.objects
+                           if (ob_ok is None or ob_ok(x, d))
+                           and (mor_ok is None or mor_ok(C.id_of(x), D_id[d])))
+            for x in objects}
+    for f in nonid:
+        s, a, b = search.slot(m for m in D._names if mor_ok is None or mor_ok(f, m)), \
+            slot[C.dom(f)], slot[C.cod(f)]
+        slot[f] = s
+        search.require(lambda v, s=s, a=a, b=b: D_dom[v[s]] == v[a] and D_cod[v[s]] == v[b], s)
+    for (f, g, fg) in C.composable_pairs():
+        if f not in slot or g not in slot:
+            continue                    # a composite with an identity holds by dom/cod
+        a, b = slot[f], slot[g]
+        if fg in slot:
+            c = slot[fg]
+            search.require(lambda v, a=a, b=b, c=c: D_comp[(v[a], v[b])] == v[c], a, b, c)
+        else:                           # f ; g is the identity of dom f
+            c = slot[C.dom(fg)]
+            search.require(lambda v, a=a, b=b, c=c: D_comp[(v[a], v[b])] == D_id[v[c]], a, b)
+    identities = [(C.id_of(x), slot[x]) for x in objects]
+    for values in search.solutions():
+        on_mor = {i: D_id[values[s]] for i, s in identities}
+        on_mor.update((f, values[slot[f]]) for f in nonid)
+        yield FunctorData(C, D, dict(zip(objects, values)), on_mor)
 
 
 # ---------------------------------------------------------------------------
@@ -491,21 +514,26 @@ class NatTransData:
         return f"NatTransData({self.components})"
 
 
-def nat_trans_violations(F: FunctorData, G: FunctorData, components: dict) -> list[Violation]:
-    D = F.cod
-    violations = []
-    for x in F.dom.objects:
-        c = components.get(x)
-        if c is None or c not in D.morphism_names() \
-                or D.dom(c) != F.ob(x) or D.cod(c) != G.ob(x):
-            violations.append(Violation("not_total", (x,), "bad component"))
-    if violations:
-        return violations
-    for f in F.dom.morphism_names():
-        x, y = F.dom.dom(f), F.dom.cod(f)
-        if D.comp(F.mor(f), components[y]) != D.comp(components[x], G.mor(f)):
-            violations.append(Violation("naturality_fail", (f,)))
-    return violations
+def _natural_transformations(F: FunctorData, G: FunctorData,
+                             invertible: bool = False) -> Iterator[NatTransData]:
+    """Natural transformations F => G (all components invertible, if asked),
+    ordered componentwise by morphism order.  One search slot per object;
+    naturality at f: x -> y is checked once both components are chosen."""
+
+    C, D = F.dom, F.cod
+    comp = D.composition
+    search = Search()
+    slot = {x: search.slot(k for k in D.hom(F.ob(x), G.ob(x))
+                           if not invertible or D.is_invertible(k))
+            for x in C.objects}
+    for f in C.morphism_names():
+        if C.is_identity(f):
+            continue
+        a, b, Ff, Gf = slot[C.dom(f)], slot[C.cod(f)], F.mor(f), G.mor(f)
+        search.require(lambda v, a=a, b=b, Ff=Ff, Gf=Gf: comp[(Ff, v[b])] == comp[(v[a], Gf)],
+                       a, b)
+    for values in search.solutions():
+        yield NatTransData(F, G, dict(zip(C.objects, values)))
 
 
 def find_natural_isomorphism(F: FunctorData, G: FunctorData) -> Optional[NatTransData]:
@@ -513,16 +541,7 @@ def find_natural_isomorphism(F: FunctorData, G: FunctorData) -> Optional[NatTran
 
     if F.dom != G.dom or F.cod != G.cod:
         return None
-    D = F.cod
-    xs = F.dom.objects
-    candidate_sets = [
-        tuple(k for k in D.hom(F.ob(x), G.ob(x)) if D.is_invertible(k)) for x in xs
-    ]
-    for combo in itertools.product(*candidate_sets):
-        components = dict(zip(xs, combo))
-        if not nat_trans_violations(F, G, components):
-            return NatTransData(F, G, components)
-    return None
+    return next(_natural_transformations(F, G, invertible=True), None)
 
 
 def enumerate_natural_transformations(F: FunctorData, G: FunctorData) -> list[NatTransData]:
@@ -530,15 +549,7 @@ def enumerate_natural_transformations(F: FunctorData, G: FunctorData) -> list[Na
 
     if F.dom != G.dom or F.cod != G.cod:
         raise NotParallel("source and target functors are not parallel")
-    D = F.cod
-    xs = F.dom.objects
-    candidate_sets = [D.hom(F.ob(x), G.ob(x)) for x in xs]
-    out = []
-    for combo in itertools.product(*candidate_sets):
-        components = dict(zip(xs, combo))
-        if not nat_trans_violations(F, G, components):
-            out.append(NatTransData(F, G, components))
-    return out
+    return list(_natural_transformations(F, G))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import EndpointMismatch, TheoremViolation, ValidationFailure, Violation
-from .fincat import FinCategory, FunctorData, compose_functors, functor_violations, enumerate_functors
-from .colim import is_dense, try_left_extension
+from .colim import is_dense, is_j_absolute, try_left_extension
+from .fincat import (
+    FinCategory,
+    FunctorData,
+    compose_functors,
+    enumerate_functors,
+    find_natural_isomorphism,
+    identity_functor,
+)
 
 
 class RelativeAdjunction:
@@ -106,7 +113,6 @@ def validate_relative_adjunction(j: FunctorData, left: FunctorData, right: Funct
 
 
 def identity_adjunction(E: FinCategory) -> RelativeAdjunction:
-    from .fincat import identity_functor
     one = identity_functor(E)
     sharp = {(a, c, k): k for a in E.objects for c in E.objects for k in E.hom(a, c)}
     return RelativeAdjunction(one, one, one, sharp, name=f"1{E.name or ''}")
@@ -149,9 +155,8 @@ def find_left_relative_adjoint(j: FunctorData, r: FunctorData) -> Optional[Relat
         if len(matches) != 1:
             raise TheoremViolation("left relative adjoint must be pinned on morphisms")
         on_morphisms[h] = matches[0]
+    # each image is the unique m above, so identities and composites are kept
     left = FunctorData(A, D, on_objects, on_morphisms)
-    if functor_violations(left.to_dict(), A, D):
-        return None
 
     sharp = {}
     for a in A.objects:
@@ -223,10 +228,10 @@ def paste_adjunction(primary: RelativeAdjunction, factor: RelativeAdjunction,
         if primary.j != factor.j:
             raise EndpointMismatch("outer and factor adjunctions must share the root")
         C = primary.apex
-        D = factor.apex
-        for r_cand in enumerate_functors(C, D):
-            if compose_functors(r_cand, factor.right) != primary.right:
-                continue
+        r, r_factor = primary.right, factor.right
+        for r_cand in enumerate_functors(C, factor.apex,
+                                         ob_ok=lambda c, d: r_factor.ob(d) == r.ob(c),
+                                         mor_ok=lambda k, m: r_factor.mor(m) == r.mor(k)):
             sharp_in = {}
             ok = True
             for a in primary.j.dom.objects:
@@ -274,8 +279,6 @@ def _certify_rho(report: PastingReport, r_inner: FunctorData, factor: RelativeAd
     if ext is None:
         report.rho_extension_ok = False
         return
-    from .fincat import find_natural_isomorphism
     report.rho_extension_ok = find_natural_isomorphism(ext.apex, factor.right) is not None
-    from .colim import is_j_absolute
     absolute, _ = is_j_absolute(outer.j, ext)
     report.rho_extension_absolute = absolute

@@ -7,7 +7,11 @@ assigned, so every check runs once every slot it reads is bound and a failed
 check cuts the whole branch below it (incremental consistency checking,
 Mackworth 1977, "Consistency in networks of relations").  The survivors are
 exactly the assignments of itertools.product(*domains) that pass every
-check, in product order.
+check, in product order, found one at a time as they are asked for.
+
+It lists the relative monads (monad.py), their algebras (algebra.py),
+functors with optional per-image filters (fincat.enumerate_functors),
+natural transformations, nerve and cone families and cocones (colim.py).
 
 A law that reads a slot chosen by another slot's value, say ext[(a, a,
 unit[a])], is registered once per possible value u of unit[a] as a guarded
@@ -16,7 +20,7 @@ check, "unit[a] != u or ...", at the latest slot it involves.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 # check(values) -> bool; values[i] is bound for every slot i the check reads
 Check = Callable[[list], bool]
@@ -37,17 +41,18 @@ class Search:
         """Run check at the highest of the slots it reads (all of them listed)."""
         self.checks[max(slots)].append(check)
 
-    def solutions(self) -> list[tuple]:
-        """Every assignment that passes all checks, as tuples in product order."""
+    def solutions(self) -> Iterator[tuple]:
+        """Every assignment that passes all checks, as tuples in product order,
+        each found only when asked for."""
 
         domains, checks = self.domains, self.checks
         n = len(domains)
         if n == 0:
-            return [()]
+            yield ()
+            return
         values: list = [None] * n
         pending = [iter(())] * n        # the untried values of each bound slot
         pending[0] = iter(domains[0])
-        out = []
         i = 0
         while i >= 0:
             for v in pending[i]:
@@ -61,8 +66,7 @@ class Search:
                 i -= 1                  # slot i exhausted: backtrack
                 continue
             if i == n - 1:
-                out.append(tuple(values))
+                yield tuple(values)
             else:
                 i += 1
                 pending[i] = iter(domains[i])
-        return out

@@ -7,8 +7,6 @@ says why in its details.
 
 from __future__ import annotations
 
-import itertools
-
 from .algebra import (
     build_algebra_category,
     enumerate_algebras,
@@ -23,20 +21,19 @@ from .algebra import (
 from .census import ABSOLUTE_COLIMIT, DownstairsCensus
 from .colim import (
     check_creation,
-    cocone_is_colimiting,
+    colimiting_test,
     is_dense,
     is_j_absolute,
     try_weighted_colimit,
     try_weighted_limit,
 )
-from .corpus import Instance, terminal_category, validate_instance
-from .errors import BudgetExceeded, DownstairsMissing, PremiseFail, TheoremViolation
+from .corpus import terminal_category, validate_instance
+from .errors import BudgetExceeded, PremiseFail, TheoremViolation
 from .fincat import (
     FunctorData,
     classify_functor,
     compose_functors,
     enumerate_functors,
-    functor_violations,
     identity_functor,
     opposite,
     opposite_functor,
@@ -45,8 +42,6 @@ from .monad import enumerate_relative_monads, monad_from_adjunction, trivial_rel
 from .prof import enumerate_distributors
 from .reladj import find_left_relative_adjoint
 from .monadicity import (
-    AuditReport,
-    MonadicityReport,
     SuiteReport,
     SuiteResult,
     creation_audit,
@@ -218,36 +213,48 @@ def _check_preservation_conservativity(ctx) -> SuiteResult:
 
     details = []
     checked = 0
-    cap = min(ctx.element_cap, 1)
-    gs = []
+    census = ctx.census
+    shapes = ctx.shape_family[:2]
     for inst, role, T in ctx.monad_entries():
-        algcat = ctx.algcat(inst, role)
-        gs.append((f"{inst.name}/{role}", algcat.u))
-    for label, g in gs:
+        g = ctx.algcat(inst, role).u
         if not classify_functor(g).conservative:
             continue
-        W = g.dom
-        for X in ctx.shape_family[:2]:
-            for Y in ctx.shape_family[:2]:
+        diagrams = {Y: census.diagrams(Y, g) for Y in shapes}
+        for X in shapes:
+            for Y in shapes:
                 try:
-                    weights = enumerate_distributors(X, Y, cap, budget=ctx.budget)
+                    cap, weights = _small_weights(ctx, X, Y)
                 except BudgetExceeded:
                     continue
-                for p in weights:
-                    for f in enumerate_functors(Y, W):
-                        up, _ = try_weighted_colimit(p, f)
+                for widx, p in weights:
+                    for diagram in diagrams[Y]:
+                        up = census.upstairs(p, widx, diagram, cap, "colimit")
                         if up is None:
                             continue
-                        image_legs = {key: g.mor(v) for key, v in up.legs.items()}
-                        preserved = cocone_is_colimiting(
-                            p, compose_functors(f, g), compose_functors(up.apex, g), image_legs)
-                        if not preserved:
+                        preserved = colimiting_test(census.downstairs(p, widx, diagram, cap, "colimit"))
+                        if not preserved({x: g.ob(up.apex.ob(x)) for x in X.objects},
+                                         {key: g.mor(v) for key, v in up.legs.items()}):
                             continue
                         checked += 1
-                        rep = check_creation(g, p, f, mode="nonstrict", kind="colimit")
-                        if not rep.passed:
-                            details.append(f"{label}: preserved colimit not non-strictly created")
+                        if not census.creation(g, p, widx, diagram, cap, "colimit", "nonstrict"):
+                            details.append(f"{inst.name}/{role}: preserved colimit not non-strictly created")
     return SuiteResult("preservation_conservativity", not details, checked, details)
+
+
+def _small_weights(ctx, X, Y):
+    """(cap, [(i, p)]): the weights X -|-> Y with at most one element per
+    component, each at its position i in enumerate_distributors(X, Y, cap).
+    cap is the suite's element cap, whose census rows forgetful_creates has
+    filled, or 1 when that census is over budget.  Both lists hold the small
+    weights in the same order."""
+
+    small = min(ctx.element_cap, 1)
+    try:
+        cap, weights = ctx.element_cap, enumerate_distributors(X, Y, ctx.element_cap, budget=ctx.budget)
+    except BudgetExceeded:
+        cap, weights = small, enumerate_distributors(X, Y, small, budget=ctx.budget)
+    return cap, [(i, p) for i, p in enumerate(weights)
+                 if all(len(p.el(y, x)) <= 1 for y in Y.objects for x in X.objects)]
 
 
 def _check_algebra_object_up(ctx) -> SuiteResult:
@@ -471,23 +478,10 @@ def _check_algebraic_tight_cells(ctx) -> SuiteResult:
 def _concrete_functor(alg_src, alg_tgt):
     """First functor i: Alg_src -> Alg_tgt with i ; u_tgt = u_src."""
 
-    C, D = alg_src.category, alg_tgt.category
     u_src, u_tgt = alg_src.u, alg_tgt.u
-    obj_cands = [[o for o in D.objects if u_tgt.ob(o) == u_src.ob(c)] for c in C.objects]
-    for combo in itertools.product(*obj_cands):
-        on_objects = dict(zip(C.objects, combo))
-        mor_cands = []
-        for k in C.morphism_names():
-            cands = [m for m in D.hom(on_objects[C.dom(k)], on_objects[C.cod(k)])
-                     if u_tgt.mor(m) == u_src.mor(k)]
-            mor_cands.append((k, cands))
-        if any(not c for _, c in mor_cands):
-            continue
-        for mc in itertools.product(*[c for _, c in mor_cands]):
-            F = FunctorData(C, D, on_objects, dict(zip([k for k, _ in mor_cands], mc)))
-            if not functor_violations(F.to_dict(), C, D):
-                return F
-    return None
+    return next(enumerate_functors(alg_src.category, alg_tgt.category,
+                                   ob_ok=lambda c, o: u_tgt.ob(o) == u_src.ob(c),
+                                   mor_ok=lambda k, m: u_tgt.mor(m) == u_src.mor(k)), None)
 
 
 def _algebraic_creation_sample(ctx, j, r, i):
@@ -505,16 +499,14 @@ def _algebraic_creation_sample(ctx, j, r, i):
             down, _ = try_weighted_colimit(p, compose_functors(f, i))
             if down is None:
                 continue
-            image = compose_functors(down.apex, r)
-            image_legs = {key: r.mor(v) for key, v in down.legs.items()}
-            if not cocone_is_colimiting(p, compose_functors(f, compose_functors(i, r)),
-                                        image, image_legs):
+            down_r, _ = try_weighted_colimit(p, compose_functors(f, compose_functors(i, r)))
+            if not colimiting_test(down_r)({x: r.ob(down.apex.ob(x)) for x in Tm.objects},
+                                           {key: r.mor(v) for key, v in down.legs.items()}):
                 continue
-            absolute, _ = is_j_absolute(j, try_weighted_colimit(
-                p, compose_functors(f, compose_functors(i, r)))[0])
+            absolute, _ = is_j_absolute(j, down_r)
             if not absolute:
                 continue
-            rep = check_creation(i, p, f, mode="nonstrict", kind="colimit")
+            rep = check_creation(i, p, f, mode="nonstrict", kind="colimit", down=down)
             if not rep.passed:
                 out.append("colimit sent to j-absolute not non-strictly created")
         for g in enumerate_functors(Tm, D_src):

@@ -20,14 +20,13 @@ from relmon.colim import (
     colimiting_test,
     try_weighted_colimit,
 )
-from relmon.errors import BudgetExceeded, EndpointMismatch, NotParallel
+from relmon.errors import BudgetExceeded, EndpointMismatch, NotParallel, Violation
 from relmon.fincat import (
     FunctorData,
     NatTransData,
     compose_functors,
     enumerate_functors,
     functor_violations,
-    nat_trans_violations,
 )
 from relmon.monad import RelativeMonad, budget_limit, monad_violations
 from relmon.reladj import PastingReport, RelativeAdjunction, _certify_rho, adjunction_violations
@@ -204,6 +203,23 @@ def product_functors(C, D, ob_ok=None, mor_ok=None) -> list:
 # ---------------------------------------------------------------------------
 # the product-then-filter searches that the engine ran before its functor,
 # natural-transformation and cocone searches moved onto search.Search
+
+
+def nat_trans_violations(F: FunctorData, G: FunctorData, components: dict) -> list[Violation]:
+    D = F.cod
+    violations = []
+    for x in F.dom.objects:
+        c = components.get(x)
+        if c is None or c not in D.morphism_names() \
+                or D.dom(c) != F.ob(x) or D.cod(c) != G.ob(x):
+            violations.append(Violation("not_total", (x,), "bad component"))
+    if violations:
+        return violations
+    for f in F.dom.morphism_names():
+        x, y = F.dom.dom(f), F.dom.cod(f)
+        if D.comp(F.mor(f), components[y]) != D.comp(components[x], G.mor(f)):
+            violations.append(Violation("naturality_fail", (f,)))
+    return violations
 
 
 def find_natural_isomorphism(F, G):

@@ -31,7 +31,7 @@ from relmon.fincat import (
     find_natural_isomorphism,
     identity_functor,
 )
-from relmon.monad import enumerate_relative_monads, monad_from_adjunction
+from relmon.monad import enumerate_relative_monads
 from relmon.prof import enumerate_distributors
 from relmon.reladj import find_left_relative_adjoint, paste_adjunction
 from relmon.suite import _concrete_functor
@@ -195,6 +195,32 @@ def test_generated_functors_match_product_reference(params, params2):
     assert tables(enumerate_functors(C, D)) == tables(reference.product_functors(C, D))
 
 
+@settings(max_examples=15, deadline=None)
+@given(params=generated, params2=generated, data=st.data())
+def test_filtered_functors_match_product_reference(params, params2, data):
+    """ob_ok and mor_ok reject drawn object and morphism images, identity
+    images included."""
+    C, D = small_pair(params, params2)
+    obs = data.draw(st.sets(st.sampled_from([(x, d) for x in C.objects for d in D.objects])))
+    mors = data.draw(st.sets(st.sampled_from(
+        [(f, m) for f in C.morphism_names() for m in D.morphism_names()])))
+    kwargs = dict(ob_ok=lambda x, d: (x, d) not in obs, mor_ok=lambda f, m: (f, m) not in mors)
+    assert tables(enumerate_functors(C, D, **kwargs)) == tables(
+        reference.product_functors(C, D, **kwargs))
+
+
+def test_mor_ok_rejecting_an_identity_image_drops_the_object_choice():
+    interval = corpus.interval_category()
+    C, D = interval, interval
+    for x in C.objects:
+        for d in D.objects:
+            def mor_ok(f, m, x=x, d=d):
+                return not (f == C.id_of(x) and m == D.id_of(d))
+            found = list(enumerate_functors(C, D, mor_ok=mor_ok))
+            assert tables(found) == tables(reference.product_functors(C, D, mor_ok=mor_ok))
+            assert found and all(F.ob(x) != d for F in found)
+
+
 def nat_tables(nats) -> list:
     return [(n.source.table(), n.target.table(), n.table()) for n in nats]
 
@@ -315,11 +341,13 @@ def test_builtin_algebra_sites_match_reference():
 
 
 @settings(max_examples=8, deadline=None)
-@given(params=generated, root=st.sampled_from([0, 1]))
+@given(params=generated, root=st.sampled_from([0, 1, 2]))
 def test_generated_algebra_sites_match_reference(params, root):
+    """Identity, point and empty roots; under the empty root every functor
+    into E has a left adjoint, so unpasting is constrained only by r ; r'."""
     E = corpus.generate_category(*params)
     assume(E is not None)
-    j = roots(E)[root]
+    j = (roots(E) + [corpus.empty_functor(E)])[root]
     try:
         monads = enumerate_relative_monads(j, budget=TEST_BUDGET)[:3]
     except BudgetExceeded:
