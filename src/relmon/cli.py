@@ -11,7 +11,6 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .errors import (
     RelmonError,
     ValidationFailure,
 )
-from .fincat import check_name_map, split_keys, validate_category, validate_functor
+from .fincat import check_field, check_name_map, split_keys, validate_category, validate_functor
 from .monad import enumerate_relative_monads, validate_relative_monad
 from .monadicity import (
     DEFAULT_ELEMENT_CAP,
@@ -55,13 +54,19 @@ class _Parser(argparse.ArgumentParser):
 # input loading
 
 
-def _load_doc(path_or_obj, base: Path):
+def _resolve(path: str, base: Path) -> Path:
+    p = Path(path)
+    return p if p.is_absolute() else base / p
+
+
+def _load_doc(path_or_obj, base: Path, where: str):
+    """A document given inline or as a path; where locates it in its file."""
+
     if isinstance(path_or_obj, dict):
         return path_or_obj
-    p = Path(path_or_obj)
-    if not p.is_absolute():
-        p = base / p
-    return corpus.load_json(p)
+    if not isinstance(path_or_obj, str):
+        raise ParseFailure(where, "must be a JSON object or a path")
+    return corpus.load_json(_resolve(path_or_obj, base))
 
 
 def load_functor_file(path):
@@ -72,8 +77,8 @@ def load_functor_file(path):
     for key in ("dom", "cod", "on_objects", "on_morphisms"):
         if key not in doc:
             raise ParseFailure(str(path), f"functor file missing {key!r}")
-    dom = validate_category(_load_doc(doc["dom"], base), name="dom")
-    cod = validate_category(_load_doc(doc["cod"], base), name="cod")
+    dom = validate_category(_load_doc(doc["dom"], base, f"{path}: dom"), name="dom")
+    cod = validate_category(_load_doc(doc["cod"], base, f"{path}: cod"), name="cod")
     return validate_functor(doc, dom, cod, name=str(path))
 
 
@@ -83,21 +88,22 @@ def load_monad_file(path):
     for key in ("j", "t", "unit", "ext"):
         if key not in doc:
             raise ParseFailure(str(path), f"monad file missing {key!r}")
-    j = _functor_from_doc(doc["j"], base, "j")
-    t = _functor_from_doc(doc["t"], base, "t")
+    j = _functor_from_doc(doc["j"], base, "j", f"{path}: j")
+    t = _functor_from_doc(doc["t"], base, "t", f"{path}: t")
     unit = check_name_map(doc["unit"], f"{path}: unit")
     ext = split_keys(doc["ext"], 3, f"{path}: ext")
     return validate_relative_monad(j, t, unit, ext, name=str(path))
 
 
-def _functor_from_doc(doc, base, name):
+def _functor_from_doc(doc, base, name, where):
+    """A functor given inline or as a path; where locates doc in its file."""
+
     if isinstance(doc, str):
-        p = Path(doc)
-        if not p.is_absolute():
-            p = base / p
-        return load_functor_file(p)
-    dom = validate_category(_load_doc(doc["dom"], base), name=f"{name}.dom")
-    cod = validate_category(_load_doc(doc["cod"], base), name=f"{name}.cod")
+        return load_functor_file(_resolve(doc, base))
+    dom = validate_category(_load_doc(check_field(doc, "dom", where), base, f"{where}.dom"),
+                            name=f"{name}.dom")
+    cod = validate_category(_load_doc(check_field(doc, "cod", where), base, f"{where}.cod"),
+                            name=f"{name}.cod")
     return validate_functor(doc, dom, cod, name=name)
 
 
@@ -107,9 +113,8 @@ def load_adjunction_file(path):
     for key in ("j", "l", "r", "sharp"):
         if key not in doc:
             raise ParseFailure(str(path), f"adjunction file missing {key!r}")
-    j = _functor_from_doc(doc["j"], base, "j")
-    left = _functor_from_doc(doc["l"], base, "l")
-    right = _functor_from_doc(doc["r"], base, "r")
+    j, left, right = (_functor_from_doc(doc[key], base, key, f"{path}: {key}")
+                      for key in ("j", "l", "r"))
     sharp = split_keys(doc["sharp"], 3, f"{path}: sharp")
     return validate_relative_adjunction(j, left, right, sharp, name=str(path))
 
@@ -349,6 +354,16 @@ def _cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_mode_flags(p) -> None:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--strict", action="store_true")
@@ -394,8 +409,8 @@ def build_parser() -> _Parser:
     _add_mode_flags(p)
     p.add_argument("--co", action="store_true")
     p.add_argument("--audit", action="store_true")
-    p.add_argument("--shapes", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--shapes", type=_non_negative_int, default=0)
+    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_monadic)
 
@@ -416,8 +431,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("suite", help="run the theorem cross-validation suite")
     p.add_argument("--corpus")
-    p.add_argument("--shapes", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--shapes", type=_non_negative_int, default=0)
+    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ELEMENT_CAP)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_suite)
     return parser

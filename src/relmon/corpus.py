@@ -18,8 +18,9 @@ from .fincat import (
     FinCategory,
     FunctorData,
     build_category,
+    check_field,
     check_name_map,
-    constant_functor,
+    functor_violations,
     identity_functor,
     split_keys,
     validate_category,
@@ -302,7 +303,7 @@ def load_json(path) -> dict:
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise RelmonError(f"io error reading {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -337,7 +338,6 @@ class Instance:
 
 
 def _category_instance(name: str, C: FinCategory) -> "Instance":
-    from .fincat import identity_functor
     from .prof import hom_distributor
     from .reladj import identity_adjunction
     inst = Instance(
@@ -384,8 +384,6 @@ def _root_instance(name: str, j: FunctorData, candidates: dict,
 
 def builtin_corpus() -> list:
     """The shipped instances: small categories plus the root exhibits."""
-
-    from .fincat import FunctorData, identity_functor
 
     cats = {name: make() for name, make in STANDARD_CATEGORIES.items()}
     out = [
@@ -449,7 +447,6 @@ def builtin_corpus() -> list:
 def validate_instance(inst: Instance) -> list:
     """Re-run every law check in the bundle; returns human-readable errors."""
 
-    from .fincat import functor_violations
     from .prof import distributor_violations
     from .monad import monad_violations
     from .reladj import adjunction_violations
@@ -559,7 +556,6 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    from .fincat import validate_functor
     from .monad import validate_relative_monad
     from .reladj import validate_relative_adjunction
     from .prof import distributor_from_dict
@@ -569,51 +565,65 @@ def load_instance(path) -> Instance:
     for key in ("schema", "name", "categories", "functors", "roles"):
         if key not in manifest:
             raise ParseFailure("manifest.json", f"missing field {key!r}")
+    if not isinstance(manifest["roles"], dict):
+        raise ParseFailure("manifest.json: roles", "must be a JSON object")
     inst = Instance(name=manifest["name"],
                     provenance=manifest.get("provenance", "file"),
                     roles=manifest["roles"])
-    for role, rel in manifest["categories"].items():
-        raw = load_json(root / rel)
-        inst.categories[role] = validate_category(raw, name=role)
+
+    def entries(key):
+        """(role, entry, entry's location) for each entry of a manifest table."""
+        table = manifest.get(key, {})
+        if not isinstance(table, dict):
+            raise ParseFailure(f"manifest.json: {key}", "must be a JSON object")
+        return [(role, entry, f"manifest.json: {key}.{role}") for role, entry in table.items()]
+
+    def load(rel, where):
+        if not isinstance(rel, str):
+            raise ParseFailure(where, "must be a path")
+        return load_json(root / rel)
+
+    def category(ref, key, where):
+        name = check_field(ref, key, where)
+        if not isinstance(name, str) or name not in inst.categories:
+            raise ParseFailure(where, "dangling category reference")
+        return inst.categories[name]
 
     def resolve_functor(ref, where):
         if isinstance(ref, str):
             if ref not in inst.functors:
                 raise ParseFailure(where, f"dangling functor reference {ref!r}")
             return inst.functors[ref]
-        dom = inst.categories.get(ref.get("dom"))
-        cod = inst.categories.get(ref.get("cod"))
-        if dom is None or cod is None:
-            raise ParseFailure(where, "dangling category reference")
-        return validate_functor(ref["inline"], dom, cod)
+        return validate_functor(check_field(ref, "inline", where),
+                                category(ref, "dom", where), category(ref, "cod", where))
 
-    for role, ref in manifest["functors"].items():
-        raw = load_json(root / ref["path"])
-        dom = inst.categories.get(ref["dom"])
-        cod = inst.categories.get(ref["cod"])
-        if dom is None or cod is None:
-            raise ParseFailure(ref["path"], "dangling category reference")
-        inst.functors[role] = validate_functor(raw, dom, cod, name=role)
-    for role, ref in manifest.get("distributors", {}).items():
-        raw = load_json(root / ref["path"])
-        src = inst.categories.get(ref["src"])
-        tgt = inst.categories.get(ref["tgt"])
-        if src is None or tgt is None:
-            raise ParseFailure(ref["path"], "dangling category reference")
-        inst.distributors[role] = distributor_from_dict(raw, src, tgt, name=role)
-    for role, rel in manifest.get("monads", {}).items():
-        raw = load_json(root / rel)
-        j = resolve_functor(raw["j"], rel)
-        t = resolve_functor(raw["t"], rel)
-        unit = check_name_map(raw["unit"], f"{rel}: unit")
-        ext = split_keys(raw["ext"], 3, f"{rel}: ext")
+    for role, rel, where in entries("categories"):
+        inst.categories[role] = validate_category(load(rel, where), name=role)
+    for role, ref, where in entries("functors"):
+        raw = load(check_field(ref, "path", where), where)
+        inst.functors[role] = validate_functor(raw, category(ref, "dom", where),
+                                               category(ref, "cod", where), name=role)
+    refs = inst.roles.get("candidates", [])
+    if not isinstance(refs, list):
+        raise ParseFailure("manifest.json: roles", "candidates must be a JSON list")
+    for ref in refs + ([inst.roles["root"]] if "root" in inst.roles else []):
+        if not isinstance(ref, str) or ref not in inst.functors:
+            raise ParseFailure("manifest.json: roles", f"dangling functor reference {ref!r}")
+    for role, ref, where in entries("distributors"):
+        raw = load(check_field(ref, "path", where), where)
+        inst.distributors[role] = distributor_from_dict(
+            raw, category(ref, "src", where), category(ref, "tgt", where), name=role)
+    for role, rel, where in entries("monads"):
+        raw = load(rel, where)
+        j, t = (resolve_functor(check_field(raw, key, rel), f"{rel}: {key}") for key in ("j", "t"))
+        unit = check_name_map(check_field(raw, "unit", rel), f"{rel}: unit")
+        ext = split_keys(check_field(raw, "ext", rel), 3, f"{rel}: ext")
         inst.monads[role] = validate_relative_monad(j, t, unit, ext, name=role)
-    for role, rel in manifest.get("adjunctions", {}).items():
-        raw = load_json(root / rel)
-        j = resolve_functor(raw["j"], rel)
-        left = resolve_functor(raw["l"], rel)
-        right = resolve_functor(raw["r"], rel)
-        sharp = split_keys(raw["sharp"], 3, f"{rel}: sharp")
+    for role, rel, where in entries("adjunctions"):
+        raw = load(rel, where)
+        j, left, right = (resolve_functor(check_field(raw, key, rel), f"{rel}: {key}")
+                          for key in ("j", "l", "r"))
+        sharp = split_keys(check_field(raw, "sharp", rel), 3, f"{rel}: sharp")
         inst.adjunctions[role] = validate_relative_adjunction(j, left, right, sharp, name=role)
     return inst
 

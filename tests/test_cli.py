@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relmon import corpus
 from relmon.cli import main
@@ -308,3 +309,121 @@ def test_console_entry_point(files):
     )
     assert result.returncode == 0
     assert "density: PASS" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# malformed references and counts
+
+
+def standalone_docs(files) -> dict:
+    """A valid functor, monad and adjunction document, referring to their
+    categories and functors by absolute path."""
+    functor = json.loads((files / "point_bz2.json").read_text())
+    functor["dom"], functor["cod"] = str(files / "terminal.json"), str(files / "bz2.json")
+    point, ident = str(files / "point_bz2.json"), str(files / "id_bz2.json")
+    return {
+        "functor": functor,
+        "monad": {"j": point, "t": point, "unit": {"*": "e"}, "ext": {"*|*|e": "e", "*|*|s": "s"}},
+        "adjunction": {"j": ident, "l": ident, "r": ident, "sharp": {"*|*|e": "e", "*|*|s": "s"}},
+    }
+
+
+@pytest.mark.parametrize("kind, key, value", [("functor", "dom", 7), ("monad", "j", 5),
+                                              ("monad", "j", {}), ("adjunction", "l", ["x"])])
+def test_malformed_reference_is_parse_error(files, tmp_path, capsys, kind, key, value):
+    doc = standalone_docs(files)[kind]
+    doc[key] = value
+    bad = tmp_path / f"{kind}.json"
+    save_json(doc, bad)
+    assert run(["validate", bad, "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", f"{bad}: {key}")
+
+
+@pytest.mark.parametrize("table, role, damage", [
+    ("functors", "j", {"path": 7}), ("functors", "j", "fun_j.json"),
+    ("functors", "j", {"dom": ["x"]}), ("monads", None, ["mon.json"]),
+    ("roles", "candidates", ["nope"]), ("monads", "*", {"j": 5}), ("monads", "*", {"j": {}}),
+    ("adjunctions", "*", {"l": ["x"]}),
+])
+def test_bundle_with_malformed_reference_is_parse_error(tmp_path, capsys, table, role, damage):
+    inst = next(i for i in corpus.builtin_corpus() if i.monads and i.adjunctions)
+    root = tmp_path / "inst"
+    corpus.save_instance(inst, root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    where = f"manifest.json: {table}"
+    if role is None:
+        manifest[table] = damage
+    elif role == "*":                   # a field of the first document in the table
+        where = manifest[table][sorted(manifest[table])[0]]
+        doc = json.loads((root / where).read_text())
+        doc.update(damage)
+        save_json(doc, root / where)
+        where += f": {next(iter(damage))}"
+    elif isinstance(damage, dict) and table == "functors":
+        manifest[table][role].update(damage)
+        where += f".{role}"
+    else:
+        manifest[table][role] = damage
+        where += f".{role}" if table == "functors" else ""
+    save_json(manifest, root / "manifest.json")
+    assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", where)
+
+
+@pytest.mark.parametrize("flag, value", [("--cap", "-1"), ("--shapes", "-3")])
+def test_negative_cap_or_shapes_is_usage_error(files, capsys, flag, value):
+    assert run(["monadic", "--j", files / "point_bz2.json", "--r", files / "id_bz2.json",
+                "--audit", flag, value]) == 3
+    assert run(["suite", flag, value]) == 3
+    assert capsys.readouterr().err.count("must be a non-negative integer") == 2
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under damaged documents
+
+DROP = object()
+REPLACEMENTS = [DROP, 7, "x", "", None, True, [], ["x"], {}, {"x": "y"}]
+
+
+def value_paths(doc, prefix=()):
+    """The path (keys and indices) to every value inside doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+def inline_docs(files) -> dict:
+    """Valid documents with every category and functor written inline, so
+    that a damaged field can sit at any depth."""
+    cat = lambda name: json.loads((files / name).read_text())  # noqa: E731
+    point = {"dom": cat("terminal.json"), "cod": cat("bz2.json"),
+             "on_objects": {"*": "*"}, "on_morphisms": {"id": "e"}}
+    ident = {"dom": cat("bz2.json"), "cod": cat("bz2.json"),
+             "on_objects": {"*": "*"}, "on_morphisms": {"e": "e", "s": "s"}}
+    docs = standalone_docs(files)
+    return {"category": cat("bz2.json"), "functor": point,
+            "monad": dict(docs["monad"], j=point, t=point),
+            "adjunction": dict(docs["adjunction"], j=ident, l=ident, r=ident)}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_documents_keep_the_exit_code_contract(files, tmp_path, capsys, data):
+    """relmon validate on a document with one field dropped or of another
+    type exits 0, 1 or 3, and prints no traceback."""
+    kind = data.draw(st.sampled_from(["category", "functor", "monad", "adjunction"]))
+    doc = inline_docs(files)[kind]
+    path = data.draw(st.sampled_from(list(value_paths(doc))))
+    replacement = data.draw(st.sampled_from(REPLACEMENTS))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    bad = tmp_path / f"damaged_{kind}.json"
+    save_json(doc, bad)
+    assert run(["validate", bad]) in (0, 1, 3)
+    assert "Traceback" not in capsys.readouterr().err
