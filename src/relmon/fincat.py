@@ -469,9 +469,8 @@ def enumerate_functors(C: FinCategory, D: FinCategory, *, ob_ok=None,
                            and (mor_ok is None or mor_ok(C.id_of(x), D_id[d])))
             for x in objects}
     for f in nonid:
-        s, a, b = search.slot(m for m in D._names if mor_ok is None or mor_ok(f, m)), \
-            slot[C.dom(f)], slot[C.cod(f)]
-        slot[f] = s
+        s = slot[f] = search.slot(m for m in D._names if mor_ok is None or mor_ok(f, m))
+        a, b = slot[C.dom(f)], slot[C.cod(f)]
         search.require(lambda v, s=s, a=a, b=b: D_dom[v[s]] == v[a] and D_cod[v[s]] == v[b], s)
     for (f, g, fg) in C.composable_pairs():
         if f not in slot or g not in slot:

@@ -339,35 +339,39 @@ def test_malformed_reference_is_parse_error(files, tmp_path, capsys, kind, key, 
     _parse_failure(capsys, tmp_path / "rep.json", f"{bad}: {key}")
 
 
-@pytest.mark.parametrize("table, role, damage", [
-    ("functors", "j", {"path": 7}), ("functors", "j", "fun_j.json"),
-    ("functors", "j", {"dom": ["x"]}), ("monads", None, ["mon.json"]),
-    ("roles", "candidates", ["nope"]), ("monads", "*", {"j": 5}), ("monads", "*", {"j": {}}),
-    ("adjunctions", "*", {"l": ["x"]}),
-])
-def test_bundle_with_malformed_reference_is_parse_error(tmp_path, capsys, table, role, damage):
+def saved_bundle(tmp_path):
+    """A builtin instance with monads and adjunctions saved as a bundle, and its manifest."""
     inst = next(i for i in corpus.builtin_corpus() if i.monads and i.adjunctions)
     root = tmp_path / "inst"
     corpus.save_instance(inst, root)
-    manifest = json.loads((root / "manifest.json").read_text())
-    where = f"manifest.json: {table}"
-    if role is None:
-        manifest[table] = damage
-    elif role == "*":                   # a field of the first document in the table
-        where = manifest[table][sorted(manifest[table])[0]]
-        doc = json.loads((root / where).read_text())
-        doc.update(damage)
-        save_json(doc, root / where)
-        where += f": {next(iter(damage))}"
-    elif isinstance(damage, dict) and table == "functors":
-        manifest[table][role].update(damage)
-        where += f".{role}"
-    else:
-        manifest[table][role] = damage
-        where += f".{role}" if table == "functors" else ""
+    return root, json.loads((root / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("damage, where", [
+    (lambda m: m["functors"]["j"].update(path=7), "functors.j"),
+    (lambda m: m["functors"].update(j="fun_j.json"), "functors.j"),
+    (lambda m: m["functors"]["j"].update(dom=["x"]), "functors.j"),
+    (lambda m: m.update(monads=["mon.json"]), "monads"),
+    (lambda m: m["roles"].update(candidates=["nope"]), "roles"),
+])
+def test_bundle_manifest_with_malformed_reference_is_parse_error(tmp_path, capsys, damage, where):
+    root, manifest = saved_bundle(tmp_path)
+    damage(manifest)
     save_json(manifest, root / "manifest.json")
     assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
-    _parse_failure(capsys, tmp_path / "rep.json", where)
+    _parse_failure(capsys, tmp_path / "rep.json", f"manifest.json: {where}")
+
+
+@pytest.mark.parametrize("table, key, value", [("monads", "j", 5), ("monads", "j", {}),
+                                               ("adjunctions", "l", ["x"])])
+def test_bundle_document_with_malformed_reference_is_parse_error(tmp_path, capsys, table, key, value):
+    root, manifest = saved_bundle(tmp_path)
+    rel = manifest[table][sorted(manifest[table])[0]]
+    doc = json.loads((root / rel).read_text())
+    doc[key] = value
+    save_json(doc, root / rel)
+    assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", f"{rel}: {key}")
 
 
 @pytest.mark.parametrize("flag, value", [("--cap", "-1"), ("--shapes", "-3")])

@@ -3,9 +3,9 @@
 Same list, same order, and BudgetExceeded on the same inputs.
 """
 
-from hypothesis import assume, example, given, settings, strategies as st
-
 import itertools
+
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relmon import corpus
 from relmon.algebra import (
@@ -225,32 +225,30 @@ def nat_tables(nats) -> list:
     return [(n.source.table(), n.target.table(), n.table()) for n in nats]
 
 
-@settings(max_examples=10, deadline=None)
-@given(params=generated, params2=generated)
-def test_natural_transformations_match_reference(params, params2):
-    C = corpus.generate_category(*params)
-    D = corpus.generate_category(*params2)
-    assume(C is not None and D is not None)
-    functors = list(itertools.islice(enumerate_functors(C, D), 6))
-    for F in functors:
-        for G in functors:
+def assert_natural_transformations_match_reference(C, D, functors: int):
+    found = list(itertools.islice(enumerate_functors(C, D), functors))
+    for F in found:
+        for G in found:
             assert (nat_tables(enumerate_natural_transformations(F, G))
                     == nat_tables(reference.enumerate_natural_transformations(F, G)))
             assert (nat_tables(filter(None, [find_natural_isomorphism(F, G)]))
                     == nat_tables(filter(None, [reference.find_natural_isomorphism(F, G)])))
 
 
+@settings(max_examples=10, deadline=None)
+@given(params=generated, params2=generated)
+def test_natural_transformations_match_reference(params, params2):
+    C = corpus.generate_category(*params)
+    D = corpus.generate_category(*params2)
+    assume(C is not None and D is not None)
+    assert_natural_transformations_match_reference(C, D, 6)
+
+
 def test_corpus_natural_transformations_match_reference():
     cats = [make() for make in corpus.STANDARD_CATEGORIES.values()]
     for C in cats:
         for D in cats:
-            functors = list(itertools.islice(enumerate_functors(C, D), 4))
-            for F in functors:
-                for G in functors:
-                    assert (nat_tables(enumerate_natural_transformations(F, G))
-                            == nat_tables(reference.enumerate_natural_transformations(F, G)))
-                    assert (nat_tables(filter(None, [find_natural_isomorphism(F, G)]))
-                            == nat_tables(filter(None, [reference.find_natural_isomorphism(F, G)])))
+            assert_natural_transformations_match_reference(C, D, 4)
 
 
 def weights():
