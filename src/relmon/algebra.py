@@ -11,6 +11,7 @@ functors D -> Alg(T) through the universal property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import (
     BudgetExceeded,
@@ -30,7 +31,7 @@ from .fincat import (
     identity_functor,
 )
 from .monad import RelativeMonad, budget_limit, monad_from_adjunction, postcompose_along_adjunction
-from .prof import GradedCell, enumerate_graded_cells, hom_restriction
+from .prof import Distributor, GradedCell, enumerate_graded_cells, hom_restriction
 from .reladj import RelativeAdjunction, validate_relative_adjunction
 from .search import Search
 from .corpus import terminal_category

@@ -11,6 +11,7 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 

@@ -544,6 +544,8 @@ def enumerate_cocones(p: Distributor, f: FunctorData):
     checker = _shared_checker(p, f)
     out = []
     for w in enumerate_functors(X, W):
+        if not all(checker.families(x, w.ob(x)) for x in X.objects):
+            continue                    # some x has no family at w x
         search = Search()
         slot = {x: search.slot(checker.families(x, w.ob(x))) for x in X.objects}
         for n in X.morphism_names():

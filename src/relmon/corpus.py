@@ -20,6 +20,7 @@ from .fincat import (
     build_category,
     check_field,
     check_name_map,
+    constant_functor,
     functor_violations,
     identity_functor,
     split_keys,

@@ -12,7 +12,7 @@ Conventions used across the engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import NotParallel, ParseFailure, ValidationFailure, Violation
 from .search import Search
@@ -464,28 +464,30 @@ def enumerate_functors(C: FinCategory, D: FinCategory, *, ob_ok=None,
     nonid = [f for f in C.morphism_names() if not C.is_identity(f)]
     D_dom, D_cod, D_comp, D_id = D._dom, D._cod, D.composition, D.identities
     search = Search()
-    slot = {x: search.slot(d for d in D.objects
-                           if (ob_ok is None or ob_ok(x, d))
-                           and (mor_ok is None or mor_ok(C.id_of(x), D_id[d])))
-            for x in objects}
+    # objects and morphisms get separate slot maps: a morphism may share an object's name
+    oslot = {x: search.slot(d for d in D.objects
+                            if (ob_ok is None or ob_ok(x, d))
+                            and (mor_ok is None or mor_ok(C.id_of(x), D_id[d])))
+             for x in objects}
+    mslot = {}
     for f in nonid:
-        s = slot[f] = search.slot(m for m in D._names if mor_ok is None or mor_ok(f, m))
-        a, b = slot[C.dom(f)], slot[C.cod(f)]
+        s = mslot[f] = search.slot(m for m in D._names if mor_ok is None or mor_ok(f, m))
+        a, b = oslot[C.dom(f)], oslot[C.cod(f)]
         search.require(lambda v, s=s, a=a, b=b: D_dom[v[s]] == v[a] and D_cod[v[s]] == v[b], s)
     for (f, g, fg) in C.composable_pairs():
-        if f not in slot or g not in slot:
+        if f not in mslot or g not in mslot:
             continue                    # a composite with an identity holds by dom/cod
-        a, b = slot[f], slot[g]
-        if fg in slot:
-            c = slot[fg]
+        a, b = mslot[f], mslot[g]
+        if fg in mslot:
+            c = mslot[fg]
             search.require(lambda v, a=a, b=b, c=c: D_comp[(v[a], v[b])] == v[c], a, b, c)
         else:                           # f ; g is the identity of dom f
-            c = slot[C.dom(fg)]
+            c = oslot[C.dom(fg)]
             search.require(lambda v, a=a, b=b, c=c: D_comp[(v[a], v[b])] == D_id[v[c]], a, b)
-    identities = [(C.id_of(x), slot[x]) for x in objects]
+    identities = [(C.id_of(x), oslot[x]) for x in objects]
     for values in search.solutions():
         on_mor = {i: D_id[values[s]] for i, s in identities}
-        on_mor.update((f, values[slot[f]]) for f in nonid)
+        on_mor.update((f, values[s]) for f, s in mslot.items())
         yield FunctorData(C, D, dict(zip(objects, values)), on_mor)
 
 

@@ -17,6 +17,7 @@ from typing import Optional
 from .algebra import AlgebraCategory, build_algebra_category, comparison_functor
 from .census import ABSOLUTE_COLIMIT, NO_COLIMIT, DownstairsCensus
 from .colim import (
+    extension_weight,
     is_dense,
     is_j_absolute,
     try_left_extension,
@@ -24,6 +25,7 @@ from .colim import (
 from .corpus import disc2_category, interval_category, terminal_category
 from .errors import (
     BudgetExceeded,
+    DownstairsMissing,
     Inapplicable,
     PremiseFail,
     TheoremViolation,
@@ -31,6 +33,7 @@ from .errors import (
 from .fincat import (
     FinCategory,
     FunctorData,
+    classify_functor,
     compose_functors,
     find_natural_isomorphism,
     identity_functor,

@@ -27,8 +27,8 @@ from .colim import (
     try_weighted_colimit,
     try_weighted_limit,
 )
-from .corpus import terminal_category, validate_instance
-from .errors import BudgetExceeded, PremiseFail, TheoremViolation
+from .corpus import Instance, terminal_category, validate_instance
+from .errors import BudgetExceeded, DownstairsMissing, PremiseFail, TheoremViolation
 from .fincat import (
     FunctorData,
     classify_functor,
@@ -42,6 +42,8 @@ from .monad import enumerate_relative_monads, monad_from_adjunction, trivial_rel
 from .prof import enumerate_distributors
 from .reladj import find_left_relative_adjoint
 from .monadicity import (
+    AuditReport,
+    MonadicityReport,
     SuiteReport,
     SuiteResult,
     creation_audit,

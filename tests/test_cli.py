@@ -100,6 +100,32 @@ def test_monad_validate_and_enumerate(files):
     assert run(["monad", "enumerate", "--j", files / "point_bz2.json"]) == 0
 
 
+def test_monad_enumerate_with_identities_named_after_objects(files, tmp_path, capsys):
+    """A root whose domain names each identity after its object lists the
+    same monads as one with distinct names."""
+    arrow = {"objects": ["a", "b"],
+             "morphisms": [{"name": "a", "dom": "a", "cod": "a"},
+                           {"name": "b", "dom": "b", "cod": "b"},
+                           {"name": "f", "dom": "a", "cod": "b"}],
+             "identities": {"a": "a", "b": "b"},
+             "composition": {"a;a": "a", "b;b": "b", "a;f": "f", "f;b": "f"}}
+    save_json(arrow, tmp_path / "arrow.json")
+    save_json(corpus.interval_category().to_dict(), tmp_path / "interval.json")
+    save_json({"dom": "arrow.json", "cod": "interval.json", "on_objects": {"a": "0", "b": "1"},
+               "on_morphisms": {"a": "id0", "b": "id1", "f": "u"}}, tmp_path / "j.json")
+    save_json({"dom": "interval.json", "cod": "interval.json",
+               "on_objects": {"0": "0", "1": "1"},
+               "on_morphisms": {"id0": "id0", "id1": "id1", "u": "u"}}, tmp_path / "id.json")
+    reports = []
+    for root in ("id", "j"):
+        report = tmp_path / f"{root}_monads.json"
+        assert run(["monad", "enumerate", "--j", tmp_path / f"{root}.json",
+                    "--report", report]) == 0
+        reports.append(json.loads(report.read_text()))
+    assert "Traceback" not in capsys.readouterr().err
+    assert reports[0]["census"] == reports[1]["census"] == {"count": 2}
+
+
 def test_algebras(files):
     assert run(["algebras", "--monad", files / "monad_pt_bz2.json"]) == 0
 

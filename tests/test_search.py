@@ -25,6 +25,7 @@ from relmon.colim import (
 )
 from relmon.errors import BudgetExceeded
 from relmon.fincat import (
+    build_category,
     compose_functors,
     enumerate_functors,
     enumerate_natural_transformations,
@@ -219,6 +220,43 @@ def test_mor_ok_rejecting_an_identity_image_drops_the_object_choice():
             found = list(enumerate_functors(C, D, mor_ok=mor_ok))
             assert tables(found) == tables(reference.product_functors(C, D, mor_ok=mor_ok))
             assert found and all(F.ob(x) != d for F in found)
+
+
+def shared_name_categories():
+    """Categories whose morphisms share names with objects: identities named
+    after their objects, and non-identities named after other objects."""
+    ids = {"a": "a", "b": "b", "c": "c"}
+    comp = {(i, i): i for i in ids.values()}
+    comp.update({("a", "f"): "f", ("f", "b"): "f", ("b", "g"): "g", ("g", "c"): "g",
+                 ("a", "h"): "h", ("h", "c"): "h", ("f", "g"): "h"})
+    own = build_category("Own", ["a", "b", "c"],
+                         [("a", "a", "a"), ("b", "b", "b"), ("c", "c", "c"),
+                          ("f", "a", "b"), ("g", "b", "c"), ("h", "a", "c")], ids, comp)
+    ids = {"a": "ia", "b": "ib", "c": "ic"}
+    comp = {(i, i): i for i in ids.values()}
+    comp.update({("ia", "c"): "c", ("c", "ib"): "c", ("ib", "a"): "a", ("a", "ic"): "a",
+                 ("ia", "b"): "b", ("b", "ic"): "b", ("c", "a"): "b"})
+    other = build_category("Other", ["a", "b", "c"],
+                           [("ia", "a", "a"), ("ib", "b", "b"), ("ic", "c", "c"),
+                            ("c", "a", "b"), ("a", "b", "c"), ("b", "a", "c")], ids, comp)
+    loop = build_category("Loop", ["*"], [("*", "*", "*"), ("s", "*", "*")], {"*": "*"},
+                          {("*", "*"): "*", ("*", "s"): "s", ("s", "*"): "s", ("s", "s"): "*"})
+    arrow = build_category("Arrow", ["a", "b"], [("a", "a", "a"), ("b", "b", "b"), ("f", "a", "b")],
+                           {"a": "a", "b": "b"},
+                           {("a", "a"): "a", ("b", "b"): "b", ("a", "f"): "f", ("f", "b"): "f"})
+    return [own, other, loop, arrow, corpus.interval_category()]
+
+
+def test_functors_between_categories_whose_morphisms_share_object_names():
+    cats = shared_name_categories()
+    pairs = [(C, D) for C in cats for D in cats if functor_space(C, D) <= FUNCTOR_SPACE]
+    assert len(pairs) == 21
+    for C, D in pairs:
+        assert tables(enumerate_functors(C, D)) == tables(reference.product_functors(C, D))
+        kwargs = dict(ob_ok=lambda x, d: (x, d) != ("a", "b"),
+                      mor_ok=lambda f, m: (f, m) not in {("a", "b"), ("f", "c"), ("s", "*")})
+        assert tables(enumerate_functors(C, D, **kwargs)) == tables(
+            reference.product_functors(C, D, **kwargs))
 
 
 def nat_tables(nats) -> list:
