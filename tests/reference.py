@@ -20,7 +20,7 @@ from relmon.colim import (
     colimiting_test,
     try_weighted_colimit,
 )
-from relmon.errors import BudgetExceeded, EndpointMismatch, NotParallel, Violation
+from relmon.errors import BudgetExceeded, ChainMismatch, EndpointMismatch, NotParallel, Violation
 from relmon.fincat import (
     FunctorData,
     NatTransData,
@@ -29,6 +29,7 @@ from relmon.fincat import (
     functor_violations,
 )
 from relmon.monad import RelativeMonad, budget_limit, monad_violations
+from relmon.prof import MAX_CHAIN, Distributor, GradedCell, _chain_domains, _component_keys
 from relmon.reladj import PastingReport, RelativeAdjunction, _certify_rho, adjunction_violations
 
 
@@ -458,3 +459,87 @@ def unpaste(primary, factor):
         return report
     return PastingReport("unpaste", None, primary, False,
                          notes=["no inner right adjoint factors the outer one"])
+
+
+# ---------------------------------------------------------------------------
+# the product-then-filter graded-cell search: every table of components,
+# kept when graded_cell_violations finds no broken law
+
+
+def graded_cell_violations(cell: GradedCell) -> list[Violation]:
+    chain, f0, fn, q = cell.chain, cell.f0, cell.fn, cell.target
+    cats = _chain_domains(chain, f0, fn)
+    n = len(chain)
+    violations = []
+    for (xs, es) in _component_keys(chain, cats):
+        val = cell.components.get((xs, es))
+        if val is None or val not in q.el(f0.ob(xs[0]), fn.ob(xs[-1])):
+            violations.append(Violation("not_total", (xs, es)))
+    if violations:
+        return violations
+
+    if n == 0:
+        D = cats[0]
+        for m in D.morphism_names():
+            x, x2 = D.dom(m), D.cod(m)
+            lhs = q.act_l(fn.mor(m), f0.ob(x), cell.at((x,), ()))
+            rhs = q.act_r(f0.mor(m), fn.ob(x2), cell.at((x2,), ()))
+            if lhs != rhs:
+                violations.append(Violation("naturality_fail", (m,)))
+        return violations
+
+    for (xs, es) in _component_keys(chain, cats):
+        val = cell.at(xs, es)
+        # outer contravariant variable x_0
+        for m in cats[0].morphism_names():
+            if cats[0].cod(m) != xs[0]:
+                continue
+            xs2 = (cats[0].dom(m),) + xs[1:]
+            es2 = (chain[0].act_r(m, xs[1], es[0]),) + es[1:]
+            if cell.at(xs2, es2) != q.act_r(f0.mor(m), fn.ob(xs[-1]), val):
+                violations.append(Violation("naturality_fail", ("x0", m, xs, es)))
+        # outer covariant variable x_n
+        for m in cats[n].morphism_names():
+            if cats[n].dom(m) != xs[n]:
+                continue
+            xs2 = xs[:n] + (cats[n].cod(m),)
+            es2 = es[:n - 1] + (chain[n - 1].act_l(m, xs[n - 1], es[n - 1]),)
+            if cell.at(xs2, es2) != q.act_l(fn.mor(m), f0.ob(xs[0]), val):
+                violations.append(Violation("naturality_fail", ("xn", m, xs, es)))
+        # inner dinaturality
+        for i in range(1, n):
+            for m in cats[i].morphism_names():
+                if cats[i].dom(m) != xs[i] or cats[i].is_identity(m):
+                    continue
+                xs2 = xs[:i] + (cats[i].cod(m),) + xs[i + 1:]
+                # left side: push e_i forward along m; e_{i+1} must live at cod m
+                for e_next in chain[i].el(cats[i].cod(m), xs[i + 1]):
+                    es_l = es[:i - 1] + (chain[i - 1].act_l(m, xs[i - 1], es[i - 1]), e_next) + es[i + 1:]
+                    es_r = es[:i] + (chain[i].act_r(m, xs[i + 1], e_next),) + es[i + 1:]
+                    if cell.at(xs2, es_l) != cell.at(xs, es_r):
+                        violations.append(Violation("naturality_fail", (f"x{i}", m, xs, es)))
+    return violations
+
+
+def enumerate_graded_cells(chain, f0: FunctorData, fn: FunctorData, q: Distributor,
+                           max_n: int = MAX_CHAIN, budget: int = 1_000_000):
+    """Complete list of natural families over the chain, in canonical order."""
+
+    if len(chain) > max_n:
+        raise ChainMismatch(f"chains longer than {max_n} are not supported")
+    cats = _chain_domains(chain, f0, fn)
+    keys = _component_keys(chain, cats)
+    candidate_sets = [q.el(f0.ob(xs[0]), fn.ob(xs[-1])) for (xs, es) in keys]
+    total = 1
+    for cs in candidate_sets:
+        total *= max(len(cs), 1)
+        if total > budget:
+            raise BudgetExceeded("graded cell enumeration", total, budget)
+        if not cs:
+            return []
+    out = []
+    for combo in itertools.product(*candidate_sets):
+        cell = GradedCell(chain, f0, fn, q, dict(zip(keys, combo)))
+        if not graded_cell_violations(cell):
+            out.append(cell)
+    return out

@@ -33,7 +33,7 @@ from relmon.fincat import (
     identity_functor,
 )
 from relmon.monad import enumerate_relative_monads
-from relmon.prof import enumerate_distributors
+from relmon.prof import enumerate_distributors, enumerate_graded_cells, hom_distributor
 from relmon.reladj import find_left_relative_adjoint, paste_adjunction
 from relmon.suite import _concrete_functor
 
@@ -390,3 +390,112 @@ def test_generated_algebra_sites_match_reference(params, root):
         monads = []
     assume(monads)
     assert_algebra_sites_match_reference(j, monads)
+
+
+# ---------------------------------------------------------------------------
+# graded cells
+
+# raw spaces the reference walks for one graded-cell question
+GRADED_BUDGET = 3000
+
+
+def graded_outcome(enumerate_fn, chain, f0, fn, q, budget):
+    """The cells' component tables in list order, or the refusal."""
+    try:
+        cells = enumerate_fn(chain, f0, fn, q, budget=budget)
+    except BudgetExceeded as exc:
+        return ("budget", exc.what, exc.needed, exc.budget)
+    return ("ok", [cell.table() for cell in cells])
+
+
+def assert_same_graded_cells(chain, f0, fn, q, budget=GRADED_BUDGET):
+    got = graded_outcome(enumerate_graded_cells, chain, f0, fn, q, budget)
+    assert got == graded_outcome(reference.enumerate_graded_cells, chain, f0, fn, q, budget)
+    return got
+
+
+def hom_chains(C):
+    """The chains of hom(C) of length 0, 1 and 2."""
+    h = hom_distributor(C)
+    return [[], [h], [h, h]]
+
+
+def small_chains(shapes, links: int):
+    """Chains of two links over the shapes, from the first few distributors
+    with at most one element per component (enumerate_distributors(..., 1)),
+    with their end categories: (chain, dom f0, dom fn)."""
+    out = []
+    for X in shapes:
+        for Y in shapes:
+            ps = enumerate_distributors(X, Y, 1)[:links]
+            out.extend(([p], Y, X) for p in ps)
+            for Z in shapes:
+                for p2 in enumerate_distributors(X, Z, 1)[:links]:
+                    out.extend(([p1, p2], Y, X) for p1 in enumerate_distributors(Z, Y, 1)[:links])
+    return out
+
+
+def test_corpus_graded_cells_match_reference():
+    """Chains of hom(C) of length 0, 1 and 2 over every corpus category,
+    with identity boundaries and target hom(C); the larger ones are refused
+    by the budget, in the same way."""
+    outcomes = []
+    for make in corpus.STANDARD_CATEGORIES.values():
+        C = make()
+        one, h = identity_functor(C), hom_distributor(C)
+        for chain in hom_chains(C):
+            outcomes.append(assert_same_graded_cells(chain, one, one, h)[0])
+    assert "budget" in outcomes and outcomes.count("ok") > 30
+
+
+def test_corpus_graded_cells_with_nonidentity_boundaries_match_reference():
+    """Boundary functors other than the identity, into corpus categories."""
+    found = 0
+    for C_name, E_name in (("Interval", "Split"), ("Interval", "BM3"), ("BZ2", "Split"),
+                           ("BZ2", "BM3"), ("BM3", "BM3"), ("Split", "Split"),
+                           ("Split", "BM3"), ("Vee", "Split")):
+        C = corpus.STANDARD_CATEGORIES[C_name]()
+        E = corpus.STANDARD_CATEGORIES[E_name]()
+        functors = list(itertools.islice(enumerate_functors(C, E), 3))
+        for chain in hom_chains(C):
+            for f0 in functors:
+                for fn in functors:
+                    got = assert_same_graded_cells(chain, f0, fn, hom_distributor(E))
+                    if got[0] == "ok":
+                        found += len(got[1])
+    assert found > 300
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=generated)
+def test_generated_graded_cells_match_reference(params):
+    """Chains of hom(E) and of small distributors over Terminal and
+    Interval, with identity, point and other boundaries into a generated E."""
+    E = corpus.generate_category(*params)
+    assume(E is not None)
+    one, h = identity_functor(E), hom_distributor(E)
+    for chain in hom_chains(E):
+        assert_same_graded_cells(chain, one, one, h)
+    shapes = [corpus.terminal_category(), corpus.interval_category()]
+    boundaries = {D: list(itertools.islice(enumerate_functors(D, E), 3)) for D in shapes}
+    for chain, D0, Dn in small_chains(shapes, 3):
+        for f0 in boundaries[D0]:
+            for fn in boundaries[Dn][:2]:
+                assert_same_graded_cells(chain, f0, fn, h)
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=generated, budget=st.integers(min_value=1, max_value=60))
+def test_graded_budget_refuses_the_same_inputs(params, budget):
+    E = corpus.generate_category(*params)
+    assume(E is not None)
+    one, h = identity_functor(E), hom_distributor(E)
+    for chain in hom_chains(E):
+        assert_same_graded_cells(chain, one, one, h, budget=budget)
+
+
+def test_graded_budget_refusal_on_bm3():
+    C = corpus.bm3_category()
+    one, h = identity_functor(C), hom_distributor(C)
+    got = assert_same_graded_cells([h, h], one, one, h, budget=1000)
+    assert got == ("budget", "graded cell enumeration", 2187, 1000)
