@@ -19,13 +19,10 @@ Caches, what keys them and how long they live:
 
 * census.DownstairsCensus holds the (co)limits, absoluteness and creation
   verdicts of one suite run or creation audit; see that module.
-* The checker LRU holds one _UniversalityChecker per (p, f): its family
-  plans (slots and naturality checks, one per x), its natural families and
-  their key sets, and its colimit search.  It is process-wide, holds at
-  most CHECKER_CACHE_SIZE (64) checkers, and is keyed by the structural
-  content of p and f (their categories' tables, p's element and action
-  tables, f's object and morphism maps), never by object identity.  An
-  answer is always bound to the caller's own p and f.
+* A _UniversalityChecker holds the family plans (slots and naturality
+  checks, one per x), the natural families and their key sets of one
+  (p, f) for one caller, and is dropped with the call.  This module keeps
+  no cache of its own.
 * Memos kept on immutable inputs for their lifetime, derived only from
   their tables: a FinCategory keeps its table, hash, opposite() and
   hom_distributor(); a Distributor keeps its table().
@@ -48,7 +45,6 @@ from .fincat import (
     opposite,
     opposite_functor,
 )
-from .lru import LRUCache
 from .prof import Distributor, dual_distributor, hom_restriction, tensor_set
 from .search import Search
 
@@ -59,22 +55,20 @@ from .search import Search
 def _family_plan(p: Distributor, x: str, f: FunctorData) -> tuple:
     """The slots (y, e) of a family at x in canonical order, and its naturality checks.
 
-    checks[i] holds (a, b, f m), meaning phi[b] = f(m); phi[a], for every
-    constraint whose later slot max(a, b) is i.
+    A check (a, b, f m) means phi[b] = f(m); phi[a].
     """
 
     Y = p.tgt
     slots = [(y, e) for y in Y.objects for e in p.el(y, x)]
     slot_index = {s: i for i, s in enumerate(slots)}
-    checks: list[list] = [[] for _ in slots]
+    checks = []
     for m in Y.morphism_names():
         if Y.is_identity(m):
             continue
         y, y2 = Y.cod(m), Y.dom(m)
         fm = f.mor(m)
         for e in p.el(y, x):
-            a, b = slot_index[(y, e)], slot_index[(y2, p.act_r(m, x, e))]
-            checks[max(a, b)].append((a, b, fm))
+            checks.append((slot_index[(y, e)], slot_index[(y2, p.act_r(m, x, e))], fm))
     return slots, checks
 
 
@@ -84,32 +78,19 @@ def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wpr
 
     Naturality: phi_{y'}(m.e) = f(m); phi_y(e) for every m: y' -> y in Y.
     Returned as dicts keyed (y, e), in canonical enumeration order.  Each
-    constraint is checked once, at the later of its two slots, as soon as
-    both are assigned.  plan is _family_plan(p, x, f), built here when not
+    constraint is checked once, at the later of its two slots
+    (search.Search).  plan is _family_plan(p, x, f), built here when not
     given; it does not depend on wprime, so a caller may share it.
     """
 
     slots, checks = plan if plan is not None else _family_plan(p, x, f)
     comp = W.composition
-    domains = [W.hom(f.ob(y), wprime) for (y, _) in slots]
-    out = []
-    assignment: list[Optional[str]] = [None] * len(slots)
-
-    def rec(i: int):
-        if i == len(slots):
-            out.append(dict(zip(slots, assignment)))
-            return
-        for k in domains[i]:
-            assignment[i] = k
-            for (a, b, fm) in checks[i]:
-                if assignment[b] != comp[(fm, assignment[a])]:
-                    break
-            else:
-                rec(i + 1)
-        assignment[i] = None
-
-    rec(0)
-    return out
+    search = Search()
+    for (y, _) in slots:
+        search.slot(W.hom(f.ob(y), wprime))
+    for (a, b, fm) in checks:
+        search.require(lambda v, a=a, b=b, fm=fm: v[b] == comp[(fm, v[a])], a, b)
+    return [dict(zip(slots, values)) for values in search.solutions()]
 
 
 class _UniversalityChecker:
@@ -117,7 +98,8 @@ class _UniversalityChecker:
 
     A family's key is the tuple of its values in slot order.  The family
     plan (slots and naturality checks) is built once per x and shared by
-    every w'.
+    every w'.  Each caller builds its own checker; the run's census keeps
+    the colimits found.
     """
 
     def __init__(self, p: Distributor, f: FunctorData):
@@ -127,7 +109,6 @@ class _UniversalityChecker:
         self._plans: dict[str, tuple] = {}
         self._fams: dict[tuple[str, str], list] = {}
         self._keys: dict[tuple[str, str], frozenset] = {}
-        self._colimit = None
 
     def plan(self, x: str) -> tuple:
         if x not in self._plans:
@@ -178,16 +159,8 @@ class _UniversalityChecker:
         return True
 
     def colimit(self):
-        """((apex on objects, apex on morphisms, legs), None), or (None, first failing x).
+        """((apex on objects, apex on morphisms, legs), None), or (None, first failing x)."""
 
-        The search runs on the first call only.
-        """
-
-        if self._colimit is None:
-            self._colimit = self._search()
-        return self._colimit
-
-    def _search(self):
         p, W = self.p, self.W
         X = p.src
         chosen_obj: dict[str, str] = {}
@@ -226,20 +199,6 @@ class _UniversalityChecker:
         return (chosen_obj, on_morphisms, legs), None
 
 
-CHECKER_CACHE_SIZE = 64
-_checkers = LRUCache(CHECKER_CACHE_SIZE)
-
-
-def _shared_checker(p: Distributor, f: FunctorData) -> _UniversalityChecker:
-    # categories compare and hash by their tables, so the key is content only
-    key = (p.src, p.tgt, p.table(), f.dom, f.cod, f.table())
-    checker = _checkers.get(key)
-    if checker is None:
-        checker = _UniversalityChecker(p, f)
-        _checkers.put(key, checker)
-    return checker
-
-
 # ---------------------------------------------------------------------------
 # weighted colimits
 
@@ -269,13 +228,13 @@ class WeightedLimit:
 def try_weighted_colimit(p: Distributor, f: FunctorData):
     """The p-weighted colimit of f, or (None, first failing x).
 
-    The search runs once per (p, f) content in the shared checker cache;
-    the result is bound to the caller's own p and f.
+    Every call searches; a suite run or creation audit keeps the colimits
+    it found in its census (census.DownstairsCensus).
     """
 
     if f.dom != p.tgt:
         raise EndpointMismatch("diagram must start at the weight's target")
-    found, failed = _shared_checker(p, f).colimit()
+    found, failed = _UniversalityChecker(p, f).colimit()
     if found is None:
         return None, failed
     on_objects, on_morphisms, legs = found
@@ -310,7 +269,7 @@ def verify_weighted_colimit(colim: WeightedColimit) -> bool:
             for e in p.el(y, x):
                 if colim.legs[(y, x2, p.act_l(n, y, e))] != W.comp(colim.legs[(y, x, e)], apex.mor(n)):
                     return False
-    return _shared_checker(p, f).is_cocone_colimiting(apex, colim.legs)
+    return _UniversalityChecker(p, f).is_cocone_colimiting(apex, colim.legs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +281,7 @@ def dual_limit_search(p: Distributor, pd: Distributor, g: FunctorData):
     that ask about many diagrams over one weight: the pd-weighted colimit of
     g^op, read back in W."""
 
-    found, failed = _shared_checker(pd, opposite_functor(g, pd.tgt, opposite(g.cod))).colimit()
+    found, failed = _UniversalityChecker(pd, opposite_functor(g, pd.tgt, opposite(g.cod))).colimit()
     if found is None:
         return None, failed
     on_objects, on_morphisms, legs = found
@@ -541,7 +500,7 @@ def enumerate_cocones(p: Distributor, f: FunctorData):
 
     X, Y, W = p.src, p.tgt, f.cod
     comp = W.composition
-    checker = _shared_checker(p, f)
+    checker = _UniversalityChecker(p, f)
     out = []
     for w in enumerate_functors(X, W):
         if not all(checker.families(x, w.ob(x)) for x in X.objects):
@@ -575,7 +534,7 @@ def _legs_natural_in_x(p: Distributor, w: FunctorData, legs: dict, W: FinCategor
 
 
 def cocone_is_colimiting(p: Distributor, f: FunctorData, w: FunctorData, legs: dict) -> bool:
-    return _shared_checker(p, f).is_cocone_colimiting(w, legs)
+    return _UniversalityChecker(p, f).is_cocone_colimiting(w, legs)
 
 
 @dataclass

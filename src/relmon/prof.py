@@ -23,6 +23,7 @@ from .errors import (
 )
 from .fincat import FinCategory, FunctorData, opposite, split_keys
 from .lru import LRUCache
+from .search import Search
 
 
 class Distributor:
@@ -424,67 +425,18 @@ def _component_keys(chain, cats):
     return keys
 
 
-def graded_cell_violations(cell: GradedCell) -> list[Violation]:
-    chain, f0, fn, q = cell.chain, cell.f0, cell.fn, cell.target
-    cats = _chain_domains(chain, f0, fn)
-    n = len(chain)
-    violations = []
-    for (xs, es) in _component_keys(chain, cats):
-        val = cell.components.get((xs, es))
-        if val is None or val not in q.el(f0.ob(xs[0]), fn.ob(xs[-1])):
-            violations.append(Violation("not_total", (xs, es)))
-    if violations:
-        return violations
-
-    if n == 0:
-        D = cats[0]
-        for m in D.morphism_names():
-            x, x2 = D.dom(m), D.cod(m)
-            lhs = q.act_l(fn.mor(m), f0.ob(x), cell.at((x,), ()))
-            rhs = q.act_r(f0.mor(m), fn.ob(x2), cell.at((x2,), ()))
-            if lhs != rhs:
-                violations.append(Violation("naturality_fail", (m,)))
-        return violations
-
-    for (xs, es) in _component_keys(chain, cats):
-        val = cell.at(xs, es)
-        # outer contravariant variable x_0
-        for m in cats[0].morphism_names():
-            if cats[0].cod(m) != xs[0]:
-                continue
-            xs2 = (cats[0].dom(m),) + xs[1:]
-            es2 = (chain[0].act_r(m, xs[1], es[0]),) + es[1:]
-            if cell.at(xs2, es2) != q.act_r(f0.mor(m), fn.ob(xs[-1]), val):
-                violations.append(Violation("naturality_fail", ("x0", m, xs, es)))
-        # outer covariant variable x_n
-        for m in cats[n].morphism_names():
-            if cats[n].dom(m) != xs[n]:
-                continue
-            xs2 = xs[:n] + (cats[n].cod(m),)
-            es2 = es[:n - 1] + (chain[n - 1].act_l(m, xs[n - 1], es[n - 1]),)
-            if cell.at(xs2, es2) != q.act_l(fn.mor(m), f0.ob(xs[0]), val):
-                violations.append(Violation("naturality_fail", ("xn", m, xs, es)))
-        # inner dinaturality
-        for i in range(1, n):
-            for m in cats[i].morphism_names():
-                if cats[i].dom(m) != xs[i] or cats[i].is_identity(m):
-                    continue
-                xs2 = xs[:i] + (cats[i].cod(m),) + xs[i + 1:]
-                # left side: push e_i forward along m; e_{i+1} must live at cod m
-                for e_next in chain[i].el(cats[i].cod(m), xs[i + 1]):
-                    es_l = es[:i - 1] + (chain[i - 1].act_l(m, xs[i - 1], es[i - 1]), e_next) + es[i + 1:]
-                    es_r = es[:i] + (chain[i].act_r(m, xs[i + 1], e_next),) + es[i + 1:]
-                    if cell.at(xs2, es_l) != cell.at(xs, es_r):
-                        violations.append(Violation("naturality_fail", (f"x{i}", m, xs, es)))
-    return violations
-
-
 MAX_CHAIN = 2
 
 
 def enumerate_graded_cells(chain, f0: FunctorData, fn: FunctorData, q: Distributor,
                            max_n: int = MAX_CHAIN, budget: int = 1_000_000):
-    """Complete list of natural families over the chain, in canonical order."""
+    """Complete list of natural families over the chain, in canonical order.
+
+    The list comes from a pruned search (_graded_search) and equals
+    filtering the product of the component tables by the laws, in the
+    same order.  Raises BudgetExceeded when that product exceeds the
+    budget, whatever the search would prune.
+    """
 
     if len(chain) > max_n:
         raise ChainMismatch(f"chains longer than {max_n} are not supported")
@@ -498,12 +450,64 @@ def enumerate_graded_cells(chain, f0: FunctorData, fn: FunctorData, q: Distribut
             raise BudgetExceeded("graded cell enumeration", total, budget)
         if not cs:
             return []
-    out = []
-    for combo in itertools.product(*candidate_sets):
-        cell = GradedCell(chain, f0, fn, q, dict(zip(keys, combo)))
-        if not graded_cell_violations(cell):
-            out.append(cell)
-    return out
+    search = _graded_search(chain, cats, f0, fn, q, keys, candidate_sets)
+    return [GradedCell(chain, f0, fn, q, dict(zip(keys, values))) for values in search.solutions()]
+
+
+def _graded_search(chain, cats, f0: FunctorData, fn: FunctorData, q: Distributor,
+                   keys: list, candidate_sets: list) -> Search:
+    """One slot per component key, and every law instance of a graded cell.
+
+    Each instance relates two components and is checked at the later one:
+    naturality for n = 0; otherwise naturality in the outer variables x_0
+    and x_n and dinaturality in the inner ones.  Instances at identities
+    hold for every table and are left out.
+    """
+
+    search = Search()
+    slot = {key: search.slot(cs) for key, cs in zip(keys, candidate_sets)}
+    n = len(chain)
+    if n == 0:
+        D = cats[0]
+        for m in D.morphism_names():
+            if D.is_identity(m):
+                continue
+            x, x2 = D.dom(m), D.cod(m)
+            a, b = slot[((x,), ())], slot[((x2,), ())]
+            search.require(lambda v, a=a, b=b, fm=fn.mor(m), gm=f0.mor(m), y=f0.ob(x), y2=fn.ob(x2):
+                           q.act_l(fm, y, v[a]) == q.act_r(gm, y2, v[b]), a, b)
+        return search
+
+    for (xs, es), s in slot.items():
+        # outer contravariant variable x_0
+        for m in cats[0].morphism_names():
+            if cats[0].cod(m) != xs[0] or cats[0].is_identity(m):
+                continue
+            t = slot[((cats[0].dom(m),) + xs[1:], (chain[0].act_r(m, xs[1], es[0]),) + es[1:])]
+            search.require(lambda v, s=s, t=t, gm=f0.mor(m), y=fn.ob(xs[-1]):
+                           v[t] == q.act_r(gm, y, v[s]), s, t)
+        # outer covariant variable x_n
+        for m in cats[n].morphism_names():
+            if cats[n].dom(m) != xs[n] or cats[n].is_identity(m):
+                continue
+            t = slot[(xs[:n] + (cats[n].cod(m),),
+                      es[:n - 1] + (chain[n - 1].act_l(m, xs[n - 1], es[n - 1]),))]
+            search.require(lambda v, s=s, t=t, fm=fn.mor(m), y=f0.ob(xs[0]):
+                           v[t] == q.act_l(fm, y, v[s]), s, t)
+        # inner dinaturality along m: x_i -> x_i', each instance once, from
+        # the component whose e_{i+1} is the pullback of e_next along m
+        for i in range(1, n):
+            for m in cats[i].morphism_names():
+                if cats[i].dom(m) != xs[i] or cats[i].is_identity(m):
+                    continue
+                xs2 = xs[:i] + (cats[i].cod(m),) + xs[i + 1:]
+                pushed = chain[i - 1].act_l(m, xs[i - 1], es[i - 1])
+                for e_next in chain[i].el(cats[i].cod(m), xs[i + 1]):
+                    if chain[i].act_r(m, xs[i + 1], e_next) != es[i]:
+                        continue
+                    t = slot[(xs2, es[:i - 1] + (pushed, e_next) + es[i + 1:])]
+                    search.require(lambda v, s=s, t=t: v[s] == v[t], s, t)
+    return search
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from relmon.colim import (
     CreationReport,
     _legs_natural_in_x,
     _legs_natural_in_y,
-    _shared_checker,
+    _UniversalityChecker,
     colimiting_test,
     try_weighted_colimit,
 )
@@ -260,7 +260,7 @@ def enumerate_cocones(p, f):
     """All p-cocones (w, legs) for f with apex functor into cod f, canonical order."""
 
     X, W = p.src, f.cod
-    checker = _shared_checker(p, f)
+    checker = _UniversalityChecker(p, f)
     out = []
     for w in enumerate_functors(X, W):
         per_x = []

@@ -6,7 +6,6 @@ from relmon import colim as colim_module
 from relmon import corpus
 from relmon.colim import (
     _UniversalityChecker,
-    _shared_checker,
     check_creation,
     extension_unit,
     is_dense,
@@ -63,7 +62,7 @@ def corpus_weights(Y):
 
 
 # ---------------------------------------------------------------------------
-# natural families and the shared checkers
+# natural families and the checkers
 
 
 def test_natural_families_match_product_then_filter(cats, monkeypatch):
@@ -116,8 +115,7 @@ def test_cached_colimit_equals_fresh_search(cats):
                 assert verify_weighted_colimit(colim)
 
 
-def test_equal_content_shares_one_checker_and_binds_callers_objects(monkeypatch):
-    monkeypatch.setattr(colim_module, "_checkers", LRUCache(colim_module.CHECKER_CACHE_SIZE))
+def test_equal_content_colimits_bind_callers_objects():
     Y1, Y2 = corpus.split_category(), corpus.split_category()
     p1, p2 = representable_weight(Y1, "x"), representable_weight(Y2, "x")
     f1, f2 = identity_functor(Y1), identity_functor(Y2)
@@ -125,28 +123,10 @@ def test_equal_content_shares_one_checker_and_binds_callers_objects(monkeypatch)
 
     first, _ = try_weighted_colimit(p1, f1)
     second, _ = try_weighted_colimit(p2, f2)
-    assert len(colim_module._checkers) == 1
-    assert _shared_checker(p1, f1) is _shared_checker(p2, f2)
     assert second.weight is p2 and second.diagram is f2
     assert second.apex.dom is p2.src and second.apex.cod is f2.cod
     assert first.weight is p1 and first.apex.cod is f1.cod
     assert second.legs == first.legs and second.legs is not first.legs
-
-
-def test_checker_cache_never_exceeds_its_bound(cats, monkeypatch):
-    from relmon.prof import enumerate_distributors
-    bound = colim_module.CHECKER_CACHE_SIZE
-    assert colim_module._checkers.maxsize == bound == 64
-    monkeypatch.setattr(colim_module, "_checkers", LRUCache(bound))
-    T = corpus.terminal_category()
-    searched = 0
-    for Y in (cats["Disc2"], cats["Interval"]):
-        for p in enumerate_distributors(T, Y, 1):
-            for f in enumerate_functors(Y, cats["Square"]):
-                try_weighted_colimit(p, f)
-                searched += 1
-                assert len(colim_module._checkers) <= bound
-    assert searched > bound and len(colim_module._checkers) == bound
 
 
 def test_lru_cache_drops_least_recently_used():
