@@ -19,16 +19,9 @@ from .algebra import (
     verify_algebra_object,
 )
 from .census import ABSOLUTE_COLIMIT, DownstairsCensus
-from .colim import (
-    check_creation,
-    colimiting_test,
-    is_dense,
-    is_j_absolute,
-    try_weighted_colimit,
-    try_weighted_limit,
-)
-from .corpus import Instance, terminal_category, validate_instance
-from .errors import BudgetExceeded, DownstairsMissing, PremiseFail, TheoremViolation
+from .colim import colimiting_test, is_dense
+from .corpus import terminal_category, validate_instance
+from .errors import BudgetExceeded, PremiseFail, TheoremViolation
 from .fincat import (
     FunctorData,
     classify_functor,
@@ -42,8 +35,6 @@ from .monad import enumerate_relative_monads, monad_from_adjunction, trivial_rel
 from .prof import enumerate_distributors
 from .reladj import find_left_relative_adjoint
 from .monadicity import (
-    AuditReport,
-    MonadicityReport,
     SuiteReport,
     SuiteResult,
     creation_audit,
@@ -487,36 +478,34 @@ def _concrete_functor(alg_src, alg_tgt):
 
 
 def _algebraic_creation_sample(ctx, j, r, i):
-    """Creation checks for i over Terminal-shaped weights (bounded sample)."""
+    """Creation checks for i over Terminal-shaped weights (bounded sample),
+    read from the run's census."""
 
     out = []
+    census = ctx.census
     Tm = terminal_category()
-    D_src = i.dom
     try:
-        weights = enumerate_distributors(Tm, Tm, min(ctx.element_cap, 1), budget=ctx.budget)
+        cap, weights = _small_weights(ctx, Tm, Tm)
     except BudgetExceeded:
         return out
-    for p in weights:
-        for f in enumerate_functors(Tm, D_src):
-            down, _ = try_weighted_colimit(p, compose_functors(f, i))
+    diagrams = census.diagrams(Tm, i)
+    diagrams_r = census.diagrams(Tm, compose_functors(i, r))
+    for widx, p in weights:
+        for diagram, diagram_r in zip(diagrams, diagrams_r):
+            if census.colimit(j, p, widx, diagram_r, cap) != ABSOLUTE_COLIMIT:
+                continue
+            down = census.downstairs(p, widx, diagram, cap, "colimit")
             if down is None:
                 continue
-            down_r, _ = try_weighted_colimit(p, compose_functors(f, compose_functors(i, r)))
-            if not colimiting_test(down_r)({x: r.ob(down.apex.ob(x)) for x in Tm.objects},
-                                           {key: r.mor(v) for key, v in down.legs.items()}):
+            preserved = colimiting_test(census.downstairs(p, widx, diagram_r, cap, "colimit"))
+            if not preserved({x: r.ob(down.apex.ob(x)) for x in Tm.objects},
+                             {key: r.mor(v) for key, v in down.legs.items()}):
                 continue
-            absolute, _ = is_j_absolute(j, down_r)
-            if not absolute:
-                continue
-            rep = check_creation(i, p, f, mode="nonstrict", kind="colimit", down=down)
-            if not rep.passed:
+            if not census.creation(i, p, widx, diagram, cap, "colimit", "nonstrict"):
                 out.append("colimit sent to j-absolute not non-strictly created")
-        for g in enumerate_functors(Tm, D_src):
-            down, _ = try_weighted_limit(p, compose_functors(g, i))
-            if down is None:
-                continue
-            rep = check_creation(i, p, g, mode="nonstrict", kind="limit")
-            if not rep.passed:
+        for diagram in diagrams:
+            if census.limit(p, widx, diagram, cap) and not census.creation(
+                    i, p, widx, diagram, cap, "limit", "nonstrict"):
                 out.append("limit not non-strictly created")
     return out
 
