@@ -11,7 +11,6 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -44,6 +43,10 @@ EXIT_BUDGET = 4
 
 class _UsageError(Exception):
     pass
+
+
+class _ReportUnwritable(Exception):
+    """--report names a path that cannot be written; _emit has said so on stderr."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,18 +146,32 @@ def _report(command: str, verdict, mode=None, witnesses=(), census=None, duratio
 
 
 def _emit(doc: dict, args, out=sys.stdout) -> None:
-    if getattr(args, "report", None):
-        corpus.save_json(doc, args.report)
     if doc.get("error"):
         print(f"{doc['command']}: error: {doc['error']}", file=out)
-        return
-    verdict = doc["verdict"]
-    tag = {True: "PASS", False: "FAIL", None: "-"}.get(verdict, str(verdict))
-    print(f"{doc['command']}: {tag}", file=out)
-    for key, value in sorted(doc.get("census", {}).items()):
-        print(f"  {key}: {value}", file=out)
-    for w in doc["witnesses"][:8]:
-        print(f"  witness: {w}", file=out)
+    else:
+        verdict = doc["verdict"]
+        tag = {True: "PASS", False: "FAIL", None: "-"}.get(verdict, str(verdict))
+        print(f"{doc['command']}: {tag}", file=out)
+        for key, value in sorted(doc.get("census", {}).items()):
+            print(f"  {key}: {value}", file=out)
+        for w in doc["witnesses"][:8]:
+            print(f"  witness: {w}", file=out)
+    if getattr(args, "report", None):
+        try:
+            corpus.save_json(doc, args.report)
+        except OSError as exc:
+            print(f"relmon: error: cannot write report: {exc}", file=sys.stderr)
+            raise _ReportUnwritable from exc
+
+
+def _fail(args, code: int, error: str, witnesses=()) -> int:
+    """Print error on stderr and write it to --report; returns code."""
+
+    try:
+        _emit(_report(args.command, None, error=error, witnesses=witnesses), args, out=sys.stderr)
+    except _ReportUnwritable:
+        pass
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +468,15 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"relmon: usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except _ReportUnwritable:
+        return EXIT_INPUT_ERROR
     except BudgetExceeded as exc:
-        doc = _report(args.command, None, error=str(exc))
-        _emit(doc, args, out=sys.stderr)
-        return EXIT_BUDGET
-    except (ParseFailure, FileNotFoundError) as exc:
-        doc = _report(args.command, None, error=str(exc))
-        _emit(doc, args, out=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _fail(args, EXIT_BUDGET, str(exc))
     except ValidationFailure as exc:
-        doc = _report(args.command, None, error=str(exc),
-                      witnesses=[str(v) for v in exc.violations])
-        _emit(doc, args, out=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except RelmonError as exc:
-        doc = _report(args.command, None, error=str(exc))
-        _emit(doc, args, out=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _fail(args, EXIT_INPUT_ERROR, str(exc), [str(v) for v in exc.violations])
+    except (RelmonError, OSError) as exc:
+        # OSError: a --corpus that is not a directory
+        return _fail(args, EXIT_INPUT_ERROR, str(exc))
 
 
 if __name__ == "__main__":

@@ -309,6 +309,29 @@ def test_report_written_on_input_error(files, tmp_path):
     assert "error" in doc
 
 
+@pytest.mark.parametrize("where", ["missing/r.json", ".", "bz2.json/r.json"])
+def test_unwritable_report_is_input_error(files, capsys, where):
+    """A report under a missing directory, a directory, or a path under a
+    file: exit 3 with one line on stderr."""
+    code = run(["density", "--j", files / "point_bz2.json", "--report", files / where])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "cannot write report" in err
+
+
+def test_unwritable_report_on_input_error_keeps_both_messages(files, capsys):
+    code = run(["density", "--j", files / "nope.json", "--report", files / "missing" / "r.json"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 2 and "nope.json" in err[0] and "cannot write report" in err[1]
+
+
+def test_corpus_that_is_a_file_is_input_error(files, capsys):
+    assert run(["suite", "--corpus", files / "bz2.json"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_monadic_report_determinism(files, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["monadic", "--j", files / "point_bz2.json", "--r", files / "id_bz2.json",
