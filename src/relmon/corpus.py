@@ -20,7 +20,6 @@ from .fincat import (
     build_category,
     check_field,
     check_name_map,
-    constant_functor,
     functor_violations,
     identity_functor,
     split_keys,

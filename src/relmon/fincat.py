@@ -12,7 +12,7 @@ Conventions used across the engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import NotParallel, ParseFailure, ValidationFailure, Violation
 from .search import Search

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 
 from .errors import BudgetExceeded, EndpointMismatch, ValidationFailure, Violation
-from .fincat import FunctorData, compose_functors, enumerate_functors, identity_functor
+from .fincat import FunctorData, compose_functors, enumerate_functors
 from .reladj import RelativeAdjunction
 from .search import Search
 

@@ -16,16 +16,10 @@ from typing import Optional
 
 from .algebra import AlgebraCategory, build_algebra_category, comparison_functor
 from .census import ABSOLUTE_COLIMIT, NO_COLIMIT, DownstairsCensus
-from .colim import (
-    extension_weight,
-    is_dense,
-    is_j_absolute,
-    try_left_extension,
-)
+from .colim import is_dense, is_j_absolute, try_left_extension
 from .corpus import disc2_category, interval_category, terminal_category
 from .errors import (
     BudgetExceeded,
-    DownstairsMissing,
     Inapplicable,
     PremiseFail,
     TheoremViolation,
@@ -33,7 +27,6 @@ from .errors import (
 from .fincat import (
     FinCategory,
     FunctorData,
-    classify_functor,
     compose_functors,
     find_natural_isomorphism,
     identity_functor,
