@@ -343,6 +343,8 @@ def _cmd_composite(args) -> int:
 def _cmd_suite(args) -> int:
     if args.corpus:
         root = Path(args.corpus)
+        if not root.is_dir():
+            raise ParseFailure(str(root), "--corpus must be a directory of instance bundles")
         instances = []
         for sub in sorted(p for p in root.iterdir() if p.is_dir()):
             instances.append(corpus.load_instance(sub))
@@ -474,8 +476,7 @@ def main(argv=None) -> int:
         return _fail(args, EXIT_BUDGET, str(exc))
     except ValidationFailure as exc:
         return _fail(args, EXIT_INPUT_ERROR, str(exc), [str(v) for v in exc.violations])
-    except (RelmonError, OSError) as exc:
-        # OSError: a --corpus that is not a directory
+    except RelmonError as exc:
         return _fail(args, EXIT_INPUT_ERROR, str(exc))
 
 
