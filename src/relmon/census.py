@@ -10,8 +10,10 @@ read first so that a warm lookup decodes nothing; and a creation byte per
 class docstring gives the row layout.
 
 A suite run holds one census in its context for forgetful_creates,
-monadicity_crosscheck and density_necessity; a creation audit without one
-makes its own.  It is dropped with the run or the audit.
+preservation_conservativity, monadicity_crosscheck, density_necessity and
+algebraic_tight_cells; a creation audit without one makes its own.  It is
+dropped with the run or the audit, and it is the engine's only cache of
+colimit results.
 """
 
 from __future__ import annotations

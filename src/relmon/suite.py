@@ -46,9 +46,10 @@ from .monadicity import (
 class _Context:
     """Shared lazily-built state for one suite run.
 
-    census holds the downstairs (co)limit verdicts that forgetful_creates,
-    monadicity_crosscheck and density_necessity all ask for; it lives and
-    dies with the run.
+    census holds the (co)limits and creation verdicts that
+    forgetful_creates, preservation_conservativity, monadicity_crosscheck,
+    density_necessity and algebraic_tight_cells ask for; it lives and dies
+    with the run.
     """
 
     def __init__(self, instances, shape_family, element_cap, budget):
