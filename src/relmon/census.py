@@ -1,4 +1,4 @@
-"""The run-scoped census of (co)limits, absoluteness and creation verdicts.
+"""The run-scoped census of weights, (co)limits, absoluteness and creation verdicts.
 
 A suite run asks the same (co)limit and creation questions again and
 again, across theorems, monads and roots.  DownstairsCensus answers each
@@ -9,11 +9,14 @@ read first so that a warm lookup decodes nothing; and a creation byte per
 (g, kind, mode), checked with both (co)limits read from the census.  The
 class docstring gives the row layout.
 
+The census also keeps the weight lists its positions index: weights(X, Y,
+cap, budget) enumerates the distributors X -|-> Y once per census.
+
 A suite run holds one census in its context for forgetful_creates,
 preservation_conservativity, monadicity_crosscheck, density_necessity and
 algebraic_tight_cells; a creation audit without one makes its own.  It is
 dropped with the run or the audit, and it is the engine's only cache of
-colimit results.
+colimit results and of weight lists.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import NamedTuple
 
 # the searches are called through their modules, so that instrumentation
 # patching module attributes (bench/tracing.py) counts the census's calls
-from . import colim, fincat
+from . import colim, fincat, prof
 from .colim import WeightedColimit, WeightedLimit
 from .fincat import FinCategory, FunctorData, compose_functors
 from .prof import Distributor, dual_distributor
@@ -77,10 +80,9 @@ class DownstairsCensus:
 
     Rows are keyed by content, never by object identity, and indexed by
     position: the entry for p and a diagram sits at weight_index * n +
-    diagram_index, where weight_index is p's position in
-    enumerate_distributors(X, Y, element_cap), which the caller passes in,
-    and diagram_index the diagram's position among the n functors that
-    diagrams(Z, g) walks.
+    diagram_index, where weight_index is p's position in the list that
+    weights(X, Y, element_cap, budget) keeps, and diagram_index the
+    diagram's position among the n functors that diagrams(Z, g) walks.
 
     * Result rows, keyed (target, X, Y, element_cap, kind) without the root,
       hold the (co)limit of each diagram as an id into one table of interned
@@ -109,6 +111,18 @@ class DownstairsCensus:
         self._counts: dict[tuple, int] = {}
         self._contents: dict[tuple, tuple] = {}
         self._dual = (None, None)
+        self._weights: dict[tuple, list] = {}
+
+    def weights(self, X: FinCategory, Y: FinCategory, element_cap: int, budget: int) -> list:
+        """enumerate_distributors(X, Y, element_cap, budget), computed once per
+        census.  The budget is part of the key because it decides whether the
+        enumeration raises BudgetExceeded."""
+
+        key = (X, Y, element_cap, budget)
+        weights = self._weights.get(key)
+        if weights is None:
+            weights = self._weights[key] = prof.enumerate_distributors(X, Y, element_cap, budget)
+        return weights
 
     def diagrams(self, Z: FinCategory, g: FunctorData) -> list[Diagram]:
         """Every f: Z -> dom g in enumerate_functors order, with f ; g and its position."""

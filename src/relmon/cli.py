@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import corpus
@@ -22,8 +23,8 @@ from .errors import (
     RelmonError,
     ValidationFailure,
 )
-from .fincat import check_field, check_name_map, split_keys, validate_category, validate_functor
-from .monad import enumerate_relative_monads, validate_relative_monad
+from .fincat import check_field, validate_category, validate_functor
+from .monad import enumerate_relative_monads, monad_from_dict
 from .monadicity import (
     DEFAULT_ELEMENT_CAP,
     creation_audit,
@@ -32,7 +33,7 @@ from .monadicity import (
     default_shape_family,
     run_theorem_suite,
 )
-from .reladj import find_left_relative_adjoint, paste_adjunction, validate_relative_adjunction
+from .reladj import adjunction_from_dict, find_left_relative_adjoint, paste_adjunction
 
 EXIT_PASS = 0
 EXIT_NEGATIVE = 1
@@ -87,19 +88,16 @@ def load_functor_file(path):
 
 
 def load_monad_file(path):
-    base = Path(path).parent
-    doc = corpus.load_json(path)
-    for key in ("j", "t", "unit", "ext"):
-        if key not in doc:
-            raise ParseFailure(str(path), f"monad file missing {key!r}")
-    j = _functor_from_doc(doc["j"], base, "j", f"{path}: j")
-    t = _functor_from_doc(doc["t"], base, "t", f"{path}: t")
-    unit = check_name_map(doc["unit"], f"{path}: unit")
-    ext = split_keys(doc["ext"], 3, f"{path}: ext")
-    return validate_relative_monad(j, t, unit, ext, name=str(path))
+    functor = partial(_functor_from_doc, base=Path(path).parent)
+    return monad_from_dict(corpus.load_json(path), functor, str(path), name=str(path))
 
 
-def _functor_from_doc(doc, base, name, where):
+def load_adjunction_file(path):
+    functor = partial(_functor_from_doc, base=Path(path).parent)
+    return adjunction_from_dict(corpus.load_json(path), functor, str(path), name=str(path))
+
+
+def _functor_from_doc(doc, name, where, base):
     """A functor given inline or as a path; where locates doc in its file."""
 
     if isinstance(doc, str):
@@ -109,18 +107,6 @@ def _functor_from_doc(doc, base, name, where):
     cod = validate_category(_load_doc(check_field(doc, "cod", where), base, f"{where}.cod"),
                             name=f"{name}.cod")
     return validate_functor(doc, dom, cod, name=name)
-
-
-def load_adjunction_file(path):
-    base = Path(path).parent
-    doc = corpus.load_json(path)
-    for key in ("j", "l", "r", "sharp"):
-        if key not in doc:
-            raise ParseFailure(str(path), f"adjunction file missing {key!r}")
-    j, left, right = (_functor_from_doc(doc[key], base, key, f"{path}: {key}")
-                      for key in ("j", "l", "r"))
-    sharp = split_keys(doc["sharp"], 3, f"{path}: sharp")
-    return validate_relative_adjunction(j, left, right, sharp, name=str(path))
 
 
 # ---------------------------------------------------------------------------

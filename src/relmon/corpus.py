@@ -19,10 +19,8 @@ from .fincat import (
     FunctorData,
     build_category,
     check_field,
-    check_name_map,
     functor_violations,
     identity_functor,
-    split_keys,
     validate_category,
     validate_functor,
 )
@@ -556,8 +554,8 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    from .monad import validate_relative_monad
-    from .reladj import validate_relative_adjunction
+    from .monad import monad_from_dict
+    from .reladj import adjunction_from_dict
     from .prof import distributor_from_dict
 
     root = Path(path)
@@ -589,7 +587,7 @@ def load_instance(path) -> Instance:
             raise ParseFailure(where, "dangling category reference")
         return inst.categories[name]
 
-    def resolve_functor(ref, where):
+    def resolve_functor(ref, _key, where):
         if isinstance(ref, str):
             if ref not in inst.functors:
                 raise ParseFailure(where, f"dangling functor reference {ref!r}")
@@ -614,17 +612,9 @@ def load_instance(path) -> Instance:
         inst.distributors[role] = distributor_from_dict(
             raw, category(ref, "src", where), category(ref, "tgt", where), name=role)
     for role, rel, where in entries("monads"):
-        raw = load(rel, where)
-        j, t = (resolve_functor(check_field(raw, key, rel), f"{rel}: {key}") for key in ("j", "t"))
-        unit = check_name_map(check_field(raw, "unit", rel), f"{rel}: unit")
-        ext = split_keys(check_field(raw, "ext", rel), 3, f"{rel}: ext")
-        inst.monads[role] = validate_relative_monad(j, t, unit, ext, name=role)
+        inst.monads[role] = monad_from_dict(load(rel, where), resolve_functor, rel, name=role)
     for role, rel, where in entries("adjunctions"):
-        raw = load(rel, where)
-        j, left, right = (resolve_functor(check_field(raw, key, rel), f"{rel}: {key}")
-                          for key in ("j", "l", "r"))
-        sharp = split_keys(check_field(raw, "sharp", rel), 3, f"{rel}: sharp")
-        inst.adjunctions[role] = validate_relative_adjunction(j, left, right, sharp, name=role)
+        inst.adjunctions[role] = adjunction_from_dict(load(rel, where), resolve_functor, rel, name=role)
     return inst
 
 

@@ -17,7 +17,14 @@ from __future__ import annotations
 import os
 
 from .errors import BudgetExceeded, EndpointMismatch, ValidationFailure, Violation
-from .fincat import FunctorData, compose_functors, enumerate_functors
+from .fincat import (
+    FunctorData,
+    check_field,
+    check_name_map,
+    compose_functors,
+    enumerate_functors,
+    split_keys,
+)
 from .reladj import RelativeAdjunction
 from .search import Search
 
@@ -125,6 +132,18 @@ def validate_relative_monad(j: FunctorData, t: FunctorData, unit: dict, ext: dic
     if violations:
         raise ValidationFailure(f"relative monad {name or '?'}", violations)
     return RelativeMonad(j, t, unit, ext, name=name or None)
+
+
+def monad_from_dict(doc, functor, where: str, name: str = "") -> RelativeMonad:
+    """The monad of a document {j, t, unit, ext}; where locates doc in its file.
+
+    functor(ref, key, where) resolves the functor reference doc[key].  A
+    field of the wrong shape raises ParseFailure at its location."""
+
+    j, t = (functor(check_field(doc, key, where), key, f"{where}: {key}") for key in ("j", "t"))
+    unit = check_name_map(check_field(doc, "unit", where), f"{where}: unit")
+    ext = split_keys(check_field(doc, "ext", where), 3, f"{where}: ext")
+    return validate_relative_monad(j, t, unit, ext, name=name)
 
 
 def trivial_relative_monad(j: FunctorData) -> RelativeMonad:

@@ -34,7 +34,6 @@ from .fincat import (
     opposite_functor,
 )
 from .monad import budget_limit, monad_from_adjunction
-from .prof import enumerate_distributors
 from .reladj import RelativeAdjunction, find_left_relative_adjoint
 
 
@@ -194,8 +193,8 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     identity.  Discrepancies against the comparison verdicts are collected;
     a negative verdict with no failing witness flags the census bound.
 
-    Downstairs verdicts are read from census, which a caller asking several
-    audits over the same E may share; without one the audit makes its own.
+    Weights and downstairs verdicts are read from census, which a caller
+    asking several audits may share; without one the audit makes its own.
     """
 
     budget = budget or budget_limit()
@@ -224,7 +223,7 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     for X in shape_family:
         for Y in shape_family:
             try:
-                weights = enumerate_distributors(X, Y, element_cap, budget=budget)
+                weights = census.weights(X, Y, element_cap, budget)
             except BudgetExceeded:
                 report.inconclusive_at_bound[f"{X.name}->{Y.name}"] = "weight census over budget"
                 continue

@@ -22,7 +22,6 @@ from .errors import (
     Violation,
 )
 from .fincat import FinCategory, FunctorData, opposite, split_keys
-from .lru import LRUCache
 from .search import Search
 
 
@@ -514,32 +513,17 @@ def _graded_search(chain, cats, f0: FunctorData, fn: FunctorData, q: Distributor
 # exhaustive distributor census (for audits)
 
 
-CENSUS_CACHE_SIZE = 32
-_census_cache = LRUCache(CENSUS_CACHE_SIZE)
-
-
 def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int,
                            budget: int = 200_000):
     """All distributors X -|-> Y with component sizes <= element_cap.
 
     Elements are named canonically per component; enumeration order is
     deterministic.  Raises BudgetExceeded when the raw candidate space is
-    too large to walk.  Results are memoized per (X, Y, cap, budget) by
-    content, in a bounded LRU of CENSUS_CACHE_SIZE entries; the budget is
-    part of the key because it decides whether the census raises.
+    too large to walk.  Nothing is memoized here: a caller that asks again,
+    such as a creation audit, reads the list through its run's census
+    (DownstairsCensus.weights).
     """
 
-    cache_key = (X.table(), Y.table(), element_cap, budget)
-    cached = _census_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    out = _enumerate_distributors(X, Y, element_cap, budget)
-    _census_cache.put(cache_key, out)
-    return out
-
-
-def _enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int,
-                            budget: int):
     comps = [(y, x) for y in Y.objects for x in X.objects]
     size_choices = (element_cap + 1) ** len(comps) if comps else 1
     if size_choices > budget:

@@ -14,10 +14,12 @@ from .colim import is_dense, is_j_absolute, try_left_extension
 from .fincat import (
     FinCategory,
     FunctorData,
+    check_field,
     compose_functors,
     enumerate_functors,
     find_natural_isomorphism,
     identity_functor,
+    split_keys,
 )
 
 
@@ -110,6 +112,18 @@ def validate_relative_adjunction(j: FunctorData, left: FunctorData, right: Funct
     if violations:
         raise ValidationFailure(f"relative adjunction {name or '?'}", violations)
     return RelativeAdjunction(j, left, right, sharp, name=name or None)
+
+
+def adjunction_from_dict(doc, functor, where: str, name: str = "") -> RelativeAdjunction:
+    """The adjunction of a document {j, l, r, sharp}; where locates doc in its file.
+
+    functor(ref, key, where) resolves the functor reference doc[key].  A
+    field of the wrong shape raises ParseFailure at its location."""
+
+    j, left, right = (functor(check_field(doc, key, where), key, f"{where}: {key}")
+                      for key in ("j", "l", "r"))
+    sharp = split_keys(check_field(doc, "sharp", where), 3, f"{where}: sharp")
+    return validate_relative_adjunction(j, left, right, sharp, name=name)
 
 
 def identity_adjunction(E: FinCategory) -> RelativeAdjunction:

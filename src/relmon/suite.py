@@ -173,7 +173,7 @@ def _creation_items(ctx, j, u):
     for X in ctx.shape_family:
         for Y in ctx.shape_family:
             try:
-                weights = enumerate_distributors(X, Y, cap, budget=ctx.budget)
+                weights = census.weights(X, Y, cap, ctx.budget)
             except BudgetExceeded:
                 continue
             for widx, p in enumerate(weights):
@@ -237,16 +237,16 @@ def _check_preservation_conservativity(ctx) -> SuiteResult:
 
 def _small_weights(ctx, X, Y):
     """(cap, [(i, p)]): the weights X -|-> Y with at most one element per
-    component, each at its position i in enumerate_distributors(X, Y, cap).
+    component, each at its position i in ctx.census.weights(X, Y, cap, budget).
     cap is the suite's element cap, whose census rows forgetful_creates has
     filled, or 1 when that census is over budget.  Both lists hold the small
     weights in the same order."""
 
     small = min(ctx.element_cap, 1)
     try:
-        cap, weights = ctx.element_cap, enumerate_distributors(X, Y, ctx.element_cap, budget=ctx.budget)
+        cap, weights = ctx.element_cap, ctx.census.weights(X, Y, ctx.element_cap, ctx.budget)
     except BudgetExceeded:
-        cap, weights = small, enumerate_distributors(X, Y, small, budget=ctx.budget)
+        cap, weights = small, ctx.census.weights(X, Y, small, ctx.budget)
     return cap, [(i, p) for i, p in enumerate(weights)
                  if all(len(p.el(y, x)) <= 1 for y in Y.objects for x in X.objects)]
 

@@ -13,6 +13,7 @@ import pytest
 
 from relmon import corpus
 from relmon.algebra import build_algebra_category, enumerate_algebras, verify_algebra_object
+from relmon.census import DownstairsCensus
 from relmon.cli import main as cli_main
 from relmon.colim import is_dense
 from relmon.errors import ValidationFailure
@@ -320,6 +321,8 @@ def test_criterion_5_monadicity_crosscheck(instances, suite_run):
     row = _row(report, "monadicity_crosscheck")
     ok = row.passed
     detail = []
+    # one census for every audit, as the suite's monadicity_crosscheck shares its run's
+    census = DownstairsCensus()
     for inst in instances:
         root_role = inst.roles.get("root")
         if root_role is None:
@@ -331,7 +334,7 @@ def test_criterion_5_monadicity_crosscheck(instances, suite_run):
         for rrole in inst.roles.get("candidates", []):
             r = inst.functors[rrole]
             reports = {m: decide_monadicity(j, r, m) for m in ("strict", "nonstrict")}
-            audit = creation_audit(j, r, reports=reports)
+            audit = creation_audit(j, r, reports=reports, census=census)
             if audit.vacuous:
                 continue
             if audit.discrepancies:

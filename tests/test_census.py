@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from relmon import corpus
@@ -12,6 +13,7 @@ from relmon.colim import (
     try_weighted_colimit,
     try_weighted_limit,
 )
+from relmon.errors import BudgetExceeded
 from relmon.fincat import enumerate_functors, identity_functor
 from relmon.monad import enumerate_relative_monads
 from relmon.monadicity import creation_audit, run_theorem_suite
@@ -95,6 +97,22 @@ def _audit_questions():
     j = corpus.point_functor(corpus.bz2_category(), "*")
     forgetful = [build_algebra_category(T).u for T in enumerate_relative_monads(j)]
     return j, forgetful[0], forgetful[1]
+
+
+def test_census_keeps_one_weight_list_per_categories_cap_and_budget():
+    census = DownstairsCensus()
+    T = corpus.terminal_category()
+    first = census.weights(T, T, 1, 200_000)
+    assert [p.table() for p in first] == [p.table() for p in enumerate_distributors(T, T, 1)]
+    # equal-content categories built separately get the same list
+    assert census.weights(corpus.terminal_category(), corpus.terminal_category(), 1, 200_000) is first
+    assert len(census.weights(T, T, 2, 200_000)) > len(first)
+    # a fresh census rebuilds an equal list
+    again = DownstairsCensus().weights(T, T, 1, 200_000)
+    assert again is not first and [p.table() for p in again] == [p.table() for p in first]
+    # a list kept under a larger budget is not returned under one it exceeds
+    with pytest.raises(BudgetExceeded):
+        census.weights(T, T, 1, 1)
 
 
 def test_audit_identical_with_cold_and_warm_census():

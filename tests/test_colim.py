@@ -21,7 +21,6 @@ from relmon.colim import (
 )
 from relmon.errors import DownstairsMissing
 from relmon.fincat import FunctorData, constant_functor, enumerate_functors, identity_functor
-from relmon.lru import LRUCache
 from relmon.prof import Distributor, hom_distributor, hom_restriction, restrict_distributor, validate_distributor
 
 
@@ -127,16 +126,6 @@ def test_equal_content_colimits_bind_callers_objects():
     assert second.apex.dom is p2.src and second.apex.cod is f2.cod
     assert first.weight is p1 and first.apex.cod is f1.cod
     assert second.legs == first.legs and second.legs is not first.legs
-
-
-def test_lru_cache_drops_least_recently_used():
-    cache = LRUCache(2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1      # "b" is now the oldest
-    cache.put("c", 3)
-    assert len(cache) == 2 and cache.get("b") is None
-    assert cache.get("a") == 1 and cache.get("c") == 3
 
 
 # ---------------------------------------------------------------------------
