@@ -30,7 +30,7 @@ from .fincat import (
     identity_functor,
 )
 from .monad import RelativeMonad, budget_limit, monad_from_adjunction, postcompose_along_adjunction
-from .prof import GradedCell, enumerate_graded_cells, hom_restriction
+from .prof import GradedCell, enumerate_distributors, enumerate_graded_cells, hom_restriction
 from .reladj import RelativeAdjunction, validate_relative_adjunction
 from .search import Search
 from .corpus import terminal_category
@@ -481,8 +481,6 @@ def verify_algebra_object(candidate_u: FunctorData, candidate_alpha: dict, T: Re
         return report
 
     if grade_bound >= 1:
-        from .prof import enumerate_distributors
-
         def chains_between(D_src, D_tgt):
             try:
                 return enumerate_distributors(D_src, D_tgt, element_cap, budget=budget)

@@ -16,6 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from . import corpus
+from .algebra import enumerate_algebras
 from .colim import is_dense
 from .errors import (
     BudgetExceeded,
@@ -23,7 +24,7 @@ from .errors import (
     RelmonError,
     ValidationFailure,
 )
-from .fincat import check_field, validate_category, validate_functor
+from .fincat import functor_from_dict, validate_category
 from .monad import enumerate_relative_monads, monad_from_dict
 from .monadicity import (
     DEFAULT_ELEMENT_CAP,
@@ -64,49 +65,44 @@ def _resolve(path: str, base: Path) -> Path:
     return p if p.is_absolute() else base / p
 
 
-def _load_doc(path_or_obj, base: Path, where: str):
-    """A document given inline or as a path; where locates it in its file."""
+def _category(ref, where, base):
+    """A category given inline or as a path relative to base, named by its
+    field in where ("<file>: j.dom" names it j.dom)."""
 
-    if isinstance(path_or_obj, dict):
-        return path_or_obj
-    if not isinstance(path_or_obj, str):
+    name = where.rpartition(": ")[2]
+    if isinstance(ref, dict):
+        return validate_category(ref, name=name, where=where)
+    if not isinstance(ref, str):
         raise ParseFailure(where, "must be a JSON object or a path")
-    return corpus.load_json(_resolve(path_or_obj, base))
+    path = _resolve(ref, base)
+    return validate_category(corpus.load_json(path), name=name, where=str(path))
+
+
+def _functor(ref, where, base):
+    """A functor given inline or as a path relative to base."""
+
+    if isinstance(ref, str):
+        return load_functor_file(_resolve(ref, base))
+    return functor_from_dict(ref, ref, partial(_category, base=base), where, where,
+                             name=where.rpartition(": ")[2])
 
 
 def load_functor_file(path):
     """A standalone functor document: dom/cod inline or as relative paths."""
 
-    base = Path(path).parent
     doc = corpus.load_json(path)
-    for key in ("dom", "cod", "on_objects", "on_morphisms"):
-        if key not in doc:
-            raise ParseFailure(str(path), f"functor file missing {key!r}")
-    dom = validate_category(_load_doc(doc["dom"], base, f"{path}: dom"), name="dom")
-    cod = validate_category(_load_doc(doc["cod"], base, f"{path}: cod"), name="cod")
-    return validate_functor(doc, dom, cod, name=str(path))
+    category = partial(_category, base=Path(path).parent)
+    return functor_from_dict(doc, doc, category, str(path), str(path), name=str(path))
 
 
 def load_monad_file(path):
-    functor = partial(_functor_from_doc, base=Path(path).parent)
+    functor = partial(_functor, base=Path(path).parent)
     return monad_from_dict(corpus.load_json(path), functor, str(path), name=str(path))
 
 
 def load_adjunction_file(path):
-    functor = partial(_functor_from_doc, base=Path(path).parent)
+    functor = partial(_functor, base=Path(path).parent)
     return adjunction_from_dict(corpus.load_json(path), functor, str(path), name=str(path))
-
-
-def _functor_from_doc(doc, name, where, base):
-    """A functor given inline or as a path; where locates doc in its file."""
-
-    if isinstance(doc, str):
-        return load_functor_file(_resolve(doc, base))
-    dom = validate_category(_load_doc(check_field(doc, "dom", where), base, f"{where}.dom"),
-                            name=f"{name}.dom")
-    cod = validate_category(_load_doc(check_field(doc, "cod", where), base, f"{where}.cod"),
-                            name=f"{name}.cod")
-    return validate_functor(doc, dom, cod, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +172,7 @@ def _cmd_validate(args) -> int:
             return EXIT_PASS if not errors else EXIT_NEGATIVE
         raw = corpus.load_json(path)
         if "objects" in raw:
-            validate_category(raw, name=str(path))
+            validate_category(raw, name=str(path), where=str(path))
             kind = "category"
         elif "on_objects" in raw:
             load_functor_file(path)
@@ -216,8 +212,7 @@ def _cmd_adjoint(args) -> int:
     adj = find_left_relative_adjoint(j, r)
     extra = {}
     if adj is not None:
-        extra["adjunction"] = {"l": adj.left.to_dict(),
-                               "sharp": {f"{a}|{c}|{k}": v for ((a, c, k), v) in adj.sharp_table()}}
+        extra["adjunction"] = {"l": adj.left.to_dict(), "sharp": adj.to_dict()["sharp"]}
     doc = _report("adjoint", adj is not None, extra=extra)
     _emit(doc, args)
     return EXIT_PASS if adj is not None else EXIT_NEGATIVE
@@ -250,7 +245,6 @@ def _cmd_monad(args) -> int:
 
 
 def _cmd_algebras(args) -> int:
-    from .algebra import enumerate_algebras
     T = load_monad_file(args.monad)
     algs = enumerate_algebras(T, corpus.terminal_category())
     doc = _report("algebras", True, census={"count": len(algs)},
@@ -305,9 +299,9 @@ def _cmd_paste(args) -> int:
         report = paste_adjunction(second, first, "unpaste")
     extra = {"pasting": report.to_dict()}
     if report.valid and report.outer is not None and args.direction == "paste":
-        extra["outer_sharp"] = {f"{a}|{c}|{k}": v for ((a, c, k), v) in report.outer.sharp_table()}
+        extra["outer_sharp"] = report.outer.to_dict()["sharp"]
     if report.valid and report.inner is not None and args.direction == "unpaste":
-        extra["inner_sharp"] = {f"{a}|{c}|{k}": v for ((a, c, k), v) in report.inner.sharp_table()}
+        extra["inner_sharp"] = report.inner.to_dict()["sharp"]
     doc = _report("paste", report.valid, witnesses=report.notes, extra=extra)
     _emit(doc, args)
     return EXIT_PASS if report.valid else EXIT_NEGATIVE

@@ -19,11 +19,15 @@ from .fincat import (
     FunctorData,
     build_category,
     check_field,
+    field_at,
+    functor_from_dict,
     functor_violations,
     identity_functor,
     validate_category,
-    validate_functor,
 )
+from .monad import enumerate_relative_monads, monad_from_dict, monad_violations
+from .prof import distributor_from_dict, distributor_violations, hom_distributor
+from .reladj import adjunction_from_dict, adjunction_violations, find_left_relative_adjoint, identity_adjunction
 
 # ---------------------------------------------------------------------------
 # standard categories
@@ -336,8 +340,6 @@ class Instance:
 
 
 def _category_instance(name: str, C: FinCategory) -> "Instance":
-    from .prof import hom_distributor
-    from .reladj import identity_adjunction
     inst = Instance(
         name=name, provenance="builtin",
         categories={"E": C},
@@ -351,7 +353,6 @@ def _category_instance(name: str, C: FinCategory) -> "Instance":
 
 def _root_instance(name: str, j: FunctorData, candidates: dict,
                    with_monads: bool = True) -> "Instance":
-    from .monad import enumerate_relative_monads
     inst = Instance(
         name=name, provenance="builtin",
         categories={"A": j.dom, "E": j.cod},
@@ -365,13 +366,11 @@ def _root_instance(name: str, j: FunctorData, candidates: dict,
             if not any(C == reg for reg in inst.categories.values()):
                 inst.categories[f"C{extra}"] = C
                 extra += 1
-    from .reladj import identity_adjunction
     inst.adjunctions["identity_E"] = identity_adjunction(j.cod)
     if with_monads:
         monads = enumerate_relative_monads(j)
         inst.monads = {f"T{i}": T for i, T in enumerate(monads)}
         inst.roles["monads"] = sorted(inst.monads)
-    from .reladj import find_left_relative_adjoint
     for role in inst.roles["candidates"]:
         adj = find_left_relative_adjoint(j, inst.functors[role])
         if adj is not None:
@@ -445,10 +444,6 @@ def builtin_corpus() -> list:
 def validate_instance(inst: Instance) -> list:
     """Re-run every law check in the bundle; returns human-readable errors."""
 
-    from .prof import distributor_violations
-    from .monad import monad_violations
-    from .reladj import adjunction_violations
-
     errors = []
     for role, C in inst.categories.items():
         try:
@@ -490,19 +485,26 @@ def save_instance(inst: Instance, path) -> None:
         "adjunctions": {},
         "roles": inst.roles,
     }
-    cat_role_of = {}
     for role in sorted(inst.categories):
         C = inst.categories[role]
         rel = f"cat_{role}.json"
         save_json(C.to_dict(), root / rel)
         manifest["categories"][role] = rel
-        cat_role_of[id(C)] = role
 
     def catref(C):
         for role in sorted(inst.categories):
             if inst.categories[role] == C:
                 return role
         raise RelmonError(f"category of instance {inst.name} is not registered")
+
+    def funref(F):
+        for role in sorted(inst.functors):
+            if inst.functors[role] == F:
+                return role
+        raise RelmonError(f"functor of instance {inst.name} is not registered")
+
+    def inline(F):
+        return {"inline": F.to_dict(), "dom": catref(F.dom), "cod": catref(F.cod)}
 
     for role in sorted(inst.functors):
         F = inst.functors[role]
@@ -515,26 +517,16 @@ def save_instance(inst: Instance, path) -> None:
         save_json(p.to_dict(), root / rel)
         manifest["distributors"][role] = {"path": rel, "src": catref(p.src), "tgt": catref(p.tgt)}
 
-    def funref(F):
-        for role in sorted(inst.functors):
-            if inst.functors[role] == F:
-                return role
-        raise RelmonError(f"functor of instance {inst.name} is not registered")
-
     for role in sorted(inst.monads):
         T = inst.monads[role]
         rel = f"mon_{role}.json"
         doc = T.to_dict()
         doc_refs = {"unit": doc["unit"], "ext": doc["ext"]}
         try:
-            doc_refs["j"] = funref(T.j)
-            doc_refs["t"] = funref(T.t)
+            doc_refs.update(j=funref(T.j), t=funref(T.t))
         except RelmonError:
             # carriers are often anonymous; inline them
-            doc_refs["j"] = {"inline": T.j.to_dict(),
-                             "dom": catref(T.j.dom), "cod": catref(T.j.cod)}
-            doc_refs["t"] = {"inline": T.t.to_dict(),
-                             "dom": catref(T.t.dom), "cod": catref(T.t.cod)}
+            doc_refs.update(j=inline(T.j), t=inline(T.t))
         save_json(doc_refs, root / rel)
         manifest["monads"][role] = rel
     for role in sorted(inst.adjunctions):
@@ -546,75 +538,71 @@ def save_instance(inst: Instance, path) -> None:
             try:
                 doc_refs[part] = funref(F)
             except RelmonError:
-                doc_refs[part] = {"inline": F.to_dict(),
-                                  "dom": catref(F.dom), "cod": catref(F.cod)}
+                doc_refs[part] = inline(F)
         save_json(doc_refs, root / rel)
         manifest["adjunctions"][role] = rel
     save_json(manifest, root / "manifest.json")
 
 
 def load_instance(path) -> Instance:
-    from .monad import monad_from_dict
-    from .reladj import adjunction_from_dict
-    from .prof import distributor_from_dict
+    """The bundle in directory path; a parse error names the bundle file at fault."""
 
     root = Path(path)
+    at = str(root / "manifest.json")
     manifest = load_json(root / "manifest.json")
-    for key in ("schema", "name", "categories", "functors", "roles"):
-        if key not in manifest:
-            raise ParseFailure("manifest.json", f"missing field {key!r}")
-    if not isinstance(manifest["roles"], dict):
-        raise ParseFailure("manifest.json: roles", "must be a JSON object")
-    inst = Instance(name=manifest["name"],
-                    provenance=manifest.get("provenance", "file"),
-                    roles=manifest["roles"])
+    _, name, _, _, roles = (check_field(manifest, key, at)
+                            for key in ("schema", "name", "categories", "functors", "roles"))
+    if not isinstance(name, str):
+        raise ParseFailure(field_at(at, "name"), "must be a string")
+    if not isinstance(roles, dict):
+        raise ParseFailure(field_at(at, "roles"), "must be a JSON object")
+    inst = Instance(name=name, provenance=manifest.get("provenance", "file"), roles=roles)
 
     def entries(key):
         """(role, entry, entry's location) for each entry of a manifest table."""
         table = manifest.get(key, {})
         if not isinstance(table, dict):
-            raise ParseFailure(f"manifest.json: {key}", "must be a JSON object")
-        return [(role, entry, f"manifest.json: {key}.{role}") for role, entry in table.items()]
+            raise ParseFailure(field_at(at, key), "must be a JSON object")
+        return [(role, entry, field_at(at, f"{key}.{role}")) for role, entry in table.items()]
 
     def load(rel, where):
         if not isinstance(rel, str):
             raise ParseFailure(where, "must be a path")
-        return load_json(root / rel)
+        return load_json(root / rel), str(root / rel)
 
-    def category(ref, key, where):
-        name = check_field(ref, key, where)
-        if not isinstance(name, str) or name not in inst.categories:
+    def category(ref, where):
+        if not isinstance(ref, str) or ref not in inst.categories:
             raise ParseFailure(where, "dangling category reference")
-        return inst.categories[name]
+        return inst.categories[ref]
 
-    def resolve_functor(ref, _key, where):
+    def functor(ref, where):
         if isinstance(ref, str):
             if ref not in inst.functors:
                 raise ParseFailure(where, f"dangling functor reference {ref!r}")
             return inst.functors[ref]
-        return validate_functor(check_field(ref, "inline", where),
-                                category(ref, "dom", where), category(ref, "cod", where))
+        return functor_from_dict(check_field(ref, "inline", where), ref, category,
+                                 field_at(where, "inline"), where)
 
     for role, rel, where in entries("categories"):
-        inst.categories[role] = validate_category(load(rel, where), name=role)
+        raw, file_at = load(rel, where)
+        inst.categories[role] = validate_category(raw, name=role, where=file_at)
     for role, ref, where in entries("functors"):
-        raw = load(check_field(ref, "path", where), where)
-        inst.functors[role] = validate_functor(raw, category(ref, "dom", where),
-                                               category(ref, "cod", where), name=role)
-    refs = inst.roles.get("candidates", [])
+        raw, file_at = load(check_field(ref, "path", where), where)
+        inst.functors[role] = functor_from_dict(raw, ref, category, file_at, where, name=role)
+    refs = roles.get("candidates", [])
     if not isinstance(refs, list):
-        raise ParseFailure("manifest.json: roles", "candidates must be a JSON list")
-    for ref in refs + ([inst.roles["root"]] if "root" in inst.roles else []):
+        raise ParseFailure(field_at(at, "roles"), "candidates must be a JSON list")
+    for ref in refs + ([roles["root"]] if "root" in roles else []):
         if not isinstance(ref, str) or ref not in inst.functors:
-            raise ParseFailure("manifest.json: roles", f"dangling functor reference {ref!r}")
+            raise ParseFailure(field_at(at, "roles"), f"dangling functor reference {ref!r}")
     for role, ref, where in entries("distributors"):
-        raw = load(check_field(ref, "path", where), where)
-        inst.distributors[role] = distributor_from_dict(
-            raw, category(ref, "src", where), category(ref, "tgt", where), name=role)
-    for role, rel, where in entries("monads"):
-        inst.monads[role] = monad_from_dict(load(rel, where), resolve_functor, rel, name=role)
-    for role, rel, where in entries("adjunctions"):
-        inst.adjunctions[role] = adjunction_from_dict(load(rel, where), resolve_functor, rel, name=role)
+        raw, file_at = load(check_field(ref, "path", where), where)
+        src, tgt = (category(check_field(ref, key, where), field_at(where, key)) for key in ("src", "tgt"))
+        inst.distributors[role] = distributor_from_dict(raw, src, tgt, name=role, where=file_at)
+    for key, decode in (("monads", monad_from_dict), ("adjunctions", adjunction_from_dict)):
+        for role, rel, where in entries(key):
+            raw, file_at = load(rel, where)
+            getattr(inst, key)[role] = decode(raw, functor, file_at, name=role)
     return inst
 
 

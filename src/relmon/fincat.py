@@ -257,6 +257,12 @@ def _check_names(table: dict, where: str) -> None:
         _check_name(value, where)
 
 
+def field_at(where: str, key: str) -> str:
+    """The location of field key of the document at where: "<file>: key", or
+    "<file>: outer.key" when where names a field, or key when where is empty."""
+    return f"{where}.{key}" if ": " in where else f"{where}: {key}" if where else key
+
+
 def check_field(doc, key: str, where: str):
     """doc[key], when doc is a JSON object holding key; otherwise raises
     ParseFailure at `where`, the location of doc."""
@@ -280,38 +286,36 @@ def check_name_map(table, where: str) -> dict:
     return table
 
 
-def validate_category(raw: dict, name: str = "") -> FinCategory:
+def validate_category(raw: dict, name: str = "", where: str = "") -> FinCategory:
     """Validate a category description; raises ValidationFailure listing violations.
 
-    A document of the wrong shape (a field of the wrong JSON type, a
-    composition key that is not "f;g", a name that is not a string) raises
-    ParseFailure at the field instead.
+    A document of the wrong shape (a missing field, a field of the wrong
+    JSON type, a composition key that is not "f;g", a name that is not a
+    string) raises ParseFailure at the field instead; where locates raw.
     """
 
-    for key in ("objects", "morphisms", "identities", "composition"):
-        if key not in raw:
-            raise ParseFailure(key, "missing field")
-    for key in ("objects", "morphisms"):
-        if not isinstance(raw[key], list):
-            raise ParseFailure(key, "must be a JSON list")
-    for x in raw["objects"]:
-        _check_name(x, "objects")
-    for m in raw["morphisms"]:
+    objects, morphisms, identities, composition = (
+        check_field(raw, key, where) for key in ("objects", "morphisms", "identities", "composition"))
+    for key, value in (("objects", objects), ("morphisms", morphisms)):
+        if not isinstance(value, list):
+            raise ParseFailure(field_at(where, key), "must be a JSON list")
+    for x in objects:
+        _check_name(x, field_at(where, "objects"))
+    for m in morphisms:
         if not isinstance(m, dict) or set(m) != {"name", "dom", "cod"}:
-            raise ParseFailure("morphisms", f"bad morphism entry {m!r}")
+            raise ParseFailure(field_at(where, "morphisms"), f"bad morphism entry {m!r}")
         for part in ("name", "dom", "cod"):
-            _check_name(m[part], "morphisms")
-    if not isinstance(raw["identities"], dict):
-        raise ParseFailure("identities", "must be a JSON object")
-    _check_names(raw["identities"], "identities")
-    comp = split_keys(raw["composition"], 2, "composition", sep=";")
-    _check_names(comp, "composition")
+            _check_name(m[part], field_at(where, "morphisms"))
+    if not isinstance(identities, dict):
+        raise ParseFailure(field_at(where, "identities"), "must be a JSON object")
+    _check_names(identities, field_at(where, "identities"))
+    comp = split_keys(composition, 2, field_at(where, "composition"), sep=";")
+    _check_names(comp, field_at(where, "composition"))
     violations = category_violations(raw)
     if violations:
         raise ValidationFailure(f"category {name or raw.get('name', '?')}", violations)
-    morphisms = [(m["name"], m["dom"], m["cod"]) for m in raw["morphisms"]]
-    return FinCategory(name or raw.get("name"), raw["objects"], morphisms,
-                       raw["identities"], comp)
+    return FinCategory(name or raw.get("name"), objects,
+                       [(m["name"], m["dom"], m["cod"]) for m in morphisms], identities, comp)
 
 
 def build_category(name, objects, morphisms, identities, composition) -> FinCategory:
@@ -412,17 +416,27 @@ def functor_violations(raw: dict, C: FinCategory, D: FinCategory) -> list[Violat
     return violations
 
 
-def validate_functor(raw: dict, C: FinCategory, D: FinCategory, name: str = "") -> FunctorData:
-    if not isinstance(raw, dict):
-        raise ParseFailure(name or "functor", "must be a JSON object")
+def validate_functor(raw: dict, C: FinCategory, D: FinCategory, name: str = "",
+                     where: str = "") -> FunctorData:
+    """The functor C -> D with the maps of raw; where locates raw."""
+
     for key in ("on_objects", "on_morphisms"):
-        if key not in raw:
-            raise ParseFailure(key, "missing field")
-        check_name_map(raw[key], key)
+        check_name_map(check_field(raw, key, where), field_at(where, key))
     violations = functor_violations(raw, C, D)
     if violations:
         raise ValidationFailure(f"functor {name or '?'}", violations)
     return FunctorData(C, D, raw["on_objects"], raw["on_morphisms"], name=name or None)
+
+
+def functor_from_dict(tables, refs, category, where: str, refs_where: str,
+                      name: str = "") -> FunctorData:
+    """The functor with the maps of tables, found at where, between the
+    categories named by refs["dom"] and refs["cod"], found at refs_where;
+    category(ref, where) resolves a category reference found at where."""
+
+    dom, cod = (category(check_field(refs, key, refs_where), field_at(refs_where, key))
+                for key in ("dom", "cod"))
+    return validate_functor(tables, dom, cod, name=name, where=where)
 
 
 def identity_functor(C: FinCategory) -> FunctorData:

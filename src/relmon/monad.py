@@ -21,6 +21,7 @@ from .fincat import (
     FunctorData,
     check_field,
     check_name_map,
+    field_at,
     compose_functors,
     enumerate_functors,
     split_keys,
@@ -137,12 +138,12 @@ def validate_relative_monad(j: FunctorData, t: FunctorData, unit: dict, ext: dic
 def monad_from_dict(doc, functor, where: str, name: str = "") -> RelativeMonad:
     """The monad of a document {j, t, unit, ext}; where locates doc in its file.
 
-    functor(ref, key, where) resolves the functor reference doc[key].  A
+    functor(ref, where) resolves a functor reference found at where.  A
     field of the wrong shape raises ParseFailure at its location."""
 
-    j, t = (functor(check_field(doc, key, where), key, f"{where}: {key}") for key in ("j", "t"))
-    unit = check_name_map(check_field(doc, "unit", where), f"{where}: unit")
-    ext = split_keys(check_field(doc, "ext", where), 3, f"{where}: ext")
+    j, t = (functor(check_field(doc, key, where), field_at(where, key)) for key in ("j", "t"))
+    unit = check_name_map(check_field(doc, "unit", where), field_at(where, "unit"))
+    ext = split_keys(check_field(doc, "ext", where), 3, field_at(where, "ext"))
     return validate_relative_monad(j, t, unit, ext, name=name)
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 from .algebra import AlgebraCategory, build_algebra_category, comparison_functor
 from .census import ABSOLUTE_COLIMIT, NO_COLIMIT, DownstairsCensus
 from .colim import is_dense, is_j_absolute, try_left_extension
-from .corpus import disc2_category, interval_category, terminal_category
+from .corpus import builtin_corpus, disc2_category, interval_category, terminal_category
 from .errors import (
     BudgetExceeded,
     Inapplicable,
@@ -410,8 +410,7 @@ def run_theorem_suite(instances=None, shape_family=None,
     """Cross-validate every theorem on the corpus; see the corpus module for
     the instance roles this consumes."""
 
-    from . import corpus as corpus_mod
     from .suite import run_all_checks
-    instances = instances if instances is not None else corpus_mod.builtin_corpus()
+    instances = instances if instances is not None else builtin_corpus()
     return run_all_checks(instances, shape_family or default_shape_family(),
                           element_cap, budget or budget_limit())

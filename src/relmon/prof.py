@@ -21,7 +21,7 @@ from .errors import (
     ValidationFailure,
     Violation,
 )
-from .fincat import FinCategory, FunctorData, opposite, split_keys
+from .fincat import FinCategory, FunctorData, check_field, field_at, opposite, split_keys
 from .search import Search
 
 
@@ -182,28 +182,32 @@ def validate_distributor(p: Distributor, name: str = "") -> Distributor:
     return p
 
 
-def distributor_from_dict(raw: dict, src: FinCategory, tgt: FinCategory, name: str = "") -> Distributor:
-    for key in ("elements", "right_action", "left_action"):
-        if key not in raw:
-            raise ParseFailure(key, "missing field")
+def distributor_from_dict(raw: dict, src: FinCategory, tgt: FinCategory, name: str = "",
+                          where: str = "") -> Distributor:
+    """The distributor src -|-> tgt of a document {elements, right_action,
+    left_action}; where locates raw."""
+
+    keys = ("elements", "right_action", "left_action")
+    elements_doc, right_doc, left_doc = (check_field(raw, key, where) for key in keys)
+    at_elements, at_right, at_left = (field_at(where, key) for key in keys)
     elements = {}
-    for (y, x), els in split_keys(raw["elements"], 2, "elements").items():
+    for (y, x), els in split_keys(elements_doc, 2, at_elements).items():
         if not isinstance(els, list) or not all(isinstance(e, str) for e in els):
-            raise ParseFailure("elements", f"component {y}|{x} must be a list of names")
+            raise ParseFailure(at_elements, f"component {y}|{x} must be a list of names")
         elements[(y, x)] = tuple(els)
     right = {}
-    for (m, y, x, e), val in split_keys(raw["right_action"], 4, "right_action").items():
+    for (m, y, x, e), val in split_keys(right_doc, 4, at_right).items():
         if m not in tgt.morphism_names() or tgt.cod(m) != y:
-            raise ParseFailure("right_action", f"key {m}|{y}|{x}|{e}: morphism must have cod {y!r}")
+            raise ParseFailure(at_right, f"key {m}|{y}|{x}|{e}: morphism must have cod {y!r}")
         right[(m, x, e)] = val
     left = {}
-    for (n, y, x, e), val in split_keys(raw["left_action"], 4, "left_action").items():
+    for (n, y, x, e), val in split_keys(left_doc, 4, at_left).items():
         if n not in src.morphism_names() or src.dom(n) != x:
-            raise ParseFailure("left_action", f"key {n}|{y}|{x}|{e}: morphism must have dom {x!r}")
+            raise ParseFailure(at_left, f"key {n}|{y}|{x}|{e}: morphism must have dom {x!r}")
         left[(n, y, e)] = val
-    for where, table in (("right_action", right), ("left_action", left)):
+    for at, table in ((at_right, right), (at_left, left)):
         if not all(isinstance(val, str) for val in table.values()):
-            raise ParseFailure(where, "values must be element names")
+            raise ParseFailure(at, "values must be element names")
     return validate_distributor(Distributor(src, tgt, elements, right, left, name=name or None))
 
 

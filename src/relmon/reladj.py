@@ -15,6 +15,7 @@ from .fincat import (
     FinCategory,
     FunctorData,
     check_field,
+    field_at,
     compose_functors,
     enumerate_functors,
     find_natural_isomorphism,
@@ -117,12 +118,12 @@ def validate_relative_adjunction(j: FunctorData, left: FunctorData, right: Funct
 def adjunction_from_dict(doc, functor, where: str, name: str = "") -> RelativeAdjunction:
     """The adjunction of a document {j, l, r, sharp}; where locates doc in its file.
 
-    functor(ref, key, where) resolves the functor reference doc[key].  A
+    functor(ref, where) resolves a functor reference found at where.  A
     field of the wrong shape raises ParseFailure at its location."""
 
-    j, left, right = (functor(check_field(doc, key, where), key, f"{where}: {key}")
+    j, left, right = (functor(check_field(doc, key, where), field_at(where, key))
                       for key in ("j", "l", "r"))
-    sharp = split_keys(check_field(doc, "sharp", where), 3, f"{where}: sharp")
+    sharp = split_keys(check_field(doc, "sharp", where), 3, field_at(where, "sharp"))
     return validate_relative_adjunction(j, left, right, sharp, name=name)
 
 

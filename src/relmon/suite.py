@@ -20,7 +20,7 @@ from .algebra import (
 )
 from .census import ABSOLUTE_COLIMIT, DownstairsCensus
 from .colim import colimiting_test, is_dense
-from .corpus import terminal_category, validate_instance
+from .corpus import indisc2_category, interval_category, terminal_category, validate_instance
 from .errors import BudgetExceeded, PremiseFail, TheoremViolation
 from .fincat import (
     FunctorData,
@@ -76,7 +76,7 @@ class _Context:
         return self._algcats[key]
 
     def decision(self, j, r, mode):
-        key = (id(j), id(r), mode)
+        key = (j, r, mode)
         if key not in self._decisions:
             self._decisions[key] = decide_monadicity(j, r, mode, budget=self.budget)
         return self._decisions[key]
@@ -252,7 +252,6 @@ def _small_weights(ctx, X, Y):
 
 
 def _check_algebra_object_up(ctx) -> SuiteResult:
-    from .corpus import interval_category
     shapes = [terminal_category(), interval_category()]
     details = []
     checked = 0
@@ -371,7 +370,6 @@ def _composite_triples(ctx):
             algcat_s = build_algebra_category(S, budget=ctx.budget)
             triples.append((f"{inst.name}/{role}/uS", T.j, algcat.u, algcat_s.u))
         if inst.name == "point_bz2" and role == "T0":
-            from .corpus import indisc2_category
             I = indisc2_category()
             obj = D.objects[0]
             const = FunctorData(I, D, {o: obj for o in I.objects},

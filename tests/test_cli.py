@@ -1,4 +1,6 @@
+import copy
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -199,7 +201,7 @@ def test_instance_with_bad_table_keys_is_parse_error(tmp_path, capsys):
         doc[table]["*|*"] = next(iter(doc[table].values()))
         save_json(doc, root / rel)
         assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
-        _parse_failure(capsys, tmp_path / "rep.json", f"{rel}: {table}")
+        _parse_failure(capsys, tmp_path / "rep.json", f"{root / rel}: {table}")
 
 
 def test_monad_unit_of_wrong_shape_is_parse_error(files, tmp_path, capsys):
@@ -218,7 +220,7 @@ def test_monad_unit_of_wrong_shape_is_parse_error(files, tmp_path, capsys):
     doc["unit"] = [next(iter(doc["unit"].values()))]
     save_json(doc, root / rel)
     assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
-    _parse_failure(capsys, tmp_path / "rep.json", f"{rel}: unit")
+    _parse_failure(capsys, tmp_path / "rep.json", f"{root / rel}: unit")
 
 
 @pytest.mark.parametrize("field, value", [("on_objects", []), ("on_morphisms", {"e": 1})])
@@ -229,7 +231,7 @@ def test_functor_map_of_wrong_shape_is_parse_error(files, tmp_path, capsys, fiel
     bad = tmp_path / "functor_bad_map.json"
     save_json(doc, bad)
     assert run(["validate", bad, "--report", tmp_path / "rep.json"]) == 3
-    _parse_failure(capsys, tmp_path / "rep.json", field)
+    _parse_failure(capsys, tmp_path / "rep.json", f"{bad}: {field}")
 
 
 @pytest.mark.parametrize("field, value", [("objects", "*"), ("identities", ["i"]),
@@ -240,7 +242,7 @@ def test_category_field_of_wrong_type_is_parse_error(files, tmp_path, capsys, fi
     bad = tmp_path / "bad_field.json"
     save_json(doc, bad)
     assert run(["validate", bad, "--report", tmp_path / "rep.json"]) == 3
-    _parse_failure(capsys, tmp_path / "rep.json", field)
+    _parse_failure(capsys, tmp_path / "rep.json", f"{bad}: {field}")
 
 
 @pytest.mark.parametrize("elements", [["*|*"], {"*|*": "e"}])
@@ -253,7 +255,7 @@ def test_instance_with_malformed_distributor_elements_is_parse_error(tmp_path, c
     doc["elements"] = elements
     save_json(doc, path)
     assert run(["validate", tmp_path / "inst", "--report", tmp_path / "rep.json"]) == 3
-    _parse_failure(capsys, tmp_path / "rep.json", "elements")
+    _parse_failure(capsys, tmp_path / "rep.json", f"{path}: elements")
 
 
 def test_usage_error_exit_3():
@@ -399,16 +401,17 @@ def saved_bundle(tmp_path):
 @pytest.mark.parametrize("damage, where", [
     (lambda m: m["functors"]["j"].update(path=7), "functors.j"),
     (lambda m: m["functors"].update(j="fun_j.json"), "functors.j"),
-    (lambda m: m["functors"]["j"].update(dom=["x"]), "functors.j"),
+    (lambda m: m["functors"]["j"].update(dom=["x"]), "functors.j.dom"),
     (lambda m: m.update(monads=["mon.json"]), "monads"),
     (lambda m: m["roles"].update(candidates=["nope"]), "roles"),
+    (lambda m: m.update(name=["x"]), "name"),
 ])
 def test_bundle_manifest_with_malformed_reference_is_parse_error(tmp_path, capsys, damage, where):
     root, manifest = saved_bundle(tmp_path)
     damage(manifest)
     save_json(manifest, root / "manifest.json")
     assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
-    _parse_failure(capsys, tmp_path / "rep.json", f"manifest.json: {where}")
+    _parse_failure(capsys, tmp_path / "rep.json", f"{root / 'manifest.json'}: {where}")
 
 
 @pytest.mark.parametrize("table, key, value", [("monads", "j", 5), ("monads", "j", {}),
@@ -420,7 +423,56 @@ def test_bundle_document_with_malformed_reference_is_parse_error(tmp_path, capsy
     doc[key] = value
     save_json(doc, root / rel)
     assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
-    _parse_failure(capsys, tmp_path / "rep.json", f"{rel}: {key}")
+    _parse_failure(capsys, tmp_path / "rep.json", f"{root / rel}: {key}")
+
+
+# ---------------------------------------------------------------------------
+# every parse error names its file and field
+
+
+def test_category_file_without_objects_is_named_by_its_path(files, tmp_path, capsys):
+    cat = json.loads((files / "bz2.json").read_text())
+    del cat["objects"]
+    save_json(cat, tmp_path / "cat.json")
+    save_json({"dom": "cat.json", "cod": str(files / "bz2.json"),
+               "on_objects": {"*": "*"}, "on_morphisms": {"e": "e", "s": "s"}}, tmp_path / "f.json")
+    assert run(["density", "--j", tmp_path / "f.json", "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", tmp_path / "cat.json")
+    assert json.loads((tmp_path / "rep.json").read_text())["error"].endswith(
+        ": missing field 'objects'")
+
+
+def test_inline_category_without_objects_is_named_by_its_field(files, tmp_path, capsys):
+    doc = standalone_docs(files)["functor"]
+    doc["dom"] = {k: v for k, v in json.loads((files / "terminal.json").read_text()).items()
+                  if k != "objects"}
+    bad = tmp_path / "functor.json"
+    save_json(doc, bad)
+    assert run(["validate", bad, "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", f"{bad}: dom")
+
+
+def test_bundle_category_without_identities_is_named_by_its_path(tmp_path, capsys):
+    root, _ = saved_bundle(tmp_path)
+    cat = json.loads((root / "cat_E.json").read_text())
+    del cat["identities"]
+    save_json(cat, root / "cat_E.json")
+    assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
+    error = json.loads((tmp_path / "rep.json").read_text())["error"]
+    assert error == f"parse error at {root / 'cat_E.json'}: missing field 'identities'"
+
+
+def test_suite_over_bundles_names_the_bundle_at_fault(tmp_path, capsys):
+    instances = {i.name: i for i in corpus.builtin_corpus()}
+    for name in ("terminal", "point_bz2"):
+        corpus.save_instance(instances[name], tmp_path / "corpus" / name)
+    bad = tmp_path / "corpus" / "point_bz2" / "manifest.json"
+    manifest = json.loads(bad.read_text())
+    manifest["functors"]["j"]["path"] = 7
+    save_json(manifest, bad)
+    assert run(["suite", "--corpus", tmp_path / "corpus", "--cap", "1", "--shapes", "1",
+                "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", f"{bad}: functors.j")
 
 
 @pytest.mark.parametrize("flag, value", [("--cap", "-1"), ("--shapes", "-3")])
@@ -460,13 +512,8 @@ def inline_docs(files) -> dict:
             "adjunction": dict(docs["adjunction"], j=ident, l=ident, r=ident)}
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_damaged_documents_keep_the_exit_code_contract(files, tmp_path, capsys, data):
-    """relmon validate on a document with one field dropped or of another
-    type exits 0, 1 or 3, and prints no traceback."""
-    kind = data.draw(st.sampled_from(["category", "functor", "monad", "adjunction"]))
-    doc = inline_docs(files)[kind]
+def damage(data, doc):
+    """doc with one value, drawn from data, dropped or replaced by another type."""
     path = data.draw(st.sampled_from(list(value_paths(doc))))
     replacement = data.draw(st.sampled_from(REPLACEMENTS))
     parent = doc
@@ -476,7 +523,85 @@ def test_damaged_documents_keep_the_exit_code_contract(files, tmp_path, capsys, 
         del parent[path[-1]]
     else:
         parent[path[-1]] = replacement
-    bad = tmp_path / f"damaged_{kind}.json"
-    save_json(doc, bad)
-    assert run(["validate", bad]) in (0, 1, 3)
+    return doc
+
+
+def run_damaged(argv, tmp_path, capsys, damaged) -> int:
+    """Run argv and check that it printed no traceback and that a parse
+    error, if any, is located in the file damaged; returns the exit code."""
+    report = tmp_path / "rep.json"
+    report.unlink(missing_ok=True)
+    code = run(argv + ["--report", report])
     assert "Traceback" not in capsys.readouterr().err
+    error = json.loads(report.read_text()).get("error", "") if report.exists() else ""
+    if error.startswith("parse error at "):
+        assert error.startswith(f"parse error at {damaged}"), (argv, error)
+    return code
+
+
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_documents_keep_the_exit_code_contract(files, tmp_path, capsys, data):
+    """relmon validate on a document with one field dropped or of another
+    type exits 0, 1 or 3, and prints no traceback."""
+    kind = data.draw(st.sampled_from(["category", "functor", "monad", "adjunction"]))
+    bad = tmp_path / f"damaged_{kind}.json"
+    save_json(damage(data, inline_docs(files)[kind]), bad)
+    assert run_damaged(["validate", bad], tmp_path, capsys, bad) in (0, 1, 3)
+
+
+def subcommands(files, bad) -> dict:
+    """The runs of every subcommand that reads a damaged document of each kind."""
+    point, ident = files / "point_bz2.json", files / "id_bz2.json"
+    return {
+        "functor": [["density", "--j", bad], ["adjoint", "--j", bad, "--r", ident],
+                    ["adjoint", "--j", point, "--r", bad], ["monadic", "--j", point, "--r", bad],
+                    ["composite", "--j", bad, "--rprime", ident, "--r", ident],
+                    ["monad", "enumerate", "--j", bad]],
+        "monad": [["algebras", "--monad", bad], ["monad", "validate", bad]],
+        "adjunction": [["paste", "--inner", bad, "--outer", bad, "--direction", "paste"],
+                       ["paste", "--inner", bad, "--outer", bad, "--direction", "unpaste"]],
+    }
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_documents_keep_the_exit_code_contract_in_every_subcommand(
+        files, tmp_path, capsys, data):
+    """Every subcommand that reads a damaged document exits in 0-4, prints
+    no traceback, and locates a parse error in the damaged file."""
+    kind = data.draw(st.sampled_from(["functor", "monad", "adjunction"]))
+    bad = tmp_path / f"damaged_{kind}.json"
+    save_json(damage(data, inline_docs(files)[kind]), bad)
+    for argv in subcommands(files, bad)[kind]:
+        assert run_damaged(argv, tmp_path, capsys, bad) in range(5)
+
+
+@pytest.fixture(scope="module")
+def point_bz2_bundle(tmp_path_factory):
+    """The point_bz2 instance saved as a bundle: {file name: document}."""
+    inst = next(i for i in corpus.builtin_corpus() if i.name == "point_bz2")
+    root = tmp_path_factory.mktemp("point_bz2")
+    corpus.save_instance(inst, root)
+    return {p.name: json.loads(p.read_text()) for p in sorted(root.iterdir())}
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_bundles_keep_the_exit_code_contract(point_bz2_bundle, tmp_path, capsys, data):
+    """validate and suite --corpus on a bundle with one value of one file
+    (the manifest or any document) dropped or of another type exit in 0-4,
+    print no traceback, and locate a parse error in the damaged file."""
+    name = data.draw(st.sampled_from(sorted(point_bz2_bundle)))
+    shutil.rmtree(tmp_path / "corpus", ignore_errors=True)
+    root = tmp_path / "corpus" / "point_bz2"
+    root.mkdir(parents=True)
+    for file_name, doc in point_bz2_bundle.items():
+        save_json(damage(data, copy.deepcopy(doc)) if file_name == name else doc, root / file_name)
+    for argv in (["validate", root],
+                 ["suite", "--corpus", root.parent, "--cap", "1", "--shapes", "1"]):
+        assert run_damaged(argv, tmp_path, capsys, root / name) in range(5)

@@ -267,3 +267,25 @@ def test_suite_degenerate_subcorpus_passes():
     instances = [i for i in corpus.builtin_corpus() if i.name in ("empty", "terminal")]
     report = run_theorem_suite(instances, element_cap=1)
     assert report.passed
+
+
+def test_suite_decides_pairs_of_equal_content_once(monkeypatch):
+    """The suite's decision cache is keyed by content: a second (j, r) pair
+    built separately with the same tables reuses the first decision."""
+    from relmon import suite
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decide_monadicity(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "decide_monadicity", counted)
+    ctx = suite._Context([], default_shape_family(), 1, 10_000)
+    pairs = []
+    for _ in range(2):
+        E = corpus.bz2_category()
+        pairs.append((corpus.point_functor(E, "*"), identity_functor(E)))
+    assert pairs[0][0] is not pairs[1][0] and pairs[0][1] is not pairs[1][1]
+    first = ctx.decision(*pairs[0], "strict")
+    assert ctx.decision(*pairs[1], "strict") is first
+    assert len(calls) == 1

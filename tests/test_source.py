@@ -15,3 +15,19 @@ def test_engine_invariants_do_not_rest_on_assert():
                 found.append(f"{path.name}:{node.lineno}")
     assert list(SOURCE.glob("*.py"))
     assert found == []
+
+
+def test_imports_are_at_module_level():
+    # run_theorem_suite imports .suite lazily: suite imports monadicity
+    allowed = {("monadicity.py", "run_theorem_suite")}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append((path.name, fn.name))
+    assert [site for site in found if site not in allowed] == []
+    assert len(found) == 1
