@@ -340,6 +340,36 @@ def strict_colimit_creation(g, p, f, down, up):
                           violations=violations)
 
 
+def nonstrict_colimit_creation(g, p, f, down, up):
+    """Non-strict creation by listing every cocone upstairs and testing each
+    against both colimits; the engine decides it from the comparison maps."""
+    if up is _SEARCH:
+        up, _ = try_weighted_colimit(p, f)
+    down_colimiting_test = colimiting_test(down)
+    up_colimiting_test = colimiting_test(up)
+    upstairs_exists = up is not None
+    violations = []
+    if not upstairs_exists:
+        violations.append("upstairs colimit does not exist")
+
+    biconditional_ok = True
+    witness = None
+    for (w, legs) in enumerate_cocones(p, f):
+        down_apex = {x: g.ob(w.ob(x)) for x in p.src.objects}
+        down_legs = {key: g.mor(v) for key, v in legs.items()}
+        down_colimiting = down_colimiting_test(down_apex, down_legs)
+        up_colimiting = up_colimiting_test(w.on_objects, legs)
+        if down_colimiting != up_colimiting:
+            biconditional_ok = False
+            witness = (dict(w.on_objects), down_colimiting, up_colimiting)
+            break
+    if not biconditional_ok:
+        violations.append(f"cocone biconditional fails at apex {witness[0]}")
+    passed = upstairs_exists and biconditional_ok
+    return CreationReport("nonstrict", "colimit", passed,
+                          upstairs_exists=upstairs_exists, violations=violations)
+
+
 def count_resolution_morphisms(adj, algcat) -> int:
     """Functors K' with K' ; u_T = r and l ; K' = f_T, by pruned search."""
 

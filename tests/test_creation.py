@@ -6,9 +6,12 @@ both against direct checks over generated categories, with caches cold and
 warm and in either call order.
 """
 
+import itertools
+
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relmon import corpus
+from relmon import colim, corpus
 from relmon.algebra import build_algebra_category
 from relmon.census import DownstairsCensus
 from relmon.colim import (
@@ -20,7 +23,7 @@ from relmon.colim import (
     try_weighted_colimit,
     try_weighted_limit,
 )
-from relmon.errors import BudgetExceeded
+from relmon.errors import BudgetExceeded, DownstairsMissing
 from relmon.fincat import compose_functors, enumerate_functors, identity_functor
 from relmon.monad import enumerate_relative_monads
 from relmon.monadicity import creation_audit
@@ -201,3 +204,55 @@ def test_census_creation_verdicts_match_direct_checks(params, root):
         assert creation_verdicts(census, j, [gs[i] for i in order]) == sum(
             (direct[i] for i in order), [])
         assert len(census._creations) == rows
+
+
+def nonstrict_cases(W, V):
+    """(g, p, f, kind) over the first functors g: W -> V, Terminal and
+    Interval weights and every diagram into W, for colimits and limits."""
+    for g in itertools.islice(enumerate_functors(W, V), 3):
+        for X in shapes():
+            for Y in shapes():
+                for p in enumerate_distributors(X, Y, 1):
+                    for kind, Z in (("colimit", Y), ("limit", X)):
+                        for f in enumerate_functors(Z, W):
+                            yield g, p, f, kind
+
+
+def assert_nonstrict_creation_matches_reference(W, V, monkeypatch) -> set:
+    """check_creation in non-strict mode against the same call answered by
+    reference.nonstrict_colimit_creation, which lists every cocone; limits
+    go through the same dualization.  Returns the upstairs_exists values
+    seen."""
+    seen = set()
+    for g, p, f, kind in nonstrict_cases(W, V):
+        try:
+            got = check_creation(g, p, f, mode="nonstrict", kind=kind).to_dict()
+        except DownstairsMissing:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(colim, "_nonstrict_colimit_creation", reference.nonstrict_colimit_creation)
+            want = check_creation(g, p, f, mode="nonstrict", kind=kind).to_dict()
+        assert got == want
+        seen.add(got["upstairs_exists"])
+    return seen
+
+
+@settings(max_examples=8, deadline=None)
+@given(params=generated, params2=generated)
+def test_nonstrict_creation_matches_reference(params, params2):
+    """Non-strict creation reports, violation strings included, equal the
+    cocone-listing reference over generated (g, p, f)."""
+    W = corpus.generate_category(*params)
+    V = corpus.generate_category(*params2)
+    assume(W is not None and V is not None)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_nonstrict_creation_matches_reference(W, V, monkeypatch)
+
+
+def test_nonstrict_creation_with_upstairs_colimit_present_and_absent(monkeypatch):
+    seen = set()
+    for W, V in (("Split", "Terminal"), ("Vee", "Interval"), ("Indisc2", "Terminal"),
+                 ("Disc2", "Disc2")):
+        seen |= assert_nonstrict_creation_matches_reference(
+            corpus.STANDARD_CATEGORIES[W](), corpus.STANDARD_CATEGORIES[V](), monkeypatch)
+    assert seen == {True, False}
