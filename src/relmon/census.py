@@ -10,13 +10,19 @@ read first so that a warm lookup decodes nothing; and a creation byte per
 class docstring gives the row layout.
 
 The census also keeps the weight lists its positions index: weights(X, Y,
-cap, budget) enumerates the distributors X -|-> Y once per census.
+cap, budget) enumerates the distributors X -|-> Y once per census.  And it
+owns the pointwise store that every (co)limit search and creation check it
+runs reads and fills: one record per (diagram id, column id) with the
+colimit at one x and the natural families there, shared by every weight
+whose column p(-, x) has the same content (colim._UniversalityChecker
+gives the layout).  Positions share answers only per whole (weight,
+diagram); the store shares them per x across weights.
 
 A suite run holds one census in its context for forgetful_creates,
 preservation_conservativity, monadicity_crosscheck, density_necessity and
 algebraic_tight_cells; a creation audit without one makes its own.  It is
 dropped with the run or the audit, and it is the engine's only cache of
-colimit results and of weight lists.
+colimit results, natural families and weight lists.
 """
 
 from __future__ import annotations
@@ -112,6 +118,7 @@ class DownstairsCensus:
         self._contents: dict[tuple, tuple] = {}
         self._dual = (None, None)
         self._weights: dict[tuple, list] = {}
+        self._pointwise: dict[tuple, dict] = {}
 
     def weights(self, X: FinCategory, Y: FinCategory, element_cap: int, budget: int) -> list:
         """enumerate_distributors(X, Y, element_cap, budget), computed once per
@@ -186,7 +193,8 @@ class DownstairsCensus:
             report = colim.check_creation(
                 g, p, f, mode=mode, kind=kind,
                 down=self.downstairs(p, weight_index, diagram, element_cap, kind),
-                up=self.upstairs(p, weight_index, diagram, element_cap, kind))
+                up=self.upstairs(p, weight_index, diagram, element_cap, kind),
+                store=self._pointwise)
             row[pos] = 1 + report.passed
         return row[pos] == 2
 
@@ -217,9 +225,9 @@ class DownstairsCensus:
         if row[pos]:
             return row[pos], None
         if kind == "colimit":
-            found, _ = colim.try_weighted_colimit(p, d)
+            found, _ = colim.try_weighted_colimit(p, d, store=self._pointwise)
         else:
-            found, _ = colim.dual_limit_search(p, self._dual_of(p), d)
+            found, _ = colim.dual_limit_search(p, self._dual_of(p), d, store=self._pointwise)
         row[pos] = _MISSING if found is None else self._intern(found, kind) + _FIRST_ID
         return row[pos], found
 

@@ -127,7 +127,10 @@ def _report(command: str, verdict, mode=None, witnesses=(), census=None, duratio
     return doc
 
 
-def _emit(doc: dict, args, out=sys.stdout) -> None:
+def _emit(doc: dict, args, out=None) -> None:
+    """Print doc's summary on out (standard output, looked up at call time)
+    and write doc to --report."""
+    out = out if out is not None else sys.stdout
     if doc.get("error"):
         print(f"{doc['command']}: error: {doc['error']}", file=out)
     else:

@@ -13,19 +13,30 @@ quotient (E(j,f) (.)l p) to E(j, apex), which at Set level is preservation
 by the nerve of j.  Creation checks decide whether a cocone is colimiting
 through its comparison map from the colimit: the cocone's legs factor
 through the colimit's legs by exactly one k at each x, and the cocone is
-colimiting iff every k is invertible.
+colimiting iff every k is invertible.  Non-strict creation with an
+upstairs colimit c lists the natural transformations k: c => w instead of
+the cocones with apex w, which they are in bijection with (Yoneda).
 
 Caches, what keys them and how long they live:
 
 * census.DownstairsCensus holds the (co)limits, absoluteness and creation
   verdicts of one suite run or creation audit; see that module.
+* The pointwise store: a p-weighted colimit is pointwise in x, so the
+  colimit at x and the natural families at (x, w') depend only on the
+  column p(-, x) and on f.  A store keeps them per (diagram id, column
+  id), in slot order, for every weight that has the column; the census
+  owns one for its run and passes it to try_weighted_colimit,
+  dual_limit_search, enumerate_cocones and check_creation.  Without one a
+  search keeps a private store for the call.  _UniversalityChecker gives
+  the layout.
 * A _UniversalityChecker holds the family plans (slots and naturality
-  checks, one per x), the natural families and their key sets of one
-  (p, f) for one caller, and is dropped with the call.  This module keeps
-  no cache of its own.
+  checks, one per x) and the family key sets of one (p, f) for one
+  caller, and is dropped with the call.  This module keeps no cache of
+  its own.
 * Memos kept on immutable inputs for their lifetime, derived only from
   their tables: a FinCategory keeps its table, hash, opposite() and
-  hom_distributor(); a Distributor keeps its table().
+  hom_distributor(); a Distributor keeps its table() and column ids; a
+  FunctorData keeps its table().
 """
 
 from __future__ import annotations
@@ -93,22 +104,52 @@ def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wpr
     return [dict(zip(slots, values)) for values in search.solutions()]
 
 
+# a store record's colimit before the search at its x has run
+_UNSEARCHED = object()
+
+
 class _UniversalityChecker:
     """Natural families, their key sets and the colimit search for one (weight, diagram) pair.
 
-    A family's key is the tuple of its values in slot order.  The family
-    plan (slots and naturality checks) is built once per x and shared by
-    every w'.  Each caller builds its own checker; the run's census keeps
-    the colimits found.
+    The answers at x depend only on the column p(-, x) and on f, so they
+    are kept in store, one record per (diagram id, column id): the diagram
+    id is (tgt p, cod f, f.table()), the column id is p.column(x).  A record
+    is a list: the colimit at x, then the natural families at each w' of
+    cod f in its object order (None until listed).  The colimit is (apex
+    object, legs) or None when there is none; legs and families are tuples
+    of values in slot order.  Slot i of a column is its i-th element in
+    every distributor with that column, so a record is read back into any
+    of them by zip(slots(x), values).  store is a dict keyed by diagram id,
+    holding each diagram's records keyed by column id; without one, the
+    checker keeps a private store.  The family plans (slots and naturality
+    checks) and the key sets stay with the checker.
     """
 
-    def __init__(self, p: Distributor, f: FunctorData):
+    def __init__(self, p: Distributor, f: FunctorData, store: Optional[dict] = None):
         self.p = p
         self.f = f
         self.W = f.cod
+        if store is None:
+            store = {}
+        diagram = (p.tgt, f.cod, f.table())
+        records = store.get(diagram)
+        if records is None:
+            records = store[diagram] = {}
+        self._records = records
+        self._at: dict[str, list] = {}
         self._plans: dict[str, tuple] = {}
-        self._fams: dict[tuple[str, str], list] = {}
+        self._slots: dict[str, list] = {}
         self._keys: dict[tuple[str, str], frozenset] = {}
+
+    def _record(self, x: str) -> list:
+        record = self._at.get(x)
+        if record is None:
+            column = self.p.column(x)
+            record = self._records.get(column)
+            if record is None:
+                record = self._records[column] = [_UNSEARCHED] + [None] * len(self.W.objects)
+            self._at[x] = record
+        return record
 
     def plan(self, x: str) -> tuple:
         if x not in self._plans:
@@ -116,27 +157,35 @@ class _UniversalityChecker:
         return self._plans[x]
 
     def slots(self, x: str) -> list:
-        return self.plan(x)[0]
+        if x not in self._slots:
+            p = self.p
+            self._slots[x] = [(y, e) for y in p.tgt.objects for e in p.el(y, x)]
+        return self._slots[x]
 
-    def families(self, x: str, wprime: str):
-        key = (x, wprime)
-        if key not in self._fams:
-            self._fams[key] = natural_families(self.p, x, self.f, self.W, wprime,
-                                               plan=self.plan(x))
-        return self._fams[key]
+    def family_values(self, x: str, wprime: str) -> tuple:
+        """The natural families at (x, w') as tuples in slot order, from the store."""
+        record, i = self._record(x), 1 + self.W._obj_index[wprime]
+        if record[i] is None:
+            record[i] = tuple(
+                tuple(fam.values())
+                for fam in natural_families(self.p, x, self.f, self.W, wprime, plan=self.plan(x)))
+        return record[i]
+
+    def families(self, x: str, wprime: str) -> list:
+        slots = self.slots(x)
+        return [dict(zip(slots, values)) for values in self.family_values(x, wprime)]
 
     def family_keys(self, x: str, wprime: str) -> frozenset:
         key = (x, wprime)
         if key not in self._keys:
-            self._keys[key] = frozenset(tuple(fam.values()) for fam in self.families(x, wprime))
+            self._keys[key] = frozenset(self.family_values(x, wprime))
         return self._keys[key]
 
-    def is_colimiting_at(self, x: str, apex_obj: str, legs_at_x: dict) -> bool:
-        """Is postcomposition with the legs a bijection W(apex, w') ~= families(x, w')?"""
+    def is_colimiting_at(self, x: str, apex_obj: str, legs: tuple) -> bool:
+        """Is postcomposition with the legs (in slot order) a bijection W(apex, w') ~= families(x, w')?"""
 
         W = self.W
         comp = W.composition
-        legs = [legs_at_x[s] for s in self.slots(x)]
         for wprime in W.objects:
             homs = W.hom(apex_obj, wprime)
             fam_keys = self.family_keys(x, wprime)
@@ -151,12 +200,24 @@ class _UniversalityChecker:
         return True
 
     def is_cocone_colimiting(self, w: FunctorData, legs: dict) -> bool:
-        p = self.p
-        for x in p.src.objects:
-            legs_at_x = {(y, e): legs[(y, x, e)] for (y, e) in self.slots(x)}
+        for x in self.p.src.objects:
+            legs_at_x = tuple([legs[(y, x, e)] for (y, e) in self.slots(x)])
             if not self.is_colimiting_at(x, w.ob(x), legs_at_x):
                 return False
         return True
+
+    def colimit_at(self, x: str):
+        """(apex object, legs in slot order) of the colimit at x, or None."""
+        record = self._record(x)
+        if record[0] is _UNSEARCHED:
+            record[0] = None
+            for w0 in self.W.objects:
+                found = next((values for values in self.family_values(x, w0)
+                              if self.is_colimiting_at(x, w0, values)), None)
+                if found is not None:
+                    record[0] = (w0, found)
+                    break
+        return record[0]
 
     def colimit(self):
         """((apex on objects, apex on morphisms, legs), None), or (None, first failing x)."""
@@ -166,18 +227,11 @@ class _UniversalityChecker:
         chosen_obj: dict[str, str] = {}
         chosen_legs: dict[str, dict] = {}
         for x in X.objects:
-            found = False
-            for w0 in W.objects:
-                for fam in self.families(x, w0):
-                    if self.is_colimiting_at(x, w0, fam):
-                        chosen_obj[x] = w0
-                        chosen_legs[x] = fam
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            found = self.colimit_at(x)
+            if found is None:
                 return None, x
+            chosen_obj[x] = found[0]
+            chosen_legs[x] = dict(zip(self.slots(x), found[1]))
 
         on_morphisms = {}
         for n in X.morphism_names():
@@ -225,16 +279,17 @@ class WeightedLimit:
         return self.legs[(x, y, e)]
 
 
-def try_weighted_colimit(p: Distributor, f: FunctorData):
+def try_weighted_colimit(p: Distributor, f: FunctorData, store: Optional[dict] = None):
     """The p-weighted colimit of f, or (None, first failing x).
 
-    Every call searches; a suite run or creation audit keeps the colimits
-    it found in its census (census.DownstairsCensus).
+    The search at each x reads and fills store (see _UniversalityChecker);
+    a suite run or creation audit passes its census's store and keeps the
+    colimits found in its census (census.DownstairsCensus).
     """
 
     if f.dom != p.tgt:
         raise EndpointMismatch("diagram must start at the weight's target")
-    found, failed = _UniversalityChecker(p, f).colimit()
+    found, failed = _UniversalityChecker(p, f, store).colimit()
     if found is None:
         return None, failed
     on_objects, on_morphisms, legs = found
@@ -276,12 +331,14 @@ def verify_weighted_colimit(colim: WeightedColimit) -> bool:
 # weighted limits (by dualization)
 
 
-def dual_limit_search(p: Distributor, pd: Distributor, g: FunctorData):
+def dual_limit_search(p: Distributor, pd: Distributor, g: FunctorData,
+                      store: Optional[dict] = None):
     """try_weighted_limit(p, g) given pd = dual_distributor(p), for callers
     that ask about many diagrams over one weight: the pd-weighted colimit of
     g^op, read back in W."""
 
-    found, failed = _UniversalityChecker(pd, opposite_functor(g, pd.tgt, opposite(g.cod))).colimit()
+    found, failed = _UniversalityChecker(
+        pd, opposite_functor(g, pd.tgt, opposite(g.cod)), store).colimit()
     if found is None:
         return None, failed
     on_objects, on_morphisms, legs = found
@@ -491,32 +548,40 @@ def _nerve_slots(j: FunctorData, e: str):
 # cocones and creation
 
 
-def enumerate_cocones(p: Distributor, f: FunctorData):
+def enumerate_cocones(p: Distributor, f: FunctorData, store: Optional[dict] = None):
     """All p-cocones (w, legs) for f with apex functor into cod f, canonical order.
 
     For each apex w, one search slot per x holds a family natural in y at
-    x; naturality in x along n: x -> x2 is checked once both are chosen.
+    x, read from store (see _UniversalityChecker); naturality in x along
+    n: x -> x2 is checked once both are chosen.
     """
 
     X, Y, W = p.src, p.tgt, f.cod
     comp = W.composition
-    checker = _UniversalityChecker(p, f)
+    checker = _UniversalityChecker(p, f, store)
+    index = {x: {s: i for i, s in enumerate(checker.slots(x))} for x in X.objects}
+    along = []                          # (x, x2, n, slot index pairs e at x -> n.e at x2)
+    for n in X.morphism_names():
+        if X.is_identity(n):
+            continue
+        x, x2 = X.dom(n), X.cod(n)
+        along.append((X.objects.index(x), X.objects.index(x2), n,
+                      [(index[x][(y, e)], index[x2][(y, p.act_l(n, y, e))])
+                       for y in Y.objects for e in p.el(y, x)]))
     out = []
     for w in enumerate_functors(X, W):
-        if not all(checker.families(x, w.ob(x)) for x in X.objects):
+        domains = [checker.family_values(x, w.ob(x)) for x in X.objects]
+        if not all(domains):
             continue                    # some x has no family at w x
         search = Search()
-        slot = {x: search.slot(checker.families(x, w.ob(x))) for x in X.objects}
-        for n in X.morphism_names():
-            if X.is_identity(n):
-                continue
-            a, b, wn = slot[X.dom(n)], slot[X.cod(n)], w.mor(n)
-            keys = [((y, e), (y, p.act_l(n, y, e))) for y in Y.objects for e in p.el(y, X.dom(n))]
-            search.require(lambda v, a=a, b=b, wn=wn, keys=keys: all(
-                v[b][k2] == comp[(v[a][k], wn)] for k, k2 in keys), a, b)
-        for fams in search.solutions():
-            out.append((w, {(y, x, e): leg for x, fam in zip(X.objects, fams)
-                            for (y, e), leg in fam.items()}))
+        for domain in domains:
+            search.slot(domain)
+        for a, b, n, pairs in along:
+            search.require(lambda v, a=a, b=b, wn=w.mor(n), pairs=pairs: all(
+                v[b][j] == comp[(v[a][i], wn)] for i, j in pairs), a, b)
+        for values in search.solutions():
+            out.append((w, {(y, x, e): leg for x, vals in zip(X.objects, values)
+                            for (y, e), leg in zip(checker.slots(x), vals)}))
     return out
 
 
@@ -562,7 +627,7 @@ class CreationReport:
 
 
 def _strict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData,
-                             down: WeightedColimit, up) -> CreationReport:
+                             down: WeightedColimit, up, store: Optional[dict] = None) -> CreationReport:
     W = g.dom
     X, Y = p.src, p.tgt
 
@@ -582,7 +647,7 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData,
                               violations=[f"{len(lifts)} on-the-nose lifts (need exactly 1)"])
     w, legs = lifts[0]
     if up is _SEARCH:
-        up, _ = try_weighted_colimit(p, f)
+        up, _ = try_weighted_colimit(p, f, store)
     colimiting = colimiting_test(up)(w.on_objects, legs)
     violations = [] if colimiting else ["unique lift is not colimiting"]
     return CreationReport("strict", "colimit", colimiting, lift_count=1,
@@ -638,32 +703,72 @@ def colimiting_test(colim: Optional[WeightedColimit]):
 
 
 def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData,
-                                down: WeightedColimit, up) -> CreationReport:
-    if up is _SEARCH:
-        up, _ = try_weighted_colimit(p, f)
-    down_colimiting_test = colimiting_test(down)
-    up_colimiting_test = colimiting_test(up)
-    upstairs_exists = up is not None
-    violations = []
-    if not upstairs_exists:
-        violations.append("upstairs colimit does not exist")
+                                down: WeightedColimit, up, store: Optional[dict] = None) -> CreationReport:
+    """Is a cocone for f colimiting exactly when its g-image is?  The
+    violation names the first apex, in enumerate_cocones order, of a cocone
+    where the two differ."""
 
-    biconditional_ok = True
-    witness = None
-    for (w, legs) in enumerate_cocones(p, f):
-        down_apex = {x: g.ob(w.ob(x)) for x in p.src.objects}
-        down_legs = {key: g.mor(v) for key, v in legs.items()}
-        down_colimiting = down_colimiting_test(down_apex, down_legs)
-        up_colimiting = up_colimiting_test(w.on_objects, legs)
-        if down_colimiting != up_colimiting:
-            biconditional_ok = False
-            witness = (dict(w.on_objects), down_colimiting, up_colimiting)
-            break
-    if not biconditional_ok:
-        violations.append(f"cocone biconditional fails at apex {witness[0]}")
-    passed = upstairs_exists and biconditional_ok
+    if up is _SEARCH:
+        up, _ = try_weighted_colimit(p, f, store)
+    violations = []
+    if up is None:
+        violations.append("upstairs colimit does not exist")
+        down_colimiting = colimiting_test(down)
+        witness = next((w for (w, legs) in enumerate_cocones(p, f, store)
+                        if down_colimiting({x: g.ob(w.ob(x)) for x in p.src.objects},
+                                           {key: g.mor(v) for key, v in legs.items()})), None)
+    else:
+        witness = _first_mismatch_by_comparison(g, down, up)
+    if witness is not None:
+        violations.append(f"cocone biconditional fails at apex {dict(witness.on_objects)}")
+    passed = up is not None and witness is None
     return CreationReport("nonstrict", "colimit", passed,
-                          upstairs_exists=upstairs_exists, violations=violations)
+                          upstairs_exists=up is not None, violations=violations)
+
+
+def _first_mismatch_by_comparison(g: FunctorData, down: WeightedColimit, up: WeightedColimit):
+    """The first apex w in enumerate_functors order with a cocone for up's
+    diagram that is colimiting upstairs but not downstairs, or the other way
+    round; None when there is none.
+
+    With c = up.apex, the cocones with apex w are c's legs followed by k
+    for the natural k: c => w (Yoneda), and such a cocone is colimiting iff
+    every k_x is invertible (colimiting_test).  Its g-image factors through
+    down by h_x ; g(k_x), where h_x: down x -> g(c x) is the factor of c's
+    g-image, so it is colimiting downstairs iff every h_x ; g(k_x) is.
+    """
+
+    W, V = g.dom, g.cod
+    X = up.weight.src
+    c = up.apex
+    # (k_x invertible, h_x ; g(k_x) invertible) for every k_x out of c x
+    invertible = []
+    for x in X.objects:
+        pairs = [(leg, g.mor(up.legs[key])) for key, leg in down.legs.items() if key[1] == x]
+        hs = [k for k in V.hom(down.apex.ob(x), g.ob(c.ob(x)))
+              if all(V.comp(leg, k) == image for leg, image in pairs)]
+        if len(hs) != 1:
+            raise TheoremViolation("cocone legs must factor once through the colimit")
+        invertible.append({k: (W.inverse(k) is not None,
+                               V.inverse(V.comp(hs[0], g.mor(k))) is not None)
+                           for w0 in W.objects for k in W.hom(c.ob(x), w0)})
+    if all(up_inv == down_inv for flags in invertible for up_inv, down_inv in flags.values()):
+        return None                     # no k_x tells the two tests apart
+    comp = W.composition
+    along = [(X.objects.index(X.dom(n)), X.objects.index(X.cod(n)), n)
+             for n in X.morphism_names() if not X.is_identity(n)]
+    for w in enumerate_functors(X, W):
+        search = Search()
+        for x in X.objects:
+            search.slot(W.hom(c.ob(x), w.ob(x)))
+        for a, b, n in along:
+            search.require(lambda v, a=a, b=b, cn=c.mor(n), wn=w.mor(n):
+                           comp[(cn, v[b])] == comp[(v[a], wn)], a, b)
+        for ks in search.solutions():
+            flags = [at[k] for at, k in zip(invertible, ks)]
+            if all(up_inv for up_inv, _ in flags) != all(down_inv for _, down_inv in flags):
+                return w
+    return None
 
 
 # stands for a (co)limit that check_creation's caller did not pass in
@@ -681,15 +786,16 @@ def _limit_as_dual_colimit(pd: Distributor, diagram: FunctorData, lim: Optional[
 
 def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
                    mode: str = "strict", kind: str = "colimit", *,
-                   down=_SEARCH, up=_SEARCH) -> CreationReport:
+                   down=_SEARCH, up=_SEARCH, store: Optional[dict] = None) -> CreationReport:
     """Does g create the downstairs p-weighted (co)limit of (f ; g)?
 
     For colimits f: tgt(p) -> dom(g); for limits f: src(p) -> dom(g).  The
     limit case runs the colimit check in the formal dual and relabels.
     down and up are the (co)limits of f ; g and of f, as try_weighted_colimit
     or try_weighted_limit finds them (up is None when it does not exist);
-    omitted, they are searched here.  A cocone is colimiting when its
-    comparison map from the colimit is invertible (colimiting_test).
+    omitted, they are searched here, through store when given (see
+    _UniversalityChecker).  A cocone is colimiting when its comparison map
+    from the colimit is invertible (colimiting_test).
     """
 
     if kind == "limit":
@@ -700,15 +806,15 @@ def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
         report = check_creation(
             g_op, pd, f_op, mode=mode, kind="colimit",
             down=_limit_as_dual_colimit(pd, compose_functors(f_op, g_op), down),
-            up=_limit_as_dual_colimit(pd, f_op, up))
+            up=_limit_as_dual_colimit(pd, f_op, up), store=store)
         report.kind = "limit"
         return report
     if down is _SEARCH:
-        down, failed = try_weighted_colimit(p, compose_functors(f, g))
+        down, failed = try_weighted_colimit(p, compose_functors(f, g), store)
         if down is None:
             raise DownstairsMissing(f"downstairs colimit missing at {failed!r}")
     elif down is None:
         raise DownstairsMissing("downstairs colimit missing")
     if mode == "strict":
-        return _strict_colimit_creation(g, p, f, down, up)
-    return _nonstrict_colimit_creation(g, p, f, down, up)
+        return _strict_colimit_creation(g, p, f, down, up, store)
+    return _nonstrict_colimit_creation(g, p, f, down, up, store)

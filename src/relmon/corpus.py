@@ -550,8 +550,10 @@ def load_instance(path) -> Instance:
     root = Path(path)
     at = str(root / "manifest.json")
     manifest = load_json(root / "manifest.json")
-    _, name, _, _, roles = (check_field(manifest, key, at)
-                            for key in ("schema", "name", "categories", "functors", "roles"))
+    schema, name, _, _, roles = (check_field(manifest, key, at)
+                                 for key in ("schema", "name", "categories", "functors", "roles"))
+    if type(schema) is not int or schema != 1:
+        raise ParseFailure(field_at(at, "schema"), f"must be 1, got {schema!r}")
     if not isinstance(name, str):
         raise ParseFailure(field_at(at, "name"), "must be a string")
     if not isinstance(roles, dict):

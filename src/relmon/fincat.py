@@ -356,6 +356,7 @@ class FunctorData:
         self.cod = cod
         self.on_objects = dict(on_objects)
         self.on_morphisms = dict(on_morphisms)
+        self._table = None
 
     def ob(self, x: str) -> str:
         return self.on_objects[x]
@@ -364,7 +365,12 @@ class FunctorData:
         return self.on_morphisms[f]
 
     def table(self):
-        return (tuple(sorted(self.on_objects.items())), tuple(sorted(self.on_morphisms.items())))
+        """Both maps as sorted tuples, built on first use and kept: instances
+        are immutable by convention."""
+        if self._table is None:
+            self._table = (tuple(sorted(self.on_objects.items())),
+                           tuple(sorted(self.on_morphisms.items())))
+        return self._table
 
     def __eq__(self, other) -> bool:
         return (

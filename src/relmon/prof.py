@@ -32,7 +32,7 @@ class Distributor:
     giving the image in p(y', x); left_action is keyed (n, y, e) for
     n: x -> x' in X and e in p(y, x), giving the image in p(y, x').
     Identity actions are stored implicitly.  Instances are immutable by
-    convention; table() is built on first use and kept.
+    convention; table() and column(x) are built on first use and kept.
     """
 
     def __init__(self, src: FinCategory, tgt: FinCategory, elements,
@@ -47,6 +47,7 @@ class Distributor:
         self.right_action = dict(right_action)
         self.left_action = dict(left_action)
         self._table = None
+        self._columns: dict[str, tuple] = {}
 
     def el(self, y: str, x: str) -> tuple[str, ...]:
         return self.elements[(y, x)]
@@ -69,6 +70,25 @@ class Distributor:
                            tuple(sorted(self.right_action.items())),
                            tuple(sorted(self.left_action.items())))
         return self._table
+
+    def column(self, x: str) -> tuple:
+        """The content of p(-, x) up to the names of its elements: the
+        number of elements at each y of tgt, then the right action of each
+        non-identity m: y' -> y of tgt on p(y, x), as indices into el(y', x).
+        Built on first use and kept, like table()."""
+        column = self._columns.get(x)
+        if column is None:
+            Y = self.tgt
+            action = []
+            for m in Y.morphism_names():
+                if Y.is_identity(m):
+                    continue
+                index = {e: i for i, e in enumerate(self.elements[(Y.dom(m), x)])}
+                action.extend(index[self.right_action[(m, x, e)]]
+                              for e in self.elements[(Y.cod(m), x)])
+            column = self._columns[x] = (tuple(len(self.elements[(y, x)]) for y in Y.objects),
+                                         tuple(action))
+        return column
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Distributor) and self.src == other.src

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import shutil
 import subprocess
@@ -396,6 +398,22 @@ def saved_bundle(tmp_path):
     root = tmp_path / "inst"
     corpus.save_instance(inst, root)
     return root, json.loads((root / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("schema", [7, None, "x", True, 1.0, 2])
+def test_bundle_manifest_schema_other_than_1_is_parse_error(tmp_path, capsys, schema):
+    root, manifest = saved_bundle(tmp_path)
+    manifest["schema"] = schema
+    save_json(manifest, root / "manifest.json")
+    assert run(["validate", root, "--report", tmp_path / "rep.json"]) == 3
+    _parse_failure(capsys, tmp_path / "rep.json", f"{root / 'manifest.json'}: schema")
+
+
+def test_validate_summary_follows_redirected_stdout(files):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["validate", files / "bz2.json"]) == 0
+    assert out.getvalue().startswith("validate: PASS\n")
 
 
 @pytest.mark.parametrize("damage, where", [

@@ -230,7 +230,9 @@ def assert_nonstrict_creation_matches_reference(W, V, monkeypatch) -> set:
         except DownstairsMissing:
             continue
         with monkeypatch.context() as patch:
-            patch.setattr(colim, "_nonstrict_colimit_creation", reference.nonstrict_colimit_creation)
+            patch.setattr(colim, "_nonstrict_colimit_creation",
+                          lambda g, p, f, down, up, store:
+                          reference.nonstrict_colimit_creation(g, p, f, down, up))
             want = check_creation(g, p, f, mode="nonstrict", kind=kind).to_dict()
         assert got == want
         seen.add(got["upstairs_exists"])
@@ -251,8 +253,10 @@ def test_nonstrict_creation_matches_reference(params, params2):
 
 def test_nonstrict_creation_with_upstairs_colimit_present_and_absent(monkeypatch):
     seen = set()
+    # PP into Split has non-natural components that would tell the two
+    # tests apart at an earlier apex than any cocone does
     for W, V in (("Split", "Terminal"), ("Vee", "Interval"), ("Indisc2", "Terminal"),
-                 ("Disc2", "Disc2")):
+                 ("Disc2", "Disc2"), ("PP", "Split")):
         seen |= assert_nonstrict_creation_matches_reference(
             corpus.STANDARD_CATEGORIES[W](), corpus.STANDARD_CATEGORIES[V](), monkeypatch)
     assert seen == {True, False}

@@ -20,12 +20,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from relmon import corpus
 from relmon.census import DownstairsCensus
+from relmon.colim import verify_weighted_colimit
 from relmon.colim import check_creation, is_j_absolute, try_weighted_colimit, try_weighted_limit
 from relmon.errors import BudgetExceeded, DownstairsMissing
 from relmon.fincat import FunctorData, build_category, enumerate_functors, identity_functor
 from relmon.monadicity import creation_audit, decide_monadicity
 from relmon.prof import Distributor, enumerate_distributors
 
+from . import reference
 from .test_creation import TEST_BUDGET, candidates, generated
 
 
@@ -34,9 +36,10 @@ class Renaming:
     distributor it is given, optionally permuting listing order.  Equal
     categories get the same renaming, so functors between them compose."""
 
-    def __init__(self, seed: int, permute: bool):
+    def __init__(self, seed: int, permute: bool, categories: bool = True):
         self.rng = random.Random(seed)
         self.permute = permute
+        self.categories = categories    # False: rename distributor elements only
         self.cats = {}          # C -> (renamed C, object map, morphism map)
 
     def _fresh(self, count: int) -> list:
@@ -54,6 +57,8 @@ class Renaming:
         return items
 
     def category(self, C):
+        if C not in self.cats and not self.categories:
+            self.cats[C] = (C, {x: x for x in C.objects}, {m: m for m in C.morphism_names()})
         if C not in self.cats:
             om = dict(zip(C.objects, self._fresh(len(C.objects))))
             mm = dict(zip(C.morphism_names(), self._fresh(len(C.morphisms))))
@@ -308,3 +313,44 @@ def test_generated_questions_survive_renaming(params, root, seed, permute):
     rs = candidates(j, D)
     assume(rs)
     assert_question_survives_renaming(j, rs[0], seed, permute)
+
+
+def colimit_answer(p, f, store):
+    """try_weighted_colimit(p, f) through store, as plain data, each found
+    colimit checked against the docstring's definition."""
+    colim, failed = try_weighted_colimit(p, f, store)
+    if colim is None:
+        return None, failed
+    assert reference.cocone_is_colimiting(p, f, colim.apex, colim.legs)
+    assert verify_weighted_colimit(colim)
+    return colim.apex.table(), sorted(colim.legs.items())
+
+
+@settings(max_examples=8, deadline=None)
+@given(params=generated, seed=st.integers(min_value=0, max_value=2**16), permute=st.booleans())
+def test_shared_store_answers_survive_element_renaming(params, seed, permute):
+    """Weights and their element renamings asked through one store, in both
+    orders, answer as each asked alone: a stored answer is read back by
+    slot index into the names of whichever weight asks."""
+    W = corpus.generate_category(*params)
+    assume(W is not None)
+    ren = Renaming(seed, permute, categories=False)
+    T, I = shapes()
+    # cap 2 gives columns with equal element counts and different actions
+    weights = [p for X in (T, I) for Y in (T, I) for p in enumerate_distributors(X, Y, 1)]
+    weights += enumerate_distributors(T, I, 2)
+    pairs = []
+    for p in weights:
+        p2, el = ren.distributor(p)
+        pairs += [(p, p2, el, f) for f in enumerate_functors(p.tgt, W)]
+    questions = [q for (p, p2, _, f) in pairs for q in ((p, f), (p2, f))]
+    cold = [colimit_answer(p, f, None) for p, f in questions]
+    for order in (questions, questions[::-1]):
+        store = {}
+        warm = {id(q): colimit_answer(*q, store) for q in order}
+        assert [warm[id(q)] for q in questions] == cold
+    for (p, p2, el, f), first, second in zip(pairs, cold[::2], cold[1::2]):
+        assert (first[0] is None) == (second[0] is None)
+        if first[0] is not None and not permute:
+            assert second == (first[0], sorted(((y, x, el[(y, x, e)]), leg)
+                                               for (y, x, e), leg in first[1]))

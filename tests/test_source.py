@@ -31,3 +31,48 @@ def test_imports_are_at_module_level():
                     found.append((path.name, fn.name))
     assert [site for site in found if site not in allowed] == []
     assert len(found) == 1
+
+
+MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter",
+                 "deque", "array", "WeakKeyDictionary", "WeakValueDictionary"}
+# constant tables, never written after import
+ALLOWED_TABLES = {("corpus.py", "STANDARD_CATEGORIES"), ("corpus.py", "CANONICAL_JSON")}
+
+
+def _is_mutable_container(node) -> bool:
+    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in MUTABLE_CALLS
+    return False
+
+
+def test_no_process_wide_mutable_containers():
+    # a dict, list or set bound at module or class level, or as a default
+    # argument, lives as long as the process: a cache there outlives the
+    # run that filled it.  Caches belong to a run (census.DownstairsCensus)
+    # or to an immutable input.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if isinstance(node, ast.Assign):
+                    targets, value = node.targets, node.value
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets, value = [node.target], node.value
+                else:
+                    continue
+                for target in targets:
+                    name = ast.unparse(target)
+                    if _is_mutable_container(value) and (path.name, name) not in ALLOWED_TABLES:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for default in fn.args.defaults + [d for d in fn.args.kw_defaults if d is not None]:
+                    if _is_mutable_container(default):
+                        found.append(f"{path.name}:{default.lineno} default argument")
+    assert found == []
