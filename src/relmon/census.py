@@ -3,20 +3,22 @@
 A suite run asks the same (co)limit and creation questions again and
 again, across theorems, monads and roots.  DownstairsCensus answers each
 one once per (weight, diagram) position: it stores the (co)limit found as
-an id into one table of interned results, in rows keyed without the root
-so that every root over one E shares one search; a j-absoluteness byte,
-read first so that a warm lookup decodes nothing; and a creation byte per
-(g, kind, mode), checked with both (co)limits read from the census.  The
-class docstring gives the row layout.
+an id into one table of interned results, in one map of rows keyed by the
+diagram's target without the root, so that every root over one E and
+both ways of asking (upstairs, downstairs) share one search; a
+j-absoluteness byte, read first so that a warm lookup decodes nothing;
+and a creation byte per (g, kind, mode), checked with both (co)limits
+read from the census.  The class docstring gives the row layout.
 
-The census also keeps the weight lists its positions index: weights(X, Y,
-cap, budget) enumerates the distributors X -|-> Y once per census.  And it
-owns the pointwise store that every (co)limit search and creation check it
-runs reads and fills: one record per (diagram id, column id) with the
-colimit at one x and the natural families there, shared by every weight
-whose column p(-, x) has the same content (colim._UniversalityChecker
-gives the layout).  Positions share answers only per whole (weight,
-diagram); the store shares them per x across weights.
+Questions name a weight by a handle from weights(X, Y, cap, budget), which
+enumerates the distributors X -|-> Y once per census: a Weight holds p,
+its position in that list, the list's cap and its leg keys, so a caller
+cannot name a position the census did not hand out.  The census also owns
+the pointwise store that every (co)limit search and creation check it runs
+reads and fills: one record per (diagram id, column id) with the colimit
+at one x and the natural families there, shared by every weight whose
+column p(-, x) has the same content (colim._UniversalityChecker gives the
+layout).
 
 A suite run holds one census in its context for forgetful_creates,
 preservation_conservativity, monadicity_crosscheck, density_necessity and
@@ -43,6 +45,21 @@ NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
 _MISSING, _FIRST_ID = 1, 2
 
 
+class Weight(NamedTuple):
+    """A weight p: X -|-> Y at position index of the list that
+    DownstairsCensus.weights(X, Y, cap, budget) returned, with the keys of
+    its colimit and limit legs in the order the searches list them."""
+
+    p: Distributor
+    index: int
+    cap: int
+    colimit_legs: tuple
+    limit_legs: tuple
+
+    def legs(self, kind: str) -> tuple:
+        return self.colimit_legs if kind == "colimit" else self.limit_legs
+
+
 class Diagram(NamedTuple):
     """f: Z -> dom g at position index of enumerate_functors(Z, dom g), and
     its composite d = f ; g at position d_index of enumerate_functors(Z, cod g)."""
@@ -53,13 +70,18 @@ class Diagram(NamedTuple):
     d_index: int
 
 
-def _leg_slots(p: Distributor, kind: str) -> list:
-    """The keys of a (co)limit's legs, in the order the search lists them."""
+def _handles(weights: list, cap: int) -> list[Weight]:
+    """A Weight for each p in weights, the list at cap; equal leg keys,
+    which most weights of one list share, are held once."""
 
-    X, Y = p.src, p.tgt
-    if kind == "colimit":
-        return [(y, x, e) for x in X.objects for y in Y.objects for e in p.el(y, x)]
-    return [(x, y, e) for y in Y.objects for x in X.objects for e in p.el(y, x)]
+    legs = {}
+    out = []
+    for i, p in enumerate(weights):
+        X, Y = p.src, p.tgt
+        colimit = tuple((y, x, e) for x in X.objects for y in Y.objects for e in p.el(y, x))
+        limit = tuple((x, y, e) for y in Y.objects for x in X.objects for e in p.el(y, x))
+        out.append(Weight(p, i, cap, legs.setdefault(colimit, colimit), legs.setdefault(limit, limit)))
+    return out
 
 
 def _cell(rows: dict, key: tuple, typecode: str, n: int, weight_index: int, index: int) -> tuple:
@@ -85,175 +107,147 @@ class DownstairsCensus:
     or one creation audit and dropped with it.
 
     Rows are keyed by content, never by object identity, and indexed by
-    position: the entry for p and a diagram sits at weight_index * n +
-    diagram_index, where weight_index is p's position in the list that
-    weights(X, Y, element_cap, budget) keeps, and diagram_index the
-    diagram's position among the n functors that diagrams(Z, g) walks.
+    position: the entry for a weight handle w and a diagram Z -> C sits at
+    w.index * n + i, where i is the diagram's position among the n
+    functors of enumerate_functors(Z, C), as diagrams(Z, g) records them
+    for C = cod g and C = dom g.
 
-    * Result rows, keyed (target, X, Y, element_cap, kind) without the root,
-      hold the (co)limit of each diagram as an id into one table of interned
+    * Result rows, keyed (C, X, Y, cap, kind) without the root, hold the
+      (co)limit of each diagram into C as an id into one table of interned
       results; a result is packed as 2-byte indices of the apex's objects
-      and morphisms and of the legs into the target's objects and
-      morphisms.  Downstairs rows (diagrams into E) and upstairs rows
-      (diagrams into dom g) are kept in separate maps, so that size()
-      counts the downstairs ones; each map copies what the other knows.
-    * Absoluteness rows, keyed (root j: A -> E by content, X, Y,
-      element_cap), hold one byte per colimit: NO_COLIMIT, COLIMIT or
-      ABSOLUTE_COLIMIT, plus one.
-    * Creation rows, keyed (g by content, X, Y, element_cap, kind, mode),
-      hold one byte per question: 1 fails, 2 passes.
+      and morphisms and of the legs, in the handle's leg order, into C's
+      objects and morphisms.  A diagram f into dom g (upstairs) and a
+      diagram d into E (downstairs) read the same map, so a question asked
+      both ways is searched once.
+    * Absoluteness rows, keyed (root j: A -> E by content, X, Y, cap),
+      hold one byte per colimit: NO_COLIMIT, COLIMIT or ABSOLUTE_COLIMIT,
+      plus one.
+    * Creation rows, keyed (g by content, X, Y, cap, kind, mode), hold one
+      byte per question: 1 fails, 2 passes.
 
     Zero means unknown everywhere.
     """
 
     def __init__(self):
         self._absolute: dict[tuple, array] = {}
-        self._downstairs: dict[tuple, array] = {}
-        self._upstairs: dict[tuple, array] = {}
+        self._found: dict[tuple, array] = {}
         self._creations: dict[tuple, array] = {}
         self._results: list[bytes] = []
         self._result_ids: dict[bytes, int] = {}
         self._positions: dict[tuple, dict] = {}
-        self._counts: dict[tuple, int] = {}
         self._contents: dict[tuple, tuple] = {}
         self._dual = (None, None)
         self._weights: dict[tuple, list] = {}
         self._pointwise: dict[tuple, dict] = {}
 
-    def weights(self, X: FinCategory, Y: FinCategory, element_cap: int, budget: int) -> list:
-        """enumerate_distributors(X, Y, element_cap, budget), computed once per
-        census.  The budget is part of the key because it decides whether the
-        enumeration raises BudgetExceeded."""
+    def weights(self, X: FinCategory, Y: FinCategory, cap: int, budget: int) -> list[Weight]:
+        """A handle for each of enumerate_distributors(X, Y, cap, budget),
+        computed once per census.  The budget is part of the key because it
+        decides whether the enumeration raises BudgetExceeded."""
 
-        key = (X, Y, element_cap, budget)
+        key = (X, Y, cap, budget)
         weights = self._weights.get(key)
         if weights is None:
-            weights = self._weights[key] = prof.enumerate_distributors(X, Y, element_cap, budget)
+            weights = self._weights[key] = _handles(prof.enumerate_distributors(X, Y, cap, budget), cap)
         return weights
 
     def diagrams(self, Z: FinCategory, g: FunctorData) -> list[Diagram]:
-        """Every f: Z -> dom g in enumerate_functors order, with f ; g and its position."""
+        """Every f: Z -> dom g in enumerate_functors order, with f ; g and its
+        position, recording the positions of both enumerations."""
 
-        E = g.cod
-        positions = self._positions.get((Z, E))
-        if positions is None:
-            positions = {d.table(): i for i, d in enumerate(fincat.enumerate_functors(Z, E))}
-            self._positions[(Z, E)] = positions
-        out = []
-        for i, f in enumerate(fincat.enumerate_functors(Z, g.dom)):
-            d = compose_functors(f, g)
-            out.append(Diagram(f, i, d, positions[d.table()]))
-        self._counts[(Z, g.dom)] = len(out)
-        return out
+        positions, E = self._positions, g.cod
+        if (Z, E) not in positions:
+            positions[(Z, E)] = {d.table(): i for i, d in enumerate(fincat.enumerate_functors(Z, E))}
+        fs = list(fincat.enumerate_functors(Z, g.dom))
+        if (Z, g.dom) not in positions:
+            positions[(Z, g.dom)] = {f.table(): i for i, f in enumerate(fs)}
+        down, ds = positions[(Z, E)], [compose_functors(f, g) for f in fs]
+        return [Diagram(f, i, d, down[d.table()]) for i, (f, d) in enumerate(zip(fs, ds))]
 
-    def colimit(self, j: FunctorData, p: Distributor, weight_index: int, diagram: Diagram,
-                element_cap: int) -> int:
-        """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the p-weighted colimit of diagram.d."""
+    def colimit(self, j: FunctorData, w: Weight, diagram: Diagram) -> int:
+        """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the w.p-weighted colimit of diagram.d."""
 
         d = diagram.d
-        n = len(self._positions[(p.tgt, d.cod)])
-        key = (self._content(j), p.src, p.tgt, element_cap)
-        row, pos = _cell(self._absolute, key, "B", n, weight_index, diagram.d_index)
+        n = len(self._positions[(d.dom, d.cod)])
+        key = (self._content(j), w.p.src, w.p.tgt, w.cap)
+        row, pos = _cell(self._absolute, key, "B", n, w.index, diagram.d_index)
         if not row[pos]:
-            down = self.downstairs(p, weight_index, diagram, element_cap, "colimit")
+            down = self.downstairs(w, diagram, "colimit")
             if down is None:
                 row[pos] = NO_COLIMIT + 1
             else:
                 row[pos] = (ABSOLUTE_COLIMIT if colim.is_j_absolute(j, down)[0] else COLIMIT) + 1
         return row[pos] - 1
 
-    def limit(self, p: Distributor, weight_index: int, diagram: Diagram, element_cap: int) -> bool:
-        """Does the p-weighted limit of diagram.d exist?"""
+    def limit(self, w: Weight, diagram: Diagram) -> bool:
+        """Does the w.p-weighted limit of diagram.d exist?"""
 
-        return self._entry(False, p, weight_index, diagram, element_cap, "limit")[0] != _MISSING
+        return self._entry(w, diagram.d, diagram.d_index, "limit")[0] != _MISSING
 
-    def downstairs(self, p: Distributor, weight_index: int, diagram: Diagram, element_cap: int,
-                   kind: str):
-        """The p-weighted (co)limit of diagram.d, as try_weighted_colimit or
+    def downstairs(self, w: Weight, diagram: Diagram, kind: str):
+        """The w.p-weighted (co)limit of diagram.d, as try_weighted_colimit or
         try_weighted_limit finds it, or None."""
 
-        return self._result(False, p, weight_index, diagram, element_cap, kind)
+        return self._result(w, diagram.d, diagram.d_index, kind)
 
-    def upstairs(self, p: Distributor, weight_index: int, diagram: Diagram, element_cap: int,
-                 kind: str):
-        """The p-weighted (co)limit of diagram.f, or None."""
+    def upstairs(self, w: Weight, diagram: Diagram, kind: str):
+        """The w.p-weighted (co)limit of diagram.f, or None."""
 
-        return self._result(True, p, weight_index, diagram, element_cap, kind)
+        return self._result(w, diagram.f, diagram.index, kind)
 
-    def creation(self, g: FunctorData, p: Distributor, weight_index: int, diagram: Diagram,
-                 element_cap: int, kind: str, mode: str) -> bool:
-        """check_creation(g, p, diagram.f, mode, kind).passed, checked once per
-        census with both (co)limits read from it."""
+    def creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str, mode: str) -> bool:
+        """check_creation(g, w.p, diagram.f, mode, kind).passed, checked once
+        per census with both (co)limits read from it."""
 
         f = diagram.f
-        n = self._counts[(f.dom, f.cod)]
-        key = (self._content(g), p.src, p.tgt, element_cap, kind, mode)
-        row, pos = _cell(self._creations, key, "B", n, weight_index, diagram.index)
+        n = len(self._positions[(f.dom, f.cod)])
+        key = (self._content(g), w.p.src, w.p.tgt, w.cap, kind, mode)
+        row, pos = _cell(self._creations, key, "B", n, w.index, diagram.index)
         if not row[pos]:
             report = colim.check_creation(
-                g, p, f, mode=mode, kind=kind,
-                down=self.downstairs(p, weight_index, diagram, element_cap, kind),
-                up=self.upstairs(p, weight_index, diagram, element_cap, kind),
+                g, w.p, f, mode=mode, kind=kind,
+                down=self.downstairs(w, diagram, kind), up=self.upstairs(w, diagram, kind),
                 store=self._pointwise)
             row[pos] = 1 + report.passed
         return row[pos] == 2
 
-    def size(self) -> tuple[int, int]:
-        """(rows, bytes) held for diagrams into E: absoluteness and downstairs result rows."""
-
-        rows = list(self._absolute.values()) + list(self._downstairs.values())
-        return len(rows), sum(len(row) * row.itemsize for row in rows)
-
-    def _entry(self, upstairs: bool, p: Distributor, weight_index: int, diagram: Diagram,
-               element_cap: int, kind: str) -> tuple:
+    def _entry(self, w: Weight, d: FunctorData, index: int, kind: str) -> tuple:
         """(row entry, the (co)limit when it was searched now, else None) for
-        diagram.f (upstairs) or diagram.d.  An entry known at the same
-        position of the same row in the other map is copied, not searched."""
+        the diagram d at position index of enumerate_functors(d.dom, d.cod)."""
 
-        if upstairs:
-            rows, other, d, index = self._upstairs, self._downstairs, diagram.f, diagram.index
-            n = self._counts[(d.dom, d.cod)]
-        else:
-            rows, other, d, index = self._downstairs, self._upstairs, diagram.d, diagram.d_index
-            n = len(self._positions[(d.dom, d.cod)])
-        key = (d.cod, p.src, p.tgt, element_cap, kind)
-        row, pos = _cell(rows, key, "I", n, weight_index, index)
-        if not row[pos]:
-            known = other.get(key)
-            if known is not None and pos < len(known):
-                row[pos] = known[pos]
+        p = w.p
+        n = len(self._positions[(d.dom, d.cod)])
+        row, pos = _cell(self._found, (d.cod, p.src, p.tgt, w.cap, kind), "I", n, w.index, index)
         if row[pos]:
             return row[pos], None
         if kind == "colimit":
             found, _ = colim.try_weighted_colimit(p, d, store=self._pointwise)
         else:
             found, _ = colim.dual_limit_search(p, self._dual_of(p), d, store=self._pointwise)
-        row[pos] = _MISSING if found is None else self._intern(found, kind) + _FIRST_ID
+        row[pos] = _MISSING if found is None else self._intern(w, found, kind) + _FIRST_ID
         return row[pos], found
 
-    def _result(self, upstairs: bool, p: Distributor, weight_index: int, diagram: Diagram,
-                element_cap: int, kind: str):
-        entry, found = self._entry(upstairs, p, weight_index, diagram, element_cap, kind)
+    def _result(self, w: Weight, d: FunctorData, index: int, kind: str):
+        entry, found = self._entry(w, d, index, kind)
         if found is not None or entry == _MISSING:
             return found
-        d = diagram.f if upstairs else diagram.d
         W = d.cod
-        Z = p.src if kind == "colimit" else p.tgt
+        Z = w.p.src if kind == "colimit" else w.p.tgt
         code = array("H", self._results[entry - _FIRST_ID])
         objects, names = Z.objects, Z.morphism_names()
         n_ob, n_mor = len(objects), len(names)
         W_names = W.morphism_names()
         apex = FunctorData(Z, W, {z: W.objects[i] for z, i in zip(objects, code)},
                            {m: W_names[i] for m, i in zip(names, code[n_ob:])})
-        legs = {s: W_names[i] for s, i in zip(_leg_slots(p, kind), code[n_ob + n_mor:])}
-        return (WeightedColimit if kind == "colimit" else WeightedLimit)(p, d, apex, legs)
+        legs = {s: W_names[i] for s, i in zip(w.legs(kind), code[n_ob + n_mor:])}
+        return (WeightedColimit if kind == "colimit" else WeightedLimit)(w.p, d, apex, legs)
 
-    def _intern(self, found, kind: str) -> int:
+    def _intern(self, w: Weight, found, kind: str) -> int:
         W = found.diagram.cod
         apex = found.apex
         code = array("H", [W._obj_index[apex.ob(z)] for z in apex.dom.objects]
                      + [W._mor_index[apex.mor(m)] for m in apex.dom.morphism_names()]
-                     + [W._mor_index[found.legs[s]] for s in _leg_slots(found.weight, kind)]).tobytes()
+                     + [W._mor_index[found.legs[s]] for s in w.legs(kind)]).tobytes()
         result_id = self._result_ids.get(code)
         if result_id is None:
             result_id = self._result_ids[code] = len(self._results)

@@ -684,22 +684,33 @@ def colimiting_test(colim: Optional[WeightedColimit]):
     if colim is None:
         return lambda apex_objects, legs: False
     W = colim.diagram.cod
-    comp = W.composition
+    at_x = _legs_at_x(colim)
+
+    def colimiting(apex_objects: dict, legs: dict) -> bool:
+        return all(W.inverse(_comparison(W, c, apex_objects[x], pairs, legs)) is not None
+                   for x, (c, pairs) in at_x.items())
+
+    return colimiting
+
+
+def _legs_at_x(colim: WeightedColimit) -> dict:
+    """{x: (colim's apex at x, [(key, leg)] for its legs at x)}, in listing order."""
+
     at_x = {x: (colim.apex.ob(x), []) for x in colim.weight.src.objects}
     for key, leg in colim.legs.items():
         at_x[key[1]][1].append((key, leg))
+    return at_x
 
-    def colimiting(apex_objects: dict, legs: dict) -> bool:
-        for x, (c, pairs) in at_x.items():
-            ks = [k for k in W.hom(c, apex_objects[x])
-                  if all(comp[(leg, k)] == legs[key] for key, leg in pairs)]
-            if len(ks) != 1:
-                raise TheoremViolation("cocone legs must factor once through the colimit")
-            if W.inverse(ks[0]) is None:
-                return False
-        return True
 
-    return colimiting
+def _comparison(W: FinCategory, c: str, w: str, pairs: list, legs: dict) -> str:
+    """The unique k: c -> w with leg ; k = legs[key] for each (key, leg) in pairs,
+    a colimit's legs at one x; TheoremViolation unless exactly one k exists."""
+
+    comp = W.composition
+    ks = [k for k in W.hom(c, w) if all(comp[(leg, k)] == legs[key] for key, leg in pairs)]
+    if len(ks) != 1:
+        raise TheoremViolation("cocone legs must factor once through the colimit")
+    return ks[0]
 
 
 def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData,
@@ -742,15 +753,12 @@ def _first_mismatch_by_comparison(g: FunctorData, down: WeightedColimit, up: Wei
     X = up.weight.src
     c = up.apex
     # (k_x invertible, h_x ; g(k_x) invertible) for every k_x out of c x
+    images = {key: g.mor(leg) for key, leg in up.legs.items()}
     invertible = []
-    for x in X.objects:
-        pairs = [(leg, g.mor(up.legs[key])) for key, leg in down.legs.items() if key[1] == x]
-        hs = [k for k in V.hom(down.apex.ob(x), g.ob(c.ob(x)))
-              if all(V.comp(leg, k) == image for leg, image in pairs)]
-        if len(hs) != 1:
-            raise TheoremViolation("cocone legs must factor once through the colimit")
+    for x, (d_x, pairs) in _legs_at_x(down).items():
+        h = _comparison(V, d_x, g.ob(c.ob(x)), pairs, images)
         invertible.append({k: (W.inverse(k) is not None,
-                               V.inverse(V.comp(hs[0], g.mor(k))) is not None)
+                               V.inverse(V.comp(h, g.mor(k))) is not None)
                            for w0 in W.objects for k in W.hom(c.ob(x), w0)})
     if all(up_inv == down_inv for flags in invertible for up_inv, down_inv in flags.values()):
         return None                     # no k_x tells the two tests apart

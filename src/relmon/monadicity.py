@@ -227,19 +227,18 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
             except BudgetExceeded:
                 report.inconclusive_at_bound[f"{X.name}->{Y.name}"] = "weight census over budget"
                 continue
-            for widx, p in enumerate(weights):
+            for w in weights:
                 for diagram in diagrams[Y]:
-                    verdict = census.colimit(j, p, widx, diagram, element_cap)
+                    verdict = census.colimit(j, w, diagram)
                     if verdict == NO_COLIMIT:
                         continue
                     tested += 1
                     if verdict != ABSOLUTE_COLIMIT:
                         continue
                     absolute_count += 1
-                    strict = census.creation(r, p, widx, diagram, element_cap, "colimit", "strict")
-                    nonstrict = census.creation(r, p, widx, diagram, element_cap, "colimit",
-                                                "nonstrict")
-                    item = AuditItem((X.name, Y.name), widx, dict(diagram.f.on_objects),
+                    strict = census.creation(r, w, diagram, "colimit", "strict")
+                    nonstrict = census.creation(r, w, diagram, "colimit", "nonstrict")
+                    item = AuditItem((X.name, Y.name), w.index, dict(diagram.f.on_objects),
                                      "colimit", True, strict, nonstrict)
                     report.items.append(item)
     report.census = {

@@ -166,23 +166,23 @@ def _check_forgetful_conservative(ctx) -> SuiteResult:
 
 
 def _creation_items(ctx, j, u):
-    """Audited (kind, p, weight index, diagram) items for the forgetful functor u."""
+    """Audited (kind, weight, diagram) items for the forgetful functor u."""
 
-    census, cap = ctx.census, ctx.element_cap
+    census = ctx.census
     diagrams = {Z: census.diagrams(Z, u) for Z in ctx.shape_family}
     for X in ctx.shape_family:
         for Y in ctx.shape_family:
             try:
-                weights = census.weights(X, Y, cap, ctx.budget)
+                weights = census.weights(X, Y, ctx.element_cap, ctx.budget)
             except BudgetExceeded:
                 continue
-            for widx, p in enumerate(weights):
+            for w in weights:
                 for diagram in diagrams[Y]:
-                    if census.colimit(j, p, widx, diagram, cap) == ABSOLUTE_COLIMIT:
-                        yield ("colimit", p, widx, diagram)
+                    if census.colimit(j, w, diagram) == ABSOLUTE_COLIMIT:
+                        yield ("colimit", w, diagram)
                 for diagram in diagrams[X]:
-                    if census.limit(p, widx, diagram, cap):
-                        yield ("limit", p, widx, diagram)
+                    if census.limit(w, diagram):
+                        yield ("limit", w, diagram)
 
 
 def _check_forgetful_creates(ctx) -> SuiteResult:
@@ -192,13 +192,13 @@ def _check_forgetful_creates(ctx) -> SuiteResult:
     checked = 0
     for inst, role, T in ctx.monad_entries():
         u = ctx.algcat(inst, role).u
-        for kind, p, widx, diagram in _creation_items(ctx, T.j, u):
+        for kind, w, diagram in _creation_items(ctx, T.j, u):
             for mode in ("strict", "nonstrict"):
                 checked += 1
-                if not ctx.census.creation(u, p, widx, diagram, ctx.element_cap, kind, mode):
+                if not ctx.census.creation(u, w, diagram, kind, mode):
                     details.append(
                         f"{inst.name}/{role}: {mode} {kind} creation fails "
-                        f"(weight {p.src.name}->{p.tgt.name}, diagram {dict(diagram.f.on_objects)})")
+                        f"(weight {w.p.src.name}->{w.p.tgt.name}, diagram {dict(diagram.f.on_objects)})")
     return SuiteResult("forgetful_creates", not details, checked, details)
 
 
@@ -217,38 +217,35 @@ def _check_preservation_conservativity(ctx) -> SuiteResult:
         for X in shapes:
             for Y in shapes:
                 try:
-                    cap, weights = _small_weights(ctx, X, Y)
+                    weights = _small_weights(ctx, X, Y)
                 except BudgetExceeded:
                     continue
-                for widx, p in weights:
+                for w in weights:
                     for diagram in diagrams[Y]:
-                        up = census.upstairs(p, widx, diagram, cap, "colimit")
+                        up = census.upstairs(w, diagram, "colimit")
                         if up is None:
                             continue
-                        preserved = colimiting_test(census.downstairs(p, widx, diagram, cap, "colimit"))
+                        preserved = colimiting_test(census.downstairs(w, diagram, "colimit"))
                         if not preserved({x: g.ob(up.apex.ob(x)) for x in X.objects},
                                          {key: g.mor(v) for key, v in up.legs.items()}):
                             continue
                         checked += 1
-                        if not census.creation(g, p, widx, diagram, cap, "colimit", "nonstrict"):
+                        if not census.creation(g, w, diagram, "colimit", "nonstrict"):
                             details.append(f"{inst.name}/{role}: preserved colimit not non-strictly created")
     return SuiteResult("preservation_conservativity", not details, checked, details)
 
 
 def _small_weights(ctx, X, Y):
-    """(cap, [(i, p)]): the weights X -|-> Y with at most one element per
-    component, each at its position i in ctx.census.weights(X, Y, cap, budget).
-    cap is the suite's element cap, whose census rows forgetful_creates has
-    filled, or 1 when that census is over budget.  Both lists hold the small
-    weights in the same order."""
+    """Handles of the weights X -|-> Y with at most one element per
+    component, from the census's list at the suite's element cap, whose
+    rows forgetful_creates has filled, or at cap 1 when that list is over
+    budget.  Both lists hold the small weights in the same order."""
 
-    small = min(ctx.element_cap, 1)
     try:
-        cap, weights = ctx.element_cap, ctx.census.weights(X, Y, ctx.element_cap, ctx.budget)
+        weights = ctx.census.weights(X, Y, ctx.element_cap, ctx.budget)
     except BudgetExceeded:
-        cap, weights = small, ctx.census.weights(X, Y, small, ctx.budget)
-    return cap, [(i, p) for i, p in enumerate(weights)
-                 if all(len(p.el(y, x)) <= 1 for y in Y.objects for x in X.objects)]
+        weights = ctx.census.weights(X, Y, min(ctx.element_cap, 1), ctx.budget)
+    return [w for w in weights if all(len(w.p.el(y, x)) <= 1 for y in Y.objects for x in X.objects)]
 
 
 def _check_algebra_object_up(ctx) -> SuiteResult:
@@ -484,27 +481,26 @@ def _algebraic_creation_sample(ctx, j, r, i):
     census = ctx.census
     Tm = terminal_category()
     try:
-        cap, weights = _small_weights(ctx, Tm, Tm)
+        weights = _small_weights(ctx, Tm, Tm)
     except BudgetExceeded:
         return out
     diagrams = census.diagrams(Tm, i)
     diagrams_r = census.diagrams(Tm, compose_functors(i, r))
-    for widx, p in weights:
+    for w in weights:
         for diagram, diagram_r in zip(diagrams, diagrams_r):
-            if census.colimit(j, p, widx, diagram_r, cap) != ABSOLUTE_COLIMIT:
+            if census.colimit(j, w, diagram_r) != ABSOLUTE_COLIMIT:
                 continue
-            down = census.downstairs(p, widx, diagram, cap, "colimit")
+            down = census.downstairs(w, diagram, "colimit")
             if down is None:
                 continue
-            preserved = colimiting_test(census.downstairs(p, widx, diagram_r, cap, "colimit"))
+            preserved = colimiting_test(census.downstairs(w, diagram_r, "colimit"))
             if not preserved({x: r.ob(down.apex.ob(x)) for x in Tm.objects},
                              {key: r.mor(v) for key, v in down.legs.items()}):
                 continue
-            if not census.creation(i, p, widx, diagram, cap, "colimit", "nonstrict"):
+            if not census.creation(i, w, diagram, "colimit", "nonstrict"):
                 out.append("colimit sent to j-absolute not non-strictly created")
         for diagram in diagrams:
-            if census.limit(p, widx, diagram, cap) and not census.creation(
-                    i, p, widx, diagram, cap, "limit", "nonstrict"):
+            if census.limit(w, diagram) and not census.creation(i, w, diagram, "limit", "nonstrict"):
                 out.append("limit not non-strictly created")
     return out
 

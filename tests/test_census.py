@@ -15,9 +15,10 @@ from relmon.colim import (
 )
 from relmon.errors import BudgetExceeded
 from relmon.fincat import enumerate_functors, identity_functor
-from relmon.monad import enumerate_relative_monads
-from relmon.monadicity import creation_audit, run_theorem_suite
+from relmon.monad import budget_limit, enumerate_relative_monads
+from relmon.monadicity import creation_audit, default_shape_family, run_theorem_suite
 from relmon.prof import enumerate_distributors
+from relmon.suite import _Context, _small_weights
 
 SHAPES = {"Terminal": corpus.terminal_category, "Interval": corpus.interval_category,
           "Disc2": corpus.disc2_category}
@@ -48,13 +49,13 @@ def test_census_matches_direct_searches(seed, objects, max_hom, shapes):
         for j in roots:
             for X in shape_cats:
                 for Y in shape_cats:
-                    for widx, p in enumerate(enumerate_distributors(X, Y, 1)):
+                    for w in census.weights(X, Y, 1, 200_000):
                         for diagram in census.diagrams(Y, identity_functor(E)):
-                            assert census.colimit(j, p, widx, diagram, 1) == (
-                                direct_colimit_verdict(j, p, diagram.d))
+                            assert census.colimit(j, w, diagram) == (
+                                direct_colimit_verdict(j, w.p, diagram.d))
                         for diagram in census.diagrams(X, identity_functor(E)):
-                            assert census.limit(p, widx, diagram, 1) == (
-                                try_weighted_limit(p, diagram.d)[0] is not None)
+                            assert census.limit(w, diagram) == (
+                                try_weighted_limit(w.p, diagram.d)[0] is not None)
 
 
 def same_result(stored, found) -> bool:
@@ -72,24 +73,30 @@ def same_result(stored, found) -> bool:
        max_hom=st.integers(min_value=1, max_value=2))
 def test_stored_results_equal_searches(seed, objects, max_hom):
     """Stored downstairs and upstairs (co)limits equal try_weighted_colimit and
-    try_weighted_limit, whether searched, read back or copied across."""
+    try_weighted_limit, whether searched or read back, from a diagram into E
+    asked either way.  The cap-2 weights Terminal -|-> Interval have two
+    elements in one component, so their legs go through the packed codec."""
     E = corpus.generate_category(seed, objects, max_hom)
     D = corpus.generate_category(seed + 1, objects, max_hom)
     assume(E is not None and D is not None)
     census = DownstairsCensus()
     search = {"colimit": try_weighted_colimit, "limit": try_weighted_limit}
     functors = [identity_functor(E)] + list(enumerate_functors(D, E))[:2]
+    T, I = corpus.terminal_category(), corpus.interval_category()
+    weights = [w for X in (T, I) for Y in (T, corpus.disc2_category())
+               for w in census.weights(X, Y, 1, 200_000)]
+    weights += census.weights(T, I, 2, 200_000)
+    assert any(len(w.p.el(y, x)) == 2 for w in weights for y in w.p.tgt.objects
+               for x in w.p.src.objects)
     for _ in range(2):
         for g in functors:
-            for X in (corpus.terminal_category(), corpus.interval_category()):
-                for Y in (corpus.terminal_category(), corpus.disc2_category()):
-                    for widx, p in enumerate(enumerate_distributors(X, Y, 1)):
-                        for kind, Z in (("colimit", Y), ("limit", X)):
-                            for diagram in census.diagrams(Z, g):
-                                assert same_result(census.downstairs(p, widx, diagram, 1, kind),
-                                                   search[kind](p, diagram.d)[0])
-                                assert same_result(census.upstairs(p, widx, diagram, 1, kind),
-                                                   search[kind](p, diagram.f)[0])
+            for w in weights:
+                for kind, Z in (("colimit", w.p.tgt), ("limit", w.p.src)):
+                    for diagram in census.diagrams(Z, g):
+                        assert same_result(census.downstairs(w, diagram, kind),
+                                           search[kind](w.p, diagram.d)[0])
+                        assert same_result(census.upstairs(w, diagram, kind),
+                                           search[kind](w.p, diagram.f)[0])
 
 
 def _audit_questions():
@@ -103,13 +110,15 @@ def test_census_keeps_one_weight_list_per_categories_cap_and_budget():
     census = DownstairsCensus()
     T = corpus.terminal_category()
     first = census.weights(T, T, 1, 200_000)
-    assert [p.table() for p in first] == [p.table() for p in enumerate_distributors(T, T, 1)]
+    assert [w.p.table() for w in first] == [p.table() for p in enumerate_distributors(T, T, 1)]
+    # each handle names its own position and its list's cap
+    assert [(w.index, w.cap) for w in first] == [(i, 1) for i in range(len(first))]
     # equal-content categories built separately get the same list
     assert census.weights(corpus.terminal_category(), corpus.terminal_category(), 1, 200_000) is first
     assert len(census.weights(T, T, 2, 200_000)) > len(first)
     # a fresh census rebuilds an equal list
     again = DownstairsCensus().weights(T, T, 1, 200_000)
-    assert again is not first and [p.table() for p in again] == [p.table() for p in first]
+    assert again is not first and [w.p.table() for w in again] == [w.p.table() for w in first]
     # a list kept under a larger budget is not returned under one it exceeds
     with pytest.raises(BudgetExceeded):
         census.weights(T, T, 1, 1)
@@ -125,14 +134,21 @@ def test_audit_identical_with_cold_and_warm_census():
         return rep.to_dict()
 
     cold = {"r1": audit(r1, DownstairsCensus()), "r2": audit(r2, DownstairsCensus())}
+    E = j.cod
+
+    def rows_into_E(census):
+        """The absoluteness rows and the result rows of diagrams into E."""
+        return set(census._absolute), {key for key in census._found if key[0] == E}
+
     for first, second in (("r1", "r2"), ("r2", "r1")):
         census = DownstairsCensus()
         r = {"r1": r1, "r2": r2}
         assert audit(r[first], census) == cold[first]
-        rows = census.size()[0]
+        rows = rows_into_E(census)
+        assert rows[0] and rows[1]
         assert audit(r[second], census) == cold[second]
-        # both questions read and write the same rows: the second ran warm
-        assert census.size()[0] == rows
+        # both questions read and write the same rows into E: the second ran warm
+        assert rows_into_E(census) == rows
     # an audit without a census argument makes its own
     assert creation_audit(j, r1, shapes, 1).to_dict() == cold["r1"]
 
@@ -150,3 +166,18 @@ def test_two_suite_runs_in_one_process_give_identical_reports():
     # the three theorems that share the census all did work
     assert checked["forgetful_creates"] and checked["monadicity_crosscheck"]
     assert checked["density_necessity"]
+
+
+def test_small_weights_of_the_cap_2_list_are_the_cap_1_list():
+    """preservation_conservativity and algebraic_tight_cells read the small
+    weights from the cap-2 list, or from the cap-1 list when the cap-2 list
+    is over budget: both must give the same tables in the same order."""
+    shapes = default_shape_family()
+    budget = budget_limit()
+    ctx = _Context([], shapes, 2, budget)
+    for X in shapes:
+        for Y in shapes:
+            small = _small_weights(ctx, X, Y)
+            assert {w.cap for w in small} == {2}
+            assert [w.p.table() for w in small] == (
+                [w.p.table() for w in ctx.census.weights(X, Y, 1, budget)])

@@ -159,25 +159,25 @@ def creation_verdicts(census, j, gs):
         diagrams = {Z: fresh.diagrams(Z, g) for Z in shapes()}
         for X in shapes():
             for Y in shapes():
-                for widx, p in enumerate(enumerate_distributors(X, Y, 1)):
+                for w in fresh.weights(X, Y, 1, TEST_BUDGET):
                     for diagram in diagrams[Y]:
-                        down, _ = try_weighted_colimit(p, diagram.d)
+                        down, _ = try_weighted_colimit(w.p, diagram.d)
                         if down is None or not is_j_absolute(j, down)[0]:
                             continue
                         for mode in ("strict", "nonstrict"):
-                            out.append(verdict(census, g, p, widx, diagram, "colimit", mode))
+                            out.append(verdict(census, g, w, diagram, "colimit", mode))
                     for diagram in diagrams[X]:
-                        if try_weighted_limit(p, diagram.d)[0] is None:
+                        if try_weighted_limit(w.p, diagram.d)[0] is None:
                             continue
                         for mode in ("strict", "nonstrict"):
-                            out.append(verdict(census, g, p, widx, diagram, "limit", mode))
+                            out.append(verdict(census, g, w, diagram, "limit", mode))
     return out
 
 
-def verdict(census, g, p, widx, diagram, kind, mode):
+def verdict(census, g, w, diagram, kind, mode):
     if census is None:
-        return check_creation(g, p, diagram.f, mode=mode, kind=kind).passed
-    return census.creation(g, p, widx, diagram, 1, kind, mode)
+        return check_creation(g, w.p, diagram.f, mode=mode, kind=kind).passed
+    return census.creation(g, w, diagram, kind, mode)
 
 
 @settings(max_examples=8, deadline=None)
