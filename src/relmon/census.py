@@ -7,8 +7,9 @@ an id into one table of interned results, in one map of rows keyed by the
 diagram's target without the root, so that every root over one E and
 both ways of asking (upstairs, downstairs) share one search; a
 j-absoluteness byte, read first so that a warm lookup decodes nothing;
-and a creation byte per (g, kind, mode), checked with both (co)limits
-read from the census.  The class docstring gives the row layout.
+and a creation byte per (g, kind) holding both modes' verdicts, checked
+together with both (co)limits read from the census once.  The class
+docstring gives the row layout.
 
 Questions name a weight by a handle from weights(X, Y, cap, budget), which
 enumerates the distributors X -|-> Y once per census: a Weight holds p,
@@ -18,7 +19,10 @@ the pointwise store that every (co)limit search and creation check it runs
 reads and fills: one record per (diagram id, column id) with the colimit
 at one x and the natural families there, shared by every weight whose
 column p(-, x) has the same content (colim._UniversalityChecker gives the
-layout).
+layout), and per (root, diagram id) the j-absoluteness at each column
+(colim.is_j_absolute).  Limit creation is checked in the dual: g's
+opposite is built once per census, and a weight's dual once while its
+positions are asked in a row, not once per position.
 
 A suite run holds one census in its context for forgetful_creates,
 preservation_conservativity, monadicity_crosscheck, density_necessity and
@@ -43,6 +47,9 @@ from .prof import Distributor, dual_distributor
 NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
 # result rows hold 0 (not searched), _MISSING, or a result's id + _FIRST_ID
 _MISSING, _FIRST_ID = 1, 2
+# a creation byte: _CHECKED, plus _PASSED << i for each _MODES[i] whose check passed
+_CHECKED, _PASSED = 1, 2
+_MODES = ("strict", "nonstrict")
 
 
 class Weight(NamedTuple):
@@ -122,8 +129,10 @@ class DownstairsCensus:
     * Absoluteness rows, keyed (root j: A -> E by content, X, Y, cap),
       hold one byte per colimit: NO_COLIMIT, COLIMIT or ABSOLUTE_COLIMIT,
       plus one.
-    * Creation rows, keyed (g by content, X, Y, cap, kind, mode), hold one
-      byte per question: 1 fails, 2 passes.
+    * Creation rows, keyed (g by content, X, Y, cap, kind) without the
+      mode, hold one byte per position: _CHECKED, plus _PASSED << i for
+      each mode _MODES[i] that passes.  The first question at a position
+      checks both modes.
 
     Zero means unknown everywhere.
     """
@@ -137,6 +146,7 @@ class DownstairsCensus:
         self._positions: dict[tuple, dict] = {}
         self._contents: dict[tuple, tuple] = {}
         self._dual = (None, None)
+        self._opposites: dict[tuple, FunctorData] = {}
         self._weights: dict[tuple, list] = {}
         self._pointwise: dict[tuple, dict] = {}
 
@@ -176,7 +186,8 @@ class DownstairsCensus:
             if down is None:
                 row[pos] = NO_COLIMIT + 1
             else:
-                row[pos] = (ABSOLUTE_COLIMIT if colim.is_j_absolute(j, down)[0] else COLIMIT) + 1
+                absolute, _ = colim.is_j_absolute(j, down, store=self._pointwise)
+                row[pos] = (ABSOLUTE_COLIMIT if absolute else COLIMIT) + 1
         return row[pos] - 1
 
     def limit(self, w: Weight, diagram: Diagram) -> bool:
@@ -196,20 +207,28 @@ class DownstairsCensus:
         return self._result(w, diagram.f, diagram.index, kind)
 
     def creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str, mode: str) -> bool:
-        """check_creation(g, w.p, diagram.f, mode, kind).passed, checked once
-        per census with both (co)limits read from it."""
+        """check_creation(g, w.p, diagram.f, mode, kind).passed.  The first
+        question at a position checks both modes, with both (co)limits read
+        from the census once, and the census keeps both verdicts."""
 
         f = diagram.f
         n = len(self._positions[(f.dom, f.cod)])
-        key = (self._content(g), w.p.src, w.p.tgt, w.cap, kind, mode)
-        row, pos = _cell(self._creations, key, "B", n, w.index, diagram.index)
+        g_key = self._content(g)
+        row, pos = _cell(self._creations, (g_key, w.p.src, w.p.tgt, w.cap, kind), "B",
+                         n, w.index, diagram.index)
         if not row[pos]:
-            report = colim.check_creation(
-                g, w.p, f, mode=mode, kind=kind,
-                down=self.downstairs(w, diagram, kind), up=self.upstairs(w, diagram, kind),
-                store=self._pointwise)
-            row[pos] = 1 + report.passed
-        return row[pos] == 2
+            down, up = self.downstairs(w, diagram, kind), self.upstairs(w, diagram, kind)
+            g_op = pd = None
+            if kind == "limit":
+                g_op, pd = self._opposite(g_key, g), self._dual_of(w.p)
+            verdicts = _CHECKED
+            for i, checked_mode in enumerate(_MODES):
+                report = colim.check_creation(g, w.p, f, mode=checked_mode, kind=kind, down=down,
+                                              up=up, store=self._pointwise, g_op=g_op, pd=pd)
+                if report.passed:
+                    verdicts |= _PASSED << i
+            row[pos] = verdicts
+        return bool(row[pos] & (_PASSED << _MODES.index(mode)))
 
     def _entry(self, w: Weight, d: FunctorData, index: int, kind: str) -> tuple:
         """(row entry, the (co)limit when it was searched now, else None) for
@@ -260,6 +279,15 @@ class DownstairsCensus:
 
         key = (F.dom, F.cod, F.table())
         return self._contents.setdefault(key, key)
+
+    def _opposite(self, g_key: tuple, g: FunctorData) -> FunctorData:
+        """g between the opposite categories, built once per content of g."""
+
+        g_op = self._opposites.get(g_key)
+        if g_op is None:
+            g_op = self._opposites[g_key] = fincat.opposite_functor(
+                g, fincat.opposite(g.dom), fincat.opposite(g.cod))
+        return g_op
 
     def _dual_of(self, p: Distributor) -> Distributor:
         """dual_distributor(p), built once while one weight's diagrams are asked in a row."""

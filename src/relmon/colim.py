@@ -23,12 +23,14 @@ Caches, what keys them and how long they live:
   verdicts of one suite run or creation audit; see that module.
 * The pointwise store: a p-weighted colimit is pointwise in x, so the
   colimit at x and the natural families at (x, w') depend only on the
-  column p(-, x) and on f.  A store keeps them per (diagram id, column
-  id), in slot order, for every weight that has the column; the census
-  owns one for its run and passes it to try_weighted_colimit,
-  dual_limit_search, enumerate_cocones and check_creation.  Without one a
-  search keeps a private store for the call.  _UniversalityChecker gives
-  the layout.
+  column p(-, x) and on f, and its j-absoluteness at x only on the root j
+  besides.  A store keeps them per (diagram id, column id), in slot order,
+  for every weight that has the column, and per (root, diagram id) the
+  index of the first failing a for each column id; the census owns one
+  for its run and passes it to try_weighted_colimit, dual_limit_search,
+  enumerate_cocones, check_creation and is_j_absolute.  Without one a
+  search keeps a private store for the call.  _UniversalityChecker and
+  is_j_absolute give the layout.
 * A _UniversalityChecker holds the family plans (slots and naturality
   checks, one per x) and the family key sets of one (p, f) for one
   caller, and is dropped with the call.  This module keeps no cache of
@@ -108,6 +110,11 @@ def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wpr
 _UNSEARCHED = object()
 
 
+def _diagram_id(p: Distributor, f: FunctorData) -> tuple:
+    """The store's key for the diagram f of a p-weighted colimit."""
+    return (p.tgt, f.cod, f.table())
+
+
 class _UniversalityChecker:
     """Natural families, their key sets and the colimit search for one (weight, diagram) pair.
 
@@ -120,9 +127,10 @@ class _UniversalityChecker:
     of values in slot order.  Slot i of a column is its i-th element in
     every distributor with that column, so a record is read back into any
     of them by zip(slots(x), values).  store is a dict keyed by diagram id,
-    holding each diagram's records keyed by column id; without one, the
-    checker keeps a private store.  The family plans (slots and naturality
-    checks) and the key sets stay with the checker.
+    holding each diagram's records keyed by column id (is_j_absolute keeps
+    its entries in the same dict, keyed (diagram id, root)); without one,
+    the checker keeps a private store.  The family plans (slots and
+    naturality checks) and the key sets stay with the checker.
     """
 
     def __init__(self, p: Distributor, f: FunctorData, store: Optional[dict] = None):
@@ -131,7 +139,7 @@ class _UniversalityChecker:
         self.W = f.cod
         if store is None:
             store = {}
-        diagram = (p.tgt, f.cod, f.table())
+        diagram = _diagram_id(p, f)
         records = store.get(diagram)
         if records is None:
             records = store[diagram] = {}
@@ -236,6 +244,11 @@ class _UniversalityChecker:
         on_morphisms = {}
         for n in X.morphism_names():
             x, x2 = X.dom(n), X.cod(n)
+            if X.is_identity(n):
+                # postcomposition with colimiting legs is injective, so
+                # only the identity k has legs ; k = legs
+                on_morphisms[n] = W.id_of(chosen_obj[x])
+                continue
             target = {s: chosen_legs[x2][(s[0], p.act_l(n, s[0], s[1]))]
                       for s in chosen_legs[x]}
             matches = [
@@ -454,10 +467,19 @@ def extension_unit(ext: WeightedColimit, c: FunctorData, d: str) -> str:
 # absoluteness and density
 
 
-def is_j_absolute(j: FunctorData, colim: WeightedColimit):
+def is_j_absolute(j: FunctorData, colim: WeightedColimit, store: Optional[dict] = None):
     """Bijectivity of the canonical map (E(j,f) (.)l p)(a,x) -> E(j a, apex x).
 
-    Returns (True, None) or (False, (a, x)) with the first failing pair.
+    Returns (True, None) or (False, (a, x)) with the first failing pair in
+    a-major order.  The map at x depends only on j, the diagram f and the
+    column p(-, x): the colimit is pointwise in x, and its apex at x is
+    unique up to an isomorphism under which the map stays a bijection or
+    not.  So store keeps, per (root, diagram id), E(j, f) and for each
+    column id the index of the first a at which the map fails, or
+    len(A.objects) when none does (see _UniversalityChecker for the ids);
+    only cold columns build E(j, f) and check.  Without a store the call
+    keeps a private one.  The first failing pair is (a*, x*): a* the least
+    index over x, x* the first x whose index is a*.
     """
 
     E = j.cod
@@ -465,25 +487,54 @@ def is_j_absolute(j: FunctorData, colim: WeightedColimit):
         raise EndpointMismatch("colimit must live in the root's codomain")
     f = colim.diagram
     p = colim.weight
-    q = hom_restriction(E, j, f)      # q(a, y) = E(j a, f y)
     A = j.dom
-    for a in A.objects:
-        for x in p.src.objects:
-            ts = tensor_set(q, p, a, x)
-            target = E.hom(j.ob(a), colim.apex.ob(x))
-            images = {}
-            for (y, u, e) in ts.pairs:
-                rep = ts.class_of[(y, u, e)]
-                val = E.comp(u, colim.legs[(y, x, e)])
-                if rep in images:
-                    if images[rep] != val:
-                        raise TheoremViolation("canonical map must be class-invariant")
-                else:
-                    images[rep] = val
-            vals = [images[r] for r in ts.classes]
-            if len(set(vals)) != len(vals) or set(vals) != set(target):
-                return False, (a, x)
-    return True, None
+    if store is None:
+        store = {}
+    key = (_diagram_id(p, f), (A, j.table()))
+    entry = store.get(key)
+    if entry is None:
+        entry = store[key] = [None, {}]    # E(j, f) once built, first failing index per column
+    firsts = entry[1]
+    least, at = len(A.objects), None
+    for x in p.src.objects:
+        column = p.column(x)
+        first = firsts.get(column)
+        if first is None:
+            if entry[0] is None:
+                entry[0] = hom_restriction(E, j, f)      # q(a, y) = E(j a, f y)
+            first = firsts[column] = _first_failing_root(entry[0], j, colim, x)
+        if first < least:
+            least, at = first, x
+            if least == 0:
+                break
+    if at is None:
+        return True, None
+    return False, (A.objects[least], at)
+
+
+def _first_failing_root(q: Distributor, j: FunctorData, colim: WeightedColimit, x: str) -> int:
+    """The index of the first a of j.dom at which the canonical map
+    (q (.)l p)(a, x) -> E(j a, apex x) is not a bijection, for
+    q = E(j, f); len(j.dom.objects) when it is one at every a."""
+
+    E = j.cod
+    A = j.dom
+    for i, a in enumerate(A.objects):
+        ts = tensor_set(q, colim.weight, a, x)
+        target = E.hom(j.ob(a), colim.apex.ob(x))
+        images = {}
+        for (y, u, e) in ts.pairs:
+            rep = ts.class_of[(y, u, e)]
+            val = E.comp(u, colim.legs[(y, x, e)])
+            if rep in images:
+                if images[rep] != val:
+                    raise TheoremViolation("canonical map must be class-invariant")
+            else:
+                images[rep] = val
+        vals = [images[r] for r in ts.classes]
+        if len(set(vals)) != len(vals) or set(vals) != set(target):
+            return i
+    return len(A.objects)
 
 
 def nerve_transform_families(j: FunctorData, e: str, e2: str):
@@ -794,22 +845,28 @@ def _limit_as_dual_colimit(pd: Distributor, diagram: FunctorData, lim: Optional[
 
 def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
                    mode: str = "strict", kind: str = "colimit", *,
-                   down=_SEARCH, up=_SEARCH, store: Optional[dict] = None) -> CreationReport:
+                   down=_SEARCH, up=_SEARCH, store: Optional[dict] = None,
+                   g_op: Optional[FunctorData] = None,
+                   pd: Optional[Distributor] = None) -> CreationReport:
     """Does g create the downstairs p-weighted (co)limit of (f ; g)?
 
     For colimits f: tgt(p) -> dom(g); for limits f: src(p) -> dom(g).  The
-    limit case runs the colimit check in the formal dual and relabels.
-    down and up are the (co)limits of f ; g and of f, as try_weighted_colimit
-    or try_weighted_limit finds them (up is None when it does not exist);
-    omitted, they are searched here, through store when given (see
-    _UniversalityChecker).  A cocone is colimiting when its comparison map
-    from the colimit is invertible (colimiting_test).
+    limit case runs the colimit check in the formal dual and relabels; g_op
+    and pd are g between the opposite categories and dual_distributor(p),
+    built here when not given, so that a caller asking about many positions
+    builds them once.  down and up are the (co)limits of f ; g and of f, as
+    try_weighted_colimit or try_weighted_limit finds them (up is None when
+    it does not exist); omitted, they are searched here, through store when
+    given (see _UniversalityChecker).  A cocone is colimiting when its
+    comparison map from the colimit is invertible (colimiting_test).
     """
 
     if kind == "limit":
-        W, V = g.dom, g.cod
-        g_op = opposite_functor(g, opposite(W), opposite(V))
-        pd = dual_distributor(p)
+        W = g.dom
+        if g_op is None:
+            g_op = opposite_functor(g, opposite(W), opposite(g.cod))
+        if pd is None:
+            pd = dual_distributor(p)
         f_op = opposite_functor(f, pd.tgt, opposite(W))
         report = check_creation(
             g_op, pd, f_op, mode=mode, kind="colimit",

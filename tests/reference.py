@@ -20,7 +20,14 @@ from relmon.colim import (
     colimiting_test,
     try_weighted_colimit,
 )
-from relmon.errors import BudgetExceeded, ChainMismatch, EndpointMismatch, NotParallel, Violation
+from relmon.errors import (
+    BudgetExceeded,
+    ChainMismatch,
+    EndpointMismatch,
+    NotParallel,
+    TheoremViolation,
+    Violation,
+)
 from relmon.fincat import (
     FunctorData,
     NatTransData,
@@ -29,7 +36,16 @@ from relmon.fincat import (
     functor_violations,
 )
 from relmon.monad import RelativeMonad, budget_limit, monad_violations
-from relmon.prof import MAX_CHAIN, Distributor, GradedCell, _chain_domains, _component_keys
+from relmon.prof import (
+    MAX_CHAIN,
+    Distributor,
+    GradedCell,
+    _chain_domains,
+    _component_keys,
+    distributor_violations,
+    hom_restriction,
+    tensor_set,
+)
 from relmon.reladj import PastingReport, RelativeAdjunction, _certify_rho, adjunction_violations
 
 
@@ -572,4 +588,85 @@ def enumerate_graded_cells(chain, f0: FunctorData, fn: FunctorData, q: Distribut
         cell = GradedCell(chain, f0, fn, q, dict(zip(keys, combo)))
         if not graded_cell_violations(cell):
             out.append(cell)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# absoluteness per call, as the engine decided it before it kept answers per
+# column in the run's store
+
+
+def is_j_absolute(j: FunctorData, colim):
+    """Bijectivity of the canonical map (E(j,f) (.)l p)(a,x) -> E(j a, apex x).
+
+    Returns (True, None) or (False, (a, x)) with the first failing pair.
+    """
+
+    E = j.cod
+    if colim.diagram.cod != E:
+        raise EndpointMismatch("colimit must live in the root's codomain")
+    f = colim.diagram
+    p = colim.weight
+    q = hom_restriction(E, j, f)      # q(a, y) = E(j a, f y)
+    A = j.dom
+    for a in A.objects:
+        for x in p.src.objects:
+            ts = tensor_set(q, p, a, x)
+            target = E.hom(j.ob(a), colim.apex.ob(x))
+            images = {}
+            for (y, u, e) in ts.pairs:
+                rep = ts.class_of[(y, u, e)]
+                val = E.comp(u, colim.legs[(y, x, e)])
+                if rep in images:
+                    if images[rep] != val:
+                        raise TheoremViolation("canonical map must be class-invariant")
+                else:
+                    images[rep] = val
+            vals = [images[r] for r in ts.classes]
+            if len(set(vals)) != len(vals) or set(vals) != set(target):
+                return False, (a, x)
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# the product-then-filter distributor census
+
+
+def enumerate_distributors(X, Y, element_cap: int, budget: int = 200_000) -> list:
+    """Every element table with component sizes <= element_cap, times every
+    right-action table, times every left-action table, kept when
+    distributor_violations finds no broken law; in itertools.product order.
+
+    Raises BudgetExceeded where prof.enumerate_distributors does: when the
+    size choices exceed the budget, or when, for one choice of sizes, the
+    product of the action tables' slot sizes does, walked slot by slot up
+    to the first empty slot.
+    """
+
+    comps = [(y, x) for y in Y.objects for x in X.objects]
+    size_choices = (element_cap + 1) ** len(comps)
+    if size_choices > budget:
+        raise BudgetExceeded("distributor census", size_choices, budget)
+    out = []
+    for sizes in itertools.product(range(element_cap + 1), repeat=len(comps)):
+        elements = {comp: tuple(f"e{i}" for i in range(k)) for comp, k in zip(comps, sizes)}
+        right_slots = [((m, x, e), elements[(Y.dom(m), x)])
+                       for m in Y.morphism_names() if not Y.is_identity(m)
+                       for x in X.objects for e in elements[(Y.cod(m), x)]]
+        left_slots = [((n, y, e), elements[(y, X.cod(n))])
+                      for n in X.morphism_names() if not X.is_identity(n)
+                      for y in Y.objects for e in elements[(y, X.dom(n))]]
+        space = 1
+        for _, targets in right_slots + left_slots:
+            if not targets:
+                break
+            space *= len(targets)
+            if space > budget:
+                raise BudgetExceeded("distributor census", space, budget)
+        for combo in itertools.product(*[targets for _, targets in right_slots + left_slots]):
+            right = {key: v for (key, _), v in zip(right_slots, combo)}
+            left = {key: v for (key, _), v in zip(left_slots, combo[len(right_slots):])}
+            p = Distributor(X, Y, elements, right, left)
+            if not distributor_violations(p):
+                out.append(p)
     return out

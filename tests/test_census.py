@@ -5,10 +5,11 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relmon import corpus
+from relmon import colim, corpus, monadicity
 from relmon.algebra import build_algebra_category
 from relmon.census import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT, DownstairsCensus
 from relmon.colim import (
+    check_creation,
     is_j_absolute,
     try_weighted_colimit,
     try_weighted_limit,
@@ -181,3 +182,105 @@ def test_small_weights_of_the_cap_2_list_are_the_cap_1_list():
             assert {w.cap for w in small} == {2}
             assert [w.p.table() for w in small] == (
                 [w.p.table() for w in ctx.census.weights(X, Y, 1, budget)])
+
+
+def corpus_question(name: str, role: str):
+    inst = next(i for i in corpus.builtin_corpus() if i.name == name)
+    return inst.functors["j"], inst.functors[role]
+
+
+def creation_positions(census, g):
+    """(w, diagram, kind) for every cap-1 weight between Terminal and
+    Interval and every diagram into dom g whose downstairs (co)limit exists."""
+    shapes = [corpus.terminal_category(), corpus.interval_category()]
+    out = []
+    for X in shapes:
+        for Y in shapes:
+            for w in census.weights(X, Y, 1, 200_000):
+                for kind, Z in (("colimit", Y), ("limit", X)):
+                    for diagram in census.diagrams(Z, g):
+                        if census.downstairs(w, diagram, kind) is not None:
+                            out.append((w, diagram, kind))
+    return out
+
+
+@pytest.mark.parametrize("name, role", [("indisc2_to_terminal", "r_indisc"),
+                                        ("empty_root_indisc2", "r_const")])
+def test_census_creation_answers_each_mode_in_either_order(name, role):
+    """census.creation in both modes equals check_creation, whichever mode a
+    position is asked in first; the functors strictly create some
+    (co)limits that they only non-strictly create elsewhere."""
+    _, g = corpus_question(name, role)
+    want = {}
+    for w, diagram, kind in creation_positions(DownstairsCensus(), g):
+        for mode in ("strict", "nonstrict"):
+            want[(w.p.table(), diagram.f.table(), kind, mode)] = (
+                check_creation(g, w.p, diagram.f, mode=mode, kind=kind).passed)
+    differ = {key[:3] for key, passed in want.items() if passed != want[key[:3] + ("nonstrict",)]}
+    assert {kind for _, _, kind in differ} == {"colimit", "limit"}
+    for modes in (("strict", "nonstrict"), ("nonstrict", "strict")):
+        census = DownstairsCensus()
+        for w, diagram, kind in creation_positions(census, g):
+            for mode in modes:
+                key = (w.p.table(), diagram.f.table(), kind, mode)
+                assert census.creation(g, w, diagram, kind, mode) == want[key], key
+
+
+def content(F) -> tuple:
+    return (F.dom, F.cod, F.table())
+
+
+def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypatch):
+    """Over one creation audit: E(j, f) is built at most once per (j,
+    diagram) pair that absoluteness is asked about, no (j, diagram, column)
+    absoluteness is checked twice, and each creation position is checked
+    once per mode, with its (co)limits read from the census once."""
+    j, r = corpus_question("point_split", "r_id")
+    pairs, builds, columns, checks, reads = [], [], [], [], []
+    inside = []
+
+    def wrap(owner, name, record):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            inside.append(name)
+            try:
+                record(*args, **kwargs)
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def absolute(j, c, store=None):
+        pairs.append((content(j), content(c.diagram)))
+
+    def build(E, j, f):
+        if "is_j_absolute" in inside:
+            builds.append((content(j), content(f)))
+
+    def check(q, j, c, x):
+        columns.append((content(j), content(c.diagram), c.weight.column(x)))
+
+    def creation(g, p, f, mode="strict", kind="colimit", **_):
+        checks.append((content(g), p.table(), f.table(), kind, mode))
+
+    def read(census, w, diagram, kind):
+        if "creation" in inside:
+            reads.append((w.p.table(), diagram.f.table(), kind))
+
+    wrap(colim, "is_j_absolute", absolute)
+    wrap(monadicity, "is_j_absolute", absolute)
+    wrap(colim, "hom_restriction", build)
+    wrap(colim, "_first_failing_root", check)
+    wrap(colim, "check_creation", creation)
+    wrap(DownstairsCensus, "creation", lambda *args: None)
+    wrap(DownstairsCensus, "downstairs", read)
+    shapes = [corpus.terminal_category(), corpus.interval_category()]
+    report = creation_audit(j, r, shapes, 1)
+    assert not report.vacuous and report.items
+    assert len(builds) == len(set(builds)) <= len(set(pairs)) < len(pairs)
+    assert columns and len(columns) == len(set(columns))
+    positions = {key[:4] for key in checks}
+    assert len(checks) == len(set(checks)) == 2 * len(positions)
+    assert len(positions) == len(report.items)
+    assert len(reads) == len(set(reads)) == len(positions)

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from relmon import colim as colim_module
 from relmon import corpus
@@ -21,7 +22,16 @@ from relmon.colim import (
 )
 from relmon.errors import DownstairsMissing
 from relmon.fincat import FunctorData, constant_functor, enumerate_functors, identity_functor
-from relmon.prof import Distributor, hom_distributor, hom_restriction, restrict_distributor, validate_distributor
+from relmon.prof import (
+    Distributor,
+    enumerate_distributors,
+    hom_distributor,
+    hom_restriction,
+    restrict_distributor,
+    validate_distributor,
+)
+
+from . import reference
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +319,118 @@ def test_yoneda_colimits_absolute_for_identity_root(cats):
             colim = weighted_colimit(representable_weight(E, y0), identity_functor(E))
             ok, _ = is_j_absolute(identity_functor(E), colim)
             assert ok
+
+
+def absolute_cases(E, roots):
+    """(j, colim) for each root j into E and each existing colimit in E of a
+    cap-1 weight between Terminal, Interval and Disc2 (Disc2 gives two
+    columns per weight, so a later x can fail at an earlier a)."""
+    shapes = [corpus.terminal_category(), corpus.interval_category(), corpus.disc2_category()]
+    out = []
+    for X in shapes:
+        for Y in shapes:
+            for p in enumerate_distributors(X, Y, 1):
+                for f in enumerate_functors(Y, E):
+                    colim, _ = try_weighted_colimit(p, f)
+                    if colim is not None:
+                        out += [(j, colim) for j in roots]
+    return out
+
+
+def assert_absoluteness_matches_reference(cases):
+    """is_j_absolute with a private store, and through one store cold, warm
+    and in reverse order, against the per-call reference."""
+    want = [reference.is_j_absolute(j, colim) for j, colim in cases]
+    assert [is_j_absolute(j, colim) for j, colim in cases] == want
+    store = {}
+    for _ in range(2):
+        assert [is_j_absolute(j, colim, store) for j, colim in cases] == want
+    store = {}
+    assert [is_j_absolute(j, colim, store) for j, colim in cases[::-1]] == want[::-1]
+    return want
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4),
+       shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+def test_absoluteness_matches_reference_on_generated_roots(seed, shape):
+    """Roots with one and with several objects over one E share every
+    diagram and column of one store."""
+    E = corpus.generate_category(seed, *shape)
+    assume(E is not None)
+    roots = [identity_functor(E), corpus.point_functor(E, E.objects[-1])]
+    roots += list(enumerate_functors(corpus.disc2_category(), E))[:2]
+    assert_absoluteness_matches_reference(absolute_cases(E, roots))
+
+
+def test_absoluteness_matches_reference_on_corpus_roots():
+    verdicts = set()
+    for inst in corpus.builtin_corpus():
+        if inst.roles.get("root") == "j":
+            j = inst.functors["j"]
+            verdicts |= {ok for ok, _ in assert_absoluteness_matches_reference(absolute_cases(j.cod, [j]))}
+    assert verdicts == {True, False}
+
+
+def test_absoluteness_with_empty_index_or_empty_root(cats):
+    E = cats["Vee"]
+    empty = cats["Empty"]
+    T = cats["Terminal"]
+    for p in enumerate_distributors(empty, T, 1):
+        for f in enumerate_functors(T, E):
+            colim, _ = try_weighted_colimit(p, f)
+            assert is_j_absolute(identity_functor(E), colim, {}) == (True, None)
+    for j, colim in absolute_cases(E, [corpus.empty_functor(E)]):
+        assert is_j_absolute(j, colim, {}) == (True, None)
+
+
+def span_coproduct(cats):
+    """In Span, the colimit of f = (l, l): Disc2 -> Span weighted by p with
+    p(-, 0) empty and p(-, 1) one element at each y: the initial object at
+    0 and l + l at 1.  Along the identity root, x = 0 first fails at a = m
+    and x = 1 already at a = l."""
+    D2, E = cats["Disc2"], cats["Span"]
+    p = validate_distributor(Distributor(D2, D2, {("0", "1"): ("e0",), ("1", "1"): ("e0",)}, {}, {}))
+    f = next(f for f in enumerate_functors(D2, E) if f.on_objects == {"0": "l", "1": "l"})
+    return p, f
+
+
+def test_first_failing_pair_is_a_major_when_a_later_x_fails_first(cats):
+    p, f = span_coproduct(cats)
+    j = identity_functor(cats["Span"])
+    colim = weighted_colimit(p, f)
+    q = hom_restriction(j.cod, j, f)
+    assert [colim_module._first_failing_root(q, j, colim, x) for x in ("0", "1")] == [1, 0]
+    assert reference.is_j_absolute(j, colim) == (False, ("l", "1"))
+    for store in (None, {}):
+        assert is_j_absolute(j, colim, store) == (False, ("l", "1"))
+
+
+def test_weights_sharing_a_column_share_one_absoluteness_check(cats, monkeypatch):
+    """p(-, 1) and the Terminal-indexed weight with one element at each y
+    have one column: through one store the second weight checks nothing."""
+    p, f = span_coproduct(cats)
+    T, D2 = cats["Terminal"], cats["Disc2"]
+    p2 = validate_distributor(Distributor(T, D2, {("0", "*"): ("c",), ("1", "*"): ("d",)}, {}, {}))
+    assert p2.column("*") == p.column("1") != p.column("0")
+    checks = []
+
+    def counted(q, j, colim, x):
+        checks.append(x)
+        return first_failing_root(q, j, colim, x)
+
+    first_failing_root = colim_module._first_failing_root
+    monkeypatch.setattr(colim_module, "_first_failing_root", counted)
+    j = identity_functor(cats["Span"])
+    store = {}
+    assert is_j_absolute(j, weighted_colimit(p, f), store) == (False, ("l", "1"))
+    assert checks == ["0", "1"]
+    colim2 = weighted_colimit(p2, f)
+    assert is_j_absolute(j, colim2, store) == reference.is_j_absolute(j, colim2) == (False, ("l", "*"))
+    assert checks == ["0", "1"]
+    # a private store checks again
+    assert is_j_absolute(j, colim2) == (False, ("l", "*"))
+    assert checks == ["0", "1", "*"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relmon import corpus
-from relmon.errors import ChainMismatch, EndpointMismatch, ValidationFailure
+from relmon.errors import BudgetExceeded, ChainMismatch, EndpointMismatch, ValidationFailure
 from relmon.fincat import FunctorData, identity_functor
 from relmon.prof import (
     Distributor,
@@ -19,6 +19,8 @@ from relmon.prof import (
     tensor_set,
     validate_distributor,
 )
+
+from . import reference
 
 
 @pytest.fixture(scope="module")
@@ -295,3 +297,40 @@ def test_enumerate_distributors_bz2_side(cats):
     # sizes 0,1,2; size 2 admits id and swap actions: 1 + 1 + 2
     assert len(ds2) == 4
 
+
+
+def census_answer(X, Y, cap, budget, enumerate):
+    """The tables enumerate(X, Y, cap, budget) lists, in order, or
+    BudgetExceeded's message when it refuses."""
+    try:
+        return [p.table() for p in enumerate(X, Y, cap, budget)]
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_enumerate_distributors_matches_product_then_filter(cats):
+    """The pruned census lists what filtering every element and action table
+    by the distributor laws lists, in the same order, and refuses the same
+    budgets; Empty gives the one distributor with no components.  Cap 2
+    runs over the categories whose raw spaces stay small."""
+    names = ("Empty", "Terminal", "Interval", "Disc2", "BZ2", "Vee", "PP")
+    cases = [(X, Y, 1) for X in names for Y in names]
+    cases += [(X, Y, 2) for X in names[:5] for Y in names[:5]]
+    for X, Y, cap in cases:
+        for budget in (200_000, 1, 3, 9, 40):
+            want = census_answer(cats[X], cats[Y], cap, budget, reference.enumerate_distributors)
+            assert census_answer(cats[X], cats[Y], cap, budget, enumerate_distributors) == want
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4),
+       shapes=st.tuples(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+                        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)])))
+def test_enumerate_distributors_matches_product_then_filter_generated(seed, shapes):
+    X = corpus.generate_category(seed, *shapes[0])
+    Y = corpus.generate_category(seed + 1, *shapes[1])
+    if X is None or Y is None:
+        return
+    for budget in (200_000, 30):
+        assert census_answer(X, Y, 1, budget, enumerate_distributors) == (
+            census_answer(X, Y, 1, budget, reference.enumerate_distributors))
