@@ -20,7 +20,7 @@ from relmon.colim import (
     weighted_colimit,
     weighted_limit,
 )
-from relmon.errors import DownstairsMissing
+from relmon.errors import DownstairsMissing, TheoremViolation
 from relmon.fincat import FunctorData, constant_functor, enumerate_functors, identity_functor
 from relmon.prof import (
     Distributor,
@@ -404,6 +404,20 @@ def test_first_failing_pair_is_a_major_when_a_later_x_fails_first(cats):
     assert reference.is_j_absolute(j, colim) == (False, ("l", "1"))
     for store in (None, {}):
         assert is_j_absolute(j, colim, store) == (False, ("l", "1"))
+
+
+def test_legs_not_natural_in_y_raise_on_a_cold_absoluteness_check(cats):
+    """Legs idx, idx from (x, x) into x, which the split pair's zig-zag
+    identifies: the canonical map is not class-invariant."""
+    E, PP = cats["Split"], cats["PP"]
+    f = FunctorData(PP, E, {"0": "x", "1": "x"},
+                    {"id0": "idx", "id1": "idx", "a": "e", "b": "idx"})
+    apex = FunctorData(cats["Terminal"], E, {"*": "x"}, {"id": "idx"})
+    bad = colim_module.WeightedColimit(conical_weight(PP), f, apex,
+                                       {("0", "*", "c"): "idx", ("1", "*", "c"): "idx"})
+    for store in (None, {}):
+        with pytest.raises(TheoremViolation, match="class-invariant"):
+            is_j_absolute(identity_functor(E), bad, store)
 
 
 def test_weights_sharing_a_column_share_one_absoluteness_check(cats, monkeypatch):
