@@ -17,12 +17,14 @@ from relmon.colim import (
     _legs_natural_in_x,
     _legs_natural_in_y,
     _UniversalityChecker,
+    WeightedColimit,
     colimiting_test,
     try_weighted_colimit,
 )
 from relmon.errors import (
     BudgetExceeded,
     ChainMismatch,
+    DownstairsMissing,
     EndpointMismatch,
     NotParallel,
     TheoremViolation,
@@ -34,6 +36,8 @@ from relmon.fincat import (
     compose_functors,
     enumerate_functors,
     functor_violations,
+    opposite,
+    opposite_functor,
 )
 from relmon.monad import RelativeMonad, budget_limit, monad_violations
 from relmon.prof import (
@@ -43,6 +47,7 @@ from relmon.prof import (
     _chain_domains,
     _component_keys,
     distributor_violations,
+    dual_distributor,
     hom_restriction,
     tensor_set,
 )
@@ -384,6 +389,65 @@ def nonstrict_colimit_creation(g, p, f, down, up):
     passed = upstairs_exists and biconditional_ok
     return CreationReport("nonstrict", "colimit", passed,
                           upstairs_exists=upstairs_exists, violations=violations)
+
+
+def iso_conjugates(down):
+    """Every colimiting cocone of down's weight and diagram: down conjugated
+    by a family (i_x) of isomorphisms out of its apex, the apex at x moved to
+    cod i_x, each leg followed by i_x and each apex morphism n: x -> x2 sent
+    to i_x^-1 ; down(n) ; i_x2.  The identity family comes first, then every
+    other family in product order, each i_x in the order of
+    [k for c in objects for k in hom(down x, c)]."""
+
+    V, X = down.diagram.cod, down.weight.src
+    isos = [[k for c in V.objects for k in V.hom(down.apex.ob(x), c) if V.inverse(k) is not None]
+            for x in X.objects]
+    identity = tuple(V.id_of(down.apex.ob(x)) for x in X.objects)
+    for family in [identity] + [fam for fam in itertools.product(*isos) if fam != identity]:
+        i = dict(zip(X.objects, family))
+        apex = FunctorData(X, V, {x: V.cod(i[x]) for x in X.objects},
+                           {n: V.comp_many(V.inverse(i[X.dom(n)]), down.apex.mor(n), i[X.cod(n)])
+                            for n in X.morphism_names()})
+        legs = {(y, x, e): V.comp(leg, i[x]) for (y, x, e), leg in down.legs.items()}
+        yield WeightedColimit(down.weight, down.diagram, apex, legs)
+
+
+def every_cocone_strict_creation(g, p, f, down, up):
+    """Strict creation as Mac Lane defines it: every colimiting cocone of
+    f ; g has exactly one cocone over it, and that one is colimiting.  Runs
+    strict_colimit_creation over each of iso_conjugates(down) and reports
+    the first failing cocone; when all pass, the identity family's report
+    (lift count 1 and the lift over down itself)."""
+
+    if up is _SEARCH:
+        up, _ = try_weighted_colimit(p, f)
+    first = None
+    for cocone in iso_conjugates(down):
+        report = strict_colimit_creation(g, p, f, cocone, up)
+        if not report.passed:
+            return report
+        first = first or report
+    return first
+
+
+def check_creation(g, p, f, mode: str = "strict", kind: str = "colimit"):
+    """colim.check_creation answered by the references: both (co)limits
+    searched afresh, limits in the formal dual, strict creation over every
+    colimiting cocone, non-strict creation by listing every cocone."""
+
+    if kind == "limit":
+        g_op = opposite_functor(g, opposite(g.dom), opposite(g.cod))
+        pd = dual_distributor(p)
+        report = check_creation(g_op, pd, opposite_functor(f, pd.tgt, opposite(g.dom)), mode)
+        report.kind = "limit"
+        return report
+    down, failed = try_weighted_colimit(p, compose_functors(f, g))
+    if down is None:
+        raise DownstairsMissing(f"downstairs colimit missing at {failed!r}")
+    up, _ = try_weighted_colimit(p, f)
+    if mode == "strict":
+        return every_cocone_strict_creation(g, p, f, down, up)
+    return nonstrict_colimit_creation(g, p, f, down, up)
 
 
 def count_resolution_morphisms(adj, algcat) -> int:
