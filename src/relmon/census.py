@@ -8,8 +8,8 @@ diagram's target without the root, so that every root over one E and
 both ways of asking (upstairs, downstairs) share one search; a
 j-absoluteness byte, read first so that a warm lookup decodes nothing;
 and a creation byte per (g, kind) holding both modes' verdicts, checked
-together with both (co)limits read from the census once.  The class
-docstring gives the row layout.
+together, from creation records in the pointwise store, without reading
+a whole (co)limit.  The class docstring gives the row layout.
 
 Questions name a weight by a handle from weights(X, Y, cap, budget), which
 enumerates the distributors X -|-> Y once per census: a Weight holds p,
@@ -19,10 +19,14 @@ the pointwise store that every (co)limit search and creation check it runs
 reads and fills: one record per (diagram id, column id) with the colimit
 at one x and the natural families there, shared by every weight whose
 column p(-, x) has the same content (colim._UniversalityChecker gives the
-layout), and per (root, diagram id) the j-absoluteness at each column
-(colim.is_j_absolute).  Limit creation is checked in the dual: g's
-opposite is built once per census, and a weight's dual once while its
-positions are asked in a row, not once per position.
+layout); per (root, diagram id) the j-absoluteness at each column
+(colim.is_j_absolute); and per (diagram id, g by content) the creation
+record at each column (colim._CreationAt), which holds what both creation
+modes need at one x, strict creation over every colimiting cocone
+included, so that a position checks only what spans two x's.  Limit
+creation is checked in the dual: g's opposite is built once per census,
+and a weight's dual once while its positions are asked in a row, not once
+per position.
 
 A suite run holds one census in its context for forgetful_creates,
 preservation_conservativity, monadicity_crosscheck, density_necessity and
@@ -132,7 +136,9 @@ class DownstairsCensus:
     * Creation rows, keyed (g by content, X, Y, cap, kind) without the
       mode, hold one byte per position: _CHECKED, plus _PASSED << i for
       each mode _MODES[i] that passes.  The first question at a position
-      checks both modes.
+      checks both modes from the creation records at its x's, kept in the
+      pointwise store per (g, diagram, column), not from the position's
+      (co)limits.
 
     Zero means unknown everywhere.
     """
@@ -208,8 +214,8 @@ class DownstairsCensus:
 
     def creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str, mode: str) -> bool:
         """check_creation(g, w.p, diagram.f, mode, kind).passed.  The first
-        question at a position checks both modes, with both (co)limits read
-        from the census once, and the census keeps both verdicts."""
+        question at a position checks both modes from the creation records
+        in the pointwise store, and the census keeps both verdicts."""
 
         f = diagram.f
         n = len(self._positions[(f.dom, f.cod)])
@@ -217,14 +223,13 @@ class DownstairsCensus:
         row, pos = _cell(self._creations, (g_key, w.p.src, w.p.tgt, w.cap, kind), "B",
                          n, w.index, diagram.index)
         if not row[pos]:
-            down, up = self.downstairs(w, diagram, kind), self.upstairs(w, diagram, kind)
             g_op = pd = None
             if kind == "limit":
                 g_op, pd = self._opposite(g_key, g), self._dual_of(w.p)
             verdicts = _CHECKED
             for i, checked_mode in enumerate(_MODES):
-                report = colim.check_creation(g, w.p, f, mode=checked_mode, kind=kind, down=down,
-                                              up=up, store=self._pointwise, g_op=g_op, pd=pd)
+                report = colim.check_creation(g, w.p, f, mode=checked_mode, kind=kind,
+                                              store=self._pointwise, g_op=g_op, pd=pd)
                 if report.passed:
                     verdicts |= _PASSED << i
             row[pos] = verdicts

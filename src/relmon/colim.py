@@ -10,12 +10,17 @@ for every x and w'.  Limits are computed by dualizing everything, running
 the colimit search, and reading the result back.  Absoluteness of a colimit
 along a root j is the bijectivity of the canonical map from the tensor
 quotient (E(j,f) (.)l p) to E(j, apex), which at Set level is preservation
-by the nerve of j.  Creation checks decide whether a cocone is colimiting
-through its comparison map from the colimit: the cocone's legs factor
-through the colimit's legs by exactly one k at each x, and the cocone is
-colimiting iff every k is invertible.  Non-strict creation with an
-upstairs colimit c lists the natural transformations k: c => w instead of
-the cocones with apex w, which they are in bijection with (Yoneda).
+by the nerve of j.  A cocone is colimiting iff its comparison map from the
+colimit is invertible at every x: its legs factor through the colimit's
+legs by exactly one k at each x.  Creation is decided pointwise in x too:
+per (g, diagram, column) a record holds what both modes need at one x,
+and each question checks only what spans two x's.  Strict creation asks
+that every colimiting cocone downstairs, the colimit conjugated by any
+family of isomorphisms, have exactly one cocone over it, and that this
+one be colimiting.  Non-strict creation with an upstairs colimit c lists
+the natural transformations k: c => w instead of the cocones with apex w,
+which they are in bijection with (Yoneda), and only when some x leaves
+the answer open.
 
 Caches, what keys them and how long they live:
 
@@ -23,29 +28,31 @@ Caches, what keys them and how long they live:
   verdicts of one suite run or creation audit; see that module.
 * The pointwise store: a p-weighted colimit is pointwise in x, so the
   colimit at x and the natural families at (x, w') depend only on the
-  column p(-, x) and on f, and its j-absoluteness at x only on the root j
-  besides.  A store keeps them per (diagram id, column id), in slot order,
-  for every weight that has the column, and per (root, diagram id) the
-  index of the first failing a for each column id; the census owns one
-  for its run and passes it to try_weighted_colimit, dual_limit_search,
-  enumerate_cocones, check_creation and is_j_absolute.  Without one a
-  search keeps a private store for the call.  _UniversalityChecker and
-  is_j_absolute give the layout.
+  column p(-, x) and on f, its j-absoluteness at x only on the root j
+  besides, and creation by g at x only on g besides.  A store keeps them
+  per (diagram id, column id), in slot order, for every weight that has
+  the column; per (root, diagram id) the index of the first failing a for
+  each column id; and per (diagram id, g by content) the creation record
+  for each column id.  The census owns one for its run and passes it to
+  try_weighted_colimit, dual_limit_search, enumerate_cocones,
+  check_creation and is_j_absolute.  Without one a search keeps a private
+  store for the call.  _UniversalityChecker, is_j_absolute and
+  _creation_records give the layout.
 * A _UniversalityChecker holds the family plans (slots and naturality
   checks, one per x) and the family key sets of one (p, f) for one
   caller, and is dropped with the call.  This module keeps no cache of
   its own.
 * Memos kept on immutable inputs for their lifetime, derived only from
   their tables: a FinCategory keeps its table, hash, opposite() and
-  hom_distributor(); a Distributor keeps its table() and column ids; a
-  FunctorData keeps its table().
+  hom_distributor(); a Distributor keeps its table(), column ids and
+  left_indices(); a FunctorData keeps its table().
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ColimitNotFound, DownstairsMissing, EndpointMismatch, TheoremViolation
 from .fincat import (
@@ -127,9 +134,10 @@ class _UniversalityChecker:
     of values in slot order.  Slot i of a column is its i-th element in
     every distributor with that column, so a record is read back into any
     of them by zip(slots(x), values).  store is a dict keyed by diagram id,
-    holding each diagram's records keyed by column id (is_j_absolute keeps
-    its entries in the same dict, keyed (diagram id, root)); without one,
-    the checker keeps a private store.  The family plans (slots and
+    holding each diagram's records keyed by column id (is_j_absolute and
+    _creation_records keep their entries in the same dict, keyed (diagram
+    id, root) and (diagram id, "creation", cod g, g.table())); without
+    one, the checker keeps a private store.  The family plans (slots and
     naturality checks) and the key sets stay with the checker.
     """
 
@@ -232,15 +240,12 @@ class _UniversalityChecker:
 
         p, W = self.p, self.W
         X = p.src
-        chosen_obj: dict[str, str] = {}
-        chosen_legs: dict[str, dict] = {}
+        at = {}
         for x in X.objects:
-            found = self.colimit_at(x)
-            if found is None:
+            at[x] = self.colimit_at(x)
+            if at[x] is None:
                 return None, x
-            chosen_obj[x] = found[0]
-            chosen_legs[x] = dict(zip(self.slots(x), found[1]))
-
+        chosen_obj = {x: found[0] for x, found in at.items()}
         on_morphisms = {}
         for n in X.morphism_names():
             x, x2 = X.dom(n), X.cod(n)
@@ -248,21 +253,14 @@ class _UniversalityChecker:
                 # postcomposition with colimiting legs is injective, so
                 # only the identity k has legs ; k = legs
                 on_morphisms[n] = W.id_of(chosen_obj[x])
-                continue
-            target = {s: chosen_legs[x2][(s[0], p.act_l(n, s[0], s[1]))]
-                      for s in chosen_legs[x]}
-            matches = [
-                k for k in W.hom(chosen_obj[x], chosen_obj[x2])
-                if all(W.comp(chosen_legs[x][s], k) == target[s] for s in chosen_legs[x])
-            ]
-            if len(matches) != 1:
-                raise TheoremViolation("universal property must pin the apex action")
-            on_morphisms[n] = matches[0]
+            else:
+                on_morphisms[n] = _factor(W, at[x][0], at[x2][0], at[x][1],
+                                          [at[x2][1][j] for j in p.left_indices(n)],
+                                          "universal property must pin the apex action")
         apex = FunctorData(X, W, chosen_obj, on_morphisms)
         if functor_violations(apex.to_dict(), X, W):
             raise TheoremViolation("colimit apex must be a functor")
-        legs = {(y, x, e): chosen_legs[x][(y, e)]
-                for x in X.objects for (y, e) in chosen_legs[x]}
+        legs = {(y, x, e): leg for x in X.objects for (y, e), leg in zip(self.slots(x), at[x][1])}
         return (chosen_obj, on_morphisms, legs), None
 
 
@@ -607,18 +605,12 @@ def enumerate_cocones(p: Distributor, f: FunctorData, store: Optional[dict] = No
     n: x -> x2 is checked once both are chosen.
     """
 
-    X, Y, W = p.src, p.tgt, f.cod
+    X, W = p.src, f.cod
     comp = W.composition
     checker = _UniversalityChecker(p, f, store)
-    index = {x: {s: i for i, s in enumerate(checker.slots(x))} for x in X.objects}
-    along = []                          # (x, x2, n, slot index pairs e at x -> n.e at x2)
-    for n in X.morphism_names():
-        if X.is_identity(n):
-            continue
-        x, x2 = X.dom(n), X.cod(n)
-        along.append((X.objects.index(x), X.objects.index(x2), n,
-                      [(index[x][(y, e)], index[x2][(y, p.act_l(n, y, e))])
-                       for y in Y.objects for e in p.el(y, x)]))
+    along = [(X.objects.index(X.dom(n)), X.objects.index(X.cod(n)), n,
+              list(enumerate(p.left_indices(n))))
+             for n in X.morphism_names() if not X.is_identity(n)]
     out = []
     for w in enumerate_functors(X, W):
         domains = [checker.family_values(x, w.ob(x)) for x in X.objects]
@@ -634,19 +626,6 @@ def enumerate_cocones(p: Distributor, f: FunctorData, store: Optional[dict] = No
             out.append((w, {(y, x, e): leg for x, vals in zip(X.objects, values)
                             for (y, e), leg in zip(checker.slots(x), vals)}))
     return out
-
-
-def _legs_natural_in_x(p: Distributor, w: FunctorData, legs: dict, W: FinCategory) -> bool:
-    X, Y = p.src, p.tgt
-    for n in X.morphism_names():
-        if X.is_identity(n):
-            continue
-        x, x2 = X.dom(n), X.cod(n)
-        for y in Y.objects:
-            for e in p.el(y, x):
-                if legs[(y, x2, p.act_l(n, y, e))] != W.comp(legs[(y, x, e)], w.mor(n)):
-                    return False
-    return True
 
 
 def cocone_is_colimiting(p: Distributor, f: FunctorData, w: FunctorData, legs: dict) -> bool:
@@ -677,48 +656,6 @@ class CreationReport:
         }
 
 
-def _strict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData,
-                             down: WeightedColimit, up, store: Optional[dict] = None) -> CreationReport:
-    W = g.dom
-    X, Y = p.src, p.tgt
-
-    leg_slots = [(y, x, e) for x in X.objects for y in Y.objects for e in p.el(y, x)]
-    lifts = []
-    for w in enumerate_functors(X, W, ob_ok=lambda x, w0: g.ob(w0) == down.apex.ob(x),
-                                mor_ok=lambda n, k: g.mor(k) == down.apex.mor(n)):
-        leg_candidates = [[k for k in W.hom(f.ob(y), w.ob(x)) if g.mor(k) == down.legs[(y, x, e)]]
-                          for (y, x, e) in leg_slots]
-        for leg_combo in itertools.product(*leg_candidates):
-            legs = dict(zip(leg_slots, leg_combo))
-            if _legs_natural_in_y(p, f, legs, W) and _legs_natural_in_x(p, w, legs, W):
-                lifts.append((w, legs))
-
-    if len(lifts) != 1:
-        return CreationReport("strict", "colimit", False, lift_count=len(lifts),
-                              violations=[f"{len(lifts)} on-the-nose lifts (need exactly 1)"])
-    w, legs = lifts[0]
-    if up is _SEARCH:
-        up, _ = try_weighted_colimit(p, f, store)
-    colimiting = colimiting_test(up)(w.on_objects, legs)
-    violations = [] if colimiting else ["unique lift is not colimiting"]
-    return CreationReport("strict", "colimit", colimiting, lift_count=1,
-                          lifted_apex=dict(w.on_objects), colimiting=colimiting,
-                          violations=violations)
-
-
-def _legs_natural_in_y(p: Distributor, f: FunctorData, legs: dict, W: FinCategory) -> bool:
-    Y = p.tgt
-    for m in Y.morphism_names():
-        if Y.is_identity(m):
-            continue
-        y, y2 = Y.cod(m), Y.dom(m)
-        for x in p.src.objects:
-            for e in p.el(y, x):
-                if legs[(y2, x, p.act_r(m, x, e))] != W.comp(f.mor(m), legs[(y, x, e)]):
-                    return False
-    return True
-
-
 def colimiting_test(colim: Optional[WeightedColimit]):
     """A test of cocones (apex objects, legs) for colim's weight and diagram:
     is the cocone colimiting?  colim is their colimit, or None when it does
@@ -735,60 +672,233 @@ def colimiting_test(colim: Optional[WeightedColimit]):
     if colim is None:
         return lambda apex_objects, legs: False
     W = colim.diagram.cod
-    at_x = _legs_at_x(colim)
+    at_x = {x: (colim.apex.ob(x), [], []) for x in colim.weight.src.objects}
+    for key, leg in colim.legs.items():
+        at_x[key[1]][1].append(key)
+        at_x[key[1]][2].append(leg)
 
     def colimiting(apex_objects: dict, legs: dict) -> bool:
-        return all(W.inverse(_comparison(W, c, apex_objects[x], pairs, legs)) is not None
-                   for x, (c, pairs) in at_x.items())
+        return all(W.inverse(_factor(W, c, apex_objects[x], colim_legs, [legs[key] for key in keys],
+                                     "cocone legs must factor once through the colimit")) is not None
+                   for x, (c, keys, colim_legs) in at_x.items())
 
     return colimiting
 
 
-def _legs_at_x(colim: WeightedColimit) -> dict:
-    """{x: (colim's apex at x, [(key, leg)] for its legs at x)}, in listing order."""
-
-    at_x = {x: (colim.apex.ob(x), []) for x in colim.weight.src.objects}
-    for key, leg in colim.legs.items():
-        at_x[key[1]][1].append((key, leg))
-    return at_x
-
-
-def _comparison(W: FinCategory, c: str, w: str, pairs: list, legs: dict) -> str:
-    """The unique k: c -> w with leg ; k = legs[key] for each (key, leg) in pairs,
-    a colimit's legs at one x; TheoremViolation unless exactly one k exists."""
+def _factor(W: FinCategory, c: str, w: str, legs: list, targets: list, broken: str) -> str:
+    """The unique k: c -> w with legs[i] ; k = targets[i] for every i, where
+    legs are a colimit's legs at one x; TheoremViolation(broken) unless
+    exactly one k exists."""
 
     comp = W.composition
-    ks = [k for k in W.hom(c, w) if all(comp[(leg, k)] == legs[key] for key, leg in pairs)]
+    ks = [k for k in W.hom(c, w) if all(comp[(leg, k)] == t for leg, t in zip(legs, targets))]
     if len(ks) != 1:
-        raise TheoremViolation("cocone legs must factor once through the colimit")
+        raise TheoremViolation(broken)
     return ks[0]
 
 
-def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData,
-                                down: WeightedColimit, up, store: Optional[dict] = None) -> CreationReport:
+class _CreationAt(NamedTuple):
+    """What creation by g: W -> V of the colimit of f ; g needs at one x.
+
+    upstairs says whether f has a colimit at x.  flags maps each k out of
+    its apex c x to (k invertible, h ; g(k) invertible), h: d x -> g(c x)
+    the factor of c's g-image through the colimit d of f ; g at x; closed
+    says that no k tells the two apart (True without an upstairs colimit,
+    when flags is None).  isos lists each isomorphism i out of d x, in the
+    order [i for v in V.objects for i in V.hom(d x, v)], with its lifts at
+    x: every (w0, legs, colimiting) with g w0 = cod i and legs natural in y
+    whose g-images are d's legs followed by i, colimiting saying whether
+    those legs are colimiting at x.  identity is the index of d x's
+    identity among the isos, and strict says that every i has exactly one
+    lift and that lift is colimiting at x.
+
+    Why one record serves every position with the same g, diagram f and
+    column p(-, x):
+    * The colimits of f and f ; g at x depend only on the diagram and the
+      column (they are pointwise in x), and slot i of a column is its i-th
+      element in every weight that has it, so the legs read the same.
+    * The apex at x is unique up to a unique isomorphism, and the store
+      keeps the one every search over that column finds, so h, the flags
+      and the lifts are those of each position's colimit at x.
+    * Every colimiting cocone of f ; g is that colimit conjugated by one
+      family (i_x) of isomorphisms out of its apex, and every family gives
+      one (Mac Lane, CWM III.3): listing the isomorphisms at each x lists
+      every colimiting cocone, and a cocone over one is colimiting exactly
+      when it is colimiting at every x.
+    What spans two x's, the apex on morphisms and naturality in x, is left
+    to each position.
+    """
+
+    upstairs: bool
+    flags: Optional[dict]
+    closed: bool
+    isos: tuple
+    identity: int
+    strict: bool
+
+
+def _creation_at(g: FunctorData, upstairs: _UniversalityChecker,
+                 downstairs: _UniversalityChecker, x: str) -> Optional[_CreationAt]:
+    """The creation record at x, from the colimit records of f (upstairs)
+    and f ; g (downstairs) at x; None when f ; g has no colimit at x."""
+
+    down = downstairs.colimit_at(x)
+    if down is None:
+        return None
+    W, V = g.dom, g.cod
+    d, down_legs = down
+    up = upstairs.colimit_at(x)
+    flags, closed = None, True
+    if up is not None:
+        c, up_legs = up
+        h = _factor(V, d, g.ob(c), down_legs, [g.mor(leg) for leg in up_legs],
+                    "cocone legs must factor once through the colimit")
+        flags = {k: (W.inverse(k) is not None, V.inverse(V.comp(h, g.mor(k))) is not None)
+                 for w0 in W.objects for k in W.hom(c, w0)}
+        closed = all(up_inv == down_inv for up_inv, down_inv in flags.values())
+    comp = V.composition
+    isos = []
+    for i in [i for v in V.objects for i in V.hom(d, v) if V.inverse(i) is not None]:
+        targets = tuple(comp[(leg, i)] for leg in down_legs)
+        lifts = tuple((w0, legs, upstairs.is_colimiting_at(x, w0, legs))
+                      for w0 in W.objects if g.ob(w0) == V.cod(i)
+                      for legs in upstairs.family_values(x, w0)
+                      if tuple(g.mor(leg) for leg in legs) == targets)
+        isos.append((i, lifts))
+    return _CreationAt(up is not None, flags, closed, tuple(isos),
+                       [i for i, _ in isos].index(V.id_of(d)),
+                       all(len(lifts) == 1 and lifts[0][2] for _, lifts in isos))
+
+
+def _creation_records(g: FunctorData, p: Distributor, f: FunctorData, store: Optional[dict]) -> list:
+    """The creation record (_CreationAt) at each x of src p, in object order.
+
+    store keeps them per (diagram id of f, g by content), keyed by column
+    id (see _UniversalityChecker for the ids), next to the colimit records
+    they are computed from; _CreationAt says why sharing them is sound.
+    Without a store the call keeps a private one.  Raises DownstairsMissing
+    at the first x where f ; g has no colimit.
+    """
+
+    if store is None:
+        store = {}
+    key = (_diagram_id(p, f), "creation", g.cod, g.table())
+    records = store.get(key)
+    if records is None:
+        records = store[key] = {}
+    out = []
+    checkers = None
+    for x in p.src.objects:
+        column = p.column(x)
+        record = records.get(column, _UNSEARCHED)
+        if record is _UNSEARCHED:
+            if checkers is None:
+                checkers = (_UniversalityChecker(p, f, store),
+                            _UniversalityChecker(p, compose_functors(f, g), store))
+            record = records[column] = _creation_at(g, *checkers, x)
+        if record is None:
+            raise DownstairsMissing(f"downstairs colimit missing at {x!r}")
+        out.append(record)
+    return out
+
+
+def _strict_report(lifts: int, lift: Optional[dict]) -> CreationReport:
+    """The strict report for one colimiting cocone downstairs: its number
+    of lifts and, when there is one, that lift as {x: (w0, legs, colimiting)}."""
+
+    if lifts != 1:
+        return CreationReport("strict", "colimit", False, lift_count=lifts,
+                              violations=[f"{lifts} on-the-nose lifts (need exactly 1)"])
+    colimiting = all(colimiting_at for _, _, colimiting_at in lift.values())
+    return CreationReport("strict", "colimit", colimiting, lift_count=1,
+                          lifted_apex={x: w0 for x, (w0, _, _) in lift.items()},
+                          colimiting=colimiting,
+                          violations=[] if colimiting else ["unique lift is not colimiting"])
+
+
+def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> CreationReport:
+    """Does every colimiting cocone of f ; g have exactly one cocone over it,
+    and is that one colimiting?  The cocones are the stored colimit
+    conjugated by each family of isomorphisms (i_x), the identity family
+    first and then the others in product order; the report is the first
+    failing cocone's, or the identity family's when all pass.
+
+    A cocone over the family picks a lift at each x (_CreationAt.isos) and,
+    for each non-identity n: x -> x2, a k along which the lifted legs are
+    natural, such that the k's compose as the n's do.  g(k) is then the
+    conjugated apex on n, as the definition asks: both are morphisms m with
+    leg_x ; m = leg_x2 at n.e for the colimiting legs downstairs, and
+    postcomposition with those is injective.  With X discrete the records
+    alone decide.
+    """
+
+    X = p.src
+    objects = X.objects
+    nonid = [n for n in X.morphism_names() if not X.is_identity(n)]
+    if not nonid and all(r.strict for r in records):
+        return _strict_report(1, {x: r.isos[r.identity][1][0] for x, r in zip(objects, records)})
+    W = g.dom
+    comp, ids = W.composition, W.identities
+    along = [(X.dom(n), X.cod(n), list(enumerate(p.left_indices(n)))) for n in nonid]
+    slot = {n: s for s, n in enumerate(nonid)}
+    composable = [(slot[a], slot[b], slot.get(ab), X.dom(a)) for a, b, ab in X.composable_pairs()
+                  if a in slot and b in slot]
+
+    def lifts_over(lists: list) -> tuple:
+        """(number of lifts, the last one) for the lifts at each x in lists."""
+        count, lift = 0, None
+        for choice in itertools.product(*lists):
+            chosen = dict(zip(objects, choice))
+            ks = [[k for k in W.hom(chosen[x][0], chosen[x2][0])
+                   if all(comp[(chosen[x][1][i], k)] == chosen[x2][1][j] for i, j in pairs)]
+                  for x, x2, pairs in along]
+            for morphisms in itertools.product(*ks):
+                if all(comp[(morphisms[a], morphisms[b])] ==
+                       (ids[chosen[x][0]] if ab is None else morphisms[ab])
+                       for a, b, ab, x in composable):
+                    count, lift = count + 1, chosen
+        return count, lift
+
+    identity = tuple(r.identity for r in records)
+    families = itertools.chain([identity], (family for family in itertools.product(
+        *[range(len(r.isos)) for r in records]) if family != identity))
+    for family in families:
+        count, lift = lifts_over([r.isos[k][1] for r, k in zip(records, family)])
+        if count != 1 or not all(colimiting_at for _, _, colimiting_at in lift.values()):
+            return _strict_report(count, lift)
+        if family is identity:
+            first = lift
+    return _strict_report(1, first)
+
+
+def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData, records: list,
+                                store: Optional[dict]) -> CreationReport:
     """Is a cocone for f colimiting exactly when its g-image is?  The
     violation names the first apex, in enumerate_cocones order, of a cocone
-    where the two differ."""
+    where the two differ.  Without a colimit of f at some x, the cocones
+    are listed; otherwise the records' flags decide, and the natural k's
+    are searched only when some x leaves the question open."""
 
-    if up is _SEARCH:
-        up, _ = try_weighted_colimit(p, f, store)
     violations = []
-    if up is None:
+    upstairs_exists = all(r.upstairs for r in records)
+    if not upstairs_exists:
         violations.append("upstairs colimit does not exist")
-        down_colimiting = colimiting_test(down)
+        down_colimiting = colimiting_test(try_weighted_colimit(p, compose_functors(f, g), store)[0])
         witness = next((w for (w, legs) in enumerate_cocones(p, f, store)
                         if down_colimiting({x: g.ob(w.ob(x)) for x in p.src.objects},
                                            {key: g.mor(v) for key, v in legs.items()})), None)
+    elif all(r.closed for r in records):
+        witness = None                  # no k_x tells the two tests apart
     else:
-        witness = _first_mismatch_by_comparison(g, down, up)
+        witness = _first_mismatch(g.dom, try_weighted_colimit(p, f, store)[0],
+                                  [r.flags for r in records])
     if witness is not None:
         violations.append(f"cocone biconditional fails at apex {dict(witness.on_objects)}")
-    passed = up is not None and witness is None
-    return CreationReport("nonstrict", "colimit", passed,
-                          upstairs_exists=up is not None, violations=violations)
+    return CreationReport("nonstrict", "colimit", upstairs_exists and witness is None,
+                          upstairs_exists=upstairs_exists, violations=violations)
 
 
-def _first_mismatch_by_comparison(g: FunctorData, down: WeightedColimit, up: WeightedColimit):
+def _first_mismatch(W: FinCategory, up: WeightedColimit, flags: list):
     """The first apex w in enumerate_functors order with a cocone for up's
     diagram that is colimiting upstairs but not downstairs, or the other way
     round; None when there is none.
@@ -796,23 +906,13 @@ def _first_mismatch_by_comparison(g: FunctorData, down: WeightedColimit, up: Wei
     With c = up.apex, the cocones with apex w are c's legs followed by k
     for the natural k: c => w (Yoneda), and such a cocone is colimiting iff
     every k_x is invertible (colimiting_test).  Its g-image factors through
-    down by h_x ; g(k_x), where h_x: down x -> g(c x) is the factor of c's
-    g-image, so it is colimiting downstairs iff every h_x ; g(k_x) is.
+    the downstairs colimit by h_x ; g(k_x), h_x the factor of c's g-image,
+    so it is colimiting downstairs iff every h_x ; g(k_x) is; flags[x] maps
+    each k_x to both answers (_CreationAt).
     """
 
-    W, V = g.dom, g.cod
     X = up.weight.src
     c = up.apex
-    # (k_x invertible, h_x ; g(k_x) invertible) for every k_x out of c x
-    images = {key: g.mor(leg) for key, leg in up.legs.items()}
-    invertible = []
-    for x, (d_x, pairs) in _legs_at_x(down).items():
-        h = _comparison(V, d_x, g.ob(c.ob(x)), pairs, images)
-        invertible.append({k: (W.inverse(k) is not None,
-                               V.inverse(V.comp(h, g.mor(k))) is not None)
-                           for w0 in W.objects for k in W.hom(c.ob(x), w0)})
-    if all(up_inv == down_inv for flags in invertible for up_inv, down_inv in flags.values()):
-        return None                     # no k_x tells the two tests apart
     comp = W.composition
     along = [(X.objects.index(X.dom(n)), X.objects.index(X.cod(n)), n)
              for n in X.morphism_names() if not X.is_identity(n)]
@@ -824,29 +924,15 @@ def _first_mismatch_by_comparison(g: FunctorData, down: WeightedColimit, up: Wei
             search.require(lambda v, a=a, b=b, cn=c.mor(n), wn=w.mor(n):
                            comp[(cn, v[b])] == comp[(v[a], wn)], a, b)
         for ks in search.solutions():
-            flags = [at[k] for at, k in zip(invertible, ks)]
-            if all(up_inv for up_inv, _ in flags) != all(down_inv for _, down_inv in flags):
+            answers = [at[k] for at, k in zip(flags, ks)]
+            if all(up_inv for up_inv, _ in answers) != all(down_inv for _, down_inv in answers):
                 return w
     return None
 
 
-# stands for a (co)limit that check_creation's caller did not pass in
-_SEARCH = object()
-
-
-def _limit_as_dual_colimit(pd: Distributor, diagram: FunctorData, lim: Optional[WeightedLimit]):
-    """A p-weighted limit read as the pd-weighted colimit of diagram, its dual."""
-
-    if lim is None or lim is _SEARCH:
-        return lim
-    apex = FunctorData(pd.src, diagram.cod, lim.apex.on_objects, lim.apex.on_morphisms)
-    return WeightedColimit(pd, diagram, apex, lim.legs)
-
-
 def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
                    mode: str = "strict", kind: str = "colimit", *,
-                   down=_SEARCH, up=_SEARCH, store: Optional[dict] = None,
-                   g_op: Optional[FunctorData] = None,
+                   store: Optional[dict] = None, g_op: Optional[FunctorData] = None,
                    pd: Optional[Distributor] = None) -> CreationReport:
     """Does g create the downstairs p-weighted (co)limit of (f ; g)?
 
@@ -854,32 +940,29 @@ def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
     limit case runs the colimit check in the formal dual and relabels; g_op
     and pd are g between the opposite categories and dual_distributor(p),
     built here when not given, so that a caller asking about many positions
-    builds them once.  down and up are the (co)limits of f ; g and of f, as
-    try_weighted_colimit or try_weighted_limit finds them (up is None when
-    it does not exist); omitted, they are searched here, through store when
-    given (see _UniversalityChecker).  A cocone is colimiting when its
-    comparison map from the colimit is invertible (colimiting_test).
+    builds them once.  Strict creation asks that every colimiting cocone
+    downstairs have exactly one cocone over it and that it be colimiting
+    (Mac Lane, CWM V.1).  Both modes are decided from the creation records
+    at each x (_creation_records), kept in store when given; only what spans
+    two x's is checked per call.  Raises DownstairsMissing when f ; g has no
+    (co)limit.
     """
 
     if kind == "limit":
         W = g.dom
+        if f.dom != p.src:
+            raise EndpointMismatch("limit diagram must start at the weight's source")
         if g_op is None:
             g_op = opposite_functor(g, opposite(W), opposite(g.cod))
         if pd is None:
             pd = dual_distributor(p)
-        f_op = opposite_functor(f, pd.tgt, opposite(W))
-        report = check_creation(
-            g_op, pd, f_op, mode=mode, kind="colimit",
-            down=_limit_as_dual_colimit(pd, compose_functors(f_op, g_op), down),
-            up=_limit_as_dual_colimit(pd, f_op, up), store=store)
+        report = check_creation(g_op, pd, opposite_functor(f, pd.tgt, opposite(W)),
+                                mode=mode, store=store)
         report.kind = "limit"
         return report
-    if down is _SEARCH:
-        down, failed = try_weighted_colimit(p, compose_functors(f, g), store)
-        if down is None:
-            raise DownstairsMissing(f"downstairs colimit missing at {failed!r}")
-    elif down is None:
-        raise DownstairsMissing("downstairs colimit missing")
+    if f.dom != p.tgt:
+        raise EndpointMismatch("diagram must start at the weight's target")
+    records = _creation_records(g, p, f, store)
     if mode == "strict":
-        return _strict_colimit_creation(g, p, f, down, up, store)
-    return _nonstrict_colimit_creation(g, p, f, down, up, store)
+        return _strict_colimit_creation(g, p, records)
+    return _nonstrict_colimit_creation(g, p, f, records, store)

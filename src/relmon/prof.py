@@ -32,7 +32,8 @@ class Distributor:
     giving the image in p(y', x); left_action is keyed (n, y, e) for
     n: x -> x' in X and e in p(y, x), giving the image in p(y, x').
     Identity actions are stored implicitly.  Instances are immutable by
-    convention; table() and column(x) are built on first use and kept.
+    convention; table(), column(x) and left_indices(n) are built on first
+    use and kept.
     """
 
     def __init__(self, src: FinCategory, tgt: FinCategory, elements,
@@ -48,6 +49,7 @@ class Distributor:
         self.left_action = dict(left_action)
         self._table = None
         self._columns: dict[str, tuple] = {}
+        self._left: dict[str, tuple] = {}
 
     def el(self, y: str, x: str) -> tuple[str, ...]:
         return self.elements[(y, x)]
@@ -89,6 +91,20 @@ class Distributor:
             column = self._columns[x] = (tuple(len(self.elements[(y, x)]) for y in Y.objects),
                                          tuple(action))
         return column
+
+    def left_indices(self, n: str) -> tuple:
+        """The left action of n: x -> x2 of src up to the names of elements:
+        for each element of p(-, x), listed y-major (y in tgt's order, then
+        el(y, x)), the index of its image in p(-, x2) listed the same way.
+        Built on first use and kept, like column(x)."""
+        indices = self._left.get(n)
+        if indices is None:
+            X, Y = self.src, self.tgt
+            x, x2 = X.dom(n), X.cod(n)
+            index = {s: j for j, s in enumerate([(y, e) for y in Y.objects for e in self.el(y, x2)])}
+            indices = self._left[n] = tuple(index[(y, self.act_l(n, y, e))]
+                                            for y in Y.objects for e in self.el(y, x))
+        return indices
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Distributor) and self.src == other.src

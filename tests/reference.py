@@ -12,10 +12,7 @@ import itertools
 
 from relmon.algebra import Algebra, _alpha_slice_matches, algebra_violations
 from relmon.colim import (
-    _SEARCH,
     CreationReport,
-    _legs_natural_in_x,
-    _legs_natural_in_y,
     _UniversalityChecker,
     WeightedColimit,
     colimiting_test,
@@ -304,7 +301,22 @@ def enumerate_cocones(p, f):
     return out
 
 
+def _legs_natural_in_x(p, w, legs: dict, W) -> bool:
+    X, Y = p.src, p.tgt
+    return all(legs[(y, X.cod(n), p.act_l(n, y, e))] == W.comp(legs[(y, X.dom(n), e)], w.mor(n))
+               for n in X.morphism_names() for y in Y.objects for e in p.el(y, X.dom(n)))
+
+
+def _legs_natural_in_y(p, f, legs: dict, W) -> bool:
+    X, Y = p.src, p.tgt
+    return all(legs[(Y.dom(m), x, p.act_r(m, x, e))] == W.comp(f.mor(m), legs[(Y.cod(m), x, e)])
+               for m in Y.morphism_names() for x in X.objects for e in p.el(Y.cod(m), x))
+
+
 def strict_colimit_creation(g, p, f, down, up):
+    """Strict creation of the one cocone down, up the colimit of f or None:
+    the cocones over down, listed product-then-filter, must be exactly one,
+    and it must be colimiting."""
     W = g.dom
     X, Y = p.src, p.tgt
 
@@ -352,8 +364,6 @@ def strict_colimit_creation(g, p, f, down, up):
         return CreationReport("strict", "colimit", False, lift_count=len(lifts),
                               violations=[f"{len(lifts)} on-the-nose lifts (need exactly 1)"])
     w, legs = lifts[0]
-    if up is _SEARCH:
-        up, _ = try_weighted_colimit(p, f)
     colimiting = colimiting_test(up)(w.on_objects, legs)
     violations = [] if colimiting else ["unique lift is not colimiting"]
     return CreationReport("strict", "colimit", colimiting, lift_count=1,
@@ -364,8 +374,6 @@ def strict_colimit_creation(g, p, f, down, up):
 def nonstrict_colimit_creation(g, p, f, down, up):
     """Non-strict creation by listing every cocone upstairs and testing each
     against both colimits; the engine decides it from the comparison maps."""
-    if up is _SEARCH:
-        up, _ = try_weighted_colimit(p, f)
     down_colimiting_test = colimiting_test(down)
     up_colimiting_test = colimiting_test(up)
     upstairs_exists = up is not None
@@ -419,8 +427,6 @@ def every_cocone_strict_creation(g, p, f, down, up):
     the first failing cocone; when all pass, the identity family's report
     (lift count 1 and the lift over down itself)."""
 
-    if up is _SEARCH:
-        up, _ = try_weighted_colimit(p, f)
     first = None
     for cocone in iso_conjugates(down):
         report = strict_colimit_creation(g, p, f, cocone, up)

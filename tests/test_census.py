@@ -233,10 +233,11 @@ def content(F) -> tuple:
 def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypatch):
     """Over one creation audit: E(j, f) is built at most once per (j,
     diagram) pair that absoluteness is asked about, no (j, diagram, column)
-    absoluteness is checked twice, and each creation position is checked
-    once per mode, with its (co)limits read from the census once."""
+    absoluteness is checked twice, each creation position is checked once
+    per mode without reading or assembling a whole (co)limit, and no (g,
+    diagram, column) creation record is computed twice."""
     j, r = corpus_question("point_split", "r_id")
-    pairs, builds, columns, checks, reads = [], [], [], [], []
+    pairs, builds, columns, checks, reads, records = [], [], [], [], [], []
     inside = []
 
     def wrap(owner, name, record):
@@ -264,9 +265,12 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     def creation(g, p, f, mode="strict", kind="colimit", **_):
         checks.append((content(g), p.table(), f.table(), kind, mode))
 
-    def read(census, w, diagram, kind):
+    def read(*args, **kwargs):
         if "creation" in inside:
-            reads.append((w.p.table(), diagram.f.table(), kind))
+            reads.append(args)
+
+    def record(g, upstairs, downstairs, x):
+        records.append((content(g), content(upstairs.f), upstairs.p.column(x)))
 
     wrap(colim, "is_j_absolute", absolute)
     wrap(monadicity, "is_j_absolute", absolute)
@@ -275,6 +279,9 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     wrap(colim, "check_creation", creation)
     wrap(DownstairsCensus, "creation", lambda *args: None)
     wrap(DownstairsCensus, "downstairs", read)
+    wrap(DownstairsCensus, "upstairs", read)
+    wrap(colim, "try_weighted_colimit", read)
+    wrap(colim, "_creation_at", record)
     shapes = [corpus.terminal_category(), corpus.interval_category()]
     report = creation_audit(j, r, shapes, 1)
     assert not report.vacuous and report.items
@@ -283,4 +290,5 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     positions = {key[:4] for key in checks}
     assert len(checks) == len(set(checks)) == 2 * len(positions)
     assert len(positions) == len(report.items)
-    assert len(reads) == len(set(reads)) == len(positions)
+    assert reads == []
+    assert records and len(records) == len(set(records))

@@ -8,6 +8,7 @@ warm and in either call order.
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from relmon import corpus
@@ -205,7 +206,7 @@ def test_census_creation_verdicts_match_direct_checks(params, root):
         assert len(census._creations) == rows
 
 
-def nonstrict_cases(W, V):
+def creation_cases(W, V):
     """(g, p, f, kind) over the first functors g: W -> V, Terminal and
     Interval weights and every diagram into W, for colimits and limits."""
     for g in itertools.islice(enumerate_functors(W, V), 3):
@@ -222,7 +223,7 @@ def assert_nonstrict_creation_matches_reference(W, V) -> set:
     which lists every cocone; limits go through the formal dual in both.
     Returns the upstairs_exists values seen."""
     seen = set()
-    for g, p, f, kind in nonstrict_cases(W, V):
+    for g, p, f, kind in creation_cases(W, V):
         try:
             got = check_creation(g, p, f, mode="nonstrict", kind=kind).to_dict()
         except DownstairsMissing:
@@ -252,3 +253,99 @@ def test_nonstrict_creation_with_upstairs_colimit_present_and_absent():
         seen |= assert_nonstrict_creation_matches_reference(
             corpus.STANDARD_CATEGORIES[W](), corpus.STANDARD_CATEGORIES[V]())
     assert seen == {True, False}
+
+
+def has_nonidentity_iso(C) -> bool:
+    return any(not C.is_identity(m) and C.inverse(m) is not None for m in C.morphism_names())
+
+
+def upstairs(p, f, kind):
+    return (try_weighted_colimit if kind == "colimit" else try_weighted_limit)(p, f)[0]
+
+
+def assert_strict_creation_matches_reference(W, V) -> set:
+    """check_creation in strict mode, cold and through one store shared by
+    every (g, p, f, kind), against reference.check_creation, which runs the
+    picked-cocone reference over every colimiting cocone.  Returns the
+    (kind, upstairs (co)limit exists, verdict moved from the picked cocone's)
+    triples seen; the last is None for limits."""
+    store = {}
+    seen = set()
+    for g, p, f, kind in creation_cases(W, V):
+        try:
+            want = reference.check_creation(g, p, f, "strict", kind).to_dict()
+        except DownstairsMissing:
+            with pytest.raises(DownstairsMissing):
+                check_creation(g, p, f, mode="strict", kind=kind, store=store)
+            continue
+        assert check_creation(g, p, f, mode="strict", kind=kind).to_dict() == want
+        assert check_creation(g, p, f, mode="strict", kind=kind, store=store).to_dict() == want
+        moved = None
+        if kind == "colimit":
+            down, _ = try_weighted_colimit(p, compose_functors(f, g))
+            picked = reference.strict_colimit_creation(g, p, f, down, upstairs(p, f, kind))
+            moved = picked.passed and not want["passed"]
+        seen.add((kind, upstairs(p, f, kind) is not None, moved))
+    return seen
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=generated, params2=generated)
+def test_strict_creation_matches_every_cocone_reference(params, params2):
+    """Strict creation reports, lift counts and lifted apexes included,
+    equal the every-cocone reference over generated (g, p, f), for colimits
+    and limits."""
+    W = corpus.generate_category(*params)
+    V = corpus.generate_category(*params2)
+    assume(W is not None and V is not None)
+    assert_strict_creation_matches_reference(W, V)
+
+
+def test_strict_creation_over_isomorphic_cocones():
+    """The reference comparison on standard categories covers colimits and
+    limits with the upstairs (co)limit present and absent, and targets
+    with non-identity isomorphisms, where some verdict differs from the one
+    the picked cocone alone would give."""
+    seen = set()
+    for W, V in (("Indisc2", "Indisc2"), ("Terminal", "Indisc2"), ("Disc2", "Indisc2"),
+                 ("Split", "Terminal"), ("Vee", "Interval"), ("PP", "Split")):
+        W, V = corpus.STANDARD_CATEGORIES[W](), corpus.STANDARD_CATEGORIES[V]()
+        seen |= {(kind, exists, moved and has_nonidentity_iso(V))
+                 for kind, exists, moved in assert_strict_creation_matches_reference(W, V)}
+    assert {(kind, exists) for kind, exists, _ in seen} == {
+        (kind, exists) for kind in ("colimit", "limit") for exists in (True, False)}
+    assert ("colimit", True, True) in seen
+
+
+def corpus_positions():
+    """(question name, r, w, diagram, kind) for every corpus root question
+    r and every Terminal and Interval cap-1 weight and diagram into dom r
+    whose downstairs (co)limit exists, through one census."""
+    census = DownstairsCensus()
+    out = []
+    for inst in corpus.builtin_corpus():
+        if inst.roles.get("root") != "j":
+            continue
+        for role in inst.roles["candidates"]:
+            r = inst.functors[role]
+            for X in shapes():
+                for Y in shapes():
+                    for w in census.weights(X, Y, 1, TEST_BUDGET):
+                        for kind, Z in (("colimit", Y), ("limit", X)):
+                            for diagram in census.diagrams(Z, r):
+                                if census.downstairs(w, diagram, kind) is not None:
+                                    out.append((f"{inst.name}/{role}", r, w, diagram, kind))
+    return census, out
+
+
+def test_corpus_creation_matches_reference():
+    """On every corpus root question, both modes' reports through one store
+    and the census's verdicts equal the references'."""
+    census, positions = corpus_positions()
+    store = {}
+    for name, r, w, diagram, kind in positions:
+        for mode in ("strict", "nonstrict"):
+            want = reference.check_creation(r, w.p, diagram.f, mode, kind).to_dict()
+            got = check_creation(r, w.p, diagram.f, mode=mode, kind=kind, store=store)
+            assert got.to_dict() == want, (name, mode, kind)
+            assert census.creation(r, w, diagram, kind, mode) == want["passed"], (name, mode, kind)

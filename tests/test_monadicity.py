@@ -115,6 +115,22 @@ def test_audit_finds_strict_witness(cats):
     assert audit.discrepancies == []
 
 
+def test_audit_witnesses_strict_verdict_over_isomorphic_cocones(cats):
+    # r picks 0 of Indisc2 under an empty (dense) root: the comparison is an
+    # equivalence, not an isomorphism.  Each audited colimit has a cocone
+    # conjugated by the swap 0 <-> 1 that nothing over r lies over, so strict
+    # creation fails and witnesses the negative strict verdict
+    inst = next(i for i in corpus.builtin_corpus() if i.name == "empty_root_indisc2")
+    j, r = inst.functors["j"], inst.functors["r_point"]
+    audit = creation_audit(j, r)
+    assert audit.dense_root and not decide_monadicity(j, r, "strict").verdict
+    failing = audit.failing_items("strict")
+    assert failing and len(failing) == len(audit.items)
+    assert "strict" not in audit.inconclusive_at_bound
+    assert audit.failing_items("nonstrict") == []
+    assert audit.discrepancies == []
+
+
 def test_audit_density_necessity_exhibit(cats):
     # the documented counterexample: j = [] into Disc2 is not dense; the
     # point inclusion strictly creates every audited colimit yet is not

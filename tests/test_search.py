@@ -15,18 +15,14 @@ from relmon.algebra import (
     enumerate_algebras,
 )
 from relmon.colim import (
-    _SEARCH,
     _cone_families,
-    _strict_colimit_creation,
     enumerate_cocones,
     is_dense,
     nerve_transform_families,
-    try_weighted_colimit,
 )
 from relmon.errors import BudgetExceeded
 from relmon.fincat import (
     build_category,
-    compose_functors,
     enumerate_functors,
     enumerate_natural_transformations,
     find_natural_isomorphism,
@@ -307,25 +303,6 @@ def test_cocones_match_reference(params):
         for f in enumerate_functors(p.tgt, W):
             assert cocone_tables(enumerate_cocones(p, f)) == cocone_tables(
                 reference.enumerate_cocones(p, f))
-
-
-@settings(max_examples=10, deadline=None)
-@given(params=generated, params2=generated)
-def test_strict_creation_matches_reference(params, params2):
-    """Strict creation of every colimit that exists downstairs, along the
-    first functors g: W -> V, lift counts included."""
-    W = corpus.generate_category(*params)
-    V = corpus.generate_category(*params2)
-    assume(W is not None and V is not None)
-    for g in itertools.islice(enumerate_functors(W, V), 4):
-        for p in weights():
-            for f in enumerate_functors(p.tgt, W):
-                down, _ = try_weighted_colimit(p, compose_functors(f, g))
-                if down is None:
-                    continue
-                got = _strict_colimit_creation(g, p, f, down, _SEARCH)
-                want = reference.strict_colimit_creation(g, p, f, down, _SEARCH)
-                assert got.to_dict() == want.to_dict()
 
 
 def resolution_cases(j, monads):
