@@ -349,3 +349,27 @@ def test_corpus_creation_matches_reference():
             got = check_creation(r, w.p, diagram.f, mode=mode, kind=kind, store=store)
             assert got.to_dict() == want, (name, mode, kind)
             assert census.creation(r, w, diagram, kind, mode) == want["passed"], (name, mode, kind)
+
+
+def test_creation_with_weights_out_of_categories_with_composites():
+    """Both modes against the references for weights out of categories
+    with composable non-identity morphisms (the delooping of Z/2, whose
+    s ; s is the identity, and a 3-element monoid), where a lift's
+    morphisms must compose as X's do."""
+    cats = corpus.STANDARD_CATEGORIES
+    for X in (cats["BZ2"](), cats["BM3"]()):
+        for Y in shapes():
+            for W, V in (("Indisc2", "Indisc2"), ("BZ2", "BZ2"), ("Split", "Terminal")):
+                W, V = cats[W](), cats[V]()
+                for g in itertools.islice(enumerate_functors(W, V), 2):
+                    store = {}
+                    for p in enumerate_distributors(X, Y, 1):
+                        for kind, Z in (("colimit", Y), ("limit", X)):
+                            for f in enumerate_functors(Z, W):
+                                for mode in ("strict", "nonstrict"):
+                                    try:
+                                        want = reference.check_creation(g, p, f, mode, kind)
+                                    except DownstairsMissing:
+                                        continue
+                                    got = check_creation(g, p, f, mode=mode, kind=kind, store=store)
+                                    assert got.to_dict() == want.to_dict()
