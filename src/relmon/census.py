@@ -23,10 +23,10 @@ layout); per (root, diagram id) the j-absoluteness at each column
 (colim.is_j_absolute); and per (diagram id, g by content) the creation
 record at each column (colim._CreationAt), which holds what both creation
 modes need at one x, strict creation over every colimiting cocone
-included, so that a position checks only what spans two x's.  Limit
-creation is checked in the dual: g's opposite is built once per census,
-and a weight's dual once while its positions are asked in a row, not once
-per position.
+included, so that a position fetches its records once for both modes
+and checks only what spans two x's.  Limit creation is checked in the
+dual: g's opposite is built once per census, a weight's dual once while
+its positions are asked in a row, and the diagram's once per position.
 
 A suite run holds one census in its context for forgetful_creates,
 preservation_conservativity, monadicity_crosscheck, density_necessity and
@@ -214,8 +214,9 @@ class DownstairsCensus:
 
     def creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str, mode: str) -> bool:
         """check_creation(g, w.p, diagram.f, mode, kind).passed.  The first
-        question at a position checks both modes from the creation records
-        in the pointwise store, and the census keeps both verdicts."""
+        question at a position fetches its creation records from the
+        pointwise store once (for a limit, in the dual built once) and
+        checks both modes from them, and the census keeps both verdicts."""
 
         f = diagram.f
         n = len(self._positions[(f.dom, f.cod)])
@@ -226,10 +227,10 @@ class DownstairsCensus:
             g_op = pd = None
             if kind == "limit":
                 g_op, pd = self._opposite(g_key, g), self._dual_of(w.p)
+            records = colim.creation_records(g, w.p, f, kind, store=self._pointwise, g_op=g_op, pd=pd)
             verdicts = _CHECKED
             for i, checked_mode in enumerate(_MODES):
-                report = colim.check_creation(g, w.p, f, mode=checked_mode, kind=kind,
-                                              store=self._pointwise, g_op=g_op, pd=pd)
+                report = colim.check_creation(g, w.p, f, mode=checked_mode, kind=kind, records=records)
                 if report.passed:
                     verdicts |= _PASSED << i
             row[pos] = verdicts

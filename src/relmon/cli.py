@@ -373,76 +373,100 @@ def _add_mode_flags(p) -> None:
     mode.add_argument("--nonstrict", action="store_true")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="relmon",
-                     description="finite-category engine for relative monadicity")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_bounds(p) -> None:
+    p.add_argument("--shapes", type=_non_negative_int, default=0)
+    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ELEMENT_CAP)
 
-    p = sub.add_parser("validate", help="validate a category/functor/monad/adjunction file or bundle")
+
+def _required(*flags):
+    """An add-arguments function for the required options flags, in order."""
+
+    def add(p) -> None:
+        for flag in flags:
+            p.add_argument(flag, required=True)
+    return add
+
+
+def _validate_arguments(p) -> None:
     p.add_argument("file")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("density", help="is the functor a dense root?")
-    p.add_argument("--j", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("adjoint", help="search for a left relative adjoint")
-    p.add_argument("--j", required=True)
-    p.add_argument("--r", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_adjoint)
-
-    p = sub.add_parser("monad", help="validate or enumerate relative monads")
+def _monad_arguments(p) -> None:
     p.add_argument("action", choices=["validate", "enumerate"])
     p.add_argument("file", nargs="?")
     p.add_argument("--j")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_monad)
 
-    p = sub.add_parser("algebras", help="enumerate algebras of a monad")
-    p.add_argument("--monad", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_algebras)
 
-    p = sub.add_parser("monadic", help="decide relative monadicity")
+def _monadic_arguments(p) -> None:
     p.add_argument("--j", required=True)
     p.add_argument("--r", required=True)
     _add_mode_flags(p)
     p.add_argument("--co", action="store_true")
     p.add_argument("--audit", action="store_true")
-    p.add_argument("--shapes", type=_non_negative_int, default=0)
-    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ELEMENT_CAP)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_monadic)
+    _add_bounds(p)
 
-    p = sub.add_parser("paste", help="paste or unpaste relative adjunctions")
+
+def _paste_arguments(p) -> None:
     p.add_argument("--inner", required=True)
     p.add_argument("--outer", required=True)
     p.add_argument("--direction", choices=["paste", "unpaste"], required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_paste)
 
-    p = sub.add_parser("composite", help="composite monadicity biconditional")
+
+def _composite_arguments(p) -> None:
     p.add_argument("--j", required=True)
     p.add_argument("--rprime", required=True)
     p.add_argument("--r", required=True)
     _add_mode_flags(p)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_composite)
 
-    p = sub.add_parser("suite", help="run the theorem cross-validation suite")
+
+def _suite_arguments(p) -> None:
     p.add_argument("--corpus")
-    p.add_argument("--shapes", type=_non_negative_int, default=0)
-    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_ELEMENT_CAP)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_suite)
+    _add_bounds(p)
+
+
+# (name, help, add-arguments function, handler) per subcommand, in help order;
+# every subcommand also takes --report, added last
+COMMANDS = (
+    ("validate", "validate a category/functor/monad/adjunction file or bundle",
+     _validate_arguments, _cmd_validate),
+    ("density", "is the functor a dense root?", _required("--j"), _cmd_density),
+    ("adjoint", "search for a left relative adjoint", _required("--j", "--r"), _cmd_adjoint),
+    ("monad", "validate or enumerate relative monads", _monad_arguments, _cmd_monad),
+    ("algebras", "enumerate algebras of a monad", _required("--monad"), _cmd_algebras),
+    ("monadic", "decide relative monadicity", _monadic_arguments, _cmd_monadic),
+    ("paste", "paste or unpaste relative adjunctions", _paste_arguments, _cmd_paste),
+    ("composite", "composite monadicity biconditional", _composite_arguments, _cmd_composite),
+    ("suite", "run the theorem cross-validation suite", _suite_arguments, _cmd_suite),
+)
+
+
+def build_parser(command=None) -> _Parser:
+    """The relmon parser, with only command's subparser when command names
+    one, else with every subparser.
+
+    The top-level parser has no option but -h, and a subparser takes every
+    argument after its name, so on an argv that starts with command the
+    one-subparser parser gives the same namespace, help and usage errors
+    as the full one.
+    """
+
+    parser = _Parser(prog="relmon",
+                     description="finite-category engine for relative monadicity")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = any(name == command for name, _, _, _ in COMMANDS)
+    for name, help_text, add_arguments, handler in COMMANDS:
+        if named and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.add_argument("--report")
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -35,9 +35,9 @@ Caches, what keys them and how long they live:
   each column id; and per (diagram id, g by content) the creation record
   for each column id.  The census owns one for its run and passes it to
   try_weighted_colimit, dual_limit_search, enumerate_cocones,
-  check_creation and is_j_absolute.  Without one a search keeps a private
+  creation_records and is_j_absolute.  Without one a search keeps a private
   store for the call.  _UniversalityChecker, is_j_absolute and
-  _creation_records give the layout.
+  creation_records give the layout.
 * A _UniversalityChecker holds the family plans (slots and naturality
   checks, one per x) and the family key sets of one (p, f) for one
   caller, and is dropped with the call.  This module keeps no cache of
@@ -135,7 +135,7 @@ class _UniversalityChecker:
     every distributor with that column, so a record is read back into any
     of them by zip(slots(x), values).  store is a dict keyed by diagram id,
     holding each diagram's records keyed by column id (is_j_absolute and
-    _creation_records keep their entries in the same dict, keyed (diagram
+    creation_records keep their entries in the same dict, keyed (diagram
     id, root) and (diagram id, "creation", cod g, g.table())); without
     one, the checker keeps a private store.  The family plans (slots and
     naturality checks) and the key sets stay with the checker.
@@ -770,18 +770,49 @@ def _creation_at(g: FunctorData, upstairs: _UniversalityChecker,
                        all(len(lifts) == 1 and lifts[0][2] for _, lifts in isos))
 
 
-def _creation_records(g: FunctorData, p: Distributor, f: FunctorData, store: Optional[dict]) -> list:
-    """The creation record (_CreationAt) at each x of src p, in object order.
+class CreationRecords(NamedTuple):
+    """The creation records of one (g, p, f) question, fetched once for
+    check_creation in either mode.  A limit question is held as the
+    colimit question of its formal dual: g, p and f here are then g, the
+    weight and the diagram between the opposite categories."""
 
-    store keeps them per (diagram id of f, g by content), keyed by column
+    g: FunctorData
+    p: Distributor
+    f: FunctorData
+    store: dict
+    records: list
+
+
+def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str = "colimit", *,
+                     store: Optional[dict] = None, g_op: Optional[FunctorData] = None,
+                     pd: Optional[Distributor] = None) -> CreationRecords:
+    """The creation record (_CreationAt) at each x of src p, in object
+    order, for check_creation(g, p, f, kind=kind).
+
+    For colimits f: tgt(p) -> dom(g); for limits f: src(p) -> dom(g), and
+    the records are those of the formal dual; g_op and pd are g between the
+    opposite categories and dual_distributor(p), built here when not given,
+    so that a caller asking about many positions builds them once.  store
+    keeps the records per (diagram id of f, g by content), keyed by column
     id (see _UniversalityChecker for the ids), next to the colimit records
     they are computed from; _CreationAt says why sharing them is sound.
     Without a store the call keeps a private one.  Raises DownstairsMissing
-    at the first x where f ; g has no colimit.
+    at the first x where f ; g has no (co)limit.
     """
 
     if store is None:
         store = {}
+    if kind == "limit":
+        W = g.dom
+        if f.dom != p.src:
+            raise EndpointMismatch("limit diagram must start at the weight's source")
+        if g_op is None:
+            g_op = opposite_functor(g, opposite(W), opposite(g.cod))
+        if pd is None:
+            pd = dual_distributor(p)
+        g, p, f = g_op, pd, opposite_functor(f, pd.tgt, opposite(W))
+    elif f.dom != p.tgt:
+        raise EndpointMismatch("diagram must start at the weight's target")
     key = (_diagram_id(p, f), "creation", g.cod, g.table())
     records = store.get(key)
     if records is None:
@@ -799,7 +830,7 @@ def _creation_records(g: FunctorData, p: Distributor, f: FunctorData, store: Opt
         if record is None:
             raise DownstairsMissing(f"downstairs colimit missing at {x!r}")
         out.append(record)
-    return out
+    return CreationRecords(g, p, f, store, out)
 
 
 def _strict_report(lifts: int, lift: Optional[dict]) -> CreationReport:
@@ -932,37 +963,27 @@ def _first_mismatch(W: FinCategory, up: WeightedColimit, flags: list):
 
 def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
                    mode: str = "strict", kind: str = "colimit", *,
-                   store: Optional[dict] = None, g_op: Optional[FunctorData] = None,
-                   pd: Optional[Distributor] = None) -> CreationReport:
+                   store: Optional[dict] = None,
+                   records: Optional[CreationRecords] = None) -> CreationReport:
     """Does g create the downstairs p-weighted (co)limit of (f ; g)?
 
     For colimits f: tgt(p) -> dom(g); for limits f: src(p) -> dom(g).  The
-    limit case runs the colimit check in the formal dual and relabels; g_op
-    and pd are g between the opposite categories and dual_distributor(p),
-    built here when not given, so that a caller asking about many positions
-    builds them once.  Strict creation asks that every colimiting cocone
-    downstairs have exactly one cocone over it and that it be colimiting
-    (Mac Lane, CWM V.1).  Both modes are decided from the creation records
-    at each x (_creation_records), kept in store when given; only what spans
-    two x's is checked per call.  Raises DownstairsMissing when f ; g has no
-    (co)limit.
+    limit case runs the colimit check in the formal dual and relabels.
+    Strict creation asks that every colimiting cocone downstairs have
+    exactly one cocone over it and that it be colimiting (Mac Lane, CWM
+    V.1).  Both modes are decided from the creation records at each x,
+    records when given (creation_records(g, p, f, kind) fetched once for
+    both modes), else fetched here and kept in store when given; only what
+    spans two x's is checked per call.  Raises DownstairsMissing when f ; g
+    has no (co)limit.
     """
 
-    if kind == "limit":
-        W = g.dom
-        if f.dom != p.src:
-            raise EndpointMismatch("limit diagram must start at the weight's source")
-        if g_op is None:
-            g_op = opposite_functor(g, opposite(W), opposite(g.cod))
-        if pd is None:
-            pd = dual_distributor(p)
-        report = check_creation(g_op, pd, opposite_functor(f, pd.tgt, opposite(W)),
-                                mode=mode, store=store)
-        report.kind = "limit"
-        return report
-    if f.dom != p.tgt:
-        raise EndpointMismatch("diagram must start at the weight's target")
-    records = _creation_records(g, p, f, store)
+    if records is None:
+        records = creation_records(g, p, f, kind, store=store)
     if mode == "strict":
-        return _strict_colimit_creation(g, p, records)
-    return _nonstrict_colimit_creation(g, p, f, records, store)
+        report = _strict_colimit_creation(records.g, records.p, records.records)
+    else:
+        report = _nonstrict_colimit_creation(records.g, records.p, records.f, records.records,
+                                             records.store)
+    report.kind = kind
+    return report

@@ -311,6 +311,11 @@ def load_json(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseFailure(str(path), f"invalid JSON at line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise ParseFailure(str(path), "JSON nested too deeply") from exc
+    except ValueError as exc:
+        # an integer literal longer than int() converts (sys.get_int_max_str_digits)
+        raise ParseFailure(str(path), "JSON integer has too many digits") from exc
     if not isinstance(doc, dict):
         raise ParseFailure(str(path), f"document must be a JSON object, not {type(doc).__name__}")
     return doc

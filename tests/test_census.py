@@ -233,11 +233,13 @@ def content(F) -> tuple:
 def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypatch):
     """Over one creation audit: E(j, f) is built at most once per (j,
     diagram) pair that absoluteness is asked about, no (j, diagram, column)
-    absoluteness is checked twice, each creation position is checked once
-    per mode without reading or assembling a whole (co)limit, and no (g,
-    diagram, column) creation record is computed twice."""
+    absoluteness is checked twice, each creation position fetches its
+    creation records once and is checked once per mode from them without
+    reading or assembling a whole (co)limit, and no (g, diagram, column)
+    creation record is computed twice."""
     j, r = corpus_question("point_split", "r_id")
     pairs, builds, columns, checks, reads, records = [], [], [], [], [], []
+    fetches = []
     inside = []
 
     def wrap(owner, name, record):
@@ -265,6 +267,9 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     def creation(g, p, f, mode="strict", kind="colimit", **_):
         checks.append((content(g), p.table(), f.table(), kind, mode))
 
+    def fetch(g, p, f, kind="colimit", **_):
+        fetches.append((content(g), p.table(), f.table(), kind))
+
     def read(*args, **kwargs):
         if "creation" in inside:
             reads.append(args)
@@ -277,6 +282,7 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     wrap(colim, "hom_restriction", build)
     wrap(colim, "_first_failing_root", check)
     wrap(colim, "check_creation", creation)
+    wrap(colim, "creation_records", fetch)
     wrap(DownstairsCensus, "creation", lambda *args: None)
     wrap(DownstairsCensus, "downstairs", read)
     wrap(DownstairsCensus, "upstairs", read)
@@ -290,5 +296,6 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     positions = {key[:4] for key in checks}
     assert len(checks) == len(set(checks)) == 2 * len(positions)
     assert len(positions) == len(report.items)
+    assert len(fetches) == len(set(fetches)) and set(fetches) == positions
     assert reads == []
     assert records and len(records) == len(set(records))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relmon import corpus
-from relmon.cli import main
+from relmon.cli import COMMANDS, _UsageError, build_parser, main
 from relmon.corpus import save_json
 
 
@@ -623,3 +624,168 @@ def test_damaged_bundles_keep_the_exit_code_contract(point_bz2_bundle, tmp_path,
     for argv in (["validate", root],
                  ["suite", "--corpus", root.parent, "--cap", "1", "--shapes", "1"]):
         assert run_damaged(argv, tmp_path, capsys, root / name) in range(5)
+
+
+def unreadable(doc: dict, how: str) -> str:
+    """doc's JSON text with one more field that json.loads cannot read:
+    nested 100,000 deep, or an integer of 5,000 digits."""
+    value = "[" * 100_000 + "]" * 100_000 if how == "deep" else "7" * 5_000
+    return json.dumps(doc)[:-1] + f', "pad": {value}}}'
+
+
+@pytest.mark.parametrize("how", ["deep", "long_integer"])
+def test_unreadable_json_is_parse_error(files, tmp_path, capsys, how):
+    """A document json.loads gives up on (RecursionError, or ValueError for
+    too many digits) is an input error naming the file, not a crash."""
+    for kind, doc in inline_docs(files).items():
+        bad = tmp_path / f"unreadable_{kind}.json"
+        bad.write_text(unreadable(doc, how))
+        argvs = [["validate", bad]] + ([["density", "--j", bad]] if kind == "functor" else [])
+        for argv in argvs:
+            assert run_damaged(argv, tmp_path, capsys, bad) == 3
+            error = json.loads((tmp_path / "rep.json").read_text())["error"]
+            assert error.startswith(f"parse error at {bad}: JSON "), error
+
+
+@pytest.mark.parametrize("how", ["deep", "long_integer"])
+def test_unreadable_json_in_a_bundle_is_parse_error(point_bz2_bundle, tmp_path, capsys, how):
+    """The same for any one file of a bundle, the manifest included, under
+    validate and suite --corpus."""
+    for name in sorted(point_bz2_bundle):
+        shutil.rmtree(tmp_path / "corpus", ignore_errors=True)
+        root = tmp_path / "corpus" / "point_bz2"
+        root.mkdir(parents=True)
+        for file_name, doc in point_bz2_bundle.items():
+            save_json(doc, root / file_name)
+        (root / name).write_text(unreadable(point_bz2_bundle[name], how))
+        for argv in (["validate", root],
+                     ["suite", "--corpus", root.parent, "--cap", "1", "--shapes", "1"]):
+            assert run_damaged(argv, tmp_path, capsys, root / name) == 3
+            error = json.loads((tmp_path / "rep.json").read_text())["error"]
+            assert error.startswith(f"parse error at {root / name}: JSON "), error
+
+
+# ---------------------------------------------------------------------------
+# a call builds only the subparser its first argument names
+
+NAMES = [name for name, _, _, _ in COMMANDS]
+# a valid argv for each subcommand, every option given
+REPRESENTATIVE = {
+    "validate": ["validate", "f.json", "--report", "r.json"],
+    "density": ["density", "--j", "j.json"],
+    "adjoint": ["adjoint", "--r", "r.json", "--j", "j.json"],
+    "monad": ["monad", "enumerate", "--j", "j.json", "--report", "r.json"],
+    "algebras": ["algebras", "--monad", "t.json"],
+    "monadic": ["monadic", "--j", "j.json", "--r", "r.json", "--nonstrict", "--co", "--audit",
+                "--shapes", "2", "--cap", "1"],
+    "paste": ["paste", "--inner", "a.json", "--outer", "b.json", "--direction", "unpaste"],
+    "composite": ["composite", "--j", "j.json", "--rprime", "q.json", "--r", "r.json", "--strict"],
+    "suite": ["suite", "--corpus", "c", "--shapes", "1", "--cap", "0"],
+}
+# usage errors of each subcommand: an unknown option, a missing required
+# argument, and whatever else its arguments can get wrong
+USAGE_ERRORS = {
+    "validate": [["validate"], ["validate", "a", "b"]],
+    "density": [["density"], ["density", "--j"]],
+    "adjoint": [["adjoint", "--j", "j.json"]],
+    "monad": [["monad"], ["monad", "bogus"]],
+    "algebras": [["algebras"]],
+    "monadic": [["monadic", "--j", "j", "--r", "r", "--strict", "--nonstrict"],
+                ["monadic", "--j", "j", "--r", "r", "--cap", "-1"], ["monadic", "--r", "r"]],
+    "paste": [["paste", "--inner", "a", "--outer", "b", "--direction", "sideways"]],
+    "composite": [["composite", "--j", "j", "--r", "r"],
+                  ["composite", "--j", "j", "--rprime", "q", "--r", "r", "--nonstrict", "--strict"]],
+    "suite": [["suite", "--shapes", "x"], ["suite", "--cap", "-1", "--shapes", "-3"]],
+}
+
+
+def subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def usage_error(parser, argv) -> str:
+    with pytest.raises(_UsageError) as caught:
+        parser.parse_args(argv)
+    return str(caught.value)
+
+
+@pytest.fixture
+def add_parser_calls(monkeypatch):
+    """The names passed to argparse's add_parser from now on."""
+    calls = []
+    original = argparse._SubParsersAction.add_parser
+
+    def add_parser(self, name, **kwargs):
+        calls.append(name)
+        return original(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+    return calls
+
+
+def test_command_table_is_the_help_listing():
+    assert NAMES == ["validate", "density", "adjoint", "monad", "algebras", "monadic", "paste",
+                     "composite", "suite"]
+    assert sorted(REPRESENTATIVE) == sorted(USAGE_ERRORS) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_one_subparser_helps_parses_and_fails_as_the_full_parser(name):
+    full, one = build_parser(), build_parser(name)
+    assert subparser(one, name).format_help() == subparser(full, name).format_help()
+    argv = REPRESENTATIVE[name]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    for argv in USAGE_ERRORS[name] + [[name, "--no-such-option"]]:
+        assert usage_error(one, argv) == usage_error(full, argv), argv
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_usage_errors_keep_their_message_and_exit_3(name, capsys, add_parser_calls):
+    for argv in USAGE_ERRORS[name] + [[name, "--no-such-option"]]:
+        want = f"relmon: usage error: {usage_error(build_parser(), argv)}\n"
+        add_parser_calls.clear()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == want
+        assert add_parser_calls == [name]
+
+
+def test_a_run_builds_only_its_subparser(files, add_parser_calls):
+    assert run(["density", "--j", files / "point_bz2.json"]) == 0
+    assert add_parser_calls == ["density"]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--report", "r.json", "monad"]])
+def test_argv_without_a_command_first_builds_every_subparser(argv, capsys, add_parser_calls):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert add_parser_calls == NAMES
+    if argv == ["-h"]:
+        assert code == 0 and all(f"\n    {name} " in out for name in NAMES)
+    else:
+        assert code == 3 and err.startswith("relmon: usage error: ")
+    if argv == ["bogus"]:
+        assert all(f"'{name}'" in err for name in NAMES)
+
+
+USAGE = {
+    "validate": "[-h] [--report REPORT] file",
+    "density": "[-h] --j J [--report REPORT]",
+    "adjoint": "[-h] --j J --r R [--report REPORT]",
+    "monad": "[-h] [--j J] [--report REPORT] {validate,enumerate} [file]",
+    "algebras": "[-h] --monad MONAD [--report REPORT]",
+    "monadic": "[-h] --j J --r R [--strict | --nonstrict] [--co] [--audit] [--shapes SHAPES] "
+               "[--cap CAP] [--report REPORT]",
+    "paste": "[-h] --inner INNER --outer OUTER --direction {paste,unpaste} [--report REPORT]",
+    "composite": "[-h] --j J --rprime RPRIME --r R [--strict | --nonstrict] [--report REPORT]",
+    "suite": "[-h] [--corpus CORPUS] [--shapes SHAPES] [--cap CAP] [--report REPORT]",
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_subcommand_usage_is_pinned(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    assert subparser(build_parser(name), name).format_usage() == f"usage: relmon {name} {USAGE[name]}\n"
+    assert build_parser().format_usage() == f"usage: relmon [-h] {{{','.join(NAMES)}}} ...\n"
