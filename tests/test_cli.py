@@ -723,12 +723,6 @@ def add_parser_calls(monkeypatch):
     return calls
 
 
-def test_command_table_is_the_help_listing():
-    assert NAMES == ["validate", "density", "adjoint", "monad", "algebras", "monadic", "paste",
-                     "composite", "suite"]
-    assert sorted(REPRESENTATIVE) == sorted(USAGE_ERRORS) == sorted(NAMES)
-
-
 @pytest.mark.parametrize("name", NAMES)
 def test_one_subparser_helps_parses_and_fails_as_the_full_parser(name):
     full, one = build_parser(), build_parser(name)
@@ -770,6 +764,7 @@ def test_argv_without_a_command_first_builds_every_subparser(argv, capsys, add_p
         assert all(f"'{name}'" in err for name in NAMES)
 
 
+# each subcommand's usage line, at 200 columns
 USAGE = {
     "validate": "[-h] [--report REPORT] file",
     "density": "[-h] --j J [--report REPORT]",
@@ -788,4 +783,5 @@ USAGE = {
 def test_subcommand_usage_is_pinned(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")
     assert subparser(build_parser(name), name).format_usage() == f"usage: relmon {name} {USAGE[name]}\n"
-    assert build_parser().format_usage() == f"usage: relmon [-h] {{{','.join(NAMES)}}} ...\n"
+    assert build_parser().format_usage() == (
+        "usage: relmon [-h] {validate,density,adjoint,monad,algebras,monadic,paste,composite,suite} ...\n")
