@@ -24,8 +24,8 @@ the answer open.
 
 Caches, what keys them and how long they live:
 
-* census.DownstairsCensus holds the (co)limits, absoluteness and creation
-  verdicts of one suite run or creation audit; see that module.
+* census.DownstairsCensus holds the (co)limit existence, absoluteness and
+  creation verdicts of one suite run or creation audit; see that module.
 * The pointwise store: a p-weighted colimit is pointwise in x, so the
   colimit at x and the natural families at (x, w') depend only on the
   column p(-, x) and on f, its j-absoluteness at x only on the root j
@@ -34,10 +34,10 @@ Caches, what keys them and how long they live:
   the column; per (root, diagram id) the index of the first failing a for
   each column id; and per (diagram id, g by content) the creation record
   for each column id.  The census owns one for its run and passes it to
-  try_weighted_colimit, dual_limit_search, enumerate_cocones,
-  creation_records and is_j_absolute.  Without one a search keeps a private
-  store for the call.  _UniversalityChecker, is_j_absolute and
-  creation_records give the layout.
+  pointwise_colimit, try_weighted_colimit, dual_limit_search,
+  enumerate_cocones, creation_records and j_absolute_at.  Without one a
+  search keeps a private store for the call.  _UniversalityChecker,
+  j_absolute_at and creation_records give the layout.
 * A _UniversalityChecker holds the family plans (slots and naturality
   checks, one per x) and the family key sets of one (p, f) for one
   caller, and is dropped with the call.  This module keeps no cache of
@@ -134,7 +134,7 @@ class _UniversalityChecker:
     of values in slot order.  Slot i of a column is its i-th element in
     every distributor with that column, so a record is read back into any
     of them by zip(slots(x), values).  store is a dict keyed by diagram id,
-    holding each diagram's records keyed by column id (is_j_absolute and
+    holding each diagram's records keyed by column id (j_absolute_at and
     creation_records keep their entries in the same dict, keyed (diagram
     id, root) and (diagram id, "creation", cod g, g.table())); without
     one, the checker keeps a private store.  The family plans (slots and
@@ -235,16 +235,23 @@ class _UniversalityChecker:
                     break
         return record[0]
 
+    def pointwise(self):
+        """({x: colimit_at(x)} for every x, None), or (None, first x with no colimit)."""
+        at = {}
+        for x in self.p.src.objects:
+            at[x] = self.colimit_at(x)
+            if at[x] is None:
+                return None, x
+        return at, None
+
     def colimit(self):
         """((apex on objects, apex on morphisms, legs), None), or (None, first failing x)."""
 
         p, W = self.p, self.W
         X = p.src
-        at = {}
-        for x in X.objects:
-            at[x] = self.colimit_at(x)
-            if at[x] is None:
-                return None, x
+        at, failed = self.pointwise()
+        if at is None:
+            return None, failed
         chosen_obj = {x: found[0] for x, found in at.items()}
         on_morphisms = {}
         for n in X.morphism_names():
@@ -294,8 +301,9 @@ def try_weighted_colimit(p: Distributor, f: FunctorData, store: Optional[dict] =
     """The p-weighted colimit of f, or (None, first failing x).
 
     The search at each x reads and fills store (see _UniversalityChecker);
-    a suite run or creation audit passes its census's store and keeps the
-    colimits found in its census (census.DownstairsCensus).
+    a suite run or creation audit passes its census's store
+    (census.DownstairsCensus), so each colimit at x is searched once per
+    run.
     """
 
     if f.dom != p.tgt:
@@ -306,6 +314,15 @@ def try_weighted_colimit(p: Distributor, f: FunctorData, store: Optional[dict] =
     on_objects, on_morphisms, legs = found
     apex = FunctorData(p.src, f.cod, on_objects, on_morphisms)
     return WeightedColimit(p, f, apex, dict(legs)), None
+
+
+def pointwise_colimit(p: Distributor, f: FunctorData, store: Optional[dict] = None) -> Optional[dict]:
+    """The colimit of f at each x of src p, as {x: (apex object, legs in
+    slot order)}, read from and kept in store (see _UniversalityChecker);
+    None when some x has none, which is exactly when f has no p-weighted
+    colimit.  Nothing that spans two x's is assembled."""
+
+    return _UniversalityChecker(p, f, store).pointwise()[0]
 
 
 def weighted_colimit(p: Distributor, f: FunctorData) -> WeightedColimit:
@@ -469,22 +486,36 @@ def is_j_absolute(j: FunctorData, colim: WeightedColimit, store: Optional[dict] 
     """Bijectivity of the canonical map (E(j,f) (.)l p)(a,x) -> E(j a, apex x).
 
     Returns (True, None) or (False, (a, x)) with the first failing pair in
-    a-major order.  The map at x depends only on j, the diagram f and the
-    column p(-, x): the colimit is pointwise in x, and its apex at x is
-    unique up to an isomorphism under which the map stays a bijection or
-    not.  So store keeps, per (root, diagram id), E(j, f) and for each
-    column id the index of the first a at which the map fails, or
-    len(A.objects) when none does (see _UniversalityChecker for the ids);
-    only cold columns build E(j, f) and check.  Without a store the call
-    keeps a private one.  The first failing pair is (a*, x*): a* the least
-    index over x, x* the first x whose index is a*.
+    a-major order: j_absolute_at on the apex object and legs of colim at
+    each x.
+    """
+
+    p, legs = colim.weight, colim.legs
+    at = {x: (colim.apex.ob(x), tuple(legs[(y, x, e)] for y in p.tgt.objects for e in p.el(y, x)))
+          for x in p.src.objects}
+    return j_absolute_at(j, p, colim.diagram, at, store)
+
+
+def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict,
+                  store: Optional[dict] = None):
+    """is_j_absolute for the p-weighted colimit of f given pointwise: at
+    maps each x of src p to its apex object and legs in slot order, as
+    pointwise_colimit returns them.
+
+    The map at x depends only on j, the diagram f and the column p(-, x):
+    the colimit is pointwise in x, and its apex at x is unique up to an
+    isomorphism under which the map stays a bijection or not.  So store
+    keeps, per (root, diagram id), E(j, f) and for each column id the index
+    of the first a at which the map fails, or len(A.objects) when none does
+    (see _UniversalityChecker for the ids); only cold columns build E(j, f)
+    and check, and only they read at.  Without a store the call keeps a
+    private one.  The first failing pair is (a*, x*): a* the least index
+    over x, x* the first x whose index is a*.
     """
 
     E = j.cod
-    if colim.diagram.cod != E:
+    if f.cod != E:
         raise EndpointMismatch("colimit must live in the root's codomain")
-    f = colim.diagram
-    p = colim.weight
     A = j.dom
     if store is None:
         store = {}
@@ -493,37 +524,39 @@ def is_j_absolute(j: FunctorData, colim: WeightedColimit, store: Optional[dict] 
     if entry is None:
         entry = store[key] = [None, {}]    # E(j, f) once built, first failing index per column
     firsts = entry[1]
-    least, at = len(A.objects), None
+    least, at_x = len(A.objects), None
     for x in p.src.objects:
         column = p.column(x)
         first = firsts.get(column)
         if first is None:
             if entry[0] is None:
                 entry[0] = hom_restriction(E, j, f)      # q(a, y) = E(j a, f y)
-            first = firsts[column] = _first_failing_root(entry[0], j, colim, x)
+            first = firsts[column] = _first_failing_root(entry[0], j, p, x, *at[x])
         if first < least:
-            least, at = first, x
+            least, at_x = first, x
             if least == 0:
                 break
-    if at is None:
+    if at_x is None:
         return True, None
-    return False, (A.objects[least], at)
+    return False, (A.objects[least], at_x)
 
 
-def _first_failing_root(q: Distributor, j: FunctorData, colim: WeightedColimit, x: str) -> int:
+def _first_failing_root(q: Distributor, j: FunctorData, p: Distributor, x: str,
+                        apex: str, legs: tuple) -> int:
     """The index of the first a of j.dom at which the canonical map
-    (q (.)l p)(a, x) -> E(j a, apex x) is not a bijection, for
-    q = E(j, f); len(j.dom.objects) when it is one at every a."""
+    (q (.)l p)(a, x) -> E(j a, apex) is not a bijection, for q = E(j, f)
+    and the colimit's apex object and legs (in slot order) at x;
+    len(j.dom.objects) when it is one at every a."""
 
     E = j.cod
-    A = j.dom
-    for i, a in enumerate(A.objects):
-        ts = tensor_set(q, colim.weight, a, x)
-        target = E.hom(j.ob(a), colim.apex.ob(x))
+    leg = dict(zip(((y, e) for y in p.tgt.objects for e in p.el(y, x)), legs))
+    for i, a in enumerate(j.dom.objects):
+        ts = tensor_set(q, p, a, x)
+        target = E.hom(j.ob(a), apex)
         images = {}
         for (y, u, e) in ts.pairs:
             rep = ts.class_of[(y, u, e)]
-            val = E.comp(u, colim.legs[(y, x, e)])
+            val = E.comp(u, leg[(y, e)])
             if rep in images:
                 if images[rep] != val:
                     raise TheoremViolation("canonical map must be class-invariant")
@@ -532,7 +565,7 @@ def _first_failing_root(q: Distributor, j: FunctorData, colim: WeightedColimit, 
         vals = [images[r] for r in ts.classes]
         if len(set(vals)) != len(vals) or set(vals) != set(target):
             return i
-    return len(A.objects)
+    return len(j.dom.objects)
 
 
 def nerve_transform_families(j: FunctorData, e: str, e2: str):

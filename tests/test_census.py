@@ -13,6 +13,8 @@ from relmon.colim import (
     is_j_absolute,
     try_weighted_colimit,
     try_weighted_limit,
+    verify_weighted_colimit,
+    verify_weighted_limit,
 )
 from relmon.errors import BudgetExceeded
 from relmon.fincat import enumerate_functors, identity_functor
@@ -72,32 +74,48 @@ def same_result(stored, found) -> bool:
 @given(seed=st.integers(min_value=0, max_value=10**4),
        objects=st.integers(min_value=1, max_value=2),
        max_hom=st.integers(min_value=1, max_value=2))
-def test_stored_results_equal_searches(seed, objects, max_hom):
-    """Stored downstairs and upstairs (co)limits equal try_weighted_colimit and
-    try_weighted_limit, whether searched or read back, from a diagram into E
-    asked either way.  The cap-2 weights Terminal -|-> Interval have two
-    elements in one component, so their legs go through the packed codec."""
+def test_census_answers_equal_searches_through_g(seed, objects, max_hom):
+    """census.colimit and census.limit equal try_weighted_colimit with
+    is_j_absolute and try_weighted_limit, first cold and then warm, on the
+    diagrams reached through a non-identity g: d = f ; g into E, and f into
+    dom g.  The cap-2 weights Terminal -|-> Interval, which have two
+    elements in one component, and Terminal -|-> Disc2 sit beside the
+    cap-1 lists of the same categories, which are not a prefix of the
+    latter.  Where the census reports a (co)limit, downstairs and
+    upstairs assemble the one the searches find, and it verifies."""
     E = corpus.generate_category(seed, objects, max_hom)
     D = corpus.generate_category(seed + 1, objects, max_hom)
     assume(E is not None and D is not None)
+    gs = [g for g in enumerate_functors(D, E) if g.table() != identity_functor(E).table()][:2]
+    assume(gs)
     census = DownstairsCensus()
-    search = {"colimit": try_weighted_colimit, "limit": try_weighted_limit}
-    functors = [identity_functor(E)] + list(enumerate_functors(D, E))[:2]
     T, I = corpus.terminal_category(), corpus.interval_category()
-    weights = [w for X in (T, I) for Y in (T, corpus.disc2_category())
+    weights = [w for X in (T, I) for Y in (T, I, corpus.disc2_category())
                for w in census.weights(X, Y, 1, 200_000)]
-    weights += census.weights(T, I, 2, 200_000)
+    weights += census.weights(T, I, 2, 200_000) + census.weights(T, corpus.disc2_category(), 2, 200_000)
     assert any(len(w.p.el(y, x)) == 2 for w in weights for y in w.p.tgt.objects
                for x in w.p.src.objects)
+    roots = {E: [identity_functor(E), corpus.point_functor(E, E.objects[-1])], D: [identity_functor(D)]}
     for _ in range(2):
-        for g in functors:
-            for w in weights:
-                for kind, Z in (("colimit", w.p.tgt), ("limit", w.p.src)):
-                    for diagram in census.diagrams(Z, g):
-                        assert same_result(census.downstairs(w, diagram, kind),
-                                           search[kind](w.p, diagram.d)[0])
-                        assert same_result(census.upstairs(w, diagram, kind),
-                                           search[kind](w.p, diagram.f)[0])
+        for g in gs:
+            for h in (g, identity_functor(D)):
+                for w in weights:
+                    for diagram in census.diagrams(w.p.tgt, h):
+                        for j in roots[h.cod]:
+                            assert census.colimit(j, w, diagram) == direct_colimit_verdict(j, w.p, diagram.d)
+                        down = census.downstairs(w, diagram, "colimit")
+                        assert same_result(down, try_weighted_colimit(w.p, diagram.d)[0])
+                        assert down is None or verify_weighted_colimit(down)
+                        assert same_result(census.upstairs(w, diagram, "colimit"),
+                                           try_weighted_colimit(w.p, diagram.f)[0])
+                    for diagram in census.diagrams(w.p.src, h):
+                        found = try_weighted_limit(w.p, diagram.d)[0]
+                        assert census.limit(w, diagram) == (found is not None)
+                        down = census.downstairs(w, diagram, "limit")
+                        assert same_result(down, found)
+                        assert down is None or verify_weighted_limit(down)
+                        assert same_result(census.upstairs(w, diagram, "limit"),
+                                           try_weighted_limit(w.p, diagram.f)[0])
 
 
 def _audit_questions():
@@ -138,8 +156,9 @@ def test_audit_identical_with_cold_and_warm_census():
     E = j.cod
 
     def rows_into_E(census):
-        """The absoluteness rows and the result rows of diagrams into E."""
-        return set(census._absolute), {key for key in census._found if key[0] == E}
+        """The absoluteness rows, and the diagrams into E whose colimits at
+        each x the pointwise store holds."""
+        return set(census._absolute), {key for key in census._pointwise if len(key) == 3 and key[1] == E}
 
     for first, second in (("r1", "r2"), ("r2", "r1")):
         census = DownstairsCensus()
@@ -235,18 +254,23 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     diagram) pair that absoluteness is asked about, no (j, diagram, column)
     absoluteness is checked twice, each creation position fetches its
     creation records once and is checked once per mode from them without
-    reading or assembling a whole (co)limit, and no (g, diagram, column)
-    creation record is computed twice."""
+    reading or assembling a whole (co)limit, no (g, diagram, column)
+    creation record is computed twice, and neither the audit's colimit
+    questions nor limit questions over its census assemble a whole
+    (co)limit."""
     j, r = corpus_question("point_split", "r_id")
     pairs, builds, columns, checks, reads, records = [], [], [], [], [], []
-    fetches = []
+    fetches, assembled = [], []
     inside = []
 
-    def wrap(owner, name, record):
+    def within(name):
+        return any(label == name for label, _ in inside)
+
+    def wrap(owner, name, record, label=None):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            inside.append(name)
+            inside.append((label or name, args))
             try:
                 record(*args, **kwargs)
                 return original(*args, **kwargs)
@@ -254,15 +278,16 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
                 inside.pop()
         monkeypatch.setattr(owner, name, wrapper)
 
-    def absolute(j, c, store=None):
-        pairs.append((content(j), content(c.diagram)))
+    def absolute(j, p, f, at, store=None):
+        pairs.append((content(j), content(f)))
 
     def build(E, j, f):
-        if "is_j_absolute" in inside:
+        if within("j_absolute_at"):
             builds.append((content(j), content(f)))
 
-    def check(q, j, c, x):
-        columns.append((content(j), content(c.diagram), c.weight.column(x)))
+    def check(q, j, p, x, apex, legs):
+        f = next(args[2] for label, args in reversed(inside) if label == "j_absolute_at")
+        columns.append((content(j), content(f), p.column(x)))
 
     def creation(g, p, f, mode="strict", kind="colimit", **_):
         checks.append((content(g), p.table(), f.table(), kind, mode))
@@ -271,25 +296,32 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
         fetches.append((content(g), p.table(), f.table(), kind))
 
     def read(*args, **kwargs):
-        if "creation" in inside:
+        if within("creation"):
             reads.append(args)
 
     def record(g, upstairs, downstairs, x):
         records.append((content(g), content(upstairs.f), upstairs.p.column(x)))
 
-    wrap(colim, "is_j_absolute", absolute)
-    wrap(monadicity, "is_j_absolute", absolute)
+    def assemble(checker):
+        if within("census.colimit") or within("census.limit"):
+            assembled.append(checker.p)
+
+    wrap(colim, "j_absolute_at", absolute)
     wrap(colim, "hom_restriction", build)
     wrap(colim, "_first_failing_root", check)
     wrap(colim, "check_creation", creation)
     wrap(colim, "creation_records", fetch)
     wrap(DownstairsCensus, "creation", lambda *args: None)
+    wrap(DownstairsCensus, "colimit", lambda *args: None, "census.colimit")
+    wrap(DownstairsCensus, "limit", lambda *args: None, "census.limit")
     wrap(DownstairsCensus, "downstairs", read)
     wrap(DownstairsCensus, "upstairs", read)
     wrap(colim, "try_weighted_colimit", read)
     wrap(colim, "_creation_at", record)
+    wrap(colim._UniversalityChecker, "colimit", assemble)
     shapes = [corpus.terminal_category(), corpus.interval_category()]
-    report = creation_audit(j, r, shapes, 1)
+    census = DownstairsCensus()
+    report = creation_audit(j, r, shapes, 1, census=census)
     assert not report.vacuous and report.items
     assert len(builds) == len(set(builds)) <= len(set(pairs)) < len(pairs)
     assert columns and len(columns) == len(set(columns))
@@ -298,4 +330,8 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     assert len(positions) == len(report.items)
     assert len(fetches) == len(set(fetches)) and set(fetches) == positions
     assert reads == []
+    limits = {census.limit(w, diagram) for X in shapes for Y in shapes
+              for w in census.weights(X, Y, 1, 200_000) for diagram in census.diagrams(X, r)}
+    assert True in limits
+    assert assembled == []
     assert records and len(records) == len(set(records))

@@ -400,7 +400,9 @@ def test_first_failing_pair_is_a_major_when_a_later_x_fails_first(cats):
     j = identity_functor(cats["Span"])
     colim = weighted_colimit(p, f)
     q = hom_restriction(j.cod, j, f)
-    assert [colim_module._first_failing_root(q, j, colim, x) for x in ("0", "1")] == [1, 0]
+    at = colim_module.pointwise_colimit(p, f)
+    assert at["1"] == (colim.apex.ob("1"), (colim.leg("0", "1", "e0"), colim.leg("1", "1", "e0")))
+    assert [colim_module._first_failing_root(q, j, p, x, *at[x]) for x in ("0", "1")] == [1, 0]
     assert reference.is_j_absolute(j, colim) == (False, ("l", "1"))
     for store in (None, {}):
         assert is_j_absolute(j, colim, store) == (False, ("l", "1"))
@@ -429,9 +431,9 @@ def test_weights_sharing_a_column_share_one_absoluteness_check(cats, monkeypatch
     assert p2.column("*") == p.column("1") != p.column("0")
     checks = []
 
-    def counted(q, j, colim, x):
+    def counted(q, j, p, x, apex, legs):
         checks.append(x)
-        return first_failing_root(q, j, colim, x)
+        return first_failing_root(q, j, p, x, apex, legs)
 
     first_failing_root = colim_module._first_failing_root
     monkeypatch.setattr(colim_module, "_first_failing_root", counted)
