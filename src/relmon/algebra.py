@@ -244,9 +244,15 @@ class AlgebraCategory:
     alpha_T: dict = field(default=None, repr=False)     # (a, obj_name, f) -> morphism
     adjunction: RelativeAdjunction = None
     free_of: dict = field(default=None, repr=False)     # root object -> Alg object name
+    by_structure: dict = field(default=None, repr=False)  # _structure(carrier, alpha) -> Alg object name
 
     def size(self) -> tuple[int, int]:
         return (len(self.category.objects), len(self.category.morphisms))
+
+
+def _structure(carrier_obj: str, alpha: dict) -> tuple:
+    """The key of by_structure for an algebra over Terminal, alpha keyed (a, "*", f)."""
+    return (carrier_obj, tuple(sorted(alpha.items())))
 
 
 def build_algebra_category(T: RelativeMonad, budget: int = None) -> AlgebraCategory:
@@ -295,18 +301,17 @@ def build_algebra_category(T: RelativeMonad, budget: int = None) -> AlgebraCateg
             alpha_T[(a, names[i], f)] = g
 
     free_of = {}
-    by_table = {(alg.carrier.ob("*"), tuple(sorted(alg.alpha.items()))): names[i]
-                for i, alg in enumerate(algebras)}
+    by_structure = {_structure(alg.carrier.ob("*"), alg.alpha): names[i]
+                    for i, alg in enumerate(algebras)}
     for a in A.objects:
         carrier_obj = T.t.ob(a)
         alpha = {}
         for b in A.objects:
             for f in E.hom(T.j.ob(b), carrier_obj):
                 alpha[(b, "*", f)] = T.dagger(b, a, f)
-        key = (carrier_obj, tuple(sorted(alpha.items())))
-        if key not in by_table:
+        free_of[a] = by_structure.get(_structure(carrier_obj, alpha))
+        if free_of[a] is None:
             raise TheoremViolation("free algebra must appear in the enumeration")
-        free_of[a] = by_table[key]
 
     f_obj = {a: free_of[a] for a in A.objects}
     f_mor = {}
@@ -324,7 +329,7 @@ def build_algebra_category(T: RelativeMonad, budget: int = None) -> AlgebraCateg
                 sharp[(a, cname, m)] = E.comp(T.eta(a), phi)
     adjunction = validate_relative_adjunction(T.j, f, u, sharp, name="f_T -| u_T")
 
-    return AlgebraCategory(T, cat, algebras, u, f, alpha_T, adjunction, free_of)
+    return AlgebraCategory(T, cat, algebras, u, f, alpha_T, adjunction, free_of, by_structure)
 
 
 def export_algebra_category(algcat: AlgebraCategory) -> dict:
@@ -367,8 +372,6 @@ def comparison_functor(adj: RelativeAdjunction, algcat: AlgebraCategory) -> Comp
     C = adj.apex
     E = T.j.cod
     cat = algcat.category
-    by_table = {(alg.carrier.ob("*"), tuple(sorted(alg.alpha.items()))): cat.objects[i]
-                for i, alg in enumerate(algcat.algebras)}
 
     on_objects = {}
     for c in C.objects:
@@ -376,10 +379,9 @@ def comparison_functor(adj: RelativeAdjunction, algcat: AlgebraCategory) -> Comp
         for a in T.j.dom.objects:
             for f in E.hom(T.j.ob(a), adj.right.ob(c)):
                 alpha[(a, "*", f)] = adj.right.mor(adj.untranspose(a, c, f))
-        key = (adj.right.ob(c), tuple(sorted(alpha.items())))
-        if key not in by_table:
+        on_objects[c] = algcat.by_structure.get(_structure(adj.right.ob(c), alpha))
+        if on_objects[c] is None:
             raise TheoremViolation("comparison image must be an enumerated algebra")
-        on_objects[c] = by_table[key]
     on_morphisms = {}
     for k in C.morphism_names():
         i = cat._obj_index[on_objects[C.dom(k)]]
@@ -616,9 +618,6 @@ def transport_algebra_backward(algcatp: AlgebraCategory, T: RelativeMonad, alg: 
     A = adjp.j.dom
     D = alg.domain
 
-    by_table = {(a2.carrier.ob("*"), tuple(sorted(a2.alpha.items()))): cat.objects[i]
-                for i, a2 in enumerate(algcatp.algebras)}
-
     on_objects = {}
     for d in D.objects:
         beta = {}
@@ -626,10 +625,9 @@ def transport_algebra_backward(algcatp: AlgebraCategory, T: RelativeMonad, alg: 
             for f in E.hom(adjp.j.ob(b), alg.carrier.ob(d)):
                 eta_b = up.mor(T.eta(b))           # t' b -> u'(t b)
                 beta[(b, "*", f)] = E.comp(eta_b, alg.ext(b, d, f))
-        key = (alg.carrier.ob(d), tuple(sorted(beta.items())))
-        if key not in by_table:
+        on_objects[d] = algcatp.by_structure.get(_structure(alg.carrier.ob(d), beta))
+        if on_objects[d] is None:
             raise ValidationFailure("transport", [Violation("law_fail", ("no_Tprime_algebra", d))])
-        on_objects[d] = by_table[key]
     on_morphisms = {}
     for k in D.morphism_names():
         i = cat._obj_index[on_objects[D.dom(k)]]

@@ -4,12 +4,13 @@ A suite run asks the same (co)limit and creation questions again and
 again, across theorems, monads and roots.  DownstairsCensus answers each
 one once per (weight, diagram) position, in byte rows keyed by content:
 whether the colimit exists and is j-absolute, whether the limit exists,
-and both creation modes' verdicts.  It keeps no (co)limit of its own: a
-weighted colimit is pointwise in x (Kelly, Basic Concepts of Enriched
-Category Theory, 3.1), so it exists exactly when it exists at every x,
-and the colimit at each x is read from the pointwise store, where every
-search, absoluteness check and creation check of the run reads and keeps
-it.  The class docstring gives the row layout.
+both creation modes' verdicts, and whether g preserves the colimit.  It
+keeps no (co)limit of its own and assembles none: a weighted colimit is
+pointwise in x (Kelly, Basic Concepts of Enriched Category Theory, 3.1),
+so it exists exactly when it exists at every x, and the colimit at each x
+is read from the pointwise store, where every search, absoluteness check
+and creation check of the run reads and keeps it.  The class docstring
+gives the row layout.
 
 Questions name a weight by a handle from weights(X, Y, cap, budget), which
 enumerates the distributors X -|-> Y once per census: a Weight holds p,
@@ -21,11 +22,11 @@ the same content (colim._UniversalityChecker gives the layout); per
 (root, diagram id) the j-absoluteness at each column (colim.j_absolute_at);
 and per (diagram id, g by content) the creation record at each column
 (colim._CreationAt), which holds what both creation modes need at one x,
-strict creation over every colimiting cocone included, so that a position
-fetches its records once for both modes and checks only what spans two
-x's.  Limits are answered in the dual: g's opposite is built once per
-census, a weight's dual once while its positions are asked in a row, and
-the diagram's once per position.
+strict creation over every colimiting cocone and preservation included,
+so that a position fetches its records once for all three and checks
+only what spans two x's.  Limits are answered in the dual: g's opposite
+is built once per census, a weight's dual once while its positions are
+asked in a row, and the diagram's once per position.
 
 A suite run holds one census in its context for forgetful_creates,
 preservation_conservativity, monadicity_crosscheck, density_necessity and
@@ -46,8 +47,9 @@ from .prof import Distributor, dual_distributor
 
 
 NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
-# a creation byte: _CHECKED, plus _PASSED << i for each _MODES[i] whose check passed
-_CHECKED, _PASSED = 1, 2
+# a creation byte: _CHECKED, plus _PASSED << i for each _MODES[i] whose check
+# passed, plus _PRESERVED when g sends the upstairs (co)limit to one
+_CHECKED, _PASSED, _PRESERVED = 1, 2, 8
 _MODES = ("strict", "nonstrict")
 
 
@@ -108,13 +110,15 @@ class DownstairsCensus:
       does, read from the dual colimit at each y.
     * Creation rows, keyed (g by content, X, Y, cap, kind) without the
       mode, hold one byte per position: _CHECKED, plus _PASSED << i for
-      each mode _MODES[i] that passes.  The first question at a position
-      checks both modes from the creation records at its x's, kept in the
-      pointwise store per (g, diagram, column).
+      each mode _MODES[i] that passes, plus _PRESERVED when f has a
+      (co)limit and g sends it to one.  The first creation or preserves
+      question at a position checks both modes and reads preservation from
+      the creation records at its x's, kept in the pointwise store per (g,
+      diagram, column).  preserves asks only where f ; g has a colimit,
+      since the records exist only there.
 
-    Zero means unknown everywhere.  No row holds a (co)limit: downstairs
-    and upstairs assemble one from the pointwise store when a caller needs
-    its apex and legs.
+    Zero means unknown everywhere.  No row holds a (co)limit, and no
+    question assembles one.
     """
 
     def __init__(self):
@@ -181,27 +185,23 @@ class DownstairsCensus:
             row[pos] = 1 + (colim.pointwise_colimit(pd, d_op, self._pointwise) is not None)
         return row[pos] == 2
 
-    def downstairs(self, w: Weight, diagram: Diagram, kind: str):
-        """The w.p-weighted (co)limit of diagram.d, as try_weighted_colimit or
-        try_weighted_limit finds it, or None."""
-
-        return self._search(w, diagram.d, kind)
-
-    def upstairs(self, w: Weight, diagram: Diagram, kind: str):
-        """The w.p-weighted (co)limit of diagram.f, or None."""
-
-        return self._search(w, diagram.f, kind)
-
-    def _search(self, w: Weight, d: FunctorData, kind: str):
-        if kind == "colimit":
-            return colim.try_weighted_colimit(w.p, d, store=self._pointwise)[0]
-        return colim.dual_limit_search(w.p, self._dual_of(w.p), d, store=self._pointwise)[0]
-
     def creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str, mode: str) -> bool:
-        """check_creation(g, w.p, diagram.f, mode, kind).passed.  The first
-        question at a position fetches its creation records from the
-        pointwise store once (for a limit, in the dual built once) and
-        checks both modes from them, and the census keeps both verdicts."""
+        """check_creation(g, w.p, diagram.f, mode, kind).passed."""
+
+        return bool(self._creation(g, w, diagram, kind) & (_PASSED << _MODES.index(mode)))
+
+    def preserves(self, g: FunctorData, w: Weight, diagram: Diagram) -> bool:
+        """Do the w.p-weighted colimits of diagram.f and diagram.d both exist,
+        and does g send the first to a colimit?  Read from the creation byte
+        once diagram.d is known to have a colimit."""
+
+        if colim.pointwise_colimit(w.p, diagram.d, self._pointwise) is None:
+            return False
+        return bool(self._creation(g, w, diagram, "colimit") & _PRESERVED)
+
+    def _creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str) -> int:
+        """The creation byte of a position, set on the first question there
+        from its creation records, fetched once (for a limit, in the dual)."""
 
         f = diagram.f
         n = len(self._positions[(f.dom, f.cod)])
@@ -218,8 +218,10 @@ class DownstairsCensus:
                 report = colim.check_creation(g, w.p, f, mode=checked_mode, kind=kind, records=records)
                 if report.passed:
                     verdicts |= _PASSED << i
+            if all(record.preserved for record in records.records):
+                verdicts |= _PRESERVED
             row[pos] = verdicts
-        return bool(row[pos] & (_PASSED << _MODES.index(mode)))
+        return row[pos]
 
     def _content(self, F: FunctorData) -> tuple:
         """(dom, cod, table) of F, stored once per content and shared by

@@ -24,7 +24,7 @@ from .errors import (
     RelmonError,
     ValidationFailure,
 )
-from .fincat import functor_from_dict, validate_category
+from .fincat import FinCategory, functor_from_dict, validate_category
 from .monad import enumerate_relative_monads, monad_from_dict
 from .monadicity import (
     DEFAULT_ELEMENT_CAP,
@@ -65,43 +65,52 @@ def _resolve(path: str, base: Path) -> Path:
     return p if p.is_absolute() else base / p
 
 
-def _category(ref, where, base):
+def _category(ref, where, base, seen):
     """A category given inline or as a path relative to base, named by its
-    field in where ("<file>: j.dom" names it j.dom)."""
+    field in where ("<file>: j.dom" names it j.dom).  seen lists (document,
+    category) for each category validated while loading one document, so
+    an equal document is validated once; each reference keeps its name."""
 
     name = where.rpartition(": ")[2]
-    if isinstance(ref, dict):
-        return validate_category(ref, name=name, where=where)
-    if not isinstance(ref, str):
+    if isinstance(ref, str):
+        path = _resolve(ref, base)
+        ref, where = corpus.load_json(path), str(path)
+    elif not isinstance(ref, dict):
         raise ParseFailure(where, "must be a JSON object or a path")
-    path = _resolve(ref, base)
-    return validate_category(corpus.load_json(path), name=name, where=str(path))
+    C = next((C for raw, C in seen if raw == ref), None)
+    if C is None:
+        C = validate_category(ref, name=name, where=where)
+        seen.append((ref, C))
+    elif C.name != name:
+        C = FinCategory(name, C.objects, C.morphisms, C.identities, C.composition)
+    return C
 
 
-def _functor(ref, where, base):
+def _functor(ref, where, base, seen):
     """A functor given inline or as a path relative to base."""
 
     if isinstance(ref, str):
-        return load_functor_file(_resolve(ref, base))
-    return functor_from_dict(ref, ref, partial(_category, base=base), where, where,
+        return load_functor_file(_resolve(ref, base), seen)
+    return functor_from_dict(ref, ref, partial(_category, base=base, seen=seen), where, where,
                              name=where.rpartition(": ")[2])
 
 
-def load_functor_file(path):
-    """A standalone functor document: dom/cod inline or as relative paths."""
+def load_functor_file(path, seen=None):
+    """A standalone functor document: dom/cod inline or as relative paths.
+    seen is _category's list, shared by a document that references this one."""
 
     doc = corpus.load_json(path)
-    category = partial(_category, base=Path(path).parent)
+    category = partial(_category, base=Path(path).parent, seen=[] if seen is None else seen)
     return functor_from_dict(doc, doc, category, str(path), str(path), name=str(path))
 
 
 def load_monad_file(path):
-    functor = partial(_functor, base=Path(path).parent)
+    functor = partial(_functor, base=Path(path).parent, seen=[])
     return monad_from_dict(corpus.load_json(path), functor, str(path), name=str(path))
 
 
 def load_adjunction_file(path):
-    functor = partial(_functor, base=Path(path).parent)
+    functor = partial(_functor, base=Path(path).parent, seen=[])
     return adjunction_from_dict(corpus.load_json(path), functor, str(path), name=str(path))
 
 

@@ -13,14 +13,14 @@ quotient (E(j,f) (.)l p) to E(j, apex), which at Set level is preservation
 by the nerve of j.  A cocone is colimiting iff its comparison map from the
 colimit is invertible at every x: its legs factor through the colimit's
 legs by exactly one k at each x.  Creation is decided pointwise in x too:
-per (g, diagram, column) a record holds what both modes need at one x,
-and each question checks only what spans two x's.  Strict creation asks
-that every colimiting cocone downstairs, the colimit conjugated by any
-family of isomorphisms, have exactly one cocone over it, and that this
-one be colimiting.  Non-strict creation with an upstairs colimit c lists
-the natural transformations k: c => w instead of the cocones with apex w,
-which they are in bijection with (Yoneda), and only when some x leaves
-the answer open.
+per (g, diagram, column) a record holds what both modes and preservation
+need at one x, and each question checks only what spans two x's.  Strict
+creation asks that every colimiting cocone downstairs, the colimit
+conjugated by any family of isomorphisms, have exactly one cocone over
+it, and that this one be colimiting.  Non-strict creation with an
+upstairs colimit c lists the natural transformations k: c => w instead
+of the cocones with apex w, which they are in bijection with (Yoneda),
+and only when some x leaves the answer open.
 
 Caches, what keys them and how long they live:
 
@@ -34,10 +34,10 @@ Caches, what keys them and how long they live:
   the column; per (root, diagram id) the index of the first failing a for
   each column id; and per (diagram id, g by content) the creation record
   for each column id.  The census owns one for its run and passes it to
-  pointwise_colimit, try_weighted_colimit, dual_limit_search,
-  enumerate_cocones, creation_records and j_absolute_at.  Without one a
-  search keeps a private store for the call.  _UniversalityChecker,
-  j_absolute_at and creation_records give the layout.
+  pointwise_colimit, j_absolute_at and creation_records, whose store
+  check_creation passes on; none of them assembles a whole (co)limit.
+  Without a store a search keeps a private one for the call.
+  _UniversalityChecker, j_absolute_at and creation_records give the layout.
 * A _UniversalityChecker holds the family plans (slots and naturality
   checks, one per x) and the family key sets of one (p, f) for one
   caller, and is dropped with the call.  This module keeps no cache of
@@ -298,13 +298,9 @@ class WeightedLimit:
 
 
 def try_weighted_colimit(p: Distributor, f: FunctorData, store: Optional[dict] = None):
-    """The p-weighted colimit of f, or (None, first failing x).
-
-    The search at each x reads and fills store (see _UniversalityChecker);
-    a suite run or creation audit passes its census's store
-    (census.DownstairsCensus), so each colimit at x is searched once per
-    run.
-    """
+    """The p-weighted colimit of f, or (None, first failing x), assembled
+    from the colimit at each x, which the search reads from and keeps in
+    store (see _UniversalityChecker)."""
 
     if f.dom != p.tgt:
         raise EndpointMismatch("diagram must start at the weight's target")
@@ -359,26 +355,18 @@ def verify_weighted_colimit(colim: WeightedColimit) -> bool:
 # weighted limits (by dualization)
 
 
-def dual_limit_search(p: Distributor, pd: Distributor, g: FunctorData,
-                      store: Optional[dict] = None):
-    """try_weighted_limit(p, g) given pd = dual_distributor(p), for callers
-    that ask about many diagrams over one weight: the pd-weighted colimit of
-    g^op, read back in W."""
+def try_weighted_limit(p: Distributor, g: FunctorData):
+    """The p-weighted limit of g: src(p) -> W, indexed by tgt(p): the
+    dual_distributor(p)-weighted colimit of g^op, read back in W."""
 
-    found, failed = _UniversalityChecker(
-        pd, opposite_functor(g, pd.tgt, opposite(g.cod)), store).colimit()
+    if g.dom != p.src:
+        raise EndpointMismatch("limit diagram must start at the weight's source")
+    pd = dual_distributor(p)
+    found, failed = _UniversalityChecker(pd, opposite_functor(g, pd.tgt, opposite(g.cod))).colimit()
     if found is None:
         return None, failed
     on_objects, on_morphisms, legs = found
     return WeightedLimit(p, g, FunctorData(p.tgt, g.cod, on_objects, on_morphisms), dict(legs)), None
-
-
-def try_weighted_limit(p: Distributor, g: FunctorData):
-    """The p-weighted limit of g: src(p) -> W, indexed by tgt(p); dual route."""
-
-    if g.dom != p.src:
-        raise EndpointMismatch("limit diagram must start at the weight's source")
-    return dual_limit_search(p, dual_distributor(p), g)
 
 
 def weighted_limit(p: Distributor, g: FunctorData) -> WeightedLimit:
@@ -689,35 +677,6 @@ class CreationReport:
         }
 
 
-def colimiting_test(colim: Optional[WeightedColimit]):
-    """A test of cocones (apex objects, legs) for colim's weight and diagram:
-    is the cocone colimiting?  colim is their colimit, or None when it does
-    not exist, and then no cocone is colimiting.
-
-    Since colim is colimiting, at each x the cocone's legs factor through
-    colim's legs by exactly one k: colim x -> apex x.  Postcomposition with
-    the cocone's legs is then postcomposition with k followed by the
-    bijection of colim, so the cocone is colimiting at x iff k is
-    invertible (Yoneda).  Raises TheoremViolation when the legs do not
-    factor exactly once.
-    """
-
-    if colim is None:
-        return lambda apex_objects, legs: False
-    W = colim.diagram.cod
-    at_x = {x: (colim.apex.ob(x), [], []) for x in colim.weight.src.objects}
-    for key, leg in colim.legs.items():
-        at_x[key[1]][1].append(key)
-        at_x[key[1]][2].append(leg)
-
-    def colimiting(apex_objects: dict, legs: dict) -> bool:
-        return all(W.inverse(_factor(W, c, apex_objects[x], colim_legs, [legs[key] for key in keys],
-                                     "cocone legs must factor once through the colimit")) is not None
-                   for x, (c, keys, colim_legs) in at_x.items())
-
-    return colimiting
-
-
 def _factor(W: FinCategory, c: str, w: str, legs: list, targets: list, broken: str) -> str:
     """The unique k: c -> w with legs[i] ; k = targets[i] for every i, where
     legs are a colimit's legs at one x; TheoremViolation(broken) unless
@@ -733,13 +692,14 @@ def _factor(W: FinCategory, c: str, w: str, legs: list, targets: list, broken: s
 class _CreationAt(NamedTuple):
     """What creation by g: W -> V of the colimit of f ; g needs at one x.
 
-    upstairs says whether f has a colimit at x.  flags maps each k out of
-    its apex c x to (k invertible, h ; g(k) invertible), h: d x -> g(c x)
-    the factor of c's g-image through the colimit d of f ; g at x; closed
-    says that no k tells the two apart (True without an upstairs colimit,
-    when flags is None).  isos lists each isomorphism i out of d x, in the
-    order [i for v in V.objects for i in V.hom(d x, v)], with its lifts at
-    x: every (w0, legs, colimiting) with g w0 = cod i and legs natural in y
+    upstairs says whether f has a colimit c at x, and preserved that g
+    sends it to a colimit: h is invertible, h: d x -> g(c x) the factor of
+    c's g-image through the colimit d of f ; g at x.  flags maps each k out
+    of c x to (k invertible, h ; g(k) invertible); closed says that no k
+    tells the two apart (True without an upstairs colimit, when flags is
+    None).  isos lists each isomorphism i out of d x, in the order
+    [i for v in V.objects for i in V.hom(d x, v)], with its lifts at x:
+    every (w0, legs, colimiting) with g w0 = cod i and legs natural in y
     whose g-images are d's legs followed by i, colimiting saying whether
     those legs are colimiting at x.  identity is the index of d x's
     identity among the isos, and strict says that every i has exactly one
@@ -763,6 +723,7 @@ class _CreationAt(NamedTuple):
     """
 
     upstairs: bool
+    preserved: bool
     flags: Optional[dict]
     closed: bool
     isos: tuple
@@ -781,11 +742,12 @@ def _creation_at(g: FunctorData, upstairs: _UniversalityChecker,
     W, V = g.dom, g.cod
     d, down_legs = down
     up = upstairs.colimit_at(x)
-    flags, closed = None, True
+    flags, closed, preserved = None, True, False
     if up is not None:
         c, up_legs = up
         h = _factor(V, d, g.ob(c), down_legs, [g.mor(leg) for leg in up_legs],
                     "cocone legs must factor once through the colimit")
+        preserved = V.inverse(h) is not None
         flags = {k: (W.inverse(k) is not None, V.inverse(V.comp(h, g.mor(k))) is not None)
                  for w0 in W.objects for k in W.hom(c, w0)}
         closed = all(up_inv == down_inv for up_inv, down_inv in flags.values())
@@ -798,7 +760,7 @@ def _creation_at(g: FunctorData, upstairs: _UniversalityChecker,
                       for legs in upstairs.family_values(x, w0)
                       if tuple(g.mor(leg) for leg in legs) == targets)
         isos.append((i, lifts))
-    return _CreationAt(up is not None, flags, closed, tuple(isos),
+    return _CreationAt(up is not None, preserved, flags, closed, tuple(isos),
                        [i for i, _ in isos].index(V.id_of(d)),
                        all(len(lifts) == 1 and lifts[0][2] for _, lifts in isos))
 
@@ -940,53 +902,56 @@ def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData, 
     """Is a cocone for f colimiting exactly when its g-image is?  The
     violation names the first apex, in enumerate_cocones order, of a cocone
     where the two differ.  Without a colimit of f at some x, the cocones
-    are listed; otherwise the records' flags decide, and the natural k's
-    are searched only when some x leaves the question open."""
+    are listed and each g-image is tested at each x; otherwise the records'
+    flags decide, and the natural k's are searched only when some x leaves
+    the question open."""
 
     violations = []
     upstairs_exists = all(r.upstairs for r in records)
     if not upstairs_exists:
         violations.append("upstairs colimit does not exist")
-        down_colimiting = colimiting_test(try_weighted_colimit(p, compose_functors(f, g), store)[0])
+        down = _UniversalityChecker(p, compose_functors(f, g), store)
         witness = next((w for (w, legs) in enumerate_cocones(p, f, store)
-                        if down_colimiting({x: g.ob(w.ob(x)) for x in p.src.objects},
-                                           {key: g.mor(v) for key, v in legs.items()})), None)
+                        if down.is_cocone_colimiting(compose_functors(w, g),
+                                                     {key: g.mor(v) for key, v in legs.items()})), None)
     elif all(r.closed for r in records):
         witness = None                  # no k_x tells the two tests apart
     else:
-        witness = _first_mismatch(g.dom, try_weighted_colimit(p, f, store)[0],
-                                  [r.flags for r in records])
+        witness = _first_mismatch(g.dom, p, pointwise_colimit(p, f, store), [r.flags for r in records])
     if witness is not None:
         violations.append(f"cocone biconditional fails at apex {dict(witness.on_objects)}")
     return CreationReport("nonstrict", "colimit", upstairs_exists and witness is None,
                           upstairs_exists=upstairs_exists, violations=violations)
 
 
-def _first_mismatch(W: FinCategory, up: WeightedColimit, flags: list):
-    """The first apex w in enumerate_functors order with a cocone for up's
-    diagram that is colimiting upstairs but not downstairs, or the other way
-    round; None when there is none.
+def _first_mismatch(W: FinCategory, p: Distributor, up: dict, flags: list):
+    """The first apex w in enumerate_functors order with a cocone for the
+    p-weighted colimit of f (up: its apex object and legs at each x, as
+    pointwise_colimit returns them) that is colimiting upstairs but not
+    downstairs, or the other way round; None when there is none.
 
-    With c = up.apex, the cocones with apex w are c's legs followed by k
+    With c the colimit, the cocones with apex w are c's legs followed by k
     for the natural k: c => w (Yoneda), and such a cocone is colimiting iff
-    every k_x is invertible (colimiting_test).  Its g-image factors through
-    the downstairs colimit by h_x ; g(k_x), h_x the factor of c's g-image,
-    so it is colimiting downstairs iff every h_x ; g(k_x) is; flags[x] maps
-    each k_x to both answers (_CreationAt).
+    every k_x is invertible.  Its g-image factors through the downstairs
+    colimit by h_x ; g(k_x), h_x the factor of c's g-image, so it is
+    colimiting downstairs iff every h_x ; g(k_x) is; flags[x] maps each k_x
+    to both answers (_CreationAt).  k is natural along n: x -> x2 iff
+    c(n) ; k_x2 = k_x ; w(n) after each leg of c at x (postcomposition with
+    colimiting legs is injective), so c is never assembled on morphisms.
     """
 
-    X = up.weight.src
-    c = up.apex
+    X = p.src
     comp = W.composition
-    along = [(X.objects.index(X.dom(n)), X.objects.index(X.cod(n)), n)
+    along = [(X.objects.index(X.dom(n)), X.objects.index(X.cod(n)), n,
+              [(up[X.dom(n)][1][i], up[X.cod(n)][1][j]) for i, j in enumerate(p.left_indices(n))])
              for n in X.morphism_names() if not X.is_identity(n)]
     for w in enumerate_functors(X, W):
         search = Search()
         for x in X.objects:
-            search.slot(W.hom(c.ob(x), w.ob(x)))
-        for a, b, n in along:
-            search.require(lambda v, a=a, b=b, cn=c.mor(n), wn=w.mor(n):
-                           comp[(cn, v[b])] == comp[(v[a], wn)], a, b)
+            search.slot(W.hom(up[x][0], w.ob(x)))
+        for a, b, n, legs in along:
+            search.require(lambda v, a=a, b=b, wn=w.mor(n), legs=legs: all(
+                comp[(leg2, v[b])] == comp[(comp[(leg, v[a])], wn)] for leg, leg2 in legs), a, b)
         for ks in search.solutions():
             answers = [at[k] for at, k in zip(flags, ks)]
             if all(up_inv for up_inv, _ in answers) != all(down_inv for _, down_inv in answers):

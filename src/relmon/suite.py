@@ -19,7 +19,7 @@ from .algebra import (
     verify_algebra_object,
 )
 from .census import ABSOLUTE_COLIMIT, DownstairsCensus
-from .colim import colimiting_test, is_dense
+from .colim import is_dense
 from .corpus import indisc2_category, interval_category, terminal_category, validate_instance
 from .errors import BudgetExceeded, PremiseFail, TheoremViolation
 from .fincat import (
@@ -222,12 +222,7 @@ def _check_preservation_conservativity(ctx) -> SuiteResult:
                     continue
                 for w in weights:
                     for diagram in diagrams[Y]:
-                        up = census.upstairs(w, diagram, "colimit")
-                        if up is None:
-                            continue
-                        preserved = colimiting_test(census.downstairs(w, diagram, "colimit"))
-                        if not preserved({x: g.ob(up.apex.ob(x)) for x in X.objects},
-                                         {key: g.mor(v) for key, v in up.legs.items()}):
+                        if not census.preserves(g, w, diagram):
                             continue
                         checked += 1
                         if not census.creation(g, w, diagram, "colimit", "nonstrict"):
@@ -485,17 +480,14 @@ def _algebraic_creation_sample(ctx, j, r, i):
     except BudgetExceeded:
         return out
     diagrams = census.diagrams(Tm, i)
-    diagrams_r = census.diagrams(Tm, compose_functors(i, r))
+    diagrams_r = census.diagrams(Tm, r)
     for w in weights:
-        for diagram, diagram_r in zip(diagrams, diagrams_r):
+        for diagram in diagrams:
+            # f ; i, and f ; i ; r as its composite with r
+            diagram_r = diagrams_r[diagram.d_index]
             if census.colimit(j, w, diagram_r) != ABSOLUTE_COLIMIT:
                 continue
-            down = census.downstairs(w, diagram, "colimit")
-            if down is None:
-                continue
-            preserved = colimiting_test(census.downstairs(w, diagram_r, "colimit"))
-            if not preserved({x: r.ob(down.apex.ob(x)) for x in Tm.objects},
-                             {key: r.mor(v) for key, v in down.legs.items()}):
+            if not census.preserves(r, w, diagram_r):
                 continue
             if not census.creation(i, w, diagram, "colimit", "nonstrict"):
                 out.append("colimit sent to j-absolute not non-strictly created")

@@ -15,7 +15,7 @@ from relmon.colim import (
     CreationReport,
     _UniversalityChecker,
     WeightedColimit,
-    colimiting_test,
+    _factor,
     try_weighted_colimit,
 )
 from relmon.errors import (
@@ -369,6 +369,35 @@ def strict_colimit_creation(g, p, f, down, up):
     return CreationReport("strict", "colimit", colimiting, lift_count=1,
                           lifted_apex=dict(w.on_objects), colimiting=colimiting,
                           violations=violations)
+
+
+def colimiting_test(colim):
+    """A test of cocones (apex objects, legs) for colim's weight and diagram:
+    is the cocone colimiting?  colim is their colimit, or None when it does
+    not exist, and then no cocone is colimiting.
+
+    Since colim is colimiting, at each x the cocone's legs factor through
+    colim's legs by exactly one k: colim x -> apex x.  Postcomposition with
+    the cocone's legs is then postcomposition with k followed by the
+    bijection of colim, so the cocone is colimiting at x iff k is
+    invertible (Yoneda).  Raises TheoremViolation when the legs do not
+    factor exactly once.
+    """
+
+    if colim is None:
+        return lambda apex_objects, legs: False
+    W = colim.diagram.cod
+    at_x = {x: (colim.apex.ob(x), [], []) for x in colim.weight.src.objects}
+    for key, leg in colim.legs.items():
+        at_x[key[1]][1].append(key)
+        at_x[key[1]][2].append(leg)
+
+    def colimiting(apex_objects: dict, legs: dict) -> bool:
+        return all(W.inverse(_factor(W, c, apex_objects[x], colim_legs, [legs[key] for key in keys],
+                                     "cocone legs must factor once through the colimit")) is not None
+                   for x, (c, keys, colim_legs) in at_x.items())
+
+    return colimiting
 
 
 def nonstrict_colimit_creation(g, p, f, down, up):

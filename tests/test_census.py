@@ -1,5 +1,6 @@
 """The run-scoped downstairs census answers exactly as the searches it stands in for."""
 
+import itertools
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from relmon import colim, corpus, monadicity
 from relmon.algebra import build_algebra_category
 from relmon.census import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT, DownstairsCensus
 from relmon.colim import (
+    WeightedLimit,
     check_creation,
     is_j_absolute,
     try_weighted_colimit,
@@ -17,11 +19,20 @@ from relmon.colim import (
     verify_weighted_limit,
 )
 from relmon.errors import BudgetExceeded
-from relmon.fincat import enumerate_functors, identity_functor
+from relmon.fincat import (
+    FunctorData,
+    compose_functors,
+    enumerate_functors,
+    identity_functor,
+    opposite,
+    opposite_functor,
+)
 from relmon.monad import budget_limit, enumerate_relative_monads
 from relmon.monadicity import creation_audit, default_shape_family, run_theorem_suite
-from relmon.prof import enumerate_distributors
+from relmon.prof import dual_distributor, enumerate_distributors
 from relmon.suite import _Context, _small_weights
+
+from . import reference
 
 SHAPES = {"Terminal": corpus.terminal_category, "Interval": corpus.interval_category,
           "Disc2": corpus.disc2_category}
@@ -61,6 +72,17 @@ def test_census_matches_direct_searches(seed, objects, max_hom, shapes):
                                 try_weighted_limit(w.p, diagram.d)[0] is not None)
 
 
+def through_store(census, p, d, kind):
+    """The p-weighted (co)limit of d searched through the census's pointwise
+    store, a limit as the colimit of d^op weighted by p's dual."""
+    if kind == "colimit":
+        return try_weighted_colimit(p, d, census._pointwise)[0]
+    pd = dual_distributor(p)
+    found = try_weighted_colimit(pd, opposite_functor(d, pd.tgt, opposite(d.cod)), census._pointwise)[0]
+    return found and WeightedLimit(p, d, FunctorData(p.tgt, d.cod, found.apex.on_objects,
+                                                     found.apex.on_morphisms), found.legs)
+
+
 def same_result(stored, found) -> bool:
     if found is None:
         return stored is None
@@ -81,8 +103,10 @@ def test_census_answers_equal_searches_through_g(seed, objects, max_hom):
     dom g.  The cap-2 weights Terminal -|-> Interval, which have two
     elements in one component, and Terminal -|-> Disc2 sit beside the
     cap-1 lists of the same categories, which are not a prefix of the
-    latter.  Where the census reports a (co)limit, downstairs and
-    upstairs assemble the one the searches find, and it verifies."""
+    latter.  The census's existence answers for f agree with the searches
+    too (read at the same position through the identity of dom g), and a
+    (co)limit searched through the census's pointwise store is the one a
+    fresh search finds, and it verifies."""
     E = corpus.generate_category(seed, objects, max_hom)
     D = corpus.generate_category(seed + 1, objects, max_hom)
     assume(E is not None and D is not None)
@@ -96,26 +120,32 @@ def test_census_answers_equal_searches_through_g(seed, objects, max_hom):
     assert any(len(w.p.el(y, x)) == 2 for w in weights for y in w.p.tgt.objects
                for x in w.p.src.objects)
     roots = {E: [identity_functor(E), corpus.point_functor(E, E.objects[-1])], D: [identity_functor(D)]}
+    one_D = identity_functor(D)
     for _ in range(2):
         for g in gs:
-            for h in (g, identity_functor(D)):
+            for h in (g, one_D):
                 for w in weights:
+                    ups = census.diagrams(w.p.tgt, one_D)
                     for diagram in census.diagrams(w.p.tgt, h):
                         for j in roots[h.cod]:
                             assert census.colimit(j, w, diagram) == direct_colimit_verdict(j, w.p, diagram.d)
-                        down = census.downstairs(w, diagram, "colimit")
+                        down = through_store(census, w.p, diagram.d, "colimit")
                         assert same_result(down, try_weighted_colimit(w.p, diagram.d)[0])
                         assert down is None or verify_weighted_colimit(down)
-                        assert same_result(census.upstairs(w, diagram, "colimit"),
-                                           try_weighted_colimit(w.p, diagram.f)[0])
+                        up = try_weighted_colimit(w.p, diagram.f)[0]
+                        assert same_result(through_store(census, w.p, diagram.f, "colimit"), up)
+                        exists = census.colimit(one_D, w, ups[diagram.index]) != NO_COLIMIT
+                        assert exists == (up is not None)
+                    ups = census.diagrams(w.p.src, one_D)
                     for diagram in census.diagrams(w.p.src, h):
                         found = try_weighted_limit(w.p, diagram.d)[0]
                         assert census.limit(w, diagram) == (found is not None)
-                        down = census.downstairs(w, diagram, "limit")
+                        down = through_store(census, w.p, diagram.d, "limit")
                         assert same_result(down, found)
                         assert down is None or verify_weighted_limit(down)
-                        assert same_result(census.upstairs(w, diagram, "limit"),
-                                           try_weighted_limit(w.p, diagram.f)[0])
+                        up = try_weighted_limit(w.p, diagram.f)[0]
+                        assert same_result(through_store(census, w.p, diagram.f, "limit"), up)
+                        assert census.limit(w, ups[diagram.index]) == (up is not None)
 
 
 def _audit_questions():
@@ -208,17 +238,20 @@ def corpus_question(name: str, role: str):
     return inst.functors["j"], inst.functors[role]
 
 
-def creation_positions(census, g):
+def creation_positions(census, j, g):
     """(w, diagram, kind) for every cap-1 weight between Terminal and
-    Interval and every diagram into dom g whose downstairs (co)limit exists."""
+    Interval and every diagram into dom g whose downstairs (co)limit
+    exists, as census.colimit with the root j and census.limit say."""
     shapes = [corpus.terminal_category(), corpus.interval_category()]
+    exists = {"colimit": lambda w, diagram: census.colimit(j, w, diagram) != NO_COLIMIT,
+              "limit": census.limit}
     out = []
     for X in shapes:
         for Y in shapes:
             for w in census.weights(X, Y, 1, 200_000):
                 for kind, Z in (("colimit", Y), ("limit", X)):
                     for diagram in census.diagrams(Z, g):
-                        if census.downstairs(w, diagram, kind) is not None:
+                        if exists[kind](w, diagram):
                             out.append((w, diagram, kind))
     return out
 
@@ -229,9 +262,9 @@ def test_census_creation_answers_each_mode_in_either_order(name, role):
     """census.creation in both modes equals check_creation, whichever mode a
     position is asked in first; the functors strictly create some
     (co)limits that they only non-strictly create elsewhere."""
-    _, g = corpus_question(name, role)
+    j, g = corpus_question(name, role)
     want = {}
-    for w, diagram, kind in creation_positions(DownstairsCensus(), g):
+    for w, diagram, kind in creation_positions(DownstairsCensus(), j, g):
         for mode in ("strict", "nonstrict"):
             want[(w.p.table(), diagram.f.table(), kind, mode)] = (
                 check_creation(g, w.p, diagram.f, mode=mode, kind=kind).passed)
@@ -239,7 +272,7 @@ def test_census_creation_answers_each_mode_in_either_order(name, role):
     assert {kind for _, _, kind in differ} == {"colimit", "limit"}
     for modes in (("strict", "nonstrict"), ("nonstrict", "strict")):
         census = DownstairsCensus()
-        for w, diagram, kind in creation_positions(census, g):
+        for w, diagram, kind in creation_positions(census, j, g):
             for mode in modes:
                 key = (w.p.table(), diagram.f.table(), kind, mode)
                 assert census.creation(g, w, diagram, kind, mode) == want[key], key
@@ -255,9 +288,9 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     absoluteness is checked twice, each creation position fetches its
     creation records once and is checked once per mode from them without
     reading or assembling a whole (co)limit, no (g, diagram, column)
-    creation record is computed twice, and neither the audit's colimit
-    questions nor limit questions over its census assemble a whole
-    (co)limit."""
+    creation record is computed twice, and no census question (colimit,
+    limit, creation or preserves, the last also asked at every position
+    of the audit's shapes) assembles a whole (co)limit."""
     j, r = corpus_question("point_split", "r_id")
     pairs, builds, columns, checks, reads, records = [], [], [], [], [], []
     fetches, assembled = [], []
@@ -296,14 +329,15 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
         fetches.append((content(g), p.table(), f.table(), kind))
 
     def read(*args, **kwargs):
-        if within("creation"):
+        if within("creation") or within("census.preserves"):
             reads.append(args)
 
     def record(g, upstairs, downstairs, x):
         records.append((content(g), content(upstairs.f), upstairs.p.column(x)))
 
     def assemble(checker):
-        if within("census.colimit") or within("census.limit"):
+        if any(within(label) for label in ("census.colimit", "census.limit", "creation",
+                                            "census.preserves")):
             assembled.append(checker.p)
 
     wrap(colim, "j_absolute_at", absolute)
@@ -314,9 +348,9 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     wrap(DownstairsCensus, "creation", lambda *args: None)
     wrap(DownstairsCensus, "colimit", lambda *args: None, "census.colimit")
     wrap(DownstairsCensus, "limit", lambda *args: None, "census.limit")
-    wrap(DownstairsCensus, "downstairs", read)
-    wrap(DownstairsCensus, "upstairs", read)
+    wrap(DownstairsCensus, "preserves", lambda *args: None, "census.preserves")
     wrap(colim, "try_weighted_colimit", read)
+    wrap(colim, "try_weighted_limit", read)
     wrap(colim, "_creation_at", record)
     wrap(colim._UniversalityChecker, "colimit", assemble)
     shapes = [corpus.terminal_category(), corpus.interval_category()]
@@ -333,5 +367,74 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     limits = {census.limit(w, diagram) for X in shapes for Y in shapes
               for w in census.weights(X, Y, 1, 200_000) for diagram in census.diagrams(X, r)}
     assert True in limits
-    assert assembled == []
     assert records and len(records) == len(set(records))
+    # r preserves every colimit it is asked about; the first functors out of
+    # Disc2 and Interval do not, for want of an upstairs colimit or in spite of one
+    gs = [r] + [next(enumerate_functors(corpus.STANDARD_CATEGORIES[W](), r.cod))
+                for W in ("Disc2", "Interval")]
+    preserved = {census.preserves(g, w, diagram) for g in gs for X in shapes for Y in shapes
+                 for w in census.weights(X, Y, 1, 200_000) for diagram in census.diagrams(Y, g)}
+    assert preserved == {True, False}
+    assert reads == []
+    assert assembled == []
+
+
+def reference_preserves(g, p, f) -> tuple:
+    """(f has a p-weighted colimit, f ; g has one, g sends the first to a
+    colimit), from whole colimits and reference.colimiting_test."""
+    up = try_weighted_colimit(p, f)[0]
+    down = try_weighted_colimit(p, compose_functors(f, g))[0]
+    preserved = up is not None and reference.colimiting_test(down)(
+        {x: g.ob(up.apex.ob(x)) for x in p.src.objects}, {key: g.mor(v) for key, v in up.legs.items()})
+    return up is not None, down is not None, preserved
+
+
+def colimit_positions(census, gs):
+    """(g, w, diagram) for each g, every cap-1 weight between Terminal and
+    Interval and every diagram into dom g."""
+    shapes = [corpus.terminal_category(), corpus.interval_category()]
+    return [(g, w, diagram) for g in gs for X in shapes for Y in shapes
+            for w in census.weights(X, Y, 1, 200_000) for diagram in census.diagrams(Y, g)]
+
+
+def assert_preserves_matches_reference(W, V) -> set:
+    """census.preserves against reference_preserves for the first functors
+    g: W -> V, cold, warm, and after census.creation wrote the positions'
+    bytes.  Returns the reference triples seen."""
+    gs = list(itertools.islice(enumerate_functors(W, V), 3))
+    want = [reference_preserves(g, w.p, diagram.f)
+            for g, w, diagram in colimit_positions(DownstairsCensus(), gs)]
+    census = DownstairsCensus()
+    for _ in range(2):
+        assert [census.preserves(*position) for position in colimit_positions(census, gs)] == (
+            [preserved for _, _, preserved in want])
+    census = DownstairsCensus()
+    for (g, w, diagram), (_, down, preserved) in zip(colimit_positions(census, gs), want):
+        if down:
+            census.creation(g, w, diagram, "colimit", "nonstrict")
+        assert census.preserves(g, w, diagram) == preserved
+    return set(want)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4),
+       shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+       seed2=st.integers(min_value=0, max_value=10**4))
+def test_preserves_matches_whole_colimit_reference(seed, shape, seed2):
+    """census.preserves equals the comparison-map test on whole colimits
+    over generated (g, p, f)."""
+    W = corpus.generate_category(seed, *shape)
+    V = corpus.generate_category(seed2, *shape)
+    assume(W is not None and V is not None)
+    assert_preserves_matches_reference(W, V)
+
+
+def test_preserves_with_upstairs_or_downstairs_missing():
+    """The reference comparison covers a missing upstairs colimit, a missing
+    downstairs colimit, and colimits that g preserves and does not."""
+    seen = set()
+    for W, V in (("Terminal", "Disc2"), ("Disc2", "Split"), ("Interval", "Split"),
+                 ("Indisc2", "Terminal")):
+        seen |= assert_preserves_matches_reference(corpus.STANDARD_CATEGORIES[W](),
+                                                   corpus.STANDARD_CATEGORIES[V]())
+    assert {(False, True, False), (True, False, False), (True, True, True), (True, True, False)} <= seen

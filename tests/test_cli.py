@@ -531,6 +531,36 @@ def inline_docs(files) -> dict:
             "adjunction": dict(docs["adjunction"], j=ident, l=ident, r=ident)}
 
 
+def test_document_validates_each_distinct_category_once(files, tmp_path, monkeypatch):
+    """A monad or adjunction document validates each distinct category it
+    reaches once, inline or through a functor file, and each reference
+    keeps its own name; a second document validates its categories again."""
+    from relmon import cli
+    calls = []
+    original = cli.validate_category
+
+    def validate(raw, **kwargs):
+        calls.append(kwargs["where"])
+        return original(raw, **kwargs)
+
+    monkeypatch.setattr(cli, "validate_category", validate)
+    docs = inline_docs(files)
+    for kind in ("monad", "adjunction"):
+        save_json(docs[kind], tmp_path / f"{kind}.json")
+    T = cli.load_monad_file(tmp_path / "monad.json")
+    assert len(calls) == 2                      # Terminal and BZ2, each named twice
+    assert [C.name for C in (T.j.dom, T.j.cod, T.t.dom, T.t.cod)] == ["j.dom", "j.cod", "t.dom", "t.cod"]
+    assert T.j.dom == T.t.dom and T.j.cod == T.t.cod
+    calls.clear()
+    cli.load_adjunction_file(tmp_path / "adjunction.json")
+    assert len(calls) == 1                      # BZ2, named six times
+    calls.clear()
+    for _ in range(2):
+        T = cli.load_monad_file(files / "monad_pt_bz2.json")
+    assert len(calls) == 4                      # terminal.json and bz2.json, per document
+    assert [C.name for C in (T.j.dom, T.j.cod, T.t.dom, T.t.cod)] == ["dom", "cod", "dom", "cod"]
+
+
 def damage(data, doc):
     """doc with one value, drawn from data, dropped or replaced by another type."""
     path = data.draw(st.sampled_from(list(value_paths(doc))))
