@@ -15,18 +15,27 @@ gives the row layout.
 Questions name a weight by a handle from weights(X, Y, cap, budget), which
 enumerates the distributors X -|-> Y once per census: a Weight holds p,
 its position in that list and the list's cap, so a caller cannot name a
-position the census did not hand out.  The pointwise store holds one
-record per (diagram id, column id) with the colimit at one x and the
-natural families there, shared by every weight whose column p(-, x) has
-the same content (colim._UniversalityChecker gives the layout); per
-(root, diagram id) the j-absoluteness at each column (colim.j_absolute_at);
-and per (diagram id, g by content) the creation record at each column
-(colim._CreationAt), which holds what both creation modes need at one x,
-strict creation over every colimiting cocone and preservation included,
-so that a position fetches its records once for all three and checks
-only what spans two x's.  Limits are answered in the dual: g's opposite
-is built once per census, a weight's dual once while its positions are
-asked in a row, and the diagram's once per position.
+position the census did not hand out.  They name a diagram by a handle
+from diagrams(Z, g): a Diagram holds f, d = f ; g, their positions, the
+census that made it and that census's store entries for it, resolved
+once (colim.CreationEntry): the colimit records of f and d and the
+creation records of (g, f), and their duals for limits.  So a question
+resolves no key per position: it reads records and checks only what
+spans two x's.  A handle cannot go stale: its entries are the store's
+own dicts, keyed by content, which the store only adds to, and a census
+refuses a handle made by another census or for another g.
+
+The pointwise store holds one record per (diagram id, column id) with
+the colimit at one x and the natural families there, shared by every
+weight whose column p(-, x) has the same content
+(colim._UniversalityChecker gives the layout); per (root, diagram id) the
+j-absoluteness at each column (colim.j_absolute_at); and per (diagram id,
+g by content) the creation record at each column (colim._CreationAt),
+which holds what both creation modes need at one x, strict creation over
+every colimiting cocone and preservation included, so that a position
+fetches its records once for all three.  Limits are answered in the
+dual: g's and the diagram's opposites are built once per handle, and a
+weight's dual is kept on it (prof.dual_distributor).
 
 A suite run holds one census in its context for forgetful_creates,
 preservation_conservativity, monadicity_crosscheck, density_necessity and
@@ -37,12 +46,12 @@ engine's only cache of colimits, natural families and weight lists.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 # the searches are called through their modules, so that instrumentation
 # patching module attributes (bench/tracing.py) counts the census's calls
 from . import colim, fincat, prof
-from .fincat import FinCategory, FunctorData, compose_functors
+from .fincat import FinCategory, FunctorData
 from .prof import Distributor, dual_distributor
 
 
@@ -50,7 +59,7 @@ NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
 # a creation byte: _CHECKED, plus _PASSED << i for each _MODES[i] whose check
 # passed, plus _PRESERVED when g sends the upstairs (co)limit to one
 _CHECKED, _PASSED, _PRESERVED = 1, 2, 8
-_MODES = ("strict", "nonstrict")
+_MODES = colim.CREATION_MODES
 
 
 class Weight(NamedTuple):
@@ -64,25 +73,21 @@ class Weight(NamedTuple):
 
 class Diagram(NamedTuple):
     """f: Z -> dom g at position index of enumerate_functors(Z, dom g), and
-    its composite d = f ; g at position d_index of enumerate_functors(Z, cod g)."""
+    its composite d = f ; g at position d_index of enumerate_functors(Z, cod g),
+    with the census that made it and its store entries (colim.CreationEntry)
+    for colimits and for limits of f, named by kind."""
 
     f: FunctorData
     index: int
     d: FunctorData
     d_index: int
+    census: "DownstairsCensus"
+    colimit: colim.CreationEntry
+    limit: colim.CreationEntry
 
 
-def _cell(rows: dict, key: tuple, n: int, weight_index: int, index: int) -> tuple:
-    """(row, position) of the byte for (weight_index, index) in a row of n
-    bytes per weight, growing the row with zeros (unknown) as needed."""
-
-    row = rows.get(key)
-    if row is None:
-        row = rows[key] = bytearray()
-    end = (weight_index + 1) * n
-    if len(row) < end:
-        row.extend(bytes(end - len(row)))
-    return row, weight_index * n + index
+def _content(F: FunctorData) -> tuple:
+    return (F.dom, F.cod, F.table())
 
 
 class DownstairsCensus:
@@ -103,7 +108,7 @@ class DownstairsCensus:
     * Absoluteness rows, keyed (root j: A -> E by content, X, Y, cap),
       hold one byte per colimit: NO_COLIMIT, COLIMIT or ABSOLUTE_COLIMIT,
       plus one.  The first question at a position reads the colimit at
-      each x from the pointwise store and, when every x has one, its
+      each x from the diagram's records and, when every x has one, its
       j-absoluteness per column.
     * Limit rows, keyed (C, X, Y, cap), hold one existence byte per
       limit of a diagram into C: 1 when it does not exist, 2 when it
@@ -118,7 +123,9 @@ class DownstairsCensus:
       since the records exist only there.
 
     Zero means unknown everywhere.  No row holds a (co)limit, and no
-    question assembles one.
+    question assembles one.  Each question keeps the row it last used
+    (_cell), so the questions asked about one owner (root, C or g) along
+    one weight list build and hash the row key once.
     """
 
     def __init__(self):
@@ -126,9 +133,7 @@ class DownstairsCensus:
         self._limits: dict[tuple, bytearray] = {}
         self._creations: dict[tuple, bytearray] = {}
         self._positions: dict[tuple, dict] = {}
-        self._contents: dict[tuple, tuple] = {}
-        self._dual = (None, None)
-        self._opposites: dict[tuple, FunctorData] = {}
+        self._last: dict[str, tuple] = {}
         self._weights: dict[tuple, list] = {}
         self._pointwise: dict[tuple, dict] = {}
 
@@ -145,8 +150,9 @@ class DownstairsCensus:
         return weights
 
     def diagrams(self, Z: FinCategory, g: FunctorData) -> list[Diagram]:
-        """Every f: Z -> dom g in enumerate_functors order, with f ; g and its
-        position, recording the positions of both enumerations."""
+        """Every f: Z -> dom g in enumerate_functors order, with f ; g, its
+        position and its store entries, recording the positions of both
+        enumerations."""
 
         positions, E = self._positions, g.cod
         if (Z, E) not in positions:
@@ -154,18 +160,18 @@ class DownstairsCensus:
         fs = list(fincat.enumerate_functors(Z, g.dom))
         if (Z, g.dom) not in positions:
             positions[(Z, g.dom)] = {f.table(): i for i, f in enumerate(fs)}
-        down, ds = positions[(Z, E)], [compose_functors(f, g) for f in fs]
-        return [Diagram(f, i, d, down[d.table()]) for i, (f, d) in enumerate(zip(fs, ds))]
+        down, store = positions[(Z, E)], self._pointwise
+        entries = [colim.creation_entry(g, f, "colimit", store) for f in fs]
+        return [Diagram(f, i, e.d, down[e.d.table()], self, e, colim.creation_entry(g, f, "limit", store))
+                for i, (f, e) in enumerate(zip(fs, entries))]
 
     def colimit(self, j: FunctorData, w: Weight, diagram: Diagram) -> int:
         """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the w.p-weighted colimit of diagram.d."""
 
-        d = diagram.d
-        n = len(self._positions[(d.dom, d.cod)])
-        key = (self._content(j), w.p.src, w.p.tgt, w.cap)
-        row, pos = _cell(self._absolute, key, n, w.index, diagram.d_index)
+        d = self._own(diagram).d
+        row, pos = self._cell("absolute", j, w, d, diagram.d_index)
         if not row[pos]:
-            at = colim.pointwise_colimit(w.p, d, self._pointwise)
+            at = colim.pointwise_colimit(w.p, d, diagram.colimit.down)
             if at is None:
                 row[pos] = NO_COLIMIT + 1
             else:
@@ -176,18 +182,17 @@ class DownstairsCensus:
     def limit(self, w: Weight, diagram: Diagram) -> bool:
         """Does the w.p-weighted limit of diagram.d exist?"""
 
-        d = diagram.d
-        n = len(self._positions[(d.dom, d.cod)])
-        row, pos = _cell(self._limits, (d.cod, w.p.src, w.p.tgt, w.cap), n, w.index, diagram.d_index)
+        d = self._own(diagram).d
+        row, pos = self._cell("existence", d.cod, w, d, diagram.d_index)
         if not row[pos]:
-            pd = self._dual_of(w.p)
-            d_op = fincat.opposite_functor(d, pd.tgt, fincat.opposite(d.cod))
-            row[pos] = 1 + (colim.pointwise_colimit(pd, d_op, self._pointwise) is not None)
+            dual = diagram.limit
+            row[pos] = 1 + (colim.pointwise_colimit(dual_distributor(w.p), dual.d, dual.down) is not None)
         return row[pos] == 2
 
     def creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str, mode: str) -> bool:
         """check_creation(g, w.p, diagram.f, mode, kind).passed."""
 
+        colim.check_choice("mode", mode, _MODES)
         return bool(self._creation(g, w, diagram, kind) & (_PASSED << _MODES.index(mode)))
 
     def preserves(self, g: FunctorData, w: Weight, diagram: Diagram) -> bool:
@@ -195,7 +200,7 @@ class DownstairsCensus:
         and does g send the first to a colimit?  Read from the creation byte
         once diagram.d is known to have a colimit."""
 
-        if colim.pointwise_colimit(w.p, diagram.d, self._pointwise) is None:
+        if colim.pointwise_colimit(w.p, diagram.d, self._own(diagram, g).colimit.down) is None:
             return False
         return bool(self._creation(g, w, diagram, "colimit") & _PRESERVED)
 
@@ -203,45 +208,53 @@ class DownstairsCensus:
         """The creation byte of a position, set on the first question there
         from its creation records, fetched once (for a limit, in the dual)."""
 
-        f = diagram.f
-        n = len(self._positions[(f.dom, f.cod)])
-        g_key = self._content(g)
-        row, pos = _cell(self._creations, (g_key, w.p.src, w.p.tgt, w.cap, kind),
-                         n, w.index, diagram.index)
+        colim.check_choice("kind", kind, colim.CREATION_KINDS)
+        f = self._own(diagram, g).f
+        row, pos = self._cell(kind, g, w, f, diagram.index)
         if not row[pos]:
-            g_op = pd = None
-            if kind == "limit":
-                g_op, pd = self._opposite(g_key, g), self._dual_of(w.p)
-            records = colim.creation_records(g, w.p, f, kind, store=self._pointwise, g_op=g_op, pd=pd)
+            records = colim.creation_records(g, w.p, f, kind, entry=getattr(diagram, kind))
             verdicts = _CHECKED
             for i, checked_mode in enumerate(_MODES):
-                report = colim.check_creation(g, w.p, f, mode=checked_mode, kind=kind, records=records)
-                if report.passed:
+                if colim.check_creation(g, w.p, f, mode=checked_mode, kind=kind, records=records).passed:
                     verdicts |= _PASSED << i
             if all(record.preserved for record in records.records):
                 verdicts |= _PRESERVED
             row[pos] = verdicts
         return row[pos]
 
-    def _content(self, F: FunctorData) -> tuple:
-        """(dom, cod, table) of F, stored once per content and shared by
-        every row key that names F."""
+    def _own(self, diagram: Diagram, g: Optional[FunctorData] = None) -> Diagram:
+        """diagram, when this census made it for g (when given): a handle
+        holds the store entries of its census and g."""
 
-        key = (F.dom, F.cod, F.table())
-        return self._contents.setdefault(key, key)
+        h = diagram.colimit.g
+        if diagram.census is not self or (g is not None and g is not h and _content(g) != _content(h)):
+            raise ValueError("a diagram handle is answered only by the census that made it, for its g")
+        return diagram
 
-    def _opposite(self, g_key: tuple, g: FunctorData) -> FunctorData:
-        """g between the opposite categories, built once per content of g."""
+    def _cell(self, question: str, owner, w: Weight, F: FunctorData, index: int) -> tuple:
+        """(row, position) of the byte for w and the diagram F at position
+        index in the row of question about owner: "absolute" about the root
+        j, "existence" about C = cod F (limits), a creation kind about g.
+        A question keeps its last row and stride while owner stays the same
+        object and X, Y and the cap equal, as along one weight list; the row
+        is the one any equal owner reads.  Rows grow with zeros (unknown)."""
 
-        g_op = self._opposites.get(g_key)
-        if g_op is None:
-            g_op = self._opposites[g_key] = fincat.opposite_functor(
-                g, fincat.opposite(g.dom), fincat.opposite(g.cod))
-        return g_op
-
-    def _dual_of(self, p: Distributor) -> Distributor:
-        """dual_distributor(p), built once while one weight's diagrams are asked in a row."""
-
-        if self._dual[0] is not p:
-            self._dual = (p, dual_distributor(p))
-        return self._dual[1]
+        p = w.p
+        last = self._last.get(question)
+        if last is None or last[0] is not owner or last[1:4] != (p.src, p.tgt, w.cap):
+            if question == "absolute":
+                rows, key = self._absolute, (_content(owner), p.src, p.tgt, w.cap)
+            elif question == "existence":
+                rows, key = self._limits, (owner, p.src, p.tgt, w.cap)
+            else:
+                rows, key = self._creations, (_content(owner), p.src, p.tgt, w.cap, question)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = bytearray()
+            last = self._last[question] = (owner, p.src, p.tgt, w.cap, row,
+                                           len(self._positions[(F.dom, F.cod)]))
+        row, n = last[4], last[5]
+        pos = w.index * n + index
+        if pos >= len(row):
+            row.extend(bytes((w.index + 1) * n - len(row)))
+        return row, pos

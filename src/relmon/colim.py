@@ -33,10 +33,10 @@ Caches, what keys them and how long they live:
   per (diagram id, column id), in slot order, for every weight that has
   the column; per (root, diagram id) the index of the first failing a for
   each column id; and per (diagram id, g by content) the creation record
-  for each column id.  The census owns one for its run and passes it to
-  pointwise_colimit, j_absolute_at and creation_records, whose store
-  check_creation passes on; none of them assembles a whole (co)limit.
-  Without a store a search keeps a private one for the call.
+  for each column id.  The census owns one for its run and resolves a
+  diagram's entries once (store_records, creation_entry) for
+  pointwise_colimit and creation_records; none of them assembles a whole
+  (co)limit.  Without a store a search keeps a private one for the call.
   _UniversalityChecker, j_absolute_at and creation_records give the layout.
 * A _UniversalityChecker holds the family plans (slots and naturality
   checks, one per x) and the family key sets of one (p, f) for one
@@ -44,8 +44,8 @@ Caches, what keys them and how long they live:
   its own.
 * Memos kept on immutable inputs for their lifetime, derived only from
   their tables: a FinCategory keeps its table, hash, opposite() and
-  hom_distributor(); a Distributor keeps its table(), column ids and
-  left_indices(); a FunctorData keeps its table().
+  hom_distributor(); a Distributor keeps its table(), column ids,
+  left_indices(), left_plan() and dual; a FunctorData keeps its table().
 """
 
 from __future__ import annotations
@@ -117,9 +117,16 @@ def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wpr
 _UNSEARCHED = object()
 
 
-def _diagram_id(p: Distributor, f: FunctorData) -> tuple:
-    """The store's key for the diagram f of a p-weighted colimit."""
-    return (p.tgt, f.cod, f.table())
+def _diagram_id(f: FunctorData) -> tuple:
+    """The store's key for a diagram f: its content (dom f = tgt p for a
+    p-weighted colimit)."""
+    return (f.dom, f.cod, f.table())
+
+
+def store_records(store: Optional[dict], f: FunctorData) -> dict:
+    """The colimit records of the diagram f in store, keyed by column id
+    (see _UniversalityChecker); an empty private dict without a store."""
+    return {} if store is None else store.setdefault(_diagram_id(f), {})
 
 
 class _UniversalityChecker:
@@ -127,31 +134,26 @@ class _UniversalityChecker:
 
     The answers at x depend only on the column p(-, x) and on f, so they
     are kept in store, one record per (diagram id, column id): the diagram
-    id is (tgt p, cod f, f.table()), the column id is p.column(x).  A record
+    id is (dom f, cod f, f.table()), the column id is p.column(x).  A record
     is a list: the colimit at x, then the natural families at each w' of
     cod f in its object order (None until listed).  The colimit is (apex
     object, legs) or None when there is none; legs and families are tuples
     of values in slot order.  Slot i of a column is its i-th element in
     every distributor with that column, so a record is read back into any
-    of them by zip(slots(x), values).  store is a dict keyed by diagram id,
-    holding each diagram's records keyed by column id (j_absolute_at and
-    creation_records keep their entries in the same dict, keyed (diagram
-    id, root) and (diagram id, "creation", cod g, g.table())); without
-    one, the checker keeps a private store.  The family plans (slots and
+    of them by zip(slots(x), values).  A store is a dict keyed by diagram
+    id, holding each diagram's records keyed by column id (j_absolute_at
+    and creation_records keep their entries in the same dict, keyed
+    (diagram id, root) and (diagram id, "creation", cod g, g.table()));
+    records is the diagram's, as store_records resolves it, and without
+    it the checker keeps private records.  The family plans (slots and
     naturality checks) and the key sets stay with the checker.
     """
 
-    def __init__(self, p: Distributor, f: FunctorData, store: Optional[dict] = None):
+    def __init__(self, p: Distributor, f: FunctorData, records: Optional[dict] = None):
         self.p = p
         self.f = f
         self.W = f.cod
-        if store is None:
-            store = {}
-        diagram = _diagram_id(p, f)
-        records = store.get(diagram)
-        if records is None:
-            records = store[diagram] = {}
-        self._records = records
+        self._records = {} if records is None else records
         self._at: dict[str, list] = {}
         self._plans: dict[str, tuple] = {}
         self._slots: dict[str, list] = {}
@@ -235,23 +237,14 @@ class _UniversalityChecker:
                     break
         return record[0]
 
-    def pointwise(self):
-        """({x: colimit_at(x)} for every x, None), or (None, first x with no colimit)."""
-        at = {}
-        for x in self.p.src.objects:
-            at[x] = self.colimit_at(x)
-            if at[x] is None:
-                return None, x
-        return at, None
-
     def colimit(self):
         """((apex on objects, apex on morphisms, legs), None), or (None, first failing x)."""
 
         p, W = self.p, self.W
         X = p.src
-        at, failed = self.pointwise()
+        at = pointwise_colimit(p, self.f, self._records, self)
         if at is None:
-            return None, failed
+            return None, next(x for x in X.objects if self.colimit_at(x) is None)
         chosen_obj = {x: found[0] for x, found in at.items()}
         on_morphisms = {}
         for n in X.morphism_names():
@@ -304,7 +297,7 @@ def try_weighted_colimit(p: Distributor, f: FunctorData, store: Optional[dict] =
 
     if f.dom != p.tgt:
         raise EndpointMismatch("diagram must start at the weight's target")
-    found, failed = _UniversalityChecker(p, f, store).colimit()
+    found, failed = _UniversalityChecker(p, f, store_records(store, f)).colimit()
     if found is None:
         return None, failed
     on_objects, on_morphisms, legs = found
@@ -312,13 +305,24 @@ def try_weighted_colimit(p: Distributor, f: FunctorData, store: Optional[dict] =
     return WeightedColimit(p, f, apex, dict(legs)), None
 
 
-def pointwise_colimit(p: Distributor, f: FunctorData, store: Optional[dict] = None) -> Optional[dict]:
+def pointwise_colimit(p: Distributor, f: FunctorData, records: Optional[dict] = None,
+                      checker: Optional[_UniversalityChecker] = None) -> Optional[dict]:
     """The colimit of f at each x of src p, as {x: (apex object, legs in
-    slot order)}, read from and kept in store (see _UniversalityChecker);
-    None when some x has none, which is exactly when f has no p-weighted
-    colimit.  Nothing that spans two x's is assembled."""
+    slot order)}; None when some x has none, which is exactly when f has no
+    p-weighted colimit.  Each x is read from f's records (store_records),
+    and only a column never searched there is searched, by checker (of p
+    and f on records, built when first needed).  Nothing is assembled."""
 
-    return _UniversalityChecker(p, f, store).pointwise()[0]
+    at = {}
+    for x in p.src.objects:
+        record = records.get(p.column(x)) if records is not None else None
+        if record is None or record[0] is _UNSEARCHED:
+            checker = checker or _UniversalityChecker(p, f, records)
+            record = (checker.colimit_at(x),)
+        if record[0] is None:
+            return None
+        at[x] = record[0]
+    return at
 
 
 def weighted_colimit(p: Distributor, f: FunctorData) -> WeightedColimit:
@@ -507,7 +511,7 @@ def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict,
     A = j.dom
     if store is None:
         store = {}
-    key = (_diagram_id(p, f), (A, j.table()))
+    key = (_diagram_id(f), (A, j.table()))
     entry = store.get(key)
     if entry is None:
         entry = store[key] = [None, {}]    # E(j, f) once built, first failing index per column
@@ -618,20 +622,19 @@ def _nerve_slots(j: FunctorData, e: str):
 # cocones and creation
 
 
-def enumerate_cocones(p: Distributor, f: FunctorData, store: Optional[dict] = None):
+def enumerate_cocones(p: Distributor, f: FunctorData, records: Optional[dict] = None):
     """All p-cocones (w, legs) for f with apex functor into cod f, canonical order.
 
     For each apex w, one search slot per x holds a family natural in y at
-    x, read from store (see _UniversalityChecker); naturality in x along
-    n: x -> x2 is checked once both are chosen.
+    x, read from f's records in a store (store_records); naturality in x
+    along n: x -> x2 is checked once both are chosen.
     """
 
     X, W = p.src, f.cod
     comp = W.composition
-    checker = _UniversalityChecker(p, f, store)
-    along = [(X.objects.index(X.dom(n)), X.objects.index(X.cod(n)), n,
-              list(enumerate(p.left_indices(n))))
-             for n in X.morphism_names() if not X.is_identity(n)]
+    checker = _UniversalityChecker(p, f, records)
+    index = X._obj_index
+    along = [(index[x], index[x2], n, pairs) for n, x, x2, pairs in p.left_plan()[0]]
     out = []
     for w in enumerate_functors(X, W):
         domains = [checker.family_values(x, w.ob(x)) for x in X.objects]
@@ -651,6 +654,15 @@ def enumerate_cocones(p: Distributor, f: FunctorData, store: Optional[dict] = No
 
 def cocone_is_colimiting(p: Distributor, f: FunctorData, w: FunctorData, legs: dict) -> bool:
     return _UniversalityChecker(p, f).is_cocone_colimiting(w, legs)
+
+
+CREATION_MODES, CREATION_KINDS = ("strict", "nonstrict"), ("colimit", "limit")
+
+
+def check_choice(name: str, value: str, allowed: tuple) -> None:
+    """ValueError naming the allowed values unless value is one of them."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {', '.join(map(repr, allowed))}, not {value!r}")
 
 
 @dataclass
@@ -765,53 +777,66 @@ def _creation_at(g: FunctorData, upstairs: _UniversalityChecker,
                        all(len(lifts) == 1 and lifts[0][2] for _, lifts in isos))
 
 
-class CreationRecords(NamedTuple):
-    """The creation records of one (g, p, f) question, fetched once for
-    check_creation in either mode.  A limit question is held as the
-    colimit question of its formal dual: g, p and f here are then g, the
-    weight and the diagram between the opposite categories."""
+class CreationEntry(NamedTuple):
+    """g, f, d = f ; g, the colimit records of f (up) and d (down) and the
+    creation records by column id, resolved once by creation_entry; for a
+    limit question, those of its formal dual."""
 
     g: FunctorData
-    p: Distributor
     f: FunctorData
-    store: dict
+    d: FunctorData
+    up: dict
+    down: dict
+    records: dict
+
+
+def creation_entry(g: FunctorData, f: FunctorData, kind: str, store: dict) -> CreationEntry:
+    """The entry in store of check_creation(g, p, f, kind=kind) for every
+    p: creation records are kept per (diagram id of f, g by content), next
+    to the colimit records (_CreationAt says why sharing them is sound)."""
+
+    check_choice("kind", kind, CREATION_KINDS)
+    d = compose_functors(f, g)
+    if kind == "limit":
+        Z, W, V = opposite(f.dom), opposite(g.dom), opposite(g.cod)
+        g, f, d = opposite_functor(g, W, V), opposite_functor(f, Z, W), opposite_functor(d, Z, V)
+    records = store.setdefault((_diagram_id(f), "creation", g.cod, g.table()), {})
+    return CreationEntry(g, f, d, store_records(store, f), store_records(store, d), records)
+
+
+class CreationRecords(NamedTuple):
+    """The creation records of one (g, p, f) question, one per x, fetched
+    once for check_creation in either mode, with their entry; for a limit
+    question, those of its formal dual, p being dual_distributor(p)."""
+
+    entry: CreationEntry
+    p: Distributor
     records: list
 
 
 def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str = "colimit", *,
-                     store: Optional[dict] = None, g_op: Optional[FunctorData] = None,
-                     pd: Optional[Distributor] = None) -> CreationRecords:
+                     store: Optional[dict] = None, entry: Optional[CreationEntry] = None) -> CreationRecords:
     """The creation record (_CreationAt) at each x of src p, in object
     order, for check_creation(g, p, f, kind=kind).
 
     For colimits f: tgt(p) -> dom(g); for limits f: src(p) -> dom(g), and
-    the records are those of the formal dual; g_op and pd are g between the
-    opposite categories and dual_distributor(p), built here when not given,
-    so that a caller asking about many positions builds them once.  store
-    keeps the records per (diagram id of f, g by content), keyed by column
-    id (see _UniversalityChecker for the ids), next to the colimit records
-    they are computed from; _CreationAt says why sharing them is sound.
-    Without a store the call keeps a private one.  Raises DownstairsMissing
-    at the first x where f ; g has no (co)limit.
+    the records are those of the formal dual.  entry is creation_entry(g,
+    f, kind, store), resolved here when not given, so that a caller asking
+    about many weights resolves it once.  Without a store or an entry the
+    call keeps a private store.
+    Raises DownstairsMissing at the first x where f ; g has no (co)limit.
     """
 
-    if store is None:
-        store = {}
+    check_choice("kind", kind, CREATION_KINDS)
     if kind == "limit":
-        W = g.dom
         if f.dom != p.src:
             raise EndpointMismatch("limit diagram must start at the weight's source")
-        if g_op is None:
-            g_op = opposite_functor(g, opposite(W), opposite(g.cod))
-        if pd is None:
-            pd = dual_distributor(p)
-        g, p, f = g_op, pd, opposite_functor(f, pd.tgt, opposite(W))
+        p = dual_distributor(p)
     elif f.dom != p.tgt:
         raise EndpointMismatch("diagram must start at the weight's target")
-    key = (_diagram_id(p, f), "creation", g.cod, g.table())
-    records = store.get(key)
-    if records is None:
-        records = store[key] = {}
+    if entry is None:
+        entry = creation_entry(g, f, kind, {} if store is None else store)
+    records = entry.records
     out = []
     checkers = None
     for x in p.src.objects:
@@ -819,13 +844,13 @@ def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str =
         record = records.get(column, _UNSEARCHED)
         if record is _UNSEARCHED:
             if checkers is None:
-                checkers = (_UniversalityChecker(p, f, store),
-                            _UniversalityChecker(p, compose_functors(f, g), store))
-            record = records[column] = _creation_at(g, *checkers, x)
+                checkers = (_UniversalityChecker(p, entry.f, entry.up),
+                            _UniversalityChecker(p, entry.d, entry.down))
+            record = records[column] = _creation_at(entry.g, *checkers, x)
         if record is None:
             raise DownstairsMissing(f"downstairs colimit missing at {x!r}")
         out.append(record)
-    return CreationRecords(g, p, f, store, out)
+    return CreationRecords(entry, p, out)
 
 
 def _strict_report(lifts: int, lift: Optional[dict]) -> CreationReport:
@@ -858,17 +883,12 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> C
     alone decide.
     """
 
-    X = p.src
-    objects = X.objects
-    nonid = [n for n in X.morphism_names() if not X.is_identity(n)]
-    if not nonid and all(r.strict for r in records):
+    objects = p.src.objects
+    along, composable = p.left_plan()
+    if not along and all(r.strict for r in records):
         return _strict_report(1, {x: r.isos[r.identity][1][0] for x, r in zip(objects, records)})
     W = g.dom
     comp, ids = W.composition, W.identities
-    along = [(X.dom(n), X.cod(n), list(enumerate(p.left_indices(n)))) for n in nonid]
-    slot = {n: s for s, n in enumerate(nonid)}
-    composable = [(slot[a], slot[b], slot.get(ab), X.dom(a)) for a, b, ab in X.composable_pairs()
-                  if a in slot and b in slot]
 
     def lifts_over(lists: list) -> tuple:
         """(number of lifts, the last one) for the lifts at each x in lists."""
@@ -877,7 +897,7 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> C
             chosen = dict(zip(objects, choice))
             ks = [[k for k in W.hom(chosen[x][0], chosen[x2][0])
                    if all(comp[(chosen[x][1][i], k)] == chosen[x2][1][j] for i, j in pairs)]
-                  for x, x2, pairs in along]
+                  for _, x, x2, pairs in along]
             for morphisms in itertools.product(*ks):
                 if all(comp[(morphisms[a], morphisms[b])] ==
                        (ids[chosen[x][0]] if ab is None else morphisms[ab])
@@ -897,8 +917,7 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> C
     return _strict_report(1, first)
 
 
-def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData, records: list,
-                                store: Optional[dict]) -> CreationReport:
+def _nonstrict_colimit_creation(entry: CreationEntry, p: Distributor, records: list) -> CreationReport:
     """Is a cocone for f colimiting exactly when its g-image is?  The
     violation names the first apex, in enumerate_cocones order, of a cocone
     where the two differ.  Without a colimit of f at some x, the cocones
@@ -906,18 +925,20 @@ def _nonstrict_colimit_creation(g: FunctorData, p: Distributor, f: FunctorData, 
     flags decide, and the natural k's are searched only when some x leaves
     the question open."""
 
+    g = entry.g
     violations = []
     upstairs_exists = all(r.upstairs for r in records)
     if not upstairs_exists:
         violations.append("upstairs colimit does not exist")
-        down = _UniversalityChecker(p, compose_functors(f, g), store)
-        witness = next((w for (w, legs) in enumerate_cocones(p, f, store)
+        down = _UniversalityChecker(p, entry.d, entry.down)
+        witness = next((w for (w, legs) in enumerate_cocones(p, entry.f, entry.up)
                         if down.is_cocone_colimiting(compose_functors(w, g),
                                                      {key: g.mor(v) for key, v in legs.items()})), None)
     elif all(r.closed for r in records):
         witness = None                  # no k_x tells the two tests apart
     else:
-        witness = _first_mismatch(g.dom, p, pointwise_colimit(p, f, store), [r.flags for r in records])
+        witness = _first_mismatch(g.dom, p, pointwise_colimit(p, entry.f, entry.up),
+                                  [r.flags for r in records])
     if witness is not None:
         violations.append(f"cocone biconditional fails at apex {dict(witness.on_objects)}")
     return CreationReport("nonstrict", "colimit", upstairs_exists and witness is None,
@@ -942,9 +963,9 @@ def _first_mismatch(W: FinCategory, p: Distributor, up: dict, flags: list):
 
     X = p.src
     comp = W.composition
-    along = [(X.objects.index(X.dom(n)), X.objects.index(X.cod(n)), n,
-              [(up[X.dom(n)][1][i], up[X.cod(n)][1][j]) for i, j in enumerate(p.left_indices(n))])
-             for n in X.morphism_names() if not X.is_identity(n)]
+    index = X._obj_index
+    along = [(index[x], index[x2], n, [(up[x][1][i], up[x2][1][j]) for i, j in pairs])
+             for n, x, x2, pairs in p.left_plan()[0]]
     for w in enumerate_functors(X, W):
         search = Search()
         for x in X.objects:
@@ -973,15 +994,16 @@ def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
     records when given (creation_records(g, p, f, kind) fetched once for
     both modes), else fetched here and kept in store when given; only what
     spans two x's is checked per call.  Raises DownstairsMissing when f ; g
-    has no (co)limit.
+    has no (co)limit, ValueError for an unknown mode or kind.
     """
 
+    check_choice("mode", mode, CREATION_MODES)
+    check_choice("kind", kind, CREATION_KINDS)
     if records is None:
         records = creation_records(g, p, f, kind, store=store)
     if mode == "strict":
-        report = _strict_colimit_creation(records.g, records.p, records.records)
+        report = _strict_colimit_creation(records.entry.g, records.p, records.records)
     else:
-        report = _nonstrict_colimit_creation(records.g, records.p, records.f, records.records,
-                                             records.store)
+        report = _nonstrict_colimit_creation(records.entry, records.p, records.records)
     report.kind = kind
     return report

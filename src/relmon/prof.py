@@ -32,8 +32,8 @@ class Distributor:
     giving the image in p(y', x); left_action is keyed (n, y, e) for
     n: x -> x' in X and e in p(y, x), giving the image in p(y, x').
     Identity actions are stored implicitly.  Instances are immutable by
-    convention; table(), column(x) and left_indices(n) are built on first
-    use and kept.
+    convention; table(), column(x), left_indices(n), left_plan() and the
+    dual (dual_distributor) are built on first use and kept.
     """
 
     def __init__(self, src: FinCategory, tgt: FinCategory, elements,
@@ -50,6 +50,7 @@ class Distributor:
         self._table = None
         self._columns: dict[str, tuple] = {}
         self._left: dict[str, tuple] = {}
+        self._plan = self._dual = None
 
     def el(self, y: str, x: str) -> tuple[str, ...]:
         return self.elements[(y, x)]
@@ -105,6 +106,20 @@ class Distributor:
             indices = self._left[n] = tuple(index[(y, self.act_l(n, y, e))]
                                             for y in Y.objects for e in self.el(y, x))
         return indices
+
+    def left_plan(self) -> tuple:
+        """(along, composable): (n, x, x2, enumerate(left_indices(n))) for
+        each non-identity n: x -> x2 of src in order, and (a, b, c, dom a)
+        for each composable pair of them by position in along, c that of
+        a ; b or None for an identity.  Built on first use and kept."""
+        if self._plan is None:
+            X = self.src
+            nonid = [n for n in X.morphism_names() if not X.is_identity(n)]
+            slot = {n: s for s, n in enumerate(nonid)}
+            self._plan = (tuple((n, X.dom(n), X.cod(n), tuple(enumerate(self.left_indices(n)))) for n in nonid),
+                          tuple((slot[a], slot[b], slot.get(ab), X.dom(a))
+                                for a, b, ab in X.composable_pairs() if a in slot and b in slot))
+        return self._plan
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Distributor) and self.src == other.src
@@ -314,9 +329,12 @@ def hom_restriction(E: FinCategory, f: FunctorData, g: FunctorData) -> Distribut
 def dual_distributor(p: Distributor) -> Distributor:
     """The same data read in the opposite categories: (p^op)(x, y) = p(y, x).
 
-    Weighted limits are computed as weighted colimits of the dual.
+    Weighted limits are computed as weighted colimits of the dual.  Built
+    once per distributor and kept on it, like FinCategory's opposite().
     """
 
+    if p._dual is not None:
+        return p._dual
     src_op = opposite(p.tgt)
     tgt_op = opposite(p.src)
     elements = {(x, y): p.el(y, x) for y in p.tgt.objects for x in p.src.objects}
@@ -335,8 +353,8 @@ def dual_distributor(p: Distributor) -> Distributor:
         for x in p.src.objects:
             for e in p.el(p.tgt.cod(n), x):
                 left[(n, x, e)] = p.act_r(n, x, e)
-    return Distributor(src_op, tgt_op, elements, right, left,
-                       name=f"{p.name}^op" if p.name else None)
+    p._dual = Distributor(src_op, tgt_op, elements, right, left, name=f"{p.name}^op" if p.name else None)
+    return p._dual
 
 
 # ---------------------------------------------------------------------------

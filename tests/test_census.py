@@ -1,5 +1,6 @@
 """The run-scoped downstairs census answers exactly as the searches it stands in for."""
 
+import collections
 import itertools
 import json
 
@@ -18,7 +19,7 @@ from relmon.colim import (
     verify_weighted_colimit,
     verify_weighted_limit,
 )
-from relmon.errors import BudgetExceeded
+from relmon.errors import BudgetExceeded, DownstairsMissing
 from relmon.fincat import (
     FunctorData,
     compose_functors,
@@ -288,12 +289,14 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     absoluteness is checked twice, each creation position fetches its
     creation records once and is checked once per mode from them without
     reading or assembling a whole (co)limit, no (g, diagram, column)
-    creation record is computed twice, and no census question (colimit,
+    creation record is computed twice, no census question (colimit,
     limit, creation or preserves, the last also asked at every position
-    of the audit's shapes) assembles a whole (co)limit."""
+    of the audit's shapes) assembles a whole (co)limit, and no existence
+    question builds a _UniversalityChecker for a position whose columns
+    are all searched in the store."""
     j, r = corpus_question("point_split", "r_id")
     pairs, builds, columns, checks, reads, records = [], [], [], [], [], []
-    fetches, assembled = [], []
+    fetches, assembled, searching, wasted = [], [], [], []
     inside = []
 
     def within(name):
@@ -340,6 +343,15 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
                                             "census.preserves")):
             assembled.append(checker.p)
 
+    def checker_built(checker, p, f, records=None):
+        if not any(within(label) for label in ("census.colimit", "census.limit", "census.preserves")):
+            return
+        if within("creation_records") or within("check_creation"):
+            return                      # creation records at a new (g, diagram, column)
+        searched = [(records or {}).get(p.column(x), [colim._UNSEARCHED])[0] is not colim._UNSEARCHED
+                    for x in p.src.objects]
+        (wasted if all(searched) else searching).append((p, content(f)))
+
     wrap(colim, "j_absolute_at", absolute)
     wrap(colim, "hom_restriction", build)
     wrap(colim, "_first_failing_root", check)
@@ -353,6 +365,7 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     wrap(colim, "try_weighted_limit", read)
     wrap(colim, "_creation_at", record)
     wrap(colim._UniversalityChecker, "colimit", assemble)
+    wrap(colim._UniversalityChecker, "__init__", checker_built)
     shapes = [corpus.terminal_category(), corpus.interval_category()]
     census = DownstairsCensus()
     report = creation_audit(j, r, shapes, 1, census=census)
@@ -377,6 +390,7 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     assert preserved == {True, False}
     assert reads == []
     assert assembled == []
+    assert searching and wasted == []
 
 
 def reference_preserves(g, p, f) -> tuple:
@@ -438,3 +452,163 @@ def test_preserves_with_upstairs_or_downstairs_missing():
         seen |= assert_preserves_matches_reference(corpus.STANDARD_CATEGORIES[W](),
                                                    corpus.STANDARD_CATEGORIES[V]())
     assert {(False, True, False), (True, False, False), (True, True, True), (True, True, False)} <= seen
+
+
+def a_colimit_position(census, name="indisc2_to_terminal", role="r_indisc"):
+    """(j, g, w, diagram): a position whose downstairs colimit exists."""
+    j, g = corpus_question(name, role)
+    w, diagram = next((w, diagram) for w, diagram, kind in creation_positions(census, j, g)
+                      if kind == "colimit")
+    return j, g, w, diagram
+
+
+def creation_entries_are_empty(census) -> bool:
+    return all(not records for key, records in census._pointwise.items()
+               if len(key) == 4 and key[1] == "creation")
+
+
+@pytest.mark.parametrize("ask, allowed", [
+    (lambda census, g, w, diagram: check_creation(g, w.p, diagram.f, mode="bogus"),
+     "mode must be one of 'strict', 'nonstrict', not 'bogus'"),
+    (lambda census, g, w, diagram: check_creation(g, w.p, diagram.f, kind="lim"),
+     "kind must be one of 'colimit', 'limit', not 'lim'"),
+    (lambda census, g, w, diagram: colim.creation_records(g, w.p, diagram.f, "lim"),
+     "kind must be one of 'colimit', 'limit', not 'lim'"),
+    (lambda census, g, w, diagram: census.creation(g, w, diagram, "colimt", "strict"),
+     "kind must be one of 'colimit', 'limit', not 'colimt'"),
+    (lambda census, g, w, diagram: census.creation(g, w, diagram, "colimit", "bogus"),
+     "mode must be one of 'strict', 'nonstrict', not 'bogus'"),
+], ids=["check_creation mode", "check_creation kind", "creation_records kind",
+        "census kind", "census mode"])
+def test_unknown_mode_or_kind_is_refused(ask, allowed):
+    """An unknown mode or kind raises a ValueError naming the allowed
+    values, before any creation record or creation row is written."""
+    census = DownstairsCensus()
+    _, g, w, diagram = a_colimit_position(census)
+    with pytest.raises(ValueError, match=allowed):
+        ask(census, g, w, diagram)
+    assert census._creations == {} and creation_entries_are_empty(census)
+
+
+def test_diagram_handles_answer_only_in_their_census_and_for_their_g():
+    """A diagram handle holds its census's store entries: another census
+    refuses it rather than read them, and its census refuses it for
+    another g."""
+    first, second = DownstairsCensus(), DownstairsCensus()
+    j, g, w, diagram = a_colimit_position(first, "point_split", "r_id")
+    stored = {key: len(records) for key, records in first._pointwise.items()}
+    other_w = second.weights(w.p.src, w.p.tgt, w.cap, 200_000)[w.index]
+    for ask in (lambda: second.colimit(j, other_w, diagram), lambda: second.limit(other_w, diagram),
+                lambda: second.creation(g, other_w, diagram, "colimit", "strict"),
+                lambda: second.preserves(g, other_w, diagram)):
+        with pytest.raises(ValueError, match="census that made it"):
+            ask()
+    assert second._pointwise == {} and second._absolute == second._limits == second._creations == {}
+    assert {key: len(records) for key, records in first._pointwise.items()} == stored
+    other_g = next(h for h in enumerate_functors(g.dom, g.cod) if h.table() != g.table())
+    with pytest.raises(ValueError, match="for its g"):
+        first.creation(other_g, w, diagram, "colimit", "strict")
+    # an equal copy of g is the same g
+    copy = FunctorData(g.dom, g.cod, g.on_objects, g.on_morphisms)
+    assert first.creation(copy, w, diagram, "colimit", "strict") == (
+        check_creation(g, w.p, diagram.f, mode="strict").passed)
+
+
+def outcome(ask):
+    """What ask() returns, or the name of the exception it raises."""
+    try:
+        return ask()
+    except DownstairsMissing as exc:
+        return type(exc).__name__
+
+
+def interleaved_weights(census) -> list:
+    """The last weights Terminal -|-> Interval and Interval -|-> Terminal of
+    the cap-1 lists, and the weight Interval -|-> Terminal at the same
+    position of the cap-2 list: another weight whose handle shares its
+    categories and index with the cap-1 one."""
+    T, I = corpus.terminal_category(), corpus.interval_category()
+    last = len(census.weights(I, T, 1, 200_000)) - 1
+    weights = [census.weights(X, Y, cap, 200_000)[last if cap == 2 else -1]
+               for X, Y, cap in ((T, I, 1), (I, T, 1), (I, T, 2))]
+    assert weights[2].p.table() != weights[1].p.table()
+    return weights
+
+
+def interleaved_questions(census, gs, roots) -> list:
+    """(key, row, question) for every colimit, limit, preserves and
+    creation question about three weights, two roots and two g's, in row
+    order: the positions of each row (question kind, root or g, weight)
+    one after another.  key is (kind, g, weight, diagram position, root or
+    (creation kind, mode)), by index, the same in every census; question
+    asks it of census."""
+    out = []
+    for gi, g in enumerate(gs):
+        for wi, w in enumerate(interleaved_weights(census)):
+            ds = {"colimit": census.diagrams(w.p.tgt, g), "limit": census.diagrams(w.p.src, g)}
+            for ji, j in enumerate(roots):
+                out += [(("colimit", gi, wi, d.index, ji), ("colimit", ji, wi),
+                         lambda j=j, w=w, d=d: census.colimit(j, w, d)) for d in ds["colimit"]]
+            out += [(("limit", gi, wi, d.index, None), ("limit", wi),
+                     lambda w=w, d=d: census.limit(w, d)) for d in ds["limit"]]
+            out += [(("preserves", gi, wi, d.index, None), ("preserves", gi, wi),
+                     lambda g=g, w=w, d=d: census.preserves(g, w, d)) for d in ds["colimit"]]
+            for kind in ("colimit", "limit"):
+                for mode in ("strict", "nonstrict"):
+                    out += [(("creation", gi, wi, d.index, (kind, mode)), ("creation", gi, wi, kind, mode),
+                             lambda g=g, w=w, d=d, kind=kind, mode=mode: census.creation(g, w, d, kind, mode))
+                            for d in ds[kind]]
+    return out
+
+
+def direct_answer(key, gs, roots, weights):
+    """The answer to key from try_weighted_colimit with is_j_absolute,
+    try_weighted_limit, reference_preserves and check_creation, without a
+    census."""
+    question, gi, wi, index, extra = key
+    p, g = weights[wi].p, gs[gi]
+    Z = p.src if question == "limit" or (question == "creation" and extra[0] == "limit") else p.tgt
+    f = list(enumerate_functors(Z, g.dom))[index]
+    d = compose_functors(f, g)
+    if question == "colimit":
+        return direct_colimit_verdict(roots[extra], p, d)
+    if question == "limit":
+        return try_weighted_limit(p, d)[0] is not None
+    if question == "preserves":
+        return reference_preserves(g, p, f)[2]
+    kind, mode = extra
+    return outcome(lambda: check_creation(g, p, f, mode=mode, kind=kind).passed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4),
+       seed2=st.integers(min_value=0, max_value=10**4),
+       shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+       data=st.data())
+def test_interleaved_questions_answer_as_in_row_order_and_directly(seed, seed2, shape, data):
+    """Questions asked position by position across two roots, two g's and
+    three weights, and in an order hypothesis draws, get the answers they get
+    in row order, and those are the direct searches' answers: the row a
+    question keeps from its last call never serves another root, g or
+    weight list."""
+    W = corpus.generate_category(seed, *shape)
+    V = corpus.generate_category(seed2, *shape)
+    assume(W is not None and V is not None)
+    gs = list(itertools.islice(enumerate_functors(W, V), 2))
+    assume(len(gs) == 2)
+    roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
+    census = DownstairsCensus()
+    in_row = {key: outcome(ask) for key, _, ask in interleaved_questions(census, gs, roots)}
+    weights = interleaved_weights(census)
+    assert in_row == {key: direct_answer(key, gs, roots, weights) for key in in_row}
+    # position by position: the first position of every row, then the second, ...
+    questions, seen, ranks = interleaved_questions(DownstairsCensus(), gs, roots), collections.Counter(), []
+    for _, row, _ in questions:
+        seen[row] += 1
+        ranks.append(seen[row])
+    alternating = [item for _, item in sorted(zip(ranks, questions), key=lambda pair: pair[0])]
+    assert len({row for _, row, _ in alternating}) > 8
+    assert {key: outcome(ask) for key, _, ask in alternating} == in_row
+    questions = interleaved_questions(DownstairsCensus(), gs, roots)
+    order = data.draw(st.permutations(range(len(questions))))
+    assert {questions[i][0]: outcome(questions[i][2]) for i in order} == in_row

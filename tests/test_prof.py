@@ -124,6 +124,8 @@ def test_dual_swaps_components(cats):
     p = hom_distributor(cats["Interval"])
     d = dual_distributor(p)
     assert d.el("1", "0") == p.el("0", "1") == ("u",)
+    # built once and kept on p, with its own memos (left_plan of the dual)
+    assert dual_distributor(p) is d and d.left_plan() is dual_distributor(p).left_plan()
 
 
 # ---------------------------------------------------------------------------
