@@ -2,26 +2,37 @@
 
 A suite run asks the same (co)limit and creation questions again and
 again, across theorems, monads and roots.  DownstairsCensus answers each
-one once per (weight, diagram) position, in byte rows keyed by content:
-whether the colimit exists and is j-absolute, whether the limit exists,
-both creation modes' verdicts, and whether g preserves the colimit.  It
-keeps no (co)limit of its own and assembles none: a weighted colimit is
-pointwise in x (Kelly, Basic Concepts of Enriched Category Theory, 3.1),
-so it exists exactly when it exists at every x, and the colimit at each x
-is read from the pointwise store, where every search, absoluteness check
-and creation check of the run reads and keeps it.  The class docstring
-gives the row layout.
+one once per (weight class, diagram) position, in byte rows keyed by
+content: whether the colimit exists and is j-absolute, whether the limit
+exists, both creation modes' verdicts, and whether g preserves the
+colimit.  It keeps no (co)limit of its own and assembles none: a weighted
+colimit is pointwise in x (Kelly, Basic Concepts of Enriched Category
+Theory, 3.1), so it exists exactly when it exists at every x, and the
+colimit at each x is read from the pointwise store, where every search,
+absoluteness check and creation check of the run reads and keeps it.  The
+class docstring gives the row layout.
+
+Every answer is invariant under an isomorphism of weights, so rows hold
+one byte per weight class.  A weighted colimit is functorial in its
+weight (Kelly, 3.1): an isomorphism phi: p ~= p' sends each p-weighted
+cocone to a p'-weighted one with the same apex (legs lam . phi^-1), one
+to one and naturally in the apex.  So colimits exist for both or neither,
+and j-absoluteness agrees (phi carries the canonical map from E(j, f)
+(.) p); in the dual, so do limits; and preservation and both creation
+modes, which quantify over cocones up- and downstairs and their g-images,
+agree.
 
 Questions name a weight by a handle from weights(X, Y, cap, budget), which
 enumerates the distributors X -|-> Y once per census: a Weight holds p,
-its position in that list and the list's cap, so a caller cannot name a
-position the census did not hand out.  They name a diagram by a handle
-from diagrams(Z, g): a Diagram holds f, d = f ; g, their positions, the
-census that made it and that census's store entries for it, resolved
-once (colim.CreationEntry): the colimit records of f and d and the
-creation records of (g, f), and their duals for limits.  So a question
-resolves no key per position: it reads records and checks only what
-spans two x's.  A handle cannot go stale: its entries are the store's
+its position in that list, the list's cap and the number of its
+isomorphism class there (_class_ids), so a caller cannot name a position
+the census did not hand out; callers read the labelled p and index.
+Questions name a diagram by a handle from diagrams(Z, g): a Diagram holds
+f, d = f ; g, their positions, the census that made it and that census's
+store entries for it, resolved once (colim.CreationEntry): the colimit
+records of f and d and the creation records of (g, f), and their duals
+for limits.  So a question resolves no key per position: it reads
+records and checks only what spans two x's.  A handle cannot go stale: its entries are the store's
 own dicts, keyed by content, which the store only adds to, and a census
 refuses a handle made by another census or for another g.
 
@@ -46,6 +57,7 @@ engine's only cache of colimits, natural families and weight lists.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple, Optional
 
 # the searches are called through their modules, so that instrumentation
@@ -63,12 +75,13 @@ _MODES = colim.CREATION_MODES
 
 
 class Weight(NamedTuple):
-    """A weight p: X -|-> Y at position index of the list that
-    DownstairsCensus.weights(X, Y, cap, budget) returned."""
+    """A weight p: X -|-> Y at position index, and in class cls (_class_ids),
+    of the list that DownstairsCensus.weights(X, Y, cap, budget) returned."""
 
     p: Distributor
     index: int
     cap: int
+    cls: int
 
 
 class Diagram(NamedTuple):
@@ -90,6 +103,55 @@ def _content(F: FunctorData) -> tuple:
     return (F.dom, F.cod, F.table())
 
 
+def _class_ids(ps: list) -> list[int]:
+    """The isomorphism class of each weight X -|-> Y of ps, numbered in the
+    order of the classes' first members.  Isomorphic weights differ by a
+    renaming of each component's elements that commutes with both actions.
+    A key holds the component sizes and each action on a component as
+    indices into its target's elements; the swaps of two adjacent elements
+    of one component generate the renamings, so a class is the orbit of
+    its first member's key under them.  Each key of the list is reached
+    once, with one image per swap: at most (cap - 1) * |components| images
+    per weight listed, which the enumeration's budget bounds."""
+
+    X, Y = ps[0].src, ps[0].tgt
+    comps = {c: i for i, c in enumerate((y, x) for y in Y.objects for x in X.objects)}
+    actions = ([(comps[(Y.cod(m), x)], comps[(Y.dom(m), x)], (m, x), "right_action")
+                for m in Y.morphism_names() if not Y.is_identity(m) for x in X.objects]
+               + [(comps[(y, X.dom(n))], comps[(y, X.cod(n))], (n, y), "left_action")
+                  for n in X.morphism_names() if not X.is_identity(n) for y in Y.objects])
+
+    def key(p: Distributor) -> tuple:
+        els = [p.el(*c) for c in comps]
+        return (tuple(map(len, els)), tuple(tuple(els[t].index(getattr(p, side)[a + (e,)]) for e in els[s])
+                                            for s, t, a, side in actions))
+
+    def swapped(k: tuple, c: int, i: int) -> tuple:
+        move = list(range(k[0][c]))
+        move[i:i + 2] = i + 1, i
+        images = []
+        for (s, t, _, _), values in zip(actions, k[1]):
+            image = list(values)
+            for e, v in enumerate(values):
+                image[move[e] if s == c else e] = move[v] if t == c else v
+            images.append(tuple(image))
+        return k[0], tuple(images)
+
+    classes, ids, numbers = {}, [], itertools.count()
+    for p in ps:
+        k = key(p)
+        if k not in classes:
+            classes[k], orbit = next(numbers), [k]
+            for member in orbit:
+                for c, i in [(c, i) for c, size in enumerate(k[0]) for i in range(size - 1)]:
+                    image = swapped(member, c, i)
+                    if image not in classes:
+                        classes[image] = classes[k]
+                        orbit.append(image)
+        ids.append(classes[k])
+    return ids
+
+
 class DownstairsCensus:
     """(Co)limit existence, absoluteness and creation verdicts, one entry per (weight, diagram) position.
 
@@ -100,16 +162,17 @@ class DownstairsCensus:
     or one creation audit and dropped with it.
 
     Rows are keyed by content, never by object identity, and indexed by
-    position: the entry for a weight handle w and a diagram Z -> C sits at
-    w.index * n + i, where i is the diagram's position among the n
-    functors of enumerate_functors(Z, C), as diagrams(Z, g) records them
-    for C = cod g and C = dom g.
+    weight class and position: the entry for a weight handle w and a
+    diagram Z -> C sits at w.cls * n + i, where i is the diagram's position
+    among the n functors of enumerate_functors(Z, C), as diagrams(Z, g)
+    records them for C = cod g and C = dom g.  Every weight of a class
+    reads the byte its first question there filled.
 
     * Absoluteness rows, keyed (root j: A -> E by content, X, Y, cap),
       hold one byte per colimit: NO_COLIMIT, COLIMIT or ABSOLUTE_COLIMIT,
       plus one.  The first question at a position reads the colimit at
       each x from the diagram's records and, when every x has one, its
-      j-absoluteness per column.
+      j-absoluteness per column (store entry resolved once per (j, d)).
     * Limit rows, keyed (C, X, Y, cap), hold one existence byte per
       limit of a diagram into C: 1 when it does not exist, 2 when it
       does, read from the dual colimit at each y.
@@ -119,7 +182,8 @@ class DownstairsCensus:
       (co)limit and g sends it to one.  The first creation or preserves
       question at a position checks both modes and reads preservation from
       the creation records at its x's, kept in the pointwise store per (g,
-      diagram, column).  preserves asks only where f ; g has a colimit,
+      diagram, column), by each mode's search (colim.creation_search):
+      no report is built.  preserves asks only where f ; g has a colimit,
       since the records exist only there.
 
     Zero means unknown everywhere.  No row holds a (co)limit, and no
@@ -130,6 +194,7 @@ class DownstairsCensus:
 
     def __init__(self):
         self._absolute: dict[tuple, bytearray] = {}
+        self._entries: dict[tuple, list] = {}
         self._limits: dict[tuple, bytearray] = {}
         self._creations: dict[tuple, bytearray] = {}
         self._positions: dict[tuple, dict] = {}
@@ -145,8 +210,9 @@ class DownstairsCensus:
         key = (X, Y, cap, budget)
         weights = self._weights.get(key)
         if weights is None:
-            weights = self._weights[key] = [
-                Weight(p, i, cap) for i, p in enumerate(prof.enumerate_distributors(X, Y, cap, budget))]
+            ps = prof.enumerate_distributors(X, Y, cap, budget)
+            weights = self._weights[key] = [Weight(p, i, cap, cls)
+                                            for i, (p, cls) in enumerate(zip(ps, _class_ids(ps)))]
         return weights
 
     def diagrams(self, Z: FinCategory, g: FunctorData) -> list[Diagram]:
@@ -175,7 +241,9 @@ class DownstairsCensus:
             if at is None:
                 row[pos] = NO_COLIMIT + 1
             else:
-                absolute, _ = colim.j_absolute_at(j, w.p, d, at, self._pointwise)
+                entries, i = self._last["absolute"][6], diagram.d_index
+                entry = entries[i] = entries[i] or colim.absolute_entry(j, d, self._pointwise)
+                absolute, _ = colim.j_absolute_at(j, w.p, d, at, entry=entry)
                 row[pos] = (ABSOLUTE_COLIMIT if absolute else COLIMIT) + 1
         return row[pos] - 1
 
@@ -215,7 +283,7 @@ class DownstairsCensus:
             records = colim.creation_records(g, w.p, f, kind, entry=getattr(diagram, kind))
             verdicts = _CHECKED
             for i, checked_mode in enumerate(_MODES):
-                if colim.check_creation(g, w.p, f, mode=checked_mode, kind=kind, records=records).passed:
+                if colim.creation_search(records, checked_mode)[0]:
                     verdicts |= _PASSED << i
             if all(record.preserved for record in records.records):
                 verdicts |= _PRESERVED
@@ -237,13 +305,17 @@ class DownstairsCensus:
         j, "existence" about C = cod F (limits), a creation kind about g.
         A question keeps its last row and stride while owner stays the same
         object and X, Y and the cap equal, as along one weight list; the row
-        is the one any equal owner reads.  Rows grow with zeros (unknown)."""
+        is the one any equal owner reads.  Rows grow with zeros (unknown).
+        "absolute" also keeps j_absolute_at's store entries by position of
+        F, one list per (j by content, Y), which colimit fills."""
 
         p = w.p
         last = self._last.get(question)
         if last is None or last[0] is not owner or last[1:4] != (p.src, p.tgt, w.cap):
+            n, entries = len(self._positions[(F.dom, F.cod)]), None
             if question == "absolute":
                 rows, key = self._absolute, (_content(owner), p.src, p.tgt, w.cap)
+                entries = self._entries.setdefault((key[0], F.dom), [None] * n)
             elif question == "existence":
                 rows, key = self._limits, (owner, p.src, p.tgt, w.cap)
             else:
@@ -251,10 +323,9 @@ class DownstairsCensus:
             row = rows.get(key)
             if row is None:
                 row = rows[key] = bytearray()
-            last = self._last[question] = (owner, p.src, p.tgt, w.cap, row,
-                                           len(self._positions[(F.dom, F.cod)]))
+            last = self._last[question] = (owner, p.src, p.tgt, w.cap, row, n, entries)
         row, n = last[4], last[5]
-        pos = w.index * n + index
+        pos = w.cls * n + index
         if pos >= len(row):
-            row.extend(bytes((w.index + 1) * n - len(row)))
+            row.extend(bytes((w.cls + 1) * n - len(row)))
         return row, pos

@@ -488,8 +488,14 @@ def is_j_absolute(j: FunctorData, colim: WeightedColimit, store: Optional[dict] 
     return j_absolute_at(j, p, colim.diagram, at, store)
 
 
+def absolute_entry(j: FunctorData, f: FunctorData, store: dict) -> list:
+    """The entry of j_absolute_at(j, -, f) in store, [E(j, f) once built,
+    {column id: first failing index}], kept per (diagram id, root)."""
+    return store.setdefault((_diagram_id(f), (j.dom, j.table())), [None, {}])
+
+
 def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict,
-                  store: Optional[dict] = None):
+                  store: Optional[dict] = None, entry: Optional[list] = None):
     """is_j_absolute for the p-weighted colimit of f given pointwise: at
     maps each x of src p to its apex object and legs in slot order, as
     pointwise_colimit returns them.
@@ -500,8 +506,9 @@ def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict,
     keeps, per (root, diagram id), E(j, f) and for each column id the index
     of the first a at which the map fails, or len(A.objects) when none does
     (see _UniversalityChecker for the ids); only cold columns build E(j, f)
-    and check, and only they read at.  Without a store the call keeps a
-    private one.  The first failing pair is (a*, x*): a* the least index
+    and check, and only they read at.  entry is absolute_entry(j, f,
+    store), resolved here when not given; without either the call keeps a
+    private store.  The first failing pair is (a*, x*): a* the least index
     over x, x* the first x whose index is a*.
     """
 
@@ -509,12 +516,8 @@ def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict,
     if f.cod != E:
         raise EndpointMismatch("colimit must live in the root's codomain")
     A = j.dom
-    if store is None:
-        store = {}
-    key = (_diagram_id(f), (A, j.table()))
-    entry = store.get(key)
     if entry is None:
-        entry = store[key] = [None, {}]    # E(j, f) once built, first failing index per column
+        entry = absolute_entry(j, f, {} if store is None else store)
     firsts = entry[1]
     least, at_x = len(A.objects), None
     for x in p.src.objects:
@@ -853,26 +856,32 @@ def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str =
     return CreationRecords(entry, p, out)
 
 
-def _strict_report(lifts: int, lift: Optional[dict]) -> CreationReport:
-    """The strict report for one colimiting cocone downstairs: its number
-    of lifts and, when there is one, that lift as {x: (w0, legs, colimiting)}."""
+def _creation_report(mode: str, kind: str, found: tuple) -> CreationReport:
+    """check_creation's report from creation_search's result: for strict
+    creation the lift count and, when there is one lift, its apex; for
+    non-strict creation whether the upstairs colimit exists and the witness."""
 
+    if mode == "nonstrict":
+        passed, upstairs_exists, witness = found
+        violations = [] if upstairs_exists else ["upstairs colimit does not exist"]
+        if witness is not None:
+            violations.append(f"cocone biconditional fails at apex {dict(witness.on_objects)}")
+        return CreationReport(mode, kind, passed, upstairs_exists=upstairs_exists, violations=violations)
+    passed, lifts, lift = found
     if lifts != 1:
-        return CreationReport("strict", "colimit", False, lift_count=lifts,
+        return CreationReport(mode, kind, False, lift_count=lifts,
                               violations=[f"{lifts} on-the-nose lifts (need exactly 1)"])
-    colimiting = all(colimiting_at for _, _, colimiting_at in lift.values())
-    return CreationReport("strict", "colimit", colimiting, lift_count=1,
-                          lifted_apex={x: w0 for x, (w0, _, _) in lift.items()},
-                          colimiting=colimiting,
-                          violations=[] if colimiting else ["unique lift is not colimiting"])
+    return CreationReport(mode, kind, passed, lift_count=1,
+                          lifted_apex={x: w0 for x, (w0, _, _) in lift.items()}, colimiting=passed,
+                          violations=[] if passed else ["unique lift is not colimiting"])
 
 
-def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> CreationReport:
+def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> tuple:
     """Does every colimiting cocone of f ; g have exactly one cocone over it,
-    and is that one colimiting?  The cocones are the stored colimit
-    conjugated by each family of isomorphisms (i_x), the identity family
-    first and then the others in product order; the report is the first
-    failing cocone's, or the identity family's when all pass.
+    and is that one colimiting?  (passed, lift count, lift) of the first
+    failing cocone, or of the identity family's when all pass; the cocones
+    are the stored colimit conjugated by each family of isomorphisms (i_x),
+    the identity family first and then the others in product order.
 
     A cocone over the family picks a lift at each x (_CreationAt.isos) and,
     for each non-identity n: x -> x2, a k along which the lifted legs are
@@ -886,7 +895,7 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> C
     objects = p.src.objects
     along, composable = p.left_plan()
     if not along and all(r.strict for r in records):
-        return _strict_report(1, {x: r.isos[r.identity][1][0] for x, r in zip(objects, records)})
+        return True, 1, {x: r.isos[r.identity][1][0] for x, r in zip(objects, records)}
     W = g.dom
     comp, ids = W.composition, W.identities
 
@@ -911,25 +920,24 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> C
     for family in families:
         count, lift = lifts_over([r.isos[k][1] for r, k in zip(records, family)])
         if count != 1 or not all(colimiting_at for _, _, colimiting_at in lift.values()):
-            return _strict_report(count, lift)
+            return False, count, lift
         if family is identity:
             first = lift
-    return _strict_report(1, first)
+    return True, 1, first
 
 
-def _nonstrict_colimit_creation(entry: CreationEntry, p: Distributor, records: list) -> CreationReport:
-    """Is a cocone for f colimiting exactly when its g-image is?  The
-    violation names the first apex, in enumerate_cocones order, of a cocone
-    where the two differ.  Without a colimit of f at some x, the cocones
-    are listed and each g-image is tested at each x; otherwise the records'
-    flags decide, and the natural k's are searched only when some x leaves
-    the question open."""
+def _nonstrict_colimit_creation(entry: CreationEntry, p: Distributor, records: list) -> tuple:
+    """Is a cocone for f colimiting exactly when its g-image is?  (passed,
+    upstairs colimit exists, witness): the witness is the first apex, in
+    enumerate_cocones order, of a cocone where the two differ, or None.
+    Without a colimit of f at some x, the cocones are listed and each
+    g-image is tested at each x; otherwise the records' flags decide, and
+    the natural k's are searched only when some x leaves the question
+    open."""
 
     g = entry.g
-    violations = []
     upstairs_exists = all(r.upstairs for r in records)
     if not upstairs_exists:
-        violations.append("upstairs colimit does not exist")
         down = _UniversalityChecker(p, entry.d, entry.down)
         witness = next((w for (w, legs) in enumerate_cocones(p, entry.f, entry.up)
                         if down.is_cocone_colimiting(compose_functors(w, g),
@@ -939,10 +947,7 @@ def _nonstrict_colimit_creation(entry: CreationEntry, p: Distributor, records: l
     else:
         witness = _first_mismatch(g.dom, p, pointwise_colimit(p, entry.f, entry.up),
                                   [r.flags for r in records])
-    if witness is not None:
-        violations.append(f"cocone biconditional fails at apex {dict(witness.on_objects)}")
-    return CreationReport("nonstrict", "colimit", upstairs_exists and witness is None,
-                          upstairs_exists=upstairs_exists, violations=violations)
+    return upstairs_exists and witness is None, upstairs_exists, witness
 
 
 def _first_mismatch(W: FinCategory, p: Distributor, up: dict, flags: list):
@@ -1001,9 +1006,13 @@ def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
     check_choice("kind", kind, CREATION_KINDS)
     if records is None:
         records = creation_records(g, p, f, kind, store=store)
+    return _creation_report(mode, kind, creation_search(records, mode))
+
+
+def creation_search(records: CreationRecords, mode: str) -> tuple:
+    """The one search of mode over a question's creation records, verdict
+    first: (passed, lift count, last lift) for strict creation, (passed,
+    upstairs colimit exists, witness) for non-strict."""
     if mode == "strict":
-        report = _strict_colimit_creation(records.entry.g, records.p, records.records)
-    else:
-        report = _nonstrict_colimit_creation(records.entry, records.p, records.records)
-    report.kind = kind
-    return report
+        return _strict_colimit_creation(records.entry.g, records.p, records.records)
+    return _nonstrict_colimit_creation(records.entry, records.p, records.records)

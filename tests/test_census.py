@@ -30,7 +30,7 @@ from relmon.fincat import (
 )
 from relmon.monad import budget_limit, enumerate_relative_monads
 from relmon.monadicity import creation_audit, default_shape_family, run_theorem_suite
-from relmon.prof import dual_distributor, enumerate_distributors
+from relmon.prof import Distributor, dual_distributor, enumerate_distributors
 from relmon.suite import _Context, _small_weights
 
 from . import reference
@@ -47,30 +47,63 @@ def direct_colimit_verdict(j, p, d):
     return ABSOLUTE_COLIMIT if absolute else COLIMIT
 
 
+def relabel(p, perms: dict) -> Distributor:
+    """p with the elements of each component (y, x) renamed: its i-th
+    element becomes its perms[(y, x)][i]-th, the actions carried along."""
+    X, Y = p.src, p.tgt
+    name = {(y, x): dict(zip(p.el(y, x), [p.el(y, x)[i] for i in perms[(y, x)]]))
+            for y in Y.objects for x in X.objects}
+    right = {(m, x, name[(Y.cod(m), x)][e]): name[(Y.dom(m), x)][v] for (m, x, e), v in p.right_action.items()}
+    left = {(n, y, name[(y, X.dom(n))][e]): name[(y, X.cod(n))][v] for (n, y, e), v in p.left_action.items()}
+    return Distributor(X, Y, p.elements, right, left)
+
+
+def relabellings(p):
+    """p relabelled by every family of per-component permutations."""
+    comps = [(y, x) for y in p.tgt.objects for x in p.src.objects]
+    for choice in itertools.product(*[itertools.permutations(range(len(p.el(*c)))) for c in comps]):
+        yield relabel(p, dict(zip(comps, choice)))
+
+
+def shared_classes(weights) -> set:
+    """The classes of two or more of the given weight handles."""
+    members = collections.defaultdict(set)
+    for w in weights:
+        members[(w.p.src, w.p.tgt, w.cap, w.cls)].add(w.index)
+    return {key for key, indices in members.items() if len(indices) > 1}
+
+
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**4),
        objects=st.integers(min_value=1, max_value=2),
        max_hom=st.integers(min_value=1, max_value=2),
        shapes=st.lists(st.sampled_from(sorted(SHAPES)), min_size=1, max_size=2, unique=True))
 def test_census_matches_direct_searches(seed, objects, max_hom, shapes):
-    """One census over two roots and every shape pair, as a suite run shares it."""
+    """One census over two roots and every shape pair, as a suite run shares
+    it.  Terminal -|-> Interval and Interval -|-> Terminal have their cap-2
+    lists too, whose classes have several members: the later members read
+    the byte the first one filled."""
     E = corpus.generate_category(seed, objects, max_hom)
     assume(E is not None)
     roots = [identity_functor(E), corpus.point_functor(E, E.objects[-1])]
     shape_cats = [SHAPES[name]() for name in shapes]
     census = DownstairsCensus()
+    asked = []
     # twice: the first pass fills the census, the second reads it back
     for _ in range(2):
         for j in roots:
             for X in shape_cats:
                 for Y in shape_cats:
-                    for w in census.weights(X, Y, 1, 200_000):
+                    caps = (1, 2) if {X.name, Y.name} == {"Terminal", "Interval"} else (1,)
+                    for w in [w for cap in caps for w in census.weights(X, Y, cap, 200_000)]:
+                        asked.append(w)
                         for diagram in census.diagrams(Y, identity_functor(E)):
                             assert census.colimit(j, w, diagram) == (
                                 direct_colimit_verdict(j, w.p, diagram.d))
                         for diagram in census.diagrams(X, identity_functor(E)):
                             assert census.limit(w, diagram) == (
                                 try_weighted_limit(w.p, diagram.d)[0] is not None)
+    assert bool(shared_classes(asked)) == ({"Terminal", "Interval"} <= set(shapes))
 
 
 def through_store(census, p, d, kind):
@@ -120,6 +153,8 @@ def test_census_answers_equal_searches_through_g(seed, objects, max_hom):
     weights += census.weights(T, I, 2, 200_000) + census.weights(T, corpus.disc2_category(), 2, 200_000)
     assert any(len(w.p.el(y, x)) == 2 for w in weights for y in w.p.tgt.objects
                for x in w.p.src.objects)
+    # later members of a class read the bytes the first one filled
+    assert shared_classes(weights)
     roots = {E: [identity_functor(E), corpus.point_functor(E, E.objects[-1])], D: [identity_functor(D)]}
     one_D = identity_functor(D)
     for _ in range(2):
@@ -239,21 +274,28 @@ def corpus_question(name: str, role: str):
     return inst.functors["j"], inst.functors[role]
 
 
+def small_weights(census) -> list:
+    """The cap-1 weights between Terminal and Interval, then the cap-2
+    weights of the pairs of two components, whose classes have several
+    members."""
+    shapes = [corpus.terminal_category(), corpus.interval_category()]
+    return [w for cap in (1, 2) for X in shapes for Y in shapes if cap == 1 or len(X.objects) * len(Y.objects) <= 2
+            for w in census.weights(X, Y, cap, 200_000)]
+
+
 def creation_positions(census, j, g):
     """(w, diagram, kind) for every cap-1 weight between Terminal and
-    Interval and every diagram into dom g whose downstairs (co)limit
-    exists, as census.colimit with the root j and census.limit say."""
-    shapes = [corpus.terminal_category(), corpus.interval_category()]
+    Interval, and every cap-2 one of two components, and every diagram
+    into dom g whose downstairs (co)limit exists, as census.colimit with
+    the root j and census.limit say."""
     exists = {"colimit": lambda w, diagram: census.colimit(j, w, diagram) != NO_COLIMIT,
               "limit": census.limit}
     out = []
-    for X in shapes:
-        for Y in shapes:
-            for w in census.weights(X, Y, 1, 200_000):
-                for kind, Z in (("colimit", Y), ("limit", X)):
-                    for diagram in census.diagrams(Z, g):
-                        if exists[kind](w, diagram):
-                            out.append((w, diagram, kind))
+    for w in small_weights(census):
+        for kind, Z in (("colimit", w.p.tgt), ("limit", w.p.src)):
+            for diagram in census.diagrams(Z, g):
+                if exists[kind](w, diagram):
+                    out.append((w, diagram, kind))
     return out
 
 
@@ -273,7 +315,9 @@ def test_census_creation_answers_each_mode_in_either_order(name, role):
     assert {kind for _, _, kind in differ} == {"colimit", "limit"}
     for modes in (("strict", "nonstrict"), ("nonstrict", "strict")):
         census = DownstairsCensus()
-        for w, diagram, kind in creation_positions(census, j, g):
+        positions = creation_positions(census, j, g)
+        assert shared_classes([w for w, _, _ in positions])
+        for w, diagram, kind in positions:
             for mode in modes:
                 key = (w.p.table(), diagram.f.table(), kind, mode)
                 assert census.creation(g, w, diagram, kind, mode) == want[key], key
@@ -314,7 +358,7 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
                 inside.pop()
         monkeypatch.setattr(owner, name, wrapper)
 
-    def absolute(j, p, f, at, store=None):
+    def absolute(j, p, f, at, store=None, entry=None):
         pairs.append((content(j), content(f)))
 
     def build(E, j, f):
@@ -325,11 +369,17 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
         f = next(args[2] for label, args in reversed(inside) if label == "j_absolute_at")
         columns.append((content(j), content(f), p.column(x)))
 
-    def creation(g, p, f, mode="strict", kind="colimit", **_):
-        checks.append((content(g), p.table(), f.table(), kind, mode))
+    def creation(found, mode):
+        checks.append(next(key for key, fetched in fetches if fetched is found) + (mode,))
 
-    def fetch(g, p, f, kind="colimit", **_):
-        fetches.append((content(g), p.table(), f.table(), kind))
+    def fetch(g, p, f, kind="colimit", **kwargs):
+        inside.append(("creation_records", (g, p, f)))
+        try:
+            found = original_fetch(g, p, f, kind, **kwargs)
+        finally:
+            inside.pop()
+        fetches.append(((content(g), p.table(), f.table(), kind), found))
+        return found
 
     def read(*args, **kwargs):
         if within("creation") or within("census.preserves"):
@@ -346,7 +396,7 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     def checker_built(checker, p, f, records=None):
         if not any(within(label) for label in ("census.colimit", "census.limit", "census.preserves")):
             return
-        if within("creation_records") or within("check_creation"):
+        if within("creation_records") or within("creation_search"):
             return                      # creation records at a new (g, diagram, column)
         searched = [(records or {}).get(p.column(x), [colim._UNSEARCHED])[0] is not colim._UNSEARCHED
                     for x in p.src.objects]
@@ -355,8 +405,9 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     wrap(colim, "j_absolute_at", absolute)
     wrap(colim, "hom_restriction", build)
     wrap(colim, "_first_failing_root", check)
-    wrap(colim, "check_creation", creation)
-    wrap(colim, "creation_records", fetch)
+    wrap(colim, "creation_search", creation)
+    original_fetch = colim.creation_records
+    monkeypatch.setattr(colim, "creation_records", fetch)
     wrap(DownstairsCensus, "creation", lambda *args: None)
     wrap(DownstairsCensus, "colimit", lambda *args: None, "census.colimit")
     wrap(DownstairsCensus, "limit", lambda *args: None, "census.limit")
@@ -375,7 +426,8 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     positions = {key[:4] for key in checks}
     assert len(checks) == len(set(checks)) == 2 * len(positions)
     assert len(positions) == len(report.items)
-    assert len(fetches) == len(set(fetches)) and set(fetches) == positions
+    fetched = [key for key, _ in fetches]
+    assert len(fetched) == len(set(fetched)) and set(fetched) == positions
     assert reads == []
     limits = {census.limit(w, diagram) for X in shapes for Y in shapes
               for w in census.weights(X, Y, 1, 200_000) for diagram in census.diagrams(X, r)}
@@ -405,10 +457,10 @@ def reference_preserves(g, p, f) -> tuple:
 
 def colimit_positions(census, gs):
     """(g, w, diagram) for each g, every cap-1 weight between Terminal and
-    Interval and every diagram into dom g."""
-    shapes = [corpus.terminal_category(), corpus.interval_category()]
-    return [(g, w, diagram) for g in gs for X in shapes for Y in shapes
-            for w in census.weights(X, Y, 1, 200_000) for diagram in census.diagrams(Y, g)]
+    Interval, every cap-2 one of two components, and every diagram into
+    dom g."""
+    return [(g, w, diagram) for g in gs for w in small_weights(census)
+            for diagram in census.diagrams(w.p.tgt, g)]
 
 
 def assert_preserves_matches_reference(W, V) -> set:
@@ -524,20 +576,24 @@ def outcome(ask):
 
 def interleaved_weights(census) -> list:
     """The last weights Terminal -|-> Interval and Interval -|-> Terminal of
-    the cap-1 lists, and the weight Interval -|-> Terminal at the same
-    position of the cap-2 list: another weight whose handle shares its
-    categories and index with the cap-1 one."""
+    the cap-1 lists, the weight Interval -|-> Terminal at the same position
+    of the cap-2 list: another weight whose handle shares its categories
+    and index with the cap-1 one, and the first and last member of the last
+    class of that list with several: two weights that share one byte."""
     T, I = corpus.terminal_category(), corpus.interval_category()
     last = len(census.weights(I, T, 1, 200_000)) - 1
     weights = [census.weights(X, Y, cap, 200_000)[last if cap == 2 else -1]
                for X, Y, cap in ((T, I, 1), (I, T, 1), (I, T, 2))]
     assert weights[2].p.table() != weights[1].p.table()
-    return weights
+    cap_2 = census.weights(I, T, 2, 200_000)
+    mates = [w for w in cap_2 if w.cls == max(cls for *_, cls in shared_classes(cap_2))]
+    assert mates[0].p.table() != mates[-1].p.table() and mates[0].cls == mates[-1].cls
+    return weights + [mates[0], mates[-1]]
 
 
 def interleaved_questions(census, gs, roots) -> list:
     """(key, row, question) for every colimit, limit, preserves and
-    creation question about three weights, two roots and two g's, in row
+    creation question about five weights, two roots and two g's, in row
     order: the positions of each row (question kind, root or g, weight)
     one after another.  key is (kind, g, weight, diagram position, root or
     (creation kind, mode)), by index, the same in every census; question
@@ -587,10 +643,11 @@ def direct_answer(key, gs, roots, weights):
        data=st.data())
 def test_interleaved_questions_answer_as_in_row_order_and_directly(seed, seed2, shape, data):
     """Questions asked position by position across two roots, two g's and
-    three weights, and in an order hypothesis draws, get the answers they get
+    five weights, and in an order hypothesis draws, get the answers they get
     in row order, and those are the direct searches' answers: the row a
     question keeps from its last call never serves another root, g or
-    weight list."""
+    weight list, and two weights of one class answer as their own
+    searches do."""
     W = corpus.generate_category(seed, *shape)
     V = corpus.generate_category(seed2, *shape)
     assume(W is not None and V is not None)
@@ -612,3 +669,115 @@ def test_interleaved_questions_answer_as_in_row_order_and_directly(seed, seed2, 
     questions = interleaved_questions(DownstairsCensus(), gs, roots)
     order = data.draw(st.permutations(range(len(questions))))
     assert {questions[i][0]: outcome(questions[i][2]) for i in order} == in_row
+
+
+# ---------------------------------------------------------------------------
+# weight classes
+
+
+def test_class_ids_are_the_isomorphism_classes():
+    """Each list's class ids number the isomorphism classes of its weights
+    in the order of their first members: two weights share an id exactly
+    when some renaming of each component's elements carries one to the
+    other, found here by trying every renaming.  The suite's shapes at cap
+    2 hold 615 weights in 315 classes."""
+    census = DownstairsCensus()
+    shapes = default_shape_family()
+    sizes = []
+    for cap in (1, 2):
+        for X in shapes:
+            for Y in shapes:
+                weights = census.weights(X, Y, cap, 200_000)
+                forms = [min(q.table() for q in relabellings(w.p)) for w in weights]
+                first = {}
+                assert [w.cls for w in weights] == [first.setdefault(form, len(first)) for form in forms]
+                sizes.append((cap, len(weights), len(first)))
+    assert sum(n for cap, n, _ in sizes if cap == 2) == 615
+    assert sum(classes for cap, _, classes in sizes if cap == 2) == 315
+    # at cap 1 no component has two elements to swap
+    assert all(n == classes for cap, n, classes in sizes if cap == 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4),
+       seed2=st.integers(min_value=0, max_value=10**4),
+       shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+       data=st.data())
+def test_relabelled_weights_share_a_class_and_answer_as_their_searches(seed, seed2, shape, data):
+    """A listed weight relabelled at random, per component, is the listed
+    weight of the same class id.  After the census answered the first, it
+    answers the relabelled one from the same bytes, and those answers are
+    the direct searches' on the relabelled weight: colimit and
+    j-absoluteness, limit, preservation and both creation modes and kinds,
+    for g: W -> V between generated categories."""
+    W = corpus.generate_category(seed, *shape)
+    V = corpus.generate_category(seed2, *shape)
+    assume(W is not None and V is not None)
+    g = next(enumerate_functors(W, V), None)
+    assume(g is not None)
+    census = DownstairsCensus()
+    T, I, D2 = corpus.terminal_category(), corpus.interval_category(), corpus.disc2_category()
+    X, Y = data.draw(st.sampled_from([(T, I), (I, T), (I, I), (I, D2), (D2, I)]))
+    weights = census.weights(X, Y, 2, 200_000)
+    w = data.draw(st.sampled_from([w for w in weights if any(v.cls == w.cls and v is not w for v in weights)]))
+    perms = {(y, x): data.draw(st.permutations(range(len(w.p.el(y, x))))) for y in Y.objects for x in X.objects}
+    q = relabel(w.p, perms)
+    v = next(v for v in weights if v.p.table() == q.table())
+    assert v.cls == w.cls
+    roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
+    colimits, limits = census.diagrams(Y, g), census.diagrams(X, g)
+
+    def answers(handle):
+        out = [census.colimit(j, handle, d) for j in roots for d in colimits]
+        out += [census.limit(handle, d) for d in limits]
+        out += [census.preserves(g, handle, d) for d in colimits]
+        out += [outcome(lambda: census.creation(g, handle, d, kind, mode))
+                for kind, ds in (("colimit", colimits), ("limit", limits)) for d in ds
+                for mode in ("strict", "nonstrict")]
+        return out
+
+    answers(w)
+    direct = [direct_colimit_verdict(j, q, d.d) for j in roots for d in colimits]
+    direct += [try_weighted_limit(q, d.d)[0] is not None for d in limits]
+    direct += [reference_preserves(g, q, d.f)[2] for d in colimits]
+    direct += [outcome(lambda: check_creation(g, q, d.f, mode=mode, kind=kind).passed)
+               for kind, ds in (("colimit", colimits), ("limit", limits)) for d in ds
+               for mode in ("strict", "nonstrict")]
+    assert answers(v) == direct
+
+
+def test_suite_pass_answers_each_weight_class_once(monkeypatch):
+    """Over one suite pass on the builtin corpus: at most 12,600 cold
+    creation positions (one creation-records fetch each; 22,914 before
+    weight classes) and 30,000 pointwise_colimit calls (53,657), no
+    CreationReport built by the census, and j_absolute_at's store entry
+    resolved at most once per (root, diagram) by the census."""
+    counts, entries, inside = collections.Counter(), collections.Counter(), []
+
+    def count(owner, name, note=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            if note:
+                note(*args)
+            inside.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(colim, "creation_records")
+    count(colim, "pointwise_colimit")
+    count(colim, "absolute_entry", lambda j, f, store: inside[-1:] == ["colimit"] and entries.update(
+        [(content(j), content(f))]))
+    count(DownstairsCensus, "colimit")
+    count(DownstairsCensus, "_creation")
+    count(colim.CreationReport, "__init__", lambda *_: "_creation" in inside and counts.update(["census report"]))
+    report = run_theorem_suite(corpus.builtin_corpus())
+    assert report.passed and sum(r.checked for r in report.results) == 34_975
+    assert 0 < counts["creation_records"] <= 12_600
+    assert 0 < counts["pointwise_colimit"] <= 30_000
+    assert counts["census report"] == 0
+    assert entries and max(entries.values()) == 1
