@@ -10,6 +10,7 @@ functors D -> Alg(T) through the universal property.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -508,9 +509,11 @@ def verify_algebra_object(candidate_u: FunctorData, candidate_alpha: dict, T: Re
                     for i2, alg2 in algs2:
                         F2 = factorizations[(Dp.name, i2)][0]
                         for chain in chain_lists:
-                            for cell in graded_algebra_morphisms(alg1, alg2, chain):
+                            cells = graded_algebra_morphisms(alg1, alg2, chain)
+                            lifts = _lifts_by_image(candidate_u, F1, F2, chain, M) if cells else {}
+                            for cell in cells:
                                 report.clause2_checked += 1
-                                lifted = _lift_graded_cell(candidate_u, F1, F2, cell, chain, M)
+                                lifted = lifts.get(tuple(cell.components.items()), 0)
                                 if lifted != 1:
                                     report.clause2_failures.append(
                                         (f"grade{len(chain)}", D.name, i1, Dp.name, i2, lifted))
@@ -568,19 +571,15 @@ def _graded_law_holds(alg1: Algebra, alg2: Algebra, cell: GradedCell) -> bool:
     return True
 
 
-def _lift_graded_cell(candidate_u, F1: FunctorData, F2: FunctorData,
-                      cell, chain, M: FinCategory) -> int:
-    """Number of natural lifts of one graded cell through the candidate,
-    relative to the factorized boundary functors F1, F2."""
+def _lifts_by_image(candidate_u, F1: FunctorData, F2: FunctorData, chain, M: FinCategory) -> Counter:
+    """The natural lifts through the candidate of the graded cells over
+    chain, relative to the factorized boundary functors F1, F2, counted by
+    their image under the candidate (their components, in key order)."""
 
-    qM = hom_restriction(M, F1, F2)
-    count = 0
-    for lifted in enumerate_graded_cells(chain, identity_functor(F1.dom),
-                                         identity_functor(F2.dom), qM):
-        if all(candidate_u.mor(v) == cell.components[key]
-               for key, v in lifted.components.items()):
-            count += 1
-    return count
+    return Counter(tuple((key, candidate_u.mor(v)) for key, v in lifted.components.items())
+                   for lifted in enumerate_graded_cells(chain, identity_functor(F1.dom),
+                                                        identity_functor(F2.dom),
+                                                        hom_restriction(M, F1, F2)))
 
 
 # ---------------------------------------------------------------------------

@@ -888,14 +888,20 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> t
     natural, such that the k's compose as the n's do.  g(k) is then the
     conjugated apex on n, as the definition asks: both are morphisms m with
     leg_x ; m = leg_x2 at n.e for the colimiting legs downstairs, and
-    postcomposition with those is injective.  With X discrete the records
-    alone decide.
+    postcomposition with those is injective.
+
+    When every record is strict the records alone decide, for any X: each
+    x has exactly one lift per isomorphism, colimiting at x, so for each
+    non-identity n: x -> x2 the lifted legs at x2 at n.e form a cocone over
+    the column at x and factor through the legs at x by exactly one k, and
+    the k's compose as the n's do by that uniqueness.  Every family then
+    has exactly one lift, and it is colimiting.
     """
 
     objects = p.src.objects
-    along, composable = p.left_plan()
-    if not along and all(r.strict for r in records):
+    if all(r.strict for r in records):
         return True, 1, {x: r.isos[r.identity][1][0] for x, r in zip(objects, records)}
+    along, composable = p.left_plan()
     W = g.dom
     comp, ids = W.composition, W.identities
 

@@ -179,6 +179,18 @@ class AuditReport:
         }
 
 
+def class_answers(weights: list, answer):
+    """(w, answer(w)) for each handle w of one census weight list, in list
+    order, asking answer once per weight class: every census answer is
+    invariant under weight isomorphism, so later members reuse the first's."""
+
+    answers = {}
+    for w in weights:
+        if w.cls not in answers:
+            answers[w.cls] = answer(w)
+        yield w, answers[w.cls]
+
+
 def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
                    element_cap: int = DEFAULT_ELEMENT_CAP, budget: int = None,
                    reports: dict = None, census: DownstairsCensus = None) -> AuditReport:
@@ -216,6 +228,17 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
         report.notes.append(
             "root is not dense: theorem semantics do not apply; counterexample record only")
 
+    def colimits_at(w, diagrams):
+        """(diagram, its (strict, nonstrict) creation verdicts when the
+        colimit is j-absolute, else False) for each colimit at w that exists."""
+        out = []
+        for diagram in diagrams:
+            verdict = census.colimit(j, w, diagram)
+            if verdict != NO_COLIMIT:
+                out.append((diagram, verdict == ABSOLUTE_COLIMIT and tuple(
+                    census.creation(r, w, diagram, "colimit", mode) for mode in ("strict", "nonstrict"))))
+        return out
+
     D = r.dom
     tested = 0
     absolute_count = 0
@@ -227,20 +250,13 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
             except BudgetExceeded:
                 report.inconclusive_at_bound[f"{X.name}->{Y.name}"] = "weight census over budget"
                 continue
-            for w in weights:
-                for diagram in diagrams[Y]:
-                    verdict = census.colimit(j, w, diagram)
-                    if verdict == NO_COLIMIT:
-                        continue
-                    tested += 1
-                    if verdict != ABSOLUTE_COLIMIT:
-                        continue
-                    absolute_count += 1
-                    strict = census.creation(r, w, diagram, "colimit", "strict")
-                    nonstrict = census.creation(r, w, diagram, "colimit", "nonstrict")
-                    item = AuditItem((X.name, Y.name), w.index, dict(diagram.f.on_objects),
-                                     "colimit", True, strict, nonstrict)
-                    report.items.append(item)
+            for w, colimits in class_answers(weights, lambda w: colimits_at(w, diagrams[Y])):
+                tested += len(colimits)
+                for diagram, verdicts in colimits:
+                    if verdicts:
+                        absolute_count += 1
+                        report.items.append(AuditItem((X.name, Y.name), w.index, dict(diagram.f.on_objects),
+                                                      "colimit", True, *verdicts))
     report.census = {
         "shapes": [c.name for c in shape_family],
         "element_cap": element_cap,

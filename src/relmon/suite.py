@@ -37,6 +37,7 @@ from .reladj import find_left_relative_adjoint
 from .monadicity import (
     SuiteReport,
     SuiteResult,
+    class_answers,
     creation_audit,
     decide_monadicity,
     decide_composite_monadicity,
@@ -165,24 +166,30 @@ def _check_forgetful_conservative(ctx) -> SuiteResult:
     return SuiteResult("forgetful_conservative", not details, checked, details)
 
 
-def _creation_items(ctx, j, u):
-    """Audited (kind, weight, diagram) items for the forgetful functor u."""
+def _creation_items(ctx, j, u, name):
+    """(checks, failures) per weight handle for the forgetful functor
+    u named name: the strict and non-strict creation checks of the limits
+    and j-absolute colimits at the weight, and the details of those that
+    fail.  Each weight class of a list is asked once (class_answers)."""
 
     census = ctx.census
     diagrams = {Z: census.diagrams(Z, u) for Z in ctx.shape_family}
+
+    def answer(w, X, Y):
+        items = [("colimit", d) for d in diagrams[Y] if census.colimit(j, w, d) == ABSOLUTE_COLIMIT]
+        items += [("limit", d) for d in diagrams[X] if census.limit(w, d)]
+        return 2 * len(items), [
+            f"{name}: {mode} {kind} creation fails "
+            f"(weight {w.p.src.name}->{w.p.tgt.name}, diagram {dict(d.f.on_objects)})"
+            for kind, d in items for mode in ("strict", "nonstrict") if not census.creation(u, w, d, kind, mode)]
+
     for X in ctx.shape_family:
         for Y in ctx.shape_family:
             try:
                 weights = census.weights(X, Y, ctx.element_cap, ctx.budget)
             except BudgetExceeded:
                 continue
-            for w in weights:
-                for diagram in diagrams[Y]:
-                    if census.colimit(j, w, diagram) == ABSOLUTE_COLIMIT:
-                        yield ("colimit", w, diagram)
-                for diagram in diagrams[X]:
-                    if census.limit(w, diagram):
-                        yield ("limit", w, diagram)
+            yield from (found for _, found in class_answers(weights, lambda w: answer(w, X, Y)))
 
 
 def _check_forgetful_creates(ctx) -> SuiteResult:
@@ -192,13 +199,9 @@ def _check_forgetful_creates(ctx) -> SuiteResult:
     checked = 0
     for inst, role, T in ctx.monad_entries():
         u = ctx.algcat(inst, role).u
-        for kind, w, diagram in _creation_items(ctx, T.j, u):
-            for mode in ("strict", "nonstrict"):
-                checked += 1
-                if not ctx.census.creation(u, w, diagram, kind, mode):
-                    details.append(
-                        f"{inst.name}/{role}: {mode} {kind} creation fails "
-                        f"(weight {w.p.src.name}->{w.p.tgt.name}, diagram {dict(diagram.f.on_objects)})")
+        for checks, failures in _creation_items(ctx, T.j, u, f"{inst.name}/{role}"):
+            checked += checks
+            details.extend(failures)
     return SuiteResult("forgetful_creates", not details, checked, details)
 
 

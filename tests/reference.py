@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from relmon.algebra import Algebra, _alpha_slice_matches, algebra_violations
+from relmon.census import ABSOLUTE_COLIMIT
 from relmon.colim import (
     CreationReport,
     _UniversalityChecker,
@@ -769,3 +770,46 @@ def enumerate_distributors(X, Y, element_cap: int, budget: int = 200_000) -> lis
             if not distributor_violations(p):
                 out.append(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the census loops, one question per labelled weight
+
+
+def every_weight(weights: list, answer):
+    """monadicity.class_answers without the sharing: (w, answer(w)) for
+    every weight handle, answer asked once per handle."""
+
+    for w in weights:
+        yield w, answer(w)
+
+
+def forgetful_creates(ctx) -> tuple:
+    """(checked, details) of the suite's forgetful_creates, by a plain loop
+    that asks ctx.census about every labelled weight of every list: for each
+    j-absolute colimit and each limit at the weight, strict then non-strict
+    creation by the forgetful functor."""
+
+    census = ctx.census
+    checked, details = 0, []
+    for inst, role, T in ctx.monad_entries():
+        u = ctx.algcat(inst, role).u
+        diagrams = {Z: census.diagrams(Z, u) for Z in ctx.shape_family}
+        for X in ctx.shape_family:
+            for Y in ctx.shape_family:
+                try:
+                    weights = census.weights(X, Y, ctx.element_cap, ctx.budget)
+                except BudgetExceeded:
+                    continue
+                for w in weights:
+                    items = [("colimit", d) for d in diagrams[Y]
+                             if census.colimit(T.j, w, d) == ABSOLUTE_COLIMIT]
+                    items += [("limit", d) for d in diagrams[X] if census.limit(w, d)]
+                    for kind, d in items:
+                        for mode in ("strict", "nonstrict"):
+                            checked += 1
+                            if not census.creation(u, w, d, kind, mode):
+                                details.append(
+                                    f"{inst.name}/{role}: {mode} {kind} creation fails "
+                                    f"(weight {X.name}->{Y.name}, diagram {dict(d.f.on_objects)})")
+    return checked, details

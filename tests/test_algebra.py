@@ -253,6 +253,39 @@ def test_verify_algebra_object_grade_2(bz2_monads):
     assert report.grade_bound == 2
 
 
+def _candidate_with_arrows(algcat, arrows: int):
+    """Alg(T) for the trivial monad on Interval with its one non-identity
+    arrow dropped (arrows=0) or doubled (arrows=2), and u and alpha to
+    match: every Terminal-shaped algebra still factors once, but the
+    graded morphism over that arrow lifts 0 or 2 times."""
+    C, u = algcat.category, algcat.u
+    arrow = next(m for m, d, c in C.morphisms if d != c)
+    names = [arrow + "'" * i for i in range(arrows)]
+    morphisms = [(m, d, c) for m, d, c in C.morphisms if m != arrow]
+    morphisms += [(m, C.dom(arrow), C.cod(arrow)) for m in names]
+    comp = {(f, g): h for (f, g), h in C.composition.items() if arrow not in (f, g)}
+    for m in names:
+        comp[(C.id_of(C.dom(arrow)), m)] = comp[(m, C.id_of(C.cod(arrow)))] = m
+    M = build_category("Alg|arrows", C.objects, morphisms, {o: C.id_of(o) for o in C.objects}, comp)
+    on_morphisms = {m: u.mor(arrow if m in names else m) for m in M.morphism_names()}
+    return FunctorData(M, u.cod, dict(u.on_objects), on_morphisms), algcat.alpha_T
+
+
+def test_clause2_counts_the_lifts_of_each_graded_morphism(cats):
+    """A graded morphism over the arrow 0 -> 1, of grade 0 or 1, lifts 0
+    times through a candidate that lacks the arrow and twice through one
+    that doubles it; every other graded morphism lifts once."""
+    T = trivial_relative_monad(identity_functor(cats["Interval"]))
+    algcat = build_algebra_category(T)
+    full = verify_algebra_object(algcat.u, algcat.alpha_T, T, [corpus.terminal_category()])
+    assert full.passed and full.clause2_checked > 1
+    for arrows in (0, 2):
+        u, alpha = _candidate_with_arrows(algcat, arrows)
+        report = verify_algebra_object(u, alpha, T, [corpus.terminal_category()])
+        assert not report.clause1_failures and report.clause2_checked == full.clause2_checked
+        assert [(f[0], f[-1]) for f in report.clause2_failures] == [("grade0", arrows), ("grade1", arrows)]
+
+
 def test_perturbed_candidate_fails_precheck(bz2_monads):
     T = bz2_monads[0]
     algcat = build_algebra_category(T)

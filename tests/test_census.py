@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relmon import colim, corpus, monadicity
+from relmon import algebra, colim, corpus, monadicity, suite
 from relmon.algebra import build_algebra_category
 from relmon.census import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT, DownstairsCensus
 from relmon.colim import (
@@ -31,7 +31,7 @@ from relmon.fincat import (
 from relmon.monad import budget_limit, enumerate_relative_monads
 from relmon.monadicity import creation_audit, default_shape_family, run_theorem_suite
 from relmon.prof import Distributor, dual_distributor, enumerate_distributors
-from relmon.suite import _Context, _small_weights
+from relmon.suite import _check_forgetful_creates, _Context, _small_weights
 
 from . import reference
 
@@ -746,12 +746,56 @@ def test_relabelled_weights_share_a_class_and_answer_as_their_searches(seed, see
     assert answers(v) == direct
 
 
+def test_class_level_loops_answer_as_per_weight_loops(monkeypatch):
+    """forgetful_creates and the creation audit ask the census once per
+    weight class along a list and reuse the answer for the class's later
+    members.  With census creation patched to fail in some classes, both
+    equal plain loops over every labelled weight (tests/reference.py):
+    forgetful_creates the same checked count and details in the same
+    order, and each audit the same report, weight indices included."""
+    original = DownstairsCensus.creation
+
+    def creation(self, g, w, diagram, kind, mode):
+        # a function of the class, as every census answer is
+        return original(self, g, w, diagram, kind, mode) and (w.cls + diagram.index) % (
+            3 if mode == "strict" else 5) != 1
+
+    monkeypatch.setattr(DownstairsCensus, "creation", creation)
+    instances, shapes, budget = corpus.builtin_corpus(), default_shape_family(), budget_limit()
+    result = _check_forgetful_creates(_Context(instances, shapes, 2, budget))
+    checked, details = reference.forgetful_creates(_Context(instances, shapes, 2, budget))
+    assert (result.checked, result.details) == (checked, details)
+    assert checked == 34_364 and len(set(details)) < len(details)
+
+    failing, shared = 0, set()
+    for inst, j, role, r in _Context(instances, shapes, 2, budget).root_pairs()[:6]:
+        got = creation_audit(j, r, shapes, 2, census=DownstairsCensus())
+        with monkeypatch.context() as m:
+            m.setattr(monadicity, "class_answers", reference.every_weight)
+            want = creation_audit(j, r, shapes, 2, census=DownstairsCensus())
+        assert got.to_dict() == want.to_dict(), (inst.name, role)
+        failing += len(got.failing_items("strict"))
+        shared |= {(it.shape_pair, it.weight_index) for it in got.items}
+    census = DownstairsCensus()
+    classes = collections.Counter((X.name, Y.name, w.cls) for X in shapes for Y in shapes
+                                  for w in census.weights(X, Y, 2, budget)
+                                  if ((X.name, Y.name), w.index) in shared)
+    assert failing and max(classes.values()) > 1
+
+
 def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     """Over one suite pass on the builtin corpus: at most 12,600 cold
     creation positions (one creation-records fetch each; 22,914 before
     weight classes) and 30,000 pointwise_colimit calls (53,657), no
     CreationReport built by the census, and j_absolute_at's store entry
-    resolved at most once per (root, diagram) by the census."""
+    resolved at most once per (root, diagram) by the census.  The suite's
+    loops ask the census once per weight class along a list: at most
+    30,100 creation and 36,800 colimit questions (53,537 and 71,880 per
+    labelled weight).  Strict creation walks its lifts (reading the
+    weight's left plan) only at positions whose records are not all strict
+    (1,854), and verify_algebra_object enumerates the lifted graded cells
+    at most 1,063 times, once per (alg1, alg2, chain) with a graded
+    morphism (1,573 once per morphism)."""
     counts, entries, inside = collections.Counter(), collections.Counter(), []
 
     def count(owner, name, note=None):
@@ -768,16 +812,38 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
                 inside.pop()
         monkeypatch.setattr(owner, name, wrapper)
 
+    strict = []
+
+    def strict_search(g, p, records):
+        strict.append(all(r.strict for r in records))
+        counts["not all strict"] += not strict[-1]
+
+    def left_plan(p):
+        if inside[-1:] == ["_strict_colimit_creation"]:
+            counts["lift walks"] += 1
+            assert not strict[-1]
+
     count(colim, "creation_records")
     count(colim, "pointwise_colimit")
     count(colim, "absolute_entry", lambda j, f, store: inside[-1:] == ["colimit"] and entries.update(
         [(content(j), content(f))]))
+    count(colim, "_strict_colimit_creation", strict_search)
+    count(Distributor, "left_plan", left_plan)
     count(DownstairsCensus, "colimit")
+    count(DownstairsCensus, "creation")
     count(DownstairsCensus, "_creation")
     count(colim.CreationReport, "__init__", lambda *_: "_creation" in inside and counts.update(["census report"]))
+    count(suite, "verify_algebra_object")
+    count(algebra, "graded_algebra_morphisms")
+    count(algebra, "enumerate_graded_cells", lambda *_: "verify_algebra_object" in inside and (
+        "graded_algebra_morphisms" not in inside) and counts.update(["graded lifts"]))
     report = run_theorem_suite(corpus.builtin_corpus())
     assert report.passed and sum(r.checked for r in report.results) == 34_975
     assert 0 < counts["creation_records"] <= 12_600
     assert 0 < counts["pointwise_colimit"] <= 30_000
     assert counts["census report"] == 0
     assert entries and max(entries.values()) == 1
+    assert 0 < counts["creation"] <= 30_100
+    assert 0 < counts["colimit"] <= 36_800
+    assert 0 < counts["lift walks"] == counts["not all strict"] <= 1_854
+    assert 0 < counts["graded lifts"] <= 1_063

@@ -11,19 +11,20 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relmon import corpus
+from relmon import colim, corpus
 from relmon.algebra import build_algebra_category
 from relmon.census import NO_COLIMIT, DownstairsCensus
 from relmon.colim import (
     check_creation,
     cocone_is_colimiting,
+    creation_records,
     enumerate_cocones,
     is_j_absolute,
     try_weighted_colimit,
     try_weighted_limit,
 )
 from relmon.errors import BudgetExceeded, DownstairsMissing
-from relmon.fincat import compose_functors, enumerate_functors, identity_functor
+from relmon.fincat import compose_functors, enumerate_functors, identity_functor, opposite
 from relmon.monad import enumerate_relative_monads
 from relmon.monadicity import creation_audit
 from relmon.prof import enumerate_distributors
@@ -314,6 +315,66 @@ def test_strict_creation_over_isomorphic_cocones():
     assert {(kind, exists) for kind, exists, _ in seen} == {
         (kind, exists) for kind in ("colimit", "limit") for exists in (True, False)}
     assert ("colimit", True, True) in seen
+
+
+def interval_positions(W, V):
+    """(g, p, f, creation records) for the first functors g: W -> V, the
+    weights out of the non-discrete Interval into Terminal (cap 2) and
+    Interval (cap 1), and every diagram f into W whose composite with g has
+    a colimit."""
+    I = corpus.interval_category()
+    for g in itertools.islice(enumerate_functors(W, V), 3):
+        store = {}
+        for Y, cap in ((corpus.terminal_category(), 2), (I, 1)):
+            for p in enumerate_distributors(I, Y, cap, budget=TEST_BUDGET):
+                for f in enumerate_functors(Y, W):
+                    try:
+                        yield g, p, f, creation_records(g, p, f, store=store)
+                    except DownstairsMissing:
+                        continue
+
+
+def assert_strict_records_decide(W, V) -> set:
+    """At each interval position, check_creation's strict report equals the
+    every-cocone reference's and that of the lift search walked past the
+    records (every strict flag cleared).  Where every record is strict, the
+    reference finds exactly one lift over each colimiting cocone, and it is
+    colimiting.  Returns the (every record strict, passed) pairs seen."""
+    seen = set()
+    for g, p, f, records in interval_positions(W, V):
+        got = check_creation(g, p, f, records=records).to_dict()
+        assert got == reference.check_creation(g, p, f, "strict").to_dict()
+        walked = [r._replace(strict=False) for r in records.records]
+        searched = colim._strict_colimit_creation(g, records.p, walked)
+        assert got == colim._creation_report("strict", "colimit", searched).to_dict()
+        all_strict = all(r.strict for r in records.records)
+        if all_strict:
+            assert got["passed"] and got["lift_count"] == 1
+        seen.add((all_strict, got["passed"]))
+    return seen
+
+
+@settings(max_examples=20, deadline=None)
+@given(params=generated, params2=generated)
+def test_strict_records_decide_creation_over_the_interval(params, params2):
+    """The records decide strict creation whenever they are all strict, for
+    weights out of the non-discrete Interval too, over generated (g, p, f)."""
+    W = corpus.generate_category(*params)
+    V = corpus.generate_category(*params2)
+    assume(W is not None and V is not None)
+    assert_strict_records_decide(W, V)
+
+
+def test_strict_records_decide_creation_on_standard_categories():
+    """The same on standard categories, which reach every case: all records
+    strict, and positions with a record that is not, passing (two lifts at
+    an x with an empty column, one of which no k leaves) and failing."""
+    cats = corpus.STANDARD_CATEGORIES
+    seen = set()
+    for W, V in ((opposite(cats["Vee"]()), cats["Interval"]()), (cats["Square"](), cats["Split"]()),
+                 (cats["Split"](), cats["Terminal"]())):
+        seen |= assert_strict_records_decide(W, V)
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def corpus_positions():
