@@ -575,11 +575,13 @@ def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int,
                            budget: int = 200_000):
     """All distributors X -|-> Y with component sizes <= element_cap.
 
-    Elements are named canonically per component; enumeration order is
-    deterministic.  Raises BudgetExceeded when the raw candidate space is
-    too large to walk.  Nothing is memoized here: a caller that asks again,
-    such as a creation audit, reads the list through its run's census
-    (DownstairsCensus.weights).
+    Elements are named canonically per component.  For each choice of sizes
+    the list comes from a pruned search (_distributor_search) and equals
+    filtering the product of the action tables by the laws, in the same
+    order.  Raises BudgetExceeded when the size choices, or the action tables
+    of one choice, exceed the budget, whatever the search would prune.
+    Nothing is memoized: a caller that asks again reads the list through its
+    run's census (DownstairsCensus.weights).
     """
 
     comps = [(y, x) for y in Y.objects for x in X.objects]
@@ -587,63 +589,60 @@ def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int,
     if size_choices > budget:
         raise BudgetExceeded("distributor census", size_choices, budget)
 
-    nonid_Y = [m for m in Y.morphism_names() if not Y.is_identity(m)]
-    nonid_X = [n for n in X.morphism_names() if not X.is_identity(n)]
     out = []
     for sizes in itertools.product(range(element_cap + 1), repeat=len(comps)):
-        elements = {
-            comp: tuple(f"e{i}" for i in range(k))
-            for comp, k in zip(comps, sizes)
-        }
-
-        right_slots = []
-        for m in nonid_Y:
-            for x in X.objects:
-                src_els = elements[(Y.cod(m), x)]
-                tgt_els = elements[(Y.dom(m), x)]
-                for e in src_els:
-                    right_slots.append(((m, x, e), tgt_els))
-        left_slots = []
-        for n in nonid_X:
-            for y in Y.objects:
-                src_els = elements[(y, X.dom(n))]
-                tgt_els = elements[(y, X.cod(n))]
-                for e in src_els:
-                    left_slots.append(((n, y, e), tgt_els))
-
+        elements = {comp: tuple(f"e{i}" for i in range(k)) for comp, k in zip(comps, sizes)}
+        right = {(m, x, e): elements[(Y.dom(m), x)] for m in Y.morphism_names() if not Y.is_identity(m)
+                 for x in X.objects for e in elements[(Y.cod(m), x)]}
+        left = {(n, y, e): elements[(y, X.cod(n))] for n in X.morphism_names() if not X.is_identity(n)
+                for y in Y.objects for e in elements[(y, X.dom(n))]}
         space = 1
-        feasible = True
-        for _, tgt_els in right_slots + left_slots:
-            if not tgt_els:
-                feasible = False
-                break
-            space *= len(tgt_els)
+        for targets in [*right.values(), *left.values()]:
+            if not targets:
+                break       # an entry with nowhere to go: no distributor has these sizes
+            space *= len(targets)
             if space > budget:
                 raise BudgetExceeded("distributor census", space, budget)
-        if not feasible:
-            continue
-
-        for right_combo in itertools.product(*[t for _, t in right_slots]):
-            right = {k: v for (k, _), v in zip(right_slots, right_combo)}
-            cand = Distributor(X, Y, elements, right, {})
-            if _right_functorial(cand, nonid_Y):
-                for left_combo in itertools.product(*[t for _, t in left_slots]):
-                    left = {k: v for (k, _), v in zip(left_slots, left_combo)}
-                    full = Distributor(X, Y, elements, right, left)
-                    if not distributor_violations(full):
-                        out.append(full)
+        else:
+            search = _distributor_search(X, Y, right, left)
+            out.extend(Distributor(X, Y, elements, zip(right, values), zip(left, values[len(right):]))
+                       for values in search.solutions())
     return out
 
 
-def _right_functorial(p: Distributor, nonid_Y) -> bool:
-    Y = p.tgt
-    for m in nonid_Y:
-        for m2 in nonid_Y:
-            if Y.cod(m2) != Y.dom(m):
+def _distributor_search(X: FinCategory, Y: FinCategory, right: dict, left: dict) -> Search:
+    """One slot per right-action entry, then one per left-action entry, and
+    every law instance at non-identity morphisms, guarded by the entries
+    whose values choose the entries it reads (search.py).  Where a composite
+    is an identity, its side of the law is the element itself."""
+
+    search = Search()
+    R = {key: search.slot(targets) for key, targets in right.items()}
+    L = {key: search.slot(targets) for key, targets in left.items()}
+    # act(g, z, act(f, z, e)) == act(fg, z, e) for f then g in the order the
+    # action applies them: fg is f ; g for the left action, g ; f for the right
+    for C, T, pairs in ((Y, R, [(g, f, fg) for f, g, fg in Y.composable_pairs()]),
+                        (X, L, X.composable_pairs())):
+        for (f, z, e), a in T.items():
+            for f2, g, fg in pairs:
+                if f2 != f or C.is_identity(g):
+                    continue
+                c = T.get((fg, z, e))       # None where fg is an identity
+                for u in search.domains[a]:
+                    b = T[(g, z, u)]
+                    if c is None:
+                        search.require(lambda v, a=a, u=u, b=b, e=e: v[a] != u or v[b] == e, a, b)
+                    else:
+                        search.require(lambda v, a=a, u=u, b=b, c=c: v[a] != u or v[b] == v[c], a, b, c)
+    # act_l(n, y', act_r(m, x, e)) == act_r(m, x', act_l(n, y, e)) for m: y' -> y, n: x -> x';
+    # the entries d of act_r(m, x', -) are right-action slots, so all precede b
+    for (m, x, e), a in R.items():
+        for (n, y, e2), b in L.items():
+            if (X.dom(n), y, e2) != (x, Y.cod(m), e):
                 continue
-            comp = Y.comp(m2, m)
-            for x in p.src.objects:
-                for e in p.el(Y.cod(m), x):
-                    if p.act_r(m2, x, p.act_r(m, x, e)) != p.act_r(comp, x, e):
-                        return False
-    return True
+            d = {w: R[(m, X.cod(n), w)] for w in search.domains[b]}
+            for u in search.domains[a]:
+                c = L[(n, Y.dom(m), u)]
+                search.require(lambda v, a=a, u=u, b=b, c=c, d=d: v[a] != u or v[c] == v[d[v[b]]],
+                               a, b, c, *d.values())
+    return search

@@ -12,7 +12,7 @@ check, in product order, found one at a time as they are asked for.
 It lists the relative monads (monad.py), their algebras (algebra.py),
 functors with optional per-image filters (fincat.enumerate_functors),
 natural transformations, natural, nerve and cone families and cocones
-(colim.py), and graded cells (prof.py).
+(colim.py), and graded cells and distributors (prof.py).
 
 A law that reads a slot chosen by another slot's value, say ext[(a, a,
 unit[a])], is registered once per possible value u of unit[a] as a guarded

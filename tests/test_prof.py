@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relmon import corpus
+from relmon import corpus, prof
 from relmon.errors import BudgetExceeded, ChainMismatch, EndpointMismatch, ValidationFailure
 from relmon.fincat import FunctorData, identity_functor
 from relmon.prof import (
@@ -313,15 +313,39 @@ def census_answer(X, Y, cap, budget, enumerate):
 def test_enumerate_distributors_matches_product_then_filter(cats):
     """The pruned census lists what filtering every element and action table
     by the distributor laws lists, in the same order, and refuses the same
-    budgets; Empty gives the one distributor with no components.  Cap 2
-    runs over the categories whose raw spaces stay small."""
-    names = ("Empty", "Terminal", "Interval", "Disc2", "BZ2", "Vee", "PP")
+    budgets; Empty gives the one distributor with no components.  Indisc2
+    (composites of non-identities that are identities across two objects),
+    BM3 (an order-3 group) and Split (an idempotent) reach the laws whose
+    composite is an identity.  Cap 2 runs over the categories whose raw
+    spaces stay small."""
+    names = ("Empty", "Terminal", "Interval", "Disc2", "BZ2", "Vee", "PP", "Indisc2", "BM3", "Split")
     cases = [(X, Y, 1) for X in names for Y in names]
     cases += [(X, Y, 2) for X in names[:5] for Y in names[:5]]
     for X, Y, cap in cases:
         for budget in (200_000, 1, 3, 9, 40):
             want = census_answer(cats[X], cats[Y], cap, budget, reference.enumerate_distributors)
             assert census_answer(cats[X], cats[Y], cap, budget, enumerate_distributors) == want
+
+
+def test_enumerate_distributors_builds_only_survivors(cats, monkeypatch):
+    """The census checks the laws while it chooses the action tables: it
+    constructs one Distributor per distributor it lists and never filters
+    a finished candidate with distributor_violations."""
+    built, filtered = [], []
+
+    class Counted(prof.Distributor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    def counted_violations(p):
+        filtered.append(1)
+        return distributor_violations(p)
+
+    monkeypatch.setattr(prof, "Distributor", Counted)
+    monkeypatch.setattr(prof, "distributor_violations", counted_violations)
+    ds = enumerate_distributors(cats["Interval"], cats["Disc2"], 3)
+    assert (len(ds), len(built), len(filtered)) == (3600, 3600, 0)
 
 
 @settings(max_examples=10, deadline=None)
