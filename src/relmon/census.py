@@ -36,12 +36,12 @@ records and checks only what spans two x's.  A handle cannot go stale: its entri
 own dicts, keyed by content, which the store only adds to, and a census
 refuses a handle made by another census or for another g.
 
-The pointwise store holds one record per (diagram id, column id) with
-the colimit at one x and the natural families there, shared by every
-weight whose column p(-, x) has the same content
-(colim._UniversalityChecker gives the layout); per (root, diagram id) the
-j-absoluteness at each column (colim.j_absolute_at); and per (diagram id,
-g by content) the creation record at each column (colim._CreationAt),
+The pointwise store holds one record per (diagram id, column id)
+(colim._Column): the colimit at one x and the natural families there,
+with their plan, shared by every weight whose column p(-, x) has the
+same content.  It holds per (root, diagram id) the
+j-absoluteness at each column (colim.j_absolute_at), and per (diagram
+id, g by content) the creation record at each column (colim._CreationAt),
 which holds what both creation modes need at one x, strict creation over
 every colimiting cocone and preservation included, so that a position
 fetches its records once for all three.  Limits are answered in the
@@ -243,7 +243,7 @@ class DownstairsCensus:
             else:
                 entries, i = self._last["absolute"][6], diagram.d_index
                 entry = entries[i] = entries[i] or colim.absolute_entry(j, d, self._pointwise)
-                absolute, _ = colim.j_absolute_at(j, w.p, d, at, entry=entry)
+                absolute, _ = colim.j_absolute_at(j, w.p, d, at, entry)
                 row[pos] = (ABSOLUTE_COLIMIT if absolute else COLIMIT) + 1
         return row[pos] - 1
 
@@ -280,7 +280,7 @@ class DownstairsCensus:
         f = self._own(diagram, g).f
         row, pos = self._cell(kind, g, w, f, diagram.index)
         if not row[pos]:
-            records = colim.creation_records(g, w.p, f, kind, entry=getattr(diagram, kind))
+            records = colim.creation_records(g, w.p, f, kind, getattr(diagram, kind))
             verdicts = _CHECKED
             for i, checked_mode in enumerate(_MODES):
                 if colim.creation_search(records, checked_mode)[0]:

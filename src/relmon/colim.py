@@ -29,23 +29,23 @@ Caches, what keys them and how long they live:
 * The pointwise store: a p-weighted colimit is pointwise in x, so the
   colimit at x and the natural families at (x, w') depend only on the
   column p(-, x) and on f, its j-absoluteness at x only on the root j
-  besides, and creation by g at x only on g besides.  A store keeps them
-  per (diagram id, column id), in slot order, for every weight that has
-  the column; per (root, diagram id) the index of the first failing a for
-  each column id; and per (diagram id, g by content) the creation record
-  for each column id.  The census owns one for its run and resolves a
-  diagram's entries once (store_records, creation_entry) for
-  pointwise_colimit and creation_records; none of them assembles a whole
-  (co)limit.  Without a store a search keeps a private one for the call.
-  _UniversalityChecker, j_absolute_at and creation_records give the layout.
-* A _UniversalityChecker holds the family plans (slots and naturality
-  checks, one per x) and the family key sets of one (p, f) for one
-  caller, and is dropped with the call.  This module keeps no cache of
-  its own.
+  besides, and creation by g at x only on g besides.  A store keeps one
+  _Column record per (diagram id, column id), holding the family plan,
+  the natural families at each w' and the colimit, in slot order, for
+  every weight that has the column; per (root, diagram id) the index of
+  the first failing a for each column id; and per (diagram id, g by
+  content) the creation record for each column id.
+  The census owns one for its run and resolves a diagram's entries once
+  (store_records, creation_entry) for pointwise_colimit and
+  creation_records; none of them assembles a whole (co)limit.  Without a
+  store a search keeps a private one for the call.  _Column,
+  j_absolute_at and creation_records give the layout.  This module keeps
+  no cache of its own.
 * Memos kept on immutable inputs for their lifetime, derived only from
   their tables: a FinCategory keeps its table, hash, opposite() and
-  hom_distributor(); a Distributor keeps its table(), column ids,
-  left_indices(), left_plan() and dual; a FunctorData keeps its table().
+  hom_distributor(); a Distributor keeps its table(), slots(x), column
+  ids, left_indices(), left_plan() and dual; a FunctorData keeps its
+  table().
 """
 
 from __future__ import annotations
@@ -73,13 +73,13 @@ from .search import Search
 
 
 def _family_plan(p: Distributor, x: str, f: FunctorData) -> tuple:
-    """The slots (y, e) of a family at x in canonical order, and its naturality checks.
+    """The slots (y, e) of a family at x, p.slots(x), and its naturality checks.
 
     A check (a, b, f m) means phi[b] = f(m); phi[a].
     """
 
     Y = p.tgt
-    slots = [(y, e) for y in Y.objects for e in p.el(y, x)]
+    slots = p.slots(x)
     slot_index = {s: i for i, s in enumerate(slots)}
     checks = []
     for m in Y.morphism_names():
@@ -113,10 +113,6 @@ def natural_families(p: Distributor, x: str, f: FunctorData, W: FinCategory, wpr
     return [dict(zip(slots, values)) for values in search.solutions()]
 
 
-# a store record's colimit before the search at its x has run
-_UNSEARCHED = object()
-
-
 def _diagram_id(f: FunctorData) -> tuple:
     """The store's key for a diagram f: its content (dom f = tgt p for a
     p-weighted colimit)."""
@@ -124,144 +120,126 @@ def _diagram_id(f: FunctorData) -> tuple:
 
 
 def store_records(store: Optional[dict], f: FunctorData) -> dict:
-    """The colimit records of the diagram f in store, keyed by column id
-    (see _UniversalityChecker); an empty private dict without a store."""
+    """The column records (_Column) of the diagram f in store, keyed by
+    column id; an empty private dict without a store."""
     return {} if store is None else store.setdefault(_diagram_id(f), {})
 
 
-class _UniversalityChecker:
-    """Natural families, their key sets and the colimit search for one (weight, diagram) pair.
+class _Column:
+    """The natural families and the colimit of a diagram f at one column p(-, x).
 
-    The answers at x depend only on the column p(-, x) and on f, so they
-    are kept in store, one record per (diagram id, column id): the diagram
-    id is (dom f, cod f, f.table()), the column id is p.column(x).  A record
-    is a list: the colimit at x, then the natural families at each w' of
-    cod f in its object order (None until listed).  The colimit is (apex
-    object, legs) or None when there is none; legs and families are tuples
-    of values in slot order.  Slot i of a column is its i-th element in
-    every distributor with that column, so a record is read back into any
-    of them by zip(slots(x), values).  A store is a dict keyed by diagram
-    id, holding each diagram's records keyed by column id (j_absolute_at
-    and creation_records keep their entries in the same dict, keyed
-    (diagram id, root) and (diagram id, "creation", cod g, g.table()));
-    records is the diagram's, as store_records resolves it, and without
-    it the checker keeps private records.  The family plans (slots and
-    naturality checks) and the key sets stay with the checker.
+    The answers at x depend only on the column p(-, x) and on f, so a store
+    keeps one record per (diagram id, column id): the diagram id is (dom f,
+    cod f, f.table()), the column id is p.column(x).  A record holds the
+    family plan at x, the natural families at each w' of cod f in its
+    object order, and the colimit at x: (apex object, legs) or None when
+    there is none.  Each is built on first use, the plan from the p and x
+    that made the record.  Legs and families are tuples of values in slot
+    order: slot i of a column is its i-th element in every distributor
+    with that column, so a record is read back into any of them by
+    zip(p.slots(x), values).  A store is a dict keyed by diagram id,
+    holding each diagram's records keyed by column id (store_records;
+    j_absolute_at and creation_records keep their entries in the same
+    dict, keyed (diagram id, root) and (diagram id, "creation", cod g,
+    g.table())).
     """
 
-    def __init__(self, p: Distributor, f: FunctorData, records: Optional[dict] = None):
-        self.p = p
-        self.f = f
-        self.W = f.cod
-        self._records = {} if records is None else records
-        self._at: dict[str, list] = {}
-        self._plans: dict[str, tuple] = {}
-        self._slots: dict[str, list] = {}
-        self._keys: dict[tuple[str, str], frozenset] = {}
+    __slots__ = ("p", "x", "f", "plan", "families", "searched", "found")
 
-    def _record(self, x: str) -> list:
-        record = self._at.get(x)
-        if record is None:
-            column = self.p.column(x)
-            record = self._records.get(column)
-            if record is None:
-                record = self._records[column] = [_UNSEARCHED] + [None] * len(self.W.objects)
-            self._at[x] = record
-        return record
+    def __init__(self, p: Distributor, x: str, f: FunctorData):
+        self.p, self.x, self.f = p, x, f
+        self.plan = None
+        self.families = [None] * len(f.cod.objects)
+        self.searched, self.found = False, None
 
-    def plan(self, x: str) -> tuple:
-        if x not in self._plans:
-            self._plans[x] = _family_plan(self.p, x, self.f)
-        return self._plans[x]
+    def family_values(self, wprime: str) -> tuple:
+        """The natural families at w' as tuples in slot order."""
+        i = self.f.cod._obj_index[wprime]
+        if self.families[i] is None:
+            if self.plan is None:
+                self.plan = _family_plan(self.p, self.x, self.f)
+            self.families[i] = tuple(tuple(fam.values()) for fam in natural_families(
+                self.p, self.x, self.f, self.f.cod, wprime, plan=self.plan))
+        return self.families[i]
 
-    def slots(self, x: str) -> list:
-        if x not in self._slots:
-            p = self.p
-            self._slots[x] = [(y, e) for y in p.tgt.objects for e in p.el(y, x)]
-        return self._slots[x]
+    def is_colimiting(self, apex_obj: str, legs: tuple) -> bool:
+        """Is postcomposition with the legs (in slot order) a bijection W(apex, w') ~= families at w'?"""
 
-    def family_values(self, x: str, wprime: str) -> tuple:
-        """The natural families at (x, w') as tuples in slot order, from the store."""
-        record, i = self._record(x), 1 + self.W._obj_index[wprime]
-        if record[i] is None:
-            record[i] = tuple(
-                tuple(fam.values())
-                for fam in natural_families(self.p, x, self.f, self.W, wprime, plan=self.plan(x)))
-        return record[i]
-
-    def families(self, x: str, wprime: str) -> list:
-        slots = self.slots(x)
-        return [dict(zip(slots, values)) for values in self.family_values(x, wprime)]
-
-    def family_keys(self, x: str, wprime: str) -> frozenset:
-        key = (x, wprime)
-        if key not in self._keys:
-            self._keys[key] = frozenset(self.family_values(x, wprime))
-        return self._keys[key]
-
-    def is_colimiting_at(self, x: str, apex_obj: str, legs: tuple) -> bool:
-        """Is postcomposition with the legs (in slot order) a bijection W(apex, w') ~= families(x, w')?"""
-
-        W = self.W
+        W = self.f.cod
         comp = W.composition
         for wprime in W.objects:
             homs = W.hom(apex_obj, wprime)
-            fam_keys = self.family_keys(x, wprime)
-            if len(homs) != len(fam_keys):
+            families = self.family_values(wprime)
+            if len(homs) != len(families):
                 return False
             images = set()
             for k in homs:
                 img = tuple([comp[(v, k)] for v in legs])
-                if img in images or img not in fam_keys:
+                if img in images or img not in families:
                     return False
                 images.add(img)
         return True
 
-    def is_cocone_colimiting(self, w: FunctorData, legs: dict) -> bool:
-        for x in self.p.src.objects:
-            legs_at_x = tuple([legs[(y, x, e)] for (y, e) in self.slots(x)])
-            if not self.is_colimiting_at(x, w.ob(x), legs_at_x):
-                return False
-        return True
-
-    def colimit_at(self, x: str):
-        """(apex object, legs in slot order) of the colimit at x, or None."""
-        record = self._record(x)
-        if record[0] is _UNSEARCHED:
-            record[0] = None
-            for w0 in self.W.objects:
-                found = next((values for values in self.family_values(x, w0)
-                              if self.is_colimiting_at(x, w0, values)), None)
-                if found is not None:
-                    record[0] = (w0, found)
-                    break
-        return record[0]
-
     def colimit(self):
-        """((apex on objects, apex on morphisms, legs), None), or (None, first failing x)."""
+        """(apex object, legs in slot order) of the colimit at x, or None;
+        searched on the first call."""
+        if not self.searched:
+            self.found, self.searched = self._search(), True
+        return self.found
 
-        p, W = self.p, self.W
-        X = p.src
-        at = pointwise_colimit(p, self.f, self._records, self)
-        if at is None:
-            return None, next(x for x in X.objects if self.colimit_at(x) is None)
-        chosen_obj = {x: found[0] for x, found in at.items()}
-        on_morphisms = {}
-        for n in X.morphism_names():
-            x, x2 = X.dom(n), X.cod(n)
-            if X.is_identity(n):
-                # postcomposition with colimiting legs is injective, so
-                # only the identity k has legs ; k = legs
-                on_morphisms[n] = W.id_of(chosen_obj[x])
-            else:
-                on_morphisms[n] = _factor(W, at[x][0], at[x2][0], at[x][1],
-                                          [at[x2][1][j] for j in p.left_indices(n)],
-                                          "universal property must pin the apex action")
-        apex = FunctorData(X, W, chosen_obj, on_morphisms)
-        if functor_violations(apex.to_dict(), X, W):
-            raise TheoremViolation("colimit apex must be a functor")
-        legs = {(y, x, e): leg for x in X.objects for (y, e), leg in zip(self.slots(x), at[x][1])}
-        return (chosen_obj, on_morphisms, legs), None
+    def _search(self):
+        for w0 in self.f.cod.objects:
+            found = next((values for values in self.family_values(w0)
+                          if self.is_colimiting(w0, values)), None)
+            if found is not None:
+                return w0, found
+        return None
+
+
+def _column(records: dict, p: Distributor, x: str, f: FunctorData) -> _Column:
+    """f's record at the column p(-, x) in its records (store_records),
+    made there on first use."""
+    column = p.column(x)
+    record = records.get(column)
+    if record is None:
+        record = records[column] = _Column(p, x, f)
+    return record
+
+
+def _colimiting(p: Distributor, f: FunctorData, records: dict, w: FunctorData, legs: dict) -> bool:
+    """Is the p-cocone for f with apex w and legs keyed (y, x, e) colimiting
+    at every x, read from f's records?"""
+    return all(_column(records, p, x, f).is_colimiting(
+        w.ob(x), tuple([legs[(y, x, e)] for y, e in p.slots(x)])) for x in p.src.objects)
+
+
+def _assemble(p: Distributor, f: FunctorData, records: dict):
+    """((apex, legs), None) for the p-weighted colimit of f, from the
+    colimit at each x in f's records, or (None, first failing x)."""
+
+    X, W = p.src, f.cod
+    at = {}
+    for x in X.objects:
+        at[x] = _column(records, p, x, f).colimit()
+        if at[x] is None:
+            return None, x
+    chosen_obj = {x: found[0] for x, found in at.items()}
+    on_morphisms = {}
+    for n in X.morphism_names():
+        x, x2 = X.dom(n), X.cod(n)
+        if X.is_identity(n):
+            # postcomposition with colimiting legs is injective, so
+            # only the identity k has legs ; k = legs
+            on_morphisms[n] = W.id_of(chosen_obj[x])
+        else:
+            on_morphisms[n] = _factor(W, at[x][0], at[x2][0], at[x][1],
+                                      [at[x2][1][j] for j in p.left_indices(n)],
+                                      "universal property must pin the apex action")
+    apex = FunctorData(X, W, chosen_obj, on_morphisms)
+    if functor_violations(apex.to_dict(), X, W):
+        raise TheoremViolation("colimit apex must be a functor")
+    legs = {(y, x, e): leg for x in X.objects for (y, e), leg in zip(p.slots(x), at[x][1])}
+    return (apex, legs), None
 
 
 # ---------------------------------------------------------------------------
@@ -293,35 +271,29 @@ class WeightedLimit:
 def try_weighted_colimit(p: Distributor, f: FunctorData, store: Optional[dict] = None):
     """The p-weighted colimit of f, or (None, first failing x), assembled
     from the colimit at each x, which the search reads from and keeps in
-    store (see _UniversalityChecker)."""
+    store (see _Column)."""
 
     if f.dom != p.tgt:
         raise EndpointMismatch("diagram must start at the weight's target")
-    found, failed = _UniversalityChecker(p, f, store_records(store, f)).colimit()
+    found, failed = _assemble(p, f, store_records(store, f))
     if found is None:
         return None, failed
-    on_objects, on_morphisms, legs = found
-    apex = FunctorData(p.src, f.cod, on_objects, on_morphisms)
-    return WeightedColimit(p, f, apex, dict(legs)), None
+    return WeightedColimit(p, f, *found), None
 
 
-def pointwise_colimit(p: Distributor, f: FunctorData, records: Optional[dict] = None,
-                      checker: Optional[_UniversalityChecker] = None) -> Optional[dict]:
+def pointwise_colimit(p: Distributor, f: FunctorData, records: Optional[dict] = None) -> Optional[dict]:
     """The colimit of f at each x of src p, as {x: (apex object, legs in
     slot order)}; None when some x has none, which is exactly when f has no
     p-weighted colimit.  Each x is read from f's records (store_records),
-    and only a column never searched there is searched, by checker (of p
-    and f on records, built when first needed).  Nothing is assembled."""
+    private without them, and only a column never searched there is
+    searched.  Nothing is assembled."""
 
+    records = {} if records is None else records
     at = {}
     for x in p.src.objects:
-        record = records.get(p.column(x)) if records is not None else None
-        if record is None or record[0] is _UNSEARCHED:
-            checker = checker or _UniversalityChecker(p, f, records)
-            record = (checker.colimit_at(x),)
-        if record[0] is None:
+        at[x] = _column(records, p, x, f).colimit()
+        if at[x] is None:
             return None
-        at[x] = record[0]
     return at
 
 
@@ -352,7 +324,7 @@ def verify_weighted_colimit(colim: WeightedColimit) -> bool:
             for e in p.el(y, x):
                 if colim.legs[(y, x2, p.act_l(n, y, e))] != W.comp(colim.legs[(y, x, e)], apex.mor(n)):
                     return False
-    return _UniversalityChecker(p, f).is_cocone_colimiting(apex, colim.legs)
+    return _colimiting(p, f, {}, apex, colim.legs)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +338,11 @@ def try_weighted_limit(p: Distributor, g: FunctorData):
     if g.dom != p.src:
         raise EndpointMismatch("limit diagram must start at the weight's source")
     pd = dual_distributor(p)
-    found, failed = _UniversalityChecker(pd, opposite_functor(g, pd.tgt, opposite(g.cod))).colimit()
+    found, failed = _assemble(pd, opposite_functor(g, pd.tgt, opposite(g.cod)), {})
     if found is None:
         return None, failed
-    on_objects, on_morphisms, legs = found
-    return WeightedLimit(p, g, FunctorData(p.tgt, g.cod, on_objects, on_morphisms), dict(legs)), None
+    apex, legs = found
+    return WeightedLimit(p, g, FunctorData(p.tgt, g.cod, apex.on_objects, apex.on_morphisms), legs), None
 
 
 def weighted_limit(p: Distributor, g: FunctorData) -> WeightedLimit:
@@ -479,13 +451,12 @@ def is_j_absolute(j: FunctorData, colim: WeightedColimit, store: Optional[dict] 
 
     Returns (True, None) or (False, (a, x)) with the first failing pair in
     a-major order: j_absolute_at on the apex object and legs of colim at
-    each x.
+    each x, with its entry in store, or in a private store without one.
     """
 
-    p, legs = colim.weight, colim.legs
-    at = {x: (colim.apex.ob(x), tuple(legs[(y, x, e)] for y in p.tgt.objects for e in p.el(y, x)))
-          for x in p.src.objects}
-    return j_absolute_at(j, p, colim.diagram, at, store)
+    p, f, legs = colim.weight, colim.diagram, colim.legs
+    at = {x: (colim.apex.ob(x), tuple(legs[(y, x, e)] for y, e in p.slots(x))) for x in p.src.objects}
+    return j_absolute_at(j, p, f, at, absolute_entry(j, f, {} if store is None else store))
 
 
 def absolute_entry(j: FunctorData, f: FunctorData, store: dict) -> list:
@@ -494,30 +465,26 @@ def absolute_entry(j: FunctorData, f: FunctorData, store: dict) -> list:
     return store.setdefault((_diagram_id(f), (j.dom, j.table())), [None, {}])
 
 
-def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict,
-                  store: Optional[dict] = None, entry: Optional[list] = None):
+def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict, entry: list):
     """is_j_absolute for the p-weighted colimit of f given pointwise: at
     maps each x of src p to its apex object and legs in slot order, as
     pointwise_colimit returns them.
 
     The map at x depends only on j, the diagram f and the column p(-, x):
     the colimit is pointwise in x, and its apex at x is unique up to an
-    isomorphism under which the map stays a bijection or not.  So store
+    isomorphism under which the map stays a bijection or not.  So a store
     keeps, per (root, diagram id), E(j, f) and for each column id the index
     of the first a at which the map fails, or len(A.objects) when none does
-    (see _UniversalityChecker for the ids); only cold columns build E(j, f)
-    and check, and only they read at.  entry is absolute_entry(j, f,
-    store), resolved here when not given; without either the call keeps a
-    private store.  The first failing pair is (a*, x*): a* the least index
-    over x, x* the first x whose index is a*.
+    (see _Column for the ids); only cold columns build E(j, f) and check,
+    and only they read at.  entry is absolute_entry(j, f, store), which a
+    caller asking about many weights resolves once.  The first failing pair
+    is (a*, x*): a* the least index over x, x* the first x whose index is a*.
     """
 
     E = j.cod
     if f.cod != E:
         raise EndpointMismatch("colimit must live in the root's codomain")
     A = j.dom
-    if entry is None:
-        entry = absolute_entry(j, f, {} if store is None else store)
     firsts = entry[1]
     least, at_x = len(A.objects), None
     for x in p.src.objects:
@@ -544,7 +511,7 @@ def _first_failing_root(q: Distributor, j: FunctorData, p: Distributor, x: str,
     len(j.dom.objects) when it is one at every a."""
 
     E = j.cod
-    leg = dict(zip(((y, e) for y in p.tgt.objects for e in p.el(y, x)), legs))
+    leg = dict(zip(p.slots(x), legs))
     for i, a in enumerate(j.dom.objects):
         ts = tensor_set(q, p, a, x)
         target = E.hom(j.ob(a), apex)
@@ -635,12 +602,13 @@ def enumerate_cocones(p: Distributor, f: FunctorData, records: Optional[dict] = 
 
     X, W = p.src, f.cod
     comp = W.composition
-    checker = _UniversalityChecker(p, f, records)
+    records = {} if records is None else records
+    columns = [_column(records, p, x, f) for x in X.objects]
     index = X._obj_index
     along = [(index[x], index[x2], n, pairs) for n, x, x2, pairs in p.left_plan()[0]]
     out = []
     for w in enumerate_functors(X, W):
-        domains = [checker.family_values(x, w.ob(x)) for x in X.objects]
+        domains = [column.family_values(w.ob(x)) for x, column in zip(X.objects, columns)]
         if not all(domains):
             continue                    # some x has no family at w x
         search = Search()
@@ -651,12 +619,12 @@ def enumerate_cocones(p: Distributor, f: FunctorData, records: Optional[dict] = 
                 v[b][j] == comp[(v[a][i], wn)] for i, j in pairs), a, b)
         for values in search.solutions():
             out.append((w, {(y, x, e): leg for x, vals in zip(X.objects, values)
-                            for (y, e), leg in zip(checker.slots(x), vals)}))
+                            for (y, e), leg in zip(p.slots(x), vals)}))
     return out
 
 
 def cocone_is_colimiting(p: Distributor, f: FunctorData, w: FunctorData, legs: dict) -> bool:
-    return _UniversalityChecker(p, f).is_cocone_colimiting(w, legs)
+    return _colimiting(p, f, {}, w, legs)
 
 
 CREATION_MODES, CREATION_KINDS = ("strict", "nonstrict"), ("colimit", "limit")
@@ -746,17 +714,17 @@ class _CreationAt(NamedTuple):
     strict: bool
 
 
-def _creation_at(g: FunctorData, upstairs: _UniversalityChecker,
-                 downstairs: _UniversalityChecker, x: str) -> Optional[_CreationAt]:
-    """The creation record at x, from the colimit records of f (upstairs)
-    and f ; g (downstairs) at x; None when f ; g has no colimit at x."""
+def _creation_at(g: FunctorData, upstairs: _Column, downstairs: _Column) -> Optional[_CreationAt]:
+    """The creation record at one column, from the column records of f
+    (upstairs) and f ; g (downstairs) there; None when f ; g has no
+    colimit there."""
 
-    down = downstairs.colimit_at(x)
+    down = downstairs.colimit()
     if down is None:
         return None
     W, V = g.dom, g.cod
     d, down_legs = down
-    up = upstairs.colimit_at(x)
+    up = upstairs.colimit()
     flags, closed, preserved = None, True, False
     if up is not None:
         c, up_legs = up
@@ -770,9 +738,9 @@ def _creation_at(g: FunctorData, upstairs: _UniversalityChecker,
     isos = []
     for i in [i for v in V.objects for i in V.hom(d, v) if V.inverse(i) is not None]:
         targets = tuple(comp[(leg, i)] for leg in down_legs)
-        lifts = tuple((w0, legs, upstairs.is_colimiting_at(x, w0, legs))
+        lifts = tuple((w0, legs, upstairs.is_colimiting(w0, legs))
                       for w0 in W.objects if g.ob(w0) == V.cod(i)
-                      for legs in upstairs.family_values(x, w0)
+                      for legs in upstairs.family_values(w0)
                       if tuple(g.mor(leg) for leg in legs) == targets)
         isos.append((i, lifts))
     return _CreationAt(up is not None, preserved, flags, closed, tuple(isos),
@@ -817,17 +785,16 @@ class CreationRecords(NamedTuple):
     records: list
 
 
-def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str = "colimit", *,
-                     store: Optional[dict] = None, entry: Optional[CreationEntry] = None) -> CreationRecords:
+def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str,
+                     entry: CreationEntry) -> CreationRecords:
     """The creation record (_CreationAt) at each x of src p, in object
     order, for check_creation(g, p, f, kind=kind).
 
     For colimits f: tgt(p) -> dom(g); for limits f: src(p) -> dom(g), and
     the records are those of the formal dual.  entry is creation_entry(g,
-    f, kind, store), resolved here when not given, so that a caller asking
-    about many weights resolves it once.  Without a store or an entry the
-    call keeps a private store.
-    Raises DownstairsMissing at the first x where f ; g has no (co)limit.
+    f, kind, store), which a caller asking about many weights resolves
+    once.  A record is None at a column where f ; g has no (co)limit, and
+    DownstairsMissing is raised at the first such x.
     """
 
     check_choice("kind", kind, CREATION_KINDS)
@@ -837,19 +804,14 @@ def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str =
         p = dual_distributor(p)
     elif f.dom != p.tgt:
         raise EndpointMismatch("diagram must start at the weight's target")
-    if entry is None:
-        entry = creation_entry(g, f, kind, {} if store is None else store)
     records = entry.records
     out = []
-    checkers = None
     for x in p.src.objects:
         column = p.column(x)
-        record = records.get(column, _UNSEARCHED)
-        if record is _UNSEARCHED:
-            if checkers is None:
-                checkers = (_UniversalityChecker(p, entry.f, entry.up),
-                            _UniversalityChecker(p, entry.d, entry.down))
-            record = records[column] = _creation_at(entry.g, *checkers, x)
+        if column not in records:
+            records[column] = _creation_at(entry.g, _column(entry.up, p, x, entry.f),
+                                           _column(entry.down, p, x, entry.d))
+        record = records[column]
         if record is None:
             raise DownstairsMissing(f"downstairs colimit missing at {x!r}")
         out.append(record)
@@ -944,10 +906,9 @@ def _nonstrict_colimit_creation(entry: CreationEntry, p: Distributor, records: l
     g = entry.g
     upstairs_exists = all(r.upstairs for r in records)
     if not upstairs_exists:
-        down = _UniversalityChecker(p, entry.d, entry.down)
         witness = next((w for (w, legs) in enumerate_cocones(p, entry.f, entry.up)
-                        if down.is_cocone_colimiting(compose_functors(w, g),
-                                                     {key: g.mor(v) for key, v in legs.items()})), None)
+                        if _colimiting(p, entry.d, entry.down, compose_functors(w, g),
+                                       {key: g.mor(v) for key, v in legs.items()})), None)
     elif all(r.closed for r in records):
         witness = None                  # no k_x tells the two tests apart
     else:
@@ -1002,16 +963,17 @@ def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
     Strict creation asks that every colimiting cocone downstairs have
     exactly one cocone over it and that it be colimiting (Mac Lane, CWM
     V.1).  Both modes are decided from the creation records at each x,
-    records when given (creation_records(g, p, f, kind) fetched once for
-    both modes), else fetched here and kept in store when given; only what
-    spans two x's is checked per call.  Raises DownstairsMissing when f ; g
-    has no (co)limit, ValueError for an unknown mode or kind.
+    records when given (creation_records(g, p, f, kind, entry) fetched once
+    for both modes), else fetched here with their entry in store, or in a
+    private store without one; only what spans two x's is checked per
+    call.  Raises DownstairsMissing when f ; g has no (co)limit,
+    ValueError for an unknown mode or kind.
     """
 
     check_choice("mode", mode, CREATION_MODES)
     check_choice("kind", kind, CREATION_KINDS)
     if records is None:
-        records = creation_records(g, p, f, kind, store=store)
+        records = creation_records(g, p, f, kind, creation_entry(g, f, kind, {} if store is None else store))
     return _creation_report(mode, kind, creation_search(records, mode))
 
 

@@ -32,8 +32,8 @@ class Distributor:
     giving the image in p(y', x); left_action is keyed (n, y, e) for
     n: x -> x' in X and e in p(y, x), giving the image in p(y, x').
     Identity actions are stored implicitly.  Instances are immutable by
-    convention; table(), column(x), left_indices(n), left_plan() and the
-    dual (dual_distributor) are built on first use and kept.
+    convention; table(), slots(x), column(x), left_indices(n), left_plan()
+    and the dual (dual_distributor) are built on first use and kept.
     """
 
     def __init__(self, src: FinCategory, tgt: FinCategory, elements,
@@ -48,6 +48,7 @@ class Distributor:
         self.right_action = dict(right_action)
         self.left_action = dict(left_action)
         self._table = None
+        self._slots: dict[str, tuple] = {}
         self._columns: dict[str, tuple] = {}
         self._left: dict[str, tuple] = {}
         self._plan = self._dual = None
@@ -74,6 +75,15 @@ class Distributor:
                            tuple(sorted(self.left_action.items())))
         return self._table
 
+    def slots(self, x: str) -> tuple:
+        """The elements of p(-, x) as (y, e), y in tgt's order, then el(y, x):
+        the slot order in which the engine lists a family or the legs at x.
+        Built on first use and kept, like table()."""
+        slots = self._slots.get(x)
+        if slots is None:
+            slots = self._slots[x] = tuple((y, e) for y in self.tgt.objects for e in self.elements[(y, x)])
+        return slots
+
     def column(self, x: str) -> tuple:
         """The content of p(-, x) up to the names of its elements: the
         number of elements at each y of tgt, then the right action of each
@@ -95,16 +105,13 @@ class Distributor:
 
     def left_indices(self, n: str) -> tuple:
         """The left action of n: x -> x2 of src up to the names of elements:
-        for each element of p(-, x), listed y-major (y in tgt's order, then
-        el(y, x)), the index of its image in p(-, x2) listed the same way.
-        Built on first use and kept, like column(x)."""
+        for each element of p(-, x) in slots(x), the index of its image in
+        slots(x2).  Built on first use and kept, like column(x)."""
         indices = self._left.get(n)
         if indices is None:
-            X, Y = self.src, self.tgt
-            x, x2 = X.dom(n), X.cod(n)
-            index = {s: j for j, s in enumerate([(y, e) for y in Y.objects for e in self.el(y, x2)])}
+            index = {s: j for j, s in enumerate(self.slots(self.src.cod(n)))}
             indices = self._left[n] = tuple(index[(y, self.act_l(n, y, e))]
-                                            for y in Y.objects for e in self.el(y, x))
+                                            for y, e in self.slots(self.src.dom(n)))
         return indices
 
     def left_plan(self) -> tuple:
@@ -589,21 +596,30 @@ def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int,
     if size_choices > budget:
         raise BudgetExceeded("distributor census", size_choices, budget)
 
+    # (source, target) component of the entries of each action table, in
+    # entry order: right-action entries (m, x, e), then left-action ones (n, y, e)
+    index = {comp: i for i, comp in enumerate(comps)}
+    rights = [(m, x) for m in Y.morphism_names() if not Y.is_identity(m) for x in X.objects]
+    lefts = [(n, y) for n in X.morphism_names() if not X.is_identity(n) for y in Y.objects]
+    groups = ([(index[(Y.cod(m), x)], index[(Y.dom(m), x)]) for m, x in rights]
+              + [(index[(y, X.dom(n))], index[(y, X.cod(n))]) for n, y in lefts])
     out = []
     for sizes in itertools.product(range(element_cap + 1), repeat=len(comps)):
-        elements = {comp: tuple(f"e{i}" for i in range(k)) for comp, k in zip(comps, sizes)}
-        right = {(m, x, e): elements[(Y.dom(m), x)] for m in Y.morphism_names() if not Y.is_identity(m)
-                 for x in X.objects for e in elements[(Y.cod(m), x)]}
-        left = {(n, y, e): elements[(y, X.cod(n))] for n in X.morphism_names() if not X.is_identity(n)
-                for y in Y.objects for e in elements[(y, X.dom(n))]}
         space = 1
-        for targets in [*right.values(), *left.values()]:
-            if not targets:
+        for s, t in groups:
+            if not sizes[s]:
+                continue
+            if not sizes[t]:
                 break       # an entry with nowhere to go: no distributor has these sizes
-            space *= len(targets)
-            if space > budget:
+            if space * sizes[t] ** sizes[s] > budget:
+                while space <= budget:      # the first entry past the budget
+                    space *= sizes[t]
                 raise BudgetExceeded("distributor census", space, budget)
+            space *= sizes[t] ** sizes[s]
         else:
+            elements = {comp: tuple(f"e{i}" for i in range(k)) for comp, k in zip(comps, sizes)}
+            right = {(m, x, e): elements[(Y.dom(m), x)] for m, x in rights for e in elements[(Y.cod(m), x)]}
+            left = {(n, y, e): elements[(y, X.cod(n))] for n, y in lefts for e in elements[(y, X.dom(n))]}
             search = _distributor_search(X, Y, right, left)
             out.extend(Distributor(X, Y, elements, zip(right, values), zip(left, values[len(right):]))
                        for values in search.solutions())

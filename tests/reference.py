@@ -14,7 +14,6 @@ from relmon.algebra import Algebra, _alpha_slice_matches, algebra_violations
 from relmon.census import ABSOLUTE_COLIMIT
 from relmon.colim import (
     CreationReport,
-    _UniversalityChecker,
     WeightedColimit,
     _factor,
     try_weighted_colimit,
@@ -278,14 +277,14 @@ def enumerate_natural_transformations(F, G) -> list:
 def enumerate_cocones(p, f):
     """All p-cocones (w, legs) for f with apex functor into cod f, canonical order."""
 
-    X, W = p.src, f.cod
-    checker = _UniversalityChecker(p, f)
+    X, Y, W = p.src, p.tgt, f.cod
     out = []
     for w in enumerate_functors(X, W):
         per_x = []
         feasible = True
         for x in X.objects:
-            fams = checker.families(x, w.ob(x))
+            slots = [(y, e) for y in Y.objects for e in p.el(y, x)]
+            fams = [dict(zip(slots, combo)) for combo in natural_families(p, x, f, w.ob(x))]
             if not fams:
                 feasible = False
                 break

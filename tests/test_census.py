@@ -335,12 +335,13 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     reading or assembling a whole (co)limit, no (g, diagram, column)
     creation record is computed twice, no census question (colimit,
     limit, creation or preserves, the last also asked at every position
-    of the audit's shapes) assembles a whole (co)limit, and no existence
-    question builds a _UniversalityChecker for a position whose columns
-    are all searched in the store."""
+    of the audit's shapes) assembles a whole (co)limit, each (diagram id,
+    column id) record a census question makes is the census store's and
+    is made once, and no census existence question searches a column that
+    is already searched or outside the census store."""
     j, r = corpus_question("point_split", "r_id")
     pairs, builds, columns, checks, reads, records = [], [], [], [], [], []
-    fetches, assembled, searching, wasted = [], [], [], []
+    fetches, assembled, made, searching, wasted = [], [], [], [], []
     inside = []
 
     def within(name):
@@ -358,7 +359,7 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
                 inside.pop()
         monkeypatch.setattr(owner, name, wrapper)
 
-    def absolute(j, p, f, at, store=None, entry=None):
+    def absolute(j, p, f, at, entry):
         pairs.append((content(j), content(f)))
 
     def build(E, j, f):
@@ -372,10 +373,10 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     def creation(found, mode):
         checks.append(next(key for key, fetched in fetches if fetched is found) + (mode,))
 
-    def fetch(g, p, f, kind="colimit", **kwargs):
+    def fetch(g, p, f, kind, entry):
         inside.append(("creation_records", (g, p, f)))
         try:
-            found = original_fetch(g, p, f, kind, **kwargs)
+            found = original_fetch(g, p, f, kind, entry)
         finally:
             inside.pop()
         fetches.append(((content(g), p.table(), f.table(), kind), found))
@@ -385,22 +386,29 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
         if within("creation") or within("census.preserves"):
             reads.append(args)
 
-    def record(g, upstairs, downstairs, x):
-        records.append((content(g), content(upstairs.f), upstairs.p.column(x)))
+    def record(g, upstairs, downstairs):
+        records.append((content(g), content(upstairs.f), upstairs.p.column(upstairs.x)))
 
-    def assemble(checker):
-        if any(within(label) for label in ("census.colimit", "census.limit", "creation",
-                                            "census.preserves")):
-            assembled.append(checker.p)
+    questions = ("census.colimit", "census.limit", "creation", "census.preserves")
 
-    def checker_built(checker, p, f, records=None):
-        if not any(within(label) for label in ("census.colimit", "census.limit", "census.preserves")):
-            return
-        if within("creation_records") or within("creation_search"):
-            return                      # creation records at a new (g, diagram, column)
-        searched = [(records or {}).get(p.column(x), [colim._UNSEARCHED])[0] is not colim._UNSEARCHED
-                    for x in p.src.objects]
-        (wasted if all(searched) else searching).append((p, content(f)))
+    def assemble(p, f, records):
+        if any(within(label) for label in questions):
+            assembled.append(p)
+
+    def key(column):
+        return colim._diagram_id(column.f), column.p.column(column.x)
+
+    def stored(column) -> bool:
+        diagram_id, column_id = key(column)
+        return census._pointwise.get(diagram_id, {}).get(column_id) is column
+
+    def column_made(column, p, x, f):
+        if any(within(label) for label in questions):
+            made.append(column)
+
+    def column_searched(column):
+        if any(within(label) for label in ("census.colimit", "census.limit", "census.preserves")):
+            (wasted if column.searched or not stored(column) else searching).append(key(column))
 
     wrap(colim, "j_absolute_at", absolute)
     wrap(colim, "hom_restriction", build)
@@ -415,8 +423,9 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     wrap(colim, "try_weighted_colimit", read)
     wrap(colim, "try_weighted_limit", read)
     wrap(colim, "_creation_at", record)
-    wrap(colim._UniversalityChecker, "colimit", assemble)
-    wrap(colim._UniversalityChecker, "__init__", checker_built)
+    wrap(colim, "_assemble", assemble)
+    wrap(colim._Column, "__init__", column_made)
+    wrap(colim._Column, "_search", column_searched)
     shapes = [corpus.terminal_category(), corpus.interval_category()]
     census = DownstairsCensus()
     report = creation_audit(j, r, shapes, 1, census=census)
@@ -442,7 +451,8 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     assert preserved == {True, False}
     assert reads == []
     assert assembled == []
-    assert searching and wasted == []
+    assert made and all(map(stored, made)) and len({key(c) for c in made}) == len(made)
+    assert searching and wasted == [] and len(searching) == len(set(searching))
 
 
 def reference_preserves(g, p, f) -> tuple:
@@ -524,7 +534,7 @@ def creation_entries_are_empty(census) -> bool:
      "mode must be one of 'strict', 'nonstrict', not 'bogus'"),
     (lambda census, g, w, diagram: check_creation(g, w.p, diagram.f, kind="lim"),
      "kind must be one of 'colimit', 'limit', not 'lim'"),
-    (lambda census, g, w, diagram: colim.creation_records(g, w.p, diagram.f, "lim"),
+    (lambda census, g, w, diagram: colim.creation_records(g, w.p, diagram.f, "lim", diagram.colimit),
      "kind must be one of 'colimit', 'limit', not 'lim'"),
     (lambda census, g, w, diagram: census.creation(g, w, diagram, "colimt", "strict"),
      "kind must be one of 'colimit', 'limit', not 'colimt'"),
@@ -786,8 +796,9 @@ def test_class_level_loops_answer_as_per_weight_loops(monkeypatch):
 def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     """Over one suite pass on the builtin corpus: at most 12,600 cold
     creation positions (one creation-records fetch each; 22,914 before
-    weight classes) and 30,000 pointwise_colimit calls (53,657), no
-    CreationReport built by the census, and j_absolute_at's store entry
+    weight classes) and 30,000 pointwise_colimit calls (53,657), at most
+    1,893 colimit searches at a column and 4,263 natural_families calls,
+    no CreationReport built by the census, and j_absolute_at's store entry
     resolved at most once per (root, diagram) by the census.  The suite's
     loops ask the census once per weight class along a list: at most
     30,100 creation and 36,800 colimit questions (53,537 and 71,880 per
@@ -825,6 +836,8 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
 
     count(colim, "creation_records")
     count(colim, "pointwise_colimit")
+    count(colim, "natural_families")
+    count(colim._Column, "_search")
     count(colim, "absolute_entry", lambda j, f, store: inside[-1:] == ["colimit"] and entries.update(
         [(content(j), content(f))]))
     count(colim, "_strict_colimit_creation", strict_search)
@@ -841,6 +854,8 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     assert report.passed and sum(r.checked for r in report.results) == 34_975
     assert 0 < counts["creation_records"] <= 12_600
     assert 0 < counts["pointwise_colimit"] <= 30_000
+    assert 0 < counts["_search"] <= 1_893
+    assert 0 < counts["natural_families"] <= 4_263
     assert counts["census report"] == 0
     assert entries and max(entries.values()) == 1
     assert 0 < counts["creation"] <= 30_100

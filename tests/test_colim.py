@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 from relmon import colim as colim_module
 from relmon import corpus
 from relmon.colim import (
-    _UniversalityChecker,
     check_creation,
     extension_unit,
     is_dense,
@@ -71,14 +70,14 @@ def corpus_weights(Y):
 
 
 # ---------------------------------------------------------------------------
-# natural families and the checkers
+# natural families and the column records
 
 
 def test_natural_families_match_product_then_filter(cats, monkeypatch):
-    """Fresh and checker-cached families equal product-then-filter, in order.
+    """Fresh and stored families equal product-then-filter, in order.
 
-    A fresh call builds its own family plan; the checker builds one per x
-    and reuses it for every w'.
+    A fresh call builds its own family plan; a column record builds one on
+    its first enumeration and reuses it for every w'.
     """
     plans = []
     build_plan = colim_module._family_plan
@@ -91,37 +90,63 @@ def test_natural_families_match_product_then_filter(cats, monkeypatch):
         for p in corpus_weights(Y):
             for f in diagrams:
                 W = f.cod
-                checker = _UniversalityChecker(p, f)
+                records = {}
                 plans.clear()
                 for x in p.src.objects:
+                    column = colim_module._column(records, p, x, f)
                     for wprime in W.objects:
                         got = natural_families(p, x, f, W, wprime)
-                        cached = checker.families(x, wprime)
+                        cached = [dict(zip(p.slots(x), values)) for values in column.family_values(wprime)]
                         want = brute_force_families(p, x, f, W, wprime)
                         assert got == want and cached == want
                         assert ([list(fam) for fam in got] == [list(fam) for fam in cached]
                                 == [list(fam) for fam in want])
                         checked += 1
                 fresh = len(p.src.objects) * len(W.objects)
-                assert len(plans) == fresh + len(p.src.objects)
+                assert len(plans) == fresh + len(records)
     assert checked > 100
 
 
-def test_cached_colimit_equals_fresh_search(cats):
+def test_cached_colimit_equals_fresh_search(cats, monkeypatch):
+    """A colimit read from one store shared by every weight and diagram
+    equals a fresh search in a private store, and the shared store builds
+    and searches each (diagram id, column id) record at most once."""
+    built, searched, sharing = [], [], [False]
+    init, search = colim_module._Column.__init__, colim_module._Column._search
+
+    def key(record):
+        return colim_module._diagram_id(record.f), record.p.column(record.x)
+
+    def counted_init(record, *args):
+        init(record, *args)
+        if sharing[0]:
+            built.append(key(record))
+
+    def counted_search(record):
+        if sharing[0]:
+            searched.append(key(record))
+        return search(record)
+
+    monkeypatch.setattr(colim_module._Column, "__init__", counted_init)
+    monkeypatch.setattr(colim_module._Column, "_search", counted_search)
+    store = {}
     for name in ("Interval", "BZ2", "Split", "Indisc2", "Vee", "PP"):
         Y = cats[name]
         for p in corpus_weights(Y):
             for f in [identity_functor(Y)] + list(enumerate_functors(Y, cats["Interval"])):
-                colim, failed = try_weighted_colimit(p, f)
-                found, fresh_failed = _UniversalityChecker(p, f).colimit()
+                fresh, fresh_failed = try_weighted_colimit(p, f)
+                sharing[0] = True
+                colim, failed = try_weighted_colimit(p, f, store)
+                sharing[0] = False
                 if colim is None:
-                    assert found is None and failed == fresh_failed
+                    assert fresh is None and failed == fresh_failed
                     continue
-                on_objects, on_morphisms, legs = found
-                assert colim.apex.on_objects == on_objects
-                assert colim.apex.on_morphisms == on_morphisms
-                assert colim.legs == legs
+                assert colim.apex.on_objects == fresh.apex.on_objects
+                assert colim.apex.on_morphisms == fresh.apex.on_morphisms
+                assert colim.legs == fresh.legs
                 assert verify_weighted_colimit(colim)
+    assert built and len(built) == len(set(built)) == sum(map(len, store.values()))
+    assert searched and len(searched) == len(set(searched)) and set(searched) <= set(built)
 
 
 def test_equal_content_colimits_bind_callers_objects():

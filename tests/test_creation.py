@@ -17,6 +17,7 @@ from relmon.census import NO_COLIMIT, DownstairsCensus
 from relmon.colim import (
     check_creation,
     cocone_is_colimiting,
+    creation_entry,
     creation_records,
     enumerate_cocones,
     is_j_absolute,
@@ -329,7 +330,8 @@ def interval_positions(W, V):
             for p in enumerate_distributors(I, Y, cap, budget=TEST_BUDGET):
                 for f in enumerate_functors(Y, W):
                     try:
-                        yield g, p, f, creation_records(g, p, f, store=store)
+                        yield g, p, f, creation_records(g, p, f, "colimit",
+                                                        creation_entry(g, f, "colimit", store))
                     except DownstairsMissing:
                         continue
 
