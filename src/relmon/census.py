@@ -31,10 +31,18 @@ Questions name a diagram by a handle from diagrams(Z, g): a Diagram holds
 f, d = f ; g, their positions, the census that made it and that census's
 store entries for it, resolved once (colim.CreationEntry): the colimit
 records of f and d and the creation records of (g, f), and their duals
-for limits.  So a question resolves no key per position: it reads
-records and checks only what spans two x's.  A handle cannot go stale: its entries are the store's
-own dicts, keyed by content, which the store only adds to, and a census
+for limits.  A handle cannot go stale: its entries are the store's own
+dicts, keyed by content, which the store only adds to, and a census
 refuses a handle made by another census or for another g.
+
+Questions come in batches, one call per weight handle and list of diagram
+handles made for one g, in any order and with repeats: colimits, limits,
+creations and preserved.  A batch resolves its row and the offset of the
+weight's class there once, then reads or fills one byte per diagram; the
+one-position questions (colimit, limit, creation, preserves) are batches
+of one.  A cold position resolves no key either: it reads its records by
+the weight's column ids (prof.Distributor.columns, built once per weight
+and per dual) and checks only what spans two x's.
 
 The pointwise store holds one record per (diagram id, column id)
 (colim._Column): the colimit at one x and the natural families there,
@@ -72,6 +80,11 @@ NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
 # passed, plus _PRESERVED when g sends the upstairs (co)limit to one
 _CHECKED, _PASSED, _PRESERVED = 1, 2, 8
 _MODES = colim.CREATION_MODES
+# what a batch returns for each byte b: colimits and limits, then creations
+# ((strict, nonstrict) passed) and preserved
+_COLIMITS, _EXISTS = (None, NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT), (None, False, True)
+_VERDICTS = tuple((bool(b & _PASSED), bool(b & _PASSED << 1)) for b in range(16))
+_PRESERVES = tuple(bool(b & _PRESERVED) for b in range(16))
 
 
 class Weight(NamedTuple):
@@ -97,10 +110,6 @@ class Diagram(NamedTuple):
     census: "DownstairsCensus"
     colimit: colim.CreationEntry
     limit: colim.CreationEntry
-
-
-def _content(F: FunctorData) -> tuple:
-    return (F.dom, F.cod, F.table())
 
 
 def _class_ids(ps: list) -> list[int]:
@@ -179,26 +188,25 @@ class DownstairsCensus:
     * Creation rows, keyed (g by content, X, Y, cap, kind) without the
       mode, hold one byte per position: _CHECKED, plus _PASSED << i for
       each mode _MODES[i] that passes, plus _PRESERVED when f has a
-      (co)limit and g sends it to one.  The first creation or preserves
-      question at a position checks both modes and reads preservation from
+      (co)limit and g sends it to one.  The first creations or preserved
+      batch at a position checks both modes and reads preservation from
       the creation records at its x's, kept in the pointwise store per (g,
       diagram, column), by each mode's search (colim.creation_search):
-      no report is built.  preserves asks only where f ; g has a colimit,
+      no report is built.  preserved asks only where f ; g has a colimit,
       since the records exist only there.
 
     Zero means unknown everywhere.  No row holds a (co)limit, and no
-    question assembles one.  Each question keeps the row it last used
-    (_cell), so the questions asked about one owner (root, C or g) along
-    one weight list build and hash the row key once.
+    question assembles one.  A row keeps its n beside its bytes, so a batch
+    builds and hashes one row key (_bytes) for all its positions.
     """
 
     def __init__(self):
-        self._absolute: dict[tuple, bytearray] = {}
+        self._absolute: dict[tuple, tuple] = {}
         self._entries: dict[tuple, list] = {}
-        self._limits: dict[tuple, bytearray] = {}
-        self._creations: dict[tuple, bytearray] = {}
+        self._limits: dict[tuple, tuple] = {}
+        self._creations: dict[tuple, tuple] = {}
         self._positions: dict[tuple, dict] = {}
-        self._last: dict[str, tuple] = {}
+        self._diagrams: dict[tuple, list] = {}
         self._weights: dict[tuple, list] = {}
         self._pointwise: dict[tuple, dict] = {}
 
@@ -216,116 +224,119 @@ class DownstairsCensus:
         return weights
 
     def diagrams(self, Z: FinCategory, g: FunctorData) -> list[Diagram]:
-        """Every f: Z -> dom g in enumerate_functors order, with f ; g, its
-        position and its store entries, recording the positions of both
-        enumerations."""
+        """Every f: Z -> dom g in enumerate_functors order, with f ; g, its position and its
+        store entries, once per (Z, g by content), recording both enumerations' positions."""
 
-        positions, E = self._positions, g.cod
-        if (Z, E) not in positions:
-            positions[(Z, E)] = {d.table(): i for i, d in enumerate(fincat.enumerate_functors(Z, E))}
-        fs = list(fincat.enumerate_functors(Z, g.dom))
-        if (Z, g.dom) not in positions:
-            positions[(Z, g.dom)] = {f.table(): i for i, f in enumerate(fs)}
-        down, store = positions[(Z, E)], self._pointwise
-        entries = [colim.creation_entry(g, f, "colimit", store) for f in fs]
-        return [Diagram(f, i, e.d, down[e.d.table()], self, e, colim.creation_entry(g, f, "limit", store))
+        handles = self._diagrams.get((Z, g))
+        if handles is None:
+            positions, E = self._positions, g.cod
+            if (Z, E) not in positions:
+                positions[(Z, E)] = {d.table(): i for i, d in enumerate(fincat.enumerate_functors(Z, E))}
+            fs = list(fincat.enumerate_functors(Z, g.dom))
+            if (Z, g.dom) not in positions:
+                positions[(Z, g.dom)] = {f.table(): i for i, f in enumerate(fs)}
+            down, store = positions[(Z, E)], self._pointwise
+            entries = [colim.creation_entry(g, f, "colimit", store) for f in fs]
+            handles = self._diagrams[(Z, g)] = [
+                Diagram(f, i, e.d, down[e.d.table()], self, e, colim.creation_entry(g, f, "limit", store))
                 for i, (f, e) in enumerate(zip(fs, entries))]
+        return handles
 
-    def colimit(self, j: FunctorData, w: Weight, diagram: Diagram) -> int:
-        """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the w.p-weighted colimit of diagram.d."""
+    def colimits(self, j: FunctorData, w: Weight, diagrams: list) -> list[int]:
+        """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the
+        w.p-weighted colimit of each diagram's d, in the order given."""
 
-        d = self._own(diagram).d
-        row, pos = self._cell("absolute", j, w, d, diagram.d_index)
-        if not row[pos]:
+        def fill(diagram: Diagram) -> int:
+            d = diagram.d
             at = colim.pointwise_colimit(w.p, d, diagram.colimit.down)
             if at is None:
-                row[pos] = NO_COLIMIT + 1
-            else:
-                entries, i = self._last["absolute"][6], diagram.d_index
-                entry = entries[i] = entries[i] or colim.absolute_entry(j, d, self._pointwise)
-                absolute, _ = colim.j_absolute_at(j, w.p, d, at, entry)
-                row[pos] = (ABSOLUTE_COLIMIT if absolute else COLIMIT) + 1
-        return row[pos] - 1
+                return NO_COLIMIT + 1
+            entry = self._entries.get((j, d)) or self._entries.setdefault(
+                (j, d), colim.absolute_entry(j, d, self._pointwise))
+            return (ABSOLUTE_COLIMIT if colim.j_absolute_at(j, w.p, d, at, entry)[0] else COLIMIT) + 1
+        return self._bytes(self._absolute, (j, w.p.src, w.p.tgt, w.cap), w, diagrams, fill, _COLIMITS)
+
+    def limits(self, w: Weight, diagrams: list) -> list[bool]:
+        """Does the w.p-weighted limit of each diagram's d exist?"""
+
+        def fill(diagram: Diagram) -> int:
+            return 1 + (colim.pointwise_colimit(dual_distributor(w.p), diagram.limit.d, diagram.limit.down) is not None)
+        if not diagrams:
+            return []
+        return self._bytes(self._limits, (diagrams[0].d.cod, w.p.src, w.p.tgt, w.cap), w, diagrams, fill, _EXISTS)
+
+    def creations(self, g: FunctorData, w: Weight, diagrams: list, kind: str) -> list[tuple]:
+        """check_creation(g, w.p, diagram.f, mode, kind).passed as (strict, nonstrict) per diagram."""
+
+        return self._creation_bytes(g, w, diagrams, kind, _VERDICTS)
+
+    def preserved(self, g: FunctorData, w: Weight, diagrams: list) -> list[bool]:
+        """Do the w.p-weighted colimits of each diagram's f and d exist, and g
+        send the first to a colimit?  Read from the creation byte where d has one."""
+
+        exists = [colim.pointwise_colimit(w.p, diagram.d, diagram.colimit.down) is not None
+                  for diagram in self._own(diagrams, g)]
+        found = iter(self._creation_bytes(g, w, list(itertools.compress(diagrams, exists)), "colimit", _PRESERVES))
+        return [e and next(found) for e in exists]
+
+    # one-position questions: batches of one diagram
+
+    def colimit(self, j: FunctorData, w: Weight, diagram: Diagram) -> int:
+        return self.colimits(j, w, [diagram])[0]
 
     def limit(self, w: Weight, diagram: Diagram) -> bool:
-        """Does the w.p-weighted limit of diagram.d exist?"""
-
-        d = self._own(diagram).d
-        row, pos = self._cell("existence", d.cod, w, d, diagram.d_index)
-        if not row[pos]:
-            dual = diagram.limit
-            row[pos] = 1 + (colim.pointwise_colimit(dual_distributor(w.p), dual.d, dual.down) is not None)
-        return row[pos] == 2
+        return self.limits(w, [diagram])[0]
 
     def creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str, mode: str) -> bool:
-        """check_creation(g, w.p, diagram.f, mode, kind).passed."""
-
         colim.check_choice("mode", mode, _MODES)
-        return bool(self._creation(g, w, diagram, kind) & (_PASSED << _MODES.index(mode)))
+        return self.creations(g, w, [diagram], kind)[0][_MODES.index(mode)]
 
     def preserves(self, g: FunctorData, w: Weight, diagram: Diagram) -> bool:
-        """Do the w.p-weighted colimits of diagram.f and diagram.d both exist,
-        and does g send the first to a colimit?  Read from the creation byte
-        once diagram.d is known to have a colimit."""
+        return self.preserved(g, w, [diagram])[0]
 
-        if colim.pointwise_colimit(w.p, diagram.d, self._own(diagram, g).colimit.down) is None:
-            return False
-        return bool(self._creation(g, w, diagram, "colimit") & _PRESERVED)
-
-    def _creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str) -> int:
-        """The creation byte of a position, set on the first question there
-        from its creation records, fetched once (for a limit, in the dual)."""
+    def _creation_bytes(self, g: FunctorData, w: Weight, diagrams: list, kind: str, values: tuple) -> list:
+        """values[b] for the creation byte b of each position, set on the first question
+        there from its creation records, fetched once (for a limit, in the dual)."""
 
         colim.check_choice("kind", kind, colim.CREATION_KINDS)
-        f = self._own(diagram, g).f
-        row, pos = self._cell(kind, g, w, f, diagram.index)
-        if not row[pos]:
-            records = colim.creation_records(g, w.p, f, kind, getattr(diagram, kind))
-            verdicts = _CHECKED
-            for i, checked_mode in enumerate(_MODES):
-                if colim.creation_search(records, checked_mode)[0]:
+        def fill(diagram: Diagram) -> int:
+            records = colim.creation_records(g, w.p, diagram.f, kind, getattr(diagram, kind))
+            verdicts = _CHECKED | (_PRESERVED if all(record.preserved for record in records.records) else 0)
+            for i, mode in enumerate(_MODES):
+                if colim.creation_search(records, mode)[0]:
                     verdicts |= _PASSED << i
-            if all(record.preserved for record in records.records):
-                verdicts |= _PRESERVED
-            row[pos] = verdicts
-        return row[pos]
+            return verdicts
+        return self._bytes(self._creations, (g, w.p.src, w.p.tgt, w.cap, kind), w, diagrams, fill, values, g, True)
 
-    def _own(self, diagram: Diagram, g: Optional[FunctorData] = None) -> Diagram:
-        """diagram, when this census made it for g (when given): a handle
-        holds the store entries of its census and g."""
+    def _own(self, diagrams: list, g: Optional[FunctorData] = None) -> list:
+        """diagrams, when this census made each of them for one g (g when
+        given): a handle holds the store entries of its census and g."""
 
-        h = diagram.colimit.g
-        if diagram.census is not self or (g is not None and g is not h and _content(g) != _content(h)):
-            raise ValueError("a diagram handle is answered only by the census that made it, for its g")
-        return diagram
+        g = g or diagrams[0].colimit.g
+        for diagram in diagrams:
+            h = diagram.colimit.g
+            if diagram.census is not self or (h is not g and h != g):
+                raise ValueError("a diagram handle is answered only by the census that made it, for its g")
+            g = h
+        return diagrams
 
-    def _cell(self, question: str, owner, w: Weight, F: FunctorData, index: int) -> tuple:
-        """(row, position) of the byte for w and the diagram F at position
-        index in the row of question about owner: "absolute" about the root
-        j, "existence" about C = cod F (limits), a creation kind about g.
-        A question keeps its last row and stride while owner stays the same
-        object and X, Y and the cap equal, as along one weight list; the row
-        is the one any equal owner reads.  Rows grow with zeros (unknown).
-        "absolute" also keeps j_absolute_at's store entries by position of
-        F, one list per (j by content, Y), which colimit fills."""
+    def _bytes(self, rows: dict, key: tuple, w: Weight, diagrams: list, fill, values, g=None, up=False) -> list:
+        """values[b] for the byte b of w's class and each diagram (made for g,
+        when given), in the order given, set by fill(diagram) where it is zero.
+        A byte sits at w.cls * n plus the index of the diagram's f (up) or of
+        its d, n counting enumerate_functors(dom, cod) of that f or d; the row is resolved once."""
 
-        p = w.p
-        last = self._last.get(question)
-        if last is None or last[0] is not owner or last[1:4] != (p.src, p.tgt, w.cap):
-            n, entries = len(self._positions[(F.dom, F.cod)]), None
-            if question == "absolute":
-                rows, key = self._absolute, (_content(owner), p.src, p.tgt, w.cap)
-                entries = self._entries.setdefault((key[0], F.dom), [None] * n)
-            elif question == "existence":
-                rows, key = self._limits, (owner, p.src, p.tgt, w.cap)
-            else:
-                rows, key = self._creations, (_content(owner), p.src, p.tgt, w.cap, question)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = bytearray()
-            last = self._last[question] = (owner, p.src, p.tgt, w.cap, row, n, entries)
-        row, n = last[4], last[5]
-        pos = w.cls * n + index
-        if pos >= len(row):
-            row.extend(bytes((w.cls + 1) * n - len(row)))
-        return row, pos
+        if not diagrams:
+            return []
+        F = getattr(self._own(diagrams, g)[0], "f" if up else "d")
+        row, n = rows.get(key) or rows.setdefault(key, (bytearray(), len(self._positions[(F.dom, F.cod)])))
+        base = w.cls * n
+        if len(row) < base + n:
+            row.extend(bytes(base + n - len(row)))
+        out = []
+        for diagram in diagrams:
+            pos = base + (diagram.index if up else diagram.d_index)
+            if not row[pos]:
+                row[pos] = fill(diagram)
+            out.append(values[row[pos]])
+        return out

@@ -30,8 +30,8 @@ from .monadicity import (
     DEFAULT_ELEMENT_CAP,
     creation_audit,
     decide_composite_monadicity,
-    decide_monadicity,
     default_shape_family,
+    resolve_monadicity,
     run_theorem_suite,
 )
 from .reladj import adjunction_from_dict, find_left_relative_adjoint, paste_adjunction
@@ -272,7 +272,8 @@ def _cmd_monadic(args) -> int:
     j = load_functor_file(args.j)
     r = load_functor_file(args.r)
     mode = "nonstrict" if args.nonstrict else "strict"
-    rep = decide_monadicity(j, r, mode, co=args.co)
+    resolution = resolve_monadicity(j, r, co=args.co)
+    rep = resolution.report(mode)
     census = {"algebras": (rep.algebra_category_size or (0, 0))[0],
               "adjoint_found": rep.adjoint_found,
               "dense_root": rep.dense_root}
@@ -284,8 +285,7 @@ def _cmd_monadic(args) -> int:
             raise _UsageError("--audit with --co is not supported; audit the dual inputs directly")
         shapes = default_shape_family()[: args.shapes] if args.shapes else default_shape_family()
         audit = creation_audit(j, r, shapes, args.cap,
-                               reports={"strict": rep if mode == "strict" else decide_monadicity(j, r, "strict"),
-                                        "nonstrict": rep if mode == "nonstrict" else decide_monadicity(j, r, "nonstrict")})
+                               reports={m: resolution.report(m) for m in ("strict", "nonstrict")})
         extra["audit"] = audit.to_dict()
         census["audited_items"] = len(audit.items)
         if audit.discrepancies:

@@ -45,7 +45,7 @@ Caches, what keys them and how long they live:
   their tables: a FinCategory keeps its table, hash, opposite() and
   hom_distributor(); a Distributor keeps its table(), slots(x), column
   ids, left_indices(), left_plan() and dual; a FunctorData keeps its
-  table().
+  table() and hash.
 """
 
 from __future__ import annotations
@@ -285,13 +285,13 @@ def pointwise_colimit(p: Distributor, f: FunctorData, records: Optional[dict] = 
     """The colimit of f at each x of src p, as {x: (apex object, legs in
     slot order)}; None when some x has none, which is exactly when f has no
     p-weighted colimit.  Each x is read from f's records (store_records),
-    private without them, and only a column never searched there is
-    searched.  Nothing is assembled."""
+    private without them, by its column id (p.columns()), and only a column
+    never searched there is searched.  Nothing is assembled."""
 
     records = {} if records is None else records
     at = {}
-    for x in p.src.objects:
-        at[x] = _column(records, p, x, f).colimit()
+    for x, column in p.columns():
+        at[x] = (records.get(column) or _column(records, p, x, f)).colimit()
         if at[x] is None:
             return None
     return at
@@ -487,8 +487,7 @@ def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict, entr
     A = j.dom
     firsts = entry[1]
     least, at_x = len(A.objects), None
-    for x in p.src.objects:
-        column = p.column(x)
+    for x, column in p.columns():
         first = firsts.get(column)
         if first is None:
             if entry[0] is None:
@@ -806,8 +805,7 @@ def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str,
         raise EndpointMismatch("diagram must start at the weight's target")
     records = entry.records
     out = []
-    for x in p.src.objects:
-        column = p.column(x)
+    for x, column in p.columns():
         if column not in records:
             records[column] = _creation_at(entry.g, _column(entry.up, p, x, entry.f),
                                            _column(entry.down, p, x, entry.d))

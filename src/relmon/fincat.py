@@ -356,7 +356,7 @@ class FunctorData:
         self.cod = cod
         self.on_objects = dict(on_objects)
         self.on_morphisms = dict(on_morphisms)
-        self._table = None
+        self._table = self._hash = None
 
     def ob(self, x: str) -> str:
         return self.on_objects[x]
@@ -365,8 +365,8 @@ class FunctorData:
         return self.on_morphisms[f]
 
     def table(self):
-        """Both maps as sorted tuples, built on first use and kept: instances
-        are immutable by convention."""
+        """Both maps as sorted tuples, built on first use and kept, like the
+        hash: instances are immutable by convention."""
         if self._table is None:
             self._table = (tuple(sorted(self.on_objects.items())),
                            tuple(sorted(self.on_morphisms.items())))
@@ -381,7 +381,9 @@ class FunctorData:
         )
 
     def __hash__(self):
-        return hash(self.table())
+        if self._hash is None:
+            self._hash = hash(self.table())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FunctorData({self.name or '?'}: {self.dom.name or '?'} -> {self.cod.name or '?'})"

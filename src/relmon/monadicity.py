@@ -12,9 +12,9 @@ dualizing the inputs and running the same pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .algebra import AlgebraCategory, build_algebra_category, comparison_functor
+from .algebra import AlgebraCategory, ComparisonData, build_algebra_category, comparison_functor
 from .census import ABSOLUTE_COLIMIT, NO_COLIMIT, DownstairsCensus
 from .colim import is_dense, is_j_absolute, try_left_extension
 from .corpus import builtin_corpus, disc2_category, interval_category, terminal_category
@@ -79,39 +79,57 @@ class MonadicityReport:
         }
 
 
-def decide_monadicity(j: FunctorData, r: FunctorData, mode: str = "strict",
-                      co: bool = False, budget: int = None) -> MonadicityReport:
-    """Adjoint search, induced monad, algebra category, comparison, classify.
+class Resolution(NamedTuple):
+    """The work of decide_monadicity that no mode changes, done once per
+    (j, r, co): whether the root is dense and, when r has a left relative
+    adjoint, the adjunction, the algebra category of its monad and the
+    comparison functor into it, all of the dualized inputs when co."""
 
-    strict verdict: the comparison is an isomorphism; nonstrict: an
-    equivalence.  co=True dualizes both inputs first, deciding relative
-    comonadicity of the originals.
-    """
+    co: bool
+    dense: bool
+    adjunction: Optional[RelativeAdjunction] = None
+    algcat: Optional[AlgebraCategory] = None
+    comparison: Optional[ComparisonData] = None
 
-    if mode not in ("strict", "nonstrict"):
-        raise ValueError(f"unknown mode {mode!r}")
+    def report(self, mode: str) -> MonadicityReport:
+        """The verdict of mode: strict, the comparison is an isomorphism; nonstrict, an equivalence."""
+
+        if self.adjunction is None:
+            return MonadicityReport(mode, self.co, verdict=False, adjoint_found=False,
+                                    reason="no left relative adjoint", dense_root=self.dense)
+        cl, algcat = self.comparison.classification, self.algcat
+        reason = "comparison is an isomorphism" if cl.is_iso else (
+            "comparison is an equivalence" if cl.is_equivalence else "comparison not invertible")
+        return MonadicityReport(
+            mode, self.co, verdict=cl.is_iso if mode == "strict" else cl.is_equivalence,
+            adjoint_found=True, reason=reason, monad_table=algcat.monad.table(),
+            algebra_category_size=algcat.size(), comparison=cl.to_dict(), dense_root=self.dense,
+            adjunction=self.adjunction, algcat=algcat, comparison_functor=self.comparison.functor)
+
+
+def resolve_monadicity(j: FunctorData, r: FunctorData, co: bool = False, budget: int = None) -> Resolution:
+    """Adjoint search, induced monad, algebra category, comparison.  co=True
+    dualizes both inputs first, for relative comonadicity of the originals."""
+
     if co:
         j = opposite_functor(j, opposite(j.dom), opposite(j.cod))
         r = opposite_functor(r, opposite(r.dom), opposite(r.cod))
-
     dense, _ = is_dense(j)
     adj = find_left_relative_adjoint(j, r)
     if adj is None:
-        return MonadicityReport(mode, co, verdict=False, adjoint_found=False,
-                                reason="no left relative adjoint", dense_root=dense)
-    T = monad_from_adjunction(adj)
-    algcat = build_algebra_category(T, budget=budget)
-    comp = comparison_functor(adj, algcat)
-    cl = comp.classification
-    verdict = cl.is_iso if mode == "strict" else cl.is_equivalence
-    reason = "comparison is an isomorphism" if cl.is_iso else (
-        "comparison is an equivalence" if cl.is_equivalence else "comparison not invertible")
-    return MonadicityReport(
-        mode, co, verdict=verdict, adjoint_found=True, reason=reason,
-        monad_table=T.table(), algebra_category_size=algcat.size(),
-        comparison=cl.to_dict(), dense_root=dense,
-        adjunction=adj, algcat=algcat, comparison_functor=comp.functor,
-    )
+        return Resolution(co, dense)
+    algcat = build_algebra_category(monad_from_adjunction(adj), budget=budget)
+    return Resolution(co, dense, adj, algcat, comparison_functor(adj, algcat))
+
+
+def decide_monadicity(j: FunctorData, r: FunctorData, mode: str = "strict",
+                      co: bool = False, budget: int = None) -> MonadicityReport:
+    """The verdict of mode on resolve_monadicity(j, r, co, budget): strict
+    when the comparison is an isomorphism, nonstrict when an equivalence."""
+
+    if mode not in ("strict", "nonstrict"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return resolve_monadicity(j, r, co, budget).report(mode)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +231,9 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     shape_family = shape_family if shape_family is not None else default_shape_family()
     census = census if census is not None else DownstairsCensus()
     dense, _ = is_dense(j)
-    reports = reports or {
-        "strict": decide_monadicity(j, r, "strict", budget=budget),
-        "nonstrict": decide_monadicity(j, r, "nonstrict", budget=budget),
-    }
+    if not reports:
+        resolution = resolve_monadicity(j, r, budget=budget)
+        reports = {mode: resolution.report(mode) for mode in ("strict", "nonstrict")}
     strict_rep, nonstrict_rep = reports["strict"], reports["nonstrict"]
 
     if not strict_rep.adjoint_found:
@@ -231,13 +248,10 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     def colimits_at(w, diagrams):
         """(diagram, its (strict, nonstrict) creation verdicts when the
         colimit is j-absolute, else False) for each colimit at w that exists."""
-        out = []
-        for diagram in diagrams:
-            verdict = census.colimit(j, w, diagram)
-            if verdict != NO_COLIMIT:
-                out.append((diagram, verdict == ABSOLUTE_COLIMIT and tuple(
-                    census.creation(r, w, diagram, "colimit", mode) for mode in ("strict", "nonstrict"))))
-        return out
+        verdicts = census.colimits(j, w, diagrams)
+        created = iter(census.creations(r, w, [d for d, v in zip(diagrams, verdicts) if v == ABSOLUTE_COLIMIT],
+                                        "colimit"))
+        return [(d, v == ABSOLUTE_COLIMIT and next(created)) for d, v in zip(diagrams, verdicts) if v != NO_COLIMIT]
 
     D = r.dom
     tested = 0
@@ -323,24 +337,31 @@ class CompositeReport:
         }
 
 
-def decide_composite_monadicity(j: FunctorData, rprime: FunctorData, r: FunctorData,
-                                mode: str = "strict", budget: int = None) -> CompositeReport:
-    """r is l'-monadic iff r;r' is j-monadic, given r' j-monadic.
+def composite_monadicity(premise: MonadicityReport, inner, outer) -> CompositeReport:
+    """The composite theorem on three decisions in one mode: r' is
+    j-monadic (premise), so r is l'-monadic (inner) iff r;r' is j-monadic
+    (outer).  inner and outer are read only when the premise holds.
 
-    Raises PremiseFail when r' is not j-monadic in the requested mode, and
-    TheoremViolation if the biconditional ever breaks (engine bug).
+    Raises PremiseFail when it does not, and TheoremViolation if the
+    biconditional ever breaks (engine bug).
     """
 
-    prem = decide_monadicity(j, rprime, mode, budget=budget)
-    if not prem.verdict:
-        raise PremiseFail(f"r' is not {mode}ly j-monadic")
-    lprime = prem.adjunction.left
-    inner = decide_monadicity(lprime, r, mode, budget=budget)
-    outer = decide_monadicity(j, compose_functors(r, rprime), mode, budget=budget)
+    if not premise.verdict:
+        raise PremiseFail(f"r' is not {premise.mode}ly j-monadic")
     if inner.verdict != outer.verdict:
         raise TheoremViolation(
             f"composite monadicity biconditional failed: inner={inner.verdict} outer={outer.verdict}")
-    return CompositeReport(mode, True, inner, outer, inner.verdict == outer.verdict)
+    return CompositeReport(premise.mode, True, inner, outer, True)
+
+
+def decide_composite_monadicity(j: FunctorData, rprime: FunctorData, r: FunctorData,
+                                mode: str = "strict", budget: int = None) -> CompositeReport:
+    """r is l'-monadic iff r;r' is j-monadic, given r' j-monadic (composite_monadicity)."""
+
+    prem = decide_monadicity(j, rprime, mode, budget=budget)
+    return composite_monadicity(
+        prem, prem.verdict and decide_monadicity(prem.adjunction.left, r, mode, budget=budget),
+        prem.verdict and decide_monadicity(j, compose_functors(r, rprime), mode, budget=budget))
 
 
 # ---------------------------------------------------------------------------

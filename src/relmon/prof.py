@@ -32,8 +32,9 @@ class Distributor:
     giving the image in p(y', x); left_action is keyed (n, y, e) for
     n: x -> x' in X and e in p(y, x), giving the image in p(y, x').
     Identity actions are stored implicitly.  Instances are immutable by
-    convention; table(), slots(x), column(x), left_indices(n), left_plan()
-    and the dual (dual_distributor) are built on first use and kept.
+    convention; table(), slots(x), column(x), columns(), left_indices(n),
+    left_plan() and the dual (dual_distributor) are built on first use and
+    kept.
     """
 
     def __init__(self, src: FinCategory, tgt: FinCategory, elements,
@@ -51,7 +52,7 @@ class Distributor:
         self._slots: dict[str, tuple] = {}
         self._columns: dict[str, tuple] = {}
         self._left: dict[str, tuple] = {}
-        self._plan = self._dual = None
+        self._plan = self._dual = self._column_ids = None
 
     def el(self, y: str, x: str) -> tuple[str, ...]:
         return self.elements[(y, x)]
@@ -102,6 +103,12 @@ class Distributor:
             column = self._columns[x] = (tuple(len(self.elements[(y, x)]) for y in Y.objects),
                                          tuple(action))
         return column
+
+    def columns(self) -> tuple:
+        """(x, column(x)) for each x of src in order, built on first use and kept."""
+        if self._column_ids is None:
+            self._column_ids = tuple((x, self.column(x)) for x in self.src.objects)
+        return self._column_ids
 
     def left_indices(self, n: str) -> tuple:
         """The left action of n: x -> x2 of src up to the names of elements:

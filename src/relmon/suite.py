@@ -7,6 +7,9 @@ says why in its details.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .algebra import (
     build_algebra_category,
     enumerate_algebras,
@@ -38,9 +41,9 @@ from .monadicity import (
     SuiteReport,
     SuiteResult,
     class_answers,
+    composite_monadicity,
     creation_audit,
-    decide_monadicity,
-    decide_composite_monadicity,
+    resolve_monadicity,
 )
 
 
@@ -49,8 +52,9 @@ class _Context:
 
     census holds the (co)limits and creation verdicts that
     forgetful_creates, preservation_conservativity, monadicity_crosscheck,
-    density_necessity and algebraic_tight_cells ask for; it lives and dies
-    with the run.
+    density_necessity and algebraic_tight_cells ask for; one resolution per
+    (j, r, co) serves every monadicity decision in both modes.  All live
+    and die with the run.
     """
 
     def __init__(self, instances, shape_family, element_cap, budget):
@@ -60,7 +64,7 @@ class _Context:
         self.budget = budget
         self.census = DownstairsCensus()
         self._algcats = {}
-        self._decisions = {}
+        self._resolutions = {}
 
     def monad_entries(self):
         """(instance, role, monad) triples in canonical order."""
@@ -76,11 +80,17 @@ class _Context:
             self._algcats[key] = build_algebra_category(inst.monads[role], budget=self.budget)
         return self._algcats[key]
 
-    def decision(self, j, r, mode):
-        key = (j, r, mode)
-        if key not in self._decisions:
-            self._decisions[key] = decide_monadicity(j, r, mode, budget=self.budget)
-        return self._decisions[key]
+    def resolution(self, j, r, co=False):
+        """resolve_monadicity(j, r, co), keyed by the inputs as given, not dualized."""
+        key = (j, r, co)
+        if key not in self._resolutions:
+            self._resolutions[key] = resolve_monadicity(j, r, co, budget=self.budget)
+        return self._resolutions[key]
+
+    def decision(self, j, r, mode, co=False):
+        return self.resolution(j, r, co).report(mode)
+
+    composite_triples = functools.cached_property(lambda self: _composite_triples(self))
 
     def root_pairs(self):
         """(instance, j, candidate role, r) for every root instance."""
@@ -175,13 +185,14 @@ def _creation_items(ctx, j, u, name):
     census = ctx.census
     diagrams = {Z: census.diagrams(Z, u) for Z in ctx.shape_family}
 
-    def answer(w, X, Y):
-        items = [("colimit", d) for d in diagrams[Y] if census.colimit(j, w, d) == ABSOLUTE_COLIMIT]
-        items += [("limit", d) for d in diagrams[X] if census.limit(w, d)]
-        return 2 * len(items), [
+    def answer(w, colimits, limits):
+        asked = (("colimit", [d for d, v in zip(colimits, census.colimits(j, w, colimits)) if v == ABSOLUTE_COLIMIT]),
+                 ("limit", list(itertools.compress(limits, census.limits(w, limits)))))
+        return 2 * sum(len(ds) for _, ds in asked), [
             f"{name}: {mode} {kind} creation fails "
             f"(weight {w.p.src.name}->{w.p.tgt.name}, diagram {dict(d.f.on_objects)})"
-            for kind, d in items for mode in ("strict", "nonstrict") if not census.creation(u, w, d, kind, mode)]
+            for kind, ds in asked for d, verdicts in zip(ds, census.creations(u, w, ds, kind))
+            if not all(verdicts) for mode, passed in zip(("strict", "nonstrict"), verdicts) if not passed]
 
     for X in ctx.shape_family:
         for Y in ctx.shape_family:
@@ -189,7 +200,8 @@ def _creation_items(ctx, j, u, name):
                 weights = census.weights(X, Y, ctx.element_cap, ctx.budget)
             except BudgetExceeded:
                 continue
-            yield from (found for _, found in class_answers(weights, lambda w: answer(w, X, Y)))
+            yield from (found for _, found in class_answers(
+                weights, lambda w, colimits=diagrams[Y], limits=diagrams[X]: answer(w, colimits, limits)))
 
 
 def _check_forgetful_creates(ctx) -> SuiteResult:
@@ -224,12 +236,10 @@ def _check_preservation_conservativity(ctx) -> SuiteResult:
                 except BudgetExceeded:
                     continue
                 for w in weights:
-                    for diagram in diagrams[Y]:
-                        if not census.preserves(g, w, diagram):
-                            continue
-                        checked += 1
-                        if not census.creation(g, w, diagram, "colimit", "nonstrict"):
-                            details.append(f"{inst.name}/{role}: preserved colimit not non-strictly created")
+                    preserved = list(itertools.compress(diagrams[Y], census.preserved(g, w, diagrams[Y])))
+                    checked += len(preserved)
+                    details += [f"{inst.name}/{role}: preserved colimit not non-strictly created"
+                                for _, nonstrict in census.creations(g, w, preserved, "colimit") if not nonstrict]
     return SuiteResult("preservation_conservativity", not details, checked, details)
 
 
@@ -270,10 +280,7 @@ def _check_monadicity_crosscheck(ctx) -> SuiteResult:
         dense, _ = is_dense(j)
         if not dense:
             continue
-        reports = {
-            "strict": ctx.decision(j, r, "strict"),
-            "nonstrict": ctx.decision(j, r, "nonstrict"),
-        }
+        reports = {mode: ctx.decision(j, r, mode) for mode in ("strict", "nonstrict")}
         audit = creation_audit(j, r, ctx.shape_family, ctx.element_cap,
                                budget=ctx.budget, reports=reports, census=ctx.census)
         checked += 1
@@ -332,10 +339,8 @@ def _check_density_necessity(ctx) -> SuiteResult:
         strict = ctx.decision(j, r, "strict")
         if strict.verdict:
             details.append(f"{inst.name}/{rrole}: non-iso over empty root decided monadic")
-        audit = creation_audit(j, r, ctx.shape_family, ctx.element_cap,
-                               budget=ctx.budget,
-                               reports={"strict": strict,
-                                        "nonstrict": ctx.decision(j, r, "nonstrict")},
+        audit = creation_audit(j, r, ctx.shape_family, ctx.element_cap, budget=ctx.budget,
+                               reports={mode: ctx.decision(j, r, mode) for mode in ("strict", "nonstrict")},
                                census=ctx.census)
         if audit.discrepancies:
             details.append(f"{inst.name}/{rrole}: counterexample recorded as discrepancy")
@@ -381,10 +386,13 @@ def _composite_triples(ctx):
 def _check_pasting_composite(ctx) -> SuiteResult:
     details = []
     checked = 0
-    for label, j, rprime, r in _composite_triples(ctx):
+    for label, j, rprime, r in ctx.composite_triples:
         for mode in ("strict", "nonstrict"):
             try:
-                rep = decide_composite_monadicity(j, rprime, r, mode, budget=ctx.budget)
+                prem = ctx.decision(j, rprime, mode)
+                rep = composite_monadicity(
+                    prem, prem.verdict and ctx.decision(prem.adjunction.left, r, mode),
+                    prem.verdict and ctx.decision(j, compose_functors(r, rprime), mode))
             except PremiseFail:
                 continue
             except TheoremViolation as exc:
@@ -404,22 +412,18 @@ def _check_cancellability(ctx) -> SuiteResult:
 
     details = []
     checked = 0
-    for label, j, rprime, r in _composite_triples(ctx):
+    for label, j, rprime, r in ctx.composite_triples:
         if j.dom != j.cod or j != identity_functor(j.cod):
             continue
-        D = rprime.dom
-        C = r.dom
-        one_D = identity_functor(D)
-        one_C = identity_functor(C)
+        one_D = identity_functor(rprime.dom)
         if not ctx.decision(j, rprime, "strict").verdict:
             continue
-        composite = compose_functors(r, rprime)
-        if not decide_monadicity(j, composite, "strict", budget=ctx.budget).verdict:
+        if not ctx.decision(j, compose_functors(r, rprime), "strict").verdict:
             continue
-        if find_left_relative_adjoint(one_D, r) is None:
+        if ctx.resolution(one_D, r).adjunction is None:
             continue
         checked += 1
-        if not decide_monadicity(one_D, r, "strict", budget=ctx.budget).verdict:
+        if not ctx.decision(one_D, r, "strict").verdict:
             details.append(f"{label}: cancellability fails")
     return SuiteResult("cancellability", not details, checked, details)
 
@@ -448,9 +452,9 @@ def _check_algebraic_tight_cells(ctx) -> SuiteResult:
                 if i is None:
                     continue
                 checked += 1
-                one = identity_functor(alg_a.category)
-                has_adjoint = find_left_relative_adjoint(one, i) is not None
-                monadic = decide_monadicity(one, i, "strict", budget=ctx.budget).verdict
+                resolution = ctx.resolution(identity_functor(alg_a.category), i)
+                has_adjoint = resolution.adjunction is not None
+                monadic = resolution.report("strict").verdict
                 if has_adjoint != monadic:
                     details.append(f"{name}:{role_b}->{role_a}: monadic {monadic} "
                                    f"vs adjoint {has_adjoint}")
@@ -482,21 +486,18 @@ def _algebraic_creation_sample(ctx, j, r, i):
         weights = _small_weights(ctx, Tm, Tm)
     except BudgetExceeded:
         return out
-    diagrams = census.diagrams(Tm, i)
-    diagrams_r = census.diagrams(Tm, r)
+    diagrams, diagrams_r = census.diagrams(Tm, i), census.diagrams(Tm, r)
+    # f ; i, and f ; i ; r as its composite with r
+    diagrams_r = [diagrams_r[diagram.d_index] for diagram in diagrams]
     for w in weights:
-        for diagram in diagrams:
-            # f ; i, and f ; i ; r as its composite with r
-            diagram_r = diagrams_r[diagram.d_index]
-            if census.colimit(j, w, diagram_r) != ABSOLUTE_COLIMIT:
-                continue
-            if not census.preserves(r, w, diagram_r):
-                continue
-            if not census.creation(i, w, diagram, "colimit", "nonstrict"):
-                out.append("colimit sent to j-absolute not non-strictly created")
-        for diagram in diagrams:
-            if census.limit(w, diagram) and not census.creation(i, w, diagram, "limit", "nonstrict"):
-                out.append("limit not non-strictly created")
+        absolute = [v == ABSOLUTE_COLIMIT for v in census.colimits(j, w, diagrams_r)]
+        preserved = iter(census.preserved(r, w, list(itertools.compress(diagrams_r, absolute))))
+        colimits = [d for d, a in zip(diagrams, absolute) if a and next(preserved)]
+        out += ["colimit sent to j-absolute not non-strictly created"
+                for _, nonstrict in census.creations(i, w, colimits, "colimit") if not nonstrict]
+        limits = list(itertools.compress(diagrams, census.limits(w, diagrams)))
+        out += ["limit not non-strictly created"
+                for _, nonstrict in census.creations(i, w, limits, "limit") if not nonstrict]
     return out
 
 
@@ -564,7 +565,7 @@ def _check_duality_involution(ctx) -> SuiteResult:
         r_op = opposite_functor(r, opposite(r.dom), opposite(r.cod))
         for mode in ("strict", "nonstrict"):
             direct = ctx.decision(j, r, mode)
-            co = decide_monadicity(j_op, r_op, mode, co=True, budget=ctx.budget)
+            co = ctx.decision(j_op, r_op, mode, co=True)
             checked += 1
             if direct.verdict != co.verdict:
                 details.append(f"{inst.name}/{rrole} ({mode}): duality involution broken")

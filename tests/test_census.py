@@ -333,8 +333,8 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     absoluteness is checked twice, each creation position fetches its
     creation records once and is checked once per mode from them without
     reading or assembling a whole (co)limit, no (g, diagram, column)
-    creation record is computed twice, no census question (colimit,
-    limit, creation or preserves, the last also asked at every position
+    creation record is computed twice, no census batch (colimits,
+    limits, creations or preserved, the last also asked at every position
     of the audit's shapes) assembles a whole (co)limit, each (diagram id,
     column id) record a census question makes is the census store's and
     is made once, and no census existence question searches a column that
@@ -416,10 +416,10 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     wrap(colim, "creation_search", creation)
     original_fetch = colim.creation_records
     monkeypatch.setattr(colim, "creation_records", fetch)
-    wrap(DownstairsCensus, "creation", lambda *args: None)
-    wrap(DownstairsCensus, "colimit", lambda *args: None, "census.colimit")
-    wrap(DownstairsCensus, "limit", lambda *args: None, "census.limit")
-    wrap(DownstairsCensus, "preserves", lambda *args: None, "census.preserves")
+    wrap(DownstairsCensus, "creations", lambda *args: None, "creation")
+    wrap(DownstairsCensus, "colimits", lambda *args: None, "census.colimit")
+    wrap(DownstairsCensus, "limits", lambda *args: None, "census.limit")
+    wrap(DownstairsCensus, "preserved", lambda *args: None, "census.preserves")
     wrap(colim, "try_weighted_colimit", read)
     wrap(colim, "try_weighted_limit", read)
     wrap(colim, "_creation_at", record)
@@ -681,6 +681,81 @@ def test_interleaved_questions_answer_as_in_row_order_and_directly(seed, seed2, 
     assert {questions[i][0]: outcome(questions[i][2]) for i in order} == in_row
 
 
+def reversed_sublist(data, diagrams: list) -> list:
+    """A sublist of diagram handles that hypothesis draws, in reversed
+    order: in general neither its index nor its d_index runs contiguously."""
+    keep = data.draw(st.lists(st.booleans(), min_size=len(diagrams), max_size=len(diagrams)))
+    return [d for d, kept in zip(diagrams, keep) if kept][::-1]
+
+
+def assert_batches_match_references(census, g, asked: list, roots: list, sublist) -> None:
+    """Batches about the weights asked (handles of census), over the
+    diagram handles in reversed order and then over sublist(handles),
+    answer position by position what the references give without a
+    census: try_weighted_colimit with is_j_absolute (colimits, for each
+    root), try_weighted_limit (limits), reference_preserves (preserved) and
+    check_creation in both modes (creations, of colimits and limits where
+    the downstairs one exists).  The first pass fills the census, the
+    second reads it, so a batch reading another diagram's or another
+    class's byte answers wrongly wherever the answers differ."""
+    for pick in (lambda ds: ds[::-1], sublist):
+        for w in asked:
+            p = w.p
+            down, up = pick(census.diagrams(p.tgt, g)), pick(census.diagrams(p.src, g))
+            for j in roots:
+                assert census.colimits(j, w, down) == [direct_colimit_verdict(j, p, d.d) for d in down]
+            assert census.limits(w, up) == [try_weighted_limit(p, d.d)[0] is not None for d in up]
+            assert census.preserved(g, w, down) == [reference_preserves(g, p, d.f)[2] for d in down]
+            for kind, ds, search in (("colimit", down, try_weighted_colimit), ("limit", up, try_weighted_limit)):
+                ds = [d for d in ds if search(p, d.d)[0] is not None]
+                assert census.creations(g, w, ds, kind) == [
+                    tuple(check_creation(g, p, d.f, mode=mode, kind=kind).passed for mode in ("strict", "nonstrict"))
+                    for d in ds]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4),
+       seed2=st.integers(min_value=0, max_value=10**4),
+       shape=st.sampled_from([(2, 1), (2, 2), (3, 1)]),
+       data=st.data())
+def test_batches_answer_as_per_position_references(seed, seed2, shape, data):
+    """Batches over diagram handles in reversed order and over drawn
+    sublists of them in reversed order answer as the per-position
+    references do, for a drawn g: W -> V between generated categories and
+    weights of several classes, two of them of one class, in one census."""
+    W = corpus.generate_category(seed, *shape)
+    V = corpus.generate_category(seed2, *shape)
+    assume(W is not None and V is not None)
+    g = data.draw(st.sampled_from(list(itertools.islice(enumerate_functors(W, V), 12))))
+    T, I, D2 = corpus.terminal_category(), corpus.interval_category(), corpus.disc2_category()
+    X, Y = data.draw(st.sampled_from([(T, I), (I, T), (I, I), (I, D2), (D2, I)]))
+    census = DownstairsCensus()
+    weights = census.weights(X, Y, 2, 200_000)
+    mates = [w for w in weights if w.cls == min(cls for *_, cls in shared_classes(weights))]
+    asked = data.draw(st.lists(st.sampled_from(weights), min_size=2, max_size=3)) + [mates[0], mates[-1]]
+    roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
+    assert_batches_match_references(census, g, asked, roots, lambda ds: reversed_sublist(data, ds))
+
+
+@pytest.mark.parametrize("X, Y", [("Terminal", "Interval"), ("Interval", "Terminal")])
+def test_batches_answer_as_references_where_answers_vary(X, Y):
+    """The same over every weight of the cap-2 lists Terminal -|-> Interval
+    and Interval -|-> Terminal and the sixth functor Vee -> PP, where
+    neighbouring diagrams get different answers in every kind of batch,
+    and over every other handle in reversed order.  Each row then holds
+    one block of n bytes per weight class, at the class's offset."""
+    S = corpus.STANDARD_CATEGORIES
+    V = S["PP"]()
+    g = list(itertools.islice(enumerate_functors(S["Vee"](), V), 6))[-1]
+    census = DownstairsCensus()
+    weights = census.weights(S[X](), S[Y](), 2, 200_000)
+    assert shared_classes(weights)
+    roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
+    assert_batches_match_references(census, g, weights, roots, lambda ds: ds[::-2])
+    rows = [*census._absolute.values(), *census._limits.values(), *census._creations.values()]
+    assert rows and all(len(row) == n * (1 + max(w.cls for w in weights)) for row, n in rows)
+
+
 # ---------------------------------------------------------------------------
 # weight classes
 
@@ -759,18 +834,18 @@ def test_relabelled_weights_share_a_class_and_answer_as_their_searches(seed, see
 def test_class_level_loops_answer_as_per_weight_loops(monkeypatch):
     """forgetful_creates and the creation audit ask the census once per
     weight class along a list and reuse the answer for the class's later
-    members.  With census creation patched to fail in some classes, both
+    members.  With census creations patched to fail in some classes, both
     equal plain loops over every labelled weight (tests/reference.py):
     forgetful_creates the same checked count and details in the same
     order, and each audit the same report, weight indices included."""
-    original = DownstairsCensus.creation
+    original = DownstairsCensus.creations
 
-    def creation(self, g, w, diagram, kind, mode):
+    def creations(self, g, w, diagrams, kind):
         # a function of the class, as every census answer is
-        return original(self, g, w, diagram, kind, mode) and (w.cls + diagram.index) % (
-            3 if mode == "strict" else 5) != 1
+        return [(strict and (w.cls + d.index) % 3 != 1, nonstrict and (w.cls + d.index) % 5 != 1)
+                for d, (strict, nonstrict) in zip(diagrams, original(self, g, w, diagrams, kind))]
 
-    monkeypatch.setattr(DownstairsCensus, "creation", creation)
+    monkeypatch.setattr(DownstairsCensus, "creations", creations)
     instances, shapes, budget = corpus.builtin_corpus(), default_shape_family(), budget_limit()
     result = _check_forgetful_creates(_Context(instances, shapes, 2, budget))
     checked, details = reference.forgetful_creates(_Context(instances, shapes, 2, budget))
@@ -800,14 +875,21 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     1,893 colimit searches at a column and 4,263 natural_families calls,
     no CreationReport built by the census, and j_absolute_at's store entry
     resolved at most once per (root, diagram) by the census.  The suite's
-    loops ask the census once per weight class along a list: at most
-    30,100 creation and 36,800 colimit questions (53,537 and 71,880 per
-    labelled weight).  Strict creation walks its lifts (reading the
-    weight's left plan) only at positions whose records are not all strict
-    (1,854), and verify_algebra_object enumerates the lifted graded cells
-    at most 1,063 times, once per (alg1, alg2, chain) with a graded
-    morphism (1,573 once per morphism)."""
-    counts, entries, inside = collections.Counter(), collections.Counter(), []
+    loops ask the census in batches, one per weight class and diagram
+    list: at most 15,230 creation positions (each answered in both modes;
+    asked one mode at a time, 15,215 positions took 30,053 questions, and
+    53,537 per labelled weight) and 36,800 colimit positions (71,880 per
+    labelled weight) are asked, each batch resolving at most one
+    census row, and at most 24,000 row resolutions in all (77,812 when
+    every question resolved its own).  Strict creation walks its lifts
+    (reading the weight's left plan) only at positions whose records are
+    not all strict (1,854), verify_algebra_object enumerates the lifted
+    graded cells at most 1,063 times, once per (alg1, alg2, chain) with a
+    graded morphism (1,573 once per morphism), and the monadicity
+    decisions build at most 119 comparison functors, one per (j, r, co)
+    asked with a left relative adjoint (317 when every decision built
+    its own)."""
+    counts, entries, inside, per_batch = collections.Counter(), collections.Counter(), [], []
 
     def count(owner, name, note=None):
         original = getattr(owner, name)
@@ -822,6 +904,20 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
             finally:
                 inside.pop()
         monkeypatch.setattr(owner, name, wrapper)
+
+    def batch(name, asked):
+        original = getattr(DownstairsCensus, name)
+
+        def wrapper(self, *args):
+            counts[name] += 1
+            counts[name + " positions"] += len(asked(*args))
+            rows, _ = counts["row resolutions"], inside.append(name)
+            try:
+                return original(self, *args)
+            finally:
+                inside.pop()
+                per_batch.append(counts["row resolutions"] - rows)
+        monkeypatch.setattr(DownstairsCensus, name, wrapper)
 
     strict = []
 
@@ -838,14 +934,20 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     count(colim, "pointwise_colimit")
     count(colim, "natural_families")
     count(colim._Column, "_search")
-    count(colim, "absolute_entry", lambda j, f, store: inside[-1:] == ["colimit"] and entries.update(
+    count(colim, "absolute_entry", lambda j, f, store: "colimits" in inside and entries.update(
         [(content(j), content(f))]))
     count(colim, "_strict_colimit_creation", strict_search)
     count(Distributor, "left_plan", left_plan)
-    count(DownstairsCensus, "colimit")
-    count(DownstairsCensus, "creation")
-    count(DownstairsCensus, "_creation")
-    count(colim.CreationReport, "__init__", lambda *_: "_creation" in inside and counts.update(["census report"]))
+    batch("colimits", lambda j, w, diagrams: diagrams)
+    batch("limits", lambda w, diagrams: diagrams)
+    batch("creations", lambda g, w, diagrams, kind: diagrams)
+    batch("preserved", lambda g, w, diagrams: diagrams)
+    # a batch of no diagrams resolves no row
+    count(DownstairsCensus, "_bytes", lambda self, rows, key, w, diagrams, *_: diagrams and counts.update(
+        ["row resolutions"]))
+    count(colim.CreationReport, "__init__", lambda *_: "_creation_bytes" in inside and counts.update(["census report"]))
+    count(DownstairsCensus, "_creation_bytes")
+    count(monadicity, "comparison_functor")
     count(suite, "verify_algebra_object")
     count(algebra, "graded_algebra_morphisms")
     count(algebra, "enumerate_graded_cells", lambda *_: "verify_algebra_object" in inside and (
@@ -858,7 +960,10 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     assert 0 < counts["natural_families"] <= 4_263
     assert counts["census report"] == 0
     assert entries and max(entries.values()) == 1
-    assert 0 < counts["creation"] <= 30_100
-    assert 0 < counts["colimit"] <= 36_800
+    assert 0 < counts["creations positions"] <= 15_230
+    assert 0 < counts["colimits positions"] <= 36_800
+    assert 0 < counts["row resolutions"] <= 24_000 and max(per_batch) == 1
+    assert len(per_batch) == sum(counts[name] for name in ("colimits", "limits", "creations", "preserved"))
     assert 0 < counts["lift walks"] == counts["not all strict"] <= 1_854
     assert 0 < counts["graded lifts"] <= 1_063
+    assert 0 < counts["comparison_functor"] <= 119

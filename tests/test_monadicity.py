@@ -23,6 +23,7 @@ from relmon.monadicity import (
     decide_composite_monadicity,
     decide_monadicity,
     default_shape_family,
+    resolve_monadicity,
     run_theorem_suite,
 )
 
@@ -297,26 +298,60 @@ def test_suite_degenerate_subcorpus_passes():
     assert report.passed
 
 
-def test_suite_decides_pairs_of_equal_content_once(monkeypatch):
-    """The suite's decision cache is keyed by content: a second (j, r) pair
-    built separately with the same tables reuses the first decision."""
+def counted_resolutions(monkeypatch) -> list:
+    """The (j, r, co) of each resolve_monadicity call the suite makes."""
     from relmon import suite
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return decide_monadicity(*args, **kwargs)
+    def counted(j, r, co=False, budget=None):
+        calls.append((j, r, co))
+        return resolve_monadicity(j, r, co, budget)
 
-    monkeypatch.setattr(suite, "decide_monadicity", counted)
+    monkeypatch.setattr(suite, "resolve_monadicity", counted)
+    return calls
+
+
+def test_suite_decides_pairs_of_equal_content_once(monkeypatch):
+    """The suite's resolutions are keyed by content: a second (j, r) pair
+    built separately with the same tables reuses the first resolution, in
+    both modes."""
+    from relmon import suite
+    calls = counted_resolutions(monkeypatch)
     ctx = suite._Context([], default_shape_family(), 1, 10_000)
     pairs = []
     for _ in range(2):
         E = corpus.bz2_category()
         pairs.append((corpus.point_functor(E, "*"), identity_functor(E)))
     assert pairs[0][0] is not pairs[1][0] and pairs[0][1] is not pairs[1][1]
-    first = ctx.decision(*pairs[0], "strict")
-    assert ctx.decision(*pairs[1], "strict") is first
+    first = ctx.resolution(*pairs[0])
+    assert ctx.resolution(*pairs[1]) is first
+    for mode in ("strict", "nonstrict"):
+        assert ctx.decision(*pairs[1], mode).to_dict() == decide_monadicity(*pairs[0], mode).to_dict()
     assert len(calls) == 1
+
+
+def test_suite_resolves_each_question_as_given_once(monkeypatch, cats):
+    """The suite keys a resolution by (j, r, co) as given, before dualizing:
+    the comonadicity question on (j, r) and the one on the dual inputs,
+    whose dualized inputs equal (j, r), are resolved apart from the direct
+    question, so duality_involution compares two resolutions and never
+    reads the direct verdict back.  Each is resolved once for both modes,
+    and every report equals decide_monadicity's."""
+    from relmon import suite
+    calls = counted_resolutions(monkeypatch)
+    ctx = suite._Context([], default_shape_family(), 1, 10_000)
+    E = cats["Interval"]
+    j, r = identity_functor(E), constant_functor(cats["Terminal"], E, "1")
+    questions = [(j, r, False), (j, r, True), (dual(j), dual(r), True), (dual(j), dual(r), False)]
+    # the direct and co verdicts on (j, r) differ
+    assert decide_monadicity(j, r).verdict != decide_monadicity(j, r, co=True).verdict
+    for _ in range(2):
+        for question in questions:
+            for mode in ("strict", "nonstrict"):
+                assert ctx.decision(*question[:2], mode, co=question[2]).to_dict() == (
+                    decide_monadicity(*question[:2], mode, co=question[2]).to_dict()), (question, mode)
+    assert calls == questions
+    assert len({id(ctx.resolution(*question)) for question in questions}) == 4
 
 
 # ---------------------------------------------------------------------------
