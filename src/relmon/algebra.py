@@ -20,6 +20,7 @@ from .errors import (
     TheoremViolation,
     ValidationFailure,
     Violation,
+    budget_limit,
 )
 from .fincat import (
     FinCategory,
@@ -30,7 +31,7 @@ from .fincat import (
     enumerate_functors,
     identity_functor,
 )
-from .monad import RelativeMonad, budget_limit, monad_from_adjunction, postcompose_along_adjunction
+from .monad import RelativeMonad, monad_from_adjunction, postcompose_along_adjunction
 from .prof import GradedCell, enumerate_distributors, enumerate_graded_cells, hom_restriction
 from .reladj import RelativeAdjunction, validate_relative_adjunction
 from .search import Search

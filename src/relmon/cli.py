@@ -284,8 +284,7 @@ def _cmd_monadic(args) -> int:
         if args.co:
             raise _UsageError("--audit with --co is not supported; audit the dual inputs directly")
         shapes = default_shape_family()[: args.shapes] if args.shapes else default_shape_family()
-        audit = creation_audit(j, r, shapes, args.cap,
-                               reports={m: resolution.report(m) for m in ("strict", "nonstrict")})
+        audit = creation_audit(j, r, shapes, args.cap, resolution=resolution)
         extra["audit"] = audit.to_dict()
         census["audited_items"] = len(audit.items)
         if audit.discrepancies:

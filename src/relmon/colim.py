@@ -952,8 +952,7 @@ def _first_mismatch(W: FinCategory, p: Distributor, up: dict, flags: list):
 
 def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
                    mode: str = "strict", kind: str = "colimit", *,
-                   store: Optional[dict] = None,
-                   records: Optional[CreationRecords] = None) -> CreationReport:
+                   store: Optional[dict] = None) -> CreationReport:
     """Does g create the downstairs p-weighted (co)limit of (f ; g)?
 
     For colimits f: tgt(p) -> dom(g); for limits f: src(p) -> dom(g).  The
@@ -961,17 +960,15 @@ def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
     Strict creation asks that every colimiting cocone downstairs have
     exactly one cocone over it and that it be colimiting (Mac Lane, CWM
     V.1).  Both modes are decided from the creation records at each x,
-    records when given (creation_records(g, p, f, kind, entry) fetched once
-    for both modes), else fetched here with their entry in store, or in a
-    private store without one; only what spans two x's is checked per
-    call.  Raises DownstairsMissing when f ; g has no (co)limit,
-    ValueError for an unknown mode or kind.
+    creation_records(g, p, f, kind, entry), fetched with their entry in
+    store, or in a private store without one; only what spans two x's is
+    checked per call.  Raises DownstairsMissing when f ; g has no
+    (co)limit, ValueError for an unknown mode or kind.
     """
 
     check_choice("mode", mode, CREATION_MODES)
     check_choice("kind", kind, CREATION_KINDS)
-    if records is None:
-        records = creation_records(g, p, f, kind, creation_entry(g, f, kind, {} if store is None else store))
+    records = creation_records(g, p, f, kind, creation_entry(g, f, kind, {} if store is None else store))
     return _creation_report(mode, kind, creation_search(records, mode))
 
 

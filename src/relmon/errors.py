@@ -1,7 +1,8 @@
-"""Exception types and structured law-violation records shared across the engine."""
+"""Exception types, structured law-violation records and the enumeration budget shared across the engine."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 
@@ -98,6 +99,17 @@ class BudgetExceeded(RelmonError):
         self.needed = needed
         self.budget = budget
         super().__init__(f"{what}: needs ~{needed} candidates, budget {budget}")
+
+
+DEFAULT_BUDGET = 500_000
+
+
+def budget_limit() -> int:
+    """The enumeration budget: RELMON_BUDGET when it is an integer (at least 1), else DEFAULT_BUDGET."""
+    try:
+        return max(int(os.environ["RELMON_BUDGET"]), 1)
+    except (KeyError, ValueError):
+        return DEFAULT_BUDGET
 
 
 class NotAMonoid(RelmonError):

@@ -14,9 +14,7 @@ candidate space, the product of the table sizes, before any search.
 
 from __future__ import annotations
 
-import os
-
-from .errors import BudgetExceeded, EndpointMismatch, ValidationFailure, Violation
+from .errors import BudgetExceeded, EndpointMismatch, ValidationFailure, Violation, budget_limit
 from .fincat import (
     FunctorData,
     check_field,
@@ -28,19 +26,6 @@ from .fincat import (
 )
 from .reladj import RelativeAdjunction
 from .search import Search
-
-DEFAULT_BUDGET = 500_000
-
-
-def budget_limit() -> int:
-    raw = os.environ.get("RELMON_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return DEFAULT_BUDGET
-
 
 class RelativeMonad:
     def __init__(self, j: FunctorData, t: FunctorData, unit: dict, ext: dict, name=None):

@@ -23,6 +23,7 @@ from .errors import (
     Inapplicable,
     PremiseFail,
     TheoremViolation,
+    budget_limit,
 )
 from .fincat import (
     FinCategory,
@@ -33,7 +34,7 @@ from .fincat import (
     opposite,
     opposite_functor,
 )
-from .monad import budget_limit, monad_from_adjunction
+from .monad import monad_from_adjunction
 from .reladj import RelativeAdjunction, find_left_relative_adjoint
 
 
@@ -53,18 +54,18 @@ DEFAULT_ELEMENT_CAP = 2
 
 @dataclass
 class MonadicityReport:
+    """One mode's verdict on a Resolution, holding only what to_dict writes;
+    the adjunction, algebra category and comparison it reads stay on the
+    resolution."""
+
     mode: str
     co: bool
     verdict: bool
     adjoint_found: bool
     reason: str = ""
-    monad_table: Optional[tuple] = None
     algebra_category_size: Optional[tuple] = None
     comparison: Optional[dict] = None
     dense_root: Optional[bool] = None
-    adjunction: Optional[RelativeAdjunction] = None
-    algcat: Optional[AlgebraCategory] = None
-    comparison_functor: Optional[FunctorData] = None
 
     def to_dict(self) -> dict:
         return {
@@ -80,10 +81,12 @@ class MonadicityReport:
 
 
 class Resolution(NamedTuple):
-    """The work of decide_monadicity that no mode changes, done once per
-    (j, r, co): whether the root is dense and, when r has a left relative
-    adjoint, the adjunction, the algebra category of its monad and the
-    comparison functor into it, all of the dualized inputs when co."""
+    """Everything a monadicity question reads about (j, r, co), found once
+    and shared by both modes: whether the root is dense and, when r has a
+    left relative adjoint, the adjunction, the algebra category of its
+    monad and the comparison functor into it, all of the dualized inputs
+    when co.  Callers read these objects here; report(mode) is only what
+    a decision serialises."""
 
     co: bool
     dense: bool
@@ -97,14 +100,13 @@ class Resolution(NamedTuple):
         if self.adjunction is None:
             return MonadicityReport(mode, self.co, verdict=False, adjoint_found=False,
                                     reason="no left relative adjoint", dense_root=self.dense)
-        cl, algcat = self.comparison.classification, self.algcat
+        cl = self.comparison.classification
         reason = "comparison is an isomorphism" if cl.is_iso else (
             "comparison is an equivalence" if cl.is_equivalence else "comparison not invertible")
         return MonadicityReport(
             mode, self.co, verdict=cl.is_iso if mode == "strict" else cl.is_equivalence,
-            adjoint_found=True, reason=reason, monad_table=algcat.monad.table(),
-            algebra_category_size=algcat.size(), comparison=cl.to_dict(), dense_root=self.dense,
-            adjunction=self.adjunction, algcat=algcat, comparison_functor=self.comparison.functor)
+            adjoint_found=True, reason=reason, algebra_category_size=self.algcat.size(),
+            comparison=cl.to_dict(), dense_root=self.dense)
 
 
 def resolve_monadicity(j: FunctorData, r: FunctorData, co: bool = False, budget: int = None) -> Resolution:
@@ -122,13 +124,20 @@ def resolve_monadicity(j: FunctorData, r: FunctorData, co: bool = False, budget:
     return Resolution(co, dense, adj, algcat, comparison_functor(adj, algcat))
 
 
+MODES = ("strict", "nonstrict")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def decide_monadicity(j: FunctorData, r: FunctorData, mode: str = "strict",
                       co: bool = False, budget: int = None) -> MonadicityReport:
     """The verdict of mode on resolve_monadicity(j, r, co, budget): strict
     when the comparison is an isomorphism, nonstrict when an equivalence."""
 
-    if mode not in ("strict", "nonstrict"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     return resolve_monadicity(j, r, co, budget).report(mode)
 
 
@@ -211,7 +220,7 @@ def class_answers(weights: list, answer):
 
 def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
                    element_cap: int = DEFAULT_ELEMENT_CAP, budget: int = None,
-                   reports: dict = None, census: DownstairsCensus = None) -> AuditReport:
+                   resolution: Resolution = None, census: DownstairsCensus = None) -> AuditReport:
     """Falsification harness for the creation characterisation of monadicity.
 
     Enumerates weights between shape-family categories and diagrams into
@@ -223,20 +232,19 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     identity.  Discrepancies against the comparison verdicts are collected;
     a negative verdict with no failing witness flags the census bound.
 
-    Weights and downstairs verdicts are read from census, which a caller
-    asking several audits may share; without one the audit makes its own.
+    The density of j, both verdicts, the comparison and the forgetful
+    functor are read from resolution, resolve_monadicity(j, r) made once
+    for both modes; without one the audit resolves (j, r) itself.  Weights
+    and downstairs verdicts are read from census, which a caller asking
+    several audits may share; without one the audit makes its own.
     """
 
     budget = budget or budget_limit()
     shape_family = shape_family if shape_family is not None else default_shape_family()
     census = census if census is not None else DownstairsCensus()
-    dense, _ = is_dense(j)
-    if not reports:
-        resolution = resolve_monadicity(j, r, budget=budget)
-        reports = {mode: resolution.report(mode) for mode in ("strict", "nonstrict")}
-    strict_rep, nonstrict_rep = reports["strict"], reports["nonstrict"]
-
-    if not strict_rep.adjoint_found:
+    resolution = resolution or resolve_monadicity(j, r, budget=budget)
+    dense = resolution.dense
+    if resolution.adjunction is None:
         return AuditReport(vacuous=True, dense_root=dense,
                            notes=["no left relative adjoint; audit is vacuous"])
 
@@ -280,16 +288,16 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
 
     # targeted items: extensions are canonical only up to isomorphism (the
     # representing-object tie-break), so the comparisons search a natural iso
-    K = strict_rep.comparison_functor
+    K = resolution.comparison.functor
+    verdicts = {mode: resolution.report(mode).verdict for mode in MODES}
     ext, _ = try_left_extension(K, r)
     report.targeted_extension_found = ext is not None
     if ext is not None:
-        u = strict_rep.algcat.u
         report.targeted_extension_is_forgetful = (
-            find_natural_isomorphism(ext.apex, u) is not None)
+            find_natural_isomorphism(ext.apex, resolution.algcat.u) is not None)
         absolute, _ = is_j_absolute(j, ext)
         report.targeted_extension_absolute = absolute
-    if strict_rep.verdict or nonstrict_rep.verdict:
+    if any(verdicts.values()):
         ret, _ = try_left_extension(K, identity_functor(D))
         report.retraction_found = ret is not None
         if ret is not None:
@@ -297,9 +305,9 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
             report.retraction_identity = (
                 find_natural_isomorphism(composite, identity_functor(D)) is not None)
 
-    for mode, rep in (("strict", strict_rep), ("nonstrict", nonstrict_rep)):
+    for mode, verdict in verdicts.items():
         failing = report.failing_items(mode)
-        if rep.verdict:
+        if verdict:
             if failing and dense:
                 report.discrepancies.append(
                     f"{mode}: verdict yes but {len(failing)} audited items fail creation")
@@ -358,9 +366,11 @@ def decide_composite_monadicity(j: FunctorData, rprime: FunctorData, r: FunctorD
                                 mode: str = "strict", budget: int = None) -> CompositeReport:
     """r is l'-monadic iff r;r' is j-monadic, given r' j-monadic (composite_monadicity)."""
 
-    prem = decide_monadicity(j, rprime, mode, budget=budget)
+    _check_mode(mode)
+    resolution = resolve_monadicity(j, rprime, budget=budget)
+    prem = resolution.report(mode)
     return composite_monadicity(
-        prem, prem.verdict and decide_monadicity(prem.adjunction.left, r, mode, budget=budget),
+        prem, prem.verdict and decide_monadicity(resolution.adjunction.left, r, mode, budget=budget),
         prem.verdict and decide_monadicity(j, compose_functors(r, rprime), mode, budget=budget))
 
 
@@ -396,15 +406,11 @@ def check_monadic_iff_left_adjoint(j: FunctorData, jprime: FunctorData, T,
     dense, _ = is_dense(jprime)
     if not dense:
         raise Inapplicable("j' is not dense")
-    algcat = build_algebra_category(T, budget=budget)
-    adj = find_left_relative_adjoint(jprime, algcat.u)
-    rep = decide_monadicity(jprime, algcat.u, mode, budget=budget)
-    return MonadicIffAdjointReport(
-        applicable=True,
-        adjoint_exists=adj is not None,
-        monadic=rep.verdict,
-        equivalence_holds=(adj is not None) == rep.verdict,
-    )
+    _check_mode(mode)
+    resolution = resolve_monadicity(jprime, build_algebra_category(T, budget=budget).u, budget=budget)
+    adjoint_exists, monadic = resolution.adjunction is not None, resolution.report(mode).verdict
+    return MonadicIffAdjointReport(applicable=True, adjoint_exists=adjoint_exists, monadic=monadic,
+                                   equivalence_holds=adjoint_exists == monadic)
 
 
 # ---------------------------------------------------------------------------

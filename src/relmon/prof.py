@@ -20,6 +20,7 @@ from .errors import (
     ParseFailure,
     ValidationFailure,
     Violation,
+    budget_limit,
 )
 from .fincat import FinCategory, FunctorData, check_field, field_at, opposite, split_keys
 from .search import Search
@@ -499,18 +500,19 @@ def _component_keys(chain, cats):
 MAX_CHAIN = 2
 
 
-def enumerate_graded_cells(chain, f0: FunctorData, fn: FunctorData, q: Distributor,
-                           max_n: int = MAX_CHAIN, budget: int = 1_000_000):
-    """Complete list of natural families over the chain, in canonical order.
+def enumerate_graded_cells(chain, f0: FunctorData, fn: FunctorData, q: Distributor, budget: int = None):
+    """Complete list of natural families over a chain of at most MAX_CHAIN
+    distributors, in canonical order.
 
     The list comes from a pruned search (_graded_search) and equals
     filtering the product of the component tables by the laws, in the
     same order.  Raises BudgetExceeded when that product exceeds the
-    budget, whatever the search would prune.
+    budget (budget_limit() by default), whatever the search would prune.
     """
 
-    if len(chain) > max_n:
-        raise ChainMismatch(f"chains longer than {max_n} are not supported")
+    budget = budget or budget_limit()
+    if len(chain) > MAX_CHAIN:
+        raise ChainMismatch(f"chains longer than {MAX_CHAIN} are not supported")
     cats = _chain_domains(chain, f0, fn)
     keys = _component_keys(chain, cats)
     candidate_sets = [q.el(f0.ob(xs[0]), fn.ob(xs[-1])) for (xs, es) in keys]
@@ -585,19 +587,21 @@ def _graded_search(chain, cats, f0: FunctorData, fn: FunctorData, q: Distributor
 # exhaustive distributor census (for audits)
 
 
-def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int,
-                           budget: int = 200_000):
+def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int, budget: int = None):
     """All distributors X -|-> Y with component sizes <= element_cap.
 
     Elements are named canonically per component.  For each choice of sizes
     the list comes from a pruned search (_distributor_search) and equals
     filtering the product of the action tables by the laws, in the same
     order.  Raises BudgetExceeded when the size choices, or the action tables
-    of one choice, exceed the budget, whatever the search would prune.
-    Nothing is memoized: a caller that asks again reads the list through its
-    run's census (DownstairsCensus.weights).
+    of one choice, exceed the budget (budget_limit() by default), whatever
+    the search would prune; every choice is checked before any distributor
+    is built, so a refused call builds none.  Nothing is memoized: a caller
+    that asks again reads the list through its run's census
+    (DownstairsCensus.weights).
     """
 
+    budget = budget or budget_limit()
     comps = [(y, x) for y in Y.objects for x in X.objects]
     size_choices = (element_cap + 1) ** len(comps) if comps else 1
     if size_choices > budget:
@@ -610,7 +614,7 @@ def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int,
     lefts = [(n, y) for n in X.morphism_names() if not X.is_identity(n) for y in Y.objects]
     groups = ([(index[(Y.cod(m), x)], index[(Y.dom(m), x)]) for m, x in rights]
               + [(index[(y, X.dom(n))], index[(y, X.cod(n))]) for n, y in lefts])
-    out = []
+    kept = []
     for sizes in itertools.product(range(element_cap + 1), repeat=len(comps)):
         space = 1
         for s, t in groups:
@@ -624,12 +628,15 @@ def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int,
                 raise BudgetExceeded("distributor census", space, budget)
             space *= sizes[t] ** sizes[s]
         else:
-            elements = {comp: tuple(f"e{i}" for i in range(k)) for comp, k in zip(comps, sizes)}
-            right = {(m, x, e): elements[(Y.dom(m), x)] for m, x in rights for e in elements[(Y.cod(m), x)]}
-            left = {(n, y, e): elements[(y, X.cod(n))] for n, y in lefts for e in elements[(y, X.dom(n))]}
-            search = _distributor_search(X, Y, right, left)
-            out.extend(Distributor(X, Y, elements, zip(right, values), zip(left, values[len(right):]))
-                       for values in search.solutions())
+            kept.append(sizes)
+    out = []
+    for sizes in kept:
+        elements = {comp: tuple(f"e{i}" for i in range(k)) for comp, k in zip(comps, sizes)}
+        right = {(m, x, e): elements[(Y.dom(m), x)] for m, x in rights for e in elements[(Y.cod(m), x)]}
+        left = {(n, y, e): elements[(y, X.cod(n))] for n, y in lefts for e in elements[(y, X.dom(n))]}
+        search = _distributor_search(X, Y, right, left)
+        out.extend(Distributor(X, Y, elements, zip(right, values), zip(left, values[len(right):]))
+                   for values in search.solutions())
     return out
 
 

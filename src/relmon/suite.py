@@ -24,7 +24,7 @@ from .algebra import (
 from .census import ABSOLUTE_COLIMIT, DownstairsCensus
 from .colim import is_dense
 from .corpus import indisc2_category, interval_category, terminal_category, validate_instance
-from .errors import BudgetExceeded, PremiseFail, TheoremViolation
+from .errors import BudgetExceeded, PremiseFail, TheoremViolation, ValidationFailure
 from .fincat import (
     FunctorData,
     classify_functor,
@@ -36,8 +36,8 @@ from .fincat import (
 )
 from .monad import enumerate_relative_monads, monad_from_adjunction, trivial_relative_monad
 from .prof import enumerate_distributors
-from .reladj import find_left_relative_adjoint
 from .monadicity import (
+    MODES,
     SuiteReport,
     SuiteResult,
     class_answers,
@@ -147,14 +147,13 @@ def _check_resolution_property(ctx) -> SuiteResult:
         if recovered.table() != T.table() or recovered.t != T.t:
             details.append(f"{inst.name}/{role}: terminal resolution does not recover the monad")
     for inst, j, rrole, r in ctx.root_pairs():
-        adj = find_left_relative_adjoint(j, r)
-        if adj is None:
-            continue
-        checked += 1
+        # the resolution induces the monad of the adjunction it finds
         try:
-            monad_from_adjunction(adj)
-        except Exception as exc:
+            if ctx.resolution(j, r).adjunction is None:
+                continue
+        except ValidationFailure as exc:
             details.append(f"{inst.name}/{rrole}: induced monad invalid: {exc}")
+        checked += 1
     for inst in ctx.instances:
         for role in sorted(inst.adjunctions):
             checked += 1
@@ -277,20 +276,18 @@ def _check_monadicity_crosscheck(ctx) -> SuiteResult:
     details = []
     checked = 0
     for inst, j, rrole, r in ctx.root_pairs():
-        dense, _ = is_dense(j)
-        if not dense:
+        resolution = ctx.resolution(j, r)
+        if not resolution.dense:
             continue
-        reports = {mode: ctx.decision(j, r, mode) for mode in ("strict", "nonstrict")}
         audit = creation_audit(j, r, ctx.shape_family, ctx.element_cap,
-                               budget=ctx.budget, reports=reports, census=ctx.census)
+                               budget=ctx.budget, resolution=resolution, census=ctx.census)
         checked += 1
         if audit.vacuous:
             continue
         if audit.discrepancies:
             details.append(f"{inst.name}/{rrole}: {audit.discrepancies}")
-        for mode in ("strict", "nonstrict"):
-            rep = reports[mode]
-            if rep.verdict:
+        for mode in MODES:
+            if resolution.report(mode).verdict:
                 if audit.targeted_extension_is_forgetful is False:
                     details.append(f"{inst.name}/{rrole}: targeted extension mismatch ({mode})")
                 if audit.retraction_identity is False:
@@ -329,19 +326,14 @@ def _check_density_necessity(ctx) -> SuiteResult:
     for inst, j, rrole, r in ctx.root_pairs():
         if j.dom.objects:
             continue
-        dense, _ = is_dense(j)
-        if dense:
-            continue
-        cl = classify_functor(r)
-        if cl.is_iso:
+        resolution = ctx.resolution(j, r)
+        if resolution.dense or classify_functor(r).is_iso:
             continue
         checked += 1
-        strict = ctx.decision(j, r, "strict")
-        if strict.verdict:
+        if resolution.report("strict").verdict:
             details.append(f"{inst.name}/{rrole}: non-iso over empty root decided monadic")
         audit = creation_audit(j, r, ctx.shape_family, ctx.element_cap, budget=ctx.budget,
-                               reports={mode: ctx.decision(j, r, mode) for mode in ("strict", "nonstrict")},
-                               census=ctx.census)
+                               resolution=resolution, census=ctx.census)
         if audit.discrepancies:
             details.append(f"{inst.name}/{rrole}: counterexample recorded as discrepancy")
     passed = not details
@@ -387,11 +379,12 @@ def _check_pasting_composite(ctx) -> SuiteResult:
     details = []
     checked = 0
     for label, j, rprime, r in ctx.composite_triples:
-        for mode in ("strict", "nonstrict"):
+        premise = ctx.resolution(j, rprime)
+        for mode in MODES:
             try:
-                prem = ctx.decision(j, rprime, mode)
+                prem = premise.report(mode)
                 rep = composite_monadicity(
-                    prem, prem.verdict and ctx.decision(prem.adjunction.left, r, mode),
+                    prem, prem.verdict and ctx.decision(premise.adjunction.left, r, mode),
                     prem.verdict and ctx.decision(j, compose_functors(r, rprime), mode))
             except PremiseFail:
                 continue
@@ -440,11 +433,10 @@ def _check_algebraic_tight_cells(ctx) -> SuiteResult:
     for name in sorted(by_instance):
         entries = by_instance[name]
         for (inst_a, role_a, T_a) in entries:
+            if not is_dense(T_a.j)[0]:
+                continue
             for (inst_b, role_b, T_b) in entries:
                 if T_a.j != T_b.j:
-                    continue
-                dense, _ = is_dense(T_a.j)
-                if not dense:
                     continue
                 alg_a = ctx.algcat(inst_a, role_a)
                 alg_b = ctx.algcat(inst_b, role_b)

@@ -19,7 +19,7 @@ from relmon.colim import is_dense
 from relmon.errors import ValidationFailure
 from relmon.fincat import FunctorData, build_category, classify_functor, validate_category
 from relmon.monad import enumerate_relative_monads, monad_violations, trivial_relative_monad, monad_from_adjunction
-from relmon.monadicity import creation_audit, decide_monadicity, run_theorem_suite
+from relmon.monadicity import creation_audit, decide_monadicity, resolve_monadicity, run_theorem_suite
 from relmon.reladj import adjunction_violations
 from relmon.prof import enumerate_graded_cells, hom_distributor
 from relmon.fincat import identity_functor, enumerate_natural_transformations
@@ -333,8 +333,9 @@ def test_criterion_5_monadicity_crosscheck(instances, suite_run):
             continue
         for rrole in inst.roles.get("candidates", []):
             r = inst.functors[rrole]
-            reports = {m: decide_monadicity(j, r, m) for m in ("strict", "nonstrict")}
-            audit = creation_audit(j, r, reports=reports, census=census)
+            resolution = resolve_monadicity(j, r)
+            reports = {m: resolution.report(m) for m in ("strict", "nonstrict")}
+            audit = creation_audit(j, r, resolution=resolution, census=census)
             if audit.vacuous:
                 continue
             if audit.discrepancies:

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relmon import algebra, colim, corpus, monadicity, suite
+from relmon import algebra, colim, corpus, monadicity, reladj, suite
 from relmon.algebra import build_algebra_category
 from relmon.census import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT, DownstairsCensus
 from relmon.colim import (
@@ -888,7 +888,12 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     graded morphism (1,573 once per morphism), and the monadicity
     decisions build at most 119 comparison functors, one per (j, r, co)
     asked with a left relative adjoint (317 when every decision built
-    its own)."""
+    its own), from at most 121 resolutions.  Every monadicity question
+    reads its resolution's adjunction and density: the pass makes at most
+    132 left relative adjoint searches (160 when the resolution property
+    searched each root pair again and the monadic-iff-adjoint check
+    searched beside its decision) and at most 151 density checks (222
+    when the audits and the tight-cell loop checked the root again)."""
     counts, entries, inside, per_batch = collections.Counter(), collections.Counter(), [], []
 
     def count(owner, name, note=None):
@@ -948,6 +953,10 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     count(colim.CreationReport, "__init__", lambda *_: "_creation_bytes" in inside and counts.update(["census report"]))
     count(DownstairsCensus, "_creation_bytes")
     count(monadicity, "comparison_functor")
+    for module in (colim, reladj, corpus, monadicity, suite):
+        for name in ("resolve_monadicity", "find_left_relative_adjoint", "is_dense"):
+            if hasattr(module, name):
+                count(module, name)
     count(suite, "verify_algebra_object")
     count(algebra, "graded_algebra_morphisms")
     count(algebra, "enumerate_graded_cells", lambda *_: "verify_algebra_object" in inside and (
@@ -967,3 +976,6 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     assert 0 < counts["lift walks"] == counts["not all strict"] <= 1_854
     assert 0 < counts["graded lifts"] <= 1_063
     assert 0 < counts["comparison_functor"] <= 119
+    assert 0 < counts["resolve_monadicity"] <= 121
+    assert 0 < counts["find_left_relative_adjoint"] <= 132
+    assert 0 < counts["is_dense"] <= 151

@@ -344,7 +344,7 @@ def assert_strict_records_decide(W, V) -> set:
     colimiting.  Returns the (every record strict, passed) pairs seen."""
     seen = set()
     for g, p, f, records in interval_positions(W, V):
-        got = check_creation(g, p, f, records=records).to_dict()
+        got = check_creation(g, p, f).to_dict()
         assert got == reference.check_creation(g, p, f, "strict").to_dict()
         walked = [r._replace(strict=False) for r in records.records]
         searched = colim._strict_colimit_creation(g, records.p, walked)

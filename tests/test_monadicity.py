@@ -170,11 +170,9 @@ def test_split_root_forgetful_functors_monadic_with_clean_audits(cats):
     for T in monads:
         algcat = build_algebra_category(T)
         sizes.append(algcat.size())
-        rep = decide_monadicity(j, algcat.u, "strict")
-        assert rep.verdict
-        audit = creation_audit(j, algcat.u,
-                               reports={"strict": rep,
-                                        "nonstrict": decide_monadicity(j, algcat.u, "nonstrict")})
+        resolution = resolve_monadicity(j, algcat.u)
+        assert resolution.report("strict").verdict
+        audit = creation_audit(j, algcat.u, resolution=resolution)
         assert audit.discrepancies == []
         assert audit.targeted_extension_is_forgetful
         assert audit.retraction_identity
@@ -369,12 +367,13 @@ def assert_theorem_holds(j, r):
     a positive verdict, and the targeted extension is the forgetful
     functor.  Strict creation implies non-strict creation, for the verdicts
     and for every audited item.  Returns the verdicts."""
-    reports = {mode: decide_monadicity(j, r, mode) for mode in ("strict", "nonstrict")}
+    resolution = resolve_monadicity(j, r)
+    reports = {mode: resolution.report(mode) for mode in ("strict", "nonstrict")}
     if reports["strict"].verdict:
         assert reports["nonstrict"].verdict
     if not (reports["strict"].adjoint_found and is_dense(j)[0]):
         return reports["strict"].verdict, reports["nonstrict"].verdict
-    audit = creation_audit(j, r, default_shape_family()[:2], 1, reports=reports)
+    audit = creation_audit(j, r, default_shape_family()[:2], 1, resolution=resolution)
     assert not audit.vacuous and audit.discrepancies == []
     assert not [item for item in audit.items if item.strict_pass and not item.nonstrict_pass]
     if reports["nonstrict"].verdict:
@@ -406,3 +405,58 @@ def test_relative_monadicity_theorem_on_generated_pairs(seed, e_shape, d_shape):
             co = assert_theorem_holds(dual(j), dual(r))
             assert co == tuple(decide_monadicity(j, r, mode, co=True).verdict
                                for mode in ("strict", "nonstrict"))
+
+
+# ---------------------------------------------------------------------------
+# the composite monadicity theorem over generated triples
+
+
+def composite_cases(j, D):
+    """decide_composite_monadicity over the triples (j, r', r) for a dense
+    root j: r' = u_T for the first two monads T on j, and r the first four
+    functors D -> Alg(T), then u_S for the first monad S on Alg(T)'s free
+    functor.  Asserts that the theorem raises no TheoremViolation and that
+    r has a left l'-adjoint iff r ; r' has a left j-adjoint (pasting of
+    relative adjunctions).  Returns the (mode, inner adjoint found, inner
+    verdict) triples reached."""
+    seen = set()
+    for T in enumerate_relative_monads(j)[:2]:
+        algcat = build_algebra_category(T)
+        rs = list(itertools.islice(enumerate_functors(D, algcat.category), 4))
+        rs += [build_algebra_category(S).u for S in enumerate_relative_monads(algcat.f)[:1]]
+        for r in rs:
+            for mode in ("strict", "nonstrict"):
+                try:
+                    rep = decide_composite_monadicity(j, algcat.u, r, mode)
+                except PremiseFail:
+                    continue
+                assert rep.biconditional
+                assert rep.inner.adjoint_found == rep.outer.adjoint_found
+                seen.add((mode, rep.inner.adjoint_found, rep.inner.verdict))
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4),
+       point=st.sampled_from([None, 0, 1]),
+       d_shape=st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+def test_composite_monadicity_theorem_on_generated_triples(seed, point, d_shape):
+    """With r' j-monadic, r is l'-monadic iff r ; r' is j-monadic, in both
+    modes, on generated triples (composite_cases): E with 2 objects and at
+    most 2 morphisms per hom, j its identity or a point, when dense."""
+    E = corpus.generate_category(seed, 2, 2)
+    D = corpus.generate_category(seed + 1000, *d_shape)
+    assume(E is not None and D is not None)
+    j = identity_functor(E) if point is None else corpus.point_functor(E, E.objects[point])
+    assume(is_dense(j)[0])
+    composite_cases(j, D)
+
+
+def test_composite_theorem_where_r_has_an_adjoint_but_is_not_monadic():
+    """A pinned generated triple reaches every inner outcome in both modes,
+    among them an r with a left l'-adjoint that is not l'-monadic, which no
+    builtin triple reaches."""
+    E, D = corpus.generate_category(12, 2, 2), corpus.generate_category(1012, 1, 1)
+    assert composite_cases(corpus.point_functor(E, E.objects[1]), D) == {
+        (mode, adjoint, verdict) for mode in ("strict", "nonstrict")
+        for adjoint, verdict in ((False, False), (True, False), (True, True))}

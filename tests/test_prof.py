@@ -360,3 +360,82 @@ def test_enumerate_distributors_matches_product_then_filter_generated(seed, shap
     for budget in (200_000, 30):
         assert census_answer(X, Y, 1, budget, enumerate_distributors) == (
             census_answer(X, Y, 1, budget, reference.enumerate_distributors))
+
+
+def least_listing_budget(X, Y, cap):
+    """The least budget at which enumerate_distributors(X, Y, cap) lists
+    instead of refusing (the refusals are monotone in the budget)."""
+    def refuses(budget):
+        try:
+            enumerate_distributors(X, Y, cap, budget)
+        except BudgetExceeded:
+            return True
+        return False
+    lo, hi = 0, 1
+    while refuses(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if refuses(mid) else (lo, mid)
+    return hi
+
+
+def assert_refusals_build_nothing(X, Y, cap, budgets):
+    """Under each budget, enumerate_distributors either lists, building one
+    Distributor per distributor listed, or refuses with the arguments of the
+    product-then-filter reference and builds none.  Returns whether some
+    refusal came from one choice of sizes rather than from their number."""
+    built = []
+
+    class Counted(prof.Distributor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    late = False
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prof, "Distributor", Counted)
+        for budget in budgets:
+            built.clear()
+            try:
+                listed = enumerate_distributors(X, Y, cap, budget)
+            except BudgetExceeded as exc:
+                assert built == []
+                with pytest.raises(BudgetExceeded) as want:
+                    reference.enumerate_distributors(X, Y, cap, budget)
+                assert (exc.what, exc.needed, exc.budget) == (
+                    want.value.what, want.value.needed, want.value.budget)
+                late = late or (cap + 1) ** (len(X.objects) * len(Y.objects)) <= budget
+            else:
+                assert len(built) == len(listed)
+    return late
+
+
+def budgets_around(threshold):
+    return sorted({max(threshold - d, 1) for d in (0, 1, 2)} | {max(threshold // 2, 1), 1})
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4),
+       shapes=st.tuples(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+                        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)])),
+       cap=st.sampled_from([1, 2]))
+def test_refused_distributor_census_builds_no_distributor(seed, shapes, cap):
+    """Budgets at and below the least one that lists, over generated X and
+    Y: a refused call builds no Distributor, though earlier choices of
+    sizes would list some, and it refuses as the reference does."""
+    X = corpus.generate_category(seed, *shapes[0])
+    Y = corpus.generate_category(seed + 1, *shapes[1])
+    if X is None or Y is None:
+        return
+    threshold = least_listing_budget(X, Y, cap)
+    if threshold <= 5_000:
+        assert_refusals_build_nothing(X, Y, cap, budgets_around(threshold))
+
+
+def test_refused_distributor_census_builds_no_distributor_late_in_the_walk(cats):
+    """Interval -|-> Interval at cap 2 is refused by its last choices of
+    sizes, after every earlier choice could have been listed."""
+    I = cats["Interval"]
+    threshold = least_listing_budget(I, I, 2)
+    assert assert_refusals_build_nothing(I, I, 2, budgets_around(threshold))
