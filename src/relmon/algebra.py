@@ -32,7 +32,7 @@ from .fincat import (
     identity_functor,
 )
 from .monad import RelativeMonad, monad_from_adjunction, postcompose_along_adjunction
-from .prof import GradedCell, enumerate_distributors, enumerate_graded_cells, hom_restriction
+from .prof import Distributor, GradedCell, enumerate_distributors, enumerate_graded_cells, hom_restriction
 from .reladj import RelativeAdjunction, validate_relative_adjunction
 from .search import Search
 from .corpus import terminal_category
@@ -509,9 +509,15 @@ def verify_algebra_object(candidate_u: FunctorData, candidate_alpha: dict, T: Re
                     F1 = factorizations[(D.name, i1)][0]
                     for i2, alg2 in algs2:
                         F2 = factorizations[(Dp.name, i2)][0]
+                        q = hom_restriction(E, alg1.carrier, alg2.carrier)
                         for chain in chain_lists:
-                            cells = graded_algebra_morphisms(alg1, alg2, chain)
-                            lifts = _lifts_by_image(candidate_u, F1, F2, chain, M) if cells else {}
+                            try:
+                                cells = _graded_morphisms(alg1, alg2, chain, q, budget)
+                                lifts = _lifts_by_image(candidate_u, F1, F2, chain, M, budget) if cells else {}
+                            except BudgetExceeded:
+                                report.notes.append(f"graded cells {D.name}->{Dp.name} (grade {len(chain)}, "
+                                                    f"algebras {i1}, {i2}) over budget; skipped")
+                                continue
                             for cell in cells:
                                 report.clause2_checked += 1
                                 lifted = lifts.get(tuple(cell.components.items()), 0)
@@ -549,15 +555,15 @@ def graded_algebra_morphisms(alg1: Algebra, alg2: Algebra, chain: list) -> list:
     alpha(f) ; eps = alpha'(f ; eps).
     """
 
-    E = alg1.monad.j.cod
-    q = hom_restriction(E, alg1.carrier, alg2.carrier)
-    cells = enumerate_graded_cells(chain, identity_functor(alg1.domain),
-                                   identity_functor(alg2.domain), q)
-    out = []
-    for cell in cells:
-        if _graded_law_holds(alg1, alg2, cell):
-            out.append(cell)
-    return out
+    return _graded_morphisms(alg1, alg2, chain, hom_restriction(alg1.monad.j.cod, alg1.carrier, alg2.carrier))
+
+
+def _graded_morphisms(alg1: Algebra, alg2: Algebra, chain: list, q: Distributor, budget: int = None) -> list:
+    """graded_algebra_morphisms over q = E(alg1.carrier, alg2.carrier), built once by a caller asking about
+    several chains, within budget (budget_limit() by default)."""
+
+    cells = enumerate_graded_cells(chain, identity_functor(alg1.domain), identity_functor(alg2.domain), q, budget)
+    return [cell for cell in cells if _graded_law_holds(alg1, alg2, cell)]
 
 
 def _graded_law_holds(alg1: Algebra, alg2: Algebra, cell: GradedCell) -> bool:
@@ -572,7 +578,7 @@ def _graded_law_holds(alg1: Algebra, alg2: Algebra, cell: GradedCell) -> bool:
     return True
 
 
-def _lifts_by_image(candidate_u, F1: FunctorData, F2: FunctorData, chain, M: FinCategory) -> Counter:
+def _lifts_by_image(candidate_u, F1: FunctorData, F2: FunctorData, chain, M: FinCategory, budget: int) -> Counter:
     """The natural lifts through the candidate of the graded cells over
     chain, relative to the factorized boundary functors F1, F2, counted by
     their image under the candidate (their components, in key order)."""
@@ -580,7 +586,7 @@ def _lifts_by_image(candidate_u, F1: FunctorData, F2: FunctorData, chain, M: Fin
     return Counter(tuple((key, candidate_u.mor(v)) for key, v in lifted.components.items())
                    for lifted in enumerate_graded_cells(chain, identity_functor(F1.dom),
                                                         identity_functor(F2.dom),
-                                                        hom_restriction(M, F1, F2)))
+                                                        hom_restriction(M, F1, F2), budget))
 
 
 # ---------------------------------------------------------------------------

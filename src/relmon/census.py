@@ -35,14 +35,17 @@ for limits.  A handle cannot go stale: its entries are the store's own
 dicts, keyed by content, which the store only adds to, and a census
 refuses a handle made by another census or for another g.
 
-Questions come in batches, one call per weight handle and list of diagram
-handles made for one g, in any order and with repeats: colimits, limits,
-creations and preserved.  A batch resolves its row and the offset of the
-weight's class there once, then reads or fills one byte per diagram; the
-one-position questions (colimit, limit, creation, preserves) are batches
-of one.  A cold position resolves no key either: it reads its records by
-the weight's column ids (prof.Distributor.columns, built once per weight
-and per dual) and checks only what spans two x's.
+Questions come as lists of (weight handle, diagram handles) pairs, the
+weights of one weight list and the diagrams made for one g, in any order
+and with repeats: colimits, limits, creations and preserved.  A list
+resolves its row once, then reads or fills one byte per diagram of each
+pair; the one-position questions (colimit, limit, creation, preserves)
+are lists of one.  Loops ask about the first member of each weight class
+(class_representatives).  A cold position resolves no key either: it
+reads its records by the weight's column ids (prof.Distributor.columns,
+built once per weight and per dual) and checks only what spans two x's,
+and a creation position whose records settle both modes runs no search
+(colim.settled_records).
 
 The pointwise store holds one record per (diagram id, column id)
 (colim._Column): the colimit at one x and the natural families there,
@@ -80,7 +83,7 @@ NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
 # passed, plus _PRESERVED when g sends the upstairs (co)limit to one
 _CHECKED, _PASSED, _PRESERVED = 1, 2, 8
 _MODES = colim.CREATION_MODES
-# what a batch returns for each byte b: colimits and limits, then creations
+# what a question returns for each byte b: colimits and limits, then creations
 # ((strict, nonstrict) passed) and preserved
 _COLIMITS, _EXISTS = (None, NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT), (None, False, True)
 _VERDICTS = tuple((bool(b & _PASSED), bool(b & _PASSED << 1)) for b in range(16))
@@ -185,19 +188,20 @@ class DownstairsCensus:
     * Limit rows, keyed (C, X, Y, cap), hold one existence byte per
       limit of a diagram into C: 1 when it does not exist, 2 when it
       does, read from the dual colimit at each y.
-    * Creation rows, keyed (g by content, X, Y, cap, kind) without the
+    * Creation rows, keyed (g by content, kind, X, Y, cap) without the
       mode, hold one byte per position: _CHECKED, plus _PASSED << i for
       each mode _MODES[i] that passes, plus _PRESERVED when f has a
       (co)limit and g sends it to one.  The first creations or preserved
-      batch at a position checks both modes and reads preservation from
-      the creation records at its x's, kept in the pointwise store per (g,
-      diagram, column), by each mode's search (colim.creation_search):
-      no report is built.  preserved asks only where f ; g has a colimit,
-      since the records exist only there.
+      question at a position reads preservation from the creation records
+      at its x's, kept in the pointwise store per (g, diagram, column), and
+      both modes from them alone when they settle both, else from each
+      mode's search (colim.creation_search): no report is built.  preserved
+      asks only where f ; g has a colimit, since the records exist only
+      there.
 
     Zero means unknown everywhere.  No row holds a (co)limit, and no
-    question assembles one.  A row keeps its n beside its bytes, so a batch
-    builds and hashes one row key (_bytes) for all its positions.
+    question assembles one.  A row keeps its n beside its bytes, so a list
+    question builds and hashes one row key (_bytes) for all its pairs.
     """
 
     def __init__(self):
@@ -242,11 +246,11 @@ class DownstairsCensus:
                 for i, (f, e) in enumerate(zip(fs, entries))]
         return handles
 
-    def colimits(self, j: FunctorData, w: Weight, diagrams: list) -> list[int]:
-        """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the
-        w.p-weighted colimit of each diagram's d, in the order given."""
+    def colimits(self, j: FunctorData, asked: list) -> list[list[int]]:
+        """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the w.p-weighted
+        colimit of each diagram's d, per (w, diagrams) pair of asked, in the order given."""
 
-        def fill(diagram: Diagram) -> int:
+        def fill(w: Weight, diagram: Diagram) -> int:
             d = diagram.d
             at = colim.pointwise_colimit(w.p, d, diagram.colimit.down)
             if at is None:
@@ -254,89 +258,118 @@ class DownstairsCensus:
             entry = self._entries.get((j, d)) or self._entries.setdefault(
                 (j, d), colim.absolute_entry(j, d, self._pointwise))
             return (ABSOLUTE_COLIMIT if colim.j_absolute_at(j, w.p, d, at, entry)[0] else COLIMIT) + 1
-        return self._bytes(self._absolute, (j, w.p.src, w.p.tgt, w.cap), w, diagrams, fill, _COLIMITS)
+        return self._bytes(self._absolute, (j,), asked, fill, _COLIMITS)
 
-    def limits(self, w: Weight, diagrams: list) -> list[bool]:
-        """Does the w.p-weighted limit of each diagram's d exist?"""
+    def limits(self, asked: list) -> list[list[bool]]:
+        """Does the w.p-weighted limit of each diagram's d exist, per (w, diagrams) pair of asked?"""
 
-        def fill(diagram: Diagram) -> int:
+        def fill(w: Weight, diagram: Diagram) -> int:
             return 1 + (colim.pointwise_colimit(dual_distributor(w.p), diagram.limit.d, diagram.limit.down) is not None)
-        if not diagrams:
-            return []
-        return self._bytes(self._limits, (diagrams[0].d.cod, w.p.src, w.p.tgt, w.cap), w, diagrams, fill, _EXISTS)
+        C = next((diagrams[0].d.cod for _, diagrams in asked if diagrams), None)
+        return self._bytes(self._limits, (C,), asked, fill, _EXISTS)
 
-    def creations(self, g: FunctorData, w: Weight, diagrams: list, kind: str) -> list[tuple]:
-        """check_creation(g, w.p, diagram.f, mode, kind).passed as (strict, nonstrict) per diagram."""
+    def creations(self, g: FunctorData, asked: list, kind: str) -> list[list[tuple]]:
+        """check_creation(g, w.p, diagram.f, mode, kind).passed as (strict,
+        nonstrict) per diagram, per (w, diagrams) pair of asked."""
 
-        return self._creation_bytes(g, w, diagrams, kind, _VERDICTS)
+        return self._creation_bytes(g, asked, kind, _VERDICTS)
 
-    def preserved(self, g: FunctorData, w: Weight, diagrams: list) -> list[bool]:
-        """Do the w.p-weighted colimits of each diagram's f and d exist, and g
-        send the first to a colimit?  Read from the creation byte where d has one."""
+    def preserved(self, g: FunctorData, asked: list) -> list[list[bool]]:
+        """Do the w.p-weighted colimits of each diagram's f and d exist, and g send the first
+        to a colimit, per (w, diagrams) pair?  Read from the creation byte where d has one."""
 
-        exists = [colim.pointwise_colimit(w.p, diagram.d, diagram.colimit.down) is not None
-                  for diagram in self._own(diagrams, g)]
-        found = iter(self._creation_bytes(g, w, list(itertools.compress(diagrams, exists)), "colimit", _PRESERVES))
-        return [e and next(found) for e in exists]
+        self._own((diagram for _, diagrams in asked for diagram in diagrams), g)
+        exists = [[colim.pointwise_colimit(w.p, diagram.d, diagram.colimit.down) is not None
+                   for diagram in diagrams] for w, diagrams in asked]
+        found = self._creation_bytes(g, [(w, list(itertools.compress(diagrams, e)))
+                                         for (w, diagrams), e in zip(asked, exists)], "colimit", _PRESERVES)
+        return [[e and next(answers) for e in es] for es, answers in zip(exists, map(iter, found))]
 
-    # one-position questions: batches of one diagram
+    # one-position questions: lists of one weight and one diagram
 
     def colimit(self, j: FunctorData, w: Weight, diagram: Diagram) -> int:
-        return self.colimits(j, w, [diagram])[0]
+        return self.colimits(j, [(w, [diagram])])[0][0]
 
     def limit(self, w: Weight, diagram: Diagram) -> bool:
-        return self.limits(w, [diagram])[0]
+        return self.limits([(w, [diagram])])[0][0]
 
     def creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str, mode: str) -> bool:
         colim.check_choice("mode", mode, _MODES)
-        return self.creations(g, w, [diagram], kind)[0][_MODES.index(mode)]
+        return self.creations(g, [(w, [diagram])], kind)[0][0][_MODES.index(mode)]
 
     def preserves(self, g: FunctorData, w: Weight, diagram: Diagram) -> bool:
-        return self.preserved(g, w, [diagram])[0]
+        return self.preserved(g, [(w, [diagram])])[0][0]
 
-    def _creation_bytes(self, g: FunctorData, w: Weight, diagrams: list, kind: str, values: tuple) -> list:
-        """values[b] for the creation byte b of each position, set on the first question
-        there from its creation records, fetched once (for a limit, in the dual)."""
+    def _creation_bytes(self, g: FunctorData, asked: list, kind: str, values: tuple) -> list:
+        """values[b] for the creation byte b of each position, set on the first question there
+        from the records stored at its columns when they settle both modes, else from its
+        creation records, fetched once (for a limit, in the dual), and one search per mode."""
 
         colim.check_choice("kind", kind, colim.CREATION_KINDS)
-        def fill(diagram: Diagram) -> int:
-            records = colim.creation_records(g, w.p, diagram.f, kind, getattr(diagram, kind))
-            verdicts = _CHECKED | (_PRESERVED if all(record.preserved for record in records.records) else 0)
-            for i, mode in enumerate(_MODES):
-                if colim.creation_search(records, mode)[0]:
-                    verdicts |= _PASSED << i
-            return verdicts
-        return self._bytes(self._creations, (g, w.p.src, w.p.tgt, w.cap, kind), w, diagrams, fill, values, g, True)
+        def fill(w: Weight, diagram: Diagram) -> int:
+            entry = getattr(diagram, kind)
+            records = colim.settled_records(entry, w.p, diagram.f, kind)
+            if records is not None:
+                verdicts = _CHECKED | _PASSED | _PASSED << 1
+            else:
+                found = colim.creation_records(g, w.p, diagram.f, kind, entry)
+                records, verdicts = found.records, _CHECKED
+                for i, mode in enumerate(_MODES):
+                    if colim.creation_search(found, mode)[0]:
+                        verdicts |= _PASSED << i
+            return verdicts | (_PRESERVED if all(record.preserved for record in records) else 0)
+        return self._bytes(self._creations, (g, kind), asked, fill, values, g, True)
 
-    def _own(self, diagrams: list, g: Optional[FunctorData] = None) -> list:
-        """diagrams, when this census made each of them for one g (g when
-        given): a handle holds the store entries of its census and g."""
+    def _own(self, diagrams, g: Optional[FunctorData] = None) -> None:
+        """Refuse diagrams unless this census made each of them for one g (g
+        when given): a handle holds the store entries of its census and g."""
 
-        g = g or diagrams[0].colimit.g
         for diagram in diagrams:
             h = diagram.colimit.g
-            if diagram.census is not self or (h is not g and h != g):
+            if diagram.census is not self or (g is not None and h is not g and h != g):
                 raise ValueError("a diagram handle is answered only by the census that made it, for its g")
             g = h
-        return diagrams
 
-    def _bytes(self, rows: dict, key: tuple, w: Weight, diagrams: list, fill, values, g=None, up=False) -> list:
-        """values[b] for the byte b of w's class and each diagram (made for g,
-        when given), in the order given, set by fill(diagram) where it is zero.
-        A byte sits at w.cls * n plus the index of the diagram's f (up) or of
-        its d, n counting enumerate_functors(dom, cod) of that f or d; the row is resolved once."""
+    def _bytes(self, rows: dict, head: tuple, asked: list, fill, values, g=None, up=False) -> list:
+        """For each (w, diagrams) pair of asked, values[b] for the byte b of w's class and each
+        diagram (made for g, when given), in the order given, set by fill(w, diagram) where it
+        is zero.  The weights come from one list, whose row, keyed head + (X, Y, cap), is
+        resolved once and extended once to the last class asked.  A byte sits at w.cls * n
+        plus the index of the diagram's f (up) or of its d, n counting
+        enumerate_functors(dom, cod) of that f or d."""
 
-        if not diagrams:
-            return []
-        F = getattr(self._own(diagrams, g)[0], "f" if up else "d")
+        first = next((pair for pair in asked if pair[1]), None)
+        if first is None:
+            return [[] for _ in asked]
+        self._own((diagram for _, diagrams in asked for diagram in diagrams), g)
+        w, diagrams = first
+        of = (w.p.src, w.p.tgt, w.cap)
+        if any((v.p.src, v.p.tgt, v.cap) != of for v, _ in asked):
+            raise ValueError("a census question asks about the weights of one list")
+        F = getattr(diagrams[0], "f" if up else "d")
+        key = head + of
         row, n = rows.get(key) or rows.setdefault(key, (bytearray(), len(self._positions[(F.dom, F.cod)])))
-        base = w.cls * n
-        if len(row) < base + n:
-            row.extend(bytes(base + n - len(row)))
+        end = (1 + max(v.cls for v, _ in asked)) * n
+        if len(row) < end:
+            row.extend(bytes(end - len(row)))
         out = []
-        for diagram in diagrams:
-            pos = base + (diagram.index if up else diagram.d_index)
-            if not row[pos]:
-                row[pos] = fill(diagram)
-            out.append(values[row[pos]])
+        for v, diagrams in asked:
+            base, answers = v.cls * n, []
+            for diagram in diagrams:
+                pos = base + (diagram.index if up else diagram.d_index)
+                if not row[pos]:
+                    row[pos] = fill(v, diagram)
+                answers.append(values[row[pos]])
+            out.append(answers)
         return out
+
+
+def class_representatives(weights: list) -> tuple[list, list]:
+    """The first member of each weight class among weights, in list order, and for each
+    weight the index of its class's: every census answer is invariant under weight
+    isomorphism, so a loop asks about the first members and gives each weight their answers."""
+
+    index = {}
+    for w in weights:
+        index.setdefault(w.cls, (len(index), w))
+    return [w for _, w in index.values()], [index[w.cls][0] for w in weights]

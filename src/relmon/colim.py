@@ -784,6 +784,29 @@ class CreationRecords(NamedTuple):
     records: list
 
 
+def _question_weight(p: Distributor, f: FunctorData, kind: str) -> Distributor:
+    """p, or dual_distributor(p) for a limit, once f is checked to start at p's target (source)."""
+
+    check_choice("kind", kind, CREATION_KINDS)
+    if kind == "limit":
+        if f.dom != p.src:
+            raise EndpointMismatch("limit diagram must start at the weight's source")
+        return dual_distributor(p)
+    if f.dom != p.tgt:
+        raise EndpointMismatch("diagram must start at the weight's target")
+    return p
+
+
+def settled_records(entry: CreationEntry, p: Distributor, f: FunctorData, kind: str) -> Optional[list]:
+    """The creation records already in entry at each column of p (of its dual for a
+    limit), when every one is there, strict, upstairs and closed, else None: such
+    records settle both modes, as the all-strict shortcut of _strict_colimit_creation
+    and the all-closed one of _nonstrict_colimit_creation do."""
+
+    records = [entry.records.get(column) for _, column in _question_weight(p, f, kind).columns()]
+    return records if all(r is not None and r.strict and r.upstairs and r.closed for r in records) else None
+
+
 def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str,
                      entry: CreationEntry) -> CreationRecords:
     """The creation record (_CreationAt) at each x of src p, in object
@@ -796,13 +819,7 @@ def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str,
     DownstairsMissing is raised at the first such x.
     """
 
-    check_choice("kind", kind, CREATION_KINDS)
-    if kind == "limit":
-        if f.dom != p.src:
-            raise EndpointMismatch("limit diagram must start at the weight's source")
-        p = dual_distributor(p)
-    elif f.dom != p.tgt:
-        raise EndpointMismatch("diagram must start at the weight's target")
+    p = _question_weight(p, f, kind)
     records = entry.records
     out = []
     for x, column in p.columns():

@@ -21,7 +21,7 @@ from .algebra import (
     transport_graded_forward,
     verify_algebra_object,
 )
-from .census import ABSOLUTE_COLIMIT, DownstairsCensus
+from .census import ABSOLUTE_COLIMIT, DownstairsCensus, class_representatives
 from .colim import is_dense
 from .corpus import indisc2_category, interval_category, terminal_category, validate_instance
 from .errors import BudgetExceeded, PremiseFail, TheoremViolation, ValidationFailure
@@ -40,7 +40,6 @@ from .monadicity import (
     MODES,
     SuiteReport,
     SuiteResult,
-    class_answers,
     composite_monadicity,
     creation_audit,
     resolve_monadicity,
@@ -175,51 +174,47 @@ def _check_forgetful_conservative(ctx) -> SuiteResult:
     return SuiteResult("forgetful_conservative", not details, checked, details)
 
 
-def _creation_items(ctx, j, u, name):
-    """(checks, failures) per weight handle for the forgetful functor
-    u named name: the strict and non-strict creation checks of the limits
-    and j-absolute colimits at the weight, and the details of those that
-    fail.  Each weight class of a list is asked once (class_answers)."""
-
-    census = ctx.census
-    diagrams = {Z: census.diagrams(Z, u) for Z in ctx.shape_family}
-
-    def answer(w, colimits, limits):
-        asked = (("colimit", [d for d, v in zip(colimits, census.colimits(j, w, colimits)) if v == ABSOLUTE_COLIMIT]),
-                 ("limit", list(itertools.compress(limits, census.limits(w, limits)))))
-        return 2 * sum(len(ds) for _, ds in asked), [
-            f"{name}: {mode} {kind} creation fails "
-            f"(weight {w.p.src.name}->{w.p.tgt.name}, diagram {dict(d.f.on_objects)})"
-            for kind, ds in asked for d, verdicts in zip(ds, census.creations(u, w, ds, kind))
-            if not all(verdicts) for mode, passed in zip(("strict", "nonstrict"), verdicts) if not passed]
-
-    for X in ctx.shape_family:
-        for Y in ctx.shape_family:
-            try:
-                weights = census.weights(X, Y, ctx.element_cap, ctx.budget)
-            except BudgetExceeded:
-                continue
-            yield from (found for _, found in class_answers(
-                weights, lambda w, colimits=diagrams[Y], limits=diagrams[X]: answer(w, colimits, limits)))
-
-
 def _check_forgetful_creates(ctx) -> SuiteResult:
-    """Strict and non-strict creation of limits and j-absolute colimits by u_T."""
+    """Strict and non-strict creation of limits and j-absolute colimits by
+    u_T.  Each question kind is asked once per weight list, about the first
+    member of each class; each later member repeats its checks and details."""
 
-    details = []
+    details, skipped = [], {}
     checked = 0
+    census = ctx.census
     for inst, role, T in ctx.monad_entries():
         u = ctx.algcat(inst, role).u
-        for checks, failures in _creation_items(ctx, T.j, u, f"{inst.name}/{role}"):
-            checked += checks
-            details.extend(failures)
-    return SuiteResult("forgetful_creates", not details, checked, details)
+        diagrams = {Z: census.diagrams(Z, u) for Z in ctx.shape_family}
+        for X in ctx.shape_family:
+            for Y in ctx.shape_family:
+                try:
+                    weights = census.weights(X, Y, ctx.element_cap, ctx.budget)
+                except BudgetExceeded:
+                    skipped[f"{X.name}->{Y.name}"] = "weight census over budget"
+                    continue
+                firsts, of = class_representatives(weights)
+                colimits, limits = diagrams[Y], diagrams[X]
+                asked = (("colimit", [[d for d, v in zip(colimits, vs) if v == ABSOLUTE_COLIMIT]
+                                      for vs in census.colimits(T.j, [(w, colimits) for w in firsts])]),
+                         ("limit", [list(itertools.compress(limits, vs))
+                                    for vs in census.limits([(w, limits) for w in firsts])]))
+                created = [census.creations(u, list(zip(firsts, ds)), kind) for kind, ds in asked]
+                checks = [2 * sum(len(ds[k]) for _, ds in asked) for k in range(len(firsts))]
+                failures = [[f"{inst.name}/{role}: {mode} {kind} creation fails "
+                             f"(weight {X.name}->{Y.name}, diagram {dict(d.f.on_objects)})"
+                             for (kind, ds), answers in zip(asked, created) for d, both in zip(ds[k], answers[k])
+                             for mode, passed in zip(("strict", "nonstrict"), both) if not passed]
+                            for k in range(len(firsts))]
+                for k in of:
+                    checked += checks[k]
+                    details += failures[k]
+    return SuiteResult("forgetful_creates", not details, checked, details, skipped)
 
 
 def _check_preservation_conservativity(ctx) -> SuiteResult:
     """Preservation plus conservativity implies non-strict creation."""
 
-    details = []
+    details, skipped = [], {}
     checked = 0
     census = ctx.census
     shapes = ctx.shape_family[:2]
@@ -230,28 +225,33 @@ def _check_preservation_conservativity(ctx) -> SuiteResult:
         diagrams = {Y: census.diagrams(Y, g) for Y in shapes}
         for X in shapes:
             for Y in shapes:
-                try:
-                    weights = _small_weights(ctx, X, Y)
-                except BudgetExceeded:
-                    continue
-                for w in weights:
-                    preserved = list(itertools.compress(diagrams[Y], census.preserved(g, w, diagrams[Y])))
-                    checked += len(preserved)
+                firsts, of = class_representatives(_small_weights(ctx, X, Y, skipped))
+                preserved = [list(itertools.compress(diagrams[Y], found))
+                             for found in census.preserved(g, [(w, diagrams[Y]) for w in firsts])]
+                created = census.creations(g, list(zip(firsts, preserved)), "colimit")
+                for k in of:
+                    checked += len(preserved[k])
                     details += [f"{inst.name}/{role}: preserved colimit not non-strictly created"
-                                for _, nonstrict in census.creations(g, w, preserved, "colimit") if not nonstrict]
-    return SuiteResult("preservation_conservativity", not details, checked, details)
+                                for _, nonstrict in created[k] if not nonstrict]
+    return SuiteResult("preservation_conservativity", not details, checked, details, skipped)
 
 
-def _small_weights(ctx, X, Y):
+def _small_weights(ctx, X, Y, skipped):
     """Handles of the weights X -|-> Y with at most one element per
     component, from the census's list at the suite's element cap, whose
     rows forgetful_creates has filled, or at cap 1 when that list is over
-    budget.  Both lists hold the small weights in the same order."""
+    budget, or none when that one is too; skipped records either case.
+    Both lists hold the small weights in the same order."""
 
     try:
         weights = ctx.census.weights(X, Y, ctx.element_cap, ctx.budget)
     except BudgetExceeded:
-        weights = ctx.census.weights(X, Y, min(ctx.element_cap, 1), ctx.budget)
+        try:
+            weights = ctx.census.weights(X, Y, min(ctx.element_cap, 1), ctx.budget)
+        except BudgetExceeded:
+            skipped[f"{X.name}->{Y.name}"] = "weight census over budget"
+            return []
+        skipped[f"{X.name}->{Y.name}"] = "weight census over budget; small weights read from the cap-1 list"
     return [w for w in weights if all(len(w.p.el(y, x)) <= 1 for y in Y.objects for x in X.objects)]
 
 
@@ -273,7 +273,7 @@ def _check_algebra_object_up(ctx) -> SuiteResult:
 def _check_monadicity_crosscheck(ctx) -> SuiteResult:
     """The relative monadicity theorem as a falsification harness."""
 
-    details = []
+    details, skipped = [], {}
     checked = 0
     for inst, j, rrole, r in ctx.root_pairs():
         resolution = ctx.resolution(j, r)
@@ -284,6 +284,7 @@ def _check_monadicity_crosscheck(ctx) -> SuiteResult:
         checked += 1
         if audit.vacuous:
             continue
+        skipped.update((key, why) for key, why in audit.inconclusive_at_bound.items() if "->" in key)
         if audit.discrepancies:
             details.append(f"{inst.name}/{rrole}: {audit.discrepancies}")
         for mode in MODES:
@@ -292,7 +293,7 @@ def _check_monadicity_crosscheck(ctx) -> SuiteResult:
                     details.append(f"{inst.name}/{rrole}: targeted extension mismatch ({mode})")
                 if audit.retraction_identity is False:
                     details.append(f"{inst.name}/{rrole}: retraction mismatch ({mode})")
-    return SuiteResult("monadicity_crosscheck", not details, checked, details)
+    return SuiteResult("monadicity_crosscheck", not details, checked, details, skipped)
 
 
 def _check_degenerate_root(ctx) -> SuiteResult:
@@ -425,7 +426,7 @@ def _check_algebraic_tight_cells(ctx) -> SuiteResult:
     """Concrete functors between algebra categories create limits and the
     colimits sent to j-absolute ones, and are monadic iff left-adjointable."""
 
-    details = []
+    details, skipped = [], {}
     checked = 0
     by_instance: dict = {}
     for inst, role, T in ctx.monad_entries():
@@ -450,12 +451,12 @@ def _check_algebraic_tight_cells(ctx) -> SuiteResult:
                 if has_adjoint != monadic:
                     details.append(f"{name}:{role_b}->{role_a}: monadic {monadic} "
                                    f"vs adjoint {has_adjoint}")
-                bad = _algebraic_creation_sample(ctx, T_a.j, alg_a.u, i)
+                bad = _algebraic_creation_sample(ctx, T_a.j, alg_a.u, i, skipped)
                 details.extend(f"{name}:{role_b}->{role_a}: {b}" for b in bad)
     passed = not details
     if checked == 0:
         details = ["skipped: no commuting triangle of algebra categories in this corpus"]
-    return SuiteResult("algebraic_tight_cells", passed, checked, details)
+    return SuiteResult("algebraic_tight_cells", passed, checked, details, skipped)
 
 
 def _concrete_functor(alg_src, alg_tgt):
@@ -467,30 +468,27 @@ def _concrete_functor(alg_src, alg_tgt):
                                    mor_ok=lambda k, m: u_tgt.mor(m) == u_src.mor(k)), None)
 
 
-def _algebraic_creation_sample(ctx, j, r, i):
+def _algebraic_creation_sample(ctx, j, r, i, skipped):
     """Creation checks for i over Terminal-shaped weights (bounded sample),
-    read from the run's census."""
+    read from the run's census, each question kind asked once about the
+    first member of each weight class."""
 
-    out = []
     census = ctx.census
     Tm = terminal_category()
-    try:
-        weights = _small_weights(ctx, Tm, Tm)
-    except BudgetExceeded:
-        return out
+    firsts, of = class_representatives(_small_weights(ctx, Tm, Tm, skipped))
     diagrams, diagrams_r = census.diagrams(Tm, i), census.diagrams(Tm, r)
     # f ; i, and f ; i ; r as its composite with r
     diagrams_r = [diagrams_r[diagram.d_index] for diagram in diagrams]
-    for w in weights:
-        absolute = [v == ABSOLUTE_COLIMIT for v in census.colimits(j, w, diagrams_r)]
-        preserved = iter(census.preserved(r, w, list(itertools.compress(diagrams_r, absolute))))
-        colimits = [d for d, a in zip(diagrams, absolute) if a and next(preserved)]
-        out += ["colimit sent to j-absolute not non-strictly created"
-                for _, nonstrict in census.creations(i, w, colimits, "colimit") if not nonstrict]
-        limits = list(itertools.compress(diagrams, census.limits(w, diagrams)))
-        out += ["limit not non-strictly created"
-                for _, nonstrict in census.creations(i, w, limits, "limit") if not nonstrict]
-    return out
+    absolute = [[v == ABSOLUTE_COLIMIT for v in vs] for vs in census.colimits(j, [(w, diagrams_r) for w in firsts])]
+    preserved = census.preserved(r, [(w, list(itertools.compress(diagrams_r, a))) for w, a in zip(firsts, absolute)])
+    colimits = [list(itertools.compress(itertools.compress(diagrams, a), p)) for a, p in zip(absolute, preserved)]
+    limits = [list(itertools.compress(diagrams, found)) for found in census.limits([(w, diagrams) for w in firsts])]
+    created = (census.creations(i, list(zip(firsts, colimits)), "colimit"),
+               census.creations(i, list(zip(firsts, limits)), "limit"))
+    failures = [[f"{what} not non-strictly created"
+                 for what, answers in zip(("colimit sent to j-absolute", "limit"), created)
+                 for _, nonstrict in answers[k] if not nonstrict] for k in range(len(firsts))]
+    return [bad for k in of for bad in failures[k]]
 
 
 def _check_transport_bijection(ctx) -> SuiteResult:

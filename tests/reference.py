@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from relmon.algebra import Algebra, _alpha_slice_matches, algebra_violations
-from relmon.census import ABSOLUTE_COLIMIT
+from relmon.census import ABSOLUTE_COLIMIT, NO_COLIMIT
 from relmon.colim import (
     CreationReport,
     WeightedColimit,
@@ -37,6 +37,7 @@ from relmon.fincat import (
     opposite_functor,
 )
 from relmon.monad import RelativeMonad, budget_limit, monad_violations
+from relmon.monadicity import AuditItem
 from relmon.prof import (
     MAX_CHAIN,
     Distributor,
@@ -775,12 +776,28 @@ def enumerate_distributors(X, Y, element_cap: int, budget: int = 200_000) -> lis
 # the census loops, one question per labelled weight
 
 
-def every_weight(weights: list, answer):
-    """monadicity.class_answers without the sharing: (w, answer(w)) for
-    every weight handle, answer asked once per handle."""
+def audit_items(census, j, r, shape_family, element_cap: int, budget: int) -> tuple:
+    """(items, downstairs colimits) of monadicity.creation_audit's census
+    loop, by a plain loop that asks census about every labelled weight of
+    every list and every diagram into dom r: each j-absolute colimit gives
+    an item with its strict and non-strict creation verdicts by r."""
 
-    for w in weights:
-        yield w, answer(w)
+    items, tested = [], 0
+    for X in shape_family:
+        for Y in shape_family:
+            try:
+                weights = census.weights(X, Y, element_cap, budget)
+            except BudgetExceeded:
+                continue
+            for w in weights:
+                for d in census.diagrams(Y, r):
+                    verdict = census.colimit(j, w, d)
+                    tested += verdict != NO_COLIMIT
+                    if verdict == ABSOLUTE_COLIMIT:
+                        items.append(AuditItem((X.name, Y.name), w.index, dict(d.f.on_objects), "colimit", True,
+                                               *(census.creation(r, w, d, "colimit", mode)
+                                                 for mode in ("strict", "nonstrict"))))
+    return items, tested
 
 
 def forgetful_creates(ctx) -> tuple:

@@ -253,6 +253,24 @@ def test_verify_algebra_object_grade_2(bz2_monads):
     assert report.grade_bound == 2
 
 
+def test_graded_cells_over_the_budget_are_noted_and_skipped(bz2_monads):
+    """verify_algebra_object bounds its graded cells by the budget it is
+    handed, as it does its distributor census.  With budget 4 the
+    Terminal-shaped algebras of the first monad on the point of BZ2 are
+    listed (4 raw candidates), but some grade-2 chain of cap-2 weights
+    spans more graded cells: that enumeration is noted and skipped, and no
+    BudgetExceeded escapes.  The default budget checks every cell."""
+    T = bz2_monads[0]
+    algcat = build_algebra_category(T)
+    shapes = [corpus.terminal_category()]
+    full = verify_algebra_object(algcat.u, algcat.alpha_T, T, shapes, grade_bound=2, element_cap=2)
+    bounded = verify_algebra_object(algcat.u, algcat.alpha_T, T, shapes, grade_bound=2, element_cap=2, budget=4)
+    assert full.passed and full.notes == []
+    assert bounded.passed and 0 < bounded.clause2_checked < full.clause2_checked
+    assert bounded.notes and all(note.startswith("graded cells Terminal->Terminal (grade 2")
+                                 and note.endswith("over budget; skipped") for note in bounded.notes)
+
+
 def _candidate_with_arrows(algcat, arrows: int):
     """Alg(T) for the trivial monad on Interval with its one non-identity
     arrow dropped (arrows=0) or doubled (arrows=2), and u and alpha to
