@@ -505,15 +505,18 @@ def verify_algebra_object(candidate_u: FunctorData, candidate_alpha: dict, T: Re
                                 chain_lists.append([p1, p2])
                 if D.name == Dp.name:
                     chain_lists = [[]] + chain_lists   # grade-0 morphisms
+                ends = (identity_functor(D), identity_functor(Dp))
                 for i1, alg1 in algs1:
                     F1 = factorizations[(D.name, i1)][0]
                     for i2, alg2 in algs2:
                         F2 = factorizations[(Dp.name, i2)][0]
-                        q = hom_restriction(E, alg1.carrier, alg2.carrier)
+                        q, lift = hom_restriction(E, alg1.carrier, alg2.carrier), None
                         for chain in chain_lists:
                             try:
-                                cells = _graded_morphisms(alg1, alg2, chain, q, budget)
-                                lifts = _lifts_by_image(candidate_u, F1, F2, chain, M, budget) if cells else {}
+                                cells = _graded_morphisms(alg1, alg2, chain, q, budget, ends)
+                                if cells and lift is None:
+                                    lift = hom_restriction(M, F1, F2)
+                                lifts = _lifts_by_image(candidate_u, chain, ends, lift, budget) if cells else {}
                             except BudgetExceeded:
                                 report.notes.append(f"graded cells {D.name}->{Dp.name} (grade {len(chain)}, "
                                                     f"algebras {i1}, {i2}) over budget; skipped")
@@ -548,21 +551,23 @@ def _alpha_slice_matches(candidate_alpha: dict, obj: str, alg: Algebra, d: str) 
     return True
 
 
-def graded_algebra_morphisms(alg1: Algebra, alg2: Algebra, chain: list) -> list:
+def graded_algebra_morphisms(alg1: Algebra, alg2: Algebra, chain: list, budget: int = None) -> list:
     """Graded T-algebra morphisms in the alternative form p_1..p_n => E(e, e').
 
     Every natural cell whose components all satisfy the intertwining law
-    alpha(f) ; eps = alpha'(f ; eps).
+    alpha(f) ; eps = alpha'(f ; eps).  BudgetExceeded when the raw cell
+    space exceeds budget (budget_limit() by default).
     """
 
-    return _graded_morphisms(alg1, alg2, chain, hom_restriction(alg1.monad.j.cod, alg1.carrier, alg2.carrier))
+    return _graded_morphisms(alg1, alg2, chain, hom_restriction(alg1.monad.j.cod, alg1.carrier, alg2.carrier),
+                             budget, (identity_functor(alg1.domain), identity_functor(alg2.domain)))
 
 
-def _graded_morphisms(alg1: Algebra, alg2: Algebra, chain: list, q: Distributor, budget: int = None) -> list:
-    """graded_algebra_morphisms over q = E(alg1.carrier, alg2.carrier), built once by a caller asking about
-    several chains, within budget (budget_limit() by default)."""
+def _graded_morphisms(alg1: Algebra, alg2: Algebra, chain: list, q: Distributor, budget: int, ends: tuple) -> list:
+    """graded_algebra_morphisms over q = E(alg1.carrier, alg2.carrier) and ends, the identities of
+    both domains, built once by a caller asking about several chains."""
 
-    cells = enumerate_graded_cells(chain, identity_functor(alg1.domain), identity_functor(alg2.domain), q, budget)
+    cells = enumerate_graded_cells(chain, *ends, q, budget)
     return [cell for cell in cells if _graded_law_holds(alg1, alg2, cell)]
 
 
@@ -578,15 +583,13 @@ def _graded_law_holds(alg1: Algebra, alg2: Algebra, cell: GradedCell) -> bool:
     return True
 
 
-def _lifts_by_image(candidate_u, F1: FunctorData, F2: FunctorData, chain, M: FinCategory, budget: int) -> Counter:
-    """The natural lifts through the candidate of the graded cells over
-    chain, relative to the factorized boundary functors F1, F2, counted by
-    their image under the candidate (their components, in key order)."""
+def _lifts_by_image(candidate_u, chain, ends: tuple, lift: Distributor, budget: int) -> Counter:
+    """The natural lifts through the candidate of the graded cells over chain into lift =
+    M(F1, F2), F1 and F2 the factorized boundary functors and ends their domains' identities,
+    counted by their image under the candidate (their components, in key order)."""
 
     return Counter(tuple((key, candidate_u.mor(v)) for key, v in lifted.components.items())
-                   for lifted in enumerate_graded_cells(chain, identity_functor(F1.dom),
-                                                        identity_functor(F2.dom),
-                                                        hom_restriction(M, F1, F2), budget))
+                   for lifted in enumerate_graded_cells(chain, *ends, lift, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
 """The run-scoped census of weights, (co)limit existence, absoluteness and creation verdicts.
 
 A suite run asks the same (co)limit and creation questions again and
-again, across theorems, monads and roots.  DownstairsCensus answers each
-one once per (weight class, diagram) position, in byte rows keyed by
-content: whether the colimit exists and is j-absolute, whether the limit
-exists, both creation modes' verdicts, and whether g preserves the
-colimit.  It keeps no (co)limit of its own and assembles none: a weighted
-colimit is pointwise in x (Kelly, Basic Concepts of Enriched Category
-Theory, 3.1), so it exists exactly when it exists at every x, and the
-colimit at each x is read from the pointwise store, where every search,
-absoluteness check and creation check of the run reads and keeps it.  The
-class docstring gives the row layout.
+again, across theorems, monads and roots.  DownstairsCensus answers them
+per (weight class, diagram) position: whether the colimit exists and is
+j-absolute, whether the limit exists, both creation modes' verdicts, and
+whether g preserves the colimit.  It keeps no (co)limit of its own and
+assembles none.  A weighted colimit is pointwise in x (Kelly, Basic
+Concepts of Enriched Category Theory, 3.1), so each answer is a
+conjunction, over the weight's columns p(-, x), of facts about one
+(column, diagram) pair, read from the pointwise store.  The census keeps
+each fact as one bit of an int per column, one fact for many diagrams,
+as bit-parallel text search does (Baeza-Yates and Gonnet, "A new
+approach to text searching", CACM 35(10), 1992); the class docstring
+gives the layout.
 
-Every answer is invariant under an isomorphism of weights, so rows hold
-one byte per weight class.  A weighted colimit is functorial in its
+Every answer is invariant under an isomorphism of weights, so a loop asks
+about one weight per class.  A weighted colimit is functorial in its
 weight (Kelly, 3.1): an isomorphism phi: p ~= p' sends each p-weighted
 cocone to a p'-weighted one with the same apex (legs lam . phi^-1), one
 to one and naturally in the apex.  So colimits exist for both or neither,
@@ -38,20 +40,19 @@ refuses a handle made by another census or for another g.
 Questions come as lists of (weight handle, diagram handles) pairs, the
 weights of one weight list and the diagrams made for one g, in any order
 and with repeats: colimits, limits, creations and preserved.  A list
-resolves its row once, then reads or fills one byte per diagram of each
-pair; the one-position questions (colimit, limit, creation, preserves)
-are lists of one.  Loops ask about the first member of each weight class
-(class_representatives).  A cold position resolves no key either: it
-reads its records by the weight's column ids (prof.Distributor.columns,
-built once per weight and per dual) and checks only what spans two x's,
-and a creation position whose records settle both modes runs no search
-(colim.settled_records).
+checks each distinct diagram list once and answers each pair with a few
+bit operations per column of its weight (prof.Distributor.columns, kept
+per weight and per dual); the one-position questions (colimit, limit,
+creation, preserves) are lists of one.  Loops ask about the first member
+of each weight class (class_representatives).  A fact not yet known is
+decided once, by the search or check a position walking its columns in x
+order would make.
 
 The pointwise store holds one record per (diagram id, column id)
 (colim._Column): the colimit at one x and the natural families there,
 with their plan, shared by every weight whose column p(-, x) has the
 same content.  It holds per (root, diagram id) the
-j-absoluteness at each column (colim.j_absolute_at), and per (diagram
+j-absoluteness at each column (colim.first_failing_at), and per (diagram
 id, g by content) the creation record at each column (colim._CreationAt),
 which holds what both creation modes need at one x, strict creation over
 every colimiting cocone and preservation included, so that a position
@@ -74,6 +75,7 @@ from typing import NamedTuple, Optional
 # the searches are called through their modules, so that instrumentation
 # patching module attributes (bench/tracing.py) counts the census's calls
 from . import colim, fincat, prof
+from .errors import EndpointMismatch
 from .fincat import FinCategory, FunctorData
 from .prof import Distributor, dual_distributor
 
@@ -82,10 +84,9 @@ NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
 # a creation byte: _CHECKED, plus _PASSED << i for each _MODES[i] whose check
 # passed, plus _PRESERVED when g sends the upstairs (co)limit to one
 _CHECKED, _PASSED, _PRESERVED = 1, 2, 8
+_SETTLED = _CHECKED | _PASSED | _PASSED << 1
 _MODES = colim.CREATION_MODES
-# what a question returns for each byte b: colimits and limits, then creations
-# ((strict, nonstrict) passed) and preserved
-_COLIMITS, _EXISTS = (None, NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT), (None, False, True)
+# what a question returns for each creation byte b: (strict, nonstrict) passed, and preserved
 _VERDICTS = tuple((bool(b & _PASSED), bool(b & _PASSED << 1)) for b in range(16))
 _PRESERVES = tuple(bool(b & _PRESERVED) for b in range(16))
 
@@ -165,50 +166,46 @@ def _class_ids(ps: list) -> list[int]:
 
 
 class DownstairsCensus:
-    """(Co)limit existence, absoluteness and creation verdicts, one entry per (weight, diagram) position.
+    """(Co)limit existence, absoluteness and creation verdicts per (weight, diagram) position.
 
     A (co)limit depends only on the weight p: X -|-> Y and the diagram;
     j-absoluteness also on the root j: A -> E; a creation verdict on the
     functor g: W -> E, p and f: Z -> W.  None depends on which monad or
-    candidate produced the question.  One census is held for one suite run
-    or one creation audit and dropped with it.
+    candidate produced the question.
 
-    Rows are keyed by content, never by object identity, and indexed by
-    weight class and position: the entry for a weight handle w and a
-    diagram Z -> C sits at w.cls * n + i, where i is the diagram's position
-    among the n functors of enumerate_functors(Z, C), as diagrams(Z, g)
-    records them for C = cod g and C = dom g.  Every weight of a class
-    reads the byte its first question there filled.
-
-    * Absoluteness rows, keyed (root j: A -> E by content, X, Y, cap),
-      hold one byte per colimit: NO_COLIMIT, COLIMIT or ABSOLUTE_COLIMIT,
-      plus one.  The first question at a position reads the colimit at
-      each x from the diagram's records and, when every x has one, its
-      j-absoluteness per column (store entry resolved once per (j, d)).
-    * Limit rows, keyed (C, X, Y, cap), hold one existence byte per
-      limit of a diagram into C: 1 when it does not exist, 2 when it
-      does, read from the dual colimit at each y.
-    * Creation rows, keyed (g by content, kind, X, Y, cap) without the
-      mode, hold one byte per position: _CHECKED, plus _PASSED << i for
-      each mode _MODES[i] that passes, plus _PRESERVED when f has a
-      (co)limit and g sends it to one.  The first creations or preserved
-      question at a position reads preservation from the creation records
-      at its x's, kept in the pointwise store per (g, diagram, column), and
-      both modes from them alone when they settle both, else from each
-      mode's search (colim.creation_search): no report is built.  preserved
-      asks only where f ; g has a colimit, since the records exist only
-      there.
-
-    Zero means unknown everywhere.  No row holds a (co)limit, and no
-    question assembles one.  A row keeps its n beside its bytes, so a list
-    question builds and hashes one row key (_bytes) for all its pairs.
+    Masks are keyed by content.  A mask [known, holds, goes on] of one
+    column id holds bit i for the diagram at position i of an index space:
+    d = f ; g among enumerate_functors(Z, C), or f among those into dom g,
+    as diagrams(Z, g) records them.  A pair walks its weight's columns in
+    x order (_walk), deciding the bits not yet known there, and the
+    answer is the bits that hold at every column:
+    * colimits, per (Z, C), whether d has a colimit at the column of p;
+    * absoluteness, per (root j by content, Z, C), for a d with a colimit
+      at every column, whether its canonical map at the column of p is a
+      bijection at every a (colim.first_failing_at); as in j_absolute_at,
+      a bit goes on unless the map fails at the first a;
+    * limits, per (Z, C), whether the dual of d has a colimit at the
+      column of the dual weight;
+    * settled, per (g by content, kind, Z), whether f's creation record at
+      the column of the question weight is stored, strict, upstairs and
+      closed, and then whether it is preserved too.  A position settled at
+      every column passes both modes, as the all-strict and all-closed
+      shortcuts of the two creation searches do.
+    Any other creation position reads a byte in the row keyed (g by
+    content, kind, X, Y, cap), at w.cls * n plus the index of f: _CHECKED,
+    plus _PASSED << i for each mode _MODES[i] that passes, plus _PRESERVED
+    when g sends f's (co)limit to one, set on its first question.
+    preserved asks only where f ; g has a colimit, since the records exist
+    only there.  No mask or row holds a (co)limit.
     """
 
     def __init__(self):
-        self._absolute: dict[tuple, tuple] = {}
-        self._entries: dict[tuple, list] = {}
-        self._limits: dict[tuple, tuple] = {}
+        self._colimits: dict[tuple, dict] = {}
+        self._absolute: dict[tuple, dict] = {}
+        self._limits: dict[tuple, dict] = {}
+        self._settled: dict[tuple, dict] = {}
         self._creations: dict[tuple, tuple] = {}
+        self._entries: dict[tuple, list] = {}
         self._positions: dict[tuple, dict] = {}
         self._diagrams: dict[tuple, list] = {}
         self._weights: dict[tuple, list] = {}
@@ -250,39 +247,46 @@ class DownstairsCensus:
         """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the w.p-weighted
         colimit of each diagram's d, per (w, diagrams) pair of asked, in the order given."""
 
-        def fill(w: Weight, diagram: Diagram) -> int:
-            d = diagram.d
-            at = colim.pointwise_colimit(w.p, d, diagram.colimit.down)
-            if at is None:
-                return NO_COLIMIT + 1
-            entry = self._entries.get((j, d)) or self._entries.setdefault(
-                (j, d), colim.absolute_entry(j, d, self._pointwise))
-            return (ABSOLUTE_COLIMIT if colim.j_absolute_at(j, w.p, d, at, entry)[0] else COLIMIT) + 1
-        return self._bytes(self._absolute, (j,), asked, fill, _COLIMITS)
+        first = self._first(asked)
+        if first is None:
+            return [[] for _ in asked]
+        if j.cod != first.d.cod:
+            raise EndpointMismatch("colimit must live in the root's codomain")
+        masks, n_a, entries = self._absolute.setdefault((j, first.d.dom, first.d.cod), {}), len(j.dom.objects), {}
+
+        def decide(p, x, column, i):
+            d, records = entries[i].d, entries[i].down
+            key = (j, d)
+            first = colim.first_failing_at(j, p, x, column, d, records[column].colimit(), self._entries.get(
+                key) or self._entries.setdefault(key, colim.absolute_entry(j, d, self._pointwise)))
+            return first == n_a, first > 0 or first == n_a
+        out = []
+        for (w, diagrams), (exists, entries) in zip(asked, self._exists(asked, "colimit", first)):
+            absolute = _walk(masks, w.p, exists, decide)[0] if exists else 0
+            out.append([(exists >> diagram.d_index & 1) + (absolute >> diagram.d_index & 1) for diagram in diagrams])
+        return out
 
     def limits(self, asked: list) -> list[list[bool]]:
         """Does the w.p-weighted limit of each diagram's d exist, per (w, diagrams) pair of asked?"""
 
-        def fill(w: Weight, diagram: Diagram) -> int:
-            return 1 + (colim.pointwise_colimit(dual_distributor(w.p), diagram.limit.d, diagram.limit.down) is not None)
-        C = next((diagrams[0].d.cod for _, diagrams in asked if diagrams), None)
-        return self._bytes(self._limits, (C,), asked, fill, _EXISTS)
+        return [[bool(exists >> diagram.d_index & 1) for diagram in diagrams]
+                for (_, diagrams), (exists, _) in zip(asked, self._exists(asked, "limit", self._first(asked)))]
 
     def creations(self, g: FunctorData, asked: list, kind: str) -> list[list[tuple]]:
         """check_creation(g, w.p, diagram.f, mode, kind).passed as (strict,
         nonstrict) per diagram, per (w, diagrams) pair of asked."""
 
-        return self._creation_bytes(g, asked, kind, _VERDICTS)
+        colim.check_choice("kind", kind, colim.CREATION_KINDS)
+        return self._creation_bytes(g, asked, kind, _VERDICTS, self._first(asked, g))
 
     def preserved(self, g: FunctorData, asked: list) -> list[list[bool]]:
         """Do the w.p-weighted colimits of each diagram's f and d exist, and g send the first
         to a colimit, per (w, diagrams) pair?  Read from the creation byte where d has one."""
 
-        self._own((diagram for _, diagrams in asked for diagram in diagrams), g)
-        exists = [[colim.pointwise_colimit(w.p, diagram.d, diagram.colimit.down) is not None
-                   for diagram in diagrams] for w, diagrams in asked]
-        found = self._creation_bytes(g, [(w, list(itertools.compress(diagrams, e)))
-                                         for (w, diagrams), e in zip(asked, exists)], "colimit", _PRESERVES)
+        exists = [[bool(found >> diagram.d_index & 1) for diagram in diagrams]
+                  for (_, diagrams), (found, _) in zip(asked, self._exists(asked, "colimit", self._first(asked, g)))]
+        asked = [(w, list(itertools.compress(diagrams, e))) for (w, diagrams), e in zip(asked, exists)]
+        found = self._creation_bytes(g, asked, "colimit", _PRESERVES, next((ds[0] for _, ds in asked if ds), None))
         return [[e and next(answers) for e in es] for es, answers in zip(exists, map(iter, found))]
 
     # one-position questions: lists of one weight and one diagram
@@ -300,68 +304,110 @@ class DownstairsCensus:
     def preserves(self, g: FunctorData, w: Weight, diagram: Diagram) -> bool:
         return self.preserved(g, [(w, [diagram])])[0][0]
 
-    def _creation_bytes(self, g: FunctorData, asked: list, kind: str, values: tuple) -> list:
-        """values[b] for the creation byte b of each position, set on the first question there
-        from the records stored at its columns when they settle both modes, else from its
-        creation records, fetched once (for a limit, in the dual), and one search per mode."""
+    def _exists(self, asked: list, kind: str, first: Optional[Diagram]) -> list[tuple]:
+        """Per (w, diagrams) pair of asked, first being its first diagram: the bits, by
+        d_index, of the diagrams whose d has a w.p-weighted colimit (for kind "limit", a
+        limit, read in the dual), and each diagram's store entry of kind by d_index."""
 
-        colim.check_choice("kind", kind, colim.CREATION_KINDS)
-        def fill(w: Weight, diagram: Diagram) -> int:
-            entry = getattr(diagram, kind)
-            records = colim.settled_records(entry, w.p, diagram.f, kind)
-            if records is not None:
-                verdicts = _CHECKED | _PASSED | _PASSED << 1
-            else:
-                found = colim.creation_records(g, w.p, diagram.f, kind, entry)
-                records, verdicts = found.records, _CHECKED
-                for i, mode in enumerate(_MODES):
-                    if colim.creation_search(found, mode)[0]:
-                        verdicts |= _PASSED << i
-            return verdicts | (_PRESERVED if all(record.preserved for record in records) else 0)
-        return self._bytes(self._creations, (g, kind), asked, fill, values, g, True)
+        if first is None:
+            return [(0, {}) for _ in asked]
+        masks = (self._colimits if kind == "colimit" else self._limits).setdefault((first.d.dom, first.d.cod), {})
 
-    def _own(self, diagrams, g: Optional[FunctorData] = None) -> None:
-        """Refuse diagrams unless this census made each of them for one g (g
-        when given): a handle holds the store entries of its census and g."""
+        def decide(q, x, column, i):
+            found = colim.colimit_at(entries[i].down, q, x, column, entries[i].d) is not None
+            return found, found
+        lists, out = {}, []
+        for w, diagrams in asked:
+            if id(diagrams) not in lists:
+                lists[id(diagrams)] = (sum({1 << diagram.d_index for diagram in diagrams}),
+                                       {diagram.d_index: getattr(diagram, kind) for diagram in diagrams})
+            alive, entries = lists[id(diagrams)]
+            q = w.p if kind == "colimit" else dual_distributor(w.p)
+            out.append((_walk(masks, q, alive, decide)[0] if alive else 0, entries))
+        return out
 
-        for diagram in diagrams:
+    def _creation_bytes(self, g: FunctorData, asked: list, kind: str, values: tuple,
+                        first: Optional[Diagram]) -> list:
+        """values[b] for the creation byte b of each position (first: the first diagram asked),
+        from the settled masks where they settle it, else from its row byte, set on its first
+        question from its creation records, fetched once, and one search per mode."""
+
+        if first is None:
+            return [[] for _ in asked]
+        Z, w = first.f.dom, asked[0][0]
+        handles, masks = self._diagrams[(Z, g)], self._settled.setdefault((g, kind, Z), {})
+        key = (g, kind, w.p.src, w.p.tgt, w.cap)
+        row, n = self._creations.get(key) or self._creations.setdefault(
+            key, (bytearray(), len(self._positions[(Z, first.f.cod)])))
+        end = (1 + max(v.cls for v, _ in asked)) * n
+        if len(row) < end:
+            row.extend(bytes(end - len(row)))
+
+        def decide(q, x, column, i):
+            records = getattr(handles[i], kind).records
+            if column not in records:
+                return None
+            record = records[column]
+            settled = record is not None and record.strict and record.upstairs and record.closed
+            return settled and record.preserved, settled
+        by_settled, out = (values[_SETTLED], values[_SETTLED | _PRESERVED]), []
+        for w, diagrams in asked:
+            q = w.p if kind == "colimit" else dual_distributor(w.p)
+            alive = sum({1 << diagram.index for diagram in diagrams})
+            preserved, settled = _walk(masks, q, alive, decide) if alive else (0, 0)
+            base = w.cls * n
+            for diagram in diagrams:
+                if not (settled >> diagram.index & 1 or row[base + diagram.index]):
+                    found = colim.creation_records(g, w.p, diagram.f, kind, getattr(diagram, kind))
+                    row[base + diagram.index] = _CHECKED | sum(
+                        _PASSED << i for i, mode in enumerate(_MODES) if colim.creation_search(found, mode)[0]) | (
+                        _PRESERVED if all(record.preserved for record in found.records) else 0)
+            out.append([by_settled[preserved >> diagram.index & 1] if settled >> diagram.index & 1
+                        else values[row[base + diagram.index]] for diagram in diagrams])
+        return out
+
+    def _first(self, asked: list, g: Optional[FunctorData] = None) -> Optional[Diagram]:
+        """The first diagram asked about, or None when there is none.  Refuses (ValueError)
+        diagrams this census did not make for one g (g when given), checking each distinct
+        diagram list once, and weights from more than one list."""
+
+        first = next((diagrams[0] for _, diagrams in asked if diagrams), None)
+        if first is None:
+            return None
+        for diagram in itertools.chain.from_iterable({id(ds): ds for _, ds in asked}.values()):
             h = diagram.colimit.g
             if diagram.census is not self or (g is not None and h is not g and h != g):
                 raise ValueError("a diagram handle is answered only by the census that made it, for its g")
             g = h
-
-    def _bytes(self, rows: dict, head: tuple, asked: list, fill, values, g=None, up=False) -> list:
-        """For each (w, diagrams) pair of asked, values[b] for the byte b of w's class and each
-        diagram (made for g, when given), in the order given, set by fill(w, diagram) where it
-        is zero.  The weights come from one list, whose row, keyed head + (X, Y, cap), is
-        resolved once and extended once to the last class asked.  A byte sits at w.cls * n
-        plus the index of the diagram's f (up) or of its d, n counting
-        enumerate_functors(dom, cod) of that f or d."""
-
-        first = next((pair for pair in asked if pair[1]), None)
-        if first is None:
-            return [[] for _ in asked]
-        self._own((diagram for _, diagrams in asked for diagram in diagrams), g)
-        w, diagrams = first
-        of = (w.p.src, w.p.tgt, w.cap)
-        if any((v.p.src, v.p.tgt, v.cap) != of for v, _ in asked):
+        p, cap = asked[0][0].p, asked[0][0].cap
+        if not all(v.cap == cap and v.p.src is p.src and v.p.tgt is p.tgt for v, _ in asked) and any(
+                (v.p.src, v.p.tgt, v.cap) != (p.src, p.tgt, cap) for v, _ in asked):
             raise ValueError("a census question asks about the weights of one list")
-        F = getattr(diagrams[0], "f" if up else "d")
-        key = head + of
-        row, n = rows.get(key) or rows.setdefault(key, (bytearray(), len(self._positions[(F.dom, F.cod)])))
-        end = (1 + max(v.cls for v, _ in asked)) * n
-        if len(row) < end:
-            row.extend(bytes(end - len(row)))
-        out = []
-        for v, diagrams in asked:
-            base, answers = v.cls * n, []
-            for diagram in diagrams:
-                pos = base + (diagram.index if up else diagram.d_index)
-                if not row[pos]:
-                    row[pos] = fill(v, diagram)
-                answers.append(values[row[pos]])
-            out.append(answers)
-        return out
+        return first
+
+
+def _walk(masks: dict, q: Distributor, alive: int, decide) -> tuple[int, int]:
+    """(bits of alive that hold at every column of q, bits that go on past each), walking
+    the columns in x order with masks per column id; a bit unknown at a column is decided
+    there by decide(q, x, column, bit index) as (holds, goes on), or None: still unknown."""
+
+    holds = alive
+    for x, column in q.columns():
+        mask = masks.get(column) or masks.setdefault(column, [0, 0, 0])
+        unknown = alive & ~mask[0]
+        while unknown:
+            bit = unknown & -unknown
+            unknown ^= bit
+            answer = decide(q, x, column, bit.bit_length() - 1)
+            if answer is not None:
+                mask[0] |= bit
+                mask[1] |= bit if answer[0] else 0
+                mask[2] |= bit if answer[1] else 0
+        holds &= mask[1]
+        alive &= mask[2]
+        if not alive:
+            break
+    return holds, alive
 
 
 def class_representatives(weights: list) -> tuple[list, list]:

@@ -291,10 +291,16 @@ def pointwise_colimit(p: Distributor, f: FunctorData, records: Optional[dict] = 
     records = {} if records is None else records
     at = {}
     for x, column in p.columns():
-        at[x] = (records.get(column) or _column(records, p, x, f)).colimit()
+        at[x] = colimit_at(records, p, x, column, f)
         if at[x] is None:
             return None
     return at
+
+
+def colimit_at(records: dict, p: Distributor, x: str, column: tuple, f: FunctorData):
+    """pointwise_colimit at the one x whose column id is column: (apex object,
+    legs in slot order) or None, searched in f's records only when cold."""
+    return (records.get(column) or _column(records, p, x, f)).colimit()
 
 
 def weighted_colimit(p: Distributor, f: FunctorData) -> WeightedColimit:
@@ -481,18 +487,12 @@ def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict, entr
     is (a*, x*): a* the least index over x, x* the first x whose index is a*.
     """
 
-    E = j.cod
-    if f.cod != E:
+    if f.cod != j.cod:
         raise EndpointMismatch("colimit must live in the root's codomain")
     A = j.dom
-    firsts = entry[1]
     least, at_x = len(A.objects), None
     for x, column in p.columns():
-        first = firsts.get(column)
-        if first is None:
-            if entry[0] is None:
-                entry[0] = hom_restriction(E, j, f)      # q(a, y) = E(j a, f y)
-            first = firsts[column] = _first_failing_root(entry[0], j, p, x, *at[x])
+        first = first_failing_at(j, p, x, column, f, at[x], entry)
         if first < least:
             least, at_x = first, x
             if least == 0:
@@ -500,6 +500,19 @@ def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict, entr
     if at_x is None:
         return True, None
     return False, (A.objects[least], at_x)
+
+
+def first_failing_at(j: FunctorData, p: Distributor, x: str, column: tuple, f: FunctorData,
+                     at_x: tuple, entry: list) -> int:
+    """j_absolute_at's first failing index at the one x whose column id is
+    column, for f's colimit at_x there (apex object and legs in slot order):
+    read from entry (absolute_entry(j, f, store)), checked only when cold."""
+    first = entry[1].get(column)
+    if first is None:
+        if entry[0] is None:
+            entry[0] = hom_restriction(j.cod, j, f)      # q(a, y) = E(j a, f y)
+        first = entry[1][column] = _first_failing_root(entry[0], j, p, x, *at_x)
+    return first
 
 
 def _first_failing_root(q: Distributor, j: FunctorData, p: Distributor, x: str,
@@ -795,16 +808,6 @@ def _question_weight(p: Distributor, f: FunctorData, kind: str) -> Distributor:
     if f.dom != p.tgt:
         raise EndpointMismatch("diagram must start at the weight's target")
     return p
-
-
-def settled_records(entry: CreationEntry, p: Distributor, f: FunctorData, kind: str) -> Optional[list]:
-    """The creation records already in entry at each column of p (of its dual for a
-    limit), when every one is there, strict, upstairs and closed, else None: such
-    records settle both modes, as the all-strict shortcut of _strict_colimit_creation
-    and the all-closed one of _nonstrict_colimit_creation do."""
-
-    records = [entry.records.get(column) for _, column in _question_weight(p, f, kind).columns()]
-    return records if all(r is not None and r.strict and r.upstairs and r.closed for r in records) else None
 
 
 def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str,

@@ -492,14 +492,18 @@ def _algebraic_creation_sample(ctx, j, r, i, skipped):
 
 
 def _check_transport_bijection(ctx) -> SuiteResult:
-    details = []
-    checked = 0
+    """The first refusal of the budget is kept in skipped, keyed by the block, Terminal->Terminal."""
+
+    details, skipped, checked = [], {}, 0
+    Tm = terminal_category()
+    block = f"{Tm.name}->{Tm.name}"
     for inst, role, Tp in ctx.monad_entries():
         algcatp = ctx.algcat(inst, role)
         T = trivial_relative_monad(algcatp.f)
         try:
             pairs = transport_algebras(algcatp, T, "forward", budget=ctx.budget)
         except BudgetExceeded:
+            skipped.setdefault(block, "algebra transport over budget")
             continue
         checked += 1
         image_of = {}
@@ -514,18 +518,22 @@ def _check_transport_bijection(ctx) -> SuiteResult:
 
         # graded morphisms up to grade 1: postcomposition must be a bijection
         # onto the graded morphisms of the transported algebras
-        algs = enumerate_algebras(T, terminal_category(), budget=ctx.budget)
-        Tm = terminal_category()
+        algs = enumerate_algebras(T, Tm, budget=ctx.budget)
         try:
             weights = enumerate_distributors(Tm, Tm, 1, budget=ctx.budget)
         except BudgetExceeded:
+            skipped.setdefault(block, "weight census over budget")
             weights = []
         for chain in [[]] + [[p] for p in weights]:
             for a1 in algs:
                 for a2 in algs:
-                    up_cells = graded_algebra_morphisms(a1, a2, chain)
-                    down_cells = graded_algebra_morphisms(
-                        image_of[a1.table()], image_of[a2.table()], chain)
+                    try:
+                        up_cells = graded_algebra_morphisms(a1, a2, chain, ctx.budget)
+                        down_cells = graded_algebra_morphisms(
+                            image_of[a1.table()], image_of[a2.table()], chain, ctx.budget)
+                    except BudgetExceeded:
+                        skipped.setdefault(block, f"graded cells over budget (grade {len(chain)})")
+                        continue
                     forwarded = [
                         tuple(sorted(transport_graded_forward(algcatp, T, c).items()))
                         for c in up_cells
@@ -542,7 +550,7 @@ def _check_transport_bijection(ctx) -> SuiteResult:
     passed = not details
     if checked < 3:
         details.append(f"note: only {checked} transport instances in this corpus")
-    return SuiteResult("transport_bijection", passed, checked, details)
+    return SuiteResult("transport_bijection", passed, checked, details, skipped)
 
 
 def _check_duality_involution(ctx) -> SuiteResult:

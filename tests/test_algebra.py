@@ -26,7 +26,11 @@ from relmon.monad import (
     postcompose_along_adjunction,
     trivial_relative_monad,
 )
+from relmon.errors import budget_limit
+from relmon.monadicity import default_shape_family
 from relmon.reladj import adjunction_violations, identity_adjunction, validate_relative_adjunction
+from relmon import suite
+from relmon.suite import _check_transport_bijection, _Context
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +273,40 @@ def test_graded_cells_over_the_budget_are_noted_and_skipped(bz2_monads):
     assert bounded.passed and 0 < bounded.clause2_checked < full.clause2_checked
     assert bounded.notes and all(note.startswith("graded cells Terminal->Terminal (grade 2")
                                  and note.endswith("over budget; skipped") for note in bounded.notes)
+
+
+def test_transport_check_records_what_the_budget_refuses(monkeypatch):
+    """transport_bijection hands the run's budget to every graded
+    enumeration and records a refusal in skipped instead of raising.  No
+    builtin monad has more raw graded cells than raw algebra candidates
+    (point_bm3 needs 3 of each), so the check runs on a one-instance
+    context of point_bm3 whose algebra category is built at the default
+    budget: at budget 2 the algebra transport is refused; at the default
+    budget, with each graded enumeration held to 2, every one is refused
+    and the first refusal is recorded.  The default budget skips nothing."""
+    inst = next(i for i in corpus.builtin_corpus() if i.name == "point_bm3")
+    ctx = _Context([inst], default_shape_family(), 1, budget_limit())
+    assert [role for _, role, _ in ctx.monad_entries()] == ["T0"]
+    ctx.algcat(inst, "T0")
+    full = _check_transport_bijection(ctx)
+    assert full.checked == 1 and full.skipped == {}
+
+    ctx.budget = 2
+    refused = _check_transport_bijection(ctx)
+    assert refused.checked == 0 and refused.skipped == {"Terminal->Terminal": "algebra transport over budget"}
+
+    ctx.budget, budgets, real = budget_limit(), [], suite.graded_algebra_morphisms
+
+    def held(alg1, alg2, chain, budget):
+        budgets.append(budget)
+        return real(alg1, alg2, chain, 2)
+
+    monkeypatch.setattr(suite, "graded_algebra_morphisms", held)
+    graded = _check_transport_bijection(ctx)
+    assert graded.checked == 1 and graded.passed
+    assert graded.skipped == {"Terminal->Terminal": "graded cells over budget (grade 0)"}
+    # every graded enumeration was handed the run's budget
+    assert budgets and set(budgets) == {budget_limit()}
 
 
 def _candidate_with_arrows(algcat, arrows: int):

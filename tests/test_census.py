@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from relmon import algebra, colim, corpus, monadicity, reladj, suite
+from relmon import algebra, colim, corpus, monadicity, prof, reladj, suite
 from relmon.algebra import build_algebra_category
 from relmon.census import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT, DownstairsCensus
 from relmon.colim import (
@@ -222,9 +222,10 @@ def test_audit_identical_with_cold_and_warm_census():
     E = j.cod
 
     def rows_into_E(census):
-        """The absoluteness rows, and the diagrams into E whose colimits at
-        each x the pointwise store holds."""
-        return set(census._absolute), {key for key in census._pointwise if len(key) == 3 and key[1] == E}
+        """The absoluteness masks, by index space and column id, and the
+        diagrams into E whose colimits at each x the pointwise store holds."""
+        return ({(key, column) for key, masks in census._absolute.items() for column in masks},
+                {key for key in census._pointwise if len(key) == 3 and key[1] == E})
 
     for first, second in (("r1", "r2"), ("r2", "r1")):
         census = DownstairsCensus()
@@ -349,11 +350,13 @@ def content(F) -> tuple:
 
 def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypatch):
     """Over one creation audit: E(j, f) is built at most once per (j,
-    diagram) pair that absoluteness is asked about, no (j, diagram, column)
-    absoluteness is checked twice, each creation position is decided
-    exactly once, either by the records already stored at its columns
-    alone (colim.settled_records) or by one fetch of its creation records
-    and one check per mode from them, without reading or assembling a
+    diagram) pair that absoluteness is asked about, the census asks each
+    (j, diagram, column) absoluteness once and no one is checked twice,
+    each creation position is asked about once and decided either by the
+    records already stored at its columns alone, which are then present,
+    strict, upstairs and closed, or by one fetch of its creation records,
+    made only where the stored records did not settle it, and one check
+    per mode from them, without reading or assembling a
     whole (co)limit, no (g, diagram, column)
     creation record is computed twice, no census question (colimits,
     limits, creations or preserved, the last also asked at every position
@@ -363,8 +366,8 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     is already searched or outside the census store."""
     j, r = corpus_question("point_split", "r_id")
     pairs, builds, columns, checks, reads, records = [], [], [], [], [], []
-    fetches, assembled, made, searching, wasted, settles = [], [], [], [], [], []
-    inside = []
+    fetches, assembled, made, searching, wasted, facts = [], [], [], [], [], []
+    inside, asked = [], {}
 
     def within(name):
         return any(label == name for label, _ in inside)
@@ -381,21 +384,29 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
                 inside.pop()
         monkeypatch.setattr(owner, name, wrapper)
 
-    def absolute(j, p, f, at, entry):
+    def absolute(j, p, x, column, f, at, entry):
         pairs.append((content(j), content(f)))
+        if within("census.colimit"):
+            facts.append((content(j), content(f), column))
 
     def build(E, j, f):
-        if within("j_absolute_at"):
+        if within("first_failing_at"):
             builds.append((content(j), content(f)))
 
     def check(q, j, p, x, apex, legs):
-        f = next(args[2] for label, args in reversed(inside) if label == "j_absolute_at")
+        f = next(args[4] for label, args in reversed(inside) if label == "first_failing_at")
         columns.append((content(j), content(f), p.column(x)))
+
+    def settled_by_records(entry, p, kind) -> bool:
+        q = dual_distributor(p) if kind == "limit" else p
+        records = [entry.records.get(column) for _, column in q.columns()]
+        return all(r is not None and r.strict and r.upstairs and r.closed for r in records)
 
     def creation(found, mode):
         checks.append(next(key for key, fetched in fetches if fetched is found) + (mode,))
 
     def fetch(g, p, f, kind, entry):
+        assert not settled_by_records(entry, p, kind)
         inside.append(("creation_records", (g, p, f)))
         try:
             found = original_fetch(g, p, f, kind, entry)
@@ -404,10 +415,12 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
         fetches.append(((content(g), p.table(), f.table(), kind), found))
         return found
 
-    def settle(entry, p, f, kind):
-        # the audit asks about colimit creation only, where entry.g is g
-        settles.append(((content(entry.g), p.table(), f.table(), kind), original_settle(entry, p, f, kind)))
-        return settles[-1][1]
+    def ask(census, g, pairs, kind):
+        for w, diagrams in pairs:
+            for diagram in diagrams:
+                key = (content(g), w.p.table(), diagram.f.table(), kind)
+                assert key not in asked
+                asked[key] = (getattr(diagram, kind), w.p, kind)
 
     def read(*args, **kwargs):
         if within("creation") or within("census.preserves"):
@@ -437,15 +450,13 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
         if any(within(label) for label in ("census.colimit", "census.limit", "census.preserves")):
             (wasted if column.searched or not stored(column) else searching).append(key(column))
 
-    wrap(colim, "j_absolute_at", absolute)
+    wrap(colim, "first_failing_at", absolute)
     wrap(colim, "hom_restriction", build)
     wrap(colim, "_first_failing_root", check)
     wrap(colim, "creation_search", creation)
     original_fetch = colim.creation_records
     monkeypatch.setattr(colim, "creation_records", fetch)
-    original_settle = colim.settled_records
-    monkeypatch.setattr(colim, "settled_records", settle)
-    wrap(DownstairsCensus, "creations", lambda *args: None, "creation")
+    wrap(DownstairsCensus, "creations", ask, "creation")
     wrap(DownstairsCensus, "colimits", lambda *args: None, "census.colimit")
     wrap(DownstairsCensus, "limits", lambda *args: None, "census.limit")
     wrap(DownstairsCensus, "preserved", lambda *args: None, "census.preserves")
@@ -460,17 +471,17 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     report = creation_audit(j, r, shapes, 1, census=census)
     assert not report.vacuous and report.items
     assert len(builds) == len(set(builds)) <= len(set(pairs)) < len(pairs)
+    assert facts and len(facts) == len(set(facts))
     assert columns and len(columns) == len(set(columns))
     positions = {key[:4] for key in checks}
     assert len(checks) == len(set(checks)) == 2 * len(positions)
     fetched = [key for key, _ in fetches]
     assert len(fetched) == len(set(fetched)) and set(fetched) == positions
-    # every position is first asked whether its records settle it: those
-    # that do are neither fetched nor searched, the others are, once
-    asked = [key for key, _ in settles]
-    settled = {key for key, found in settles if found is not None}
-    assert len(asked) == len(set(asked)) == len(report.items)
-    assert settled and not settled & positions and settled | positions == set(asked)
+    # a position its stored records settle is neither fetched nor searched
+    # (fetch asserts that the records did not settle it), the others are, once
+    settled = set(asked) - positions
+    assert len(asked) == len(report.items) and positions <= set(asked)
+    assert settled and all(settled_by_records(*asked[key]) for key in settled)
     assert reads == []
     limits = {census.limit(w, diagram) for X in shapes for Y in shapes
               for w in census.weights(X, Y, 1, 200_000) for diagram in census.diagrams(X, r)}
@@ -815,8 +826,10 @@ def test_batches_answer_as_references_where_answers_vary(X, Y):
     """The same over every weight of the cap-2 lists Terminal -|-> Interval
     and Interval -|-> Terminal and the sixth functor Vee -> PP, where
     neighbouring diagrams get different answers in every kind of question,
-    and over every other handle in reversed order.  Each row then holds
-    one block of n bytes per weight class, at the class's offset."""
+    and over every other handle in reversed order.  Each creation row then
+    holds one block of n bytes per weight class, at the class's offset, and
+    each colimit, absoluteness and limit mask holds facts only about the
+    diagrams of its index space, and only facts it knows."""
     S = corpus.STANDARD_CATEGORIES
     V = S["PP"]()
     g = list(itertools.islice(enumerate_functors(S["Vee"](), V), 6))[-1]
@@ -825,8 +838,12 @@ def test_batches_answer_as_references_where_answers_vary(X, Y):
     assert shared_classes(weights)
     roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
     assert_lists_match_references(census, g, weights, roots, lambda ds: ds[::-2])
-    rows = [*census._absolute.values(), *census._limits.values(), *census._creations.values()]
+    rows = list(census._creations.values())
     assert rows and all(len(row) == n * (1 + max(w.cls for w in weights)) for row, n in rows)
+    masks = [(key[-2:], mask) for spaces in (census._colimits, census._absolute, census._limits)
+             for key, columns in spaces.items() for mask in columns.values()]
+    assert masks and all(known >> len(census._positions[space]) == 0 and holds & ~known == 0
+                         for space, (known, holds, _) in masks)
 
 
 # ---------------------------------------------------------------------------
@@ -943,12 +960,16 @@ def test_class_level_loops_answer_as_per_weight_loops(monkeypatch):
 
 
 def test_suite_pass_answers_each_weight_class_once(monkeypatch):
-    """Over one suite pass on the builtin corpus: at most 12,600 cold
-    creation positions (22,914 before weight classes), of which at most
-    2,900 fetch their creation records (12,516 when every cold position
-    did) and the others are settled by the records already stored, at
-    most 5,800 creation searches (25,032), 30,000 pointwise_colimit calls
-    (53,657), at most
+    """Over one suite pass on the builtin corpus: at most 2,817 creation
+    positions fetch their creation records (12,516 when every cold
+    position did) and the others are settled by the records already
+    stored, at most 5,800 creation searches (25,032), 30,000
+    pointwise_colimit calls (53,657) and none of them, nor of
+    j_absolute_at, made by a census question itself (28,025 and 16,117
+    when the census filled each position on its own), at most 2,500
+    colimit, absoluteness and limit facts decided by the census's column
+    masks (21,890 colimit and 5,673 limit positions were filled one by
+    one), at most
     1,893 colimit searches at a column and 4,263 natural_families calls,
     no CreationReport built by the census, and j_absolute_at's store entry
     resolved at most once per (root, diagram) by the census.  The suite's
@@ -957,14 +978,16 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     (each answered in both modes; asked one mode at a time, 15,215
     positions took 30,053 questions, and 53,537 per labelled weight) and
     36,800 colimit positions (71,880 per labelled weight) are asked, each
-    question resolving at most one census row, at most 24,000 row
-    resolutions in all (77,812 when every question resolved its own) and
-    at most 1,500 row walks (35,270 when the loops asked once per weight
-    class and question kind).  Strict creation walks its lifts
+    question resolving its weight list and diagram lists at most once, at
+    most 24,000 list resolutions in all (77,812 when every question
+    resolved its own row) and at most 1,500 questions (35,270 when the
+    loops asked once per weight class and question kind).  Strict creation walks its lifts
     (reading the weight's left plan) only at positions whose records are
     not all strict (1,854), verify_algebra_object enumerates the lifted
     graded cells at most 1,063 times, once per (alg1, alg2, chain) with a
-    graded morphism (1,573 once per morphism), and the monadicity
+    graded morphism (1,573 once per morphism), over a lift distributor
+    built once per algebra pair with one (at most 950 restrict_distributor
+    calls in the pass; 1,756 when it was built once per chain), and the monadicity
     decisions build at most 119 comparison functors, one per (j, r, co)
     asked with a left relative adjoint (317 when every decision built
     its own), from at most 121 resolutions.  Every monadicity question
@@ -974,6 +997,9 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     searched beside its decision) and at most 151 density checks (222
     when the audits and the tight-cell loop checked the root again)."""
     counts, entries, inside, per_batch = collections.Counter(), collections.Counter(), [], []
+    censuses = []
+    # a census question's own frames: a call made from one of them is the census's
+    questions = ("colimits", "limits", "creations", "preserved", "_first", "_creation_bytes")
 
     def count(owner, name, note=None):
         original = getattr(owner, name)
@@ -995,12 +1021,12 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
         def wrapper(self, *args):
             counts[name] += 1
             counts[name + " positions"] += sum(len(diagrams) for _, diagrams in asked(*args))
-            rows, _ = counts["row resolutions"], inside.append(name)
+            rows, _ = counts["list resolutions"], inside.append(name)
             try:
                 return original(self, *args)
             finally:
                 inside.pop()
-                per_batch.append(counts["row resolutions"] - rows)
+                per_batch.append(counts["list resolutions"] - rows)
         monkeypatch.setattr(DownstairsCensus, name, wrapper)
 
     strict = []
@@ -1014,10 +1040,15 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
             counts["lift walks"] += 1
             assert not strict[-1]
 
-    count(colim, "settled_records")
+    def per_position(*_):
+        if inside[-1:] and inside[-1] in questions:
+            counts["census per-position calls"] += 1
+
+    count(DownstairsCensus, "__init__", lambda self: censuses.append(self))
     count(colim, "creation_records")
     count(colim, "creation_search")
-    count(colim, "pointwise_colimit")
+    count(colim, "pointwise_colimit", per_position)
+    count(colim, "j_absolute_at", per_position)
     count(colim, "natural_families")
     count(colim._Column, "_search")
     count(colim, "absolute_entry", lambda j, f, store: "colimits" in inside and entries.update(
@@ -1028,9 +1059,9 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     batch("limits", lambda asked: asked)
     batch("creations", lambda g, asked, kind: asked)
     batch("preserved", lambda g, asked: asked)
-    # every question walks its row's pairs once; one of no diagrams resolves no row
-    count(DownstairsCensus, "_bytes", lambda self, rows, head, asked, *_: any(ds for _, ds in asked) and counts.update(
-        ["row resolutions"]))
+    # every question resolves its lists once; one of no diagrams resolves none
+    count(DownstairsCensus, "_first", lambda self, asked, *_: any(ds for _, ds in asked) and counts.update(
+        ["list resolutions"]))
     count(colim.CreationReport, "__init__", lambda *_: "_creation_bytes" in inside and counts.update(["census report"]))
     count(DownstairsCensus, "_creation_bytes")
     count(monadicity, "comparison_functor")
@@ -1039,27 +1070,32 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
             if hasattr(module, name):
                 count(module, name)
     count(suite, "verify_algebra_object")
+    count(prof, "restrict_distributor")
     count(algebra, "_graded_morphisms")
     count(algebra, "enumerate_graded_cells", lambda *_: "verify_algebra_object" in inside and (
         "_graded_morphisms" not in inside) and counts.update(["graded lifts"]))
     report = run_theorem_suite(corpus.builtin_corpus())
     assert report.passed and sum(r.checked for r in report.results) == 34_975
-    assert 0 < counts["settled_records"] <= 12_600
-    assert 0 < counts["creation_records"] <= 2_900
+    assert 0 < counts["creation_records"] <= 2_817
     assert 0 < counts["creation_search"] <= 5_800
     assert counts["creation_search"] == 2 * counts["creation_records"]
     assert 0 < counts["pointwise_colimit"] <= 30_000
+    assert counts["census per-position calls"] == 0
+    facts = [mask[0].bit_count() for census in censuses for spaces in (census._colimits, census._absolute, census._limits)
+             for columns in spaces.values() for mask in columns.values()]
+    assert 0 < sum(facts) <= 2_500
     assert 0 < counts["_search"] <= 1_893
     assert 0 < counts["natural_families"] <= 4_263
     assert counts["census report"] == 0
     assert entries and max(entries.values()) == 1
     assert 0 < counts["creations positions"] <= 15_230
     assert 0 < counts["colimits positions"] <= 36_800
-    assert 0 < counts["row resolutions"] <= 24_000 and max(per_batch) == 1
-    assert counts["_bytes"] <= 1_500
+    assert 0 < counts["list resolutions"] <= 24_000 and max(per_batch) == 1
+    assert counts["_first"] <= 1_500
     assert len(per_batch) == sum(counts[name] for name in ("colimits", "limits", "creations", "preserved"))
     assert 0 < counts["lift walks"] == counts["not all strict"] <= 1_854
     assert 0 < counts["graded lifts"] <= 1_063
+    assert 0 < counts["restrict_distributor"] <= 950
     assert 0 < counts["comparison_functor"] <= 119
     assert 0 < counts["resolve_monadicity"] <= 121
     assert 0 < counts["find_left_relative_adjoint"] <= 132
