@@ -252,14 +252,14 @@ class DownstairsCensus:
             return [[] for _ in asked]
         if j.cod != first.d.cod:
             raise EndpointMismatch("colimit must live in the root's codomain")
-        masks, n_a, entries = self._absolute.setdefault((j, first.d.dom, first.d.cod), {}), len(j.dom.objects), {}
+        masks, n_a = self._absolute.setdefault((j, first.d.dom, first.d.cod), {}), len(j.dom.objects)
 
         def decide(p, x, column, i):
             d, records = entries[i].d, entries[i].down
             key = (j, d)
-            first = colim.first_failing_at(j, p, x, column, d, records[column].colimit(), self._entries.get(
+            failing = colim.first_failing_at(j, p, x, column, d, records[column].colimit(), self._entries.get(
                 key) or self._entries.setdefault(key, colim.absolute_entry(j, d, self._pointwise)))
-            return first == n_a, first > 0 or first == n_a
+            return failing == n_a, failing > 0 or failing == n_a
         out = []
         for (w, diagrams), (exists, entries) in zip(asked, self._exists(asked, "colimit", first)):
             absolute = _walk(masks, w.p, exists, decide)[0] if exists else 0

@@ -24,8 +24,9 @@ and only when some x leaves the answer open.
 
 Caches, what keys them and how long they live:
 
-* census.DownstairsCensus holds the (co)limit existence, absoluteness and
-  creation verdicts of one suite run or creation audit; see that module.
+* census.DownstairsCensus holds per-column bit masks of (co)limit existence,
+  absoluteness and settled creation, and the creation verdicts the masks
+  do not settle, for one suite run or creation audit; see that module.
 * The pointwise store: a p-weighted colimit is pointwise in x, so the
   colimit at x and the natural families at (x, w') depend only on the
   column p(-, x) and on f, its j-absoluteness at x only on the root j
@@ -35,12 +36,12 @@ Caches, what keys them and how long they live:
   every weight that has the column; per (root, diagram id) the index of
   the first failing a for each column id; and per (diagram id, g by
   content) the creation record for each column id.
-  The census owns one for its run and resolves a diagram's entries once
-  (store_records, creation_entry) for pointwise_colimit and
-  creation_records; none of them assembles a whole (co)limit.  Without a
-  store a search keeps a private one for the call.  _Column,
-  j_absolute_at and creation_records give the layout.  This module keeps
-  no cache of its own.
+  The census owns one for its run, resolves a diagram's entries once
+  (store_records, creation_entry) and reads them one column at a time
+  (colimit_at, first_failing_at, creation_records); none of them
+  assembles a whole (co)limit.  Without a store a search keeps a private
+  one for the call.  _Column, j_absolute_at and creation_records give the
+  layout.  This module keeps no cache of its own.
 * Memos kept on immutable inputs for their lifetime, derived only from
   their tables: a FinCategory keeps its table, hash, opposite() and
   hom_distributor(); a Distributor keeps its table(), slots(x), column

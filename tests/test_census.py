@@ -351,7 +351,8 @@ def content(F) -> tuple:
 def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypatch):
     """Over one creation audit: E(j, f) is built at most once per (j,
     diagram) pair that absoluteness is asked about, the census asks each
-    (j, diagram, column) absoluteness once and no one is checked twice,
+    (j, diagram, column) absoluteness once, and only where the colimit
+    exists at every x, and no one is checked twice,
     each creation position is asked about once and decided either by the
     records already stored at its columns alone, which are then present,
     strict, upstairs and closed, or by one fetch of its creation records,
@@ -388,6 +389,9 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
         pairs.append((content(j), content(f)))
         if within("census.colimit"):
             facts.append((content(j), content(f), column))
+            # the census checks absoluteness only where the colimit exists at every x
+            records = census._pointwise.get(colim._diagram_id(f), {})
+            assert all(c in records and records[c].searched and records[c].found for _, c in p.columns())
 
     def build(E, j, f):
         if within("first_failing_at"):
