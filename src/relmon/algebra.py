@@ -555,8 +555,7 @@ def graded_algebra_morphisms(alg1: Algebra, alg2: Algebra, chain: list, budget: 
     """Graded T-algebra morphisms in the alternative form p_1..p_n => E(e, e').
 
     Every natural cell whose components all satisfy the intertwining law
-    alpha(f) ; eps = alpha'(f ; eps).  BudgetExceeded when the raw cell
-    space exceeds budget (budget_limit() by default).
+    alpha(f) ; eps = alpha'(f ; eps), within budget (budget_limit() by default).
     """
 
     return _graded_morphisms(alg1, alg2, chain, hom_restriction(alg1.monad.j.cod, alg1.carrier, alg2.carrier),

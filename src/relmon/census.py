@@ -80,7 +80,7 @@ from .fincat import FinCategory, FunctorData
 from .prof import Distributor, dual_distributor
 
 
-NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
+NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2  # how many of (exists, j-absolute) hold
 # a creation byte: _CHECKED, plus _PASSED << i for each _MODES[i] whose check
 # passed, plus _PRESERVED when g sends the upstairs (co)limit to one
 _CHECKED, _PASSED, _PRESERVED = 1, 2, 8

@@ -24,9 +24,8 @@ and only when some x leaves the answer open.
 
 Caches, what keys them and how long they live:
 
-* census.DownstairsCensus holds per-column bit masks of (co)limit existence,
-  absoluteness and settled creation, and the creation verdicts the masks
-  do not settle, for one suite run or creation audit; see that module.
+* census.DownstairsCensus holds per-column bit masks of (co)limit and creation
+  facts for one suite run or creation audit; see that module.
 * The pointwise store: a p-weighted colimit is pointwise in x, so the
   colimit at x and the natural families at (x, w') depend only on the
   column p(-, x) and on f, its j-absoluteness at x only on the root j
