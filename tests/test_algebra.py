@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from relmon import corpus
+from relmon import corpus, suite
 from relmon.algebra import (
     Algebra,
     algebra_violations,
@@ -18,7 +18,7 @@ from relmon.algebra import (
     transport_graded_forward,
     verify_algebra_object,
 )
-from relmon.errors import MonadMismatch, ValidationFailure
+from relmon.errors import MonadMismatch, ValidationFailure, budget_limit
 from relmon.fincat import FunctorData, classify_functor, compose_functors, identity_functor, build_category
 from relmon.monad import (
     enumerate_relative_monads,
@@ -26,10 +26,8 @@ from relmon.monad import (
     postcompose_along_adjunction,
     trivial_relative_monad,
 )
-from relmon.errors import budget_limit
 from relmon.monadicity import default_shape_family
 from relmon.reladj import adjunction_violations, identity_adjunction, validate_relative_adjunction
-from relmon import suite
 from relmon.suite import _check_transport_bijection, _Context
 
 
