@@ -44,9 +44,9 @@ checks each distinct diagram list once and answers each pair with a few
 bit operations per column of its weight (prof.Distributor.columns, kept
 per weight and per dual); the one-position questions (colimit, limit,
 creation, preserves) are lists of one.  Loops ask about the first member
-of each weight class (class_representatives).  A fact not yet known is
-decided once, by the search or check a position walking its columns in x
-order would make.
+of each weight class (class_representatives, kept beside each list by
+weight_classes).  A fact not yet known is decided once, by the search or
+check a position walking its columns in x order would make.
 
 The pointwise store holds one record per (diagram id, column id)
 (colim._Column): the colimit at one x and the natural families there,
@@ -187,8 +187,9 @@ class DownstairsCensus:
     * limits, per (Z, C), whether the dual of d has a colimit at the
       column of the dual weight;
     * settled, per (g by content, kind, Z), whether f's creation record at
-      the column of the question weight is stored, strict, upstairs and
-      closed, and then whether it is preserved too.  A position settled at
+      the column of the question weight (computed there when not yet
+      stored, as creation_records would) is strict, upstairs and closed,
+      and then whether it is preserved too.  A position settled at
       every column passes both modes, as the all-strict and all-closed
       shortcuts of the two creation searches do.
     Any other creation position reads a byte in the row keyed (g by
@@ -212,17 +213,22 @@ class DownstairsCensus:
         self._pointwise: dict[tuple, dict] = {}
 
     def weights(self, X: FinCategory, Y: FinCategory, cap: int, budget: int) -> list[Weight]:
-        """A handle for each of enumerate_distributors(X, Y, cap, budget),
-        computed once per census.  The budget is part of the key because it
-        decides whether the enumeration raises BudgetExceeded."""
+        """A handle for each of enumerate_distributors(X, Y, cap, budget)."""
+
+        return self.weight_classes(X, Y, cap, budget)[0]
+
+    def weight_classes(self, X: FinCategory, Y: FinCategory, cap: int, budget: int) -> tuple:
+        """weights(X, Y, cap, budget) and its class_representatives, computed
+        once per census and kept together.  The budget is part of the key
+        because it decides whether the enumeration raises BudgetExceeded."""
 
         key = (X, Y, cap, budget)
-        weights = self._weights.get(key)
-        if weights is None:
+        found = self._weights.get(key)
+        if found is None:
             ps = prof.enumerate_distributors(X, Y, cap, budget)
-            weights = self._weights[key] = [Weight(p, i, cap, cls)
-                                            for i, (p, cls) in enumerate(zip(ps, _class_ids(ps)))]
-        return weights
+            weights = [Weight(p, i, cap, cls) for i, (p, cls) in enumerate(zip(ps, _class_ids(ps)))]
+            found = self._weights[key] = (weights, *class_representatives(weights))
+        return found
 
     def diagrams(self, Z: FinCategory, g: FunctorData) -> list[Diagram]:
         """Every f: Z -> dom g in enumerate_functors order, with f ; g, its position and its
@@ -339,22 +345,21 @@ class DownstairsCensus:
         key = (g, kind, w.p.src, w.p.tgt, w.cap)
         row, n = self._creations.get(key) or self._creations.setdefault(
             key, (bytearray(), len(self._positions[(Z, first.f.cod)])))
-        end = (1 + max(v.cls for v, _ in asked)) * n
+        end = (1 + max(v.cls for v, ds in asked if ds)) * n
         if len(row) < end:
             row.extend(bytes(end - len(row)))
 
         def decide(q, x, column, i):
-            records = getattr(handles[i], kind).records
-            if column not in records:
-                return None
-            record = records[column]
+            record = colim.creation_at(getattr(handles[i], kind), q, x, column)
             settled = record is not None and record.strict and record.upstairs and record.closed
             return settled and record.preserved, settled
         by_settled, out = (values[_SETTLED], values[_SETTLED | _PRESERVED]), []
         for w, diagrams in asked:
+            if not diagrams:
+                out.append([])
+                continue
             q = w.p if kind == "colimit" else dual_distributor(w.p)
-            alive = sum({1 << diagram.index for diagram in diagrams})
-            preserved, settled = _walk(masks, q, alive, decide) if alive else (0, 0)
+            preserved, settled = _walk(masks, q, sum({1 << diagram.index for diagram in diagrams}), decide)
             base = w.cls * n
             for diagram in diagrams:
                 if not (settled >> diagram.index & 1 or row[base + diagram.index]):
@@ -389,7 +394,7 @@ class DownstairsCensus:
 def _walk(masks: dict, q: Distributor, alive: int, decide) -> tuple[int, int]:
     """(bits of alive that hold at every column of q, bits that go on past each), walking
     the columns in x order with masks per column id; a bit unknown at a column is decided
-    there by decide(q, x, column, bit index) as (holds, goes on), or None: still unknown."""
+    there by decide(q, x, column, bit index) as (holds, goes on)."""
 
     holds = alive
     for x, column in q.columns():
@@ -398,11 +403,10 @@ def _walk(masks: dict, q: Distributor, alive: int, decide) -> tuple[int, int]:
         while unknown:
             bit = unknown & -unknown
             unknown ^= bit
-            answer = decide(q, x, column, bit.bit_length() - 1)
-            if answer is not None:
-                mask[0] |= bit
-                mask[1] |= bit if answer[0] else 0
-                mask[2] |= bit if answer[1] else 0
+            holds_here, goes_on = decide(q, x, column, bit.bit_length() - 1)
+            mask[0] |= bit
+            mask[1] |= bit if holds_here else 0
+            mask[2] |= bit if goes_on else 0
         holds &= mask[1]
         alive &= mask[2]
         if not alive:

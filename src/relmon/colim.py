@@ -810,6 +810,16 @@ def _question_weight(p: Distributor, f: FunctorData, kind: str) -> Distributor:
     return p
 
 
+def creation_at(entry: CreationEntry, p: Distributor, x: str, column: tuple) -> Optional[_CreationAt]:
+    """entry's creation record at x, column being p.column(x) (p the question's weight,
+    dualized for a limit), computed on first use and kept in entry.records."""
+
+    records = entry.records
+    if column not in records:
+        records[column] = _creation_at(entry.g, _column(entry.up, p, x, entry.f), _column(entry.down, p, x, entry.d))
+    return records[column]
+
+
 def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str,
                      entry: CreationEntry) -> CreationRecords:
     """The creation record (_CreationAt) at each x of src p, in object
@@ -823,13 +833,9 @@ def creation_records(g: FunctorData, p: Distributor, f: FunctorData, kind: str,
     """
 
     p = _question_weight(p, f, kind)
-    records = entry.records
     out = []
     for x, column in p.columns():
-        if column not in records:
-            records[column] = _creation_at(entry.g, _column(entry.up, p, x, entry.f),
-                                           _column(entry.down, p, x, entry.d))
-        record = records[column]
+        record = creation_at(entry, p, x, column)
         if record is None:
             raise DownstairsMissing(f"downstairs colimit missing at {x!r}")
         out.append(record)

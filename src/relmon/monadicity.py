@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .algebra import AlgebraCategory, ComparisonData, build_algebra_category, comparison_functor
-from .census import ABSOLUTE_COLIMIT, NO_COLIMIT, DownstairsCensus, class_representatives
+from .census import ABSOLUTE_COLIMIT, NO_COLIMIT, DownstairsCensus
 from .colim import is_dense, is_j_absolute, try_left_extension
 from .corpus import builtin_corpus, disc2_category, interval_category, terminal_category
 from .errors import (
@@ -109,18 +109,22 @@ class Resolution(NamedTuple):
             comparison=cl.to_dict(), dense_root=self.dense)
 
 
-def resolve_monadicity(j: FunctorData, r: FunctorData, co: bool = False, budget: int = None) -> Resolution:
+def resolve_monadicity(j: FunctorData, r: FunctorData, co: bool = False, budget: int = None,
+                       run=None) -> Resolution:
     """Adjoint search, induced monad, algebra category, comparison.  co=True
-    dualizes both inputs first, for relative comonadicity of the originals."""
+    dualizes both inputs first, for relative comonadicity of the originals.
+    run, a suite run's context, supplies the root's density (run.dense) and
+    the algebra category (run.algcat), each kept once per run."""
 
     if co:
         j = opposite_functor(j, opposite(j.dom), opposite(j.cod))
         r = opposite_functor(r, opposite(r.dom), opposite(r.cod))
-    dense, _ = is_dense(j)
+    dense = run.dense(j) if run else is_dense(j)[0]
     adj = find_left_relative_adjoint(j, r)
     if adj is None:
         return Resolution(co, dense)
-    algcat = build_algebra_category(monad_from_adjunction(adj), budget=budget)
+    T = monad_from_adjunction(adj)
+    algcat = run.algcat(T) if run else build_algebra_category(T, budget=budget)
     return Resolution(co, dense, adj, algcat, comparison_functor(adj, algcat))
 
 
@@ -247,12 +251,11 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     for X in shape_family:
         for Y in shape_family:
             try:
-                weights = census.weights(X, Y, element_cap, budget)
+                weights, firsts, of = census.weight_classes(X, Y, element_cap, budget)
             except BudgetExceeded:
                 report.inconclusive_at_bound[f"{X.name}->{Y.name}"] = "weight census over budget"
                 continue
             # each question kind once, about the first member of each class
-            firsts, of = class_representatives(weights)
             verdicts = census.colimits(j, [(w, diagrams[Y]) for w in firsts])
             absolute = [[d for d, v in zip(diagrams[Y], vs) if v == ABSOLUTE_COLIMIT] for vs in verdicts]
             created = census.creations(r, list(zip(firsts, absolute)), "colimit")

@@ -52,8 +52,10 @@ class _Context:
     census holds the (co)limits and creation verdicts that
     forgetful_creates, preservation_conservativity, monadicity_crosscheck,
     density_necessity and algebraic_tight_cells ask for; one resolution per
-    (j, r, co) serves every monadicity decision in both modes.  All live
-    and die with the run.
+    (j, r, co) serves every monadicity decision in both modes.  algcat and
+    dense build each algebra category once per monad (by content and name)
+    and each density verdict once per root, for the checks and the
+    resolutions alike.  All live and die with the run.
     """
 
     def __init__(self, instances, shape_family, element_cap, budget):
@@ -63,6 +65,7 @@ class _Context:
         self.budget = budget
         self.census = DownstairsCensus()
         self._algcats = {}
+        self._dense = {}
         self._resolutions = {}
 
     def monad_entries(self):
@@ -73,17 +76,24 @@ class _Context:
                 out.append((inst, role, inst.monads[role]))
         return out
 
-    def algcat(self, inst, role):
-        key = (inst.name, role)
+    def algcat(self, T):
+        """build_algebra_category(T), keyed by T's content and name, which names the category."""
+        key = (T.j, T.t, T.table(), T.name)
         if key not in self._algcats:
-            self._algcats[key] = build_algebra_category(inst.monads[role], budget=self.budget)
+            self._algcats[key] = build_algebra_category(T, budget=self.budget)
         return self._algcats[key]
+
+    def dense(self, j) -> bool:
+        """is_dense(j)'s verdict, once per root by content."""
+        if j not in self._dense:
+            self._dense[j] = is_dense(j)[0]
+        return self._dense[j]
 
     def resolution(self, j, r, co=False):
         """resolve_monadicity(j, r, co), keyed by the inputs as given, not dualized."""
         key = (j, r, co)
         if key not in self._resolutions:
-            self._resolutions[key] = resolve_monadicity(j, r, co, budget=self.budget)
+            self._resolutions[key] = resolve_monadicity(j, r, co, budget=self.budget, run=self)
         return self._resolutions[key]
 
     def decision(self, j, r, mode, co=False):
@@ -140,7 +150,7 @@ def _check_resolution_property(ctx) -> SuiteResult:
     details = []
     checked = 0
     for inst, role, T in ctx.monad_entries():
-        algcat = ctx.algcat(inst, role)
+        algcat = ctx.algcat(T)
         checked += 1
         recovered = monad_from_adjunction(algcat.adjunction)
         if recovered.table() != T.table() or recovered.t != T.t:
@@ -167,7 +177,7 @@ def _check_forgetful_conservative(ctx) -> SuiteResult:
     details = []
     checked = 0
     for inst, role, T in ctx.monad_entries():
-        algcat = ctx.algcat(inst, role)
+        algcat = ctx.algcat(T)
         checked += 1
         if not classify_functor(algcat.u).conservative:
             details.append(f"{inst.name}/{role}: forgetful functor is not conservative")
@@ -183,16 +193,15 @@ def _check_forgetful_creates(ctx) -> SuiteResult:
     checked = 0
     census = ctx.census
     for inst, role, T in ctx.monad_entries():
-        u = ctx.algcat(inst, role).u
+        u = ctx.algcat(T).u
         diagrams = {Z: census.diagrams(Z, u) for Z in ctx.shape_family}
         for X in ctx.shape_family:
             for Y in ctx.shape_family:
                 try:
-                    weights = census.weights(X, Y, ctx.element_cap, ctx.budget)
+                    _, firsts, of = census.weight_classes(X, Y, ctx.element_cap, ctx.budget)
                 except BudgetExceeded:
                     skipped[f"{X.name}->{Y.name}"] = "weight census over budget"
                     continue
-                firsts, of = class_representatives(weights)
                 colimits, limits = diagrams[Y], diagrams[X]
                 asked = (("colimit", [[d for d, v in zip(colimits, vs) if v == ABSOLUTE_COLIMIT]
                                       for vs in census.colimits(T.j, [(w, colimits) for w in firsts])]),
@@ -219,7 +228,7 @@ def _check_preservation_conservativity(ctx) -> SuiteResult:
     census = ctx.census
     shapes = ctx.shape_family[:2]
     for inst, role, T in ctx.monad_entries():
-        g = ctx.algcat(inst, role).u
+        g = ctx.algcat(T).u
         if not classify_functor(g).conservative:
             continue
         diagrams = {Y: census.diagrams(Y, g) for Y in shapes}
@@ -260,7 +269,7 @@ def _check_algebra_object_up(ctx) -> SuiteResult:
     details = []
     checked = 0
     for inst, role, T in ctx.monad_entries():
-        algcat = ctx.algcat(inst, role)
+        algcat = ctx.algcat(T)
         checked += 1
         rep = verify_algebra_object(algcat.u, algcat.alpha_T, T, shapes,
                                     grade_bound=1, element_cap=1, budget=ctx.budget)
@@ -348,10 +357,9 @@ def _composite_triples(ctx):
 
     triples = []
     for inst, role, T in ctx.monad_entries():
-        dense, _ = is_dense(T.j)
-        if not dense:
+        if not ctx.dense(T.j):
             continue
-        algcat = ctx.algcat(inst, role)
+        algcat = ctx.algcat(T)
         D = algcat.category
         triples.append((f"{inst.name}/{role}/id", T.j, algcat.u, identity_functor(D)))
         try:
@@ -360,7 +368,7 @@ def _composite_triples(ctx):
             monads_s = []
         if monads_s:
             S = monads_s[0]
-            algcat_s = build_algebra_category(S, budget=ctx.budget)
+            algcat_s = ctx.algcat(S)
             triples.append((f"{inst.name}/{role}/uS", T.j, algcat.u, algcat_s.u))
         if inst.name == "point_bz2" and role == "T0":
             I = indisc2_category()
@@ -434,13 +442,13 @@ def _check_algebraic_tight_cells(ctx) -> SuiteResult:
     for name in sorted(by_instance):
         entries = by_instance[name]
         for (inst_a, role_a, T_a) in entries:
-            if not is_dense(T_a.j)[0]:
+            if not ctx.dense(T_a.j):
                 continue
             for (inst_b, role_b, T_b) in entries:
                 if T_a.j != T_b.j:
                     continue
-                alg_a = ctx.algcat(inst_a, role_a)
-                alg_b = ctx.algcat(inst_b, role_b)
+                alg_a = ctx.algcat(T_a)
+                alg_b = ctx.algcat(T_b)
                 i = _concrete_functor(alg_b, alg_a)
                 if i is None:
                     continue
@@ -498,7 +506,7 @@ def _check_transport_bijection(ctx) -> SuiteResult:
     Tm = terminal_category()
     block = f"{Tm.name}->{Tm.name}"
     for inst, role, Tp in ctx.monad_entries():
-        algcatp = ctx.algcat(inst, role)
+        algcatp = ctx.algcat(Tp)
         T = trivial_relative_monad(algcatp.f)
         try:
             pairs = transport_algebras(algcatp, T, "forward", budget=ctx.budget)

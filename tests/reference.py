@@ -809,7 +809,7 @@ def forgetful_creates(ctx) -> tuple:
     census = ctx.census
     checked, details = 0, []
     for inst, role, T in ctx.monad_entries():
-        u = ctx.algcat(inst, role).u
+        u = ctx.algcat(T).u
         diagrams = {Z: census.diagrams(Z, u) for Z in ctx.shape_family}
         for X in ctx.shape_family:
             for Y in ctx.shape_family:

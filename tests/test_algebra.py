@@ -285,7 +285,7 @@ def test_transport_check_records_what_the_budget_refuses(monkeypatch):
     inst = next(i for i in corpus.builtin_corpus() if i.name == "point_bm3")
     ctx = _Context([inst], default_shape_family(), 1, budget_limit())
     assert [role for _, role, _ in ctx.monad_entries()] == ["T0"]
-    ctx.algcat(inst, "T0")
+    ctx.algcat(inst.monads["T0"])
     full = _check_transport_bijection(ctx)
     assert full.checked == 1 and full.skipped == {}
 

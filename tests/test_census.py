@@ -3,6 +3,7 @@
 import collections
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -850,6 +851,30 @@ def test_batches_answer_as_references_where_answers_vary(X, Y):
                          for space, (known, holds, _) in masks)
 
 
+def test_settled_walk_computes_a_missing_record_at_its_own_column(monkeypatch):
+    """Over the cap-2 list Interval -|-> Interval in reversed order and the
+    sixth functor Vee -> PP, a limit question reaches a column at its
+    second x that no earlier question reached, past a first column whose
+    creation record settles it: the settled walk computes the record
+    there, from that x's column records, as creation_records would, and
+    every question answers as the per-position references do."""
+    S = corpus.STANDARD_CATEGORIES
+    V = S["PP"]()
+    g = list(itertools.islice(enumerate_functors(S["Vee"](), V), 6))[-1]
+    census = DownstairsCensus()
+    weights = census.weights(S["Interval"](), S["Interval"](), 2, 200_000)
+    later, real = [], colim.creation_at
+
+    def creation_at(entry, p, x, column):
+        if sys._getframe(1).f_code.co_name == "decide":
+            later.append(column not in entry.records and x != p.src.objects[0])
+        return real(entry, p, x, column)
+    monkeypatch.setattr(colim, "creation_at", creation_at)
+    roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
+    assert_lists_match_references(census, g, weights[::-1], roots, lambda ds: ds[::-2])
+    assert any(later)
+
+
 # ---------------------------------------------------------------------------
 # weight classes
 
@@ -964,10 +989,11 @@ def test_class_level_loops_answer_as_per_weight_loops(monkeypatch):
 
 
 def test_suite_pass_answers_each_weight_class_once(monkeypatch):
-    """Over one suite pass on the builtin corpus: at most 2,817 creation
+    """Over one suite pass on the builtin corpus: at most 1,854 creation
     positions fetch their creation records (12,516 when every cold
-    position did) and the others are settled by the records already
-    stored, at most 5,800 creation searches (25,032), 30,000
+    position did; 2,817 when the settled walk left a missing record
+    unknown) and the others are settled by the records stored or computed
+    there, at most 3,708 creation searches (25,032), 30,000
     pointwise_colimit calls (53,657) and none of them, nor of
     j_absolute_at, made by a census question itself (28,025 and 16,117
     when the census filled each position on its own), at most 2,500
@@ -998,8 +1024,11 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     reads its resolution's adjunction and density: the pass makes at most
     132 left relative adjoint searches (160 when the resolution property
     searched each root pair again and the monadic-iff-adjoint check
-    searched beside its decision) and at most 151 density checks (222
-    when the audits and the tight-cell loop checked the root again)."""
+    searched beside its decision).  The run builds each algebra category
+    and density verdict once: at most 47 algebra categories (147 when
+    each resolution and composite triple built its own) and 40 density
+    checks (151 once per resolution, 222 when the audits and the
+    tight-cell loop checked the root again)."""
     counts, entries, inside, per_batch = collections.Counter(), collections.Counter(), [], []
     censuses = []
     # a census question's own frames: a call made from one of them is the census's
@@ -1070,7 +1099,7 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     count(DownstairsCensus, "_creation_bytes")
     count(monadicity, "comparison_functor")
     for module in (colim, reladj, corpus, monadicity, suite):
-        for name in ("resolve_monadicity", "find_left_relative_adjoint", "is_dense"):
+        for name in ("resolve_monadicity", "find_left_relative_adjoint", "is_dense", "build_algebra_category"):
             if hasattr(module, name):
                 count(module, name)
     count(suite, "verify_algebra_object")
@@ -1080,8 +1109,8 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
         "_graded_morphisms" not in inside) and counts.update(["graded lifts"]))
     report = run_theorem_suite(corpus.builtin_corpus())
     assert report.passed and sum(r.checked for r in report.results) == 34_975
-    assert 0 < counts["creation_records"] <= 2_817
-    assert 0 < counts["creation_search"] <= 5_800
+    assert 0 < counts["creation_records"] <= 1_854
+    assert 0 < counts["creation_search"] <= 3_708
     assert counts["creation_search"] == 2 * counts["creation_records"]
     assert 0 < counts["pointwise_colimit"] <= 30_000
     assert counts["census per-position calls"] == 0
@@ -1103,4 +1132,5 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     assert 0 < counts["comparison_functor"] <= 119
     assert 0 < counts["resolve_monadicity"] <= 121
     assert 0 < counts["find_left_relative_adjoint"] <= 132
-    assert 0 < counts["is_dense"] <= 151
+    assert 0 < counts["is_dense"] <= 40
+    assert 0 < counts["build_algebra_category"] <= 47

@@ -16,7 +16,7 @@ from relmon.fincat import (
     opposite,
     opposite_functor,
 )
-from relmon.monad import enumerate_relative_monads, trivial_relative_monad
+from relmon.monad import RelativeMonad, enumerate_relative_monads, trivial_relative_monad
 from relmon.monadicity import (
     check_monadic_iff_left_adjoint,
     creation_audit,
@@ -276,7 +276,6 @@ def test_default_shape_family_within_bounds():
 
 
 def test_suite_reports_mutated_monad_as_input_error():
-    from relmon.monad import RelativeMonad
     instances = [i for i in corpus.builtin_corpus() if i.name in ("terminal", "point_bz2")]
     inst = next(i for i in instances if i.name == "point_bz2")
     T = inst.monads["T0"]
@@ -301,9 +300,9 @@ def counted_resolutions(monkeypatch) -> list:
     from relmon import suite
     calls = []
 
-    def counted(j, r, co=False, budget=None):
+    def counted(j, r, co=False, budget=None, run=None):
         calls.append((j, r, co))
-        return resolve_monadicity(j, r, co, budget)
+        return resolve_monadicity(j, r, co, budget, run)
 
     monkeypatch.setattr(suite, "resolve_monadicity", counted)
     return calls
@@ -350,6 +349,31 @@ def test_suite_resolves_each_question_as_given_once(monkeypatch, cats):
                     decide_monadicity(*question[:2], mode, co=question[2]).to_dict()), (question, mode)
     assert calls == questions
     assert len({id(ctx.resolution(*question)) for question in questions}) == 4
+
+
+def test_suite_builds_each_algebra_category_once_per_content_and_name():
+    """A suite run keeps one algebra category per monad by content and
+    name, which names the category: monads of equal tables built apart
+    with the same name share one AlgebraCategory, and monads that differ
+    only in name do not.  The comonadicity question on the dual inputs
+    reads the same algebra category as the direct question, whose
+    dualized inputs it equals, but keeps its own adjunction and comparison."""
+    from relmon import suite
+    ctx = suite._Context([], default_shape_family(), 1, 10_000)
+    T, again = (next(i for i in corpus.builtin_corpus() if i.name == "point_bz2").monads["T0"] for _ in range(2))
+    assert T is not again and T.j is not again.j and T.name == again.name
+    assert ctx.algcat(again) is ctx.algcat(T)
+    named = RelativeMonad(T.j, T.t, T.unit, T.ext, name="T0")
+    assert ctx.algcat(named) is not ctx.algcat(T)
+    assert (ctx.algcat(named).category.name, ctx.algcat(T).category.name) == ("Alg(T0)", "Alg(?)")
+
+    E = corpus.bz2_category()
+    j, r = corpus.point_functor(E, "*"), identity_functor(E)
+    direct, co = ctx.resolution(j, r), ctx.resolution(dual(j), dual(r), co=True)
+    assert direct.adjunction is not None and co.algcat is direct.algcat
+    assert co.adjunction is not direct.adjunction and co.comparison is not direct.comparison
+    for mode in ("strict", "nonstrict"):
+        assert co.report(mode).to_dict() == decide_monadicity(dual(j), dual(r), mode, co=True).to_dict()
 
 
 # ---------------------------------------------------------------------------

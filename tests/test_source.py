@@ -33,6 +33,20 @@ def test_imports_are_at_module_level():
     assert len(found) == 1
 
 
+def test_suite_builds_algebra_categories_and_density_only_in_its_context():
+    # a suite run keeps one algebra category per monad and one density
+    # verdict per root in suite._Context, for its checks and resolutions
+    # alike; a reference anywhere else in suite.py would bypass them
+    memoised = {"build_algebra_category", "is_dense"}
+    tree = ast.parse((SOURCE / "suite.py").read_text())
+    context = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Context")
+    inside = {id(node) for node in ast.walk(context)}
+    found = [(name, id(node) in inside) for node in ast.walk(tree)
+             for name in [getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None)]
+             if name in memoised]
+    assert sorted(set(found)) == [("build_algebra_category", True), ("is_dense", True)]
+
+
 MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter",
                  "deque", "array", "WeakKeyDictionary", "WeakValueDictionary"}
 # constant tables, never written after import
