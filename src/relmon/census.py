@@ -29,24 +29,24 @@ enumerates the distributors X -|-> Y once per census: a Weight holds p,
 its position in that list, the list's cap and the number of its
 isomorphism class there (_class_ids), so a caller cannot name a position
 the census did not hand out; callers read the labelled p and index.
-Questions name a diagram by a handle from diagrams(Z, g): a Diagram holds
-f, d = f ; g, their positions, the census that made it and that census's
-store entries for it, resolved once (colim.CreationEntry): the colimit
-records of f and d and the creation records of (g, f), and their duals
-for limits.  A handle cannot go stale: its entries are the store's own
-dicts, keyed by content, which the store only adds to, and a census
-refuses a handle made by another census or for another g.
+Questions name diagrams by the list diagrams(Z, g) (Diagrams) and their
+positions there: a Diagram holds f, d = f ; g, their positions, its list
+and its census's store entries for it, resolved once (colim.CreationEntry):
+the colimit records of f and d and the creation records of (g, f), and
+their duals for limits.  A handle cannot go stale: its entries are the
+store's own dicts, keyed by content, which the store only adds to, and a
+census refuses a list made by another census or for another g.
 
-Questions come as lists of (weight handle, diagram handles) pairs, the
-weights of one weight list and the diagrams made for one g, in any order
-and with repeats: colimits, limits, creations and preserved.  A list
-checks each distinct diagram list once and answers each pair with a few
-bit operations per column of its weight (prof.Distributor.columns, kept
-per weight and per dual); the one-position questions (colimit, limit,
-creation, preserves) are lists of one.  Loops ask about the first member
-of each weight class (class_representatives, kept beside each list by
-weight_classes).  A fact not yet known is decided once, by the search or
-check a position walking its columns in x order would make.
+Questions (colimits, limits, creations, preserved) take one diagram list,
+the census's own diagrams(Z, g), checked by identity, and (weight handle,
+mask) pairs, the weights of one list in any order and with repeats.  Masks
+and answers hold bit i for the diagram at position i of the list.  A pair
+costs a few bit operations per column of its weight (prof.Distributor.columns,
+kept per weight and per dual); the one-position questions (colimit, limit,
+creation, preserves) ask one bit.  Loops ask about the first member of each
+weight class (weight_classes) and count answers with int.bit_count.  A fact
+not yet known is decided once, by the search or check a position walking
+its columns in x order would make.
 
 The pointwise store holds one record per (diagram id, column id)
 (colim._Column): the colimit at one x and the natural families there,
@@ -84,11 +84,7 @@ NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2  # how many of (exists, j-absolu
 # a creation byte: _CHECKED, plus _PASSED << i for each _MODES[i] whose check
 # passed, plus _PRESERVED when g sends the upstairs (co)limit to one
 _CHECKED, _PASSED, _PRESERVED = 1, 2, 8
-_SETTLED = _CHECKED | _PASSED | _PASSED << 1
 _MODES = colim.CREATION_MODES
-# what a question returns for each creation byte b: (strict, nonstrict) passed, and preserved
-_VERDICTS = tuple((bool(b & _PASSED), bool(b & _PASSED << 1)) for b in range(16))
-_PRESERVES = tuple(bool(b & _PRESERVED) for b in range(16))
 
 
 class Weight(NamedTuple):
@@ -104,16 +100,40 @@ class Weight(NamedTuple):
 class Diagram(NamedTuple):
     """f: Z -> dom g at position index of enumerate_functors(Z, dom g), and
     its composite d = f ; g at position d_index of enumerate_functors(Z, cod g),
-    with the census that made it and its store entries (colim.CreationEntry)
-    for colimits and for limits of f, named by kind."""
+    with the list diagrams(Z, g) that holds it (owner) and its store entries
+    (colim.CreationEntry) for colimits and for limits of f, named by kind."""
 
     f: FunctorData
     index: int
     d: FunctorData
     d_index: int
-    census: "DownstairsCensus"
+    owner: "Diagrams"
     colimit: colim.CreationEntry
     limit: colim.CreationEntry
+
+
+class Diagrams(list):
+    """The Diagram handles of diagrams(Z, g) in f order, with their census, g, Z and the
+    mask of every position.  Masks over the f positions and over the d positions of the
+    composites are translated into each other once per distinct mask: several f may
+    share one d, as when g is a forgetful functor and two algebras share a carrier."""
+
+    def __init__(self, census: "DownstairsCensus", g: FunctorData, Z: FinCategory, handles):
+        super().__init__(handles(self))     # handles(owner) makes the handles, which hold the list
+        self.census, self.g, self.Z, self.every = census, g, Z, (1 << len(self)) - 1
+        self.by_d, self._down, self._up = {h.d_index: h for h in self}, {}, {}
+
+    def down(self, fs: int) -> int:
+        """The d positions of the diagrams at the f positions of fs."""
+        if fs not in self._down:
+            self._down[fs] = sum({1 << self[i].d_index for i in bits(fs)})
+        return self._down[fs]
+
+    def up(self, ds: int) -> int:
+        """The f positions of the diagrams whose d position is in ds."""
+        if ds not in self._up:
+            self._up[ds] = sum(1 << h.index for h in self if ds >> h.d_index & 1)
+        return self._up[ds]
 
 
 def _class_ids(ps: list) -> list[int]:
@@ -175,10 +195,10 @@ class DownstairsCensus:
 
     Masks are keyed by content.  A mask [known, holds, goes on] of one
     column id holds bit i for the diagram at position i of an index space:
-    d = f ; g among enumerate_functors(Z, C), or f among those into dom g,
-    as diagrams(Z, g) records them.  A pair walks its weight's columns in
-    x order (_walk), deciding the bits not yet known there, and the
-    answer is the bits that hold at every column:
+    d = f ; g among enumerate_functors(Z, C) for the first three, or f
+    among those into dom g (Diagrams translates).  A pair walks its
+    weight's columns in x order (_walk), deciding the bits not yet known
+    there, and the answer is the bits that hold at every column:
     * colimits, per (Z, C), whether d has a colimit at the column of p;
     * absoluteness, per (root j by content, Z, C), for a d with a colimit
       at every column, whether its canonical map at the column of p is a
@@ -230,9 +250,9 @@ class DownstairsCensus:
             found = self._weights[key] = (weights, *class_representatives(weights))
         return found
 
-    def diagrams(self, Z: FinCategory, g: FunctorData) -> list[Diagram]:
+    def diagrams(self, Z: FinCategory, g: FunctorData) -> Diagrams:
         """Every f: Z -> dom g in enumerate_functors order, with f ; g, its position and its
-        store entries, once per (Z, g by content), recording both enumerations' positions."""
+        store entries, once per (Z, g by content), recording the composites' positions."""
 
         handles = self._diagrams.get((Z, g))
         if handles is None:
@@ -240,155 +260,133 @@ class DownstairsCensus:
             if (Z, E) not in positions:
                 positions[(Z, E)] = {d.table(): i for i, d in enumerate(fincat.enumerate_functors(Z, E))}
             fs = list(fincat.enumerate_functors(Z, g.dom))
-            if (Z, g.dom) not in positions:
-                positions[(Z, g.dom)] = {f.table(): i for i, f in enumerate(fs)}
             down, store = positions[(Z, E)], self._pointwise
             entries = [colim.creation_entry(g, f, "colimit", store) for f in fs]
-            handles = self._diagrams[(Z, g)] = [
-                Diagram(f, i, e.d, down[e.d.table()], self, e, colim.creation_entry(g, f, "limit", store))
-                for i, (f, e) in enumerate(zip(fs, entries))]
+            handles = self._diagrams[(Z, g)] = Diagrams(self, g, Z, lambda owner: [
+                Diagram(f, i, e.d, down[e.d.table()], owner, e, colim.creation_entry(g, f, "limit", store))
+                for i, (f, e) in enumerate(zip(fs, entries))])
         return handles
 
-    def colimits(self, j: FunctorData, asked: list) -> list[list[int]]:
-        """NO_COLIMIT, COLIMIT (not j-absolute) or ABSOLUTE_COLIMIT for the w.p-weighted
-        colimit of each diagram's d, per (w, diagrams) pair of asked, in the order given."""
+    def colimits(self, j: FunctorData, diagrams: Diagrams, asked: list) -> list[tuple[int, int]]:
+        """(exists, absolute) per (w, mask) pair of asked: the positions of mask whose d has
+        a w.p-weighted colimit, and those where it is j-absolute too."""
 
-        first = self._first(asked)
-        if first is None:
-            return [[] for _ in asked]
-        if j.cod != first.d.cod:
+        if not self._asks(diagrams, asked):
+            return [(0, 0)] * len(asked)
+        if j.cod != diagrams.g.cod:
             raise EndpointMismatch("colimit must live in the root's codomain")
-        masks, n_a = self._absolute.setdefault((j, first.d.dom, first.d.cod), {}), len(j.dom.objects)
+        masks, n_a = self._absolute.setdefault((j, diagrams.Z, diagrams.g.cod), {}), len(j.dom.objects)
 
         def decide(p, x, column, i):
-            d, records = entries[i].d, entries[i].down
+            d, records = diagrams.by_d[i].colimit.d, diagrams.by_d[i].colimit.down
             key = (j, d)
             failing = colim.first_failing_at(j, p, x, column, d, records[column].colimit(), self._entries.get(
                 key) or self._entries.setdefault(key, colim.absolute_entry(j, d, self._pointwise)))
             return failing == n_a, failing > 0 or failing == n_a
-        out = []
-        for (w, diagrams), (exists, entries) in zip(asked, self._exists(asked, "colimit", first)):
-            absolute = _walk(masks, w.p, exists, decide)[0] if exists else 0
-            out.append([(exists >> diagram.d_index & 1) + (absolute >> diagram.d_index & 1) for diagram in diagrams])
-        return out
+        return [(diagrams.up(exists) & m, diagrams.up(_walk(masks, w.p, exists, decide)[0] if exists else 0) & m)
+                for (w, m), exists in zip(asked, self._exists(diagrams, asked, "colimit"))]
 
-    def limits(self, asked: list) -> list[list[bool]]:
-        """Does the w.p-weighted limit of each diagram's d exist, per (w, diagrams) pair of asked?"""
+    def limits(self, diagrams: Diagrams, asked: list) -> list[int]:
+        """The positions of mask whose d has a w.p-weighted limit, per (w, mask) pair of asked."""
 
-        return [[bool(exists >> diagram.d_index & 1) for diagram in diagrams]
-                for (_, diagrams), (exists, _) in zip(asked, self._exists(asked, "limit", self._first(asked)))]
+        if not self._asks(diagrams, asked):
+            return [0] * len(asked)
+        return [diagrams.up(exists) & m for (_, m), exists in zip(asked, self._exists(diagrams, asked, "limit"))]
 
-    def creations(self, g: FunctorData, asked: list, kind: str) -> list[list[tuple]]:
-        """check_creation(g, w.p, diagram.f, mode, kind).passed as (strict,
-        nonstrict) per diagram, per (w, diagrams) pair of asked."""
+    def creations(self, g: FunctorData, diagrams: Diagrams, asked: list, kind: str) -> list[tuple[int, int]]:
+        """(strict, nonstrict) per (w, mask) pair of asked: the positions of mask where
+        check_creation(g, w.p, diagram.f, mode, kind) passes in each mode."""
 
         colim.check_choice("kind", kind, colim.CREATION_KINDS)
-        return self._creation_bytes(g, asked, kind, _VERDICTS, self._first(asked, g))
+        if not self._asks(diagrams, asked, g):
+            return [(0, 0)] * len(asked)
+        return [masks[:2] for masks in self._creation_masks(diagrams, asked, kind)]
 
-    def preserved(self, g: FunctorData, asked: list) -> list[list[bool]]:
-        """Do the w.p-weighted colimits of each diagram's f and d exist, and g send the first
-        to a colimit, per (w, diagrams) pair?  Read from the creation byte where d has one."""
+    def preserved(self, g: FunctorData, diagrams: Diagrams, asked: list) -> list[int]:
+        """The positions of mask where the w.p-weighted colimits of f and d exist and g sends
+        the first to a colimit, per (w, mask) pair.  Read from the creation byte where d has one."""
 
-        exists = [[bool(found >> diagram.d_index & 1) for diagram in diagrams]
-                  for (_, diagrams), (found, _) in zip(asked, self._exists(asked, "colimit", self._first(asked, g)))]
-        asked = [(w, list(itertools.compress(diagrams, e))) for (w, diagrams), e in zip(asked, exists)]
-        found = self._creation_bytes(g, asked, "colimit", _PRESERVES, next((ds[0] for _, ds in asked if ds), None))
-        return [[e and next(answers) for e in es] for es, answers in zip(exists, map(iter, found))]
+        if not self._asks(diagrams, asked, g):
+            return [0] * len(asked)
+        exists = [(w, diagrams.up(found) & m) for (w, m), found in zip(asked, self._exists(diagrams, asked, "colimit"))]
+        return [masks[2] for masks in self._creation_masks(diagrams, exists, "colimit")]
 
-    # one-position questions: lists of one weight and one diagram
+    # one-position questions: one weight and the mask of one diagram in its list
 
     def colimit(self, j: FunctorData, w: Weight, diagram: Diagram) -> int:
-        return self.colimits(j, [(w, [diagram])])[0][0]
+        return sum(map(bool, self.colimits(j, diagram.owner, [(w, 1 << diagram.index)])[0]))
 
     def limit(self, w: Weight, diagram: Diagram) -> bool:
-        return self.limits([(w, [diagram])])[0][0]
+        return bool(self.limits(diagram.owner, [(w, 1 << diagram.index)])[0])
 
     def creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str, mode: str) -> bool:
         colim.check_choice("mode", mode, _MODES)
-        return self.creations(g, [(w, [diagram])], kind)[0][0][_MODES.index(mode)]
+        return bool(self.creations(g, diagram.owner, [(w, 1 << diagram.index)], kind)[0][_MODES.index(mode)])
 
     def preserves(self, g: FunctorData, w: Weight, diagram: Diagram) -> bool:
-        return self.preserved(g, [(w, [diagram])])[0][0]
+        return bool(self.preserved(g, diagram.owner, [(w, 1 << diagram.index)])[0])
 
-    def _exists(self, asked: list, kind: str, first: Optional[Diagram]) -> list[tuple]:
-        """Per (w, diagrams) pair of asked, first being its first diagram: the bits, by
-        d_index, of the diagrams whose d has a w.p-weighted colimit (for kind "limit", a
-        limit, read in the dual), and each diagram's store entry of kind by d_index."""
+    def _exists(self, diagrams: Diagrams, asked: list, kind: str) -> list[int]:
+        """Per (w, mask) pair of asked: the d positions of the diagrams of mask whose d has a
+        w.p-weighted colimit (for kind "limit", a limit, read in the dual)."""
 
-        if first is None:
-            return [(0, {}) for _ in asked]
-        masks = (self._colimits if kind == "colimit" else self._limits).setdefault((first.d.dom, first.d.cod), {})
+        masks = (self._colimits if kind == "colimit" else self._limits).setdefault((diagrams.Z, diagrams.g.cod), {})
 
         def decide(q, x, column, i):
-            found = colim.colimit_at(entries[i].down, q, x, column, entries[i].d) is not None
+            entry = getattr(diagrams.by_d[i], kind)
+            found = colim.colimit_at(entry.down, q, x, column, entry.d) is not None
             return found, found
-        lists, out = {}, []
-        for w, diagrams in asked:
-            if id(diagrams) not in lists:
-                lists[id(diagrams)] = (sum({1 << diagram.d_index for diagram in diagrams}),
-                                       {diagram.d_index: getattr(diagram, kind) for diagram in diagrams})
-            alive, entries = lists[id(diagrams)]
-            q = w.p if kind == "colimit" else dual_distributor(w.p)
-            out.append((_walk(masks, q, alive, decide)[0] if alive else 0, entries))
-        return out
+        return [_walk(masks, w.p if kind == "colimit" else dual_distributor(w.p), diagrams.down(m), decide)[0]
+                if m else 0 for w, m in asked]
 
-    def _creation_bytes(self, g: FunctorData, asked: list, kind: str, values: tuple,
-                        first: Optional[Diagram]) -> list:
-        """values[b] for the creation byte b of each position (first: the first diagram asked),
-        from the settled masks where they settle it, else from its row byte, set on its first
-        question from its creation records, fetched once, and one search per mode."""
+    def _creation_masks(self, diagrams: Diagrams, asked: list, kind: str) -> list[tuple[int, int, int]]:
+        """(strict, nonstrict, preserved) masks per (w, mask) pair: from the settled masks where they
+        settle a position, else from its row byte, set on its first question from its creation
+        records, fetched once, and one search per mode."""
 
-        if first is None:
-            return [[] for _ in asked]
-        Z, w = first.f.dom, asked[0][0]
-        handles, masks = self._diagrams[(Z, g)], self._settled.setdefault((g, kind, Z), {})
+        g, n, w = diagrams.g, len(diagrams), asked[0][0]
+        masks = self._settled.setdefault((g, kind, diagrams.Z), {})
         key = (g, kind, w.p.src, w.p.tgt, w.cap)
-        row, n = self._creations.get(key) or self._creations.setdefault(
-            key, (bytearray(), len(self._positions[(Z, first.f.cod)])))
-        end = (1 + max(v.cls for v, ds in asked if ds)) * n
+        row = (self._creations.get(key) or self._creations.setdefault(key, (bytearray(), n)))[0]
+        end = (1 + max((v.cls for v, m in asked if m), default=-1)) * n
         if len(row) < end:
             row.extend(bytes(end - len(row)))
 
         def decide(q, x, column, i):
-            record = colim.creation_at(getattr(handles[i], kind), q, x, column)
+            record = colim.creation_at(getattr(diagrams[i], kind), q, x, column)
             settled = record is not None and record.strict and record.upstairs and record.closed
             return settled and record.preserved, settled
-        by_settled, out = (values[_SETTLED], values[_SETTLED | _PRESERVED]), []
-        for w, diagrams in asked:
-            if not diagrams:
-                out.append([])
-                continue
+        out = []
+        for w, m in asked:
             q = w.p if kind == "colimit" else dual_distributor(w.p)
-            preserved, settled = _walk(masks, q, sum({1 << diagram.index for diagram in diagrams}), decide)
-            base = w.cls * n
-            for diagram in diagrams:
-                if not (settled >> diagram.index & 1 or row[base + diagram.index]):
-                    found = colim.creation_records(g, w.p, diagram.f, kind, getattr(diagram, kind))
-                    row[base + diagram.index] = _CHECKED | sum(
-                        _PASSED << i for i, mode in enumerate(_MODES) if colim.creation_search(found, mode)[0]) | (
+            preserved, settled = _walk(masks, q, m, decide) if m else (0, 0)
+            strict = nonstrict = settled
+            for i in bits(m & ~settled):
+                b = row[w.cls * n + i]
+                if not b:
+                    found = colim.creation_records(g, w.p, diagrams[i].f, kind, getattr(diagrams[i], kind))
+                    b = row[w.cls * n + i] = _CHECKED | sum(
+                        _PASSED << k for k, mode in enumerate(_MODES) if colim.creation_search(found, mode)[0]) | (
                         _PRESERVED if all(record.preserved for record in found.records) else 0)
-            out.append([by_settled[preserved >> diagram.index & 1] if settled >> diagram.index & 1
-                        else values[row[base + diagram.index]] for diagram in diagrams])
+                strict |= bool(b & _PASSED) << i
+                nonstrict |= bool(b & _PASSED << 1) << i
+                preserved |= bool(b & _PRESERVED) << i
+            out.append((strict, nonstrict, preserved))
         return out
 
-    def _first(self, asked: list, g: Optional[FunctorData] = None) -> Optional[Diagram]:
-        """The first diagram asked about, or None when there is none.  Refuses (ValueError)
-        diagrams this census did not make for one g (g when given), checking each distinct
-        diagram list once, and weights from more than one list."""
+    def _asks(self, diagrams: Diagrams, asked: list, g: Optional[FunctorData] = None) -> bool:
+        """Whether asked sets any position.  Refuses (ValueError) a diagram list this census did
+        not make (for g when given), checked by identity, and weights of more than one list."""
 
-        first = next((diagrams[0] for _, diagrams in asked if diagrams), None)
-        if first is None:
-            return None
-        for diagram in itertools.chain.from_iterable({id(ds): ds for _, ds in asked}.values()):
-            h = diagram.colimit.g
-            if diagram.census is not self or (g is not None and h is not g and h != g):
-                raise ValueError("a diagram handle is answered only by the census that made it, for its g")
-            g = h
-        p, cap = asked[0][0].p, asked[0][0].cap
-        if not all(v.cap == cap and v.p.src is p.src and v.p.tgt is p.tgt for v, _ in asked) and any(
-                (v.p.src, v.p.tgt, v.cap) != (p.src, p.tgt, cap) for v, _ in asked):
-            raise ValueError("a census question asks about the weights of one list")
-        return first
+        if type(diagrams) is not Diagrams or diagrams.census is not self or (
+                g is not None and diagrams.g is not g and diagrams.g != g):
+            raise ValueError("a diagram handle is answered only by the census that made it, for its g")
+        if asked:
+            p, cap = asked[0][0].p, asked[0][0].cap
+            if not all(v.cap == cap and v.p.src is p.src and v.p.tgt is p.tgt for v, _ in asked) and any(
+                    (v.p.src, v.p.tgt, v.cap) != (p.src, p.tgt, cap) for v, _ in asked):
+                raise ValueError("a census question asks about the weights of one list")
+        return any(m for _, m in asked)
 
 
 def _walk(masks: dict, q: Distributor, alive: int, decide) -> tuple[int, int]:
@@ -412,6 +410,14 @@ def _walk(masks: dict, q: Distributor, alive: int, decide) -> tuple[int, int]:
         if not alive:
             break
     return holds, alive
+
+
+def bits(mask: int):
+    """The positions of the bits set in mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def class_representatives(weights: list) -> tuple[list, list]:

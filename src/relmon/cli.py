@@ -269,6 +269,8 @@ def _cmd_algebras(args) -> int:
 
 
 def _cmd_monadic(args) -> int:
+    if args.audit and args.co:
+        raise _UsageError("--audit with --co is not supported; audit the dual inputs directly")
     j = load_functor_file(args.j)
     r = load_functor_file(args.r)
     mode = "nonstrict" if args.nonstrict else "strict"
@@ -281,12 +283,10 @@ def _cmd_monadic(args) -> int:
     exit_code = EXIT_PASS if rep.verdict else EXIT_NEGATIVE
     extra = {"decision": rep.to_dict()}
     if args.audit:
-        if args.co:
-            raise _UsageError("--audit with --co is not supported; audit the dual inputs directly")
         shapes = default_shape_family()[: args.shapes] if args.shapes else default_shape_family()
         audit = creation_audit(j, r, shapes, args.cap, resolution=resolution)
         extra["audit"] = audit.to_dict()
-        census["audited_items"] = len(audit.items)
+        census["audited_items"] = len(extra["audit"]["items"])
         if audit.discrepancies:
             witnesses.extend(audit.discrepancies)
             exit_code = EXIT_NEGATIVE

@@ -11,11 +11,12 @@ dualizing the inputs and running the same pipeline.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .algebra import AlgebraCategory, ComparisonData, build_algebra_category, comparison_functor
-from .census import ABSOLUTE_COLIMIT, NO_COLIMIT, DownstairsCensus
+from .census import DownstairsCensus, bits
 from .colim import is_dense, is_j_absolute, try_left_extension
 from .corpus import builtin_corpus, disc2_category, interval_category, terminal_category
 from .errors import (
@@ -177,7 +178,7 @@ class AuditItem:
 class AuditReport:
     vacuous: bool
     dense_root: bool
-    items: list = field(default_factory=list)
+    blocks: list = field(default_factory=list)
     targeted_extension_found: Optional[bool] = None
     targeted_extension_is_forgetful: Optional[bool] = None
     targeted_extension_absolute: Optional[bool] = None
@@ -188,10 +189,18 @@ class AuditReport:
     inconclusive_at_bound: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
+    @property
+    def items(self) -> list:
+        """One AuditItem per (weight, j-absolute diagram), built on each read from the blocks: per (X, Y),
+        shape names, weights, their classes, diagrams and per class (absolute, (strict, nonstrict)) masks."""
+        return [AuditItem(shapes, w.index, dict(diagrams[i].f.on_objects), "colimit", True,
+                          *(bool(passed >> i & 1) for passed in created[k]))
+                for shapes, weights, of, diagrams, absolute, created in self.blocks
+                for w, k in zip(weights, of) for i in bits(absolute[k])]
+
     def failing_items(self, mode: str):
         key = "strict_pass" if mode == "strict" else "nonstrict_pass"
-        return [it for it in self.items
-                if it.absolute and getattr(it, key) is False]
+        return [it for it in self.items if getattr(it, key) is False]
 
     def to_dict(self) -> dict:
         return {
@@ -247,7 +256,6 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
 
     D = r.dom
     tested = 0
-    diagrams = {Y: census.diagrams(Y, r) for Y in shape_family}
     for X in shape_family:
         for Y in shape_family:
             try:
@@ -256,19 +264,17 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
                 report.inconclusive_at_bound[f"{X.name}->{Y.name}"] = "weight census over budget"
                 continue
             # each question kind once, about the first member of each class
-            verdicts = census.colimits(j, [(w, diagrams[Y]) for w in firsts])
-            absolute = [[d for d, v in zip(diagrams[Y], vs) if v == ABSOLUTE_COLIMIT] for vs in verdicts]
-            created = census.creations(r, list(zip(firsts, absolute)), "colimit")
-            exist = [sum(v != NO_COLIMIT for v in vs) for vs in verdicts]
-            for w, k in zip(weights, of):
-                tested += exist[k]
-                report.items += [AuditItem((X.name, Y.name), w.index, dict(diagram.f.on_objects), "colimit", True, *both)
-                                 for diagram, both in zip(absolute[k], created[k])]
+            ds = census.diagrams(Y, r)
+            verdicts = census.colimits(j, ds, [(w, ds.every) for w in firsts])
+            absolute = [a for _, a in verdicts]
+            created = census.creations(r, ds, list(zip(firsts, absolute)), "colimit")
+            report.blocks.append(((X.name, Y.name), weights, of, ds, absolute, created))
+            tested += sum(verdicts[k][0].bit_count() * n for k, n in Counter(of).items())
     report.census = {
         "shapes": [c.name for c in shape_family],
         "element_cap": element_cap,
         "downstairs_colimits": tested,
-        "absolute": len(report.items),
+        "absolute": sum(a[k].bit_count() * n for *_, of, _, a, _ in report.blocks for k, n in Counter(of).items()),
     }
 
     # targeted items: extensions are canonical only up to isomorphism (the
@@ -291,11 +297,12 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
                 find_natural_isomorphism(composite, identity_functor(D)) is not None)
 
     for mode, verdict in verdicts.items():
-        failing = report.failing_items(mode)
+        failing = sum((absolute[k] & ~created[k][MODES.index(mode)]).bit_count() * n
+                      for _, _, of, _, absolute, created in report.blocks for k, n in Counter(of).items())
         if verdict:
             if failing and dense:
                 report.discrepancies.append(
-                    f"{mode}: verdict yes but {len(failing)} audited items fail creation")
+                    f"{mode}: verdict yes but {failing} audited items fail creation")
             if dense and report.targeted_extension_found and not report.targeted_extension_is_forgetful:
                 report.discrepancies.append(
                     f"{mode}: targeted extension does not compute the forgetful functor")

@@ -8,7 +8,6 @@ says why in its details.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .algebra import (
     build_algebra_category,
@@ -21,7 +20,7 @@ from .algebra import (
     transport_graded_forward,
     verify_algebra_object,
 )
-from .census import ABSOLUTE_COLIMIT, DownstairsCensus, class_representatives
+from .census import DownstairsCensus, bits
 from .colim import is_dense
 from .corpus import indisc2_category, interval_category, terminal_category, validate_instance
 from .errors import BudgetExceeded, PremiseFail, TheoremViolation, ValidationFailure
@@ -203,16 +202,16 @@ def _check_forgetful_creates(ctx) -> SuiteResult:
                     skipped[f"{X.name}->{Y.name}"] = "weight census over budget"
                     continue
                 colimits, limits = diagrams[Y], diagrams[X]
-                asked = (("colimit", [[d for d, v in zip(colimits, vs) if v == ABSOLUTE_COLIMIT]
-                                      for vs in census.colimits(T.j, [(w, colimits) for w in firsts])]),
-                         ("limit", [list(itertools.compress(limits, vs))
-                                    for vs in census.limits([(w, limits) for w in firsts])]))
-                created = [census.creations(u, list(zip(firsts, ds)), kind) for kind, ds in asked]
-                checks = [2 * sum(len(ds[k]) for _, ds in asked) for k in range(len(firsts))]
+                absolute = [a for _, a in census.colimits(T.j, colimits, [(w, colimits.every) for w in firsts])]
+                asked = (("colimit", colimits, absolute),
+                         ("limit", limits, census.limits(limits, [(w, limits.every) for w in firsts])))
+                created = [census.creations(u, ds, list(zip(firsts, masks)), kind) for kind, ds, masks in asked]
+                checks = [2 * sum(masks[k].bit_count() for _, _, masks in asked) for k in range(len(firsts))]
                 failures = [[f"{inst.name}/{role}: {mode} {kind} creation fails "
-                             f"(weight {X.name}->{Y.name}, diagram {dict(d.f.on_objects)})"
-                             for (kind, ds), answers in zip(asked, created) for d, both in zip(ds[k], answers[k])
-                             for mode, passed in zip(("strict", "nonstrict"), both) if not passed]
+                             f"(weight {X.name}->{Y.name}, diagram {dict(ds[i].f.on_objects)})"
+                             for (kind, ds, masks), answers in zip(asked, created)
+                             for i in bits(masks[k] & ~(answers[k][0] & answers[k][1]))
+                             for mode, passed in zip(("strict", "nonstrict"), answers[k]) if not passed >> i & 1]
                             for k in range(len(firsts))]
                 for k in of:
                     checked += checks[k]
@@ -234,34 +233,34 @@ def _check_preservation_conservativity(ctx) -> SuiteResult:
         diagrams = {Y: census.diagrams(Y, g) for Y in shapes}
         for X in shapes:
             for Y in shapes:
-                firsts, of = class_representatives(_small_weights(ctx, X, Y, skipped))
-                preserved = [list(itertools.compress(diagrams[Y], found))
-                             for found in census.preserved(g, [(w, diagrams[Y]) for w in firsts])]
-                created = census.creations(g, list(zip(firsts, preserved)), "colimit")
+                firsts, of = _small_weights(ctx, X, Y, skipped)
+                preserved = census.preserved(g, diagrams[Y], [(w, diagrams[Y].every) for w in firsts])
+                created = census.creations(g, diagrams[Y], list(zip(firsts, preserved)), "colimit")
                 for k in of:
-                    checked += len(preserved[k])
-                    details += [f"{inst.name}/{role}: preserved colimit not non-strictly created"
-                                for _, nonstrict in created[k] if not nonstrict]
+                    checked += preserved[k].bit_count()
+                    details += (preserved[k] & ~created[k][1]).bit_count() * [
+                        f"{inst.name}/{role}: preserved colimit not non-strictly created"]
     return SuiteResult("preservation_conservativity", not details, checked, details, skipped)
 
 
 def _small_weights(ctx, X, Y, skipped):
-    """Handles of the weights X -|-> Y with at most one element per
-    component, from the census's list at the suite's element cap, whose
-    rows forgetful_creates has filled, or at cap 1 when that list is over
-    budget, or none when that one is too; skipped records either case.
-    Both lists hold the small weights in the same order."""
+    """class_representatives of the weights X -|-> Y with at most one element per component,
+    a class test, from the census's list at the suite's element cap, whose rows
+    forgetful_creates has filled, or at cap 1 when that list is over budget, or none when
+    that one is too; skipped records either case.  Both lists order the small weights alike."""
 
     try:
-        weights = ctx.census.weights(X, Y, ctx.element_cap, ctx.budget)
+        _, firsts, of = ctx.census.weight_classes(X, Y, ctx.element_cap, ctx.budget)
     except BudgetExceeded:
         try:
-            weights = ctx.census.weights(X, Y, min(ctx.element_cap, 1), ctx.budget)
+            _, firsts, of = ctx.census.weight_classes(X, Y, min(ctx.element_cap, 1), ctx.budget)
         except BudgetExceeded:
             skipped[f"{X.name}->{Y.name}"] = "weight census over budget"
-            return []
+            return [], []
         skipped[f"{X.name}->{Y.name}"] = "weight census over budget; small weights read from the cap-1 list"
-    return [w for w in weights if all(len(w.p.el(y, x)) <= 1 for y in Y.objects for x in X.objects)]
+    index = {k: i for i, k in enumerate(k for k, w in enumerate(firsts) if all(
+        len(w.p.el(y, x)) <= 1 for y in Y.objects for x in X.objects))}
+    return [firsts[k] for k in index], [index[k] for k in of if k in index]
 
 
 def _check_algebra_object_up(ctx) -> SuiteResult:
@@ -483,19 +482,17 @@ def _algebraic_creation_sample(ctx, j, r, i, skipped):
 
     census = ctx.census
     Tm = terminal_category()
-    firsts, of = class_representatives(_small_weights(ctx, Tm, Tm, skipped))
+    firsts, of = _small_weights(ctx, Tm, Tm, skipped)
     diagrams, diagrams_r = census.diagrams(Tm, i), census.diagrams(Tm, r)
-    # f ; i, and f ; i ; r as its composite with r
-    diagrams_r = [diagrams_r[diagram.d_index] for diagram in diagrams]
-    absolute = [[v == ABSOLUTE_COLIMIT for v in vs] for vs in census.colimits(j, [(w, diagrams_r) for w in firsts])]
-    preserved = census.preserved(r, [(w, list(itertools.compress(diagrams_r, a))) for w, a in zip(firsts, absolute)])
-    colimits = [list(itertools.compress(itertools.compress(diagrams, a), p)) for a, p in zip(absolute, preserved)]
-    limits = [list(itertools.compress(diagrams, found)) for found in census.limits([(w, diagrams) for w in firsts])]
-    created = (census.creations(i, list(zip(firsts, colimits)), "colimit"),
-               census.creations(i, list(zip(firsts, limits)), "limit"))
-    failures = [[f"{what} not non-strictly created"
-                 for what, answers in zip(("colimit sent to j-absolute", "limit"), created)
-                 for _, nonstrict in answers[k] if not nonstrict] for k in range(len(firsts))]
+    # the d positions of f ; i are the f positions of f ; i ; r among diagrams_r
+    image = diagrams.down(diagrams.every)
+    absolute = [a for _, a in census.colimits(j, diagrams_r, [(w, image) for w in firsts])]
+    preserved = census.preserved(r, diagrams_r, list(zip(firsts, absolute)))
+    asked = (("colimit sent to j-absolute", "colimit", [diagrams.up(p) for p in preserved]),
+             ("limit", "limit", census.limits(diagrams, [(w, diagrams.every) for w in firsts])))
+    created = [census.creations(i, diagrams, list(zip(firsts, masks)), kind) for _, kind, masks in asked]
+    failures = [[f"{what} not non-strictly created" for (what, _, masks), answers in zip(asked, created)
+                 for _ in range((masks[k] & ~answers[k][1]).bit_count())] for k in range(len(firsts))]
     return [bad for k in of for bad in failures[k]]
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from relmon import algebra, colim, corpus, monadicity, prof, reladj, suite
+from relmon import census as census_module
 from relmon.algebra import build_algebra_category
-from relmon.census import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT, DownstairsCensus
+from relmon.census import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT, DownstairsCensus, bits
 from relmon.colim import (
     WeightedLimit,
     check_creation,
@@ -277,14 +278,22 @@ def test_cap_3_suite_records_the_blocks_the_budget_skipped():
 def test_small_weights_of_the_cap_2_list_are_the_cap_1_list():
     """preservation_conservativity and algebraic_tight_cells read the small
     weights from the cap-2 list, or from the cap-1 list when the cap-2 list
-    is over budget: both must give the same tables in the same order."""
+    is over budget: both must give the same tables in the same order.
+    _small_weights gives the first member of each small class and, for each
+    small weight in list order, the index of its class's: a class is small
+    or not as a whole."""
     shapes = default_shape_family()
     budget = budget_limit()
     ctx, skipped = _Context([], shapes, 2, budget), {}
     for X in shapes:
         for Y in shapes:
-            small = _small_weights(ctx, X, Y, skipped)
-            assert {w.cap for w in small} == {2}
+            firsts, of = _small_weights(ctx, X, Y, skipped)
+            weights = ctx.census.weights(X, Y, 2, budget)
+            small = [w for w in weights if all(len(w.p.el(y, x)) <= 1 for y in Y.objects for x in X.objects)]
+            assert {w.cap for w in firsts} == {2}
+            assert [firsts[k].cls for k in of] == [w.cls for w in small]
+            assert len({w.cls for w in small}) == len(firsts) == len({w.cls for w in weights}) - len(
+                {w.cls for w in weights} - {w.cls for w in small})
             assert [w.p.table() for w in small] == (
                 [w.p.table() for w in ctx.census.weights(X, Y, 1, budget)])
     # no list is over budget at cap 2, so none fell back to cap 1
@@ -420,9 +429,9 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
         fetches.append(((content(g), p.table(), f.table(), kind), found))
         return found
 
-    def ask(census, g, pairs, kind):
-        for w, diagrams in pairs:
-            for diagram in diagrams:
+    def ask(census, g, diagrams, pairs, kind):
+        for w, mask in pairs:
+            for diagram in (diagrams[i] for i in bits(mask)):
                 key = (content(g), w.p.table(), diagram.f.table(), kind)
                 assert key not in asked
                 asked[key] = (getattr(diagram, kind), w.p, kind)
@@ -731,39 +740,58 @@ def test_interleaved_questions_answer_as_in_row_order_and_directly(seed, seed2, 
     assert {questions[i][0]: outcome(questions[i][2]) for i in order} == in_row
 
 
-def reversed_sublist(data, diagrams: list) -> list:
-    """A sublist of diagram handles that hypothesis draws, in reversed
-    order: in general neither its index nor its d_index runs contiguously."""
-    keep = data.draw(st.lists(st.booleans(), min_size=len(diagrams), max_size=len(diagrams)))
-    return [d for d, kept in zip(diagrams, keep) if kept][::-1]
+def drawn_mask(data, n: int) -> int:
+    """A mask over n diagram positions that hypothesis draws, empty ones included."""
+    return sum(kept << i for i, kept in enumerate(
+        data.draw(st.lists(st.booleans(), min_size=n, max_size=n))))
 
 
-def assert_lists_match_references(census, g, asked: list, roots: list, sublist) -> None:
-    """List questions about the weights asked (handles of one list of
-    census, in the order given, repeats allowed), each paired with its
-    diagram handles in reversed order and then with sublist(handles), and
-    the first weight paired again with no diagram second, answer position
-    by position what the references give without a census:
-    try_weighted_colimit with is_j_absolute (colimits, for each root),
-    try_weighted_limit (limits), reference_preserves (preserved) and
-    check_creation in both modes (creations, of colimits and limits where
-    the downstairs one exists).  The first pass fills the census, the
-    second reads it, so a question reading another diagram's or another
-    class's byte answers wrongly wherever the answers differ."""
-    for pick in (lambda ds: ds[::-1], sublist):
-        down = [(w, pick(census.diagrams(w.p.tgt, g))) for w in asked]
-        up = [(w, pick(census.diagrams(w.p.src, g))) for w in asked]
-        down.insert(1, (asked[0], []))
-        up.insert(1, (asked[0], []))
+def every_other(n: int) -> int:
+    """The mask of the positions n - 1, n - 3, ... of n."""
+    return sum(1 << i for i in range(n - 1, -1, -2))
+
+
+def masked(answers: dict) -> int:
+    """The mask of the positions whose answer in answers (position: answer) is true."""
+    return sum(bool(answer) << i for i, answer in answers.items())
+
+
+def assert_masks_match_references(census, g, asked: list, roots: list, sublist) -> None:
+    """Mask questions about the weights asked (handles of one list of
+    census, in the order given, repeats allowed), each with the mask of
+    every diagram position and then with sublist(number of positions), and
+    the first weight asked again with the empty mask second, answer bit by
+    bit what the references give without a census: try_weighted_colimit
+    with is_j_absolute (colimits, for each root), try_weighted_limit
+    (limits), reference_preserves (preserved) and check_creation in both
+    modes (creations, of colimits and limits where the downstairs one
+    exists).  Colimit and limit bits live among the composites' positions
+    and come back among the diagrams', so a g that sends two diagrams to
+    one composite shares the answer between them.  The first pass fills
+    the census, the second reads it, so a question reading another
+    diagram's or another class's byte answers wrongly wherever the answers
+    differ."""
+    down_ds, up_ds = census.diagrams(asked[0].p.tgt, g), census.diagrams(asked[0].p.src, g)
+    for pick in (lambda n: (1 << n) - 1, sublist):
+        down = [(w, pick(len(down_ds))) for w in asked]
+        up = [(w, pick(len(up_ds))) for w in asked]
+        down.insert(1, (asked[0], 0))
+        up.insert(1, (asked[0], 0))
         for j in roots:
-            assert census.colimits(j, down) == [[direct_colimit_verdict(j, w.p, d.d) for d in ds] for w, ds in down]
-        assert census.limits(up) == [[try_weighted_limit(w.p, d.d)[0] is not None for d in ds] for w, ds in up]
-        assert census.preserved(g, down) == [[reference_preserves(g, w.p, d.f)[2] for d in ds] for w, ds in down]
-        for kind, pairs, search in (("colimit", down, try_weighted_colimit), ("limit", up, try_weighted_limit)):
-            pairs = [(w, [d for d in ds if search(w.p, d.d)[0] is not None]) for w, ds in pairs]
-            assert census.creations(g, pairs, kind) == [
-                [tuple(check_creation(g, w.p, d.f, mode=mode, kind=kind).passed for mode in ("strict", "nonstrict"))
-                 for d in ds] for w, ds in pairs]
+            verdicts = [{i: direct_colimit_verdict(j, w.p, down_ds[i].d) for i in bits(m)} for w, m in down]
+            assert census.colimits(j, down_ds, down) == [
+                (masked({i: v != NO_COLIMIT for i, v in vs.items()}),
+                 masked({i: v == ABSOLUTE_COLIMIT for i, v in vs.items()})) for vs in verdicts]
+        assert census.limits(up_ds, up) == [
+            masked({i: try_weighted_limit(w.p, up_ds[i].d)[0] is not None for i in bits(m)}) for w, m in up]
+        assert census.preserved(g, down_ds, down) == [
+            masked({i: reference_preserves(g, w.p, down_ds[i].f)[2] for i in bits(m)}) for w, m in down]
+        for kind, ds, pairs, search in (("colimit", down_ds, down, try_weighted_colimit),
+                                        ("limit", up_ds, up, try_weighted_limit)):
+            pairs = [(w, masked({i: search(w.p, ds[i].d)[0] is not None for i in bits(m)})) for w, m in pairs]
+            assert census.creations(g, ds, pairs, kind) == [
+                tuple(masked({i: check_creation(g, w.p, ds[i].f, mode=mode, kind=kind).passed for i in bits(m)})
+                      for mode in ("strict", "nonstrict")) for w, m in pairs]
 
 
 @settings(max_examples=20, deadline=None)
@@ -772,10 +800,10 @@ def assert_lists_match_references(census, g, asked: list, roots: list, sublist) 
        shape=st.sampled_from([(2, 1), (2, 2), (3, 1)]),
        data=st.data())
 def test_batches_answer_as_per_position_references(seed, seed2, shape, data):
-    """List questions over diagram handles in reversed order and over
-    drawn sublists of them in reversed order answer as the per-position
-    references do, for a drawn g: W -> V between generated categories and
-    weights of several classes, two of them of one class, in one census."""
+    """Mask questions over every diagram position and over drawn masks,
+    empty ones included, answer as the per-position references do, for a
+    drawn g: W -> V between generated categories and weights of several
+    classes, two of them of one class, in one census."""
     W = corpus.generate_category(seed, *shape)
     V = corpus.generate_category(seed2, *shape)
     assume(W is not None and V is not None)
@@ -787,7 +815,7 @@ def test_batches_answer_as_per_position_references(seed, seed2, shape, data):
     mates = [w for w in weights if w.cls == min(cls for *_, cls in shared_classes(weights))]
     asked = data.draw(st.lists(st.sampled_from(weights), min_size=2, max_size=3)) + [mates[0], mates[-1]]
     roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
-    assert_lists_match_references(census, g, asked, roots, lambda ds: reversed_sublist(data, ds))
+    assert_masks_match_references(census, g, asked, roots, lambda n: drawn_mask(data, n))
 
 
 @settings(max_examples=15, deadline=None)
@@ -800,8 +828,8 @@ def test_list_questions_answer_as_per_position_references(seed, seed2, shape, da
     position as the references do, for a drawn g: W -> V between generated
     categories.  The list holds several members of one class, repeated
     pairs, a later member of a class before the first one, classes out of
-    their order with the highest last, and pairs with no diagram; a list
-    of no pairs, or of pairs with no diagram, resolves no row.  Every
+    their order with the highest last, and empty masks; a question of no
+    pairs, or of empty masks only, resolves no row.  Every
     creation record the census stored that is strict is also upstairs and
     closed, which is why the census reads both modes from strict records
     alone (colim.settled_records)."""
@@ -812,15 +840,15 @@ def test_list_questions_answer_as_per_position_references(seed, seed2, shape, da
     T, I = corpus.terminal_category(), corpus.interval_category()
     X, Y = data.draw(st.sampled_from([(T, I), (I, T), (I, I)]))
     census = DownstairsCensus()
-    assert census.colimits(identity_functor(V), []) == [] and census.creations(g, [], "limit") == []
-    weights = census.weights(X, Y, 2, 200_000)
-    assert census.limits([(w, []) for w in weights[:2]]) == [[], []]
+    weights, ds = census.weights(X, Y, 2, 200_000), census.diagrams(X, g)
+    assert census.colimits(identity_functor(V), census.diagrams(Y, g), []) == []
+    assert census.creations(g, ds, [], "limit") == [] and census.limits(ds, [(w, 0) for w in weights[:2]]) == [0, 0]
     assert census._absolute == census._limits == census._creations == {}
     mates = [w for w in weights if w.cls == min(cls for *_, cls in shared_classes(weights))]
     drawn = data.draw(st.lists(st.sampled_from(weights), min_size=1, max_size=4))
     asked = [mates[-1]] + drawn + drawn[:1] + [mates[0], max(weights, key=lambda w: w.cls)]
     roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
-    assert_lists_match_references(census, g, asked, roots, lambda ds: reversed_sublist(data, ds))
+    assert_masks_match_references(census, g, asked, roots, lambda n: drawn_mask(data, n))
     records = [record for key, entry in census._pointwise.items() if len(key) == 4 and key[1] == "creation"
                for record in entry.values() if record is not None]
     assert all(record.upstairs and record.closed for record in records if record.strict)
@@ -831,7 +859,7 @@ def test_batches_answer_as_references_where_answers_vary(X, Y):
     """The same over every weight of the cap-2 lists Terminal -|-> Interval
     and Interval -|-> Terminal and the sixth functor Vee -> PP, where
     neighbouring diagrams get different answers in every kind of question,
-    and over every other handle in reversed order.  Each creation row then
+    and over every other position.  Each creation row then
     holds one block of n bytes per weight class, at the class's offset, and
     each colimit, absoluteness and limit mask holds facts only about the
     diagrams of its index space, and only facts it knows."""
@@ -842,7 +870,7 @@ def test_batches_answer_as_references_where_answers_vary(X, Y):
     weights = census.weights(S[X](), S[Y](), 2, 200_000)
     assert shared_classes(weights)
     roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
-    assert_lists_match_references(census, g, weights, roots, lambda ds: ds[::-2])
+    assert_masks_match_references(census, g, weights, roots, every_other)
     rows = list(census._creations.values())
     assert rows and all(len(row) == n * (1 + max(w.cls for w in weights)) for row, n in rows)
     masks = [(key[-2:], mask) for spaces in (census._colimits, census._absolute, census._limits)
@@ -871,8 +899,50 @@ def test_settled_walk_computes_a_missing_record_at_its_own_column(monkeypatch):
         return real(entry, p, x, column)
     monkeypatch.setattr(colim, "creation_at", creation_at)
     roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
-    assert_lists_match_references(census, g, weights[::-1], roots, lambda ds: ds[::-2])
+    assert_masks_match_references(census, g, weights[::-1], roots, every_other)
     assert any(later)
+
+
+def shared_carrier_forgetful():
+    """u_T for the first relative monad T on the point root at o0 of
+    generate_category(24, 2, 2) with two algebras on one carrier: u_T sends
+    two diagrams to one composite."""
+    V = corpus.generate_category(24, 2, 2)
+    for T in enumerate_relative_monads(corpus.point_functor(V, V.objects[0])):
+        u = build_algebra_category(T).u
+        if len(set(map(u.ob, u.dom.objects))) < len(u.dom.objects):
+            return u
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4),
+       seed2=st.integers(min_value=0, max_value=10**4),
+       shape=st.sampled_from([(1, 2), (2, 1), (2, 2)]),
+       shared=st.booleans(),
+       data=st.data())
+def test_mask_questions_answer_as_per_position_references(seed, seed2, shape, shared, data):
+    """Every mask question answers bit by bit as the per-position
+    references do, over weights of a drawn list asked in reverse list
+    order, with every position, drawn masks and empty masks, for g either
+    a forgetful functor that sends two diagrams of each list to one
+    composite (shared_carrier_forgetful) or a drawn functor between
+    generated categories."""
+    if shared:
+        g = shared_carrier_forgetful()
+    else:
+        W, V = corpus.generate_category(seed, *shape), corpus.generate_category(seed2, *shape)
+        assume(W is not None and V is not None)
+        g = data.draw(st.sampled_from(list(itertools.islice(enumerate_functors(W, V), 12))))
+    T, I = corpus.terminal_category(), corpus.interval_category()
+    X, Y = data.draw(st.sampled_from([(T, T), (T, I), (I, T), (I, I)]))
+    census = DownstairsCensus()
+    weights = census.weights(X, Y, 2, 200_000)
+    picked = data.draw(st.lists(st.sampled_from(range(len(weights))), min_size=1, max_size=4, unique=True))
+    asked = [weights[i] for i in sorted(picked, reverse=True)]
+    if shared:
+        assert all(len({d.d_index for d in census.diagrams(Z, g)}) < len(census.diagrams(Z, g)) for Z in (X, Y))
+    roots = [identity_functor(g.cod), corpus.point_functor(g.cod, g.cod.objects[-1])]
+    assert_masks_match_references(census, g, asked, roots, lambda n: drawn_mask(data, n))
 
 
 # ---------------------------------------------------------------------------
@@ -960,11 +1030,11 @@ def test_class_level_loops_answer_as_per_weight_loops(monkeypatch):
     items, weight indices included, and downstairs colimit counts."""
     original = DownstairsCensus.creations
 
-    def creations(self, g, asked, kind):
+    def creations(self, g, diagrams, asked, kind):
         # a function of the class, as every census answer is
-        return [[(strict and (w.cls + d.index) % 3 != 1, nonstrict and (w.cls + d.index) % 5 != 1)
-                 for d, (strict, nonstrict) in zip(diagrams, answers)]
-                for (w, diagrams), answers in zip(asked, original(self, g, asked, kind))]
+        return [tuple(passed & sum(1 << i for i in bits(m) if (w.cls + i) % modulus != 1)
+                      for passed, modulus in zip(answers, (3, 5)))
+                for (w, m), answers in zip(asked, original(self, g, diagrams, asked, kind))]
 
     monkeypatch.setattr(DownstairsCensus, "creations", creations)
     instances, shapes, budget = corpus.builtin_corpus(), default_shape_family(), budget_limit()
@@ -1008,7 +1078,7 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     (each answered in both modes; asked one mode at a time, 15,215
     positions took 30,053 questions, and 53,537 per labelled weight) and
     36,800 colimit positions (71,880 per labelled weight) are asked, each
-    question resolving its weight list and diagram lists at most once, at
+    question checking its diagram list once, by identity, at
     most 24,000 list resolutions in all (77,812 when every question
     resolved its own row) and at most 1,500 questions (35,270 when the
     loops asked once per weight class and question kind).  Strict creation walks its lifts
@@ -1028,11 +1098,15 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     and density verdict once: at most 47 algebra categories (147 when
     each resolution and composite triple built its own) and 40 density
     checks (151 once per resolution, 222 when the audits and the
-    tight-cell loop checked the root again)."""
+    tight-cell loop checked the root again).  Questions take and return
+    masks and the audits keep theirs, so the pass builds no AuditItem
+    (9,398 when each audit expanded its items) and computes class
+    representatives once per weight list, 9 calls (89 when the small
+    weights were filtered per call)."""
     counts, entries, inside, per_batch = collections.Counter(), collections.Counter(), [], []
     censuses = []
     # a census question's own frames: a call made from one of them is the census's
-    questions = ("colimits", "limits", "creations", "preserved", "_first", "_creation_bytes")
+    questions = ("colimits", "limits", "creations", "preserved", "_asks", "_creation_masks")
 
     def count(owner, name, note=None):
         original = getattr(owner, name)
@@ -1053,7 +1127,7 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
 
         def wrapper(self, *args):
             counts[name] += 1
-            counts[name + " positions"] += sum(len(diagrams) for _, diagrams in asked(*args))
+            counts[name + " positions"] += sum(mask.bit_count() for _, mask in asked(*args))
             rows, _ = counts["list resolutions"], inside.append(name)
             try:
                 return original(self, *args)
@@ -1088,15 +1162,17 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
         [(content(j), content(f))]))
     count(colim, "_strict_colimit_creation", strict_search)
     count(Distributor, "left_plan", left_plan)
-    batch("colimits", lambda j, asked: asked)
-    batch("limits", lambda asked: asked)
-    batch("creations", lambda g, asked, kind: asked)
-    batch("preserved", lambda g, asked: asked)
-    # every question resolves its lists once; one of no diagrams resolves none
-    count(DownstairsCensus, "_first", lambda self, asked, *_: any(ds for _, ds in asked) and counts.update(
+    batch("colimits", lambda j, diagrams, asked: asked)
+    batch("limits", lambda diagrams, asked: asked)
+    batch("creations", lambda g, diagrams, asked, kind: asked)
+    batch("preserved", lambda g, diagrams, asked: asked)
+    # every question resolves its lists once; one of empty masks resolves none
+    count(DownstairsCensus, "_asks", lambda self, diagrams, asked, *_: any(m for _, m in asked) and counts.update(
         ["list resolutions"]))
-    count(colim.CreationReport, "__init__", lambda *_: "_creation_bytes" in inside and counts.update(["census report"]))
-    count(DownstairsCensus, "_creation_bytes")
+    count(colim.CreationReport, "__init__", lambda *_: "_creation_masks" in inside and counts.update(["census report"]))
+    count(DownstairsCensus, "_creation_masks")
+    count(census_module, "class_representatives")
+    count(monadicity, "AuditItem")
     count(monadicity, "comparison_functor")
     for module in (colim, reladj, corpus, monadicity, suite):
         for name in ("resolve_monadicity", "find_left_relative_adjoint", "is_dense", "build_algebra_category"):
@@ -1124,7 +1200,8 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     assert 0 < counts["creations positions"] <= 15_230
     assert 0 < counts["colimits positions"] <= 36_800
     assert 0 < counts["list resolutions"] <= 24_000 and max(per_batch) == 1
-    assert counts["_first"] <= 1_500
+    assert counts["_asks"] <= 1_500
+    assert 0 < counts["class_representatives"] <= 9 and counts["AuditItem"] == 0
     assert len(per_batch) == sum(counts[name] for name in ("colimits", "limits", "creations", "preserved"))
     assert 0 < counts["lift walks"] == counts["not all strict"] <= 1_854
     assert 0 < counts["graded lifts"] <= 1_063

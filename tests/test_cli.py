@@ -159,6 +159,18 @@ def test_budget_exceeded_exit_4(files, monkeypatch):
     assert run(["monad", "enumerate", "--j", files / "point_bz2.json"]) == 4
 
 
+def test_monadic_audit_with_co_is_refused_before_loading(files, monkeypatch, capsys):
+    """--audit with --co is a usage error (exit 3) found before any input is
+    loaded or resolved: under a budget of 1, which the resolution exceeds
+    (exit 4), and with paths that name no file."""
+    monkeypatch.setenv("RELMON_BUDGET", "1")
+    want = "relmon: usage error: --audit with --co is not supported; audit the dual inputs directly\n"
+    for j, r in ((files / "id_bz2.json", files / "id_bz2.json"), (files / "nope.json", files / "nope.json")):
+        assert run(["monadic", "--j", j, "--r", r, "--co", "--audit"]) == 3
+        assert capsys.readouterr().err == want
+    assert run(["monadic", "--j", files / "id_bz2.json", "--r", files / "id_bz2.json", "--co"]) == 4
+
+
 def _parse_failure(capsys, report, where):
     """The last run reported a parse error at `where` and printed no traceback."""
     err = capsys.readouterr().err
