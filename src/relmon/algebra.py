@@ -31,7 +31,7 @@ from .fincat import (
     enumerate_functors,
     identity_functor,
 )
-from .monad import RelativeMonad, monad_from_adjunction, postcompose_along_adjunction
+from .monad import RelativeMonad, postcompose_along_adjunction
 from .prof import Distributor, GradedCell, enumerate_distributors, enumerate_graded_cells, hom_restriction
 from .reladj import RelativeAdjunction, validate_relative_adjunction
 from .search import Search
@@ -363,11 +363,11 @@ class ComparisonData:
         }
 
 
-def comparison_functor(adj: RelativeAdjunction, algcat: AlgebraCategory) -> ComparisonData:
-    """The unique K with K ; u_T = r and l ; K = f_T, with certificates."""
+def comparison_functor(adj: RelativeAdjunction, algcat: AlgebraCategory, induced: RelativeMonad) -> ComparisonData:
+    """The unique K with K ; u_T = r and l ; K = f_T, with certificates.
+    induced is monad_from_adjunction(adj), which must be algcat's monad T."""
 
     T = algcat.monad
-    induced = monad_from_adjunction(adj)
     if induced.j != T.j or induced.t != T.t or induced.table() != T.table():
         raise MonadMismatch("adjunction does not induce this algebra category's monad")
 

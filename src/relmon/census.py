@@ -25,28 +25,32 @@ modes, which quantify over cocones up- and downstairs and their g-images,
 agree.
 
 Questions name a weight by a handle from weights(X, Y, cap, budget), which
-enumerates the distributors X -|-> Y once per census: a Weight holds p,
-its position in that list, the list's cap and the number of its
-isomorphism class there (_class_ids), so a caller cannot name a position
-the census did not hand out; callers read the labelled p and index.
-Questions name diagrams by the list diagrams(Z, g) (Diagrams) and their
-positions there: a Diagram holds f, d = f ; g, their positions, its list
-and its census's store entries for it, resolved once (colim.CreationEntry):
-the colimit records of f and d and the creation records of (g, f), and
-their duals for limits.  A handle cannot go stale: its entries are the
-store's own dicts, keyed by content, which the store only adds to, and a
-census refuses a list made by another census or for another g.
+enumerates the distributors X -|-> Y once per census (Weights): a Weight
+holds p, its position in that list, the list's cap, the number of its
+isomorphism class there (_class_ids) and the list, which keeps each
+weight's columns and its dual's, numbered by an int id the census gives
+a column's content (set on first use, meaningful in that census only).
+Callers read the labelled p and index.  Questions name diagrams by the list diagrams(Z, g)
+(Diagrams) and their positions there: a Diagram holds f, d = f ; g, their
+positions, its list and its census's store entries for it
+(colim.CreationEntry): the colimit records of f and d and the creation
+records of (g, f), and their duals for limits, resolved for the whole
+list on its first limit question.  A handle cannot go stale: its entries
+are the store's own dicts, keyed by content, which the store only adds
+to, and a census refuses a list made by another census or for another g.
 
 Questions (colimits, limits, creations, preserved) take one diagram list,
-the census's own diagrams(Z, g), checked by identity, and (weight handle,
-mask) pairs, the weights of one list in any order and with repeats.  Masks
-and answers hold bit i for the diagram at position i of the list.  A pair
-costs a few bit operations per column of its weight (prof.Distributor.columns,
-kept per weight and per dual); the one-position questions (colimit, limit,
-creation, preserves) ask one bit.  Loops ask about the first member of each
-weight class (weight_classes) and count answers with int.bit_count.  A fact
-not yet known is decided once, by the search or check a position walking
-its columns in x order would make.
+the census's own diagrams(Z, g), and (weight handle, mask) pairs, the
+weights of one of its lists in any order and with repeats, each list
+checked by identity.  Masks and answers hold bit i for the diagram at
+position i of the list.  A pair costs a few bit operations per column of
+its weight, found by int id; the one-position questions (colimit, limit,
+creation, preserves) ask one bit.  Loops ask about the first member of
+each weight class (weight_classes) and count answers with int.bit_count
+times the class size.  A fact not yet known is decided once, by the
+search or check a position walking its columns in x order would make; a
+creation row keeps verdicts only, so its strict search stops at a second
+lift.
 
 The pointwise store holds one record per (diagram id, column id)
 (colim._Column): the colimit at one x and the natural families there,
@@ -69,7 +73,9 @@ engine's only cache of colimits, natural families and weight lists.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from typing import NamedTuple, Optional
 
 # the searches are called through their modules, so that instrumentation
@@ -81,20 +87,31 @@ from .prof import Distributor, dual_distributor
 
 
 NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2  # how many of (exists, j-absolute) hold
-# a creation byte: _CHECKED, plus _PASSED << i for each _MODES[i] whose check
-# passed, plus _PRESERVED when g sends the upstairs (co)limit to one
-_CHECKED, _PASSED, _PRESERVED = 1, 2, 8
 _MODES = colim.CREATION_MODES
 
 
 class Weight(NamedTuple):
-    """A weight p: X -|-> Y at position index, and in class cls (_class_ids),
-    of the list that DownstairsCensus.weights(X, Y, cap, budget) returned."""
+    """A weight p: X -|-> Y at position index, and in class cls (_class_ids), of the list
+    owner that DownstairsCensus.weights(X, Y, cap, budget) returned."""
 
     p: Distributor
     index: int
     cap: int
     cls: int
+    owner: "Weights"
+
+
+class Weights(list):
+    """The Weight handles of one weights(X, Y, cap, budget) list, each holding it, and their census;
+    columns holds, per position, p's and then its dual's (x, column, id) triples, each set by the
+    first question that walks it."""
+
+    def __init__(self, census: "DownstairsCensus", ps: list, cap: int):
+        super().__init__(Weight(p, i, cap, k, self) for i, (p, k) in enumerate(zip(ps, _class_ids(ps))))
+        self.census, self.columns = census, ([None] * len(self), [None] * len(self))
+
+    def __repr__(self) -> str:      # a handle's repr shows its list this way, not handle by handle
+        return f"Weights({len(self)} handles)"
 
 
 class Diagram(NamedTuple):
@@ -109,7 +126,7 @@ class Diagram(NamedTuple):
     d_index: int
     owner: "Diagrams"
     colimit: colim.CreationEntry
-    limit: colim.CreationEntry
+    limit = property(lambda self: self.owner.limits[self.index])
 
 
 class Diagrams(list):
@@ -122,6 +139,10 @@ class Diagrams(list):
         super().__init__(handles(self))     # handles(owner) makes the handles, which hold the list
         self.census, self.g, self.Z, self.every = census, g, Z, (1 << len(self)) - 1
         self.by_d, self._down, self._up = {h.d_index: h for h in self}, {}, {}
+
+    # each diagram's limit store entry, built for the whole list on its first limit question
+    limits = functools.cached_property(
+        lambda self: [colim.creation_entry(self.g, h.f, "limit", self.census._pointwise) for h in self])
 
     def down(self, fs: int) -> int:
         """The d positions of the diagrams at the f positions of fs."""
@@ -193,8 +214,9 @@ class DownstairsCensus:
     functor g: W -> E, p and f: Z -> W.  None depends on which monad or
     candidate produced the question.
 
-    Masks are keyed by content.  A mask [known, holds, goes on] of one
-    column id holds bit i for the diagram at position i of an index space:
+    Masks are keyed by the census's int id of a column's content
+    (Weights.columns).  A mask [known, holds, goes on] of one column id
+    holds bit i for the diagram at position i of an index space:
     d = f ; g among enumerate_functors(Z, C) for the first three, or f
     among those into dom g (Diagrams translates).  A pair walks its
     weight's columns in x order (_walk), deciding the bits not yet known
@@ -212,10 +234,12 @@ class DownstairsCensus:
       and then whether it is preserved too.  A position settled at
       every column passes both modes, as the all-strict and all-closed
       shortcuts of the two creation searches do.
-    Any other creation position reads a byte in the row keyed (g by
-    content, kind, X, Y, cap), at w.cls * n plus the index of f: _CHECKED,
-    plus _PASSED << i for each mode _MODES[i] that passes, plus _PRESERVED
-    when g sends f's (co)limit to one, set on its first question.
+    Creation answers are kept per (g by content, kind, X, Y, cap) and
+    class, as one int of four masks over the n f positions, known,
+    strict << n, nonstrict << 2n and preserved << 3n, set on a position's
+    first question in its class: from the settled masks, or else from its
+    creation records and one search per mode.  A class's later questions
+    read the masks without a walk.
     preserved asks only where f ; g has a colimit, since the records exist
     only there.  No mask or row holds a (co)limit.
     """
@@ -225,28 +249,29 @@ class DownstairsCensus:
         self._absolute: dict[tuple, dict] = {}
         self._limits: dict[tuple, dict] = {}
         self._settled: dict[tuple, dict] = {}
-        self._creations: dict[tuple, tuple] = {}
+        self._creations: dict[tuple, dict] = {}
         self._entries: dict[tuple, list] = {}
         self._positions: dict[tuple, dict] = {}
         self._diagrams: dict[tuple, list] = {}
         self._weights: dict[tuple, list] = {}
+        self._ids: dict[tuple, int] = {}
         self._pointwise: dict[tuple, dict] = {}
 
-    def weights(self, X: FinCategory, Y: FinCategory, cap: int, budget: int) -> list[Weight]:
+    def weights(self, X: FinCategory, Y: FinCategory, cap: int, budget: int) -> Weights:
         """A handle for each of enumerate_distributors(X, Y, cap, budget)."""
 
         return self.weight_classes(X, Y, cap, budget)[0]
 
     def weight_classes(self, X: FinCategory, Y: FinCategory, cap: int, budget: int) -> tuple:
-        """weights(X, Y, cap, budget) and its class_representatives, computed
-        once per census and kept together.  The budget is part of the key
-        because it decides whether the enumeration raises BudgetExceeded."""
+        """weights(X, Y, cap, budget) and its class_representatives (firsts,
+        of, sizes), computed once per census and kept together.  The budget
+        is part of the key because it decides whether the enumeration raises
+        BudgetExceeded."""
 
         key = (X, Y, cap, budget)
         found = self._weights.get(key)
         if found is None:
-            ps = prof.enumerate_distributors(X, Y, cap, budget)
-            weights = [Weight(p, i, cap, cls) for i, (p, cls) in enumerate(zip(ps, _class_ids(ps)))]
+            weights = Weights(self, prof.enumerate_distributors(X, Y, cap, budget), cap)
             found = self._weights[key] = (weights, *class_representatives(weights))
         return found
 
@@ -263,8 +288,7 @@ class DownstairsCensus:
             down, store = positions[(Z, E)], self._pointwise
             entries = [colim.creation_entry(g, f, "colimit", store) for f in fs]
             handles = self._diagrams[(Z, g)] = Diagrams(self, g, Z, lambda owner: [
-                Diagram(f, i, e.d, down[e.d.table()], owner, e, colim.creation_entry(g, f, "limit", store))
-                for i, (f, e) in enumerate(zip(fs, entries))])
+                Diagram(f, i, e.d, down[e.d.table()], owner, e) for i, (f, e) in enumerate(zip(fs, entries))])
         return handles
 
     def colimits(self, j: FunctorData, diagrams: Diagrams, asked: list) -> list[tuple[int, int]]:
@@ -277,13 +301,14 @@ class DownstairsCensus:
             raise EndpointMismatch("colimit must live in the root's codomain")
         masks, n_a = self._absolute.setdefault((j, diagrams.Z, diagrams.g.cod), {}), len(j.dom.objects)
 
-        def decide(p, x, column, i):
+        def decide(w, x, column, i):
             d, records = diagrams.by_d[i].colimit.d, diagrams.by_d[i].colimit.down
             key = (j, d)
-            failing = colim.first_failing_at(j, p, x, column, d, records[column].colimit(), self._entries.get(
+            failing = colim.first_failing_at(j, w.p, x, column, d, records[column].colimit(), self._entries.get(
                 key) or self._entries.setdefault(key, colim.absolute_entry(j, d, self._pointwise)))
             return failing == n_a, failing > 0 or failing == n_a
-        return [(diagrams.up(exists) & m, diagrams.up(_walk(masks, w.p, exists, decide)[0] if exists else 0) & m)
+        return [(diagrams.up(exists) & m,
+                 diagrams.up(_walk(masks, self._ids, w, 0, exists, decide)[0] if exists else 0) & m)
                 for (w, m), exists in zip(asked, self._exists(diagrams, asked, "colimit"))]
 
     def limits(self, diagrams: Diagrams, asked: list) -> list[int]:
@@ -304,7 +329,7 @@ class DownstairsCensus:
 
     def preserved(self, g: FunctorData, diagrams: Diagrams, asked: list) -> list[int]:
         """The positions of mask where the w.p-weighted colimits of f and d exist and g sends
-        the first to a colimit, per (w, mask) pair.  Read from the creation byte where d has one."""
+        the first to a colimit, per (w, mask) pair.  Read from the creation row where d has one."""
 
         if not self._asks(diagrams, asked, g):
             return [0] * len(asked)
@@ -330,78 +355,80 @@ class DownstairsCensus:
         """Per (w, mask) pair of asked: the d positions of the diagrams of mask whose d has a
         w.p-weighted colimit (for kind "limit", a limit, read in the dual)."""
 
-        masks = (self._colimits if kind == "colimit" else self._limits).setdefault((diagrams.Z, diagrams.g.cod), {})
+        dual = kind == "limit"
+        masks = (self._limits if dual else self._colimits).setdefault((diagrams.Z, diagrams.g.cod), {})
 
-        def decide(q, x, column, i):
+        def decide(w, x, column, i):
             entry = getattr(diagrams.by_d[i], kind)
-            found = colim.colimit_at(entry.down, q, x, column, entry.d) is not None
+            found = colim.colimit_at(entry.down, dual_distributor(w.p) if dual else w.p, x, column, entry.d) is not None
             return found, found
-        return [_walk(masks, w.p if kind == "colimit" else dual_distributor(w.p), diagrams.down(m), decide)[0]
+        return [_walk(masks, self._ids, w, dual, diagrams.down(m), decide)[0]
                 if m else 0 for w, m in asked]
 
     def _creation_masks(self, diagrams: Diagrams, asked: list, kind: str) -> list[tuple[int, int, int]]:
-        """(strict, nonstrict, preserved) masks per (w, mask) pair: from the settled masks where they
-        settle a position, else from its row byte, set on its first question from its creation
-        records, fetched once, and one search per mode."""
+        """(strict, nonstrict, preserved) masks per (w, mask) pair, read from w's class row; a
+        position new to the row is set from the settled masks where they settle it, else from
+        its creation records, fetched once, and one search per mode."""
 
-        g, n, w = diagrams.g, len(diagrams), asked[0][0]
+        g, n, w, dual = diagrams.g, len(diagrams), asked[0][0], kind == "limit"
         masks = self._settled.setdefault((g, kind, diagrams.Z), {})
         key = (g, kind, w.p.src, w.p.tgt, w.cap)
-        row = (self._creations.get(key) or self._creations.setdefault(key, (bytearray(), n)))[0]
-        end = (1 + max((v.cls for v, m in asked if m), default=-1)) * n
-        if len(row) < end:
-            row.extend(bytes(end - len(row)))
+        rows = self._creations.get(key) or self._creations.setdefault(key, {})
 
-        def decide(q, x, column, i):
-            record = colim.creation_at(getattr(diagrams[i], kind), q, x, column)
+        def decide(w, x, column, i):
+            record = colim.creation_at(getattr(diagrams[i], kind), dual_distributor(w.p) if dual else w.p, x, column)
             settled = record is not None and record.strict and record.upstairs and record.closed
             return settled and record.preserved, settled
         out = []
         for w, m in asked:
-            q = w.p if kind == "colimit" else dual_distributor(w.p)
-            preserved, settled = _walk(masks, q, m, decide) if m else (0, 0)
-            strict = nonstrict = settled
-            for i in bits(m & ~settled):
-                b = row[w.cls * n + i]
-                if not b:
+            row = rows.get(w.cls, 0)
+            new = m & ~row
+            if new:
+                preserved, settled = _walk(masks, self._ids, w, dual, new, decide)
+                row = rows[w.cls] = row | settled | settled << n | settled << 2 * n | preserved << 3 * n
+                for i in bits(new & ~settled):
                     found = colim.creation_records(g, w.p, diagrams[i].f, kind, getattr(diagrams[i], kind))
-                    b = row[w.cls * n + i] = _CHECKED | sum(
-                        _PASSED << k for k, mode in enumerate(_MODES) if colim.creation_search(found, mode)[0]) | (
-                        _PRESERVED if all(record.preserved for record in found.records) else 0)
-                strict |= bool(b & _PASSED) << i
-                nonstrict |= bool(b & _PASSED << 1) << i
-                preserved |= bool(b & _PRESERVED) << i
-            out.append((strict, nonstrict, preserved))
+                    for k, holds in enumerate([True] + [colim.creation_search(found, mode, True)[0] for mode in _MODES]
+                                              + [all(record.preserved for record in found.records)]):
+                        row |= holds << k * n + i
+                    rows[w.cls] = row       # per position: a DownstairsMissing leaves the later ones unknown
+            out.append((row >> n & m, row >> 2 * n & m, row >> 3 * n & m))
         return out
 
     def _asks(self, diagrams: Diagrams, asked: list, g: Optional[FunctorData] = None) -> bool:
-        """Whether asked sets any position.  Refuses (ValueError) a diagram list this census did
-        not make (for g when given), checked by identity, and weights of more than one list."""
+        """Whether asked sets any position.  Refuses (ValueError) a diagram or weight list this
+        census did not make (a diagram list for g when given), and weights of more than one
+        list, each checked by identity."""
 
         if type(diagrams) is not Diagrams or diagrams.census is not self or (
                 g is not None and diagrams.g is not g and diagrams.g != g):
             raise ValueError("a diagram handle is answered only by the census that made it, for its g")
-        if asked:
-            p, cap = asked[0][0].p, asked[0][0].cap
-            if not all(v.cap == cap and v.p.src is p.src and v.p.tgt is p.tgt for v, _ in asked) and any(
-                    (v.p.src, v.p.tgt, v.cap) != (p.src, p.tgt, cap) for v, _ in asked):
-                raise ValueError("a census question asks about the weights of one list")
-        return any(m for _, m in asked)
+        owner, alive = asked[0][0].owner if asked else None, 0
+        for v, m in asked:
+            if v.owner is not owner or owner.census is not self:
+                raise ValueError("a census question asks about the weights of one list of its census")
+            alive |= m
+        return alive != 0
 
 
-def _walk(masks: dict, q: Distributor, alive: int, decide) -> tuple[int, int]:
-    """(bits of alive that hold at every column of q, bits that go on past each), walking
-    the columns in x order with masks per column id; a bit unknown at a column is decided
-    there by decide(q, x, column, bit index) as (holds, goes on)."""
+def _walk(masks: dict, ids: dict, w: Weight, dual: int, alive: int, decide) -> tuple[int, int]:
+    """(bits of alive that hold at every column of w.p, or of its dual, bits that go on past each),
+    walking the columns in x order with masks per column id, numbered in ids on first sight and
+    kept in w's list; a bit unknown at a column is decided there by decide(w, x, column, bit
+    index) as (holds, goes on)."""
 
+    columns = w.owner.columns[dual][w.index]
+    if columns is None:
+        q = dual_distributor(w.p) if dual else w.p
+        columns = w.owner.columns[dual][w.index] = tuple((x, c, ids.setdefault(c, len(ids))) for x, c in q.columns())
     holds = alive
-    for x, column in q.columns():
-        mask = masks.get(column) or masks.setdefault(column, [0, 0, 0])
+    for x, column, key in columns:
+        mask = masks.get(key) or masks.setdefault(key, [0, 0, 0])
         unknown = alive & ~mask[0]
         while unknown:
             bit = unknown & -unknown
             unknown ^= bit
-            holds_here, goes_on = decide(q, x, column, bit.bit_length() - 1)
+            holds_here, goes_on = decide(w, x, column, bit.bit_length() - 1)
             mask[0] |= bit
             mask[1] |= bit if holds_here else 0
             mask[2] |= bit if goes_on else 0
@@ -420,12 +447,14 @@ def bits(mask: int):
         mask ^= low
 
 
-def class_representatives(weights: list) -> tuple[list, list]:
-    """The first member of each weight class among weights, in list order, and for each
-    weight the index of its class's: every census answer is invariant under weight
-    isomorphism, so a loop asks about the first members and gives each weight their answers."""
+def class_representatives(weights: list) -> tuple[list, list, list]:
+    """The first member of each weight class among weights, in list order, for each weight
+    the index of its class's, and each class's size: every census answer is invariant under
+    weight isomorphism, so a loop asks about the first members and counts each answer once
+    per member, going back to the weights' order only to name them."""
 
     index = {}
     for w in weights:
         index.setdefault(w.cls, (len(index), w))
-    return [w for _, w in index.values()], [index[w.cls][0] for w in weights]
+    of = [index[w.cls][0] for w in weights]
+    return [w for _, w in index.values()], of, list(Counter(of).values())   # classes count up from 0 in of

@@ -51,6 +51,7 @@ Caches, what keys them and how long they live:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -862,7 +863,7 @@ def _creation_report(mode: str, kind: str, found: tuple) -> CreationReport:
                           violations=[] if passed else ["unique lift is not colimiting"])
 
 
-def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> tuple:
+def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list, verdict: bool = False) -> tuple:
     """Does every colimiting cocone of f ; g have exactly one cocone over it,
     and is that one colimiting?  (passed, lift count, lift) of the first
     failing cocone, or of the identity family's when all pass; the cocones
@@ -881,7 +882,9 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> t
     non-identity n: x -> x2 the lifted legs at x2 at n.e form a cocone over
     the column at x and factor through the legs at x by exactly one k, and
     the k's compose as the n's do by that uniqueness.  Every family then
-    has exactly one lift, and it is colimiting.
+    has exactly one lift, and it is colimiting.  Over a discrete X no k is
+    asked for: a family's lift count is the product of its counts per x.
+    With verdict only passed is read, and a count stops at 2.
     """
 
     objects = p.src.objects
@@ -893,6 +896,9 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> t
 
     def lifts_over(lists: list) -> tuple:
         """(number of lifts, the last one) for the lifts at each x in lists."""
+        if not along:
+            count = math.prod(map(len, lists))
+            return count, dict(zip(objects, [lifts[-1] for lifts in lists])) if count else None
         count, lift = 0, None
         for choice in itertools.product(*lists):
             chosen = dict(zip(objects, choice))
@@ -904,6 +910,8 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list) -> t
                        (ids[chosen[x][0]] if ab is None else morphisms[ab])
                        for a, b, ab, x in composable):
                     count, lift = count + 1, chosen
+                    if verdict and count == 2:
+                        return count, lift
         return count, lift
 
     identity = tuple(r.identity for r in records)
@@ -998,10 +1006,11 @@ def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
     return _creation_report(mode, kind, creation_search(records, mode))
 
 
-def creation_search(records: CreationRecords, mode: str) -> tuple:
+def creation_search(records: CreationRecords, mode: str, verdict: bool = False) -> tuple:
     """The one search of mode over a question's creation records, verdict
     first: (passed, lift count, last lift) for strict creation, (passed,
-    upstairs colimit exists, witness) for non-strict."""
+    upstairs colimit exists, witness) for non-strict.  With verdict the
+    caller reads only passed, and a strict lift count stops at 2."""
     if mode == "strict":
-        return _strict_colimit_creation(records.entry.g, records.p, records.records)
+        return _strict_colimit_creation(records.entry.g, records.p, records.records, verdict)
     return _nonstrict_colimit_creation(records.entry, records.p, records.records)

@@ -11,7 +11,6 @@ dualizing the inputs and running the same pipeline.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -126,7 +125,7 @@ def resolve_monadicity(j: FunctorData, r: FunctorData, co: bool = False, budget:
         return Resolution(co, dense)
     T = monad_from_adjunction(adj)
     algcat = run.algcat(T) if run else build_algebra_category(T, budget=budget)
-    return Resolution(co, dense, adj, algcat, comparison_functor(adj, algcat))
+    return Resolution(co, dense, adj, algcat, comparison_functor(adj, algcat, T))
 
 
 MODES = ("strict", "nonstrict")
@@ -192,10 +191,10 @@ class AuditReport:
     @property
     def items(self) -> list:
         """One AuditItem per (weight, j-absolute diagram), built on each read from the blocks: per (X, Y),
-        shape names, weights, their classes, diagrams and per class (absolute, (strict, nonstrict)) masks."""
+        shape names, weights, their classes, class sizes, diagrams, per class (absolute, (strict, nonstrict)) masks."""
         return [AuditItem(shapes, w.index, dict(diagrams[i].f.on_objects), "colimit", True,
                           *(bool(passed >> i & 1) for passed in created[k]))
-                for shapes, weights, of, diagrams, absolute, created in self.blocks
+                for shapes, weights, of, _, diagrams, absolute, created in self.blocks
                 for w, k in zip(weights, of) for i in bits(absolute[k])]
 
     def failing_items(self, mode: str):
@@ -259,7 +258,7 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     for X in shape_family:
         for Y in shape_family:
             try:
-                weights, firsts, of = census.weight_classes(X, Y, element_cap, budget)
+                weights, firsts, of, sizes = census.weight_classes(X, Y, element_cap, budget)
             except BudgetExceeded:
                 report.inconclusive_at_bound[f"{X.name}->{Y.name}"] = "weight census over budget"
                 continue
@@ -268,13 +267,13 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
             verdicts = census.colimits(j, ds, [(w, ds.every) for w in firsts])
             absolute = [a for _, a in verdicts]
             created = census.creations(r, ds, list(zip(firsts, absolute)), "colimit")
-            report.blocks.append(((X.name, Y.name), weights, of, ds, absolute, created))
-            tested += sum(verdicts[k][0].bit_count() * n for k, n in Counter(of).items())
+            report.blocks.append(((X.name, Y.name), weights, of, sizes, ds, absolute, created))
+            tested += sum(exists.bit_count() * n for (exists, _), n in zip(verdicts, sizes))
     report.census = {
         "shapes": [c.name for c in shape_family],
         "element_cap": element_cap,
         "downstairs_colimits": tested,
-        "absolute": sum(a[k].bit_count() * n for *_, of, _, a, _ in report.blocks for k, n in Counter(of).items()),
+        "absolute": sum(a.bit_count() * n for *_, ns, _, ab, _ in report.blocks for a, n in zip(ab, ns)),
     }
 
     # targeted items: extensions are canonical only up to isomorphism (the
@@ -297,8 +296,8 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
                 find_natural_isomorphism(composite, identity_functor(D)) is not None)
 
     for mode, verdict in verdicts.items():
-        failing = sum((absolute[k] & ~created[k][MODES.index(mode)]).bit_count() * n
-                      for _, _, of, _, absolute, created in report.blocks for k, n in Counter(of).items())
+        failing = sum((a & ~c[MODES.index(mode)]).bit_count() * n
+                      for *_, ns, _, ab, cr in report.blocks for a, c, n in zip(ab, cr, ns))
         if verdict:
             if failing and dense:
                 report.discrepancies.append(

@@ -186,7 +186,8 @@ def _check_forgetful_conservative(ctx) -> SuiteResult:
 def _check_forgetful_creates(ctx) -> SuiteResult:
     """Strict and non-strict creation of limits and j-absolute colimits by
     u_T.  Each question kind is asked once per weight list, about the first
-    member of each class; each later member repeats its checks and details."""
+    member of each class; each class's checks count once per member, and
+    its details are repeated for each member in list order."""
 
     details, skipped = [], {}
     checked = 0
@@ -197,7 +198,7 @@ def _check_forgetful_creates(ctx) -> SuiteResult:
         for X in ctx.shape_family:
             for Y in ctx.shape_family:
                 try:
-                    _, firsts, of = census.weight_classes(X, Y, ctx.element_cap, ctx.budget)
+                    _, firsts, of, sizes = census.weight_classes(X, Y, ctx.element_cap, ctx.budget)
                 except BudgetExceeded:
                     skipped[f"{X.name}->{Y.name}"] = "weight census over budget"
                     continue
@@ -206,16 +207,15 @@ def _check_forgetful_creates(ctx) -> SuiteResult:
                 asked = (("colimit", colimits, absolute),
                          ("limit", limits, census.limits(limits, [(w, limits.every) for w in firsts])))
                 created = [census.creations(u, ds, list(zip(firsts, masks)), kind) for kind, ds, masks in asked]
-                checks = [2 * sum(masks[k].bit_count() for _, _, masks in asked) for k in range(len(firsts))]
+                checked += 2 * sum(masks[k].bit_count() * n for _, _, masks in asked for k, n in enumerate(sizes))
                 failures = [[f"{inst.name}/{role}: {mode} {kind} creation fails "
                              f"(weight {X.name}->{Y.name}, diagram {dict(ds[i].f.on_objects)})"
                              for (kind, ds, masks), answers in zip(asked, created)
                              for i in bits(masks[k] & ~(answers[k][0] & answers[k][1]))
                              for mode, passed in zip(("strict", "nonstrict"), answers[k]) if not passed >> i & 1]
                             for k in range(len(firsts))]
-                for k in of:
-                    checked += checks[k]
-                    details += failures[k]
+                if any(failures):
+                    details += [bad for k in of for bad in failures[k]]
     return SuiteResult("forgetful_creates", not details, checked, details, skipped)
 
 
@@ -233,13 +233,12 @@ def _check_preservation_conservativity(ctx) -> SuiteResult:
         diagrams = {Y: census.diagrams(Y, g) for Y in shapes}
         for X in shapes:
             for Y in shapes:
-                firsts, of = _small_weights(ctx, X, Y, skipped)
+                firsts, _, sizes = _small_weights(ctx, X, Y, skipped)
                 preserved = census.preserved(g, diagrams[Y], [(w, diagrams[Y].every) for w in firsts])
                 created = census.creations(g, diagrams[Y], list(zip(firsts, preserved)), "colimit")
-                for k in of:
-                    checked += preserved[k].bit_count()
-                    details += (preserved[k] & ~created[k][1]).bit_count() * [
-                        f"{inst.name}/{role}: preserved colimit not non-strictly created"]
+                checked += sum(found.bit_count() * n for found, n in zip(preserved, sizes))
+                details += sum((found & ~nonstrict).bit_count() * n for found, (_, nonstrict), n in zip(
+                    preserved, created, sizes)) * [f"{inst.name}/{role}: preserved colimit not non-strictly created"]
     return SuiteResult("preservation_conservativity", not details, checked, details, skipped)
 
 
@@ -250,17 +249,17 @@ def _small_weights(ctx, X, Y, skipped):
     that one is too; skipped records either case.  Both lists order the small weights alike."""
 
     try:
-        _, firsts, of = ctx.census.weight_classes(X, Y, ctx.element_cap, ctx.budget)
+        _, firsts, of, sizes = ctx.census.weight_classes(X, Y, ctx.element_cap, ctx.budget)
     except BudgetExceeded:
         try:
-            _, firsts, of = ctx.census.weight_classes(X, Y, min(ctx.element_cap, 1), ctx.budget)
+            _, firsts, of, sizes = ctx.census.weight_classes(X, Y, min(ctx.element_cap, 1), ctx.budget)
         except BudgetExceeded:
             skipped[f"{X.name}->{Y.name}"] = "weight census over budget"
-            return [], []
+            return [], [], []
         skipped[f"{X.name}->{Y.name}"] = "weight census over budget; small weights read from the cap-1 list"
     index = {k: i for i, k in enumerate(k for k, w in enumerate(firsts) if all(
         len(w.p.el(y, x)) <= 1 for y in Y.objects for x in X.objects))}
-    return [firsts[k] for k in index], [index[k] for k in of if k in index]
+    return [firsts[k] for k in index], [index[k] for k in of if k in index], [sizes[k] for k in index]
 
 
 def _check_algebra_object_up(ctx) -> SuiteResult:
@@ -482,7 +481,7 @@ def _algebraic_creation_sample(ctx, j, r, i, skipped):
 
     census = ctx.census
     Tm = terminal_category()
-    firsts, of = _small_weights(ctx, Tm, Tm, skipped)
+    firsts, of, _ = _small_weights(ctx, Tm, Tm, skipped)
     diagrams, diagrams_r = census.diagrams(Tm, i), census.diagrams(Tm, r)
     # the d positions of f ; i are the f positions of f ; i ; r among diagrams_r
     image = diagrams.down(diagrams.every)

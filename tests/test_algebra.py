@@ -26,7 +26,7 @@ from relmon.monad import (
     postcompose_along_adjunction,
     trivial_relative_monad,
 )
-from relmon.monadicity import default_shape_family
+from relmon.monadicity import default_shape_family, resolve_monadicity
 from relmon.reladj import adjunction_violations, identity_adjunction, validate_relative_adjunction
 from relmon.suite import _check_transport_bijection, _Context
 
@@ -159,7 +159,7 @@ def test_resolution_recovers_monad_for_identity_roots(cats):
 def test_comparison_of_terminal_resolution_is_identity_like(bz2_monads):
     for T in bz2_monads:
         algcat = build_algebra_category(T)
-        comp = comparison_functor(algcat.adjunction, algcat)
+        comp = comparison_functor(algcat.adjunction, algcat, monad_from_adjunction(algcat.adjunction))
         assert comp.classification.is_iso
         assert comp.unique
         assert comp.functor.on_objects == {o: o for o in algcat.category.objects}
@@ -169,7 +169,8 @@ def test_comparison_identity_adjunction_trivial_monad(cats):
     E = cats["Interval"]
     T = trivial_relative_monad(identity_functor(E))
     algcat = build_algebra_category(T)
-    comp = comparison_functor(identity_adjunction(E), algcat)
+    adj = identity_adjunction(E)
+    comp = comparison_functor(adj, algcat, monad_from_adjunction(adj))
     assert comp.classification.is_iso and comp.unique
 
 
@@ -183,7 +184,7 @@ def test_comparison_empty_root_noniso(cats):
     adj = validate_relative_adjunction(corpus.empty_functor(E),
                                        FunctorData(corpus.empty_category(), D, {}, {}),
                                        r, {})
-    comp = comparison_functor(adj, algcat)
+    comp = comparison_functor(adj, algcat, monad_from_adjunction(adj))
     assert not comp.classification.is_iso
     assert not comp.classification.is_equivalence
 
@@ -193,7 +194,27 @@ def test_comparison_monad_mismatch(bz2_monads, cats):
     algcat1 = build_algebra_category(T1)
     algcat2 = build_algebra_category(T2)
     with pytest.raises(MonadMismatch):
-        comparison_functor(algcat1.adjunction, algcat2)
+        comparison_functor(algcat1.adjunction, algcat2, monad_from_adjunction(algcat1.adjunction))
+
+
+def test_resolution_compares_its_monad_with_the_algebra_category_handed_back(bz2_monads):
+    """resolve_monadicity hands comparison_functor the monad it derived,
+    which is still compared with the algebra category's own: a run that
+    hands back another monad's algebra category is refused."""
+    T1, T2 = bz2_monads
+    assert T1.table() != T2.table()
+    u = build_algebra_category(T1).u
+
+    class Run:
+        def dense(self, j):
+            return True
+
+        def algcat(self, T):
+            return build_algebra_category(T2)
+
+    assert resolve_monadicity(T1.j, u).comparison.classification.is_iso
+    with pytest.raises(MonadMismatch):
+        resolve_monadicity(T1.j, u, run=Run())
 
 
 # ---------------------------------------------------------------------------

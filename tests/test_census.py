@@ -84,7 +84,7 @@ def test_census_matches_direct_searches(seed, objects, max_hom, shapes):
     """One census over two roots and every shape pair, as a suite run shares
     it.  Terminal -|-> Interval and Interval -|-> Terminal have their cap-2
     lists too, whose classes have several members: the later members read
-    the byte the first one filled."""
+    the row the first one filled."""
     E = corpus.generate_category(seed, objects, max_hom)
     assume(E is not None)
     roots = [identity_functor(E), corpus.point_functor(E, E.objects[-1])]
@@ -155,7 +155,7 @@ def test_census_answers_equal_searches_through_g(seed, objects, max_hom):
     weights += census.weights(T, I, 2, 200_000) + census.weights(T, corpus.disc2_category(), 2, 200_000)
     assert any(len(w.p.el(y, x)) == 2 for w in weights for y in w.p.tgt.objects
                for x in w.p.src.objects)
-    # later members of a class read the bytes the first one filled
+    # later members of a class read the row the first one filled
     assert shared_classes(weights)
     roots = {E: [identity_functor(E), corpus.point_functor(E, E.objects[-1])], D: [identity_functor(D)]}
     one_D = identity_functor(D)
@@ -279,19 +279,20 @@ def test_small_weights_of_the_cap_2_list_are_the_cap_1_list():
     """preservation_conservativity and algebraic_tight_cells read the small
     weights from the cap-2 list, or from the cap-1 list when the cap-2 list
     is over budget: both must give the same tables in the same order.
-    _small_weights gives the first member of each small class and, for each
-    small weight in list order, the index of its class's: a class is small
-    or not as a whole."""
+    _small_weights gives the first member of each small class, for each
+    small weight in list order the index of its class's, and the size of
+    each small class: a class is small or not as a whole."""
     shapes = default_shape_family()
     budget = budget_limit()
     ctx, skipped = _Context([], shapes, 2, budget), {}
     for X in shapes:
         for Y in shapes:
-            firsts, of = _small_weights(ctx, X, Y, skipped)
+            firsts, of, sizes = _small_weights(ctx, X, Y, skipped)
             weights = ctx.census.weights(X, Y, 2, budget)
             small = [w for w in weights if all(len(w.p.el(y, x)) <= 1 for y in Y.objects for x in X.objects)]
             assert {w.cap for w in firsts} == {2}
             assert [firsts[k].cls for k in of] == [w.cls for w in small]
+            assert sizes == [of.count(k) for k in range(len(firsts))]
             assert len({w.cls for w in small}) == len(firsts) == len({w.cls for w in weights}) - len(
                 {w.cls for w in weights} - {w.cls for w in small})
             assert [w.p.table() for w in small] == (
@@ -416,7 +417,7 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
         records = [entry.records.get(column) for _, column in q.columns()]
         return all(r is not None and r.strict and r.upstairs and r.closed for r in records)
 
-    def creation(found, mode):
+    def creation(found, mode, verdict=False):
         checks.append(next(key for key, fetched in fetches if fetched is found) + (mode,))
 
     def fetch(g, p, f, kind, entry):
@@ -535,7 +536,7 @@ def colimit_positions(census, gs):
 def assert_preserves_matches_reference(W, V) -> set:
     """census.preserves against reference_preserves for the first functors
     g: W -> V, cold, warm, and after census.creation wrote the positions'
-    bytes.  Returns the reference triples seen."""
+    rows.  Returns the reference triples seen."""
     gs = list(itertools.islice(enumerate_functors(W, V), 3))
     want = [reference_preserves(g, w.p, diagram.f)
             for g, w, diagram in colimit_positions(DownstairsCensus(), gs)]
@@ -635,6 +636,37 @@ def test_diagram_handles_answer_only_in_their_census_and_for_their_g():
         check_creation(g, w.p, diagram.f, mode="strict").passed)
 
 
+def test_questions_take_the_weights_of_one_list_of_their_census():
+    """Each question kind (colimits, limits, creations, preserved) refuses
+    (ValueError) weights of two lists, here the cap-1 and cap-2 lists of
+    one pair of shapes, and weights of another census's list, before it
+    numbers a column or decides a fact; it accepts the weights of one list
+    repeated and in any order, answering each pair as it answers that pair
+    alone."""
+    census = DownstairsCensus()
+    j, g, w, _ = a_colimit_position(DownstairsCensus(), "point_split", "r_id")
+    X, Y = w.p.src, w.p.tgt
+    cap_1, cap_2 = census.weights(X, Y, 1, 200_000), census.weights(X, Y, 2, 200_000)
+    other = DownstairsCensus().weights(X, Y, 1, 200_000)
+    colimits, limits = census.diagrams(Y, g), census.diagrams(X, g)
+    questions = {
+        "colimits": lambda pairs: census.colimits(j, colimits, pairs),
+        "limits": lambda pairs: census.limits(limits, [(v, limits.every) for v, _ in pairs]),
+        "creations": lambda pairs: census.creations(g, colimits, pairs, "colimit"),
+        "preserved": lambda pairs: census.preserved(g, colimits, pairs),
+    }
+    for name, ask in questions.items():
+        for mixed in ([cap_1[0], cap_2[-1]], [cap_2[0]] + list(cap_1), [cap_1[0], other[1]], [other[0]]):
+            with pytest.raises(ValueError, match="weights of one list of its census"):
+                ask([(v, colimits.every) for v in mixed])
+    assert census._ids == {} and census._colimits == census._limits == census._creations == {}
+    exists = {v.index: census.colimits(j, colimits, [(v, colimits.every)])[0][0] for v in cap_1}
+    repeated = [cap_1[-1], cap_1[0], cap_1[-1], cap_1[1], cap_1[0]]
+    for name, ask in questions.items():
+        pairs = [(v, exists[v.index]) for v in repeated]
+        assert any(m for _, m in pairs) and ask(pairs) == [ask([pair])[0] for pair in pairs], name
+
+
 def outcome(ask):
     """What ask() returns, or the name of the exception it raises."""
     try:
@@ -648,7 +680,7 @@ def interleaved_weights(census) -> list:
     the cap-1 lists, the weight Interval -|-> Terminal at the same position
     of the cap-2 list: another weight whose handle shares its categories
     and index with the cap-1 one, and the first and last member of the last
-    class of that list with several: two weights that share one byte."""
+    class of that list with several: two weights that share one row."""
     T, I = corpus.terminal_category(), corpus.interval_category()
     last = len(census.weights(I, T, 1, 200_000)) - 1
     weights = [census.weights(X, Y, cap, 200_000)[last if cap == 2 else -1]
@@ -769,7 +801,7 @@ def assert_masks_match_references(census, g, asked: list, roots: list, sublist) 
     and come back among the diagrams', so a g that sends two diagrams to
     one composite shares the answer between them.  The first pass fills
     the census, the second reads it, so a question reading another
-    diagram's or another class's byte answers wrongly wherever the answers
+    diagram's or another class's row answers wrongly wherever the answers
     differ."""
     down_ds, up_ds = census.diagrams(asked[0].p.tgt, g), census.diagrams(asked[0].p.src, g)
     for pick in (lambda n: (1 << n) - 1, sublist):
@@ -860,9 +892,9 @@ def test_batches_answer_as_references_where_answers_vary(X, Y):
     and Interval -|-> Terminal and the sixth functor Vee -> PP, where
     neighbouring diagrams get different answers in every kind of question,
     and over every other position.  Each creation row then
-    holds one block of n bytes per weight class, at the class's offset, and
-    each colimit, absoluteness and limit mask holds facts only about the
-    diagrams of its index space, and only facts it knows."""
+    holds masks per class of the list, and each of them and each colimit,
+    absoluteness and limit mask holds facts only about the diagrams of its
+    index space, and only facts it knows."""
     S = corpus.STANDARD_CATEGORIES
     V = S["PP"]()
     g = list(itertools.islice(enumerate_functors(S["Vee"](), V), 6))[-1]
@@ -871,8 +903,12 @@ def test_batches_answer_as_references_where_answers_vary(X, Y):
     assert shared_classes(weights)
     roots = [identity_functor(V), corpus.point_functor(V, V.objects[-1])]
     assert_masks_match_references(census, g, weights, roots, every_other)
-    rows = list(census._creations.values())
-    assert rows and all(len(row) == n * (1 + max(w.cls for w in weights)) for row, n in rows)
+    rows = list(census._creations.items())
+    assert rows and all(set(classes) <= {w.cls for w in weights} for _, classes in rows)
+    for (_, kind, src, tgt, _), classes in rows:
+        n = len(census.diagrams(src if kind == "limit" else tgt, g))
+        assert all(row >> 4 * n == 0 and all(row >> k * n & ~row & (1 << n) - 1 == 0 for k in (1, 2, 3))
+                   for row in classes.values())
     masks = [(key[-2:], mask) for spaces in (census._colimits, census._absolute, census._limits)
              for key, columns in spaces.items() for mask in columns.values()]
     assert masks and all(known >> len(census._positions[space]) == 0 and holds & ~known == 0
@@ -980,7 +1016,7 @@ def test_class_ids_are_the_isomorphism_classes():
 def test_relabelled_weights_share_a_class_and_answer_as_their_searches(seed, seed2, shape, data):
     """A listed weight relabelled at random, per component, is the listed
     weight of the same class id.  After the census answered the first, it
-    answers the relabelled one from the same bytes, and those answers are
+    answers the relabelled one from the same row, and those answers are
     the direct searches' on the relabelled weight: colimit and
     j-absoluteness, limit, preservation and both creation modes and kinds,
     for g: W -> V between generated categories."""
@@ -1072,7 +1108,10 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     one), at most
     1,893 colimit searches at a column and 4,263 natural_families calls,
     no CreationReport built by the census, and j_absolute_at's store entry
-    resolved at most once per (root, diagram) by the census.  The suite's
+    resolved at most once per (root, diagram) by the census.  Every strict
+    creation search the census makes reads only the verdict, and limit
+    store entries are built only for diagram lists asked a limit question
+    (80 of 237 handles; all 237 when every handle built its own).  The suite's
     loops ask the census once per question kind and weight list, about
     the first member of each class: at most 15,230 creation positions
     (each answered in both modes; asked one mode at a time, 15,215
@@ -1136,11 +1175,19 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
                 per_batch.append(counts["list resolutions"] - rows)
         monkeypatch.setattr(DownstairsCensus, name, wrapper)
 
-    strict = []
+    strict, limit_lists = [], {}
 
-    def strict_search(g, p, records):
+    def strict_search(g, p, records, verdict=False):
         strict.append(all(r.strict for r in records))
         counts["not all strict"] += not strict[-1]
+        counts["verdict only"] += verdict
+
+    def limit_entry(g, f, kind, store):
+        counts["limit entries"] += kind == "limit"
+
+    def asked_limits(diagrams, kind="limit"):
+        if kind == "limit":
+            limit_lists[id(diagrams)] = len(diagrams)
 
     def left_plan(p):
         if inside[-1:] == ["_strict_colimit_creation"]:
@@ -1161,10 +1208,11 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     count(colim, "absolute_entry", lambda j, f, store: "colimits" in inside and entries.update(
         [(content(j), content(f))]))
     count(colim, "_strict_colimit_creation", strict_search)
+    count(colim, "creation_entry", limit_entry)
     count(Distributor, "left_plan", left_plan)
     batch("colimits", lambda j, diagrams, asked: asked)
-    batch("limits", lambda diagrams, asked: asked)
-    batch("creations", lambda g, diagrams, asked, kind: asked)
+    batch("limits", lambda diagrams, asked: asked_limits(diagrams) or asked)
+    batch("creations", lambda g, diagrams, asked, kind: asked_limits(diagrams, kind) or asked)
     batch("preserved", lambda g, diagrams, asked: asked)
     # every question resolves its lists once; one of empty masks resolves none
     count(DownstairsCensus, "_asks", lambda self, diagrams, asked, *_: any(m for _, m in asked) and counts.update(
@@ -1188,6 +1236,9 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     assert 0 < counts["creation_records"] <= 1_854
     assert 0 < counts["creation_search"] <= 3_708
     assert counts["creation_search"] == 2 * counts["creation_records"]
+    assert counts["verdict only"] == counts["_strict_colimit_creation"] == counts["creation_records"]
+    assert 0 < counts["limit entries"] <= sum(limit_lists.values()) < sum(
+        len(handles) for census in censuses for handles in census._diagrams.values())
     assert 0 < counts["pointwise_colimit"] <= 30_000
     assert counts["census per-position calls"] == 0
     facts = [mask[0].bit_count() for census in censuses for spaces in (census._colimits, census._absolute, census._limits)

@@ -379,6 +379,65 @@ def test_strict_records_decide_creation_on_standard_categories():
     assert seen == {(True, True), (False, True), (False, False)}
 
 
+def assert_verdict_only_search_matches(W, V) -> set:
+    """Over the first two functors g: W -> V, the cap-1 weights out of
+    Terminal, Interval and Disc2 into Terminal and Interval, and every
+    diagram into W whose composite with g has a (co)limit, through one
+    census and one store: the census's strict verdict and the verdict-only
+    search over the records walked past their strict flags equal
+    check_creation(...).passed, and check_creation's report and that of the
+    full search over the walked records, lift count included, equal
+    reference.check_creation's.  Over a discrete source (Terminal, Disc2;
+    for a limit, the dual weight's) the search multiplies the lift counts
+    per x; elsewhere the verdict-only search stops at a second lift.
+    Returns the (discrete, lift count capped at 2, passed) triples seen."""
+    census, store, seen = DownstairsCensus(), {}, set()
+    for g in itertools.islice(enumerate_functors(W, V), 2):
+        for X in shapes() + [corpus.disc2_category()]:
+            for Y in shapes():
+                for w in census.weights(X, Y, 1, TEST_BUDGET):
+                    for kind, Z in (("colimit", Y), ("limit", X)):
+                        for diagram in census.diagrams(Z, g):
+                            try:
+                                want = reference.check_creation(g, w.p, diagram.f, "strict", kind).to_dict()
+                            except DownstairsMissing:
+                                continue
+                            got = check_creation(g, w.p, diagram.f, "strict", kind, store=store)
+                            assert got.to_dict() == want
+                            entry = creation_entry(g, diagram.f, kind, store)
+                            records = creation_records(g, w.p, diagram.f, kind, entry)
+                            walked = records._replace(records=[r._replace(strict=False) for r in records.records])
+                            found = colim.creation_search(walked, "strict")
+                            assert colim._creation_report("strict", kind, found).to_dict() == want
+                            assert colim.creation_search(walked, "strict", True)[0] == got.passed
+                            assert census.creation(g, w, diagram, kind, "strict") == got.passed
+                            seen.add((not walked.p.left_plan()[0], min(found[1], 2), got.passed))
+    return seen
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=generated, params2=generated)
+def test_verdict_only_strict_creation_matches_check_creation(params, params2):
+    """The census's verdict-only strict creation equals check_creation's
+    verdict, whose lift counts equal the reference's, over generated
+    (g, p, f) with discrete and non-discrete weights."""
+    W = corpus.generate_category(*params)
+    V = corpus.generate_category(*params2)
+    assume(W is not None and V is not None)
+    assert_verdict_only_search_matches(W, V)
+
+
+def test_verdict_only_strict_creation_on_standard_categories():
+    """The same on standard categories, which reach no lift, one and
+    several, failing and passing, over discrete and non-discrete weights."""
+    cats = corpus.STANDARD_CATEGORIES
+    seen = set()
+    for W, V in (("Vee", "Interval"), ("Disc2", "Terminal"), ("PP", "Split")):
+        seen |= assert_verdict_only_search_matches(cats[W](), cats[V]())
+    assert seen >= {(discrete, count, count == 1) for discrete in (True, False) for count in (0, 1, 2)}
+    assert (False, 1, False) in seen
+
+
 def corpus_positions():
     """(question name, r, w, diagram, kind) for every corpus root question
     r and every Terminal and Interval cap-1 weight and diagram into dom r

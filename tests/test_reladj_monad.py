@@ -1,10 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relmon import corpus
+from relmon.colim import is_dense
 from relmon.errors import ValidationFailure
-from relmon.fincat import FunctorData, constant_functor, identity_functor
+from relmon.fincat import (
+    FunctorData,
+    compose_functors,
+    constant_functor,
+    enumerate_functors,
+    find_natural_isomorphism,
+    identity_functor,
+)
 from relmon.monad import (
     enumerate_relative_monads,
     monad_from_adjunction,
@@ -212,6 +221,74 @@ def test_paste_point_bz2_with_identity_rprime(cats):
     assert report.outer.right == identity_functor(E)
     back = paste_adjunction(report.outer, factor, "unpaste")
     assert back.valid and back.inner.sharp_table() == inner.sharp_table()
+
+
+def pasting_cases(j, C, D) -> set:
+    """The pasting law around each factor l' -|_j r' with r' among the
+    first four functors C -> cod j that have one, and each inner l -|_l' r
+    with r among the first four functors D -> C that have one.  Pasting is
+    valid with outer right adjoint r ; r'; unpasting the outer adjunction
+    along the factor is valid, its r'' has r'' ; r' = r ; r', and pasting
+    it again gives back the outer transposition table.  Where r'' = r the
+    inner tables agree, and where l' is dense r'' is naturally isomorphic
+    to r: a right relative adjoint along a dense root is unique up to
+    isomorphism (Ulmer, "Properties of dense and relative adjoint functors",
+    J. Algebra 8, 1968).  Wherever the extension certificate applies, it
+    holds.  Returns the (l' dense, r'' = r, r'' isomorphic to r) triples seen."""
+    seen = set()
+    for r_factor in itertools.islice(enumerate_functors(C, j.cod), 4):
+        factor = find_left_relative_adjoint(j, r_factor)
+        if factor is None:
+            continue
+        dense = is_dense(factor.left)[0]
+        for r in itertools.islice(enumerate_functors(D, C), 4):
+            inner = find_left_relative_adjoint(factor.left, r)
+            if inner is None:
+                continue
+            pasted = paste_adjunction(inner, factor, "paste")
+            outer = pasted.outer
+            assert pasted.valid and outer.j == j and outer.right == compose_functors(r, r_factor)
+            back = paste_adjunction(outer, factor, "unpaste")
+            assert back.valid and compose_functors(back.inner.right, r_factor) == outer.right
+            again = paste_adjunction(back.inner, factor, "paste")
+            assert again.valid and again.outer.sharp_table() == outer.sharp_table()
+            same = back.inner.right == r
+            iso = find_natural_isomorphism(back.inner.right, r) is not None
+            assert not same or back.inner.sharp_table() == inner.sharp_table()
+            assert iso or not dense
+            for report in (pasted, back, again):
+                assert not report.rho_applicable or report.rho_extension_ok
+            seen.add((dense, same, iso))
+    return seen
+
+
+category_shapes = st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**4), shapes=st.tuples(*[category_shapes] * 3),
+       point=st.sampled_from([None, 0, 1]))
+@example(seed=66, shapes=((2, 2), (2, 2), (2, 1)), point=0)
+def test_pasting_law_on_generated_triples(seed, shapes, point):
+    """pasting_cases over E, C, D from corpus.generate_category, with at
+    most 2 objects and 2 morphisms per hom, and j the identity of E or a
+    point of it.  In the pinned example a functor r'' whose composite with
+    r' agrees with r ; r' on objects only is a right l'-relative adjoint
+    of l too, and comes first: unpasting must filter on morphisms."""
+    E, C, D = (corpus.generate_category(seed + k, *shape) for k, shape in enumerate(shapes))
+    assume(None not in (E, C, D))
+    j = identity_functor(E) if point is None else corpus.point_functor(E, E.objects[point % len(E.objects)])
+    pasting_cases(j, C, D)
+
+
+def test_pasting_law_needs_a_dense_inner_root():
+    """A pinned generated triple exhibits why uniqueness up to isomorphism
+    needs density: along an l' that is not dense, unpasting gives back r
+    for one inner adjunction and, for another, an r'' not isomorphic to r;
+    along a dense l' it gives back r."""
+    E, C, D = (corpus.generate_category(seed, 2, 1) for seed in (3, 4, 5))
+    assert pasting_cases(corpus.point_functor(E, E.objects[0]), C, D) == {
+        (False, False, False), (False, True, True), (True, True, True)}
 
 
 # ---------------------------------------------------------------------------
