@@ -334,18 +334,6 @@ def build_algebra_category(T: RelativeMonad, budget: int = None) -> AlgebraCateg
     return AlgebraCategory(T, cat, algebras, u, f, alpha_T, adjunction, free_of, by_structure)
 
 
-def export_algebra_category(algcat: AlgebraCategory) -> dict:
-    """Standard category JSON plus the forgetful/free blocks and the generic
-    extension table."""
-
-    doc = algcat.category.to_dict()
-    doc["u_T"] = algcat.u.to_dict()
-    doc["f_T"] = algcat.f.to_dict()
-    doc["alpha_T"] = {f"{a}|{obj}|{f}": g
-                      for ((a, obj, f), g) in sorted(algcat.alpha_T.items())}
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # comparison
 

@@ -128,6 +128,9 @@ class Diagram(NamedTuple):
     colimit: colim.CreationEntry
     limit = property(lambda self: self.owner.limits[self.index])
 
+    def __repr__(self) -> str:      # not its list and store entries, which the fields hold
+        return f"Diagram({self.index}, {dict(self.f.on_objects)})"
+
 
 class Diagrams(list):
     """The Diagram handles of diagrams(Z, g) in f order, with their census, g, Z and the
@@ -139,6 +142,9 @@ class Diagrams(list):
         super().__init__(handles(self))     # handles(owner) makes the handles, which hold the list
         self.census, self.g, self.Z, self.every = census, g, Z, (1 << len(self)) - 1
         self.by_d, self._down, self._up = {h.d_index: h for h in self}, {}, {}
+
+    def __repr__(self) -> str:
+        return f"Diagrams({len(self)} handles)"
 
     # each diagram's limit store entry, built for the whole list on its first limit question
     limits = functools.cached_property(

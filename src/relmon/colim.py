@@ -38,9 +38,12 @@ Caches, what keys them and how long they live:
   The census owns one for its run, resolves a diagram's entries once
   (store_records, creation_entry) and reads them one column at a time
   (colimit_at, first_failing_at, creation_records); none of them
-  assembles a whole (co)limit.  Without a store a search keeps a private
-  one for the call.  _Column, j_absolute_at and creation_records give the
-  layout.  This module keeps no cache of its own.
+  assembles a whole (co)limit.  The whole-(co)limit searches
+  (try_weighted_colimit, try_weighted_limit, try_left_extension,
+  is_j_absolute) take no store and keep a private one for the call;
+  check_creation keeps one too unless given store=.  _Column,
+  j_absolute_at and creation_records give the layout.  This module keeps
+  no cache of its own.
 * Memos kept on immutable inputs for their lifetime, derived only from
   their tables: a FinCategory keeps its table, hash, opposite() and
   hom_distributor(); a Distributor keeps its table(), slots(x), column
@@ -55,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import ColimitNotFound, DownstairsMissing, EndpointMismatch, TheoremViolation
+from .errors import DownstairsMissing, EndpointMismatch, TheoremViolation
 from .fincat import (
     FinCategory,
     FunctorData,
@@ -120,10 +123,10 @@ def _diagram_id(f: FunctorData) -> tuple:
     return (f.dom, f.cod, f.table())
 
 
-def store_records(store: Optional[dict], f: FunctorData) -> dict:
+def store_records(store: dict, f: FunctorData) -> dict:
     """The column records (_Column) of the diagram f in store, keyed by
-    column id; an empty private dict without a store."""
-    return {} if store is None else store.setdefault(_diagram_id(f), {})
+    column id."""
+    return store.setdefault(_diagram_id(f), {})
 
 
 class _Column:
@@ -269,27 +272,25 @@ class WeightedLimit:
         return self.legs[(x, y, e)]
 
 
-def try_weighted_colimit(p: Distributor, f: FunctorData, store: Optional[dict] = None):
+def try_weighted_colimit(p: Distributor, f: FunctorData):
     """The p-weighted colimit of f, or (None, first failing x), assembled
-    from the colimit at each x, which the search reads from and keeps in
-    store (see _Column)."""
+    from the colimit at each x."""
 
     if f.dom != p.tgt:
         raise EndpointMismatch("diagram must start at the weight's target")
-    found, failed = _assemble(p, f, store_records(store, f))
+    found, failed = _assemble(p, f, {})
     if found is None:
         return None, failed
     return WeightedColimit(p, f, *found), None
 
 
-def pointwise_colimit(p: Distributor, f: FunctorData, records: Optional[dict] = None) -> Optional[dict]:
+def pointwise_colimit(p: Distributor, f: FunctorData, records: dict) -> Optional[dict]:
     """The colimit of f at each x of src p, as {x: (apex object, legs in
     slot order)}; None when some x has none, which is exactly when f has no
-    p-weighted colimit.  Each x is read from f's records (store_records),
-    private without them, by its column id (p.columns()), and only a column
-    never searched there is searched.  Nothing is assembled."""
+    p-weighted colimit.  Each x is read from f's records (store_records) by
+    its column id (p.columns()), and only a column never searched there is
+    searched.  Nothing is assembled."""
 
-    records = {} if records is None else records
     at = {}
     for x, column in p.columns():
         at[x] = colimit_at(records, p, x, column, f)
@@ -302,36 +303,6 @@ def colimit_at(records: dict, p: Distributor, x: str, column: tuple, f: FunctorD
     """pointwise_colimit at the one x whose column id is column: (apex object,
     legs in slot order) or None, searched in f's records only when cold."""
     return (records.get(column) or _column(records, p, x, f)).colimit()
-
-
-def weighted_colimit(p: Distributor, f: FunctorData) -> WeightedColimit:
-    colim, failed = try_weighted_colimit(p, f)
-    if colim is None:
-        raise ColimitNotFound(failed)
-    return colim
-
-
-def verify_weighted_colimit(colim: WeightedColimit) -> bool:
-    """Re-check naturality of the legs and every bijection certificate."""
-
-    p, f, apex = colim.weight, colim.diagram, colim.apex
-    W, X, Y = f.cod, p.src, p.tgt
-    for (y, x, e), leg in colim.legs.items():
-        if W.dom(leg) != f.ob(y) or W.cod(leg) != apex.ob(x):
-            return False
-    for m in Y.morphism_names():
-        y, y2 = Y.cod(m), Y.dom(m)
-        for x in X.objects:
-            for e in p.el(y, x):
-                if colim.legs[(y2, x, p.act_r(m, x, e))] != W.comp(f.mor(m), colim.legs[(y, x, e)]):
-                    return False
-    for n in X.morphism_names():
-        x, x2 = X.dom(n), X.cod(n)
-        for y in Y.objects:
-            for e in p.el(y, x):
-                if colim.legs[(y, x2, p.act_l(n, y, e))] != W.comp(colim.legs[(y, x, e)], apex.mor(n)):
-                    return False
-    return _colimiting(p, f, {}, apex, colim.legs)
 
 
 # ---------------------------------------------------------------------------
@@ -352,72 +323,6 @@ def try_weighted_limit(p: Distributor, g: FunctorData):
     return WeightedLimit(p, g, FunctorData(p.tgt, g.cod, apex.on_objects, apex.on_morphisms), legs), None
 
 
-def weighted_limit(p: Distributor, g: FunctorData) -> WeightedLimit:
-    lim, failed = try_weighted_limit(p, g)
-    if lim is None:
-        raise ColimitNotFound(failed)
-    return lim
-
-
-def _cone_families(p: Distributor, g: FunctorData, y: str, wprime: str) -> tuple:
-    """The slots (x, e) of p(y, -), and every family phi_x: W(wprime, g x)
-    natural in x, as tuples in slot order, in product order."""
-
-    X, W = p.src, g.cod
-    comp = W.composition
-    slots = [(x, e) for x in X.objects for e in p.el(y, x)]
-    search = Search()
-    index = {(x, e): search.slot(W.hom(wprime, g.ob(x))) for (x, e) in slots}
-    for n in X.morphism_names():
-        if X.is_identity(n):
-            continue
-        x, x2, gn = X.dom(n), X.cod(n), g.mor(n)
-        for e in p.el(y, x):
-            a, b = index[(x, e)], index[(x2, p.act_l(n, y, e))]
-            search.require(lambda v, a=a, b=b, gn=gn: v[b] == comp[(v[a], gn)], a, b)
-    return slots, list(search.solutions())
-
-
-def verify_weighted_limit(lim: WeightedLimit) -> bool:
-    """Direct check of the limit universal property, independent of the
-    dualization route: cone naturality plus the bijection
-
-        W(w', apex y)  ~=  { families p(y,-) => W(w', g -) natural in x }
-
-    for every y and w'."""
-
-    p, g, apex = lim.weight, lim.diagram, lim.apex
-    W, X, Y = g.cod, p.src, p.tgt
-    for (x, y, e), leg in lim.legs.items():
-        if W.dom(leg) != apex.ob(y) or W.cod(leg) != g.ob(x):
-            return False
-    for n in X.morphism_names():
-        x, x2 = X.dom(n), X.cod(n)
-        for y in Y.objects:
-            for e in p.el(y, x):
-                if lim.legs[(x2, y, p.act_l(n, y, e))] != W.comp(lim.legs[(x, y, e)], g.mor(n)):
-                    return False
-    for m in Y.morphism_names():
-        y, y2 = Y.cod(m), Y.dom(m)
-        for x in X.objects:
-            for e in p.el(y, x):
-                if lim.legs[(x, y2, p.act_r(m, x, e))] != W.comp(apex.mor(m), lim.legs[(x, y, e)]):
-                    return False
-
-    for y in Y.objects:
-        for wprime in W.objects:
-            slots, fams = _cone_families(p, g, y, wprime)
-            images = set()
-            for k in W.hom(wprime, apex.ob(y)):
-                img = tuple(W.comp(k, lim.legs[(x, y, e)]) for (x, e) in slots)
-                if img in images:
-                    return False
-                images.add(img)
-            if images != set(fams):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # left extensions
 
@@ -436,34 +341,21 @@ def try_left_extension(c: FunctorData, r: FunctorData):
     return try_weighted_colimit(extension_weight(c), r)
 
 
-def left_extension(c: FunctorData, r: FunctorData) -> WeightedColimit:
-    ext, failed = try_left_extension(c, r)
-    if ext is None:
-        raise ColimitNotFound(failed)
-    return ext
-
-
-def extension_unit(ext: WeightedColimit, c: FunctorData, d: str) -> str:
-    """The unit component r d -> ext(c d) of a left extension."""
-    cd = c.ob(d)
-    return ext.legs[(d, cd, c.cod.id_of(cd))]
-
-
 # ---------------------------------------------------------------------------
 # absoluteness and density
 
 
-def is_j_absolute(j: FunctorData, colim: WeightedColimit, store: Optional[dict] = None):
+def is_j_absolute(j: FunctorData, colim: WeightedColimit):
     """Bijectivity of the canonical map (E(j,f) (.)l p)(a,x) -> E(j a, apex x).
 
     Returns (True, None) or (False, (a, x)) with the first failing pair in
     a-major order: j_absolute_at on the apex object and legs of colim at
-    each x, with its entry in store, or in a private store without one.
+    each x, with its entry in a private store.
     """
 
     p, f, legs = colim.weight, colim.diagram, colim.legs
     at = {x: (colim.apex.ob(x), tuple(legs[(y, x, e)] for y, e in p.slots(x))) for x in p.src.objects}
-    return j_absolute_at(j, p, f, at, absolute_entry(j, f, {} if store is None else store))
+    return j_absolute_at(j, p, f, at, absolute_entry(j, f, {}))
 
 
 def absolute_entry(j: FunctorData, f: FunctorData, store: dict) -> list:
@@ -605,7 +497,7 @@ def _nerve_slots(j: FunctorData, e: str):
 # cocones and creation
 
 
-def enumerate_cocones(p: Distributor, f: FunctorData, records: Optional[dict] = None):
+def enumerate_cocones(p: Distributor, f: FunctorData, records: dict):
     """All p-cocones (w, legs) for f with apex functor into cod f, canonical order.
 
     For each apex w, one search slot per x holds a family natural in y at
@@ -615,7 +507,6 @@ def enumerate_cocones(p: Distributor, f: FunctorData, records: Optional[dict] = 
 
     X, W = p.src, f.cod
     comp = W.composition
-    records = {} if records is None else records
     columns = [_column(records, p, x, f) for x in X.objects]
     index = X._obj_index
     along = [(index[x], index[x2], n, pairs) for n, x, x2, pairs in p.left_plan()[0]]
@@ -646,7 +537,7 @@ CREATION_MODES, CREATION_KINDS = ("strict", "nonstrict"), ("colimit", "limit")
 def check_choice(name: str, value: str, allowed: tuple) -> None:
     """ValueError naming the allowed values unless value is one of them."""
     if value not in allowed:
-        raise ValueError(f"{name} must be one of {', '.join(map(repr, allowed))}, not {value!r}")
+        raise ValueError(f"unknown {name} {value!r}; {name} must be one of {', '.join(map(repr, allowed))}")
 
 
 @dataclass

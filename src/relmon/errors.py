@@ -59,14 +59,6 @@ class NotParallel(RelmonError):
     """Natural transformation requested between non-parallel functors."""
 
 
-class ColimitNotFound(RelmonError):
-    """No representing object exists; .at names the first failing index object."""
-
-    def __init__(self, at: str):
-        self.at = at
-        super().__init__(f"no representation at object {at!r}")
-
-
 class DownstairsMissing(RelmonError):
     """Creation check requested but the downstairs (co)limit does not exist."""
 

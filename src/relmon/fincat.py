@@ -452,11 +452,6 @@ def identity_functor(C: FinCategory) -> FunctorData:
                        {f: f for f in C.morphism_names()}, name=f"1_{C.name}" if C.name else "1")
 
 
-def constant_functor(C: FinCategory, D: FinCategory, obj: str) -> FunctorData:
-    return FunctorData(C, D, {x: obj for x in C.objects},
-                       {f: D.id_of(obj) for f in C.morphism_names()})
-
-
 def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
     """F then G (diagrammatic)."""
     if F.cod != G.dom:
@@ -537,42 +532,26 @@ class NatTransData:
         return f"NatTransData({self.components})"
 
 
-def _natural_transformations(F: FunctorData, G: FunctorData,
-                             invertible: bool = False) -> Iterator[NatTransData]:
-    """Natural transformations F => G (all components invertible, if asked),
-    ordered componentwise by morphism order.  One search slot per object;
-    naturality at f: x -> y is checked once both components are chosen."""
+def find_natural_isomorphism(F: FunctorData, G: FunctorData) -> Optional[NatTransData]:
+    """First natural transformation F => G with all components invertible,
+    componentwise by morphism order; None when there is none or F and G are
+    not parallel.  One search slot per object; naturality at f: x -> y is
+    checked once both components are chosen."""
 
+    if F.dom != G.dom or F.cod != G.cod:
+        return None
     C, D = F.dom, F.cod
     comp = D.composition
     search = Search()
-    slot = {x: search.slot(k for k in D.hom(F.ob(x), G.ob(x))
-                           if not invertible or D.is_invertible(k))
-            for x in C.objects}
+    slot = {x: search.slot(k for k in D.hom(F.ob(x), G.ob(x)) if D.is_invertible(k)) for x in C.objects}
     for f in C.morphism_names():
         if C.is_identity(f):
             continue
         a, b, Ff, Gf = slot[C.dom(f)], slot[C.cod(f)], F.mor(f), G.mor(f)
         search.require(lambda v, a=a, b=b, Ff=Ff, Gf=Gf: comp[(Ff, v[b])] == comp[(v[a], Gf)],
                        a, b)
-    for values in search.solutions():
-        yield NatTransData(F, G, dict(zip(C.objects, values)))
-
-
-def find_natural_isomorphism(F: FunctorData, G: FunctorData) -> Optional[NatTransData]:
-    """First natural transformation F => G with all components invertible."""
-
-    if F.dom != G.dom or F.cod != G.cod:
-        return None
-    return next(_natural_transformations(F, G, invertible=True), None)
-
-
-def enumerate_natural_transformations(F: FunctorData, G: FunctorData) -> list[NatTransData]:
-    """The complete duplicate-free list, ordered componentwise by morphism order."""
-
-    if F.dom != G.dom or F.cod != G.cod:
-        raise NotParallel("source and target functors are not parallel")
-    return list(_natural_transformations(F, G))
+    values = next(search.solutions(), None)
+    return None if values is None else NatTransData(F, G, dict(zip(C.objects, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import AlgebraCategory, ComparisonData, build_algebra_category, comparison_functor
 from .census import DownstairsCensus, bits
-from .colim import is_dense, is_j_absolute, try_left_extension
+from .colim import CREATION_MODES, check_choice, is_dense, is_j_absolute, try_left_extension
 from .corpus import builtin_corpus, disc2_category, interval_category, terminal_category
 from .errors import (
     BudgetExceeded,
@@ -128,20 +128,12 @@ def resolve_monadicity(j: FunctorData, r: FunctorData, co: bool = False, budget:
     return Resolution(co, dense, adj, algcat, comparison_functor(adj, algcat, T))
 
 
-MODES = ("strict", "nonstrict")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-
-
 def decide_monadicity(j: FunctorData, r: FunctorData, mode: str = "strict",
                       co: bool = False, budget: int = None) -> MonadicityReport:
     """The verdict of mode on resolve_monadicity(j, r, co, budget): strict
     when the comparison is an isomorphism, nonstrict when an equivalence."""
 
-    _check_mode(mode)
+    check_choice("mode", mode, CREATION_MODES)
     return resolve_monadicity(j, r, co, budget).report(mode)
 
 
@@ -279,7 +271,7 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     # targeted items: extensions are canonical only up to isomorphism (the
     # representing-object tie-break), so the comparisons search a natural iso
     K = resolution.comparison.functor
-    verdicts = {mode: resolution.report(mode).verdict for mode in MODES}
+    verdicts = {mode: resolution.report(mode).verdict for mode in CREATION_MODES}
     ext, _ = try_left_extension(K, r)
     report.targeted_extension_found = ext is not None
     if ext is not None:
@@ -296,7 +288,7 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
                 find_natural_isomorphism(composite, identity_functor(D)) is not None)
 
     for mode, verdict in verdicts.items():
-        failing = sum((a & ~c[MODES.index(mode)]).bit_count() * n
+        failing = sum((a & ~c[CREATION_MODES.index(mode)]).bit_count() * n
                       for *_, ns, _, ab, cr in report.blocks for a, c, n in zip(ab, cr, ns))
         if verdict:
             if failing and dense:
@@ -357,7 +349,7 @@ def decide_composite_monadicity(j: FunctorData, rprime: FunctorData, r: FunctorD
                                 mode: str = "strict", budget: int = None) -> CompositeReport:
     """r is l'-monadic iff r;r' is j-monadic, given r' j-monadic (composite_monadicity)."""
 
-    _check_mode(mode)
+    check_choice("mode", mode, CREATION_MODES)
     resolution = resolve_monadicity(j, rprime, budget=budget)
     prem = resolution.report(mode)
     return composite_monadicity(
@@ -392,12 +384,12 @@ def check_monadic_iff_left_adjoint(j: FunctorData, jprime: FunctorData, T,
     """For T rooted at j;j' with j' dense: u_T is j'-monadic iff it has a
     left j'-adjoint (algebra objects always exist at this scale)."""
 
+    check_choice("mode", mode, CREATION_MODES)
     if T.j.dom != j.dom or compose_functors(j, jprime) != T.j:
         raise Inapplicable("monad must be rooted at the composite j;j'")
     dense, _ = is_dense(jprime)
     if not dense:
         raise Inapplicable("j' is not dense")
-    _check_mode(mode)
     resolution = resolve_monadicity(jprime, build_algebra_category(T, budget=budget).u, budget=budget)
     adjoint_exists, monadic = resolution.adjunction is not None, resolution.report(mode).verdict
     return MonadicIffAdjointReport(applicable=True, adjoint_exists=adjoint_exists, monadic=monadic,

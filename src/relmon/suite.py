@@ -21,7 +21,7 @@ from .algebra import (
     verify_algebra_object,
 )
 from .census import DownstairsCensus, bits
-from .colim import is_dense
+from .colim import CREATION_MODES, is_dense
 from .corpus import indisc2_category, interval_category, terminal_category, validate_instance
 from .errors import BudgetExceeded, PremiseFail, TheoremViolation, ValidationFailure
 from .fincat import (
@@ -36,7 +36,6 @@ from .fincat import (
 from .monad import enumerate_relative_monads, monad_from_adjunction, trivial_relative_monad
 from .prof import enumerate_distributors
 from .monadicity import (
-    MODES,
     SuiteReport,
     SuiteResult,
     composite_monadicity,
@@ -294,7 +293,7 @@ def _check_monadicity_crosscheck(ctx) -> SuiteResult:
         skipped.update((key, why) for key, why in audit.inconclusive_at_bound.items() if "->" in key)
         if audit.discrepancies:
             details.append(f"{inst.name}/{rrole}: {audit.discrepancies}")
-        for mode in MODES:
+        for mode in CREATION_MODES:
             if resolution.report(mode).verdict:
                 if audit.targeted_extension_is_forgetful is False:
                     details.append(f"{inst.name}/{rrole}: targeted extension mismatch ({mode})")
@@ -387,7 +386,7 @@ def _check_pasting_composite(ctx) -> SuiteResult:
     checked = 0
     for label, j, rprime, r in ctx.composite_triples:
         premise = ctx.resolution(j, rprime)
-        for mode in MODES:
+        for mode in CREATION_MODES:
             try:
                 prem = premise.report(mode)
                 rep = composite_monadicity(

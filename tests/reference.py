@@ -200,6 +200,71 @@ def cocone_is_colimiting(p, f, w, legs: dict) -> bool:
     return True
 
 
+def verify_weighted_colimit(colim) -> bool:
+    """The legs of colim are natural in y and in x, and colimiting
+    (cocone_is_colimiting)."""
+
+    p, f, apex = colim.weight, colim.diagram, colim.apex
+    W, X, Y = f.cod, p.src, p.tgt
+    for (y, x, e), leg in colim.legs.items():
+        if W.dom(leg) != f.ob(y) or W.cod(leg) != apex.ob(x):
+            return False
+    for m in Y.morphism_names():
+        y, y2 = Y.cod(m), Y.dom(m)
+        for x in X.objects:
+            for e in p.el(y, x):
+                if colim.legs[(y2, x, p.act_r(m, x, e))] != W.comp(f.mor(m), colim.legs[(y, x, e)]):
+                    return False
+    for n in X.morphism_names():
+        x, x2 = X.dom(n), X.cod(n)
+        for y in Y.objects:
+            for e in p.el(y, x):
+                if colim.legs[(y, x2, p.act_l(n, y, e))] != W.comp(colim.legs[(y, x, e)], apex.mor(n)):
+                    return False
+    return cocone_is_colimiting(p, f, apex, colim.legs)
+
+
+def verify_weighted_limit(lim) -> bool:
+    """The limit universal property checked directly, not through the dual
+    colimit: the legs are natural in x and in y, and postcomposition with
+    them is a bijection
+
+        W(w', apex y)  ~=  { families p(y,-) => W(w', g -) natural in x }
+
+    for every y and w' (cone_families)."""
+
+    p, g, apex = lim.weight, lim.diagram, lim.apex
+    W, X, Y = g.cod, p.src, p.tgt
+    for (x, y, e), leg in lim.legs.items():
+        if W.dom(leg) != apex.ob(y) or W.cod(leg) != g.ob(x):
+            return False
+    for n in X.morphism_names():
+        x, x2 = X.dom(n), X.cod(n)
+        for y in Y.objects:
+            for e in p.el(y, x):
+                if lim.legs[(x2, y, p.act_l(n, y, e))] != W.comp(lim.legs[(x, y, e)], g.mor(n)):
+                    return False
+    for m in Y.morphism_names():
+        y, y2 = Y.cod(m), Y.dom(m)
+        for x in X.objects:
+            for e in p.el(y, x):
+                if lim.legs[(x, y2, p.act_r(m, x, e))] != W.comp(apex.mor(m), lim.legs[(x, y, e)]):
+                    return False
+    for y in Y.objects:
+        for wprime in W.objects:
+            slots, fams = cone_families(p, g, y, wprime)
+            images = [tuple(W.comp(k, lim.legs[(x, y, e)]) for (x, e) in slots)
+                      for k in W.hom(wprime, apex.ob(y))]
+            if len(set(images)) != len(images) or set(images) != set(fams):
+                return False
+    return True
+
+
+def constant_functor(C, D, obj: str) -> FunctorData:
+    """The functor C -> D sending every object to obj and every morphism to its identity."""
+    return FunctorData(C, D, {x: obj for x in C.objects}, {f: D.id_of(obj) for f in C.morphism_names()})
+
+
 def product_functors(C, D, ob_ok=None, mor_ok=None) -> list:
     """Every object map times every morphism map C -> D, kept when it is a
     functor (functor_violations) whose images ob_ok(x, d) and mor_ok(f, m)

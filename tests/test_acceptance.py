@@ -22,7 +22,9 @@ from relmon.monad import enumerate_relative_monads, monad_violations, trivial_re
 from relmon.monadicity import creation_audit, decide_monadicity, resolve_monadicity, run_theorem_suite
 from relmon.reladj import adjunction_violations
 from relmon.prof import enumerate_graded_cells, hom_distributor
-from relmon.fincat import identity_functor, enumerate_natural_transformations
+from relmon.fincat import identity_functor
+
+from .reference import enumerate_natural_transformations
 
 SEED = 20260808
 

@@ -457,19 +457,6 @@ def test_transport_graded_bijection_onto_composite_side(transport_setup):
                 assert len(forwarded) == len(ups)
 
 
-def test_export_algebra_category(bz2_monads):
-    from relmon.algebra import export_algebra_category
-    from relmon.fincat import validate_category, validate_functor
-    algcat = build_algebra_category(bz2_monads[0])
-    doc = export_algebra_category(algcat)
-    cat = validate_category({k: doc[k] for k in
-                             ("objects", "morphisms", "identities", "composition")})
-    assert cat == algcat.category
-    validate_functor(doc["u_T"], cat, bz2_monads[0].j.cod)
-    validate_functor(doc["f_T"], bz2_monads[0].j.dom, cat)
-    assert doc["alpha_T"]
-
-
 def test_transport_accepts_monad_directly(bz2_monads):
     # spec-level signature: the base monad itself, algebra category built
     # internally

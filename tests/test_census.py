@@ -13,13 +13,13 @@ from relmon import census as census_module
 from relmon.algebra import build_algebra_category
 from relmon.census import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT, DownstairsCensus, bits
 from relmon.colim import (
+    WeightedColimit,
     WeightedLimit,
     check_creation,
     is_j_absolute,
+    store_records,
     try_weighted_colimit,
     try_weighted_limit,
-    verify_weighted_colimit,
-    verify_weighted_limit,
 )
 from relmon.errors import BudgetExceeded, DownstairsMissing
 from relmon.fincat import (
@@ -109,14 +109,17 @@ def test_census_matches_direct_searches(seed, objects, max_hom, shapes):
 
 
 def through_store(census, p, d, kind):
-    """The p-weighted (co)limit of d searched through the census's pointwise
-    store, a limit as the colimit of d^op weighted by p's dual."""
+    """The p-weighted (co)limit of d assembled from the records in the
+    census's pointwise store, a limit as the colimit of d^op weighted by
+    p's dual."""
     if kind == "colimit":
-        return try_weighted_colimit(p, d, census._pointwise)[0]
+        found, _ = colim._assemble(p, d, store_records(census._pointwise, d))
+        return found and WeightedColimit(p, d, *found)
     pd = dual_distributor(p)
-    found = try_weighted_colimit(pd, opposite_functor(d, pd.tgt, opposite(d.cod)), census._pointwise)[0]
-    return found and WeightedLimit(p, d, FunctorData(p.tgt, d.cod, found.apex.on_objects,
-                                                     found.apex.on_morphisms), found.legs)
+    dop = opposite_functor(d, pd.tgt, opposite(d.cod))
+    found, _ = colim._assemble(pd, dop, store_records(census._pointwise, dop))
+    return found and WeightedLimit(p, d, FunctorData(p.tgt, d.cod, found[0].on_objects,
+                                                     found[0].on_morphisms), found[1])
 
 
 def same_result(stored, found) -> bool:
@@ -169,7 +172,7 @@ def test_census_answers_equal_searches_through_g(seed, objects, max_hom):
                             assert census.colimit(j, w, diagram) == direct_colimit_verdict(j, w.p, diagram.d)
                         down = through_store(census, w.p, diagram.d, "colimit")
                         assert same_result(down, try_weighted_colimit(w.p, diagram.d)[0])
-                        assert down is None or verify_weighted_colimit(down)
+                        assert down is None or reference.verify_weighted_colimit(down)
                         up = try_weighted_colimit(w.p, diagram.f)[0]
                         assert same_result(through_store(census, w.p, diagram.f, "colimit"), up)
                         exists = census.colimit(one_D, w, ups[diagram.index]) != NO_COLIMIT
@@ -180,7 +183,7 @@ def test_census_answers_equal_searches_through_g(seed, objects, max_hom):
                         assert census.limit(w, diagram) == (found is not None)
                         down = through_store(census, w.p, diagram.d, "limit")
                         assert same_result(down, found)
-                        assert down is None or verify_weighted_limit(down)
+                        assert down is None or reference.verify_weighted_limit(down)
                         up = try_weighted_limit(w.p, diagram.f)[0]
                         assert same_result(through_store(census, w.p, diagram.f, "limit"), up)
                         assert census.limit(w, ups[diagram.index]) == (up is not None)
@@ -591,15 +594,15 @@ def creation_entries_are_empty(census) -> bool:
 
 @pytest.mark.parametrize("ask, allowed", [
     (lambda census, g, w, diagram: check_creation(g, w.p, diagram.f, mode="bogus"),
-     "mode must be one of 'strict', 'nonstrict', not 'bogus'"),
+     "unknown mode 'bogus'; mode must be one of 'strict', 'nonstrict'"),
     (lambda census, g, w, diagram: check_creation(g, w.p, diagram.f, kind="lim"),
-     "kind must be one of 'colimit', 'limit', not 'lim'"),
+     "unknown kind 'lim'; kind must be one of 'colimit', 'limit'"),
     (lambda census, g, w, diagram: colim.creation_records(g, w.p, diagram.f, "lim", diagram.colimit),
-     "kind must be one of 'colimit', 'limit', not 'lim'"),
+     "unknown kind 'lim'; kind must be one of 'colimit', 'limit'"),
     (lambda census, g, w, diagram: census.creation(g, w, diagram, "colimt", "strict"),
-     "kind must be one of 'colimit', 'limit', not 'colimt'"),
+     "unknown kind 'colimt'; kind must be one of 'colimit', 'limit'"),
     (lambda census, g, w, diagram: census.creation(g, w, diagram, "colimit", "bogus"),
-     "mode must be one of 'strict', 'nonstrict', not 'bogus'"),
+     "unknown mode 'bogus'; mode must be one of 'strict', 'nonstrict'"),
 ], ids=["check_creation mode", "check_creation kind", "creation_records kind",
         "census kind", "census mode"])
 def test_unknown_mode_or_kind_is_refused(ask, allowed):
@@ -610,6 +613,23 @@ def test_unknown_mode_or_kind_is_refused(ask, allowed):
     with pytest.raises(ValueError, match=allowed):
         ask(census, g, w, diagram)
     assert census._creations == {} and creation_entries_are_empty(census)
+
+
+def test_handle_reprs_stay_short_after_a_question():
+    """A weight or diagram handle holds its list, and a diagram handle its
+    store entries, which a question fills: their reprs show neither, so a
+    failing assertion prints a line, not the census (a diagram handle of
+    this list printed 6,937 characters after the question)."""
+    census = DownstairsCensus()
+    I = corpus.interval_category()
+    one = identity_functor(I)
+    for X in (corpus.terminal_category(), I):
+        weights = census.weights(X, I, 2, 200_000)
+        ds = census.diagrams(I, one)
+        census.colimits(one, ds, [(w, ds.every) for w in weights])
+        assert any(census._pointwise.values())
+        assert all(len(repr(h)) < 200 for h in [*ds, ds, weights[0], weights])
+    assert repr(ds[0]) == "Diagram(0, {'0': '0', '1': '0'})" and repr(ds) == "Diagrams(3 handles)"
 
 
 def test_diagram_handles_answer_only_in_their_census_and_for_their_g():

@@ -122,7 +122,7 @@ def assert_cocones_match_reference(W) -> set:
     seen = set()
     for p, f, exists in cocone_cases(W):
         by_comparison = reference.colimiting_test(try_weighted_colimit(p, f)[0])
-        for w, legs in enumerate_cocones(p, f):
+        for w, legs in enumerate_cocones(p, f, {}):
             want = reference.cocone_is_colimiting(p, f, w, legs)
             assert cocone_is_colimiting(p, f, w, legs) == want
             assert by_comparison(w.on_objects, legs) == want

@@ -9,15 +9,15 @@ from relmon.fincat import (
     FunctorData,
     classify_functor,
     compose_functors,
-    constant_functor,
     category_violations,
     enumerate_functors,
-    enumerate_natural_transformations,
     identity_functor,
     opposite,
     validate_category,
     validate_functor,
 )
+
+from .reference import constant_functor, enumerate_natural_transformations
 
 
 @pytest.fixture(scope="module")

@@ -3,14 +3,13 @@ import itertools
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from relmon import corpus
+from relmon import corpus, monadicity
 from relmon.algebra import build_algebra_category
 from relmon.colim import is_dense
 from relmon.errors import Inapplicable, PremiseFail
 from relmon.fincat import (
     FunctorData,
     classify_functor,
-    constant_functor,
     enumerate_functors,
     identity_functor,
     opposite,
@@ -26,6 +25,8 @@ from relmon.monadicity import (
     resolve_monadicity,
     run_theorem_suite,
 )
+
+from .reference import constant_functor
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +264,30 @@ def test_monadic_iff_left_adjoint_inapplicable(cats):
     T = enumerate_relative_monads(corpus.empty_functor(cats["Disc2"]))[0]
     with pytest.raises(Inapplicable):
         check_monadic_iff_left_adjoint(j, jp, T)
+
+
+def test_unknown_mode_is_refused_before_any_adjoint_search(cats, monkeypatch):
+    """decide_monadicity, decide_composite_monadicity and
+    check_monadic_iff_left_adjoint refuse an unknown mode with the
+    ValueError of colim.check_choice, before they search for an adjoint;
+    in a known mode the same questions do search."""
+    searches = []
+    search = monadicity.find_left_relative_adjoint
+    monkeypatch.setattr(monadicity, "find_left_relative_adjoint",
+                        lambda *args: searches.append(args) or search(*args))
+    E = cats["BZ2"]
+    j, jp = corpus.point_functor(E, "*"), identity_functor(E)
+    T = enumerate_relative_monads(j)[0]
+    asks = [lambda mode: decide_monadicity(jp, jp, mode),
+            lambda mode: decide_composite_monadicity(jp, jp, jp, mode),
+            lambda mode: check_monadic_iff_left_adjoint(j, jp, T, mode)]
+    for ask in asks:
+        with pytest.raises(ValueError, match="^unknown mode 'sideways'; mode must be one of 'strict', 'nonstrict'$"):
+            ask("sideways")
+    assert searches == []
+    for ask in asks:
+        ask("strict")
+    assert len(searches) == 5
 
 
 def test_default_shape_family_within_bounds():

@@ -9,7 +9,6 @@ from relmon.errors import ValidationFailure
 from relmon.fincat import (
     FunctorData,
     compose_functors,
-    constant_functor,
     enumerate_functors,
     find_natural_isomorphism,
     identity_functor,
@@ -31,6 +30,8 @@ from relmon.reladj import (
     paste_adjunction,
     validate_relative_adjunction,
 )
+
+from .reference import constant_functor, enumerate_natural_transformations
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,6 @@ def test_found_adjoints_all_validate(cats):
 def test_two_left_adjoints_are_isomorphic(cats):
     # uniqueness up to iso: over BZ2 the units e and s both represent; the
     # canonical pick must be isomorphic to the alternative assembled by hand
-    from relmon.fincat import enumerate_natural_transformations
     E = cats["BZ2"]
     j = corpus.point_functor(E, "*")
     adj = find_left_relative_adjoint(j, identity_functor(E))

@@ -20,8 +20,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from relmon import corpus
 from relmon.census import DownstairsCensus
-from relmon.colim import verify_weighted_colimit
-from relmon.colim import check_creation, is_j_absolute, try_weighted_colimit, try_weighted_limit
+from relmon import colim as colim_module
+from relmon.colim import (
+    WeightedColimit,
+    check_creation,
+    is_j_absolute,
+    store_records,
+    try_weighted_colimit,
+    try_weighted_limit,
+)
 from relmon.errors import BudgetExceeded, DownstairsMissing
 from relmon.fincat import FunctorData, build_category, enumerate_functors, identity_functor
 from relmon.monadicity import creation_audit, decide_monadicity
@@ -298,14 +305,16 @@ def test_generated_questions_survive_renaming(params, root, seed, permute):
 
 
 def colimit_answer(p, f, store):
-    """try_weighted_colimit(p, f) through store, as plain data, each found
-    colimit checked against the docstring's definition."""
-    colim, failed = try_weighted_colimit(p, f, store)
-    if colim is None:
+    """The p-weighted colimit of f assembled from f's records in store, as
+    plain data, each found colimit checked against the docstring's
+    definition."""
+    found, failed = colim_module._assemble(p, f, store_records(store, f))
+    if found is None:
         return None, failed
-    assert reference.cocone_is_colimiting(p, f, colim.apex, colim.legs)
-    assert verify_weighted_colimit(colim)
-    return colim.apex.table(), sorted(colim.legs.items())
+    apex, legs = found
+    assert reference.cocone_is_colimiting(p, f, apex, legs)
+    assert reference.verify_weighted_colimit(WeightedColimit(p, f, apex, legs))
+    return apex.table(), sorted(legs.items())
 
 
 @settings(max_examples=8, deadline=None)
@@ -326,7 +335,7 @@ def test_shared_store_answers_survive_element_renaming(params, seed, permute):
         p2, el = ren.distributor(p)
         pairs += [(p, p2, el, f) for f in enumerate_functors(p.tgt, W)]
     questions = [q for (p, p2, _, f) in pairs for q in ((p, f), (p2, f))]
-    cold = [colimit_answer(p, f, None) for p, f in questions]
+    cold = [colimit_answer(p, f, {}) for p, f in questions]
     for order in (questions, questions[::-1]):
         store = {}
         warm = {id(q): colimit_answer(*q, store) for q in order}

@@ -1,4 +1,5 @@
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import relmon
@@ -90,3 +91,60 @@ def test_no_process_wide_mutable_containers():
                     if _is_mutable_container(default):
                         found.append(f"{path.name}:{default.lineno} default argument")
     assert found == []
+
+
+# definitions that no CLI path reaches and that stay for a reader outside src/relmon
+REACHABILITY_ROOTS = {
+    ("colim", "check_creation"): "bench/tracing.py wraps it",
+    ("colim", "try_weighted_limit"): "bench/tracing.py wraps it",
+    ("colim", "cocone_is_colimiting"): "bench/tracing.py wraps it",
+    ("corpus", "save_instance"): "README.md names it",
+    ("monad", "precompose_root"): "README.md and the paper name it",
+    ("monadicity", "check_monadic_iff_left_adjoint"): "README.md and the paper name it",
+    ("corpus", "generate_category"): "bench/workloads.py uses it",
+    ("corpus", "load_oracles"): "bench/workloads.py uses it",
+}
+
+
+def _top_level_nodes() -> dict:
+    """(module, name) -> the top-level def, class or assignment that binds name."""
+    nodes = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nodes[(path.stem, node.name)] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    nodes.update(((path.stem, name.id), node) for name in ast.walk(target)
+                                 if isinstance(name, ast.Name))
+    return nodes
+
+
+def _reached(nodes: dict, roots) -> set:
+    """The keys of nodes reached from roots: a name or attribute read in a
+    reached node reaches every top-level binding of that name, in any
+    module, which over-approximates imports and module attributes."""
+    by_name = defaultdict(list)
+    for key in nodes:
+        by_name[key[1]].append(key)
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            for node in ast.walk(nodes[key]):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                todo.extend(by_name.get(name, ()))
+    return seen
+
+
+def test_engine_definitions_are_reached_from_the_cli():
+    # every def and class in src/relmon is reached from cli.main or from a
+    # root that a reader outside the package uses; code only tests reach
+    # belongs in tests/ (tests/reference.py holds the independent oracles)
+    nodes = _top_level_nodes()
+    from_cli = _reached(nodes, [("cli", "main")])
+    assert [root for root in REACHABILITY_ROOTS if root in from_cli or root not in nodes] == []
+    reached = _reached(nodes, [("cli", "main"), *REACHABILITY_ROOTS])
+    definitions = {key for key, node in nodes.items() if not isinstance(node, (ast.Assign, ast.AnnAssign))}
+    assert sorted(".".join(key) for key in definitions - reached) == []
