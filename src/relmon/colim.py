@@ -38,12 +38,11 @@ Caches, what keys them and how long they live:
   The census owns one for its run, resolves a diagram's entries once
   (store_records, creation_entry) and reads them one column at a time
   (colimit_at, first_failing_at, creation_records); none of them
-  assembles a whole (co)limit.  The whole-(co)limit searches
+  assembles a whole (co)limit.  The whole-question searches
   (try_weighted_colimit, try_weighted_limit, try_left_extension,
-  is_j_absolute) take no store and keep a private one for the call;
-  check_creation keeps one too unless given store=.  _Column,
-  j_absolute_at and creation_records give the layout.  This module keeps
-  no cache of its own.
+  is_j_absolute, check_creation) take no store and keep a private one
+  for the call.  _Column, j_absolute_at and creation_records give the
+  layout.  This module keeps no cache of its own.
 * Memos kept on immutable inputs for their lifetime, derived only from
   their tables: a FinCategory keeps its table, hash, opposite() and
   hom_distributor(); a Distributor keeps its table(), slots(x), column
@@ -876,8 +875,7 @@ def _first_mismatch(W: FinCategory, p: Distributor, up: dict, flags: list):
 
 
 def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
-                   mode: str = "strict", kind: str = "colimit", *,
-                   store: Optional[dict] = None) -> CreationReport:
+                   mode: str = "strict", kind: str = "colimit") -> CreationReport:
     """Does g create the downstairs p-weighted (co)limit of (f ; g)?
 
     For colimits f: tgt(p) -> dom(g); for limits f: src(p) -> dom(g).  The
@@ -885,15 +883,15 @@ def check_creation(g: FunctorData, p: Distributor, f: FunctorData,
     Strict creation asks that every colimiting cocone downstairs have
     exactly one cocone over it and that it be colimiting (Mac Lane, CWM
     V.1).  Both modes are decided from the creation records at each x,
-    creation_records(g, p, f, kind, entry), fetched with their entry in
-    store, or in a private store without one; only what spans two x's is
-    checked per call.  Raises DownstairsMissing when f ; g has no
-    (co)limit, ValueError for an unknown mode or kind.
+    creation_records(g, p, f, kind, entry), fetched with their entry in a
+    private store; only what spans two x's is checked per call.  Raises
+    DownstairsMissing when f ; g has no (co)limit, ValueError for an
+    unknown mode or kind.
     """
 
     check_choice("mode", mode, CREATION_MODES)
     check_choice("kind", kind, CREATION_KINDS)
-    records = creation_records(g, p, f, kind, creation_entry(g, f, kind, {} if store is None else store))
+    records = creation_records(g, p, f, kind, creation_entry(g, f, kind, {}))
     return _creation_report(mode, kind, creation_search(records, mode))
 
 

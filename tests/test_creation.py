@@ -260,14 +260,23 @@ def has_nonidentity_iso(C) -> bool:
     return any(not C.is_identity(m) and C.inverse(m) is not None for m in C.morphism_names())
 
 
+def creation_through_store(g, p, f, mode, kind, store):
+    """check_creation(g, p, f, mode, kind) as the census asks it: the
+    creation records at each x read through the (diagram, g) entry in
+    store."""
+    records = creation_records(g, p, f, kind, creation_entry(g, f, kind, store))
+    return colim._creation_report(mode, kind, colim.creation_search(records, mode))
+
+
 def upstairs(p, f, kind):
     return (try_weighted_colimit if kind == "colimit" else try_weighted_limit)(p, f)[0]
 
 
 def assert_strict_creation_matches_reference(W, V) -> set:
-    """check_creation in strict mode, cold and through one store shared by
-    every (g, p, f, kind), against reference.check_creation, which runs the
-    picked-cocone reference over every colimiting cocone.  Returns the
+    """check_creation in strict mode, cold, and through one store shared by
+    every (g, p, f, kind) (creation_through_store), against
+    reference.check_creation, which runs the picked-cocone reference over
+    every colimiting cocone.  Returns the
     (kind, upstairs (co)limit exists, verdict moved from the picked cocone's)
     triples seen; the last is None for limits."""
     store = {}
@@ -277,10 +286,10 @@ def assert_strict_creation_matches_reference(W, V) -> set:
             want = reference.check_creation(g, p, f, "strict", kind).to_dict()
         except DownstairsMissing:
             with pytest.raises(DownstairsMissing):
-                check_creation(g, p, f, mode="strict", kind=kind, store=store)
+                creation_through_store(g, p, f, "strict", kind, store)
             continue
         assert check_creation(g, p, f, mode="strict", kind=kind).to_dict() == want
-        assert check_creation(g, p, f, mode="strict", kind=kind, store=store).to_dict() == want
+        assert creation_through_store(g, p, f, "strict", kind, store).to_dict() == want
         moved = None
         if kind == "colimit":
             down, _ = try_weighted_colimit(p, compose_functors(f, g))
@@ -384,12 +393,13 @@ def assert_verdict_only_search_matches(W, V) -> set:
     Terminal, Interval and Disc2 into Terminal and Interval, and every
     diagram into W whose composite with g has a (co)limit, through one
     census and one store: the census's strict verdict and the verdict-only
-    search over the records walked past their strict flags equal
-    check_creation(...).passed, and check_creation's report and that of the
-    full search over the walked records, lift count included, equal
-    reference.check_creation's.  Over a discrete source (Terminal, Disc2;
-    for a limit, the dual weight's) the search multiplies the lift counts
-    per x; elsewhere the verdict-only search stops at a second lift.
+    search over the records walked past their strict flags equal the
+    verdict of check_creation through the store (creation_through_store),
+    and its report and that of the full search over the walked records,
+    lift count included, equal reference.check_creation's.  Over a
+    discrete source (Terminal, Disc2; for a limit, the dual weight's) the
+    search multiplies the lift counts per x; elsewhere the verdict-only
+    search stops at a second lift.
     Returns the (discrete, lift count capped at 2, passed) triples seen."""
     census, store, seen = DownstairsCensus(), {}, set()
     for g in itertools.islice(enumerate_functors(W, V), 2):
@@ -402,7 +412,7 @@ def assert_verdict_only_search_matches(W, V) -> set:
                                 want = reference.check_creation(g, w.p, diagram.f, "strict", kind).to_dict()
                             except DownstairsMissing:
                                 continue
-                            got = check_creation(g, w.p, diagram.f, "strict", kind, store=store)
+                            got = creation_through_store(g, w.p, diagram.f, "strict", kind, store)
                             assert got.to_dict() == want
                             entry = creation_entry(g, diagram.f, kind, store)
                             records = creation_records(g, w.p, diagram.f, kind, entry)
@@ -471,7 +481,7 @@ def test_corpus_creation_matches_reference():
     for name, r, w, diagram, kind in positions:
         for mode in ("strict", "nonstrict"):
             want = reference.check_creation(r, w.p, diagram.f, mode, kind).to_dict()
-            got = check_creation(r, w.p, diagram.f, mode=mode, kind=kind, store=store)
+            got = creation_through_store(r, w.p, diagram.f, mode, kind, store)
             assert got.to_dict() == want, (name, mode, kind)
             assert census.creation(r, w, diagram, kind, mode) == want["passed"], (name, mode, kind)
 
@@ -496,5 +506,5 @@ def test_creation_with_weights_out_of_categories_with_composites():
                                         want = reference.check_creation(g, p, f, mode, kind)
                                     except DownstairsMissing:
                                         continue
-                                    got = check_creation(g, p, f, mode=mode, kind=kind, store=store)
+                                    got = creation_through_store(g, p, f, mode, kind, store)
                                     assert got.to_dict() == want.to_dict()
