@@ -55,20 +55,24 @@ lift.
 The pointwise store holds one record per (diagram id, column id)
 (colim._Column): the colimit at one x and the natural families there,
 with their plan, shared by every weight whose column p(-, x) has the
-same content.  It holds per (root, diagram id) the
-j-absoluteness at each column (colim.first_failing_at), and per (diagram
-id, g by content) the creation record at each column (colim._CreationAt),
+same content.  It holds per (diagram id, g by content) the creation
+record at each column (colim._CreationAt),
 which holds what both creation modes need at one x, strict creation over
 every colimiting cocone and preservation included, so that a position
 fetches its records once for all three.  Limits are answered in the
 dual: g's and the diagram's opposites are built once per handle, and a
 weight's dual is kept on it (prof.dual_distributor).
 
-A suite run holds one census in its context for forgetful_creates,
-preservation_conservativity, monadicity_crosscheck, density_necessity and
-algebraic_tight_cells; a creation audit without one makes its own.  It is
-dropped with the run or the audit, and with its pointwise store it is the
-engine's only cache of colimits, natural families and weight lists.
+The census keeps no absoluteness record beside its masks, which decide
+each (root, diagram, column) fact once; it keeps E(j, d) once per (root,
+diagram) for those checks (colim.first_failing_root).
+
+A run (monadicity.Run) holds one census.  In a suite run it serves
+forgetful_creates, preservation_conservativity, monadicity_crosscheck,
+density_necessity and algebraic_tight_cells; in relmon monadic --audit,
+the creation audit.  It is dropped with the run, and with its pointwise
+store it is the engine's only cache of colimits, natural families and
+weight lists.
 """
 
 from __future__ import annotations
@@ -86,7 +90,6 @@ from .fincat import FinCategory, FunctorData
 from .prof import Distributor, dual_distributor
 
 
-NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2  # how many of (exists, j-absolute) hold
 _MODES = colim.CREATION_MODES
 
 
@@ -230,8 +233,9 @@ class DownstairsCensus:
     * colimits, per (Z, C), whether d has a colimit at the column of p;
     * absoluteness, per (root j by content, Z, C), for a d with a colimit
       at every column, whether its canonical map at the column of p is a
-      bijection at every a (colim.first_failing_at); as in j_absolute_at,
-      a bit goes on unless the map fails at the first a;
+      bijection at every a (colim.first_failing_root); as in
+      colim.is_j_absolute, a bit goes on unless the map fails at the
+      first a;
     * limits, per (Z, C), whether the dual of d has a colimit at the
       column of the dual weight;
     * settled, per (g by content, kind, Z), whether f's creation record at
@@ -256,7 +260,7 @@ class DownstairsCensus:
         self._limits: dict[tuple, dict] = {}
         self._settled: dict[tuple, dict] = {}
         self._creations: dict[tuple, dict] = {}
-        self._entries: dict[tuple, list] = {}
+        self._entries: dict[tuple, Distributor] = {}
         self._positions: dict[tuple, dict] = {}
         self._diagrams: dict[tuple, list] = {}
         self._weights: dict[tuple, list] = {}
@@ -309,9 +313,9 @@ class DownstairsCensus:
 
         def decide(w, x, column, i):
             d, records = diagrams.by_d[i].colimit.d, diagrams.by_d[i].colimit.down
-            key = (j, d)
-            failing = colim.first_failing_at(j, w.p, x, column, d, records[column].colimit(), self._entries.get(
-                key) or self._entries.setdefault(key, colim.absolute_entry(j, d, self._pointwise)))
+            if (j, d) not in self._entries:
+                self._entries[(j, d)] = prof.hom_restriction(j.cod, j, d)      # E(j, d)
+            failing = colim.first_failing_root(self._entries[(j, d)], j, w.p, x, *records[column].colimit())
             return failing == n_a, failing > 0 or failing == n_a
         return [(diagrams.up(exists) & m,
                  diagrams.up(_walk(masks, self._ids, w, 0, exists, decide)[0] if exists else 0) & m)

@@ -28,10 +28,10 @@ from .fincat import FinCategory, functor_from_dict, validate_category
 from .monad import enumerate_relative_monads, monad_from_dict
 from .monadicity import (
     DEFAULT_ELEMENT_CAP,
+    Run,
     creation_audit,
     decide_composite_monadicity,
     default_shape_family,
-    resolve_monadicity,
     run_theorem_suite,
 )
 from .reladj import adjunction_from_dict, find_left_relative_adjoint, paste_adjunction
@@ -274,8 +274,8 @@ def _cmd_monadic(args) -> int:
     j = load_functor_file(args.j)
     r = load_functor_file(args.r)
     mode = "nonstrict" if args.nonstrict else "strict"
-    resolution = resolve_monadicity(j, r, co=args.co)
-    rep = resolution.report(mode)
+    run = Run()
+    rep = run.resolution(j, r, co=args.co).report(mode)
     census = {"algebras": (rep.algebra_category_size or (0, 0))[0],
               "adjoint_found": rep.adjoint_found,
               "dense_root": rep.dense_root}
@@ -284,7 +284,7 @@ def _cmd_monadic(args) -> int:
     extra = {"decision": rep.to_dict()}
     if args.audit:
         shapes = default_shape_family()[: args.shapes] if args.shapes else default_shape_family()
-        audit = creation_audit(j, r, shapes, args.cap, resolution=resolution)
+        audit = creation_audit(run, j, r, shapes, args.cap)
         extra["audit"] = audit.to_dict()
         census["audited_items"] = len(extra["audit"]["items"])
         if audit.discrepancies:

@@ -25,24 +25,24 @@ and only when some x leaves the answer open.
 Caches, what keys them and how long they live:
 
 * census.DownstairsCensus holds per-column bit masks of (co)limit and creation
-  facts for one suite run or creation audit; see that module.
+  facts for one run (monadicity.Run); see that module.
 * The pointwise store: a p-weighted colimit is pointwise in x, so the
   colimit at x and the natural families at (x, w') depend only on the
-  column p(-, x) and on f, its j-absoluteness at x only on the root j
-  besides, and creation by g at x only on g besides.  A store keeps one
-  _Column record per (diagram id, column id), holding the family plan,
-  the natural families at each w' and the colimit, in slot order, for
-  every weight that has the column; per (root, diagram id) the index of
-  the first failing a for each column id; and per (diagram id, g by
-  content) the creation record for each column id.
+  column p(-, x) and on f, and creation by g at x only on g besides.  A
+  store keeps one _Column record per (diagram id, column id), holding
+  the family plan, the natural families at each w' and the colimit, in
+  slot order, for every weight that has the column; and per (diagram
+  id, g by content) the creation record for each column id.
   The census owns one for its run, resolves a diagram's entries once
   (store_records, creation_entry) and reads them one column at a time
-  (colimit_at, first_failing_at, creation_records); none of them
-  assembles a whole (co)limit.  The whole-question searches
-  (try_weighted_colimit, try_weighted_limit, try_left_extension,
-  is_j_absolute, check_creation) take no store and keep a private one
-  for the call.  _Column, j_absolute_at and creation_records give the
-  layout.  This module keeps no cache of its own.
+  (colimit_at, creation_records); none of them assembles a whole
+  (co)limit.  Absoluteness at x (first_failing_root) is not stored: the
+  census's masks decide each (root, diagram, column) once.  The
+  whole-question searches (try_weighted_colimit, try_weighted_limit,
+  try_left_extension, check_creation) take no store and keep a private
+  one for the call; is_j_absolute keeps none.  _Column and
+  creation_records give the layout.  This module keeps no cache of its
+  own.
 * Memos kept on immutable inputs for their lifetime, derived only from
   their tables: a FinCategory keeps its table, hash, opposite() and
   hom_distributor(); a Distributor keeps its table(), slots(x), column
@@ -142,9 +142,8 @@ class _Column:
     with that column, so a record is read back into any of them by
     zip(p.slots(x), values).  A store is a dict keyed by diagram id,
     holding each diagram's records keyed by column id (store_records;
-    j_absolute_at and creation_records keep their entries in the same
-    dict, keyed (diagram id, root) and (diagram id, "creation", cod g,
-    g.table())).
+    creation_records keeps its entries in the same dict, keyed (diagram
+    id, "creation", cod g, g.table())).
     """
 
     __slots__ = ("p", "x", "f", "plan", "families", "searched", "found")
@@ -348,43 +347,17 @@ def is_j_absolute(j: FunctorData, colim: WeightedColimit):
     """Bijectivity of the canonical map (E(j,f) (.)l p)(a,x) -> E(j a, apex x).
 
     Returns (True, None) or (False, (a, x)) with the first failing pair in
-    a-major order: j_absolute_at on the apex object and legs of colim at
-    each x, with its entry in a private store.
+    a-major order: a the least first_failing_root over x, x the first x
+    whose index is a.
     """
 
     p, f, legs = colim.weight, colim.diagram, colim.legs
-    at = {x: (colim.apex.ob(x), tuple(legs[(y, x, e)] for y, e in p.slots(x))) for x in p.src.objects}
-    return j_absolute_at(j, p, f, at, absolute_entry(j, f, {}))
-
-
-def absolute_entry(j: FunctorData, f: FunctorData, store: dict) -> list:
-    """The entry of j_absolute_at(j, -, f) in store, [E(j, f) once built,
-    {column id: first failing index}], kept per (diagram id, root)."""
-    return store.setdefault((_diagram_id(f), (j.dom, j.table())), [None, {}])
-
-
-def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict, entry: list):
-    """is_j_absolute for the p-weighted colimit of f given pointwise: at
-    maps each x of src p to its apex object and legs in slot order, as
-    pointwise_colimit returns them.
-
-    The map at x depends only on j, the diagram f and the column p(-, x):
-    the colimit is pointwise in x, and its apex at x is unique up to an
-    isomorphism under which the map stays a bijection or not.  So a store
-    keeps, per (root, diagram id), E(j, f) and for each column id the index
-    of the first a at which the map fails, or len(A.objects) when none does
-    (see _Column for the ids); only cold columns build E(j, f) and check,
-    and only they read at.  entry is absolute_entry(j, f, store), which a
-    caller asking about many weights resolves once.  The first failing pair
-    is (a*, x*): a* the least index over x, x* the first x whose index is a*.
-    """
-
     if f.cod != j.cod:
         raise EndpointMismatch("colimit must live in the root's codomain")
-    A = j.dom
+    q, A = hom_restriction(j.cod, j, f), j.dom      # q(a, y) = E(j a, f y)
     least, at_x = len(A.objects), None
-    for x, column in p.columns():
-        first = first_failing_at(j, p, x, column, f, at[x], entry)
+    for x in p.src.objects:
+        first = first_failing_root(q, j, p, x, colim.apex.ob(x), tuple(legs[(y, x, e)] for y, e in p.slots(x)))
         if first < least:
             least, at_x = first, x
             if least == 0:
@@ -394,25 +367,16 @@ def j_absolute_at(j: FunctorData, p: Distributor, f: FunctorData, at: dict, entr
     return False, (A.objects[least], at_x)
 
 
-def first_failing_at(j: FunctorData, p: Distributor, x: str, column: tuple, f: FunctorData,
-                     at_x: tuple, entry: list) -> int:
-    """j_absolute_at's first failing index at the one x whose column id is
-    column, for f's colimit at_x there (apex object and legs in slot order):
-    read from entry (absolute_entry(j, f, store)), checked only when cold."""
-    first = entry[1].get(column)
-    if first is None:
-        if entry[0] is None:
-            entry[0] = hom_restriction(j.cod, j, f)      # q(a, y) = E(j a, f y)
-        first = entry[1][column] = _first_failing_root(entry[0], j, p, x, *at_x)
-    return first
-
-
-def _first_failing_root(q: Distributor, j: FunctorData, p: Distributor, x: str,
-                        apex: str, legs: tuple) -> int:
+def first_failing_root(q: Distributor, j: FunctorData, p: Distributor, x: str,
+                       apex: str, legs: tuple) -> int:
     """The index of the first a of j.dom at which the canonical map
     (q (.)l p)(a, x) -> E(j a, apex) is not a bijection, for q = E(j, f)
     and the colimit's apex object and legs (in slot order) at x;
-    len(j.dom.objects) when it is one at every a."""
+    len(j.dom.objects) when it is one at every a.
+
+    The map at x depends only on j, f and the column p(-, x): the colimit
+    is pointwise in x, and its apex at x is unique up to an isomorphism
+    under which the map stays a bijection or not."""
 
     E = j.cod
     leg = dict(zip(p.slots(x), legs))

@@ -7,6 +7,11 @@ re-derives the verdict through the colimit-creation characterisation over a
 bounded census of weights, and flags its bound when the census cannot
 reproduce a negative verdict.  Comonadicity questions are answered by
 dualizing the inputs and running the same pipeline.
+
+A Run holds what one top-level run shares: the budget, the census, and
+one algebra category per monad, density verdict per root and resolution
+per question; a CLI command, a decision function and a suite run each
+make one.
 """
 
 from __future__ import annotations
@@ -109,32 +114,59 @@ class Resolution(NamedTuple):
             comparison=cl.to_dict(), dense_root=self.dense)
 
 
-def resolve_monadicity(j: FunctorData, r: FunctorData, co: bool = False, budget: int = None,
-                       run=None) -> Resolution:
-    """Adjoint search, induced monad, algebra category, comparison.  co=True
-    dualizes both inputs first, for relative comonadicity of the originals.
-    run, a suite run's context, supplies the root's density (run.dense) and
-    the algebra category (run.algcat), each kept once per run."""
+class Run:
+    """What one top-level run shares across its questions: the budget, read
+    once, the census of (co)limit and creation verdicts, and one algebra
+    category per monad (by content and name, which names the category),
+    one density verdict per root and one resolution per (j, r, co) as
+    given.  A CLI command, a decision function and a suite run each make
+    one; all of it lives and dies with the run."""
 
-    if co:
-        j = opposite_functor(j, opposite(j.dom), opposite(j.cod))
-        r = opposite_functor(r, opposite(r.dom), opposite(r.cod))
-    dense = run.dense(j) if run else is_dense(j)[0]
-    adj = find_left_relative_adjoint(j, r)
-    if adj is None:
-        return Resolution(co, dense)
-    T = monad_from_adjunction(adj)
-    algcat = run.algcat(T) if run else build_algebra_category(T, budget=budget)
-    return Resolution(co, dense, adj, algcat, comparison_functor(adj, algcat, T))
+    def __init__(self, budget: int = None):
+        self.budget = budget or budget_limit()
+        self.census = DownstairsCensus()
+        self._algcats, self._dense, self._resolutions = {}, {}, {}
+
+    def algcat(self, T) -> AlgebraCategory:
+        """build_algebra_category(T), keyed by T's content and name."""
+        key = (T.j, T.t, T.table(), T.name)
+        if key not in self._algcats:
+            self._algcats[key] = build_algebra_category(T, budget=self.budget)
+        return self._algcats[key]
+
+    def dense(self, j: FunctorData) -> bool:
+        """is_dense(j)'s verdict, once per root by content."""
+        if j not in self._dense:
+            self._dense[j] = is_dense(j)[0]
+        return self._dense[j]
+
+    def resolution(self, j: FunctorData, r: FunctorData, co: bool = False) -> Resolution:
+        """Adjoint search, induced monad, algebra category, comparison,
+        once per (j, r, co) as given.  co=True dualizes both inputs first,
+        for relative comonadicity of the originals."""
+
+        key = (j, r, co)
+        if key not in self._resolutions:
+            if co:
+                j = opposite_functor(j, opposite(j.dom), opposite(j.cod))
+                r = opposite_functor(r, opposite(r.dom), opposite(r.cod))
+            dense, adj = self.dense(j), find_left_relative_adjoint(j, r)
+            if adj is None:
+                self._resolutions[key] = Resolution(co, dense)
+            else:
+                T = monad_from_adjunction(adj)
+                algcat = self.algcat(T)
+                self._resolutions[key] = Resolution(co, dense, adj, algcat, comparison_functor(adj, algcat, T))
+        return self._resolutions[key]
 
 
 def decide_monadicity(j: FunctorData, r: FunctorData, mode: str = "strict",
                       co: bool = False, budget: int = None) -> MonadicityReport:
-    """The verdict of mode on resolve_monadicity(j, r, co, budget): strict
+    """The verdict of mode on one run's resolution of (j, r, co): strict
     when the comparison is an isomorphism, nonstrict when an equivalence."""
 
     check_choice("mode", mode, CREATION_MODES)
-    return resolve_monadicity(j, r, co, budget).report(mode)
+    return Run(budget).resolution(j, r, co).report(mode)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +242,8 @@ class AuditReport:
         }
 
 
-def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
-                   element_cap: int = DEFAULT_ELEMENT_CAP, budget: int = None,
-                   resolution: Resolution = None, census: DownstairsCensus = None) -> AuditReport:
+def creation_audit(run: Run, j: FunctorData, r: FunctorData, shape_family=None,
+                   element_cap: int = DEFAULT_ELEMENT_CAP) -> AuditReport:
     """Falsification harness for the creation characterisation of monadicity.
 
     Enumerates weights between shape-family categories and diagrams into
@@ -225,16 +256,12 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     a negative verdict with no failing witness flags the census bound.
 
     The density of j, both verdicts, the comparison and the forgetful
-    functor are read from resolution, resolve_monadicity(j, r) made once
-    for both modes; without one the audit resolves (j, r) itself.  Weights
-    and downstairs verdicts are read from census, which a caller asking
-    several audits may share; without one the audit makes its own.
+    functor are read from run.resolution(j, r), made once for both modes;
+    weights and downstairs verdicts from run.census, under run.budget.
     """
 
-    budget = budget or budget_limit()
     shape_family = shape_family if shape_family is not None else default_shape_family()
-    census = census if census is not None else DownstairsCensus()
-    resolution = resolution or resolve_monadicity(j, r, budget=budget)
+    census, resolution = run.census, run.resolution(j, r)
     dense = resolution.dense
     if resolution.adjunction is None:
         return AuditReport(vacuous=True, dense_root=dense,
@@ -250,7 +277,7 @@ def creation_audit(j: FunctorData, r: FunctorData, shape_family=None,
     for X in shape_family:
         for Y in shape_family:
             try:
-                weights, firsts, of, sizes = census.weight_classes(X, Y, element_cap, budget)
+                weights, firsts, of, sizes = census.weight_classes(X, Y, element_cap, run.budget)
             except BudgetExceeded:
                 report.inconclusive_at_bound[f"{X.name}->{Y.name}"] = "weight census over budget"
                 continue
@@ -350,11 +377,12 @@ def decide_composite_monadicity(j: FunctorData, rprime: FunctorData, r: FunctorD
     """r is l'-monadic iff r;r' is j-monadic, given r' j-monadic (composite_monadicity)."""
 
     check_choice("mode", mode, CREATION_MODES)
-    resolution = resolve_monadicity(j, rprime, budget=budget)
+    run = Run(budget)
+    resolution = run.resolution(j, rprime)
     prem = resolution.report(mode)
     return composite_monadicity(
-        prem, prem.verdict and decide_monadicity(resolution.adjunction.left, r, mode, budget=budget),
-        prem.verdict and decide_monadicity(j, compose_functors(r, rprime), mode, budget=budget))
+        prem, prem.verdict and run.resolution(resolution.adjunction.left, r).report(mode),
+        prem.verdict and run.resolution(j, compose_functors(r, rprime)).report(mode))
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +415,10 @@ def check_monadic_iff_left_adjoint(j: FunctorData, jprime: FunctorData, T,
     check_choice("mode", mode, CREATION_MODES)
     if T.j.dom != j.dom or compose_functors(j, jprime) != T.j:
         raise Inapplicable("monad must be rooted at the composite j;j'")
-    dense, _ = is_dense(jprime)
-    if not dense:
+    run = Run(budget)
+    if not run.dense(jprime):
         raise Inapplicable("j' is not dense")
-    resolution = resolve_monadicity(jprime, build_algebra_category(T, budget=budget).u, budget=budget)
+    resolution = run.resolution(jprime, run.algcat(T).u)
     adjoint_exists, monadic = resolution.adjunction is not None, resolution.report(mode).verdict
     return MonadicIffAdjointReport(applicable=True, adjoint_exists=adjoint_exists, monadic=monadic,
                                    equivalence_holds=adjoint_exists == monadic)

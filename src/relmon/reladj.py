@@ -247,22 +247,9 @@ def paste_adjunction(primary: RelativeAdjunction, factor: RelativeAdjunction,
         for r_cand in enumerate_functors(C, factor.apex,
                                          ob_ok=lambda c, d: r_factor.ob(d) == r.ob(c),
                                          mor_ok=lambda k, m: r_factor.mor(m) == r.mor(k)):
-            sharp_in = {}
-            ok = True
-            for a in primary.j.dom.objects:
-                for c in C.objects:
-                    for k in C.hom(primary.left.ob(a), c):
-                        v = primary.sharp[(a, c, k)]
-                        key = (a, r_cand.ob(c), v)
-                        if key not in factor.flat:
-                            ok = False
-                            break
-                        sharp_in[(a, c, k)] = factor.flat[key]
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
+            sharp_in = {(a, c, k): factor.flat.get((a, r_cand.ob(c), primary.sharp[(a, c, k)]))
+                        for a in primary.j.dom.objects for c in C.objects for k in C.hom(primary.left.ob(a), c)}
+            if None in sharp_in.values():
                 continue
             if adjunction_violations(factor.left, primary.left, r_cand, sharp_in):
                 continue

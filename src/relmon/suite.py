@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 
 from .algebra import (
-    build_algebra_category,
     enumerate_algebras,
     graded_algebra_morphisms,
     transport_algebra_backward,
@@ -20,8 +19,8 @@ from .algebra import (
     transport_graded_forward,
     verify_algebra_object,
 )
-from .census import DownstairsCensus, bits
-from .colim import CREATION_MODES, is_dense
+from .census import bits
+from .colim import CREATION_MODES
 from .corpus import indisc2_category, interval_category, terminal_category, validate_instance
 from .errors import BudgetExceeded, PremiseFail, TheoremViolation, ValidationFailure
 from .fincat import (
@@ -36,35 +35,24 @@ from .fincat import (
 from .monad import enumerate_relative_monads, monad_from_adjunction, trivial_relative_monad
 from .prof import enumerate_distributors
 from .monadicity import (
+    Run,
     SuiteReport,
     SuiteResult,
     composite_monadicity,
     creation_audit,
-    resolve_monadicity,
 )
 
 
-class _Context:
-    """Shared lazily-built state for one suite run.
-
-    census holds the (co)limits and creation verdicts that
-    forgetful_creates, preservation_conservativity, monadicity_crosscheck,
-    density_necessity and algebraic_tight_cells ask for; one resolution per
-    (j, r, co) serves every monadicity decision in both modes.  algcat and
-    dense build each algebra category once per monad (by content and name)
-    and each density verdict once per root, for the checks and the
-    resolutions alike.  All live and die with the run.
-    """
+class _Context(Run):
+    """One suite run: a Run, whose census, algebra categories, density
+    verdicts and resolutions every check shares, with the suite's inputs
+    and the listings its checks walk."""
 
     def __init__(self, instances, shape_family, element_cap, budget):
+        super().__init__(budget)
         self.instances = instances
         self.shape_family = shape_family
         self.element_cap = element_cap
-        self.budget = budget
-        self.census = DownstairsCensus()
-        self._algcats = {}
-        self._dense = {}
-        self._resolutions = {}
 
     def monad_entries(self):
         """(instance, role, monad) triples in canonical order."""
@@ -73,26 +61,6 @@ class _Context:
             for role in sorted(inst.monads):
                 out.append((inst, role, inst.monads[role]))
         return out
-
-    def algcat(self, T):
-        """build_algebra_category(T), keyed by T's content and name, which names the category."""
-        key = (T.j, T.t, T.table(), T.name)
-        if key not in self._algcats:
-            self._algcats[key] = build_algebra_category(T, budget=self.budget)
-        return self._algcats[key]
-
-    def dense(self, j) -> bool:
-        """is_dense(j)'s verdict, once per root by content."""
-        if j not in self._dense:
-            self._dense[j] = is_dense(j)[0]
-        return self._dense[j]
-
-    def resolution(self, j, r, co=False):
-        """resolve_monadicity(j, r, co), keyed by the inputs as given, not dualized."""
-        key = (j, r, co)
-        if key not in self._resolutions:
-            self._resolutions[key] = resolve_monadicity(j, r, co, budget=self.budget, run=self)
-        return self._resolutions[key]
 
     def decision(self, j, r, mode, co=False):
         return self.resolution(j, r, co).report(mode)
@@ -285,8 +253,7 @@ def _check_monadicity_crosscheck(ctx) -> SuiteResult:
         resolution = ctx.resolution(j, r)
         if not resolution.dense:
             continue
-        audit = creation_audit(j, r, ctx.shape_family, ctx.element_cap,
-                               budget=ctx.budget, resolution=resolution, census=ctx.census)
+        audit = creation_audit(ctx, j, r, ctx.shape_family, ctx.element_cap)
         checked += 1
         if audit.vacuous:
             continue
@@ -339,8 +306,7 @@ def _check_density_necessity(ctx) -> SuiteResult:
         checked += 1
         if resolution.report("strict").verdict:
             details.append(f"{inst.name}/{rrole}: non-iso over empty root decided monadic")
-        audit = creation_audit(j, r, ctx.shape_family, ctx.element_cap, budget=ctx.budget,
-                               resolution=resolution, census=ctx.census)
+        audit = creation_audit(ctx, j, r, ctx.shape_family, ctx.element_cap)
         if audit.discrepancies:
             details.append(f"{inst.name}/{rrole}: counterexample recorded as discrepancy")
     passed = not details

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 
 from relmon.algebra import Algebra, _alpha_slice_matches, algebra_violations
-from relmon.census import ABSOLUTE_COLIMIT, NO_COLIMIT
 from relmon.colim import (
     CreationReport,
     WeightedColimit,
@@ -50,6 +49,9 @@ from relmon.prof import (
     tensor_set,
 )
 from relmon.reladj import PastingReport, RelativeAdjunction, _certify_rho, adjunction_violations
+
+# the census's one-position colimit answer: how many of (exists, j-absolute) hold
+NO_COLIMIT, COLIMIT, ABSOLUTE_COLIMIT = 0, 1, 2
 
 
 def enumerate_relative_monads(j, budget: int = None) -> list:

@@ -13,13 +13,12 @@ import pytest
 
 from relmon import corpus
 from relmon.algebra import build_algebra_category, enumerate_algebras, verify_algebra_object
-from relmon.census import DownstairsCensus
 from relmon.cli import main as cli_main
 from relmon.colim import is_dense
 from relmon.errors import ValidationFailure
 from relmon.fincat import FunctorData, build_category, classify_functor, validate_category
 from relmon.monad import enumerate_relative_monads, monad_violations, trivial_relative_monad, monad_from_adjunction
-from relmon.monadicity import creation_audit, decide_monadicity, resolve_monadicity, run_theorem_suite
+from relmon.monadicity import Run, creation_audit, decide_monadicity, run_theorem_suite
 from relmon.reladj import adjunction_violations
 from relmon.prof import enumerate_graded_cells, hom_distributor
 from relmon.fincat import identity_functor
@@ -323,8 +322,8 @@ def test_criterion_5_monadicity_crosscheck(instances, suite_run):
     row = _row(report, "monadicity_crosscheck")
     ok = row.passed
     detail = []
-    # one census for every audit, as the suite's monadicity_crosscheck shares its run's
-    census = DownstairsCensus()
+    # one run, and so one census, for every audit, as the suite's monadicity_crosscheck shares its run's
+    run = Run()
     for inst in instances:
         root_role = inst.roles.get("root")
         if root_role is None:
@@ -335,9 +334,8 @@ def test_criterion_5_monadicity_crosscheck(instances, suite_run):
             continue
         for rrole in inst.roles.get("candidates", []):
             r = inst.functors[rrole]
-            resolution = resolve_monadicity(j, r)
-            reports = {m: resolution.report(m) for m in ("strict", "nonstrict")}
-            audit = creation_audit(j, r, resolution=resolution, census=census)
+            reports = {m: run.resolution(j, r).report(m) for m in ("strict", "nonstrict")}
+            audit = creation_audit(run, j, r)
             if audit.vacuous:
                 continue
             if audit.discrepancies:

@@ -26,7 +26,7 @@ from relmon.monad import (
     postcompose_along_adjunction,
     trivial_relative_monad,
 )
-from relmon.monadicity import default_shape_family, resolve_monadicity
+from relmon.monadicity import Run, default_shape_family
 from relmon.reladj import adjunction_violations, identity_adjunction, validate_relative_adjunction
 from relmon.suite import _check_transport_bijection, _Context
 
@@ -198,23 +198,20 @@ def test_comparison_monad_mismatch(bz2_monads, cats):
 
 
 def test_resolution_compares_its_monad_with_the_algebra_category_handed_back(bz2_monads):
-    """resolve_monadicity hands comparison_functor the monad it derived,
+    """Run.resolution hands comparison_functor the monad it derived,
     which is still compared with the algebra category's own: a run that
     hands back another monad's algebra category is refused."""
     T1, T2 = bz2_monads
     assert T1.table() != T2.table()
     u = build_algebra_category(T1).u
 
-    class Run:
-        def dense(self, j):
-            return True
-
+    class Mismatched(Run):
         def algcat(self, T):
             return build_algebra_category(T2)
 
-    assert resolve_monadicity(T1.j, u).comparison.classification.is_iso
+    assert Run().resolution(T1.j, u).comparison.classification.is_iso
     with pytest.raises(MonadMismatch):
-        resolve_monadicity(T1.j, u, run=Run())
+        Mismatched().resolution(T1.j, u)
 
 
 # ---------------------------------------------------------------------------

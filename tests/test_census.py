@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from relmon import algebra, colim, corpus, monadicity, prof, reladj, suite
 from relmon import census as census_module
 from relmon.algebra import build_algebra_category
-from relmon.census import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT, DownstairsCensus, bits
+from relmon.census import DownstairsCensus, bits
 from relmon.colim import (
     WeightedColimit,
     WeightedLimit,
@@ -31,11 +31,12 @@ from relmon.fincat import (
     opposite_functor,
 )
 from relmon.monad import budget_limit, enumerate_relative_monads
-from relmon.monadicity import creation_audit, default_shape_family, run_theorem_suite
+from relmon.monadicity import Run, creation_audit, default_shape_family, run_theorem_suite
 from relmon.prof import Distributor, dual_distributor, enumerate_distributors
 from relmon.suite import _check_forgetful_creates, _Context, _small_weights
 
 from . import reference
+from .reference import ABSOLUTE_COLIMIT, COLIMIT, NO_COLIMIT
 
 SHAPES = {"Terminal": corpus.terminal_category, "Interval": corpus.interval_category,
           "Disc2": corpus.disc2_category}
@@ -218,12 +219,12 @@ def test_audit_identical_with_cold_and_warm_census():
     j, r1, r2 = _audit_questions()
     shapes = [corpus.terminal_category(), corpus.interval_category()]
 
-    def audit(r, census):
-        rep = creation_audit(j, r, shapes, 1, census=census)
+    def audit(r, run):
+        rep = creation_audit(run, j, r, shapes, 1)
         assert not rep.vacuous and rep.items
         return rep.to_dict()
 
-    cold = {"r1": audit(r1, DownstairsCensus()), "r2": audit(r2, DownstairsCensus())}
+    cold = {"r1": audit(r1, Run()), "r2": audit(r2, Run())}
     E = j.cod
 
     def rows_into_E(census):
@@ -233,16 +234,14 @@ def test_audit_identical_with_cold_and_warm_census():
                 {key for key in census._pointwise if len(key) == 3 and key[1] == E})
 
     for first, second in (("r1", "r2"), ("r2", "r1")):
-        census = DownstairsCensus()
+        run = Run()
         r = {"r1": r1, "r2": r2}
-        assert audit(r[first], census) == cold[first]
-        rows = rows_into_E(census)
+        assert audit(r[first], run) == cold[first]
+        rows = rows_into_E(run.census)
         assert rows[0] and rows[1]
-        assert audit(r[second], census) == cold[second]
+        assert audit(r[second], run) == cold[second]
         # both questions read and write the same rows into E: the second ran warm
-        assert rows_into_E(census) == rows
-    # an audit without a census argument makes its own
-    assert creation_audit(j, r1, shapes, 1).to_dict() == cold["r1"]
+        assert rows_into_E(run.census) == rows
 
 
 def test_two_suite_runs_in_one_process_give_identical_reports():
@@ -399,21 +398,21 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
                 inside.pop()
         monkeypatch.setattr(owner, name, wrapper)
 
-    def absolute(j, p, x, column, f, at, entry):
+    def absolute(q, j, p, x, apex, legs):
+        # the diagram of q = E(j, f): the census's entry q, or is_j_absolute's colimit
+        f = next((args[1].diagram for label, args in reversed(inside) if label == "is_j_absolute"), None) or next(
+            d for (_, d), entry in census._entries.items() if entry is q)
         pairs.append((content(j), content(f)))
+        columns.append((content(j), content(f), p.column(x)))
         if within("census.colimit"):
-            facts.append((content(j), content(f), column))
+            facts.append((content(j), content(f), p.column(x)))
             # the census checks absoluteness only where the colimit exists at every x
             records = census._pointwise.get(colim._diagram_id(f), {})
             assert all(c in records and records[c].searched and records[c].found for _, c in p.columns())
 
     def build(E, j, f):
-        if within("first_failing_at"):
+        if within("census.colimit") or within("is_j_absolute"):
             builds.append((content(j), content(f)))
-
-    def check(q, j, p, x, apex, legs):
-        f = next(args[4] for label, args in reversed(inside) if label == "first_failing_at")
-        columns.append((content(j), content(f), p.column(x)))
 
     def settled_by_records(entry, p, kind) -> bool:
         q = dual_distributor(p) if kind == "limit" else p
@@ -468,9 +467,10 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
         if any(within(label) for label in ("census.colimit", "census.limit", "census.preserves")):
             (wasted if column.searched or not stored(column) else searching).append(key(column))
 
-    wrap(colim, "first_failing_at", absolute)
+    wrap(colim, "first_failing_root", absolute)
     wrap(colim, "hom_restriction", build)
-    wrap(colim, "_first_failing_root", check)
+    wrap(prof, "hom_restriction", build)
+    wrap(monadicity, "is_j_absolute", lambda *args: None)
     wrap(colim, "creation_search", creation)
     original_fetch = colim.creation_records
     monkeypatch.setattr(colim, "creation_records", fetch)
@@ -485,8 +485,9 @@ def test_creation_audit_does_each_absoluteness_and_creation_check_once(monkeypat
     wrap(colim._Column, "__init__", column_made)
     wrap(colim._Column, "_search", column_searched)
     shapes = [corpus.terminal_category(), corpus.interval_category()]
-    census = DownstairsCensus()
-    report = creation_audit(j, r, shapes, 1, census=census)
+    run = Run()
+    census = run.census
+    report = creation_audit(run, j, r, shapes, 1)
     assert not report.vacuous and report.items
     assert len(builds) == len(set(builds)) <= len(set(pairs)) < len(pairs)
     assert facts and len(facts) == len(set(facts))
@@ -1101,7 +1102,7 @@ def test_class_level_loops_answer_as_per_weight_loops(monkeypatch):
 
     failing, shared = 0, set()
     for inst, j, role, r in _Context(instances, shapes, 2, budget).root_pairs()[:6]:
-        got = creation_audit(j, r, shapes, 2, census=DownstairsCensus())
+        got = creation_audit(Run(), j, r, shapes, 2)
         items, tested = reference.audit_items(DownstairsCensus(), j, r, shapes, 2, budget)
         assert [it.to_dict() for it in got.items] == [it.to_dict() for it in items], (inst.name, role)
         assert (got.census["downstairs_colimits"], got.census["absolute"]) == (tested, len(items))
@@ -1121,14 +1122,14 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     unknown) and the others are settled by the records stored or computed
     there, at most 3,708 creation searches (25,032), 30,000
     pointwise_colimit calls (53,657) and none of them, nor of
-    j_absolute_at, made by a census question itself (28,025 and 16,117
+    is_j_absolute, made by a census question itself (28,025 and 16,117
     when the census filled each position on its own), at most 2,500
     colimit, absoluteness and limit facts decided by the census's column
     masks (21,890 colimit and 5,673 limit positions were filled one by
     one), at most
     1,893 colimit searches at a column and 4,263 natural_families calls,
-    no CreationReport built by the census, and j_absolute_at's store entry
-    resolved at most once per (root, diagram) by the census.  Every strict
+    no CreationReport built by the census, and E(j, d) built at most
+    once per (root, diagram) by the census.  Every strict
     creation search the census makes reads only the verdict, and limit
     store entries are built only for diagram lists asked a limit question
     (80 of 237 handles; all 237 when every handle built its own).  The suite's
@@ -1222,10 +1223,10 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     count(colim, "creation_records")
     count(colim, "creation_search")
     count(colim, "pointwise_colimit", per_position)
-    count(colim, "j_absolute_at", per_position)
+    count(colim, "is_j_absolute", per_position)
     count(colim, "natural_families")
     count(colim._Column, "_search")
-    count(colim, "absolute_entry", lambda j, f, store: "colimits" in inside and entries.update(
+    count(prof, "hom_restriction", lambda E, j, f: "colimits" in inside and entries.update(
         [(content(j), content(f))]))
     count(colim, "_strict_colimit_creation", strict_search)
     count(colim, "creation_entry", limit_entry)
@@ -1243,9 +1244,15 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     count(monadicity, "AuditItem")
     count(monadicity, "comparison_functor")
     for module in (colim, reladj, corpus, monadicity, suite):
-        for name in ("resolve_monadicity", "find_left_relative_adjoint", "is_dense", "build_algebra_category"):
+        for name in ("find_left_relative_adjoint", "is_dense", "build_algebra_category"):
             if hasattr(module, name):
                 count(module, name)
+    resolution = monadicity.Run.resolution
+
+    def resolve(self, j, r, co=False):
+        counts["resolutions"] += (j, r, co) not in self._resolutions
+        return resolution(self, j, r, co)
+    monkeypatch.setattr(monadicity.Run, "resolution", resolve)
     count(suite, "verify_algebra_object")
     count(prof, "restrict_distributor")
     count(algebra, "_graded_morphisms")
@@ -1278,7 +1285,7 @@ def test_suite_pass_answers_each_weight_class_once(monkeypatch):
     assert 0 < counts["graded lifts"] <= 1_063
     assert 0 < counts["restrict_distributor"] <= 950
     assert 0 < counts["comparison_functor"] <= 119
-    assert 0 < counts["resolve_monadicity"] <= 121
+    assert 0 < counts["resolutions"] <= 121
     assert 0 < counts["find_left_relative_adjoint"] <= 132
     assert 0 < counts["is_dense"] <= 40
     assert 0 < counts["build_algebra_category"] <= 47

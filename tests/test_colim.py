@@ -14,6 +14,7 @@ from relmon.colim import (
     try_weighted_colimit,
     try_weighted_limit,
 )
+from relmon.census import DownstairsCensus
 from relmon.errors import DownstairsMissing, TheoremViolation
 from relmon.fincat import FunctorData, enumerate_functors, identity_functor
 from relmon.prof import (
@@ -72,12 +73,11 @@ def colimit(p, f):
 
 
 def absolute_through_store(j, colim, store):
-    """is_j_absolute(j, colim) as the census asks it: the colimit at each x
-    from the diagram's records in store, and the (root, diagram) entry in
-    store."""
+    """is_j_absolute(j, colim) on the colimit as the census reads it: from
+    the diagram's records in store, one column at a time."""
     p, f = colim.weight, colim.diagram
-    at = colim_module.pointwise_colimit(p, f, colim_module.store_records(store, f))
-    return colim_module.j_absolute_at(j, p, f, at, colim_module.absolute_entry(j, f, store))
+    (apex, legs), _ = colim_module._assemble(p, f, colim_module.store_records(store, f))
+    return is_j_absolute(j, colim_module.WeightedColimit(p, f, apex, legs))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +438,7 @@ def test_first_failing_pair_is_a_major_when_a_later_x_fails_first(cats):
     q = hom_restriction(j.cod, j, f)
     at = colim_module.pointwise_colimit(p, f, {})
     assert at["1"] == (colim.apex.ob("1"), (colim.leg("0", "1", "e0"), colim.leg("1", "1", "e0")))
-    assert [colim_module._first_failing_root(q, j, p, x, *at[x]) for x in ("0", "1")] == [1, 0]
+    assert [colim_module.first_failing_root(q, j, p, x, *at[x]) for x in ("0", "1")] == [1, 0]
     assert reference.is_j_absolute(j, colim) == (False, ("l", "1"))
     assert is_j_absolute(j, colim) == absolute_through_store(j, colim, {}) == (False, ("l", "1"))
 
@@ -458,7 +458,7 @@ def test_legs_not_natural_in_y_raise_on_a_cold_absoluteness_check(cats):
 
 def test_weights_sharing_a_column_share_one_absoluteness_check(cats, monkeypatch):
     """p(-, 1) and the Terminal-indexed weight with one element at each y
-    have one column: through one store the second weight checks nothing."""
+    have one column: through one census the second weight checks nothing."""
     p, f = span_coproduct(cats)
     T, D2 = cats["Terminal"], cats["Disc2"]
     p2 = validate_distributor(Distributor(T, D2, {("0", "*"): ("c",), ("1", "*"): ("d",)}, {}, {}))
@@ -469,16 +469,24 @@ def test_weights_sharing_a_column_share_one_absoluteness_check(cats, monkeypatch
         checks.append(x)
         return first_failing_root(q, j, p, x, apex, legs)
 
-    first_failing_root = colim_module._first_failing_root
-    monkeypatch.setattr(colim_module, "_first_failing_root", counted)
+    first_failing_root = colim_module.first_failing_root
+    monkeypatch.setattr(colim_module, "first_failing_root", counted)
     j = identity_functor(cats["Span"])
-    store = {}
-    assert absolute_through_store(j, colimit(p, f), store) == (False, ("l", "1"))
+    census = DownstairsCensus()
+    diagrams = census.diagrams(D2, j)
+    at = 1 << next(d.index for d in diagrams if d.f == f)
+
+    def absolute(q, X):
+        # the census's weight with q's columns, which are all that its answer reads (X has no arrows)
+        w = next(w for w in census.weights(X, D2, 1, 10_000) if w.p.columns() == q.columns())
+        return census.colimits(j, diagrams, [(w, at)])
+
+    assert absolute(p, D2) == [(at, 0)] and reference.is_j_absolute(j, colimit(p, f)) == (False, ("l", "1"))
     assert checks == ["0", "1"]
     colim2 = colimit(p2, f)
-    assert absolute_through_store(j, colim2, store) == reference.is_j_absolute(j, colim2) == (False, ("l", "*"))
+    assert absolute(p2, T) == [(at, 0)] and reference.is_j_absolute(j, colim2) == (False, ("l", "*"))
     assert checks == ["0", "1"]
-    # a private store checks again
+    # is_j_absolute keeps no census and checks again
     assert is_j_absolute(j, colim2) == (False, ("l", "*"))
     assert checks == ["0", "1", "*"]
 

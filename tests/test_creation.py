@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from relmon import colim, corpus
 from relmon.algebra import build_algebra_category
-from relmon.census import NO_COLIMIT, DownstairsCensus
+from relmon.census import DownstairsCensus
 from relmon.colim import (
     check_creation,
     cocone_is_colimiting,
@@ -27,11 +27,12 @@ from relmon.colim import (
 from relmon.errors import BudgetExceeded, DownstairsMissing
 from relmon.fincat import compose_functors, enumerate_functors, identity_functor, opposite
 from relmon.monad import enumerate_relative_monads
-from relmon.monadicity import creation_audit
+from relmon.monadicity import Run, creation_audit
 from relmon.prof import enumerate_distributors
 from relmon.reladj import find_left_relative_adjoint
 
 from . import reference
+from .reference import NO_COLIMIT
 
 TEST_BUDGET = 3000
 
@@ -66,8 +67,8 @@ def candidates(j, D):
     return out
 
 
-def audit_verdicts(j, r, census):
-    rep = creation_audit(j, r, shapes(), 1, budget=TEST_BUDGET, census=census)
+def audit_verdicts(j, r, run):
+    rep = creation_audit(run, j, r, shapes(), 1)
     return [(it.shape_pair, it.weight_index, it.diagram, it.strict_pass, it.nonstrict_pass)
             for it in rep.items]
 
@@ -93,7 +94,7 @@ def direct_verdicts(j, r):
 @given(params=generated, root=st.sampled_from([0, 1]))
 def test_audit_creation_verdicts_match_direct_checks(params, root):
     """Every audited creation verdict equals check_creation(...).passed, with
-    a cold census and a warm one, in both orders of the candidates."""
+    a cold run's census and a warm one, in both orders of the candidates."""
     seed, objects, max_hom = params
     E = corpus.generate_category(seed, objects, max_hom)
     D = corpus.generate_category(seed + 1, objects, max_hom)
@@ -103,9 +104,9 @@ def test_audit_creation_verdicts_match_direct_checks(params, root):
     assume(rs)
     direct = [direct_verdicts(j, r) for r in rs]
     for order in (range(len(rs)), reversed(range(len(rs)))):
-        census = DownstairsCensus()
+        run = Run(TEST_BUDGET)
         for i in order:
-            assert audit_verdicts(j, rs[i], census) == direct[i]
+            assert audit_verdicts(j, rs[i], run) == direct[i]
 
 
 def cocone_cases(W):

@@ -10,6 +10,7 @@ from relmon.errors import Inapplicable, PremiseFail
 from relmon.fincat import (
     FunctorData,
     classify_functor,
+    compose_functors,
     enumerate_functors,
     identity_functor,
     opposite,
@@ -17,12 +18,12 @@ from relmon.fincat import (
 )
 from relmon.monad import RelativeMonad, enumerate_relative_monads, trivial_relative_monad
 from relmon.monadicity import (
+    Run,
     check_monadic_iff_left_adjoint,
     creation_audit,
     decide_composite_monadicity,
     decide_monadicity,
     default_shape_family,
-    resolve_monadicity,
     run_theorem_suite,
 )
 
@@ -108,7 +109,7 @@ def test_co_mode_involution(cats):
 def test_audit_forgetful_clean(bz2_built):
     j, monads, algcats = bz2_built
     for T, algcat in zip(monads, algcats):
-        audit = creation_audit(j, algcat.u)
+        audit = creation_audit(Run(), j, algcat.u)
         assert not audit.vacuous and audit.dense_root
         assert audit.discrepancies == []
         assert audit.targeted_extension_found
@@ -121,7 +122,7 @@ def test_audit_forgetful_clean(bz2_built):
 def test_audit_finds_strict_witness(cats):
     j = identity_functor(cats["Terminal"])
     r = constant_functor(cats["Indisc2"], cats["Terminal"], "*")
-    audit = creation_audit(j, r)
+    audit = creation_audit(Run(), j, r)
     # strict verdict is negative: some absolute colimit must fail strictly
     assert audit.failing_items("strict")
     # non-strict verdict is positive: no non-strict failures allowed
@@ -136,7 +137,7 @@ def test_audit_witnesses_strict_verdict_over_isomorphic_cocones(cats):
     # creation fails and witnesses the negative strict verdict
     inst = next(i for i in corpus.builtin_corpus() if i.name == "empty_root_indisc2")
     j, r = inst.functors["j"], inst.functors["r_point"]
-    audit = creation_audit(j, r)
+    audit = creation_audit(Run(), j, r)
     assert audit.dense_root and not decide_monadicity(j, r, "strict").verdict
     failing = audit.failing_items("strict")
     assert failing and len(failing) == len(audit.items)
@@ -154,7 +155,7 @@ def test_audit_density_necessity_exhibit(cats):
     r = corpus.point_functor(E, "0")
     rep = decide_monadicity(j, r, "strict")
     assert not rep.verdict
-    audit = creation_audit(j, r)
+    audit = creation_audit(Run(), j, r)
     assert not audit.dense_root
     assert audit.failing_items("strict") == []
     assert audit.discrepancies == []
@@ -171,9 +172,9 @@ def test_split_root_forgetful_functors_monadic_with_clean_audits(cats):
     for T in monads:
         algcat = build_algebra_category(T)
         sizes.append(algcat.size())
-        resolution = resolve_monadicity(j, algcat.u)
-        assert resolution.report("strict").verdict
-        audit = creation_audit(j, algcat.u, resolution=resolution)
+        run = Run()
+        assert run.resolution(j, algcat.u).report("strict").verdict
+        audit = creation_audit(run, j, algcat.u)
         assert audit.discrepancies == []
         assert audit.targeted_extension_is_forgetful
         assert audit.retraction_identity
@@ -185,7 +186,7 @@ def test_audit_vacuous_without_adjoint(cats):
     E = cats["BZ2"]
     r = FunctorData(cats["Indisc2"], E, {"0": "*", "1": "*"},
                     {"id0": "e", "id1": "e", "m01": "e", "m10": "e"})
-    audit = creation_audit(identity_functor(E), r)
+    audit = creation_audit(Run(), identity_functor(E), r)
     assert audit.vacuous
 
 
@@ -229,6 +230,48 @@ def test_composite_premise_fail(cats):
     r = constant_functor(cats["Indisc2"], cats["Terminal"], "*")
     with pytest.raises(PremiseFail):
         decide_composite_monadicity(j, r, identity_functor(cats["Indisc2"]), "strict")
+
+
+def counted_work(monkeypatch) -> dict:
+    """Calls of the adjoint search, density check and algebra-category
+    build that a run makes, by name."""
+    counts = dict.fromkeys(("find_left_relative_adjoint", "is_dense", "build_algebra_category"), 0)
+    for name in counts:
+        def counted(*args, name=name, original=getattr(monadicity, name), **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(monadicity, name, counted)
+    return counts
+
+
+def test_composite_decision_resolves_a_shared_question_once(bz2_built, monkeypatch):
+    """On r' = u_T and r = identity, r ; r' is r': the outer question is
+    the premise's, so one run makes two adjoint searches, two density
+    checks (j and the left adjoint) and two algebra categories, where three
+    separate decisions make three of each, and reports the same."""
+    j, monads, algcats = bz2_built
+    u, r = algcats[0].u, identity_functor(algcats[0].category)
+    counts = counted_work(monkeypatch)
+    for mode in ("strict", "nonstrict"):
+        prem = decide_monadicity(j, u, mode)
+        left = Run().resolution(j, u).adjunction.left
+        separate = monadicity.composite_monadicity(
+            prem, decide_monadicity(left, r, mode), decide_monadicity(j, compose_functors(r, u), mode))
+        counts.update(dict.fromkeys(counts, 0))
+        assert decide_composite_monadicity(j, u, r, mode).to_dict() == separate.to_dict()
+        assert counts == dict.fromkeys(counts, 2)
+
+
+def test_monadic_iff_left_adjoint_checks_the_density_of_j_prime_once(cats, monkeypatch):
+    """The premise's density check on j' is the resolution's: one run makes
+    one is_dense(j') call, one adjoint search, and two algebra categories,
+    of T and of the monad the adjoint induces."""
+    E = cats["BZ2"]
+    j, jp = corpus.point_functor(E, "*"), identity_functor(E)
+    T = enumerate_relative_monads(j)[0]
+    counts = counted_work(monkeypatch)
+    assert check_monadic_iff_left_adjoint(j, jp, T).equivalence_holds
+    assert counts == {"find_left_relative_adjoint": 1, "is_dense": 1, "build_algebra_category": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +330,8 @@ def test_unknown_mode_is_refused_before_any_adjoint_search(cats, monkeypatch):
     assert searches == []
     for ask in asks:
         ask("strict")
-    assert len(searches) == 5
+    # the composite's three questions, (jp, jp), (jp, jp) and (jp, jp ; jp), are resolved once
+    assert len(searches) == 3
 
 
 def test_default_shape_family_within_bounds():
@@ -321,15 +365,18 @@ def test_suite_degenerate_subcorpus_passes():
 
 
 def counted_resolutions(monkeypatch) -> list:
-    """The (j, r, co) of each resolve_monadicity call the suite makes."""
+    """The (j, r, co) of each resolution the suite makes: each call of
+    Run.resolution on a suite context whose question it has not resolved yet."""
     from relmon import suite
     calls = []
+    resolution = Run.resolution
 
-    def counted(j, r, co=False, budget=None, run=None):
-        calls.append((j, r, co))
-        return resolve_monadicity(j, r, co, budget, run)
+    def counted(self, j, r, co=False):
+        if isinstance(self, suite._Context) and (j, r, co) not in self._resolutions:
+            calls.append((j, r, co))
+        return resolution(self, j, r, co)
 
-    monkeypatch.setattr(suite, "resolve_monadicity", counted)
+    monkeypatch.setattr(Run, "resolution", counted)
     return calls
 
 
@@ -416,13 +463,13 @@ def assert_theorem_holds(j, r):
     a positive verdict, and the targeted extension is the forgetful
     functor.  Strict creation implies non-strict creation, for the verdicts
     and for every audited item.  Returns the verdicts."""
-    resolution = resolve_monadicity(j, r)
-    reports = {mode: resolution.report(mode) for mode in ("strict", "nonstrict")}
+    run = Run()
+    reports = {mode: run.resolution(j, r).report(mode) for mode in ("strict", "nonstrict")}
     if reports["strict"].verdict:
         assert reports["nonstrict"].verdict
     if not (reports["strict"].adjoint_found and is_dense(j)[0]):
         return reports["strict"].verdict, reports["nonstrict"].verdict
-    audit = creation_audit(j, r, default_shape_family()[:2], 1, resolution=resolution)
+    audit = creation_audit(run, j, r, default_shape_family()[:2], 1)
     assert not audit.vacuous and audit.discrepancies == []
     assert not [item for item in audit.items if item.strict_pass and not item.nonstrict_pass]
     if reports["nonstrict"].verdict:

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from relmon import corpus
-from relmon.census import DownstairsCensus
 from relmon import colim as colim_module
 from relmon.colim import (
     WeightedColimit,
@@ -31,7 +30,7 @@ from relmon.colim import (
 )
 from relmon.errors import BudgetExceeded, DownstairsMissing
 from relmon.fincat import FunctorData, build_category, enumerate_functors, identity_functor
-from relmon.monadicity import creation_audit, decide_monadicity
+from relmon.monadicity import Run, creation_audit, decide_monadicity
 from relmon.prof import Distributor, enumerate_distributors
 
 from . import reference
@@ -218,9 +217,9 @@ def test_per_call_answers_survive_renaming(params, seed, permute):
     assert compared
 
 
-def audit_answer(j, r, census, back, budget):
+def audit_answer(j, r, run, back):
     """creation_audit's items and counts, diagrams mapped back by back."""
-    rep = creation_audit(j, r, shapes(), 1, budget=budget, census=census)
+    rep = creation_audit(run, j, r, shapes(), 1)
     items = [(it.shape_pair, it.weight_index, back(it.diagram), it.strict_pass, it.nonstrict_pass)
              for it in rep.items]
     doc = rep.to_dict()
@@ -254,13 +253,13 @@ def assert_question_survives_renaming(j, r, seed, permute, budget=TEST_BUDGET):
         return {y: ob[d] for y, d in diagram.items()}
 
     for renamed_first in (False, True):
-        census = DownstairsCensus()
+        run = Run(budget)
         if renamed_first:
-            items2, counts2 = audit_answer(j2, r2, census, back, budget)
-            items, counts = audit_answer(j, r, census, dict, budget)
+            items2, counts2 = audit_answer(j2, r2, run, back)
+            items, counts = audit_answer(j, r, run, dict)
         else:
-            items, counts = audit_answer(j, r, census, dict, budget)
-            items2, counts2 = audit_answer(j2, r2, census, back, budget)
+            items, counts = audit_answer(j, r, run, dict)
+            items2, counts2 = audit_answer(j2, r2, run, back)
         if permute:
             assert counts2 == counts
             assert sorted(items2, key=repr) == sorted(items, key=repr)

@@ -35,16 +35,18 @@ def test_imports_are_at_module_level():
 
 
 def test_suite_builds_algebra_categories_and_density_only_in_its_context():
-    # a suite run keeps one algebra category per monad and one density
-    # verdict per root in suite._Context, for its checks and resolutions
-    # alike; a reference anywhere else in suite.py would bypass them
+    # a run keeps one algebra category per monad and one density verdict
+    # per root in monadicity.Run, for its checks and resolutions alike; a
+    # reference anywhere else in suite.py or monadicity.py would bypass them
     memoised = {"build_algebra_category", "is_dense"}
-    tree = ast.parse((SOURCE / "suite.py").read_text())
-    context = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Context")
-    inside = {id(node) for node in ast.walk(context)}
-    found = [(name, id(node) in inside) for node in ast.walk(tree)
-             for name in [getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None)]
-             if name in memoised]
+    found = []
+    for module in ("suite.py", "monadicity.py"):
+        tree = ast.parse((SOURCE / module).read_text())
+        run = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Run"]
+        inside = {id(node) for node in run for node in ast.walk(node)}
+        found += [(name, id(node) in inside) for node in ast.walk(tree)
+                  for name in [getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None)]
+                  if name in memoised]
     assert sorted(set(found)) == [("build_algebra_category", True), ("is_dense", True)]
 
 
@@ -93,8 +95,10 @@ def test_no_process_wide_mutable_containers():
     assert found == []
 
 
-# definitions that no CLI path reaches and that stay for a reader outside src/relmon
+# top-level names that no CLI path reaches and that stay for a reader outside src/relmon
 REACHABILITY_ROOTS = {
+    ("__init__", "__version__"): "the package's version, read by importers and packaging tools",
+    ("monadicity", "decide_monadicity"): "bench/tracing.py wraps it and bench/test_harness.py calls it",
     ("colim", "check_creation"): "bench/tracing.py wraps it",
     ("colim", "try_weighted_limit"): "bench/tracing.py wraps it",
     ("colim", "cocone_is_colimiting"): "bench/tracing.py wraps it",
@@ -139,12 +143,12 @@ def _reached(nodes: dict, roots) -> set:
 
 
 def test_engine_definitions_are_reached_from_the_cli():
-    # every def and class in src/relmon is reached from cli.main or from a
-    # root that a reader outside the package uses; code only tests reach
-    # belongs in tests/ (tests/reference.py holds the independent oracles)
+    # every top-level def, class and assignment in src/relmon is reached
+    # from cli.main or from a root that a reader outside the package uses;
+    # code only tests reach belongs in tests/ (tests/reference.py holds the
+    # independent oracles)
     nodes = _top_level_nodes()
     from_cli = _reached(nodes, [("cli", "main")])
     assert [root for root in REACHABILITY_ROOTS if root in from_cli or root not in nodes] == []
     reached = _reached(nodes, [("cli", "main"), *REACHABILITY_ROOTS])
-    definitions = {key for key, node in nodes.items() if not isinstance(node, (ast.Assign, ast.AnnAssign))}
-    assert sorted(".".join(key) for key in definitions - reached) == []
+    assert sorted(".".join(key) for key in set(nodes) - reached) == []
