@@ -24,48 +24,48 @@ and j-absoluteness agrees (phi carries the canonical map from E(j, f)
 modes, which quantify over cocones up- and downstairs and their g-images,
 agree.
 
-Questions name a weight by a handle from weights(X, Y, cap, budget), which
-enumerates the distributors X -|-> Y once per census (Weights): a Weight
-holds p, its position in that list, the list's cap, the number of its
-isomorphism class there (_class_ids) and the list, which keeps each
-weight's columns and its dual's, numbered by an int id the census gives
-a column's content (set on first use, meaningful in that census only).
-Callers read the labelled p and index.  Questions name diagrams by the list diagrams(Z, g)
-(Diagrams) and their positions there: a Diagram holds f, d = f ; g, their
-positions, its list and its census's store entries for it
+Questions name a weight by a handle from weight_classes(X, Y, cap,
+budget), which enumerates the distributors X -|-> Y once per census
+(Weights): a Weight holds p, its position in that list, the list's cap,
+the number of its isomorphism class there (_class_ids) and the list,
+which keeps each weight's columns and its dual's, numbered by an int id
+the census gives a column's content (set on first use, meaningful in
+that census only).  Callers read the labelled p and index.  Questions
+name diagrams by the list diagrams(Z, g) (Diagrams) of the functors
+f: Z -> dom g and their positions there: a Diagram holds f, d = f ; g,
+f's position, its list and its census's store entries for it
 (colim.CreationEntry): the colimit records of f and d and the creation
 records of (g, f), and their duals for limits, resolved for the whole
 list on its first limit question.  A handle cannot go stale: its entries
 are the store's own dicts, keyed by content, which the store only adds
-to, and a census refuses a list made by another census or for another g.
+to, and a census refuses a list made by another census.
 
 Questions (colimits, limits, creations, preserved) take one diagram list,
-the census's own diagrams(Z, g), and (weight handle, mask) pairs, the
-weights of one of its lists in any order and with repeats, each list
-checked by identity.  Masks and answers hold bit i for the diagram at
-position i of the list.  A pair costs a few bit operations per column of
-its weight, found by int id; the one-position questions (colimit, limit,
-creation, preserves) ask one bit.  Loops ask about the first member of
-each weight class (weight_classes) and count answers with int.bit_count
-times the class size.  A fact not yet known is decided once, by the
-search or check a position walking its columns in x order would make; a
-creation row keeps verdicts only, so its strict search stops at a second
-lift.
+the census's own diagrams(Z, g), which names g, and (weight handle,
+mask) pairs, the weights of one of its lists in any order and with
+repeats, each list checked by identity.  Masks and answers hold bit i
+for the diagram at position i of the list, and so does every mask the
+census keeps.  A pair costs a few bit operations per column of its
+weight, found by int id.  Loops ask about the first member of each
+weight class (weight_classes) and count answers with int.bit_count times
+the class size.  A fact not yet known is decided once, by the search or
+check a position walking its columns in x order would make; a creation
+row keeps verdicts only, so its strict search stops at a second lift.
 
 The pointwise store holds one record per (diagram id, column id)
 (colim._Column): the colimit at one x and the natural families there,
 with their plan, shared by every weight whose column p(-, x) has the
 same content.  It holds per (diagram id, g by content) the creation
-record at each column (colim._CreationAt),
-which holds what both creation modes need at one x, strict creation over
-every colimiting cocone and preservation included, so that a position
-fetches its records once for all three.  Limits are answered in the
+record at each column (colim._CreationAt), which holds what both
+creation modes need at one x, strict creation over every colimiting
+cocone and preservation included, so that a position fetches its
+records once for all three.  Limits are answered in the
 dual: g's and the diagram's opposites are built once per handle, and a
 weight's dual is kept on it (prof.dual_distributor).
 
 The census keeps no absoluteness record beside its masks, which decide
-each (root, diagram, column) fact once; it keeps E(j, d) once per (root,
-diagram) for those checks (colim.first_failing_root).
+each (root, list position, column) fact once; it keeps E(j, d) once per
+(root, diagram) for those checks (colim.first_failing_root).
 
 A run (monadicity.Run) holds one census.  In a suite run it serves
 forgetful_creates, preservation_conservativity, monadicity_crosscheck,
@@ -80,7 +80,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 # the searches are called through their modules, so that instrumentation
 # patching module attributes (bench/tracing.py) counts the census's calls
@@ -90,12 +90,9 @@ from .fincat import FinCategory, FunctorData
 from .prof import Distributor, dual_distributor
 
 
-_MODES = colim.CREATION_MODES
-
-
 class Weight(NamedTuple):
     """A weight p: X -|-> Y at position index, and in class cls (_class_ids), of the list
-    owner that DownstairsCensus.weights(X, Y, cap, budget) returned."""
+    owner, the first item of DownstairsCensus.weight_classes(X, Y, cap, budget)."""
 
     p: Distributor
     index: int
@@ -105,7 +102,7 @@ class Weight(NamedTuple):
 
 
 class Weights(list):
-    """The Weight handles of one weights(X, Y, cap, budget) list, each holding it, and their census;
+    """The Weight handles of one weight_classes(X, Y, cap, budget) list, each holding it, and their census;
     columns holds, per position, p's and then its dual's (x, column, id) triples, each set by the
     first question that walks it."""
 
@@ -118,15 +115,14 @@ class Weights(list):
 
 
 class Diagram(NamedTuple):
-    """f: Z -> dom g at position index of enumerate_functors(Z, dom g), and
-    its composite d = f ; g at position d_index of enumerate_functors(Z, cod g),
-    with the list diagrams(Z, g) that holds it (owner) and its store entries
-    (colim.CreationEntry) for colimits and for limits of f, named by kind."""
+    """f: Z -> dom g at position index of enumerate_functors(Z, dom g), its
+    composite d = f ; g, the list diagrams(Z, g) that holds it (owner) and
+    its store entries (colim.CreationEntry) for colimits and for limits of
+    f, named by kind."""
 
     f: FunctorData
     index: int
     d: FunctorData
-    d_index: int
     owner: "Diagrams"
     colimit: colim.CreationEntry
     limit = property(lambda self: self.owner.limits[self.index])
@@ -136,15 +132,14 @@ class Diagram(NamedTuple):
 
 
 class Diagrams(list):
-    """The Diagram handles of diagrams(Z, g) in f order, with their census, g, Z and the
-    mask of every position.  Masks over the f positions and over the d positions of the
-    composites are translated into each other once per distinct mask: several f may
-    share one d, as when g is a forgetful functor and two algebras share a carrier."""
+    """The Diagram handles of diagrams(Z, g) in f order, one per colimit store entry of
+    entries, with their census, g, Z, the mask of every position and the census's column
+    masks over these positions (DownstairsCensus gives their keys)."""
 
-    def __init__(self, census: "DownstairsCensus", g: FunctorData, Z: FinCategory, handles):
-        super().__init__(handles(self))     # handles(owner) makes the handles, which hold the list
+    def __init__(self, census: "DownstairsCensus", g: FunctorData, Z: FinCategory, entries: list):
+        super().__init__(Diagram(e.f, i, e.d, self, e) for i, e in enumerate(entries))
         self.census, self.g, self.Z, self.every = census, g, Z, (1 << len(self)) - 1
-        self.by_d, self._down, self._up = {h.d_index: h for h in self}, {}, {}
+        self.masks: dict = {}
 
     def __repr__(self) -> str:
         return f"Diagrams({len(self)} handles)"
@@ -152,18 +147,6 @@ class Diagrams(list):
     # each diagram's limit store entry, built for the whole list on its first limit question
     limits = functools.cached_property(
         lambda self: [colim.creation_entry(self.g, h.f, "limit", self.census._pointwise) for h in self])
-
-    def down(self, fs: int) -> int:
-        """The d positions of the diagrams at the f positions of fs."""
-        if fs not in self._down:
-            self._down[fs] = sum({1 << self[i].d_index for i in bits(fs)})
-        return self._down[fs]
-
-    def up(self, ds: int) -> int:
-        """The f positions of the diagrams whose d position is in ds."""
-        if ds not in self._up:
-            self._up[ds] = sum(1 << h.index for h in self if ds >> h.d_index & 1)
-        return self._up[ds]
 
 
 def _class_ids(ps: list) -> list[int]:
@@ -223,27 +206,35 @@ class DownstairsCensus:
     functor g: W -> E, p and f: Z -> W.  None depends on which monad or
     candidate produced the question.
 
-    Masks are keyed by the census's int id of a column's content
-    (Weights.columns).  A mask [known, holds, goes on] of one column id
-    holds bit i for the diagram at position i of an index space:
-    d = f ; g among enumerate_functors(Z, C) for the first three, or f
-    among those into dom g (Diagrams translates).  A pair walks its
-    weight's columns in x order (_walk), deciding the bits not yet known
-    there, and the answer is the bits that hold at every column:
-    * colimits, per (Z, C), whether d has a colimit at the column of p;
-    * absoluteness, per (root j by content, Z, C), for a d with a colimit
-      at every column, whether its canonical map at the column of p is a
+    Masks are kept on the list diagrams(Z, g) they are asked over, which
+    the census makes once per (Z, g by content), in Diagrams.masks, keyed
+    by the question, as below, and then by the census's int id of a
+    column's content (Weights.columns).  A mask
+    [known, holds, goes on] of one column id holds bit i for the diagram
+    at position i of the list, whose d = f ; g is the composite.  Two
+    positions with one composite (a forgetful functor sends two algebras
+    on one carrier to one d) decide their facts apart, from the same
+    store records.  A pair walks its weight's columns in x order (_walk),
+    deciding the bits not yet known there, and the answer is the bits
+    that hold at every column:
+    * ("colimit",): whether d has a colimit at the column of p;
+    * ("absolute", root j by content): for a d with a colimit at every
+      column, whether its canonical map at the column of p is a
       bijection at every a (colim.first_failing_root); as in
       colim.is_j_absolute, a bit goes on unless the map fails at the
       first a;
-    * limits, per (Z, C), whether the dual of d has a colimit at the
-      column of the dual weight;
-    * settled, per (g by content, kind, Z), whether f's creation record at
-      the column of the question weight (computed there when not yet
-      stored, as creation_records would) is strict, upstairs and closed,
-      and then whether it is preserved too.  A position settled at
-      every column passes both modes, as the all-strict and all-closed
-      shortcuts of the two creation searches do.
+    * ("limit",): whether the dual of d has a colimit at the column of
+      the dual weight;
+    * ("settled", kind): whether f's creation record at the column of the
+      question weight (computed there when not yet stored, as
+      creation_records would) is strict, upstairs and closed, and then
+      whether it is preserved too.  A position settled at every column
+      passes both modes without a search, non-strict by the all-closed
+      shortcut of that search, and strict because each x has exactly one
+      lift per isomorphism, colimiting at x: over each non-identity n:
+      x -> x2 the lifted legs at x2 at n.e factor through those at x by
+      exactly one k, and the k's compose as the n's do by that uniqueness,
+      so each family of isomorphisms has exactly one lift, colimiting.
     Creation answers are kept per (g by content, kind, X, Y, cap) and
     class, as one int of four masks over the n f positions, known,
     strict << n, nonstrict << 2n and preserved << 3n, set on a position's
@@ -255,28 +246,18 @@ class DownstairsCensus:
     """
 
     def __init__(self):
-        self._colimits: dict[tuple, dict] = {}
-        self._absolute: dict[tuple, dict] = {}
-        self._limits: dict[tuple, dict] = {}
-        self._settled: dict[tuple, dict] = {}
         self._creations: dict[tuple, dict] = {}
         self._entries: dict[tuple, Distributor] = {}
-        self._positions: dict[tuple, dict] = {}
         self._diagrams: dict[tuple, list] = {}
         self._weights: dict[tuple, list] = {}
         self._ids: dict[tuple, int] = {}
         self._pointwise: dict[tuple, dict] = {}
 
-    def weights(self, X: FinCategory, Y: FinCategory, cap: int, budget: int) -> Weights:
-        """A handle for each of enumerate_distributors(X, Y, cap, budget)."""
-
-        return self.weight_classes(X, Y, cap, budget)[0]
-
     def weight_classes(self, X: FinCategory, Y: FinCategory, cap: int, budget: int) -> tuple:
-        """weights(X, Y, cap, budget) and its class_representatives (firsts,
-        of, sizes), computed once per census and kept together.  The budget
-        is part of the key because it decides whether the enumeration raises
-        BudgetExceeded."""
+        """A handle for each of enumerate_distributors(X, Y, cap, budget) and their
+        class_representatives (firsts, of, sizes), computed once per census and kept
+        together.  The budget is part of the key because it decides whether the
+        enumeration raises BudgetExceeded."""
 
         key = (X, Y, cap, budget)
         found = self._weights.get(key)
@@ -287,18 +268,12 @@ class DownstairsCensus:
 
     def diagrams(self, Z: FinCategory, g: FunctorData) -> Diagrams:
         """Every f: Z -> dom g in enumerate_functors order, with f ; g, its position and its
-        store entries, once per (Z, g by content), recording the composites' positions."""
+        store entries, once per (Z, g by content)."""
 
         handles = self._diagrams.get((Z, g))
         if handles is None:
-            positions, E = self._positions, g.cod
-            if (Z, E) not in positions:
-                positions[(Z, E)] = {d.table(): i for i, d in enumerate(fincat.enumerate_functors(Z, E))}
-            fs = list(fincat.enumerate_functors(Z, g.dom))
-            down, store = positions[(Z, E)], self._pointwise
-            entries = [colim.creation_entry(g, f, "colimit", store) for f in fs]
-            handles = self._diagrams[(Z, g)] = Diagrams(self, g, Z, lambda owner: [
-                Diagram(f, i, e.d, down[e.d.table()], owner, e) for i, (f, e) in enumerate(zip(fs, entries))])
+            handles = self._diagrams[(Z, g)] = Diagrams(self, g, Z, [
+                colim.creation_entry(g, f, "colimit", self._pointwise) for f in fincat.enumerate_functors(Z, g.dom)])
         return handles
 
     def colimits(self, j: FunctorData, diagrams: Diagrams, asked: list) -> list[tuple[int, int]]:
@@ -309,71 +284,54 @@ class DownstairsCensus:
             return [(0, 0)] * len(asked)
         if j.cod != diagrams.g.cod:
             raise EndpointMismatch("colimit must live in the root's codomain")
-        masks, n_a = self._absolute.setdefault((j, diagrams.Z, diagrams.g.cod), {}), len(j.dom.objects)
+        masks, n_a = diagrams.masks.setdefault(("absolute", j), {}), len(j.dom.objects)
 
         def decide(w, x, column, i):
-            d, records = diagrams.by_d[i].colimit.d, diagrams.by_d[i].colimit.down
+            d, records = diagrams[i].d, diagrams[i].colimit.down
             if (j, d) not in self._entries:
                 self._entries[(j, d)] = prof.hom_restriction(j.cod, j, d)      # E(j, d)
             failing = colim.first_failing_root(self._entries[(j, d)], j, w.p, x, *records[column].colimit())
             return failing == n_a, failing > 0 or failing == n_a
-        return [(diagrams.up(exists) & m,
-                 diagrams.up(_walk(masks, self._ids, w, 0, exists, decide)[0] if exists else 0) & m)
-                for (w, m), exists in zip(asked, self._exists(diagrams, asked, "colimit"))]
+        return [(exists, _walk(masks, self._ids, w, 0, exists, decide)[0] if exists else 0)
+                for (w, _), exists in zip(asked, self._exists(diagrams, asked, "colimit"))]
 
     def limits(self, diagrams: Diagrams, asked: list) -> list[int]:
         """The positions of mask whose d has a w.p-weighted limit, per (w, mask) pair of asked."""
 
         if not self._asks(diagrams, asked):
             return [0] * len(asked)
-        return [diagrams.up(exists) & m for (_, m), exists in zip(asked, self._exists(diagrams, asked, "limit"))]
+        return self._exists(diagrams, asked, "limit")
 
-    def creations(self, g: FunctorData, diagrams: Diagrams, asked: list, kind: str) -> list[tuple[int, int]]:
+    def creations(self, diagrams: Diagrams, asked: list, kind: str) -> list[tuple[int, int]]:
         """(strict, nonstrict) per (w, mask) pair of asked: the positions of mask where
-        check_creation(g, w.p, diagram.f, mode, kind) passes in each mode."""
+        check_creation(diagrams.g, w.p, diagram.f, mode, kind) passes in each mode."""
 
         colim.check_choice("kind", kind, colim.CREATION_KINDS)
-        if not self._asks(diagrams, asked, g):
+        if not self._asks(diagrams, asked):
             return [(0, 0)] * len(asked)
         return [masks[:2] for masks in self._creation_masks(diagrams, asked, kind)]
 
-    def preserved(self, g: FunctorData, diagrams: Diagrams, asked: list) -> list[int]:
-        """The positions of mask where the w.p-weighted colimits of f and d exist and g sends
-        the first to a colimit, per (w, mask) pair.  Read from the creation row where d has one."""
+    def preserved(self, diagrams: Diagrams, asked: list) -> list[int]:
+        """The positions of mask where the w.p-weighted colimits of f and d exist and
+        diagrams.g sends the first to a colimit, per (w, mask) pair.  Read from the
+        creation row where d has one."""
 
-        if not self._asks(diagrams, asked, g):
+        if not self._asks(diagrams, asked):
             return [0] * len(asked)
-        exists = [(w, diagrams.up(found) & m) for (w, m), found in zip(asked, self._exists(diagrams, asked, "colimit"))]
+        exists = [(w, found) for (w, _), found in zip(asked, self._exists(diagrams, asked, "colimit"))]
         return [masks[2] for masks in self._creation_masks(diagrams, exists, "colimit")]
 
-    # one-position questions: one weight and the mask of one diagram in its list
-
-    def colimit(self, j: FunctorData, w: Weight, diagram: Diagram) -> int:
-        return sum(map(bool, self.colimits(j, diagram.owner, [(w, 1 << diagram.index)])[0]))
-
-    def limit(self, w: Weight, diagram: Diagram) -> bool:
-        return bool(self.limits(diagram.owner, [(w, 1 << diagram.index)])[0])
-
-    def creation(self, g: FunctorData, w: Weight, diagram: Diagram, kind: str, mode: str) -> bool:
-        colim.check_choice("mode", mode, _MODES)
-        return bool(self.creations(g, diagram.owner, [(w, 1 << diagram.index)], kind)[0][_MODES.index(mode)])
-
-    def preserves(self, g: FunctorData, w: Weight, diagram: Diagram) -> bool:
-        return bool(self.preserved(g, diagram.owner, [(w, 1 << diagram.index)])[0])
-
     def _exists(self, diagrams: Diagrams, asked: list, kind: str) -> list[int]:
-        """Per (w, mask) pair of asked: the d positions of the diagrams of mask whose d has a
-        w.p-weighted colimit (for kind "limit", a limit, read in the dual)."""
+        """Per (w, mask) pair of asked: the positions of mask whose d has a w.p-weighted
+        colimit (for kind "limit", a limit, read in the dual)."""
 
-        dual = kind == "limit"
-        masks = (self._limits if dual else self._colimits).setdefault((diagrams.Z, diagrams.g.cod), {})
+        dual, masks = kind == "limit", diagrams.masks.setdefault((kind,), {})
 
         def decide(w, x, column, i):
-            entry = getattr(diagrams.by_d[i], kind)
+            entry = getattr(diagrams[i], kind)
             found = colim.colimit_at(entry.down, dual_distributor(w.p) if dual else w.p, x, column, entry.d) is not None
             return found, found
-        return [_walk(masks, self._ids, w, dual, diagrams.down(m), decide)[0]
-                if m else 0 for w, m in asked]
+        return [_walk(masks, self._ids, w, dual, m, decide)[0] if m else 0 for w, m in asked]
 
     def _creation_masks(self, diagrams: Diagrams, asked: list, kind: str) -> list[tuple[int, int, int]]:
         """(strict, nonstrict, preserved) masks per (w, mask) pair, read from w's class row; a
@@ -381,7 +339,7 @@ class DownstairsCensus:
         its creation records, fetched once, and one search per mode."""
 
         g, n, w, dual = diagrams.g, len(diagrams), asked[0][0], kind == "limit"
-        masks = self._settled.setdefault((g, kind, diagrams.Z), {})
+        masks = diagrams.masks.setdefault(("settled", kind), {})
         key = (g, kind, w.p.src, w.p.tgt, w.cap)
         rows = self._creations.get(key) or self._creations.setdefault(key, {})
 
@@ -398,21 +356,19 @@ class DownstairsCensus:
                 row = rows[w.cls] = row | settled | settled << n | settled << 2 * n | preserved << 3 * n
                 for i in bits(new & ~settled):
                     found = colim.creation_records(g, w.p, diagrams[i].f, kind, getattr(diagrams[i], kind))
-                    for k, holds in enumerate([True] + [colim.creation_search(found, mode, True)[0] for mode in _MODES]
-                                              + [all(record.preserved for record in found.records)]):
+                    searched = [colim.creation_search(found, mode, True)[0] for mode in colim.CREATION_MODES]
+                    for k, holds in enumerate([True] + searched + [all(record.preserved for record in found.records)]):
                         row |= holds << k * n + i
                     rows[w.cls] = row       # per position: a DownstairsMissing leaves the later ones unknown
             out.append((row >> n & m, row >> 2 * n & m, row >> 3 * n & m))
         return out
 
-    def _asks(self, diagrams: Diagrams, asked: list, g: Optional[FunctorData] = None) -> bool:
+    def _asks(self, diagrams: Diagrams, asked: list) -> bool:
         """Whether asked sets any position.  Refuses (ValueError) a diagram or weight list this
-        census did not make (a diagram list for g when given), and weights of more than one
-        list, each checked by identity."""
+        census did not make, and weights of more than one list, each checked by identity."""
 
-        if type(diagrams) is not Diagrams or diagrams.census is not self or (
-                g is not None and diagrams.g is not g and diagrams.g != g):
-            raise ValueError("a diagram handle is answered only by the census that made it, for its g")
+        if type(diagrams) is not Diagrams or diagrams.census is not self:
+            raise ValueError("a diagram handle is answered only by the census that made it")
         owner, alive = asked[0][0].owner if asked else None, 0
         for v, m in asked:
             if v.owner is not owner or owner.census is not self:

@@ -37,7 +37,7 @@ Caches, what keys them and how long they live:
   (store_records, creation_entry) and reads them one column at a time
   (colimit_at, creation_records); none of them assembles a whole
   (co)limit.  Absoluteness at x (first_failing_root) is not stored: the
-  census's masks decide each (root, diagram, column) once.  The
+  census's masks decide each (root, list position, column) once.  The
   whole-question searches (try_weighted_colimit, try_weighted_limit,
   try_left_extension, check_creation) take no store and keep a private
   one for the call; is_j_absolute keeps none.  _Column and
@@ -731,19 +731,12 @@ def _strict_colimit_creation(g: FunctorData, p: Distributor, records: list, verd
     leg_x ; m = leg_x2 at n.e for the colimiting legs downstairs, and
     postcomposition with those is injective.
 
-    When every record is strict the records alone decide, for any X: each
-    x has exactly one lift per isomorphism, colimiting at x, so for each
-    non-identity n: x -> x2 the lifted legs at x2 at n.e form a cocone over
-    the column at x and factor through the legs at x by exactly one k, and
-    the k's compose as the n's do by that uniqueness.  Every family then
-    has exactly one lift, and it is colimiting.  Over a discrete X no k is
-    asked for: a family's lift count is the product of its counts per x.
-    With verdict only passed is read, and a count stops at 2.
+    Over a discrete X no k is asked for: a family's lift count is the
+    product of its counts per x.  With verdict only passed is read, and a
+    count stops at 2.
     """
 
     objects = p.src.objects
-    if all(r.strict for r in records):
-        return True, 1, {x: r.isos[r.identity][1][0] for x, r in zip(objects, records)}
     along, composable = p.left_plan()
     W = g.dom
     comp, ids = W.composition, W.identities

@@ -285,7 +285,7 @@ def creation_audit(run: Run, j: FunctorData, r: FunctorData, shape_family=None,
             ds = census.diagrams(Y, r)
             verdicts = census.colimits(j, ds, [(w, ds.every) for w in firsts])
             absolute = [a for _, a in verdicts]
-            created = census.creations(r, ds, list(zip(firsts, absolute)), "colimit")
+            created = census.creations(ds, list(zip(firsts, absolute)), "colimit")
             report.blocks.append(((X.name, Y.name), weights, of, sizes, ds, absolute, created))
             tested += sum(exists.bit_count() * n for (exists, _), n in zip(verdicts, sizes))
     report.census = {

@@ -598,7 +598,7 @@ def enumerate_distributors(X: FinCategory, Y: FinCategory, element_cap: int, bud
     the search would prune; every choice is checked before any distributor
     is built, so a refused call builds none.  Nothing is memoized: a caller
     that asks again reads the list through its run's census
-    (DownstairsCensus.weights).
+    (DownstairsCensus.weight_classes).
     """
 
     budget = budget or budget_limit()

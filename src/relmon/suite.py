@@ -62,9 +62,6 @@ class _Context(Run):
                 out.append((inst, role, inst.monads[role]))
         return out
 
-    def decision(self, j, r, mode, co=False):
-        return self.resolution(j, r, co).report(mode)
-
     composite_triples = functools.cached_property(lambda self: _composite_triples(self))
 
     def root_pairs(self):
@@ -173,7 +170,7 @@ def _check_forgetful_creates(ctx) -> SuiteResult:
                 absolute = [a for _, a in census.colimits(T.j, colimits, [(w, colimits.every) for w in firsts])]
                 asked = (("colimit", colimits, absolute),
                          ("limit", limits, census.limits(limits, [(w, limits.every) for w in firsts])))
-                created = [census.creations(u, ds, list(zip(firsts, masks)), kind) for kind, ds, masks in asked]
+                created = [census.creations(ds, list(zip(firsts, masks)), kind) for kind, ds, masks in asked]
                 checked += 2 * sum(masks[k].bit_count() * n for _, _, masks in asked for k, n in enumerate(sizes))
                 failures = [[f"{inst.name}/{role}: {mode} {kind} creation fails "
                              f"(weight {X.name}->{Y.name}, diagram {dict(ds[i].f.on_objects)})"
@@ -201,8 +198,8 @@ def _check_preservation_conservativity(ctx) -> SuiteResult:
         for X in shapes:
             for Y in shapes:
                 firsts, _, sizes = _small_weights(ctx, X, Y, skipped)
-                preserved = census.preserved(g, diagrams[Y], [(w, diagrams[Y].every) for w in firsts])
-                created = census.creations(g, diagrams[Y], list(zip(firsts, preserved)), "colimit")
+                preserved = census.preserved(diagrams[Y], [(w, diagrams[Y].every) for w in firsts])
+                created = census.creations(diagrams[Y], list(zip(firsts, preserved)), "colimit")
                 checked += sum(found.bit_count() * n for found, n in zip(preserved, sizes))
                 details += sum((found & ~nonstrict).bit_count() * n for found, (_, nonstrict), n in zip(
                     preserved, created, sizes)) * [f"{inst.name}/{role}: preserved colimit not non-strictly created"]
@@ -279,8 +276,8 @@ def _check_degenerate_root(ctx) -> SuiteResult:
         if j.dom.objects:
             continue
         cl = classify_functor(r)
-        strict = ctx.decision(j, r, "strict")
-        nonstrict = ctx.decision(j, r, "nonstrict")
+        strict = ctx.resolution(j, r).report("strict")
+        nonstrict = ctx.resolution(j, r).report("nonstrict")
         checked += 1
         if strict.verdict != cl.is_iso:
             details.append(f"{inst.name}/{rrole}: strict verdict {strict.verdict} vs iso {cl.is_iso}")
@@ -356,8 +353,8 @@ def _check_pasting_composite(ctx) -> SuiteResult:
             try:
                 prem = premise.report(mode)
                 rep = composite_monadicity(
-                    prem, prem.verdict and ctx.decision(premise.adjunction.left, r, mode),
-                    prem.verdict and ctx.decision(j, compose_functors(r, rprime), mode))
+                    prem, prem.verdict and ctx.resolution(premise.adjunction.left, r).report(mode),
+                    prem.verdict and ctx.resolution(j, compose_functors(r, rprime)).report(mode))
             except PremiseFail:
                 continue
             except TheoremViolation as exc:
@@ -381,14 +378,14 @@ def _check_cancellability(ctx) -> SuiteResult:
         if j.dom != j.cod or j != identity_functor(j.cod):
             continue
         one_D = identity_functor(rprime.dom)
-        if not ctx.decision(j, rprime, "strict").verdict:
+        if not ctx.resolution(j, rprime).report("strict").verdict:
             continue
-        if not ctx.decision(j, compose_functors(r, rprime), "strict").verdict:
+        if not ctx.resolution(j, compose_functors(r, rprime)).report("strict").verdict:
             continue
         if ctx.resolution(one_D, r).adjunction is None:
             continue
         checked += 1
-        if not ctx.decision(one_D, r, "strict").verdict:
+        if not ctx.resolution(one_D, r).report("strict").verdict:
             details.append(f"{label}: cancellability fails")
     return SuiteResult("cancellability", not details, checked, details)
 
@@ -448,13 +445,16 @@ def _algebraic_creation_sample(ctx, j, r, i, skipped):
     Tm = terminal_category()
     firsts, of, _ = _small_weights(ctx, Tm, Tm, skipped)
     diagrams, diagrams_r = census.diagrams(Tm, i), census.diagrams(Tm, r)
-    # the d positions of f ; i are the f positions of f ; i ; r among diagrams_r
-    image = diagrams.down(diagrams.every)
+    # the position among diagrams_r of each f ; i, found by content
+    position = {h.f.table(): h.index for h in diagrams_r}
+    at_r = [position[h.d.table()] for h in diagrams]
+    image = sum({1 << k for k in at_r})
     absolute = [a for _, a in census.colimits(j, diagrams_r, [(w, image) for w in firsts])]
-    preserved = census.preserved(r, diagrams_r, list(zip(firsts, absolute)))
-    asked = (("colimit sent to j-absolute", "colimit", [diagrams.up(p) for p in preserved]),
+    preserved = census.preserved(diagrams_r, list(zip(firsts, absolute)))
+    asked = (("colimit sent to j-absolute", "colimit",
+              [sum(1 << i for i, k in enumerate(at_r) if p >> k & 1) for p in preserved]),
              ("limit", "limit", census.limits(diagrams, [(w, diagrams.every) for w in firsts])))
-    created = [census.creations(i, diagrams, list(zip(firsts, masks)), kind) for _, kind, masks in asked]
+    created = [census.creations(diagrams, list(zip(firsts, masks)), kind) for _, kind, masks in asked]
     failures = [[f"{what} not non-strictly created" for (what, _, masks), answers in zip(asked, created)
                  for _ in range((masks[k] & ~answers[k][1]).bit_count())] for k in range(len(firsts))]
     return [bad for k in of for bad in failures[k]]
@@ -531,8 +531,8 @@ def _check_duality_involution(ctx) -> SuiteResult:
         j_op = opposite_functor(j, opposite(j.dom), opposite(j.cod))
         r_op = opposite_functor(r, opposite(r.dom), opposite(r.cod))
         for mode in ("strict", "nonstrict"):
-            direct = ctx.decision(j, r, mode)
-            co = ctx.decision(j_op, r_op, mode, co=True)
+            direct = ctx.resolution(j, r).report(mode)
+            co = ctx.resolution(j_op, r_op, co=True).report(mode)
             checked += 1
             if direct.verdict != co.verdict:
                 details.append(f"{inst.name}/{rrole} ({mode}): duality involution broken")

@@ -12,9 +12,11 @@ import itertools
 
 from relmon.algebra import Algebra, _alpha_slice_matches, algebra_violations
 from relmon.colim import (
+    CREATION_MODES,
     CreationReport,
     WeightedColimit,
     _factor,
+    check_choice,
     try_weighted_colimit,
 )
 from relmon.errors import (
@@ -840,6 +842,34 @@ def enumerate_distributors(X, Y, element_cap: int, budget: int = 200_000) -> lis
 
 
 # ---------------------------------------------------------------------------
+# one-position census questions: one weight and the mask of one diagram in its list
+
+
+def weights(census, X, Y, cap: int, budget: int) -> list:
+    """A handle for each of enumerate_distributors(X, Y, cap, budget), census's list."""
+    return census.weight_classes(X, Y, cap, budget)[0]
+
+
+def colimit(census, j, w, diagram) -> int:
+    """NO_COLIMIT, COLIMIT or ABSOLUTE_COLIMIT (for the root j) at one position."""
+    return sum(map(bool, census.colimits(j, diagram.owner, [(w, 1 << diagram.index)])[0]))
+
+
+def limit(census, w, diagram) -> bool:
+    return bool(census.limits(diagram.owner, [(w, 1 << diagram.index)])[0])
+
+
+def creation(census, w, diagram, kind: str, mode: str) -> bool:
+    """Whether the diagram list's g creates the (co)limit at one position in mode."""
+    check_choice("mode", mode, CREATION_MODES)
+    return bool(census.creations(diagram.owner, [(w, 1 << diagram.index)], kind)[0][CREATION_MODES.index(mode)])
+
+
+def preserves(census, w, diagram) -> bool:
+    return bool(census.preserved(diagram.owner, [(w, 1 << diagram.index)])[0])
+
+
+# ---------------------------------------------------------------------------
 # the census loops, one question per labelled weight
 
 
@@ -853,16 +883,16 @@ def audit_items(census, j, r, shape_family, element_cap: int, budget: int) -> tu
     for X in shape_family:
         for Y in shape_family:
             try:
-                weights = census.weights(X, Y, element_cap, budget)
+                listed = weights(census, X, Y, element_cap, budget)
             except BudgetExceeded:
                 continue
-            for w in weights:
+            for w in listed:
                 for d in census.diagrams(Y, r):
-                    verdict = census.colimit(j, w, d)
+                    verdict = colimit(census, j, w, d)
                     tested += verdict != NO_COLIMIT
                     if verdict == ABSOLUTE_COLIMIT:
                         items.append(AuditItem((X.name, Y.name), w.index, dict(d.f.on_objects), "colimit", True,
-                                               *(census.creation(r, w, d, "colimit", mode)
+                                               *(creation(census, w, d, "colimit", mode)
                                                  for mode in ("strict", "nonstrict"))))
     return items, tested
 
@@ -881,17 +911,17 @@ def forgetful_creates(ctx) -> tuple:
         for X in ctx.shape_family:
             for Y in ctx.shape_family:
                 try:
-                    weights = census.weights(X, Y, ctx.element_cap, ctx.budget)
+                    listed = weights(census, X, Y, ctx.element_cap, ctx.budget)
                 except BudgetExceeded:
                     continue
-                for w in weights:
+                for w in listed:
                     items = [("colimit", d) for d in diagrams[Y]
-                             if census.colimit(T.j, w, d) == ABSOLUTE_COLIMIT]
-                    items += [("limit", d) for d in diagrams[X] if census.limit(w, d)]
+                             if colimit(census, T.j, w, d) == ABSOLUTE_COLIMIT]
+                    items += [("limit", d) for d in diagrams[X] if limit(census, w, d)]
                     for kind, d in items:
                         for mode in ("strict", "nonstrict"):
                             checked += 1
-                            if not census.creation(u, w, d, kind, mode):
+                            if not creation(census, w, d, kind, mode):
                                 details.append(
                                     f"{inst.name}/{role}: {mode} {kind} creation fails "
                                     f"(weight {X.name}->{Y.name}, diagram {dict(d.f.on_objects)})")

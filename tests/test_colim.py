@@ -478,7 +478,7 @@ def test_weights_sharing_a_column_share_one_absoluteness_check(cats, monkeypatch
 
     def absolute(q, X):
         # the census's weight with q's columns, which are all that its answer reads (X has no arrows)
-        w = next(w for w in census.weights(X, D2, 1, 10_000) if w.p.columns() == q.columns())
+        w = next(w for w in reference.weights(census, X, D2, 1, 10_000) if w.p.columns() == q.columns())
         return census.colimits(j, diagrams, [(w, at)])
 
     assert absolute(p, D2) == [(at, 0)] and reference.is_j_absolute(j, colimit(p, f)) == (False, ("l", "1"))

@@ -395,7 +395,7 @@ def test_suite_decides_pairs_of_equal_content_once(monkeypatch):
     first = ctx.resolution(*pairs[0])
     assert ctx.resolution(*pairs[1]) is first
     for mode in ("strict", "nonstrict"):
-        assert ctx.decision(*pairs[1], mode).to_dict() == decide_monadicity(*pairs[0], mode).to_dict()
+        assert ctx.resolution(*pairs[1]).report(mode).to_dict() == decide_monadicity(*pairs[0], mode).to_dict()
     assert len(calls) == 1
 
 
@@ -417,7 +417,7 @@ def test_suite_resolves_each_question_as_given_once(monkeypatch, cats):
     for _ in range(2):
         for question in questions:
             for mode in ("strict", "nonstrict"):
-                assert ctx.decision(*question[:2], mode, co=question[2]).to_dict() == (
+                assert ctx.resolution(*question).report(mode).to_dict() == (
                     decide_monadicity(*question[:2], mode, co=question[2]).to_dict()), (question, mode)
     assert calls == questions
     assert len({id(ctx.resolution(*question)) for question in questions}) == 4
